@@ -80,7 +80,7 @@
 //! feature block, `(2048, 128) x (128, 128)`) and is recorded through
 //! three implementations — the register-tiled fast tier (`backend:
 //! "tensor"`), the pre-tier reference kernel (`backend: "naive"`), and
-//! the f64 shadow kernel (`backend: "tensor"`, `"dtype": "f64"`). The
+//! the same tier at `f64` (`backend: "tensor"`, `"dtype": "f64"`). The
 //! optional `dtype` field is part of a record's identity for
 //! [`crate::diff`] (`repro bench-diff`); records without it are the
 //! native f32 tier. The committed artifact therefore carries the fast
@@ -143,7 +143,7 @@ use mesorasi_nn::Graph;
 use mesorasi_par as par;
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{sampling, PointCloud};
-use mesorasi_tensor::{group, ops, ops64, Matrix, Matrix64};
+use mesorasi_tensor::{group, ops, Matrix, Matrix64};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -600,17 +600,15 @@ pub fn run(smoke: bool) -> BenchReport {
     let grid_rebuild = std::cell::RefCell::new(UniformGrid::build(&w.cloud, w.radius));
 
     // The fast-tier acceptance comparison: the same paper-scale product
-    // through the pre-tier reference kernel and the f64 shadow kernel, so
-    // the committed artifact carries the tier speedup and the cost of
-    // shadow precision as first-class records.
+    // through the pre-tier reference kernel and the tier's f64
+    // instantiation, so the committed artifact carries the tier speedup
+    // and the cost of double precision as first-class records.
     let naive_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
     let at_b_naive_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
     let a_bt_naive_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
     let mm_bt = w.mm_b.transposed();
-    let mut mm_a64 = Matrix64::zeros(0, 0);
-    let mut mm_b64 = Matrix64::zeros(0, 0);
-    mm_a64.copy_widened(&w.mm_a);
-    mm_b64.copy_widened(&w.mm_b);
+    let mm_a64 = Matrix64::cast_from(&w.mm_a);
+    let mm_b64 = Matrix64::cast_from(&w.mm_b);
     let mm_out64 = std::cell::RefCell::new(Matrix64::zeros(0, 0));
 
     // (op, backend, dtype, runner) — each runner is one timed call.
@@ -627,7 +625,7 @@ pub fn run(smoke: bool) -> BenchReport {
             "matmul",
             "tensor",
             Some("f64"),
-            Box::new(|| ops64::matmul_into(&mm_a64, &mm_b64, &mut mm_out64.borrow_mut())),
+            Box::new(|| ops::matmul_into(&mm_a64, &mm_b64, &mut mm_out64.borrow_mut())),
         ),
         (
             "matmul_at_b",

@@ -64,6 +64,34 @@ fn zero_mesorasi_tile_budget_fails_loudly() {
 }
 
 #[test]
+fn invalid_mesorasi_dtype_fails_loudly_with_accepted_values() {
+    let out = repro_bench_with("MESORASI_DTYPE", "f16");
+    assert!(!out.status.success(), "invalid MESORASI_DTYPE must not be ignored");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("invalid MESORASI_DTYPE='f16': accepted values are f32|f64"), "{err}");
+}
+
+#[test]
+fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
+    // A session build parses MESORASI_DTYPE immediately before
+    // MESORASI_TILE_BUDGET, so an invalid tile budget is a cheap sentinel:
+    // reaching *its* loud failure proves the dtype value was accepted,
+    // without sitting through a whole smoke bench. Empty means unset (CI
+    // blanks variables that way), like MESORASI_PAGER_BUDGET.
+    for dtype in ["F64", " f64 ", "f32", ""] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["bench", "--smoke"])
+            .env("MESORASI_DTYPE", dtype)
+            .env("MESORASI_TILE_BUDGET", "huge")
+            .output()
+            .expect("spawn repro");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("MESORASI_DTYPE"), "'{dtype}' must be accepted: {err}");
+        assert!(err.contains("invalid MESORASI_TILE_BUDGET='huge'"), "'{dtype}': {err}");
+    }
+}
+
+#[test]
 fn valid_overrides_still_accepted() {
     // `0`/negative are rejected; a plain valid pair must boot far enough
     // to start benching (we don't wait for completion — kill via timeout

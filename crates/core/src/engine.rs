@@ -36,7 +36,7 @@ use crate::sample_cache::{SampleCache, SampleCacheStats, DEFAULT_SAMPLE_CACHE_CA
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_knn::{NeighborIndexTable, PagerStats, SearchContext, SearchPlanner};
 use mesorasi_nn::ir::VarId;
-use mesorasi_nn::plan::{Arena, Arena64, ArenaStats, Bindings, DynMarks, Plan, ShadowPlan};
+use mesorasi_nn::plan::{Arena, ArenaStats, Bindings, DynMarks, Plan};
 use mesorasi_nn::Graph;
 use mesorasi_pointcloud::PointCloud;
 use mesorasi_tensor::{Dtype, Matrix};
@@ -437,7 +437,7 @@ struct Compiled {
     steps: Vec<DynStep>,
     /// Steps that survived plan dead-code elimination.
     step_live: Vec<bool>,
-    arena: Arena,
+    arena: Arena<f32>,
     /// NIT cache: hash-keyed, true-LRU bindings per seen sample.
     samples: SampleCache,
     /// The search arena: planner + per-space reusable index storage, keyed
@@ -459,11 +459,11 @@ struct Compiled {
     shadow: Option<ShadowExec>,
 }
 
-/// Lazy per-plan state of the f64 execution mode: the widened constants,
-/// the f64 arena, and the rounded-to-f32 output views callers borrow.
+/// Lazy per-plan state of the f64 execution mode: the `f64` instantiation
+/// of the plan's arena (widened constants included) and the rounded-to-f32
+/// output views callers borrow.
 struct ShadowExec {
-    plan: ShadowPlan,
-    arena: Arena64,
+    arena: Arena<f64>,
     /// One f32 matrix per plan output, refreshed (rounded once per
     /// element) after every shadow replay.
     outs: Vec<Matrix>,
@@ -476,15 +476,28 @@ struct ShadowExec {
 /// and stencil derivation) reads the f32 arena, so an f64 run gathers
 /// exactly the rows an f32 run gathers and only the dense arithmetic
 /// changes precision.
-fn run_shadow(plan: &Plan, shadow: &mut Option<ShadowExec>, bindings: &Bindings) {
+fn run_shadow(
+    plan: &Plan,
+    native: &Arena<f32>,
+    shadow: &mut Option<ShadowExec>,
+    bindings: &Bindings,
+) {
     let ex = shadow.get_or_insert_with(|| ShadowExec {
-        plan: plan.shadow(),
-        arena: plan.arena64(),
+        arena: native.cast(),
         outs: vec![Matrix::zeros(0, 0); plan.output_count()],
     });
-    plan.run_f64(&ex.plan, &mut ex.arena, bindings);
+    plan.run(&mut ex.arena, bindings);
     for (i, o) in ex.outs.iter_mut().enumerate() {
-        plan.output64(&ex.plan, &ex.arena, i).round_into(o);
+        o.copy_cast_from(plan.output(&ex.arena, i));
+    }
+}
+
+impl ShadowExec {
+    /// Heap bytes the f64 mode adds on top of the native arena.
+    fn bytes(&self) -> usize {
+        self.arena.peak_bytes()
+            + self.arena.const_bytes()
+            + self.outs.iter().map(|o| o.capacity() * std::mem::size_of::<f32>()).sum::<usize>()
     }
 }
 
@@ -504,7 +517,7 @@ impl Compiled {
 /// Borrow of a finished execution's outputs.
 pub struct PlannedOutputs<'a> {
     plan: &'a Plan,
-    arena: &'a Arena,
+    arena: &'a Arena<f32>,
     outputs: usize,
     /// When the engine ran in [`Dtype::F64`] mode: the rounded shadow
     /// outputs, overriding the f32 arena values.
@@ -688,10 +701,10 @@ impl PlanEngine {
     /// dynamic derivation steps (searches, stencils) read intermediate
     /// features from the f32 arena, which keeps neighbor structure
     /// dtype-invariant — and then replays the complete plan through the
-    /// sequential f64 shadow kernels, so [`PlannedOutputs::get`] returns
-    /// f64-accumulated values rounded once to f32. Shadow state is built
-    /// lazily per compiled plan on the first f64 run; switching back to
-    /// f32 keeps it around for later reuse.
+    /// same kernels against an `f64` arena, so [`PlannedOutputs::get`]
+    /// returns f64-accumulated values rounded once to f32. The f64 state
+    /// is built lazily per compiled plan on the first f64 run; switching
+    /// back to f32 keeps it around for later reuse.
     pub fn set_dtype(&mut self, dtype: Dtype) {
         self.dtype = dtype;
     }
@@ -748,14 +761,14 @@ impl PlanEngine {
                 // no allocation (the LRU relink is pointer surgery).
                 plan.run(arena, bindings);
                 if dtype == Dtype::F64 {
-                    run_shadow(plan, shadow, bindings);
+                    run_shadow(plan, arena, shadow, bindings);
                 }
             }
             None => {
                 let mut bindings = Bindings::for_plan(&c.plan);
                 derive_and_run(c, cloud, &mut bindings);
                 if dtype == Dtype::F64 {
-                    run_shadow(&c.plan, &mut c.shadow, &bindings);
+                    run_shadow(&c.plan, &c.arena, &mut c.shadow, &bindings);
                 }
                 // True LRU: at capacity exactly one (least recently used)
                 // entry is evicted — never a wholesale clear, so hot
@@ -793,7 +806,7 @@ impl PlanEngine {
         };
         derive_and_run(c, cloud, &mut bindings);
         if dtype == Dtype::F64 {
-            run_shadow(&c.plan, &mut c.shadow, &bindings);
+            run_shadow(&c.plan, &c.arena, &mut c.shadow, &bindings);
         }
         c.stream_bindings = Some(bindings);
         self.outputs_of(ci)
@@ -814,10 +827,20 @@ impl PlanEngine {
     }
 
     /// Statistics of the plan compiled for `n_points`, if any: tensor-arena
-    /// usage plus search-arena bytes and traffic counters.
+    /// usage plus search-arena bytes and traffic counters. Once the plan
+    /// has run in [`Dtype::F64`] mode, the arena totals include the f64
+    /// state (its arena, widened constants and rounded outputs) — the
+    /// heap ceiling is whatever the engine actually retains.
     pub fn stats(&self, n_points: usize) -> Option<EngineStats> {
         self.compiled.iter().find(|c| c.n_points == n_points).map(|c| EngineStats {
-            arena: c.plan.stats(&c.arena),
+            arena: {
+                let mut arena = c.plan.stats(&c.arena);
+                if let Some(shadow) = &c.shadow {
+                    arena.peak_bytes += shadow.bytes();
+                    arena.grow_events += shadow.arena.grow_events();
+                }
+                arena
+            },
             search_bytes: c.search_bytes(),
             search: c.search.counters(),
             cache: c.samples.stats(),
@@ -868,10 +891,9 @@ impl PlanEngine {
         }
         assert!(recording.open.is_none(), "recording ended inside a module");
 
-        let plan = Plan::from_graph(&g, &outputs, &recording.marks);
+        let (plan, arena) = Plan::from_graph(&g, &outputs, &recording.marks);
         plan.check_no_aliasing();
         let step_live = compute_step_live(&plan, &recording);
-        let arena = plan.arena();
         let n_states = recording.states.len();
         self.compiled.push(Compiled {
             n_points: cloud.len(),

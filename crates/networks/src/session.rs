@@ -310,17 +310,16 @@ fn tile_budget_from_env() -> Option<usize> {
     }
 }
 
-/// Reads `MESORASI_DTYPE` (`"f32"` or `"f64"`). Like `MESORASI_SEARCH`
-/// and `MESORASI_THREADS`, an invalid value fails loudly rather than
-/// silently running the wrong configuration.
+/// Reads `MESORASI_DTYPE` through [`Dtype`]'s `FromStr` (`f32` / `f64`,
+/// trimmed, case-insensitive); unset or empty means `f32`. Like
+/// `MESORASI_SEARCH` and `MESORASI_THREADS`, an invalid value fails loudly
+/// rather than silently running the wrong configuration.
 fn dtype_from_env() -> Dtype {
     match std::env::var("MESORASI_DTYPE") {
-        Ok(v) => match v.as_str() {
-            "f32" => Dtype::F32,
-            "f64" => Dtype::F64,
-            other => panic!("MESORASI_DTYPE must be \"f32\" or \"f64\", got {other:?}"),
-        },
-        Err(_) => Dtype::F32,
+        Ok(raw) if !raw.trim().is_empty() => {
+            raw.parse().unwrap_or_else(|e| panic!("invalid MESORASI_DTYPE='{raw}': {e}"))
+        }
+        _ => Dtype::F32,
     }
 }
 

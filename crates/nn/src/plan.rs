@@ -1,5 +1,6 @@
 //! Plan-and-execute inference: compile a recorded op sequence into an
-//! immutable [`Plan`] whose intermediates live in a reusable [`Arena`].
+//! immutable [`Plan`] whose constants and intermediates live in a reusable
+//! [`Arena`].
 //!
 //! The autograd tape re-allocates every intermediate on every forward pass
 //! — the right trade for training (values must outlive the pass for the
@@ -16,7 +17,14 @@
 //! Steady-state execution then performs **zero heap allocation**: every op
 //! writes into its preassigned slot through the `_into` kernels of
 //! `mesorasi-tensor`, which are the same kernels the tape calls, so planned
-//! values are bit-identical to tape values at every thread count.
+//! `f32` values are bit-identical to tape values at every thread count.
+//!
+//! The executor is generic over the arena's [`Element`] type: the plan —
+//! schedule, slot assignment, per-sample [`Bindings`] — is one structure,
+//! and an [`Arena<f64>`](Arena) replays it through the same kernels in
+//! double precision. Per-sample `f32` data crosses into `T` at
+//! [`Op::Input`] nodes and stencil weights; everything downstream
+//! accumulates in `T`.
 //!
 //! Per-sample variability (input matrices, neighbor-search index lists,
 //! interpolation stencils) enters through [`Bindings`], produced by the
@@ -25,7 +33,7 @@
 
 use crate::graph::Graph;
 use crate::ir::{Op, VarId};
-use mesorasi_tensor::{group, ops, ops64, Matrix, Matrix64};
+use mesorasi_tensor::{group, ops, Element, Mat, Matrix};
 use std::collections::HashMap;
 
 /// Marks ops of a recorded graph whose index operands are per-sample
@@ -111,74 +119,52 @@ pub struct ArenaStats {
     pub grow_events: usize,
 }
 
-/// The reusable execution state for one plan: one buffer per slot plus a
-/// scratch vector for statistics. Create with [`Plan::arena`]; after the
-/// first execution it stops allocating.
+/// The execution state for one plan in element type `T`: the plan's
+/// constants in `T` (so the plan itself stays element-type-free), one
+/// reusable buffer per slot, and a scratch vector for statistics.
+/// [`Plan::from_graph`] returns the native `f32` arena; [`Arena::cast`]
+/// derives one in another element type. After the first execution it
+/// stops allocating.
 #[derive(Debug)]
-pub struct Arena {
-    slots: Vec<Matrix>,
-    scratch: Vec<f32>,
+pub struct Arena<T: Element> {
+    /// Parameter snapshots, addressed by `Loc::Const`.
+    params: Vec<Mat<T>>,
+    /// Live [`Op::MulConst`] node index → mask.
+    masks: HashMap<usize, Mat<T>>,
+    slots: Vec<Mat<T>>,
+    scratch: Vec<T>,
     grow_events: usize,
 }
 
-impl Arena {
+impl<T: Element> Arena<T> {
     /// Times any slot grew beyond its planned capacity (0 in steady state).
     pub fn grow_events(&self) -> usize {
         self.grow_events
     }
 
-    /// Total bytes currently reserved by the arena.
+    /// Total bytes currently reserved for intermediates (slots + scratch).
     pub fn peak_bytes(&self) -> usize {
         let elems: usize =
-            self.slots.iter().map(Matrix::capacity).sum::<usize>() + self.scratch.capacity();
-        elems * std::mem::size_of::<f32>()
-    }
-}
-
-/// The compile-time f64 half of a plan's shadow-precision tier: every
-/// constant payload of the plan (parameter snapshots, [`Op::MulConst`]
-/// masks, static [`Op::WeightedGather`] weights) widened to f64 exactly
-/// once. Create with [`Plan::shadow`]; execute with [`Plan::run_f64`].
-///
-/// The shadow executor replays the *same* plan — same schedule, same slot
-/// assignment, same per-sample [`Bindings`] — through the sequential
-/// [`ops64`] kernels on [`Matrix64`] values. Per-sample data crosses the
-/// f32 → f64 boundary at [`Op::Input`] nodes and at dynamic stencil
-/// weights; everything downstream accumulates in f64.
-#[derive(Debug)]
-pub struct ShadowPlan {
-    consts: Vec<Matrix64>,
-    /// Live [`Op::MulConst`] node index → widened mask.
-    masks: HashMap<usize, Matrix64>,
-    /// Live [`Op::WeightedGather`] node index → widened weights, for
-    /// stencils that are network structure rather than per-sample values.
-    weights: HashMap<usize, Vec<f64>>,
-}
-
-/// The reusable f64 execution state for one plan — the [`Arena`] of the
-/// shadow tier. Create with [`Plan::arena64`]; after the first execution
-/// it stops allocating.
-#[derive(Debug)]
-pub struct Arena64 {
-    slots: Vec<Matrix64>,
-    scratch: Vec<f64>,
-    /// Reused widening buffer for per-sample stencil weights.
-    wscratch: Vec<f64>,
-    grow_events: usize,
-}
-
-impl Arena64 {
-    /// Times any slot grew beyond its planned capacity (0 in steady state).
-    pub fn grow_events(&self) -> usize {
-        self.grow_events
+            self.slots.iter().map(Mat::capacity).sum::<usize>() + self.scratch.capacity();
+        elems * std::mem::size_of::<T>()
     }
 
-    /// Total bytes currently reserved by the arena.
-    pub fn peak_bytes(&self) -> usize {
-        let elems: usize = self.slots.iter().map(Matrix64::capacity).sum::<usize>()
-            + self.scratch.capacity()
-            + self.wscratch.capacity();
-        elems * std::mem::size_of::<f64>()
+    /// Bytes held by this arena's copy of the plan's constants.
+    pub fn const_bytes(&self) -> usize {
+        self.params.iter().chain(self.masks.values()).map(Mat::size_bytes).sum()
+    }
+
+    /// A fresh arena for the same plan in element type `U`: constants
+    /// converted once (exact when widening), empty slots at this arena's
+    /// capacities.
+    pub fn cast<U: Element>(&self) -> Arena<U> {
+        Arena {
+            params: self.params.iter().map(Mat::cast_from).collect(),
+            masks: self.masks.iter().map(|(&i, m)| (i, Mat::cast_from(m))).collect(),
+            slots: self.slots.iter().map(|s| Mat::with_capacity(s.capacity())).collect(),
+            scratch: Vec::new(),
+            grow_events: 0,
+        }
     }
 }
 
@@ -188,7 +174,6 @@ impl Arena64 {
 pub struct Plan {
     ops: Vec<Op>,
     nodes: Vec<NodePlan>,
-    consts: Vec<Matrix>,
     /// Planned element capacity per slot.
     slot_elems: Vec<usize>,
     outputs: Vec<usize>,
@@ -200,14 +185,15 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Compiles the recorded graph into a plan producing `outputs`.
-    /// `marks` names the ops whose index operands are per-sample dynamic.
+    /// Compiles the recorded graph into a plan producing `outputs`, plus
+    /// the native arena holding the graph's parameter values. `marks` names
+    /// the ops whose index operands are per-sample dynamic.
     ///
     /// # Panics
     ///
     /// Panics when `outputs` is empty or references a node the graph does
     /// not have.
-    pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> Plan {
+    pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> (Plan, Arena<f32>) {
         let n = g.len();
         assert!(!outputs.is_empty(), "a plan needs at least one output");
         for o in outputs {
@@ -242,7 +228,7 @@ impl Plan {
         // Slot assignment: a free-list scan over the SSA sequence. Operand
         // slots are released only *after* the defining op claimed its own
         // slot, so an op never writes over a value it is still reading.
-        let mut consts: Vec<Matrix> = Vec::new();
+        let mut params: Vec<Matrix> = Vec::new();
         let mut slot_elems: Vec<usize> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
         let mut nodes: Vec<NodePlan> = Vec::with_capacity(n);
@@ -255,8 +241,8 @@ impl Plan {
             let loc = if !is_live {
                 Loc::Dead
             } else if let Op::Param { .. } = op {
-                consts.push(g.value_at(i).clone());
-                Loc::Const(consts.len() - 1)
+                params.push(g.value_at(i).clone());
+                Loc::Const(params.len() - 1)
             } else {
                 if matches!(op, Op::Input) {
                     input_idx = Some(n_inputs);
@@ -300,25 +286,41 @@ impl Plan {
             }
         }
 
-        Plan {
-            // Dead nodes are never executed or operand-walked, so a cheap
-            // placeholder replaces them — an eliminated branch's index
-            // vectors and constant masks would otherwise be retained for
-            // the plan's whole lifetime.
-            ops: live
-                .iter()
-                .enumerate()
-                .map(|(i, &is_live)| if is_live { g.op_at(i).clone() } else { Op::Input })
-                .collect(),
+        // Dead nodes are never executed or operand-walked, so a cheap
+        // placeholder replaces them — an eliminated branch's index vectors
+        // would otherwise be retained for the plan's whole lifetime. Masks
+        // move to the arena's constants (one copy per element type).
+        let mut masks = HashMap::new();
+        let ops = live
+            .iter()
+            .enumerate()
+            .map(|(i, &is_live)| match g.op_at(i) {
+                _ if !is_live => Op::Input,
+                Op::MulConst { x, mask } => {
+                    masks.insert(i, mask.clone());
+                    Op::MulConst { x: *x, mask: Matrix::default() }
+                }
+                op => op.clone(),
+            })
+            .collect();
+        let arena = Arena {
+            params,
+            masks,
+            slots: slot_elems.iter().map(|&e| Matrix::with_capacity(e)).collect(),
+            scratch: Vec::new(),
+            grow_events: 0,
+        };
+        let plan = Plan {
+            ops,
             nodes,
-            consts,
             slot_elems,
             outputs: outputs.iter().map(|o| o.index()).collect(),
             n_inputs,
             n_index_bindings: marks.n_index,
             n_stencil_bindings: marks.n_stencil,
             slot_values,
-        }
+        };
+        (plan, arena)
     }
 
     /// Number of nodes (live and dead) in the plan.
@@ -353,17 +355,8 @@ impl Plan {
         (self.nodes[i].rows, self.nodes[i].cols)
     }
 
-    /// A fresh arena sized for this plan.
-    pub fn arena(&self) -> Arena {
-        Arena {
-            slots: self.slot_elems.iter().map(|&e| Matrix::with_capacity(e)).collect(),
-            scratch: Vec::new(),
-            grow_events: 0,
-        }
-    }
-
     /// Usage statistics for the bench report.
-    pub fn stats(&self, arena: &Arena) -> ArenaStats {
+    pub fn stats<T: Element>(&self, arena: &Arena<T>) -> ArenaStats {
         ArenaStats {
             slots: self.slot_elems.len(),
             values: self.slot_values,
@@ -382,16 +375,16 @@ impl Plan {
     /// # Panics
     ///
     /// Panics when `v` was eliminated as dead code.
-    pub fn value<'a>(&'a self, arena: &'a Arena, v: VarId) -> &'a Matrix {
+    pub fn value<'a, T: Element>(&self, arena: &'a Arena<T>, v: VarId) -> &'a Mat<T> {
         match self.nodes[v.index()].loc {
             Loc::Slot(s) => &arena.slots[s],
-            Loc::Const(c) => &self.consts[c],
+            Loc::Const(c) => &arena.params[c],
             Loc::Dead => panic!("node {} was eliminated as dead code", v.index()),
         }
     }
 
     /// The `idx`-th requested output.
-    pub fn output<'a>(&'a self, arena: &'a Arena, idx: usize) -> &'a Matrix {
+    pub fn output<'a, T: Element>(&self, arena: &'a Arena<T>, idx: usize) -> &'a Mat<T> {
         self.value(arena, VarId::from_index(self.outputs[idx]))
     }
 
@@ -400,8 +393,10 @@ impl Plan {
         self.outputs.len()
     }
 
-    /// Executes the whole plan against `arena` with `bindings`.
-    pub fn run(&self, arena: &mut Arena, bindings: &Bindings) {
+    /// Executes the whole plan against `arena` with `bindings`, in the
+    /// arena's element type. The same per-sample `bindings` serve every
+    /// element type.
+    pub fn run<T: Element>(&self, arena: &mut Arena<T>, bindings: &Bindings) {
         self.run_range(arena, bindings, 0, self.ops.len());
     }
 
@@ -411,13 +406,19 @@ impl Plan {
     /// # Panics
     ///
     /// Panics when bindings disagree with the recorded shapes.
-    pub fn run_range(&self, arena: &mut Arena, bindings: &Bindings, lo: usize, hi: usize) {
+    pub fn run_range<T: Element>(
+        &self,
+        arena: &mut Arena<T>,
+        bindings: &Bindings,
+        lo: usize,
+        hi: usize,
+    ) {
         for i in lo..hi {
             self.exec_node(i, arena, bindings);
         }
     }
 
-    fn exec_node(&self, i: usize, arena: &mut Arena, bind: &Bindings) {
+    fn exec_node<T: Element>(&self, i: usize, arena: &mut Arena<T>, bind: &Bindings) {
         let node = &self.nodes[i];
         let out_slot = match node.loc {
             Loc::Slot(s) => s,
@@ -435,8 +436,7 @@ impl Plan {
                     (node.rows, node.cols),
                     "input {i} shape changed since the plan was recorded"
                 );
-                out.reset_shape(node.rows, node.cols);
-                out.as_mut_slice().copy_from_slice(src.as_slice());
+                out.copy_cast_from(src);
             }
             Op::MatMul { a, b } => {
                 ops::matmul_into(self.value(arena, *a), self.value(arena, *b), &mut out);
@@ -454,10 +454,12 @@ impl Plan {
             Op::Hadamard { a, b } => {
                 ops::hadamard_into(self.value(arena, *a), self.value(arena, *b), &mut out);
             }
-            Op::MulConst { x, mask } => {
-                ops::hadamard_into(self.value(arena, *x), mask, &mut out);
+            Op::MulConst { x, .. } => {
+                ops::hadamard_into(self.value(arena, *x), &arena.masks[&i], &mut out);
             }
-            Op::Scale { x, s } => ops::scale_into(self.value(arena, *x), *s, &mut out),
+            Op::Scale { x, s } => {
+                ops::scale_into(self.value(arena, *x), T::from_f64(f64::from(*s)), &mut out);
+            }
             Op::Gather { x, indices } => {
                 let idx = node.index_bid.map_or(&indices[..], |bid| &bind.indices[bid]);
                 debug_assert_eq!(idx.len(), indices.len(), "dynamic gather length changed");
@@ -497,17 +499,18 @@ impl Plan {
                 arena.scratch = scratch;
             }
             // Losses are replayed for completeness (a plan may be asked for
-            // a recorded loss); the arithmetic mirrors the tape's exactly.
+            // a recorded loss); in `f32` the arithmetic mirrors the tape's
+            // exactly.
             Op::Mse { pred, target } => {
                 let (p, t) = (self.value(arena, *pred), self.value(arena, *target));
                 assert_eq!(p.shape(), t.shape(), "mse shape mismatch");
-                let n = p.len() as f32;
+                let n = T::from_f64(p.len() as f64);
                 let loss = p
                     .as_slice()
                     .iter()
                     .zip(t.as_slice())
                     .map(|(&a, &b)| (a - b) * (a - b))
-                    .sum::<f32>()
+                    .sum::<T>()
                     / n;
                 out.reset_shape(1, 1);
                 out[(0, 0)] = loss;
@@ -518,11 +521,11 @@ impl Plan {
                 let mut loss = 0.0f64;
                 for (r, &label) in labels.iter().enumerate() {
                     let row = l.row(r);
-                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    let max = row.iter().copied().fold(T::NEG_INFINITY, T::max);
                     // Same exp/accumulate order as `ops::softmax_rows`, so
                     // the probability of the labelled class is bit-identical.
-                    let mut sum = 0.0f32;
-                    let mut p_label = 0.0f32;
+                    let mut sum = T::ZERO;
+                    let mut p_label = T::ZERO;
                     for (c, &v) in row.iter().enumerate() {
                         let e = (v - max).exp();
                         sum += e;
@@ -530,10 +533,10 @@ impl Plan {
                             p_label = e;
                         }
                     }
-                    loss -= f64::from((p_label / sum).max(1e-12)).ln();
+                    loss -= (p_label / sum).max(T::from_f64(1e-12)).to_f64().ln();
                 }
                 out.reset_shape(1, 1);
-                out[(0, 0)] = (loss / labels.len() as f64) as f32;
+                out[(0, 0)] = T::from_f64(loss / labels.len() as f64);
             }
         }
         debug_assert_eq!(
@@ -586,268 +589,6 @@ impl Plan {
             }
         }
     }
-
-    /// Widens every constant payload of this plan to f64 — the one-time
-    /// compile step of the shadow-precision tier.
-    pub fn shadow(&self) -> ShadowPlan {
-        let mut masks = HashMap::new();
-        let mut weights = HashMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if matches!(node.loc, Loc::Dead) {
-                continue;
-            }
-            match &self.ops[i] {
-                Op::MulConst { mask, .. } => {
-                    masks.insert(i, Matrix64::widened(mask));
-                }
-                Op::WeightedGather { weights: w, .. } if node.stencil_bid.is_none() => {
-                    weights.insert(i, w.iter().map(|&v| f64::from(v)).collect::<Vec<f64>>());
-                }
-                _ => {}
-            }
-        }
-        ShadowPlan { consts: self.consts.iter().map(Matrix64::widened).collect(), masks, weights }
-    }
-
-    /// A fresh f64 arena sized for this plan — same slot layout as
-    /// [`Plan::arena`].
-    pub fn arena64(&self) -> Arena64 {
-        Arena64 {
-            slots: self.slot_elems.iter().map(|&e| Matrix64::with_capacity(e)).collect(),
-            scratch: Vec::new(),
-            wscratch: Vec::new(),
-            grow_events: 0,
-        }
-    }
-
-    /// The f64 value of `v` after shadow execution reached past its
-    /// definition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v` was eliminated as dead code.
-    pub fn value64<'a>(
-        &self,
-        shadow: &'a ShadowPlan,
-        arena: &'a Arena64,
-        v: VarId,
-    ) -> &'a Matrix64 {
-        match self.nodes[v.index()].loc {
-            Loc::Slot(s) => &arena.slots[s],
-            Loc::Const(c) => &shadow.consts[c],
-            Loc::Dead => panic!("node {} was eliminated as dead code", v.index()),
-        }
-    }
-
-    /// The `idx`-th requested output of the shadow execution.
-    pub fn output64<'a>(
-        &self,
-        shadow: &'a ShadowPlan,
-        arena: &'a Arena64,
-        idx: usize,
-    ) -> &'a Matrix64 {
-        self.value64(shadow, arena, VarId::from_index(self.outputs[idx]))
-    }
-
-    /// Executes the whole plan in f64 against `arena` with the same
-    /// per-sample `bindings` an f32 execution would take. Inputs are
-    /// widened at the boundary; every kernel then runs sequentially in
-    /// f64 ([`ops64`]), so the result is deterministic at any thread
-    /// count by construction.
-    pub fn run_f64(&self, shadow: &ShadowPlan, arena: &mut Arena64, bindings: &Bindings) {
-        self.run_range_f64(shadow, arena, bindings, 0, self.ops.len());
-    }
-
-    /// Shadow-executes nodes `lo..hi` — the f64 sibling of
-    /// [`Plan::run_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when bindings disagree with the recorded shapes.
-    pub fn run_range_f64(
-        &self,
-        shadow: &ShadowPlan,
-        arena: &mut Arena64,
-        bindings: &Bindings,
-        lo: usize,
-        hi: usize,
-    ) {
-        for i in lo..hi {
-            self.exec_node_f64(i, shadow, arena, bindings);
-        }
-    }
-
-    fn exec_node_f64(&self, i: usize, shadow: &ShadowPlan, arena: &mut Arena64, bind: &Bindings) {
-        let node = &self.nodes[i];
-        let out_slot = match node.loc {
-            Loc::Slot(s) => s,
-            // Params were widened at shadow-compile time; dead code never
-            // runs.
-            Loc::Const(_) | Loc::Dead => return,
-        };
-        let mut out = std::mem::take(&mut arena.slots[out_slot]);
-        let cap_before = out.capacity();
-        match &self.ops[i] {
-            Op::Param { .. } => unreachable!("params are consts"),
-            Op::Input => {
-                let src = &bind.inputs[node.input_idx.expect("live inputs are indexed")];
-                assert_eq!(
-                    src.shape(),
-                    (node.rows, node.cols),
-                    "input {i} shape changed since the plan was recorded"
-                );
-                out.copy_widened(src);
-            }
-            Op::MatMul { a, b } => {
-                ops64::matmul_into(
-                    self.value64(shadow, arena, *a),
-                    self.value64(shadow, arena, *b),
-                    &mut out,
-                );
-            }
-            Op::AddBias { x, bias } => {
-                ops64::add_bias_row_into(
-                    self.value64(shadow, arena, *x),
-                    self.value64(shadow, arena, *bias),
-                    &mut out,
-                );
-            }
-            Op::Add { a, b } => {
-                ops64::add_into(
-                    self.value64(shadow, arena, *a),
-                    self.value64(shadow, arena, *b),
-                    &mut out,
-                );
-            }
-            Op::Sub { a, b } => {
-                ops64::sub_into(
-                    self.value64(shadow, arena, *a),
-                    self.value64(shadow, arena, *b),
-                    &mut out,
-                );
-            }
-            Op::Relu { x } => ops64::relu_into(self.value64(shadow, arena, *x), &mut out),
-            Op::Hadamard { a, b } => {
-                ops64::hadamard_into(
-                    self.value64(shadow, arena, *a),
-                    self.value64(shadow, arena, *b),
-                    &mut out,
-                );
-            }
-            Op::MulConst { x, .. } => {
-                ops64::hadamard_into(self.value64(shadow, arena, *x), &shadow.masks[&i], &mut out);
-            }
-            Op::Scale { x, s } => {
-                ops64::scale_into(self.value64(shadow, arena, *x), f64::from(*s), &mut out);
-            }
-            Op::Gather { x, indices } => {
-                let idx = node.index_bid.map_or(&indices[..], |bid| &bind.indices[bid]);
-                debug_assert_eq!(idx.len(), indices.len(), "dynamic gather length changed");
-                ops64::gather_rows_into(self.value64(shadow, arena, *x), idx, &mut out);
-            }
-            Op::SubCentroid { grouped, centroids, k } => {
-                ops64::subtract_centroid_per_group_into(
-                    self.value64(shadow, arena, *grouped),
-                    self.value64(shadow, arena, *centroids),
-                    *k,
-                    &mut out,
-                );
-            }
-            Op::GroupMax { x, k } => {
-                ops64::group_max_into(self.value64(shadow, arena, *x), *k, &mut out);
-            }
-            Op::GatherMax { x, groups, k } => {
-                let idx = node.index_bid.map_or(&groups[..], |bid| &bind.indices[bid]);
-                debug_assert_eq!(idx.len(), groups.len(), "dynamic group length changed");
-                ops64::gather_max_into(self.value64(shadow, arena, *x), idx, *k, &mut out);
-            }
-            Op::WeightedGather { x, indices, weights: _, k } => match node.stencil_bid {
-                Some(bid) => {
-                    let (idx, w32) = &bind.stencils[bid];
-                    debug_assert_eq!(idx.len(), indices.len(), "dynamic stencil length changed");
-                    // Widen the per-sample weights into the reusable
-                    // buffer — the only other f32 → f64 boundary besides
-                    // inputs.
-                    let mut w = std::mem::take(&mut arena.wscratch);
-                    w.clear();
-                    w.extend(w32.iter().map(|&v| f64::from(v)));
-                    ops64::weighted_gather_into(
-                        self.value64(shadow, arena, *x),
-                        idx,
-                        &w,
-                        *k,
-                        &mut out,
-                    );
-                    arena.wscratch = w;
-                }
-                None => {
-                    ops64::weighted_gather_into(
-                        self.value64(shadow, arena, *x),
-                        indices,
-                        &shadow.weights[&i],
-                        *k,
-                        &mut out,
-                    );
-                }
-            },
-            Op::HStack { a, b } => {
-                self.value64(shadow, arena, *a)
-                    .hstack_into(self.value64(shadow, arena, *b), &mut out);
-            }
-            Op::Standardize { x } => {
-                let mut scratch = std::mem::take(&mut arena.scratch);
-                ops64::standardize_into(self.value64(shadow, arena, *x), &mut scratch, &mut out);
-                arena.scratch = scratch;
-            }
-            // Losses mirror the f32 executor's arithmetic, carried in f64
-            // end to end.
-            Op::Mse { pred, target } => {
-                let (p, t) =
-                    (self.value64(shadow, arena, *pred), self.value64(shadow, arena, *target));
-                assert_eq!(p.shape(), t.shape(), "mse shape mismatch");
-                let n = p.len() as f64;
-                let loss = p
-                    .as_slice()
-                    .iter()
-                    .zip(t.as_slice())
-                    .map(|(&a, &b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    / n;
-                out.reset_shape(1, 1);
-                out[(0, 0)] = loss;
-            }
-            Op::SoftmaxCrossEntropy { logits, labels } => {
-                let l = self.value64(shadow, arena, *logits);
-                assert_eq!(labels.len(), l.rows(), "one label per row");
-                let mut loss = 0.0f64;
-                for (r, &label) in labels.iter().enumerate() {
-                    let row = l.row(r);
-                    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let mut sum = 0.0f64;
-                    let mut p_label = 0.0f64;
-                    for (c, &v) in row.iter().enumerate() {
-                        let e = (v - max).exp();
-                        sum += e;
-                        if c == label as usize {
-                            p_label = e;
-                        }
-                    }
-                    loss -= (p_label / sum).max(1e-12).ln();
-                }
-                out.reset_shape(1, 1);
-                out[(0, 0)] = loss / labels.len() as f64;
-            }
-        }
-        debug_assert_eq!(
-            out.shape(),
-            (node.rows, node.cols),
-            "node {i} produced a shape differing from the recording"
-        );
-        if out.capacity() > cap_before {
-            arena.grow_events += 1;
-        }
-        arena.slots[out_slot] = out;
-    }
 }
 
 #[cfg(test)]
@@ -875,9 +616,8 @@ mod tests {
     fn replay_matches_tape_bitwise() {
         let x = Matrix::from_fn(10, 4, |r, c| ((r * 5 + c) as f32 * 0.37).sin());
         let (g, y, _mlp) = record_mlp(&x);
-        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
         plan.check_no_aliasing();
-        let mut arena = plan.arena();
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);
         assert_eq!(plan.output(&arena, 0), g.value(y), "planned values must be bit-identical");
@@ -887,8 +627,7 @@ mod tests {
     fn replay_on_fresh_data_matches_fresh_tape() {
         let x0 = Matrix::from_fn(10, 4, |r, c| ((r + c) as f32 * 0.21).cos());
         let (g, y, mlp) = record_mlp(&x0);
-        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let mut arena = plan.arena();
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
 
         // A different sample through the same plan must equal a fresh tape.
         let x1 = Matrix::from_fn(10, 4, |r, c| ((r * 3 + c) as f32 * 0.11).sin());
@@ -904,8 +643,7 @@ mod tests {
     fn steady_state_never_grows_slots() {
         let x = Matrix::from_fn(16, 4, |r, c| (r as f32 - c as f32) * 0.09);
         let (g, y, _mlp) = record_mlp(&x);
-        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let mut arena = plan.arena();
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
         let b = input_bindings(&plan, &x);
         for _ in 0..3 {
             plan.run(&mut arena, &b);
@@ -923,10 +661,9 @@ mod tests {
         let used = g.relu(x);
         let dead = g.scale(x, 2.0);
         let dead2 = g.relu(dead);
-        let plan = Plan::from_graph(&g, &[used], &DynMarks::default());
+        let (plan, mut arena) = Plan::from_graph(&g, &[used], &DynMarks::default());
         assert!(plan.is_live(used.index()));
         assert!(!plan.is_live(dead.index()) && !plan.is_live(dead2.index()));
-        let mut arena = plan.arena();
         let b = input_bindings(&plan, g.value(x));
         plan.run(&mut arena, &b);
         assert_eq!(plan.output(&arena, 0), g.value(used));
@@ -944,12 +681,16 @@ mod tests {
             n_index: 1,
             n_stencil: 0,
         };
-        let plan = Plan::from_graph(&g, &[gathered], &marks);
-        let mut arena = plan.arena();
+        let (plan, mut arena) = Plan::from_graph(&g, &[gathered], &marks);
         let mut b = input_bindings(&plan, &src);
         b.indices[0] = vec![5, 4, 3];
         plan.run(&mut arena, &b);
-        assert_eq!(plan.output(&arena, 0), &group::gather_rows(&src, &[5, 4, 3]));
+        let want = group::gather_rows(&src, &[5, 4, 3]);
+        assert_eq!(plan.output(&arena, 0), &want);
+        // The same bindings drive an f64 replay.
+        let mut wide = arena.cast::<f64>();
+        plan.run(&mut wide, &b);
+        assert_eq!(plan.output(&wide, 0), &Mat::cast_from(&want));
     }
 
     #[test]
@@ -957,80 +698,67 @@ mod tests {
     fn shape_drift_is_rejected() {
         let x = Matrix::from_fn(10, 4, |r, c| (r + c) as f32);
         let (g, y, _mlp) = record_mlp(&x);
-        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let mut arena = plan.arena();
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
         let b = input_bindings(&plan, &Matrix::zeros(11, 4));
         plan.run(&mut arena, &b);
     }
 
     #[test]
-    fn shadow_replay_tracks_f32_closely_and_never_allocates_warm() {
+    fn f64_replay_tracks_f32_closely_and_never_grows_warm() {
         let x = Matrix::from_fn(10, 4, |r, c| ((r * 5 + c) as f32 * 0.37).sin());
         let (g, y, _mlp) = record_mlp(&x);
-        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let mut arena = plan.arena();
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);
 
-        let shadow = plan.shadow();
-        let mut arena64 = plan.arena64();
+        let mut wide = arena.cast::<f64>();
         for _ in 0..3 {
-            plan.run_f64(&shadow, &mut arena64, &b);
+            plan.run(&mut wide, &b);
         }
-        assert_eq!(arena64.grow_events(), 0, "shadow capacities must cover execution");
+        assert_eq!(wide.grow_events(), 0, "cast capacities must cover execution");
+        assert_eq!(wide.peak_bytes(), 2 * arena.peak_bytes());
+        assert_eq!(wide.const_bytes(), 2 * arena.const_bytes());
 
         let f32_out = plan.output(&arena, 0);
-        let f64_out = plan.output64(&shadow, &arena64, 0);
+        let f64_out = plan.output(&wide, 0);
         assert_eq!(f32_out.shape(), f64_out.shape());
-        for r in 0..f32_out.rows() {
-            for (a, &b) in f32_out.row(r).iter().zip(f64_out.row(r)) {
-                assert!((f64::from(*a) - b).abs() < 1e-4, "f32 {a} drifted from f64 {b}");
-            }
+        for (a, &b) in f32_out.as_slice().iter().zip(f64_out.as_slice()) {
+            assert!((f64::from(*a) - b).abs() < 1e-4, "f32 {a} drifted from f64 {b}");
         }
     }
 
     #[test]
-    fn shadow_replay_is_deterministic() {
+    fn f64_replay_is_deterministic() {
         let x = Matrix::from_fn(12, 4, |r, c| ((r * 7 + c) as f32 * 0.19).cos());
         let (g, y, _mlp) = record_mlp(&x);
-        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let shadow = plan.shadow();
+        let (plan, arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
         let b = input_bindings(&plan, &x);
-        let mut a1 = plan.arena64();
-        let mut a2 = plan.arena64();
-        plan.run_f64(&shadow, &mut a1, &b);
-        plan.run_f64(&shadow, &mut a2, &b);
-        assert_eq!(
-            plan.output64(&shadow, &a1, 0).as_slice(),
-            plan.output64(&shadow, &a2, 0).as_slice()
-        );
+        let mut a1 = arena.cast::<f64>();
+        let mut a2 = arena.cast::<f64>();
+        plan.run(&mut a1, &b);
+        plan.run(&mut a2, &b);
+        assert_eq!(plan.output(&a1, 0), plan.output(&a2, 0));
     }
 
     #[test]
-    fn shadow_honors_dynamic_index_bindings() {
-        let src = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
+    fn constant_masks_and_scales_replay_in_both_element_types() {
+        let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 - 2.5);
+        let mask = Matrix::from_fn(3, 2, |r, c| if (r + c) % 2 == 0 { 0.0 } else { 2.0 });
         let mut g = Graph::new();
-        let x = g.input(src.clone());
-        let gathered = g.gather(x, vec![0, 1, 2]);
-        let marks = DynMarks {
-            indices: HashMap::from([(gathered.index(), 0)]),
-            stencils: HashMap::new(),
-            n_index: 1,
-            n_stencil: 0,
-        };
-        let plan = Plan::from_graph(&g, &[gathered], &marks);
-        let shadow = plan.shadow();
-        let mut arena64 = plan.arena64();
-        let mut b = input_bindings(&plan, &src);
-        b.indices[0] = vec![5, 4, 3];
-        plan.run_f64(&shadow, &mut arena64, &b);
-        let got = plan.output64(&shadow, &arena64, 0);
-        let want = group::gather_rows(&src, &[5, 4, 3]);
-        for r in 0..want.rows() {
-            for (w, &v) in want.row(r).iter().zip(got.row(r)) {
-                assert_eq!(f64::from(*w), v);
-            }
-        }
+        let xv = g.input(x.clone());
+        let masked = g.mul_const(xv, mask);
+        let y = g.scale(masked, 0.3);
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let b = input_bindings(&plan, &x);
+        plan.run(&mut arena, &b);
+        assert_eq!(plan.output(&arena, 0), g.value(y));
+
+        let mut wide = arena.cast::<f64>();
+        plan.run(&mut wide, &b);
+        let want = Mat::<f64>::from_fn(3, 2, |r, c| {
+            f64::from(x[(r, c)]) * if (r + c) % 2 == 0 { 0.0 } else { 2.0 } * f64::from(0.3f32)
+        });
+        assert_eq!(plan.output(&wide, 0), &want);
     }
 
     #[test]
@@ -1042,8 +770,7 @@ mod tests {
         let xv = g.input(x.clone());
         let logits = mlp.forward(&mut g, xv);
         let loss = g.softmax_cross_entropy(logits, vec![0, 2, 1, 1, 0]);
-        let plan = Plan::from_graph(&g, &[loss], &DynMarks::default());
-        let mut arena = plan.arena();
+        let (plan, mut arena) = Plan::from_graph(&g, &[loss], &DynMarks::default());
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);
         assert_eq!(plan.output(&arena, 0), g.value(loss));

@@ -13,7 +13,7 @@
 //! can route gradients through the max (only the winning row receives
 //! gradient).
 
-use crate::Matrix;
+use crate::{Element, Mat, Matrix};
 use mesorasi_par as par;
 
 /// Gathers `indices.len()` rows of `src` into a new matrix (row `i` of the
@@ -24,8 +24,8 @@ use mesorasi_par as par;
 /// # Panics
 ///
 /// Panics if any index is out of bounds.
-pub fn gather_rows(src: &Matrix, indices: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn gather_rows<T: Element>(src: &Mat<T>, indices: &[usize]) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     gather_rows_into(src, indices, &mut out);
     out
 }
@@ -35,7 +35,7 @@ pub fn gather_rows(src: &Matrix, indices: &[usize]) -> Matrix {
 /// # Panics
 ///
 /// Panics if any index is out of bounds.
-pub fn gather_rows_into(src: &Matrix, indices: &[usize], out: &mut Matrix) {
+pub fn gather_rows_into<T: Element>(src: &Mat<T>, indices: &[usize], out: &mut Mat<T>) {
     let cols = src.cols();
     out.reset_shape(indices.len(), cols);
     if cols == 0 {
@@ -78,8 +78,12 @@ pub fn scatter_add_rows(acc: &mut Matrix, indices: &[usize], grad: &Matrix) {
 /// # Panics
 ///
 /// Panics if shapes are inconsistent.
-pub fn subtract_centroid_per_group(grouped: &Matrix, centroid_rows: &Matrix, k: usize) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn subtract_centroid_per_group<T: Element>(
+    grouped: &Mat<T>,
+    centroid_rows: &Mat<T>,
+    k: usize,
+) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     subtract_centroid_per_group_into(grouped, centroid_rows, k, &mut out);
     out
 }
@@ -89,11 +93,11 @@ pub fn subtract_centroid_per_group(grouped: &Matrix, centroid_rows: &Matrix, k: 
 /// # Panics
 ///
 /// Panics if shapes are inconsistent.
-pub fn subtract_centroid_per_group_into(
-    grouped: &Matrix,
-    centroid_rows: &Matrix,
+pub fn subtract_centroid_per_group_into<T: Element>(
+    grouped: &Mat<T>,
+    centroid_rows: &Mat<T>,
     k: usize,
-    out: &mut Matrix,
+    out: &mut Mat<T>,
 ) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(grouped.rows() % k, 0, "grouped rows must be a multiple of k");
@@ -167,7 +171,7 @@ pub fn group_max_reduce(grouped: &Matrix, k: usize) -> (Matrix, Vec<usize>) {
 /// # Panics
 ///
 /// Panics if `rows` is not a multiple of `k` or `k == 0`.
-pub fn group_max_into(grouped: &Matrix, k: usize, out: &mut Matrix) {
+pub fn group_max_into<T: Element>(grouped: &Mat<T>, k: usize, out: &mut Mat<T>) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(grouped.rows() % k, 0, "rows must be a multiple of k");
     let n_out = grouped.rows() / k;
@@ -250,7 +254,7 @@ pub fn gather_max_reduce(src: &Matrix, groups: &[usize], k: usize) -> (Matrix, V
 ///
 /// Panics if `groups.len()` is not a multiple of `k`, `k == 0`, or an index
 /// is out of bounds.
-pub fn gather_max_into(src: &Matrix, groups: &[usize], k: usize, out: &mut Matrix) {
+pub fn gather_max_into<T: Element>(src: &Mat<T>, groups: &[usize], k: usize, out: &mut Mat<T>) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(groups.len() % k, 0, "groups must be a multiple of k");
     let n_out = groups.len() / k;
@@ -285,14 +289,21 @@ pub fn gather_max_into(src: &Matrix, groups: &[usize], k: usize, out: &mut Matri
 /// Weighted row interpolation `out[g] = Σ_j weights[g·k+j] ·
 /// x[indices[g·k+j]]` — the 3-NN feature-propagation stencil (PointNet++'s
 /// `three_interpolate`). Shared by the autograd tape and the planned
-/// executor so both produce bit-identical values.
+/// executor so both produce bit-identical values. Stencil weights are
+/// per-sample `f32` data at every element type (like network inputs) and
+/// are widened exactly at use.
 ///
 /// # Panics
 ///
 /// Panics when `indices.len() != weights.len()`, the length is not a
 /// multiple of `k`, or an index is out of bounds.
-pub fn weighted_gather(src: &Matrix, indices: &[usize], weights: &[f32], k: usize) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn weighted_gather<T: Element>(
+    src: &Mat<T>,
+    indices: &[usize],
+    weights: &[f32],
+    k: usize,
+) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     weighted_gather_into(src, indices, weights, k, &mut out);
     out
 }
@@ -302,21 +313,21 @@ pub fn weighted_gather(src: &Matrix, indices: &[usize], weights: &[f32], k: usiz
 /// # Panics
 ///
 /// Panics on the same inconsistencies as [`weighted_gather`].
-pub fn weighted_gather_into(
-    src: &Matrix,
+pub fn weighted_gather_into<T: Element>(
+    src: &Mat<T>,
     indices: &[usize],
     weights: &[f32],
     k: usize,
-    out: &mut Matrix,
+    out: &mut Mat<T>,
 ) {
     assert_eq!(indices.len(), weights.len(), "one weight per index");
     assert!(k > 0 && indices.len().is_multiple_of(k), "indices must be n × k");
     let n_out = indices.len() / k;
     out.reset_shape(n_out, src.cols());
-    out.as_mut_slice().fill(0.0);
+    out.as_mut_slice().fill(T::ZERO);
     for g in 0..n_out {
         for j in 0..k {
-            let w = weights[g * k + j];
+            let w = T::from_f64(f64::from(weights[g * k + j]));
             let row = src.row(indices[g * k + j]);
             for (o, &v) in out.row_mut(g).iter_mut().zip(row) {
                 *o += w * v;
@@ -346,6 +357,7 @@ pub fn max_reduce_backward(acc: &mut Matrix, arg: &[usize], grad: &Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix64;
 
     #[test]
     fn gather_copies_rows_with_repeats() {
@@ -408,6 +420,21 @@ mod tests {
         let (out, arg) = gather_max_reduce(&src, &[0, 1, 2], 3);
         assert_eq!(out, Matrix::from_rows(&[&[5.0]]));
         assert_eq!(arg, vec![1]); // row 1 of src won
+    }
+
+    #[test]
+    fn f64_group_kernels_select_the_same_rows_as_f32() {
+        // Gathers and max scans only move and compare values, so the f64
+        // instantiation is the exact widening of the f32 result.
+        let src = Matrix::from_fn(12, 6, |r, c| ((r * 31 + c * 17) as f32 * 0.37).sin() * 2.0);
+        let src64 = Matrix64::cast_from(&src);
+        let groups = [0usize, 5, 11, 2, 2, 7, 9, 1, 4];
+        assert_eq!(gather_rows(&src64, &groups), Matrix64::cast_from(&gather_rows(&src, &groups)));
+        let mut maxed64 = Matrix64::zeros(0, 0);
+        gather_max_into(&src64, &groups, 3, &mut maxed64);
+        let mut maxed = Matrix::zeros(0, 0);
+        gather_max_into(&src, &groups, 3, &mut maxed);
+        assert_eq!(maxed64, Matrix64::cast_from(&maxed));
     }
 
     #[test]

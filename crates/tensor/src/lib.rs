@@ -1,4 +1,4 @@
-//! Dense row-major `f32` matrices and the kernels point-cloud networks need.
+//! Dense row-major matrices and the kernels point-cloud networks need.
 //!
 //! The paper's feature computation is a shared MLP over batched rows —
 //! matrix-matrix products (Fig. 3) — plus a handful of irregular operators
@@ -8,7 +8,8 @@
 //! hand-rolled"), so this crate implements exactly the kernel set the seven
 //! evaluated networks require, with nothing speculative:
 //!
-//! * [`Matrix`] — the storage type,
+//! * [`Mat`] — the storage type, generic over a sealed [`Element`]
+//!   (`f32`, `f64`); [`Matrix`] = `Mat<f32>` is what the workspace speaks,
 //! * [`ops`] — matmul (three transpose variants), bias broadcast,
 //!   elementwise arithmetic, ReLU and its gradient mask, column statistics,
 //! * [`group`] — gather / grouped-reduce / scatter kernels used by
@@ -25,45 +26,50 @@
 //! assert_eq!(c, a);
 //! ```
 //!
-//! # Kernel tiers and dtypes
+//! # One kernel tier, two dtypes
 //!
-//! The matmul family runs through cache-blocked, register-tiled
-//! micro-kernels ([`simd`] supplies the vector inner loops behind runtime
-//! detection; the `simd` cargo feature, on by default, gates them). The
-//! pre-tier loops survive as [`ops::naive`] — the bit-identical semantics
-//! reference. [`Matrix64`] and [`ops64`] carry the `f64` shadow-precision
-//! tier: sequential, deterministic mirrors of every forward kernel, used
-//! by the planned engine's opt-in f64 execution mode to measure what f32
-//! costs in end-task accuracy.
+//! Every forward kernel is written once over `T: Element`. The matmul
+//! family runs through cache-blocked, register-tiled micro-kernels, data-
+//! parallel over fixed output-row chunks; [`Element`] carries only the
+//! micro-kernel hooks, so `f32` monomorphises onto [`simd`]'s AVX2 inner
+//! loops (runtime-detected; the `simd` cargo feature, on by default, gates
+//! them) and `f64` onto the same register tiles in scalar form. The
+//! pre-tier `f32` loops survive as [`ops::naive`], the semantics reference.
+//!
+//! **The per-dtype bit-identity contract:** within one element type,
+//! every output element accumulates in ascending-`p` order with one `mul`
+//! and one `add` per step and max scans are first-wins, so results are
+//! identical bit for bit across tiling, vector width, and thread count.
+//! Across element types only closeness holds — an `f64` value differs
+//! from its `f32` counterpart by rounding, never by reassociation.
 
 // The `simd` module is the workspace's single unsafe island; everything
 // else in this crate (and every other crate) refuses unsafe code.
 #![deny(unsafe_code)]
 
+pub mod element;
 pub mod group;
 pub mod matrix;
-pub mod matrix64;
 pub mod ops;
-pub mod ops64;
 pub mod simd;
 
-pub use matrix::Matrix;
-pub use matrix64::Matrix64;
+pub use element::Element;
+pub use matrix::{Mat, Matrix, Matrix64};
 
 /// Element precision of a planned execution.
 ///
-/// The workspace's native storage is `f32` ([`Matrix`]); `F64` selects the
-/// shadow-precision tier, which replays planned forwards through the
-/// [`ops64`] kernels on [`Matrix64`] values. Bit-identity guarantees
-/// (tape vs. planned, thread-count invariance) hold *within* a dtype —
-/// that is the per-dtype contract; across dtypes only closeness holds.
+/// The workspace's native storage is `f32` ([`Matrix`]); `F64` makes the
+/// planned engine replay each forward through the same generic kernels on
+/// [`Matrix64`] values. Bit-identity guarantees (tape vs. planned,
+/// thread-count invariance) hold *within* a dtype — that is the per-dtype
+/// contract; across dtypes only closeness holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dtype {
     /// Native single precision — the fast tier, and the default.
     #[default]
     F32,
-    /// Shadow double precision: sequential, deterministic, for measuring
-    /// the end-task accuracy delta of f32 execution.
+    /// Double precision: the deterministic reference the f32 tier's
+    /// end-task accuracy is judged against.
     F64,
 }
 
@@ -73,5 +79,48 @@ impl std::fmt::Display for Dtype {
             Dtype::F32 => write!(f, "f32"),
             Dtype::F64 => write!(f, "f64"),
         }
+    }
+}
+
+/// Error of [`Dtype`]'s `FromStr`: the value was neither `f32` nor `f64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseDtypeError;
+
+impl std::fmt::Display for ParseDtypeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "accepted values are f32|f64")
+    }
+}
+
+impl std::error::Error for ParseDtypeError {}
+
+impl std::str::FromStr for Dtype {
+    type Err = ParseDtypeError;
+
+    /// Parses `f32` / `f64`, trimmed and case-insensitive — the one parser
+    /// behind `MESORASI_DTYPE`.
+    fn from_str(raw: &str) -> Result<Dtype, ParseDtypeError> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "f32" => Ok(Dtype::F32),
+            "f64" => Ok(Dtype::F64),
+            _ => Err(ParseDtypeError),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Dtype, ParseDtypeError};
+
+    #[test]
+    fn dtype_parses_trimmed_and_case_insensitive_and_round_trips_display() {
+        assert_eq!("f32".parse(), Ok(Dtype::F32));
+        assert_eq!(" F64\n".parse(), Ok(Dtype::F64));
+        for d in [Dtype::F32, Dtype::F64] {
+            assert_eq!(d.to_string().parse(), Ok(d));
+        }
+        assert_eq!("f16".parse::<Dtype>(), Err(ParseDtypeError));
+        assert_eq!("".parse::<Dtype>(), Err(ParseDtypeError));
+        assert_eq!(ParseDtypeError.to_string(), "accepted values are f32|f64");
     }
 }

@@ -1,20 +1,22 @@
 //! Dense kernels: matrix products, broadcasts, activations, statistics.
 //!
+//! Every forward kernel is written once over `T: Element` (`f32`, `f64`).
 //! The matmul family is data-parallel over output rows via [`mesorasi_par`]:
 //! every output row is produced entirely by one chunk with a fixed
 //! accumulation order, so results are bit-identical at every thread count
-//! (and the whole layer degrades to the plain sequential loop at an
-//! effective thread count of 1 or for small shapes).
+//! within an element type (and the whole layer degrades to the plain
+//! sequential loop at an effective thread count of 1 or for small shapes).
 //!
 //! # The fast tier and the [`naive`] reference
 //!
 //! The three matmul variants run through cache-blocked, register-tiled
-//! micro-kernels built on [`crate::simd`] (AVX2 behind runtime detection,
-//! auto-vectorizable block-accumulator scalar otherwise). The pre-tier
-//! kernels are
-//! preserved verbatim in [`naive`]: they are the semantics reference the
-//! property tests compare against, and the `"naive"` backend the bench
-//! harness records so every `BENCH_*.json` carries the measured speedup.
+//! micro-kernels — the [`Element`] hooks: for `f32`, [`crate::simd`] (AVX2
+//! behind runtime detection), otherwise the same tiles as an
+//! auto-vectorizable block-accumulator scalar kernel. The pre-tier `f32`
+//! kernels are preserved verbatim in [`naive`]: they are the semantics
+//! reference the property tests compare against, and the `"naive"` backend
+//! the bench harness records so every `BENCH_*.json` carries the measured
+//! speedup.
 //!
 //! Fast tier and reference are **bit-identical for finite inputs**: every
 //! output element accumulates its products in ascending-`p` order in both
@@ -28,7 +30,7 @@
 //! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
 //! `x + ±0.0 == x` bitwise throughout the chain).
 
-use crate::{simd, Matrix};
+use crate::{Element, Mat, Matrix};
 use mesorasi_par as par;
 
 /// `A · B` for `A: m×k`, `B: k×n`, parallel over output rows.
@@ -36,8 +38,8 @@ use mesorasi_par as par;
 /// # Panics
 ///
 /// Panics when the inner dimensions disagree.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     matmul_into(a, b, &mut out);
     out
 }
@@ -45,7 +47,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// [`matmul`] writing into a caller-owned buffer (reshaped, fully
 /// overwritten; no allocation once the buffer's capacity suffices).
 ///
-/// Register-tiled: output rows go four at a time through [`simd::mm4`],
+/// Register-tiled: output rows go four at a time through [`Element::mm4`],
 /// which holds a 4-row × 16-column output tile in registers for the whole
 /// `p` walk — each `B` row segment is loaded once per four output rows,
 /// and each output element is written exactly once (the naive kernel
@@ -60,7 +62,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when the inner dimensions disagree.
-pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} × {:?}", a.shape(), b.shape());
     let (m, k) = a.shape();
     let n = b.cols();
@@ -68,31 +70,47 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     if n == 0 {
         return;
     }
-    let row_chunk = par::chunk_len(m, 2 * k * n);
+    tile_rows(
+        out,
+        2 * k * n,
+        |i, rows| T::mm4(quad_rows(a, i), b.as_slice(), n, rows),
+        |i, row| T::mm1t(a.row(i), 1, 0, k, b.as_slice(), n, row),
+    );
+}
+
+/// Rows `i..i + 4` of `a`.
+fn quad_rows<T: Element>(a: &Mat<T>, i: usize) -> [&[T]; 4] {
+    [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)]
+}
+
+/// The row driver shared by the matmul family: `out` (`m × n`, `n > 0`)
+/// splits into fixed row chunks across the pool (`cost` is the work per
+/// row), and each chunk is walked four rows at a time through
+/// `quad(first_row, rows)` with its tail through `single(row, out_row)` —
+/// so every output row is produced entirely by one call, whatever the
+/// thread count.
+fn tile_rows<T: Element>(
+    out: &mut Mat<T>,
+    cost: usize,
+    quad: impl Fn(usize, [&mut [T]; 4]) + Sync,
+    single: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let (m, n) = out.shape();
+    let row_chunk = par::chunk_len(m, cost);
     par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
         let first = ci * row_chunk;
         let rows_here = chunk.len() / n;
         let mut ri = 0;
         while ri + 4 <= rows_here {
-            let quad = &mut chunk[ri * n..(ri + 4) * n];
-            let (r0, rest) = quad.split_at_mut(n);
+            let rows = &mut chunk[ri * n..(ri + 4) * n];
+            let (r0, rest) = rows.split_at_mut(n);
             let (r1, rest) = rest.split_at_mut(n);
             let (r2, r3) = rest.split_at_mut(n);
-            simd::mm4(
-                [
-                    a.row(first + ri),
-                    a.row(first + ri + 1),
-                    a.row(first + ri + 2),
-                    a.row(first + ri + 3),
-                ],
-                b.as_slice(),
-                n,
-                [r0, r1, r2, r3],
-            );
+            quad(first + ri, [r0, r1, r2, r3]);
             ri += 4;
         }
         while ri < rows_here {
-            simd::mm1(a.row(first + ri), b.as_slice(), n, &mut chunk[ri * n..(ri + 1) * n]);
+            single(first + ri, &mut chunk[ri * n..(ri + 1) * n]);
             ri += 1;
         }
     });
@@ -105,8 +123,8 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics when the row counts disagree.
-pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn matmul_at_b<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     matmul_at_b_into(a, b, &mut out);
     out
 }
@@ -114,7 +132,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
 /// [`matmul_at_b`] writing into a caller-owned buffer.
 ///
 /// Register-tiled like [`matmul_into`]: output rows go four at a time
-/// through [`simd::mm4t`], which is [`simd::mm4`] with a strided
+/// through [`Element::mm4t`], which is [`Element::mm4`] with a strided
 /// coefficient walk — output row `i` is column `i` of `A`, so the
 /// coefficient for step `p` sits at `a[p·m + i]` and four adjacent
 /// columns share every load of a `B` row while the 4 × 16 output tile
@@ -127,7 +145,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when the row counts disagree.
-pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_at_b_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -141,32 +159,12 @@ pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     if n == 0 {
         return;
     }
-    let row_chunk = par::chunk_len(m, 2 * k * n);
-    par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
-        let first = ci * row_chunk;
-        let rows_here = chunk.len() / n;
-        let mut ri = 0;
-        while ri + 4 <= rows_here {
-            let quad = &mut chunk[ri * n..(ri + 4) * n];
-            let (r0, rest) = quad.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            simd::mm4t(a.as_slice(), m, first + ri, k, b.as_slice(), n, [r0, r1, r2, r3]);
-            ri += 4;
-        }
-        while ri < rows_here {
-            simd::mm1t(
-                a.as_slice(),
-                m,
-                first + ri,
-                k,
-                b.as_slice(),
-                n,
-                &mut chunk[ri * n..(ri + 1) * n],
-            );
-            ri += 1;
-        }
-    });
+    tile_rows(
+        out,
+        2 * k * n,
+        |i, rows| T::mm4t(a.as_slice(), m, i, k, b.as_slice(), n, rows),
+        |i, row| T::mm1t(a.as_slice(), m, i, k, b.as_slice(), n, row),
+    );
 }
 
 /// `A · Bᵀ` for `A: m×k`, `B: n×k` — the input-gradient product of a linear
@@ -175,8 +173,8 @@ pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics when the column counts disagree.
-pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn matmul_a_bt<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     matmul_a_bt_into(a, b, &mut out);
     out
 }
@@ -199,7 +197,7 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when the column counts disagree.
-pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_a_bt_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -213,47 +211,30 @@ pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     if n == 0 {
         return;
     }
-    let row_chunk = par::chunk_len(m, 2 * k * n);
-    par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
-        let first = ci * row_chunk;
-        let rows_here = chunk.len() / n;
-        let mut ri = 0;
-        while ri + 4 <= rows_here {
-            let quad = &mut chunk[ri * n..(ri + 4) * n];
-            let (r0, rest) = quad.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            let a_rows = [
-                a.row(first + ri),
-                a.row(first + ri + 1),
-                a.row(first + ri + 2),
-                a.row(first + ri + 3),
-            ];
-            dot_rows_bt(a_rows, b, [r0, r1, r2, r3]);
-            ri += 4;
-        }
-        while ri < rows_here {
-            dot_row_bt(a.row(first + ri), b, &mut chunk[ri * n..(ri + 1) * n]);
-            ri += 1;
-        }
-    });
+    tile_rows(
+        out,
+        2 * k * n,
+        |i, rows| dot_rows_bt(quad_rows(a, i), b, rows),
+        |i, row| dot_rows_bt([a.row(i)], b, [row]),
+    );
 }
 
-/// The 4 × 4 output block of [`matmul_a_bt_into`]: `out[r][j+c]` holds the
-/// dot product of `a_rows[r]` with `B` row `j+c`, all sixteen accumulated
-/// together in ascending `p`.
-fn dot_rows_bt(a_rows: [&[f32]; 4], b: &Matrix, mut out: [&mut [f32]; 4]) {
+/// An `R × 4` output block walk of [`matmul_a_bt_into`] (`R` = 4 for row
+/// quads, 1 for the row tail): `out[r][j+c]` holds the dot product of
+/// `a_rows[r]` with `B` row `j+c`, the whole block accumulated together in
+/// ascending `p`.
+fn dot_rows_bt<T: Element, const R: usize>(a_rows: [&[T]; R], b: &Mat<T>, mut out: [&mut [T]; R]) {
     let n = b.rows();
     let k = a_rows[0].len();
     let n4 = n - n % 4;
     let mut j = 0;
     while j < n4 {
         let bq = [b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3)];
-        let mut acc = [[0.0f32; 4]; 4];
+        let mut acc = [[T::ZERO; 4]; R];
         for p in 0..k {
-            let xs = [a_rows[0][p], a_rows[1][p], a_rows[2][p], a_rows[3][p]];
             let ys = [bq[0][p], bq[1][p], bq[2][p], bq[3][p]];
-            for (acc_r, &x) in acc.iter_mut().zip(&xs) {
+            for (acc_r, ar) in acc.iter_mut().zip(&a_rows) {
+                let x = ar[p];
                 for (s, &y) in acc_r.iter_mut().zip(&ys) {
                     *s += x * y;
                 }
@@ -266,7 +247,7 @@ fn dot_rows_bt(a_rows: [&[f32]; 4], b: &Matrix, mut out: [&mut [f32]; 4]) {
     }
     for jj in n4..n {
         let b_row = b.row(jj);
-        let mut acc = [0.0f32; 4];
+        let mut acc = [T::ZERO; R];
         for (p, &y) in b_row.iter().enumerate() {
             for (s, ar) in acc.iter_mut().zip(&a_rows) {
                 *s += ar[p] * y;
@@ -278,47 +259,13 @@ fn dot_rows_bt(a_rows: [&[f32]; 4], b: &Matrix, mut out: [&mut [f32]; 4]) {
     }
 }
 
-/// The row tail of [`matmul_a_bt_into`]: one output row, four independent
-/// column dot products sharing each `A`-row load, each walked in
-/// ascending `p`.
-fn dot_row_bt(a_row: &[f32], b: &Matrix, out_row: &mut [f32]) {
-    let n = b.rows();
-    let k = a_row.len();
-    let n4 = n - n % 4;
-    let mut j = 0;
-    while j < n4 {
-        let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for p in 0..k {
-            let x = a_row[p];
-            s0 += x * b0[p];
-            s1 += x * b1[p];
-            s2 += x * b2[p];
-            s3 += x * b3[p];
-        }
-        out_row[j] = s0;
-        out_row[j + 1] = s1;
-        out_row[j + 2] = s2;
-        out_row[j + 3] = s3;
-        j += 4;
-    }
-    for (j, o) in out_row.iter_mut().enumerate().skip(n4) {
-        let b_row = b.row(j);
-        let mut acc = 0.0;
-        for (&x, &y) in a_row.iter().zip(b_row) {
-            acc += x * y;
-        }
-        *o = acc;
-    }
-}
-
 /// Elementwise `a + b`.
 ///
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn add<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     add_into(a, b, &mut out);
     out
 }
@@ -328,7 +275,7 @@ pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn add_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(a.shape(), b.shape(), "add shape mismatch");
     out.reset_shape(a.rows(), a.cols());
     for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
@@ -341,8 +288,8 @@ pub fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn sub<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     sub_into(a, b, &mut out);
     out
 }
@@ -352,7 +299,7 @@ pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn sub_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn sub_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(a.shape(), b.shape(), "sub shape mismatch");
     out.reset_shape(a.rows(), a.cols());
     for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
@@ -365,8 +312,8 @@ pub fn sub_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn hadamard<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     hadamard_into(a, b, &mut out);
     out
 }
@@ -376,7 +323,7 @@ pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn hadamard_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn hadamard_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
     out.reset_shape(a.rows(), a.cols());
     for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
@@ -385,12 +332,12 @@ pub fn hadamard_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 /// `a * s` for a scalar `s`.
-pub fn scale(a: &Matrix, s: f32) -> Matrix {
+pub fn scale<T: Element>(a: &Mat<T>, s: T) -> Mat<T> {
     a.map(|v| v * s)
 }
 
 /// [`scale`] writing into a caller-owned buffer.
-pub fn scale_into(a: &Matrix, s: f32, out: &mut Matrix) {
+pub fn scale_into<T: Element>(a: &Mat<T>, s: T, out: &mut Mat<T>) {
     out.reset_shape(a.rows(), a.cols());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
         *o = x * s;
@@ -403,8 +350,8 @@ pub fn scale_into(a: &Matrix, s: f32, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics when `bias` is not a single row of matching width.
-pub fn add_bias_row(a: &Matrix, bias: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
+pub fn add_bias_row<T: Element>(a: &Mat<T>, bias: &Mat<T>) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
     add_bias_row_into(a, bias, &mut out);
     out
 }
@@ -414,7 +361,7 @@ pub fn add_bias_row(a: &Matrix, bias: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics when `bias` is not a single row of matching width.
-pub fn add_bias_row_into(a: &Matrix, bias: &Matrix, out: &mut Matrix) {
+pub fn add_bias_row_into<T: Element>(a: &Mat<T>, bias: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(bias.rows(), 1, "bias must be a row vector");
     assert_eq!(bias.cols(), a.cols(), "bias width must match");
     out.reset_shape(a.rows(), a.cols());
@@ -428,15 +375,15 @@ pub fn add_bias_row_into(a: &Matrix, bias: &Matrix, out: &mut Matrix) {
 
 /// ReLU: `max(v, 0)` elementwise — the non-linearity φ whose presence makes
 /// delayed-aggregation *approximate* (paper Equ. 3).
-pub fn relu(a: &Matrix) -> Matrix {
-    a.map(|v| v.max(0.0))
+pub fn relu<T: Element>(a: &Mat<T>) -> Mat<T> {
+    a.map(|v| v.max(T::ZERO))
 }
 
 /// [`relu`] writing into a caller-owned buffer.
-pub fn relu_into(a: &Matrix, out: &mut Matrix) {
+pub fn relu_into<T: Element>(a: &Mat<T>, out: &mut Mat<T>) {
     out.reset_shape(a.rows(), a.cols());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
-        *o = x.max(0.0);
+        *o = x.max(T::ZERO);
     }
 }
 
@@ -489,12 +436,12 @@ pub fn column_stats(a: &Matrix) -> (Matrix, Matrix) {
 /// # Panics
 ///
 /// Panics on an empty matrix.
-pub fn standardize_into(a: &Matrix, stats: &mut Vec<f32>, out: &mut Matrix) {
+pub fn standardize_into<T: Element>(a: &Mat<T>, stats: &mut Vec<T>, out: &mut Mat<T>) {
     assert!(a.rows() > 0, "column stats of empty matrix");
     let (rows, cols) = a.shape();
-    let n = rows as f32;
+    let n = T::from_f64(rows as f64);
     stats.clear();
-    stats.resize(2 * cols, 0.0);
+    stats.resize(2 * cols, T::ZERO);
     let (mean, inv) = stats.split_at_mut(cols);
     // Same accumulation order as `sum_rows` + `scale(_, 1/n)`.
     for r in 0..rows {
@@ -502,7 +449,7 @@ pub fn standardize_into(a: &Matrix, stats: &mut Vec<f32>, out: &mut Matrix) {
             *m += v;
         }
     }
-    let s = 1.0 / n;
+    let s = T::ONE / n;
     for m in mean.iter_mut() {
         *m *= s;
     }
@@ -514,7 +461,7 @@ pub fn standardize_into(a: &Matrix, stats: &mut Vec<f32>, out: &mut Matrix) {
         }
     }
     for v in inv.iter_mut() {
-        *v = 1.0 / (*v / n + 1e-5).sqrt();
+        *v = T::ONE / (*v / n + T::from_f64(1e-5)).sqrt();
     }
     out.reset_shape(rows, cols);
     for r in 0..rows {
@@ -699,6 +646,7 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix64;
 
     fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
         a.shape() == b.shape()
@@ -824,6 +772,38 @@ mod tests {
                 ((h >> 8) as f32 / 1e5).sin() * 3.0
             }
         })
+    }
+
+    fn close(wide: &Matrix64, narrow: &Matrix, tol: f64) {
+        assert_eq!(wide.shape(), narrow.shape());
+        for (x, &y) in wide.as_slice().iter().zip(narrow.as_slice()) {
+            assert!((x - f64::from(y)).abs() <= tol, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn f64_matmul_tracks_f32_closely() {
+        let a = noisy(9, 17, 1, 0);
+        let b = noisy(17, 5, 2, 0);
+        let wide = matmul(&Matrix64::cast_from(&a), &Matrix64::cast_from(&b));
+        close(&wide, &matmul(&a, &b), 1e-4);
+    }
+
+    #[test]
+    fn f64_standardize_matches_f32_shape_and_scale() {
+        let a = noisy(20, 4, 7, 0);
+        let mut out = Matrix64::zeros(0, 0);
+        standardize_into(&Matrix64::cast_from(&a), &mut Vec::new(), &mut out);
+        let mut f32_out = Matrix::zeros(0, 0);
+        standardize_into(&a, &mut Vec::new(), &mut f32_out);
+        close(&out, &f32_out, 1e-4);
+    }
+
+    #[test]
+    fn f64_kernels_are_deterministic() {
+        let a = Matrix64::cast_from(&noisy(8, 8, 9, 0));
+        let b = Matrix64::cast_from(&noisy(8, 8, 10, 0));
+        assert_eq!(matmul(&a, &b), matmul(&a, &b));
     }
 
     #[test]

@@ -14,41 +14,29 @@
 //!   coefficient walk (`a[p·stride + i0 + r]`), so `Aᵀ · B` gets the
 //!   identical treatment without materializing the transpose: four
 //!   adjacent columns of `A` play the role of [`mm4`]'s four rows.
-//! * [`axpy`] — scalar-times-row accumulate (`y[j] += a · x[j]`), kept as
-//!   a general primitive. One multiply and one add per element per call,
-//!   so there is no accumulation chain inside a call for lane width to
-//!   re-associate.
 //!
 //! FMA is deliberately never used: a fused multiply-add rounds once where
 //! `mul` + `add` round twice, which would break the scalar ≡ vector
 //! contract.
 //!
-//! Dispatch: with the `simd` cargo feature (default on), x86_64 checks for
-//! AVX2 at runtime (`is_x86_feature_detected!`, cached by std) and falls
-//! back to the scalar micro-kernels on machines without it; other
-//! architectures (including aarch64, where the scalar blocks
-//! auto-vectorize to NEON — Rust never contracts `mul` + `add` into FMA)
-//! always use the scalar micro-kernels. Without the feature, only the
-//! scalar micro-kernels compile — no `unsafe` remains in the crate.
+//! The public entry points are the `f32` hooks of [`Element`]: they check
+//! every bound the vector paths rely on, then dispatch. With the `simd`
+//! cargo feature (default on), x86_64 checks for AVX2 at runtime
+//! (`is_x86_feature_detected!`, cached by std) and falls back to the
+//! scalar micro-kernels on machines without it; other architectures
+//! (including aarch64, where the scalar blocks auto-vectorize to NEON —
+//! Rust never contracts `mul` + `add` into FMA) always use the scalar
+//! micro-kernels. Without the feature, only the scalar micro-kernels
+//! compile — no `unsafe` remains in the crate. The scalar micro-kernels
+//! are safe code written once over `T: Element`; they are also the `f64`
+//! hooks.
 //!
 //! The rest of the workspace is `#![forbid(unsafe_code)]` (the crate root
 //! here carries `deny` so this one module can opt back in); keep every
 //! `unsafe` block inside this file.
 #![allow(unsafe_code)]
 
-/// `y[j] += a · x[j]` over the common length.
-///
-/// Bit-identical across the scalar and AVX2 paths (see the module docs
-/// for why).
-///
-/// # Panics
-///
-/// Panics when the slice lengths differ.
-#[inline]
-pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    axpy_impl(a, x, y);
-}
+use crate::Element;
 
 /// Four-row matmul block: `out[r][j] = Σ_p a[r][p] · b[p·n + j]` for the
 /// row-major `k × n` matrix `b`, overwriting each `out[r]` completely.
@@ -73,11 +61,18 @@ pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
         assert_eq!(row.len(), n, "mm4 out-row length mismatch");
     }
     assert!(b.len() >= k * n, "mm4 B too small");
-    mm4_impl(a, b, n, out);
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime; the asserts
+        // above are the bounds `mm4_avx2` requires.
+        return unsafe { x86::mm4_avx2(a, b, n, out) };
+    }
+    mm4_scalar(a, b, n, out);
 }
 
 /// Single-row matmul block: `out[j] = Σ_p a[p] · b[p·n + j]` — the row
-/// tail of [`mm4`], same accumulation order and rounding contract.
+/// tail of [`mm4`], same accumulation order and rounding contract. This is
+/// [`mm1t`] walking a contiguous coefficient row (stride 1).
 ///
 /// # Panics
 ///
@@ -85,9 +80,7 @@ pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
 /// `k × n`.
 #[inline]
 pub fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), n, "mm1 out length mismatch");
-    assert!(b.len() >= a.len() * n, "mm1 B too small");
-    mm1_impl(a, b, n, out);
+    mm1t(a, 1, 0, a.len(), b, n, out);
 }
 
 /// Four-row *transpose* matmul block:
@@ -120,7 +113,13 @@ pub fn mm4t(
     assert!(b.len() >= k * n, "mm4t B too small");
     assert!(i0 + 4 <= stride, "mm4t column block out of range");
     assert!(k == 0 || (k - 1) * stride + i0 + 4 <= a.len(), "mm4t A too small");
-    mm4t_impl(a, stride, i0, k, b, n, out);
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime; the asserts
+        // above are the bounds `mm4t_avx2` requires.
+        return unsafe { x86::mm4t_avx2(a, stride, i0, k, b, n, out) };
+    }
+    mm4t_scalar(a, stride, i0, k, b, n, out);
 }
 
 /// Single-column transpose matmul block:
@@ -138,92 +137,39 @@ pub fn mm1t(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, 
     assert!(b.len() >= k * n, "mm1t B too small");
     assert!(i0 < stride, "mm1t column out of range");
     assert!(k == 0 || (k - 1) * stride + i0 < a.len(), "mm1t A too small");
-    mm1t_impl(a, stride, i0, k, b, n, out);
-}
-
-/// True when the vector path is compiled in *and* usable on this CPU —
-/// surfaced so the bench report can label records honestly.
-pub fn vector_path_active() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime; the asserts
+        // above are the bounds `mm1t_avx2` requires.
+        return unsafe { x86::mm1t_avx2(a, stride, i0, k, b, n, out) };
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// The scalar AXPY micro-kernel: 4-wide manual unroll. Stable-Rust
-/// friendly and the semantics reference for the vector path (one `mul`,
-/// one `add` per element — Rust never contracts them into FMA, and the
-/// vector path matches by construction).
-#[inline(always)]
-fn axpy_scalar(a: f32, x: &[f32], y: &mut [f32]) {
-    let n = x.len();
-    let n4 = n - n % 4;
-    let (x4, xt) = x.split_at(n4);
-    let (y4, yt) = y.split_at_mut(n4);
-    for (yc, xc) in y4.chunks_exact_mut(4).zip(x4.chunks_exact(4)) {
-        yc[0] += a * xc[0];
-        yc[1] += a * xc[1];
-        yc[2] += a * xc[2];
-        yc[3] += a * xc[3];
-    }
-    for (yo, &xv) in yt.iter_mut().zip(xt) {
-        *yo += a * xv;
-    }
-}
-
-/// The scalar single-row matmul micro-kernel: 8 column accumulators held
-/// in locals over the full `p` walk (auto-vectorizes on SSE2/NEON without
-/// changing the per-element mul-then-add rounding sequence), stored once.
-#[inline(always)]
-fn mm1_scalar(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
-    let mut j = 0;
-    while j + 8 <= n {
-        let mut acc = [0.0f32; 8];
-        for (p, &ap) in a.iter().enumerate() {
-            let br = &b[p * n + j..p * n + j + 8];
-            for (s, &bv) in acc.iter_mut().zip(br) {
-                *s += ap * bv;
-            }
-        }
-        out[j..j + 8].copy_from_slice(&acc);
-        j += 8;
-    }
-    for (jj, o) in out.iter_mut().enumerate().skip(j) {
-        let mut s = 0.0f32;
-        for (p, &ap) in a.iter().enumerate() {
-            s += ap * b[p * n + jj];
-        }
-        *o = s;
-    }
+    mm1t_scalar(a, stride, i0, k, b, n, out);
 }
 
 #[inline(always)]
-fn mm4_scalar(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
+pub(crate) fn mm4_scalar<T: Element>(a: [&[T]; 4], b: &[T], n: usize, out: [&mut [T]; 4]) {
     for (ar, or) in a.into_iter().zip(out) {
-        mm1_scalar(ar, b, n, or);
+        mm1t_scalar(ar, 1, 0, ar.len(), b, n, or);
     }
 }
 
-/// Strided-coefficient sibling of [`mm1_scalar`]: same 8-accumulator
-/// column blocks, coefficient read at `a[p·stride + i0]` instead of
-/// `a[p]`.
+/// The scalar register tile: 8 column accumulators held in locals over
+/// the full `p` walk (auto-vectorizes on SSE2/NEON without changing the
+/// per-element mul-then-add rounding sequence), stored once; coefficient
+/// `p` is read at `a[p·stride + i0]`.
 #[inline(always)]
-fn mm1t_scalar(
-    a: &[f32],
+pub(crate) fn mm1t_scalar<T: Element>(
+    a: &[T],
     stride: usize,
     i0: usize,
     k: usize,
-    b: &[f32],
+    b: &[T],
     n: usize,
-    out: &mut [f32],
+    out: &mut [T],
 ) {
     let mut j = 0;
     while j + 8 <= n {
-        let mut acc = [0.0f32; 8];
+        let mut acc = [T::ZERO; 8];
         for p in 0..k {
             let ap = a[p * stride + i0];
             let br = &b[p * n + j..p * n + j + 8];
@@ -235,7 +181,7 @@ fn mm1t_scalar(
         j += 8;
     }
     for (jj, o) in out.iter_mut().enumerate().skip(j) {
-        let mut s = 0.0f32;
+        let mut s = T::ZERO;
         for p in 0..k {
             s += a[p * stride + i0] * b[p * n + jj];
         }
@@ -244,119 +190,18 @@ fn mm1t_scalar(
 }
 
 #[inline(always)]
-fn mm4t_scalar(
-    a: &[f32],
+pub(crate) fn mm4t_scalar<T: Element>(
+    a: &[T],
     stride: usize,
     i0: usize,
     k: usize,
-    b: &[f32],
+    b: &[T],
     n: usize,
-    out: [&mut [f32]; 4],
+    out: [&mut [T]; 4],
 ) {
     for (r, or) in out.into_iter().enumerate() {
         mm1t_scalar(a, stride, i0 + r, k, b, n, or);
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn axpy_impl(a: f32, x: &[f32], y: &mut [f32]) {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::axpy_avx2(a, x, y) }
-    } else {
-        axpy_scalar(a, x, y);
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn mm4_impl(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::mm4_avx2(a, b, n, out) }
-    } else {
-        mm4_scalar(a, b, n, out);
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn mm1_impl(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::mm1_avx2(a, b, n, out) }
-    } else {
-        mm1_scalar(a, b, n, out);
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn mm4t_impl(
-    a: &[f32],
-    stride: usize,
-    i0: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: [&mut [f32]; 4],
-) {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::mm4t_avx2(a, stride, i0, k, b, n, out) }
-    } else {
-        mm4t_scalar(a, stride, i0, k, b, n, out);
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn mm1t_impl(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::mm1t_avx2(a, stride, i0, k, b, n, out) }
-    } else {
-        mm1t_scalar(a, stride, i0, k, b, n, out);
-    }
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline]
-fn axpy_impl(a: f32, x: &[f32], y: &mut [f32]) {
-    axpy_scalar(a, x, y);
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline]
-fn mm4_impl(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
-    mm4_scalar(a, b, n, out);
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline]
-fn mm1_impl(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
-    mm1_scalar(a, b, n, out);
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline]
-fn mm4t_impl(
-    a: &[f32],
-    stride: usize,
-    i0: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: [&mut [f32]; 4],
-) {
-    mm4t_scalar(a, stride, i0, k, b, n, out);
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline]
-fn mm1t_impl(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    mm1t_scalar(a, stride, i0, k, b, n, out);
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -365,31 +210,6 @@ mod x86 {
         __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
-
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_avx2(a: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len();
-        let va = _mm256_set1_ps(a);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds both 8-lane accesses; loads and
-            // stores are the unaligned variants (Vec<f32> is 4-aligned).
-            unsafe {
-                let vx = _mm256_loadu_ps(x.as_ptr().add(j));
-                let vy = _mm256_loadu_ps(y.as_mut_ptr().add(j));
-                // mul then add — never FMA — so lanes round exactly like
-                // the scalar micro-kernel.
-                _mm256_storeu_ps(y.as_mut_ptr().add(j), _mm256_add_ps(vy, _mm256_mul_ps(va, vx)));
-            }
-            j += 8;
-        }
-        for (yo, &xv) in y[j..].iter_mut().zip(&x[j..]) {
-            *yo += a * xv;
-        }
-    }
 
     /// 4 rows × 16 columns of the output held in eight ymm accumulators
     /// for the whole `p` walk; each `B` row segment is loaded once and
@@ -525,40 +345,8 @@ mod x86 {
         }
     }
 
-    /// One output row, 32 columns per pass in four ymm accumulators.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime, and the
-    /// bounds checked by [`super::mm1`] must hold.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm1_avx2(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
-        let k = a.len();
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n and b.len() >= k·n bound every access;
-            // mul then add — never FMA — matches scalar rounding.
-            unsafe {
-                let mut acc: __m256 = _mm256_setzero_ps();
-                for p in 0..k {
-                    let va = _mm256_set1_ps(*a.get_unchecked(p));
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-            }
-            j += 8;
-        }
-        for (jj, o) in out.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f32;
-            for (p, &ap) in a.iter().enumerate() {
-                s += ap * b[p * n + jj];
-            }
-            *o = s;
-        }
-    }
-
-    /// Strided-coefficient sibling of [`mm1_avx2`].
+    /// One output row, 8 columns per pass in one ymm accumulator, the
+    /// coefficient for step `p` read at `a[p·stride + i0]`.
     ///
     /// # Safety
     ///
@@ -612,20 +400,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn axpy_matches_plain_loop_bitwise() {
-        for n in [0, 1, 3, 4, 7, 8, 9, 16, 31, 64, 100] {
-            let x = sample(n, 1);
-            let mut y = sample(n, 2);
-            let mut want = y.clone();
-            for (w, &xv) in want.iter_mut().zip(&x) {
-                *w += 0.37 * xv;
-            }
-            axpy(0.37, &x, &mut y);
-            assert_eq!(y, want, "n = {n}");
-        }
-    }
-
     fn mm_reference(a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
         // The naive per-element chain: ascending p, one mul + one add.
         (0..n)
@@ -674,31 +448,15 @@ mod tests {
         // The contract the whole crate rests on: whatever path the public
         // kernels dispatch to must equal the scalar micro-kernels
         // bit-for-bit.
-        for n in [1, 7, 8, 9, 24, 129] {
-            let x = sample(n, 6);
-            let mut via_dispatch = sample(n, 7);
-            let mut via_scalar = via_dispatch.clone();
-            axpy(1.372_89, &x, &mut via_dispatch);
-            axpy_scalar(1.372_89, &x, &mut via_scalar);
-            assert_eq!(via_dispatch, via_scalar, "n = {n}");
-        }
         for (k, n) in [(3, 7), (17, 16), (64, 31), (128, 64)] {
             let a = sample(k, 8);
             let b = sample(k * n, 9);
             let mut via_dispatch = vec![f32::NAN; n];
             let mut via_scalar = vec![f32::NAN; n];
             mm1(&a, &b, n, &mut via_dispatch);
-            mm1_scalar(&a, &b, n, &mut via_scalar);
+            mm1t_scalar(&a, 1, 0, k, &b, n, &mut via_scalar);
             assert_eq!(via_dispatch, via_scalar, "k = {k}, n = {n}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn axpy_length_mismatch_panics() {
-        let x = [1.0f32; 4];
-        let mut y = [0.0f32; 3];
-        axpy(1.0, &x, &mut y);
     }
 
     fn mmt_reference(

@@ -14,7 +14,7 @@ use mesorasi::nn::Graph;
 use mesorasi::par;
 use mesorasi::pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi::pointcloud::{sampling, Point3, PointCloud};
-use mesorasi::tensor::{group, ops, Matrix};
+use mesorasi::tensor::{group, ops, Matrix, Matrix64};
 use proptest::prelude::*;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -62,6 +62,13 @@ proptest! {
         assert_thread_invariant("matmul", || ops::matmul(&a, &b))?;
         assert_thread_invariant("matmul_at_b", || ops::matmul_at_b(&a, &b2_like(&a)))?;
         assert_thread_invariant("matmul_a_bt", || ops::matmul_a_bt(&a, &a.clone()))?;
+
+        // The same generic kernels at f64: same chunking, same contract.
+        let (a64, b64) = (Matrix64::cast_from(&a), Matrix64::cast_from(&b));
+        let b2_64 = Matrix64::cast_from(&b2_like(&a));
+        assert_thread_invariant("matmul [f64]", || ops::matmul(&a64, &b64))?;
+        assert_thread_invariant("matmul_at_b [f64]", || ops::matmul_at_b(&a64, &b2_64))?;
+        assert_thread_invariant("matmul_a_bt [f64]", || ops::matmul_a_bt(&a64, &a64))?;
     }
 
     #[test]
@@ -84,6 +91,25 @@ proptest! {
         let grouped = group::gather_rows(&src, &groups);
         assert_thread_invariant("subtract_centroid_per_group", || {
             group::subtract_centroid_per_group(&grouped, &centroids, k)
+        })?;
+
+        // The generic forward kernels at f64.
+        let src64 = Matrix64::cast_from(&src);
+        assert_thread_invariant("gather_rows [f64]", || group::gather_rows(&src64, &groups))?;
+        assert_thread_invariant("gather_max_into [f64]", || {
+            let mut out = Matrix64::zeros(0, 0);
+            group::gather_max_into(&src64, &groups, k, &mut out);
+            out
+        })?;
+        let (grouped64, centroids64) =
+            (Matrix64::cast_from(&grouped), Matrix64::cast_from(&centroids));
+        assert_thread_invariant("group_max_into [f64]", || {
+            let mut out = Matrix64::zeros(0, 0);
+            group::group_max_into(&grouped64, k, &mut out);
+            out
+        })?;
+        assert_thread_invariant("subtract_centroid_per_group [f64]", || {
+            group::subtract_centroid_per_group(&grouped64, &centroids64, k)
         })?;
     }
 

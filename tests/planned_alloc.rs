@@ -4,8 +4,11 @@
 //! sample) pair is warm, a forward pass allocates **nothing**: every
 //! intermediate writes into its preassigned slot and the cached bindings
 //! are read in place. This binary installs a counting global allocator and
-//! asserts exactly that. It lives alone in its own test file so no
-//! concurrently-running test can perturb the counter while it is armed.
+//! asserts exactly that. The counter is process-global and libtest runs
+//! the `#[test]`s of one file on concurrent threads, so living in its own
+//! file is not enough: every audit holds the file-level [`SERIAL`] lock for
+//! its whole body, or one audit's warm-up would land in another's armed
+//! window.
 //!
 //! Five audits, in increasing strictness:
 //!
@@ -24,12 +27,22 @@
 //!    draws search scratch from its `ScratchPool` slot;
 //! 5. the heap-ceiling audit: once warm, `EngineStats` byte totals
 //!    (tensor arena + search arena + parallel scratch pool) are frozen —
-//!    further frames neither grow a slot nor retain new storage.
+//!    further frames neither grow a slot nor retain new storage — in both
+//!    dtype modes, and the f64 mode's extra state is part of the total.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialises the audits (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a failed audit must not poison the rest into failing.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -62,6 +75,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_planned_forward_allocates_nothing() {
+    let _serial = serial();
     // Sequential execution: the pool's job-dispatch machinery is the one
     // part of the stack allowed to allocate, and it is bypassed at 1
     // thread. The per-sample zero-allocation claim is about the engine.
@@ -91,11 +105,12 @@ fn warm_planned_forward_allocates_nothing() {
 
 #[test]
 fn warm_f64_shadow_forward_allocates_nothing() {
-    // The shadow-precision tier replays the full plan in f64 after every
-    // forward. Its arena, scratch, and rounded outputs are all persistent,
-    // so a warm f64-mode forward must be exactly as allocation-free as the
-    // f32 path it shadows — the dtype knob may not reintroduce the per-op
-    // allocation the planner exists to eliminate.
+    let _serial = serial();
+    // In f64 mode the engine replays the full plan against an f64 arena
+    // after every forward. That arena, its scratch, and the rounded outputs
+    // are all persistent, so a warm f64-mode forward must be exactly as
+    // allocation-free as the f32 path it shadows — the dtype knob may not
+    // reintroduce the per-op allocation the planner exists to eliminate.
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
@@ -123,6 +138,7 @@ fn warm_f64_shadow_forward_allocates_nothing() {
 
 #[test]
 fn warm_streamed_forward_allocates_nothing_including_search() {
+    let _serial = serial();
     // The streaming path never caches samples: every frame re-selects
     // centroids, rebuilds per-space indices (forced kd-tree, so real index
     // construction — not just brute-force scans — is under audit), and
@@ -166,6 +182,7 @@ fn warm_streamed_forward_allocates_nothing_including_search() {
 
 #[test]
 fn warm_session_frame_inference_allocates_nothing_end_to_end() {
+    let _serial = serial();
     // The full serving path: Session → FrameStream::infer_into with a
     // recycled result. Once warm, a frame costs zero heap allocations —
     // engine checkout, per-frame searches, planned execution, and output
@@ -201,6 +218,7 @@ fn warm_session_frame_inference_allocates_nothing_end_to_end() {
 
 #[test]
 fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
+    let _serial = serial();
     // The multi-worker bar: at 2 pool threads with a fixed tile budget,
     // tile dispatch rides retired job headers and each participant's
     // kd-rebuild/query scratch comes out of its per-worker `ScratchPool`
@@ -242,43 +260,58 @@ fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
 
 #[test]
 fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
+    let _serial = serial();
     // The memory-ceiling half of the contract: beyond "no allocator
     // calls", the bytes already *retained* must stop moving once warm.
     // Tensor-arena peak, search-arena retention, and the process-wide
     // per-worker scratch pool are all captured after warm-up and must be
     // bit-for-bit unchanged after further frames — and no arena slot may
-    // ever grow past its planned capacity.
-    mesorasi_par::with_threads(2, || {
-        let mut rng = seeded_rng(6);
-        let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine =
-            PlanEngine::with_planner(mesorasi::SearchPlanner::forced(SearchBackend::KdTree));
-        engine.set_tile_budget(Some(64));
-        let record =
-            |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
-        let frames: Vec<PointCloud> =
-            (0..4).map(|s| sample_shape(ShapeClass::Lamp, net.input_points(), 80 + s)).collect();
+    // ever grow past its planned capacity. In f64 mode the reported arena
+    // total must also carry the f64 state the engine retains.
+    let warm_stats = |dtype: Dtype| {
+        mesorasi_par::with_threads(2, || {
+            let mut rng = seeded_rng(6);
+            let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
+            let mut engine =
+                PlanEngine::with_planner(mesorasi::SearchPlanner::forced(SearchBackend::KdTree));
+            engine.set_tile_budget(Some(64));
+            engine.set_dtype(dtype);
+            let record =
+                |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+            let n = net.input_points();
+            let frames: Vec<PointCloud> =
+                (0..4).map(|s| sample_shape(ShapeClass::Lamp, n, 80 + s)).collect();
 
-        for frame in &frames {
-            let _ = engine.run_streamed(frame, &record);
-        }
-        let warm = engine.stats(net.input_points()).expect("compiled");
-        assert!(warm.arena.peak_bytes > 0, "the arena must retain planned storage");
-        assert!(warm.search_bytes > 0, "the search arena must retain storage");
-
-        for _ in 0..3 {
             for frame in &frames {
                 let _ = engine.run_streamed(frame, &record);
             }
-        }
-        let after = engine.stats(net.input_points()).expect("compiled");
+            let warm = engine.stats(n).expect("compiled");
+            assert!(warm.arena.peak_bytes > 0, "the arena must retain planned storage");
+            assert!(warm.search_bytes > 0, "the search arena must retain storage");
 
-        assert_eq!(after.arena.peak_bytes, warm.arena.peak_bytes, "tensor arena grew while warm");
-        assert_eq!(after.arena.grow_events, warm.arena.grow_events, "slots grew while warm");
-        assert_eq!(after.search_bytes, warm.search_bytes, "search arena grew while warm");
-        assert_eq!(
-            after.parallel_scratch_bytes, warm.parallel_scratch_bytes,
-            "per-worker scratch pool grew while warm"
-        );
-    });
+            for _ in 0..3 {
+                for frame in &frames {
+                    let _ = engine.run_streamed(frame, &record);
+                }
+            }
+            let after = engine.stats(n).expect("compiled");
+
+            assert_eq!(after.arena.peak_bytes, warm.arena.peak_bytes, "{dtype} arena grew warm");
+            assert_eq!(after.arena.grow_events, warm.arena.grow_events, "{dtype} slots grew warm");
+            assert_eq!(after.search_bytes, warm.search_bytes, "{dtype} search arena grew warm");
+            assert_eq!(
+                after.parallel_scratch_bytes, warm.parallel_scratch_bytes,
+                "{dtype} per-worker scratch pool grew while warm"
+            );
+            warm
+        })
+    };
+    let f32_mode = warm_stats(Dtype::F32);
+    let f64_mode = warm_stats(Dtype::F64);
+    assert!(
+        f64_mode.arena.peak_bytes > f32_mode.arena.peak_bytes,
+        "f64 mode retains an extra arena that the ceiling must report: {} vs {}",
+        f64_mode.arena.peak_bytes,
+        f32_mode.arena.peak_bytes
+    );
 }
