@@ -1,17 +1,15 @@
 //! Out-of-core search records for the bench artifact (schema
 //! `mesorasi-bench/8`): index build and query timings at 2^17..2^20-point
 //! scales, where the octree backend earns its keep, measured for the
-//! octree (resident and paged, exact and LOD-sampled) against the kd-tree
-//! and grid backends on the same cloud.
+//! octree (resident and paged) against the kd-tree and grid backends on
+//! the same cloud.
 //!
 //! Record identity for `bench-diff` is `(op, backend, threads, dtype)`,
-//! so the cloud size and pager/LOD mode are encoded in the backend label:
-//! `octree-128k`, `octree-1m-paged`, `octree-1m-paged-lod4`, `kdtree-1m`,
-//! `grid-128k`, ... The `-paged` configurations run behind a file-backed
-//! node store with a byte budget of ⅛ of the cloud's storage, so every
-//! query sweep pays real eviction churn; `-lod4` configurations answer
-//! from the depth-4 representative sample ([`MortonOctree::set_lod`]).
-//! The smoke run uses one 2^15-point cloud; the full run measures 2^17
+//! so the cloud size and pager mode are encoded in the backend label:
+//! `octree-128k`, `octree-1m-paged`, `kdtree-1m`, `grid-128k`, ... The
+//! `-paged` configurations run behind a file-backed node store with a
+//! byte budget of ⅛ of the cloud's storage, so every query sweep pays
+//! real eviction churn. The smoke run uses one 2^15-point cloud; the full run measures 2^17
 //! and 2^20 points (the million-point acceptance scale).
 
 use crate::perf::{time_ns, BenchRecord};
@@ -26,7 +24,7 @@ use std::time::Duration;
 
 /// Deterministic synthetic cloud from a bare LCG: uniform in [-1, 1]^3.
 /// The shape sampler's rejection loops are too slow at million-point
-/// scale, and uniform occupancy is the octree's worst case for LOD
+/// scale, and uniform occupancy is the octree's worst case for box
 /// pruning — a conservative workload.
 pub fn synthetic_cloud(n: usize, seed: u64) -> PointCloud {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -43,9 +41,7 @@ pub fn synthetic_cloud(n: usize, seed: u64) -> PointCloud {
 struct SizeSpec {
     n: usize,
     octree: &'static str,
-    octree_lod: &'static str,
     octree_paged: &'static str,
-    octree_paged_lod: &'static str,
     kdtree: &'static str,
     grid: &'static str,
 }
@@ -53,9 +49,7 @@ struct SizeSpec {
 const SMOKE_SIZES: [SizeSpec; 1] = [SizeSpec {
     n: 1 << 15,
     octree: "octree-32k",
-    octree_lod: "octree-32k-lod4",
     octree_paged: "octree-32k-paged",
-    octree_paged_lod: "octree-32k-paged-lod4",
     kdtree: "kdtree-32k",
     grid: "grid-32k",
 }];
@@ -64,25 +58,18 @@ const FULL_SIZES: [SizeSpec; 2] = [
     SizeSpec {
         n: 1 << 17,
         octree: "octree-128k",
-        octree_lod: "octree-128k-lod4",
         octree_paged: "octree-128k-paged",
-        octree_paged_lod: "octree-128k-paged-lod4",
         kdtree: "kdtree-128k",
         grid: "grid-128k",
     },
     SizeSpec {
         n: 1 << 20,
         octree: "octree-1m",
-        octree_lod: "octree-1m-lod4",
         octree_paged: "octree-1m-paged",
-        octree_paged_lod: "octree-1m-paged-lod4",
         kdtree: "kdtree-1m",
         grid: "grid-1m",
     },
 ];
-
-/// LOD depth the `-lod4` configurations query at.
-const LOD_LEVEL: usize = 4;
 
 /// Queries per sweep, neighbors per query, and the ball radius (sized so
 /// a [-1, 1]^3 uniform cloud holds on the order of k points per ball at
@@ -105,10 +92,10 @@ pub fn build_configs(smoke: bool) -> usize {
     sizes(smoke).len() * 4
 }
 
-/// `query` configurations per run: the four octree modes plus kdtree and
+/// `query` configurations per run: the two octree modes plus kdtree and
 /// grid per size.
 pub fn query_configs(smoke: bool) -> usize {
-    sizes(smoke).len() * 6
+    sizes(smoke).len() * 4
 }
 
 /// Runs the large-cloud sweep: every configuration at every swept thread
@@ -143,10 +130,8 @@ pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecor
         let kdtree_rb = RefCell::new(KdTree::build(&cloud));
         let grid_rb = RefCell::new(UniformGrid::build(&cloud, RADIUS));
 
-        let octree_query = |tree: &RefCell<MortonOctree>, lod: usize| {
-            let mut t = tree.borrow_mut();
-            t.set_lod(lod);
-            t.knn_into(&cloud, &queries, K, &mut out.borrow_mut());
+        let octree_query = |tree: &RefCell<MortonOctree>| {
+            tree.borrow_mut().knn_into(&cloud, &queries, K, &mut out.borrow_mut());
         };
 
         type Kernel<'a> = (&'static str, &'static str, Box<dyn Fn() + 'a>);
@@ -171,10 +156,8 @@ pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecor
                 spec.grid,
                 Box::new(|| SearchIndex::build_into(&mut *grid_rb.borrow_mut(), &cloud)),
             ),
-            ("query", spec.octree, Box::new(|| octree_query(&octree, 0))),
-            ("query", spec.octree_lod, Box::new(|| octree_query(&octree, LOD_LEVEL))),
-            ("query", spec.octree_paged, Box::new(|| octree_query(&paged, 0))),
-            ("query", spec.octree_paged_lod, Box::new(|| octree_query(&paged, LOD_LEVEL))),
+            ("query", spec.octree, Box::new(|| octree_query(&octree))),
+            ("query", spec.octree_paged, Box::new(|| octree_query(&paged))),
             (
                 "query",
                 spec.kdtree,
@@ -245,8 +228,7 @@ mod tests {
         assert_eq!(queries, query_configs(true) * sweep.len());
         assert!(recs.iter().all(|r| r.ns_per_op > 0.0));
         // The mode labels that make up a record's diff identity all appear.
-        for label in ["octree-32k", "octree-32k-paged", "octree-32k-lod4", "kdtree-32k", "grid-32k"]
-        {
+        for label in ["octree-32k", "octree-32k-paged", "kdtree-32k", "grid-32k"] {
             assert!(recs.iter().any(|r| r.backend == label), "missing {label}");
         }
     }

@@ -28,7 +28,7 @@
 //!       "ns_per_op": 93210.5, "speedup_vs_1t": 1.0 },
 //!     { "op": "index_build", "backend": "octree-1m-paged", "threads": 1,
 //!       "ns_per_op": 48123456.0, "speedup_vs_1t": 1.0 },
-//!     { "op": "query", "backend": "octree-128k-lod4", "threads": 2,
+//!     { "op": "query", "backend": "octree-128k-paged", "threads": 2,
 //!       "ns_per_op": 812345.0, "speedup_vs_1t": 1.88 },
 //!     { "op": "forward_planned", "backend": "PointNet++ (c)", "threads": 8,
 //!       "ns_per_op": 212345.6, "speedup_vs_tape": 3.41,
@@ -106,12 +106,12 @@
 //!
 //! New in `/8`: the out-of-core sweep (see [`crate::largecloud`]).
 //! `index_build` and `query` records at 2^17- and 2^20-point scales
-//! (smoke: one 2^15-point cloud) measure the octree backend — resident,
-//! behind a ⅛-storage pager budget (`-paged`), and answering from the
-//! depth-4 LOD sample (`-lod4`) — against the kd-tree and grid backends
-//! on the same synthetic cloud. The cloud size and mode are encoded in
-//! the backend label (`octree-1m-paged`, `kdtree-128k`, ...) because a
-//! record's `bench-diff` identity is `(op, backend, threads, dtype)`.
+//! (smoke: one 2^15-point cloud) measure the octree backend — resident
+//! and behind a ⅛-storage pager budget (`-paged`) — against the kd-tree
+//! and grid backends on the same synthetic cloud. The cloud size and mode
+//! are encoded in the backend label (`octree-1m-paged`, `kdtree-128k`,
+//! ...) because a record's `bench-diff` identity is
+//! `(op, backend, threads, dtype)`.
 //!
 //! `serve_fresh` / `serve_mixed` records (new in `/5`, produced by
 //! `repro serve-bench`, see [`crate::serve_bench`]) measure end-to-end
@@ -136,7 +136,9 @@
 
 use mesorasi_core::Strategy;
 use mesorasi_knn::feature::FeatureView;
-use mesorasi_knn::{ball, bruteforce, feature, grid::UniformGrid, kdtree::KdTree};
+use mesorasi_knn::{
+    ball, bruteforce, feature, grid::UniformGrid, kdtree::KdTree, SearchBackend, SearchIndex,
+};
 use mesorasi_networks::registry::NetworkKind;
 use mesorasi_networks::session::{Session, SessionBuilder};
 use mesorasi_nn::Graph;
@@ -187,6 +189,10 @@ pub struct SearchExtra {
     pub index_build_ns_per_frame: f64,
     /// Nanoseconds spent answering queries, per frame.
     pub query_ns_per_frame: f64,
+    /// Query calls per frame by answering backend (indexed like
+    /// `SearchCounters::calls_by_backend`) — which backends the planner
+    /// picked. Printed in the table; not part of the JSON schema.
+    pub calls_per_frame: [f64; 4],
 }
 
 /// Served-latency extras carried by `serve_fresh` / `serve_mixed` records
@@ -391,9 +397,18 @@ impl BenchReport {
                 )
             });
             let search = r.search.map_or(String::new(), |f| {
+                let routed: Vec<String> = SearchBackend::ALL
+                    .iter()
+                    .zip(f.calls_per_frame)
+                    .filter(|(_, calls)| *calls > 0.0)
+                    .map(|(b, calls)| format!("{} {calls:.1}", b.name()))
+                    .collect();
                 format!(
-                    "   {:.0} dist evals/frame, build {:.0} ns + query {:.0} ns",
-                    f.distance_evals_per_frame, f.index_build_ns_per_frame, f.query_ns_per_frame
+                    "   {:.0} dist evals/frame, build {:.0} ns + query {:.0} ns, calls/frame: {}",
+                    f.distance_evals_per_frame,
+                    f.index_build_ns_per_frame,
+                    f.query_ns_per_frame,
+                    routed.join(", ")
                 )
             });
             let serve = r.serve.map_or(String::new(), |v| {
@@ -905,6 +920,7 @@ fn frames_record(
             index_builds_per_frame: per_frame(delta.index_builds),
             index_build_ns_per_frame: per_frame(delta.index_build_ns),
             query_ns_per_frame: per_frame(delta.query_ns),
+            calls_per_frame: delta.calls_by_backend.map(per_frame),
         }),
         serve: None,
         stream: None,
@@ -972,7 +988,7 @@ fn stream_records(smoke: bool, budget: Duration) -> Vec<BenchRecord> {
 
     let mut records = Vec::new();
     let untiled: Session =
-        SessionBuilder::from_boxed(make_net()).seed(7).workers(1).untiled().build();
+        SessionBuilder::from_boxed(make_net()).seed(7).workers(1).tile_budget(None).build();
     untiled.warm(&clouds[0]);
     let (untiled_ns, untiled_frames, untiled_p99) = measure(&untiled, 1);
     drop(untiled);
@@ -996,8 +1012,11 @@ fn stream_records(smoke: bool, budget: Duration) -> Vec<BenchRecord> {
     });
 
     for &tile in &STREAM_TILE_BUDGETS {
-        let session: Session =
-            SessionBuilder::from_boxed(make_net()).seed(7).workers(1).tile_budget(tile).build();
+        let session: Session = SessionBuilder::from_boxed(make_net())
+            .seed(7)
+            .workers(1)
+            .tile_budget(Some(tile))
+            .build();
         session.warm(&clouds[0]);
         for &threads in &sweep {
             let (ns, frames_done, p99) = measure(&session, threads);
@@ -1135,6 +1154,7 @@ mod tests {
                         index_builds_per_frame: 4.0,
                         index_build_ns_per_frame: 81_234.0,
                         query_ns_per_frame: 412_345.5,
+                        calls_per_frame: [2.0, 0.0, 1.0, 0.0],
                     }),
                     serve: None,
                     stream: None,
@@ -1208,6 +1228,8 @@ mod tests {
         assert!(json.contains("\"speedup_vs_untiled\": 1.620"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(report.filename(), "BENCH_2026-07-28.json");
+        // The table names the backends the planner routed frames to.
+        assert!(report.to_table().contains("calls/frame: bruteforce 2.0, grid 1.0"));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! accepted values — never be silently ignored (which would make a typo'd
 //! override *look* honored and skew experiments).
 //!
-//! The parse results are cached in process-wide `OnceLock`s, so these
-//! tests drive a subprocess (the `repro` binary) instead of mutating this
-//! process' environment.
+//! The environment is process-global and libtest runs tests on parallel
+//! threads, so these tests drive subprocesses (the `repro` binary, or this
+//! test binary re-running one `#[ignore]`d child test) instead of mutating
+//! this process' environment.
 
+use mesorasi_networks::{NetworkKind, SessionBuilder};
+use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use std::process::Command;
 
 fn repro_bench_with(var: &str, value: &str) -> std::process::Output {
@@ -16,40 +19,34 @@ fn repro_bench_with(var: &str, value: &str) -> std::process::Output {
         .expect("spawn repro")
 }
 
+/// Every variable rejects junk through the one loud-failure shape.
+fn assert_rejected(var: &str, raw: &str, accepted: &str) {
+    let out = repro_bench_with(var, raw);
+    assert!(!out.status.success(), "invalid {var} must not be ignored");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let want = format!("invalid {var}='{raw}': accepted values are {accepted}");
+    assert!(err.contains(&want), "stderr: {err}");
+}
+
 #[test]
 fn invalid_mesorasi_threads_fails_loudly_with_accepted_values() {
-    let out = repro_bench_with("MESORASI_THREADS", "lots");
-    assert!(!out.status.success(), "invalid MESORASI_THREADS must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid MESORASI_THREADS='lots'"), "stderr: {err}");
-    assert!(err.contains("positive integers 1..="), "must name accepted values: {err}");
+    assert_rejected("MESORASI_THREADS", "lots", "positive integers 1..=256");
 }
 
 #[test]
 fn invalid_mesorasi_search_fails_loudly_with_accepted_values() {
-    let out = repro_bench_with("MESORASI_SEARCH", "octtree");
-    assert!(!out.status.success(), "invalid MESORASI_SEARCH must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid MESORASI_SEARCH='octtree'"), "stderr: {err}");
-    assert!(err.contains("auto|kdtree|grid|bruteforce|octree"), "must name accepted values: {err}");
+    assert_rejected("MESORASI_SEARCH", "octtree", "auto|kdtree|grid|bruteforce|octree");
 }
 
 #[test]
 fn invalid_mesorasi_pager_budget_fails_loudly_with_accepted_values() {
-    let out = repro_bench_with("MESORASI_PAGER_BUDGET", "huge");
-    assert!(!out.status.success(), "invalid MESORASI_PAGER_BUDGET must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid MESORASI_PAGER_BUDGET='huge'"), "stderr: {err}");
-    assert!(err.contains("unbounded"), "must name accepted values: {err}");
+    assert_rejected("MESORASI_PAGER_BUDGET", "huge", "byte counts or \"unbounded\"");
 }
 
 #[test]
 fn invalid_mesorasi_tile_budget_fails_loudly_with_accepted_values() {
-    let out = repro_bench_with("MESORASI_TILE_BUDGET", "huge");
-    assert!(!out.status.success(), "invalid MESORASI_TILE_BUDGET must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid MESORASI_TILE_BUDGET='huge'"), "stderr: {err}");
-    assert!(err.contains("positive integers (points per tile) or \"off\""), "stderr: {err}");
+    let accepted = "positive integers (points per tile) or \"off\"";
+    assert_rejected("MESORASI_TILE_BUDGET", "huge", accepted);
 }
 
 #[test]
@@ -57,18 +54,12 @@ fn zero_mesorasi_tile_budget_fails_loudly() {
     // `0` parses as an integer but is not a legal budget — it must be
     // rejected by the same loud path, not fall through to a panic deep in
     // the tile splitter.
-    let out = repro_bench_with("MESORASI_TILE_BUDGET", "0");
-    assert!(!out.status.success(), "zero MESORASI_TILE_BUDGET must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid MESORASI_TILE_BUDGET='0'"), "stderr: {err}");
+    assert_rejected("MESORASI_TILE_BUDGET", "0", "positive integers (points per tile) or \"off\"");
 }
 
 #[test]
 fn invalid_mesorasi_dtype_fails_loudly_with_accepted_values() {
-    let out = repro_bench_with("MESORASI_DTYPE", "f16");
-    assert!(!out.status.success(), "invalid MESORASI_DTYPE must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid MESORASI_DTYPE='f16': accepted values are f32|f64"), "{err}");
+    assert_rejected("MESORASI_DTYPE", "f16", "f32|f64");
 }
 
 #[test]
@@ -89,6 +80,73 @@ fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
         assert!(!err.contains("MESORASI_DTYPE"), "'{dtype}' must be accepted: {err}");
         assert!(err.contains("invalid MESORASI_TILE_BUDGET='huge'"), "'{dtype}': {err}");
     }
+}
+
+#[test]
+fn every_variable_accepts_blank_and_mixed_case() {
+    // Blank means unset (CI can blank a job-level variable, not remove
+    // it); keywords are trimmed and ASCII case-insensitive. `--list`
+    // touches no engine, so the engine variables ride a second sentinel:
+    // an invalid `MESORASI_DTYPE` is parsed last, so reaching *its* loud
+    // failure proves the four variables before it were accepted.
+    for (search, tile, pager, threads) in [
+        ("", "", "", ""),
+        (" ", "\t", "  ", " "),
+        (" OcTree ", " OFF ", "Unbounded", " 2 "),
+        ("AUTO", "off", " 768 ", "1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["bench", "--smoke"])
+            .env("MESORASI_THREADS", threads)
+            .env("MESORASI_SEARCH", search)
+            .env("MESORASI_TILE_BUDGET", tile)
+            .env("MESORASI_PAGER_BUDGET", pager)
+            .env("MESORASI_DTYPE", "f16")
+            .output()
+            .expect("spawn repro");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let case = format!("('{search}', '{tile}', '{pager}', '{threads}'): {err}");
+        assert!(err.contains("invalid MESORASI_DTYPE='f16'"), "{case}");
+        assert_eq!(err.matches("invalid MESORASI_").count(), 1, "{case}");
+    }
+}
+
+/// Child half of [`explicit_builder_settings_beat_the_environment`]: only
+/// meaningful under the environment the parent sets.
+#[test]
+#[ignore = "run by explicit_builder_settings_beat_the_environment under a paged-octree environment"]
+fn child_pager_traffic_follows_the_builder_not_the_environment() {
+    let pager_misses = |builder: SessionBuilder| {
+        let session = builder.classes(3).workers(1).build();
+        let n = session.network().input_points();
+        let _ = session.infer(&sample_shape(ShapeClass::Chair, n, 1));
+        session.arena_stats(n).expect("shape compiled").pager
+    };
+    let kind = NetworkKind::PointNetPPClassification;
+    let ambient = pager_misses(SessionBuilder::from_kind(kind));
+    assert!(ambient.misses > 0, "the environment pages octree leaves: {ambient:?}");
+    let explicit = pager_misses(SessionBuilder::from_kind(kind).pager_budget(None));
+    assert_eq!(
+        (explicit.hits, explicit.misses, explicit.evictions, explicit.budget_bytes),
+        (0, 0, 0, 0),
+        "an explicit resident setting must win"
+    );
+}
+
+#[test]
+fn explicit_builder_settings_beat_the_environment() {
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "--ignored",
+            "--exact",
+            "child_pager_traffic_follows_the_builder_not_the_environment",
+        ])
+        .env("MESORASI_SEARCH", "octree")
+        .env("MESORASI_PAGER_BUDGET", "768")
+        .output()
+        .expect("spawn self");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains("1 passed"), "{stdout}");
 }
 
 #[test]

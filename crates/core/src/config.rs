@@ -1,0 +1,129 @@
+//! The engine's configuration: one value, one environment reader.
+//!
+//! Every knob a [`crate::engine::PlanEngine`] has lives in one
+//! [`EngineConfig`], fixed for the engine's lifetime. Code that wants a
+//! different setting builds a different config (and engine); code that
+//! wants the process environment's settings calls
+//! [`EngineConfig::from_env`] — the only place besides `mesorasi-par`'s
+//! `MESORASI_THREADS` where the workspace reads a `MESORASI_*` variable.
+//! A config handed to an engine explicitly is never second-guessed from
+//! the environment.
+
+use crate::sample_cache::DEFAULT_SAMPLE_CACHE_CAP;
+use mesorasi_knn::{planner, SearchPlanner};
+use mesorasi_tensor::Dtype;
+
+/// Default per-tile point budget of the tiled streaming path: large enough
+/// that paper-scale frames split into a handful of tiles, small enough to
+/// bound per-tile latency and scratch.
+pub const DEFAULT_TILE_BUDGET: usize = 256;
+
+/// Everything configurable about a plan engine. None of it changes
+/// results within a dtype: search backends are exact, tiling and paging
+/// are scheduling/residency choices, the cache only skips re-derivation.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineConfig {
+    /// Chooses the backend of every coordinate search (default: the cost
+    /// model; `MESORASI_SEARCH`).
+    pub search: SearchPlanner,
+    /// Fixed per-tile point budget for per-frame derivation — input-row
+    /// fills and batch searches run in tiles of this many points across
+    /// the worker pool; `None` falls back to cost-model chunking (default
+    /// [`DEFAULT_TILE_BUDGET`]; `MESORASI_TILE_BUDGET`). Must not be
+    /// `Some(0)`.
+    pub tile_budget: Option<usize>,
+    /// Octree leaf-payload residency budget in bytes: `None` keeps
+    /// payloads resident, `Some(bytes)` pages them through a file-backed
+    /// LRU (default resident; `MESORASI_PAGER_BUDGET`).
+    pub pager_budget: Option<usize>,
+    /// Per-plan NIT sample-cache capacity; 0 disables caching (default
+    /// [`DEFAULT_SAMPLE_CACHE_CAP`]; no environment variable).
+    pub sample_cache_cap: usize,
+    /// Execution dtype (default [`Dtype::F32`]; `MESORASI_DTYPE`).
+    pub dtype: Dtype,
+}
+
+impl Default for EngineConfig {
+    /// The built-in defaults, ignoring the environment.
+    fn default() -> EngineConfig {
+        EngineConfig {
+            search: SearchPlanner::auto(),
+            tile_budget: Some(DEFAULT_TILE_BUDGET),
+            pager_budget: None,
+            sample_cache_cap: DEFAULT_SAMPLE_CACHE_CAP,
+            dtype: Dtype::F32,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The defaults overlaid with the process environment, read at the
+    /// time of the call (nothing is cached):
+    ///
+    /// | variable | accepted values |
+    /// |---|---|
+    /// | `MESORASI_SEARCH` | `auto` \| `kdtree` \| `grid` \| `bruteforce` \| `octree` |
+    /// | `MESORASI_TILE_BUDGET` | a positive point count, or `off` |
+    /// | `MESORASI_PAGER_BUDGET` | a byte count, or `unbounded` |
+    /// | `MESORASI_DTYPE` | `f32` \| `f64` |
+    ///
+    /// One grammar for all four: values are trimmed, keywords are ASCII
+    /// case-insensitive, and an unset or blank variable keeps the default
+    /// (CI can blank a job-level variable but not remove it).
+    ///
+    /// # Panics
+    ///
+    /// Panics with `invalid NAME='raw': accepted values are …` on anything
+    /// else. A typo'd override silently falling back to the default would
+    /// *look* like the requested configuration was measured — config
+    /// errors must fail loudly, not skew experiments.
+    pub fn from_env() -> EngineConfig {
+        let mut config = EngineConfig::default();
+        if let Some(search) =
+            env_var("MESORASI_SEARCH", "auto|kdtree|grid|bruteforce|octree", |s| {
+                planner::parse_override(s).ok()
+            })
+        {
+            config.search = search.map_or(SearchPlanner::auto(), SearchPlanner::forced);
+        }
+        if let Some(budget) =
+            env_var("MESORASI_TILE_BUDGET", "positive integers (points per tile) or \"off\"", |s| {
+                match s {
+                    "off" => Some(None),
+                    _ => s.parse().ok().filter(|&b: &usize| b > 0).map(Some),
+                }
+            })
+        {
+            config.tile_budget = budget;
+        }
+        if let Some(bytes) =
+            env_var("MESORASI_PAGER_BUDGET", "byte counts or \"unbounded\"", |s| match s {
+                "unbounded" => Some(usize::MAX),
+                _ => s.parse().ok(),
+            })
+        {
+            config.pager_budget = Some(bytes);
+        }
+        if let Some(dtype) = env_var("MESORASI_DTYPE", "f32|f64", |s| s.parse().ok()) {
+            config.dtype = dtype;
+        }
+        config
+    }
+}
+
+/// The shared grammar: `None` for an unset or blank variable, else the
+/// value `parse` makes of the trimmed, lower-cased keyword.
+fn env_var<T>(name: &str, accepted: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    // Lossy, so a non-UTF-8 value fails loudly below instead of reading
+    // as unset.
+    let raw = std::env::var_os(name)?;
+    let raw = raw.to_string_lossy();
+    let keyword = raw.trim().to_ascii_lowercase();
+    if keyword.is_empty() {
+        return None;
+    }
+    Some(
+        parse(&keyword)
+            .unwrap_or_else(|| panic!("invalid {name}='{raw}': accepted values are {accepted}")),
+    )
+}

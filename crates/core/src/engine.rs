@@ -30,11 +30,12 @@
 //! weights at compile time, and cached NITs for feature-space searches are
 //! only valid while the weights that produced those features stay put.
 
+use crate::config::EngineConfig;
 use crate::module::NeighborMode;
 use crate::runner::{fp_stencils_into, search_nit_into, select_centroids_into};
-use crate::sample_cache::{SampleCache, SampleCacheStats, DEFAULT_SAMPLE_CACHE_CAP};
+use crate::sample_cache::{SampleCache, SampleCacheStats};
 use mesorasi_knn::stats::SearchCounters;
-use mesorasi_knn::{NeighborIndexTable, PagerStats, SearchContext, SearchPlanner};
+use mesorasi_knn::{NeighborIndexTable, PagerStats, SearchContext};
 use mesorasi_nn::ir::VarId;
 use mesorasi_nn::plan::{Arena, ArenaStats, Bindings, DynMarks, Plan};
 use mesorasi_nn::Graph;
@@ -588,12 +589,7 @@ pub struct EngineStats {
 /// persistent search arena instead.
 pub struct PlanEngine {
     compiled: Vec<Compiled>,
-    planner: SearchPlanner,
-    sample_cache_cap: usize,
-    dtype: Dtype,
-    tile_budget: Option<usize>,
-    lod: usize,
-    pager_budget: Option<usize>,
+    config: EngineConfig,
 }
 
 impl Default for PlanEngine {
@@ -603,125 +599,44 @@ impl Default for PlanEngine {
 }
 
 impl PlanEngine {
-    /// An engine with no compiled plans yet, planning search backends via
-    /// `MESORASI_SEARCH` / the cost model.
+    /// An engine with no compiled plans yet, on the built-in default
+    /// configuration (the environment is not consulted — pass
+    /// [`EngineConfig::from_env`] to [`PlanEngine::with_config`] for that).
     pub fn new() -> PlanEngine {
-        PlanEngine::with_planner(SearchPlanner::from_env())
+        PlanEngine::with_config(EngineConfig::default())
     }
 
-    /// An engine with an explicit search planner (the session builder's
-    /// backend override).
-    pub fn with_planner(planner: SearchPlanner) -> PlanEngine {
-        PlanEngine {
-            compiled: Vec::new(),
-            planner,
-            sample_cache_cap: DEFAULT_SAMPLE_CACHE_CAP,
-            dtype: Dtype::F32,
-            tile_budget: None,
-            lod: 0,
-            pager_budget: mesorasi_knn::pager::budget_from_env(),
-        }
-    }
-
-    /// Routes every per-frame derivation through fixed-budget point tiles:
-    /// input-row fills are chunked by [`TileSplitter`] boundaries and batch
-    /// searches run in `budget`-query tiles across the worker pool (each
-    /// worker holding pooled scratch, with the in-flight tile window
-    /// bounded by the participant count). `None` (the default) restores
-    /// cost-model chunking. Tiling is a scheduling knob only — outputs are
-    /// bit-identical at every budget and thread count. Applies to
-    /// already-compiled plans immediately.
+    /// An engine with no compiled plans yet, configured by `config` for
+    /// its whole lifetime.
+    ///
+    /// With a tile budget, every per-frame derivation runs through
+    /// fixed-budget point tiles: input-row fills are chunked by
+    /// [`TileSplitter`] boundaries and batch searches run in `budget`-query
+    /// tiles across the worker pool (each worker holding pooled scratch,
+    /// with the in-flight tile window bounded by the participant count).
+    /// Tiling is a scheduling knob only — outputs are bit-identical at
+    /// every budget and thread count.
+    ///
+    /// [`Dtype::F32`] is pure native execution. In [`Dtype::F64`] mode the
+    /// engine still runs the f32 plan — the dynamic derivation steps
+    /// (searches, stencils) read intermediate features from the f32 arena,
+    /// which keeps neighbor structure dtype-invariant — and then replays
+    /// the complete plan through the same kernels against an `f64` arena,
+    /// so [`PlannedOutputs::get`] returns f64-accumulated values rounded
+    /// once to f32. The f64 state is built lazily per compiled plan on the
+    /// first run.
     ///
     /// # Panics
     ///
-    /// Panics if `budget` is `Some(0)`.
-    pub fn set_tile_budget(&mut self, budget: Option<usize>) {
-        assert!(budget != Some(0), "tile budget must be positive");
-        self.tile_budget = budget;
-        for c in &mut self.compiled {
-            c.search.set_tile_budget(budget);
-        }
+    /// Panics if `config.tile_budget` is `Some(0)`.
+    pub fn with_config(config: EngineConfig) -> PlanEngine {
+        assert!(config.tile_budget != Some(0), "tile budget must be positive");
+        PlanEngine { compiled: Vec::new(), config }
     }
 
-    /// The fixed tile budget set via [`PlanEngine::set_tile_budget`].
-    pub fn tile_budget(&self) -> Option<usize> {
-        self.tile_budget
-    }
-
-    /// Sets the octree LOD level for coordinate searches: `0` (the
-    /// default) keeps every search exact; level `ℓ ≥ 1` lets octree-served
-    /// searches scan per-node representative subsamples at depth `ℓ`
-    /// instead of full leaves — approximate neighborhoods at lower
-    /// latency. Backends other than the octree ignore the knob, so
-    /// paper-scale clouds are unaffected. Applies to already-compiled
-    /// plans immediately.
-    pub fn set_lod(&mut self, lod: usize) {
-        self.lod = lod;
-        for c in &mut self.compiled {
-            c.search.set_lod(lod);
-        }
-    }
-
-    /// The octree LOD level set via [`PlanEngine::set_lod`].
-    pub fn lod(&self) -> usize {
-        self.lod
-    }
-
-    /// Sets the octree leaf-payload pager budget: `None` keeps payloads
-    /// resident, `Some(bytes)` pages them through a file-backed LRU under
-    /// that budget (bit-identical results, bounded residency). Defaults
-    /// from `MESORASI_PAGER_BUDGET`. Applies to already-compiled plans
-    /// immediately; their octree slots rebuild onto the new store on next
-    /// use.
-    pub fn set_pager_budget(&mut self, budget: Option<usize>) {
-        self.pager_budget = budget;
-        for c in &mut self.compiled {
-            c.search.set_pager_budget(budget);
-        }
-    }
-
-    /// The pager budget set via [`PlanEngine::set_pager_budget`].
-    pub fn pager_budget(&self) -> Option<usize> {
-        self.pager_budget
-    }
-
-    /// Octree pager traffic summed over every compiled plan.
-    pub fn pager_stats(&self) -> PagerStats {
-        let mut total = PagerStats::default();
-        for c in &self.compiled {
-            total.add(&c.search.pager_stats());
-        }
-        total
-    }
-
-    /// Selects the execution dtype for subsequent runs.
-    ///
-    /// [`Dtype::F32`] (the default) is pure native execution. In
-    /// [`Dtype::F64`] mode the engine still runs the f32 plan — the
-    /// dynamic derivation steps (searches, stencils) read intermediate
-    /// features from the f32 arena, which keeps neighbor structure
-    /// dtype-invariant — and then replays the complete plan through the
-    /// same kernels against an `f64` arena, so [`PlannedOutputs::get`]
-    /// returns f64-accumulated values rounded once to f32. The f64 state
-    /// is built lazily per compiled plan on the first f64 run; switching
-    /// back to f32 keeps it around for later reuse.
-    pub fn set_dtype(&mut self, dtype: Dtype) {
-        self.dtype = dtype;
-    }
-
-    /// The execution dtype selected via [`PlanEngine::set_dtype`].
-    pub fn dtype(&self) -> Dtype {
-        self.dtype
-    }
-
-    /// Sets the per-plan NIT sample-cache capacity (0 disables caching —
-    /// every request re-derives, like the streaming path). Applies to
-    /// already-compiled plans immediately, evicting LRU-first if shrinking.
-    pub fn set_sample_cache_cap(&mut self, cap: usize) {
-        self.sample_cache_cap = cap;
-        for c in &mut self.compiled {
-            c.samples.set_cap(cap);
-        }
+    /// The configuration this engine was built with.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
     }
 
     /// NIT sample-cache traffic summed over every compiled plan.
@@ -747,7 +662,7 @@ impl PlanEngine {
         cloud: &PointCloud,
         record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
     ) -> PlannedOutputs<'a> {
-        let dtype = self.dtype;
+        let dtype = self.config.dtype;
         let ci = self.ensure_compiled(cloud, record);
         let c = &mut self.compiled[ci];
 
@@ -797,7 +712,7 @@ impl PlanEngine {
         cloud: &PointCloud,
         record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
     ) -> PlannedOutputs<'a> {
-        let dtype = self.dtype;
+        let dtype = self.config.dtype;
         let ci = self.ensure_compiled(cloud, record);
         let c = &mut self.compiled[ci];
         let mut bindings = match c.stream_bindings.take() {
@@ -819,7 +734,7 @@ impl PlanEngine {
             plan: &c.plan,
             arena: &c.arena,
             outputs: c.plan.output_count(),
-            shadow_outs: match self.dtype {
+            shadow_outs: match self.config.dtype {
                 Dtype::F64 => c.shadow.as_ref().map(|s| s.outs.as_slice()),
                 Dtype::F32 => None,
             },
@@ -845,7 +760,7 @@ impl PlanEngine {
             search: c.search.counters(),
             cache: c.samples.stats(),
             pager: c.search.pager_stats(),
-            tile_budget: self.tile_budget,
+            tile_budget: self.config.tile_budget,
             parallel_scratch_bytes: mesorasi_knn::parallel_scratch_bytes(),
         })
     }
@@ -901,12 +816,11 @@ impl PlanEngine {
             steps: recording.steps,
             step_live,
             arena,
-            samples: SampleCache::new(self.sample_cache_cap),
+            samples: SampleCache::new(self.config.sample_cache_cap),
             search: {
-                let mut search = SearchContext::with_planner(self.planner);
-                search.set_tile_budget(self.tile_budget);
-                search.set_lod(self.lod);
-                search.set_pager_budget(self.pager_budget);
+                let mut search = SearchContext::with_planner(self.config.search);
+                search.set_tile_budget(self.config.tile_budget);
+                search.set_pager_budget(self.config.pager_budget);
                 search
             },
             nit: NeighborIndexTable::default(),
@@ -1333,8 +1247,10 @@ mod tests {
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::new();
-        engine.set_sample_cache_cap(8);
+        let mut engine = PlanEngine::with_config(EngineConfig {
+            sample_cache_cap: 8,
+            ..EngineConfig::default()
+        });
         let hot = sample_shape(ShapeClass::Chair, 64, 1000);
         let want = engine.run(&hot, &record).get(0).clone();
         let fresh_count = 32; // 4× the cap: would trigger 4 wholesale clears
@@ -1365,8 +1281,10 @@ mod tests {
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::new();
-        engine.set_sample_cache_cap(2);
+        let mut engine = PlanEngine::with_config(EngineConfig {
+            sample_cache_cap: 2,
+            ..EngineConfig::default()
+        });
         let victim = sample_shape(ShapeClass::Lamp, 64, 7);
         let want = engine.run(&victim, &record).get(0).clone();
         for seed in 0..4 {
@@ -1400,7 +1318,7 @@ mod tests {
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 1);
         assert_eq!(stats.cache.entries, 1);
-        assert_eq!(stats.cache.capacity, DEFAULT_SAMPLE_CACHE_CAP);
+        assert_eq!(stats.cache.capacity, crate::DEFAULT_SAMPLE_CACHE_CAP);
         assert_eq!(stats.cache.evictions, 0);
     }
 
@@ -1417,9 +1335,9 @@ mod tests {
         let mut f32_engine = PlanEngine::new();
         let f32_out = f32_engine.run(&cloud, &record).get(0).clone();
 
-        let mut engine = PlanEngine::new();
-        engine.set_dtype(Dtype::F64);
-        assert_eq!(engine.dtype(), Dtype::F64);
+        let mut engine =
+            PlanEngine::with_config(EngineConfig { dtype: Dtype::F64, ..EngineConfig::default() });
+        assert_eq!(engine.config().dtype, Dtype::F64);
         // Cover both the cache-miss (derive) and cache-hit paths.
         let first = engine.run(&cloud, &record).get(0).clone();
         let second = engine.run(&cloud, &record).get(0).clone();
@@ -1436,10 +1354,6 @@ mod tests {
         // Streamed execution honors the dtype too.
         let streamed = engine.run_streamed(&cloud, &record).get(0).clone();
         assert_eq!(streamed, first, "streamed f64 must match cached f64");
-
-        // Switching back to f32 returns the native arena values.
-        engine.set_dtype(Dtype::F32);
-        assert_eq!(engine.run(&cloud, &record).get(0), &f32_out);
     }
 
     #[test]
@@ -1495,11 +1409,13 @@ mod tests {
                 vec![out.state.features]
             };
             let n = 96;
-            let mut untiled = PlanEngine::new();
+            let with_budget = |tile_budget| {
+                PlanEngine::with_config(EngineConfig { tile_budget, ..EngineConfig::default() })
+            };
+            let mut untiled = with_budget(None);
             for budget in [16, n, n + 1] {
-                let mut tiled = PlanEngine::new();
-                tiled.set_tile_budget(Some(budget));
-                assert_eq!(tiled.tile_budget(), Some(budget));
+                let mut tiled = with_budget(Some(budget));
+                assert_eq!(tiled.config().tile_budget, Some(budget));
                 for frame_seed in [1, 2] {
                     let cloud = sample_shape(ShapeClass::Cup, n, frame_seed);
                     let want = untiled.run_streamed(&cloud, &record).get(0).clone();
@@ -1557,8 +1473,10 @@ mod tests {
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::new();
-        engine.set_tile_budget(Some(32));
+        let mut engine = PlanEngine::with_config(EngineConfig {
+            tile_budget: Some(32),
+            ..EngineConfig::default()
+        });
         let cloud = sample_shape(ShapeClass::Bottle, 80, 4);
         let _ = engine.run_streamed(&cloud, &record);
         let stats = engine.stats(80).expect("plan compiled");

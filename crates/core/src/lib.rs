@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod config;
 pub mod cost;
 pub mod distributivity;
 pub mod engine;
@@ -54,6 +55,7 @@ pub mod sample_cache;
 pub mod strategy;
 pub mod trace;
 
+pub use config::{EngineConfig, DEFAULT_TILE_BUDGET};
 pub use sample_cache::{SampleCacheStats, DEFAULT_SAMPLE_CACHE_CAP};
 pub use strategy::Strategy;
 pub use trace::{ModuleTrace, NetworkTrace, Stage};

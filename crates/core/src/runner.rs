@@ -8,6 +8,7 @@
 //! [`ModuleTrace`] with the real NIT so the hardware simulator can replay
 //! exactly what happened.
 
+use crate::config::EngineConfig;
 use crate::engine::{rec, StateSource};
 use crate::executor;
 use crate::module::{Module, NeighborMode};
@@ -145,15 +146,23 @@ thread_local! {
     /// The tape path's search context: persistent per thread so consecutive
     /// modules (and consecutive forwards) searching the same cloud share
     /// one built index. Keyed by cloud content hash, verified bit-exactly,
-    /// so sharing can never change a result.
-    static TAPE_SEARCH: RefCell<SearchContext> = RefCell::new(SearchContext::new());
+    /// so sharing can never change a result. Backend and paging follow the
+    /// environment as of the thread's first tape search; the tape has no
+    /// tiled path, so chunking stays with the cost model.
+    static TAPE_SEARCH: RefCell<SearchContext> = RefCell::new({
+        let config = EngineConfig::from_env();
+        let mut search = SearchContext::with_planner(config.search);
+        search.set_pager_budget(config.pager_budget);
+        search
+    });
 }
 
 /// Runs the neighbor search of one module: the single search
 /// implementation behind both the tape-based runner and the inference
 /// engine's per-sample replay (both must produce the identical NIT).
 /// The backend is chosen by the [`mesorasi_knn::SearchPlanner`] cost model
-/// (override with `MESORASI_SEARCH`); every backend is exact with
+/// (override with `MESORASI_SEARCH`, see [`EngineConfig::from_env`]);
+/// every backend is exact with
 /// identical tie-breaking, so the choice never changes the NIT.
 ///
 /// `features` is required exactly for [`NeighborMode::FeatureKnn`].

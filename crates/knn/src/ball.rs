@@ -33,8 +33,8 @@ pub(crate) fn pad_slot(found: &[crate::bruteforce::Candidate], slot: &mut [usize
 /// (ascending by distance; the centroid itself, at distance 0, is first) and
 /// pads with the nearest found index up to exactly `k` entries. A centroid
 /// always finds at least itself, so entries are never empty. A thin wrapper
-/// over the same batch [`KdTree::ball_into`] runs, so the two paths cannot
-/// diverge.
+/// over the same batch body [`crate::SearchIndex::ball_into`] runs on the
+/// tree, so the two paths cannot diverge.
 ///
 /// # Panics
 ///

@@ -5,12 +5,14 @@
 //! padded [`crate::ball`] semantics; the grid trades build simplicity and
 //! cache-friendly scans for the kd-tree's generality. The cells are stored
 //! as one sorted `(cell key, point index)` vector rather than a hash map of
-//! per-cell vectors, so [`UniformGrid::build_into`] rebuilds over a new
+//! per-cell vectors, so [`SearchIndex::build_into`] rebuilds over a new
 //! cloud in place — same-sized frames rebuild without allocating — and a
 //! cell lookup is two binary searches over a contiguous array.
 
 use crate::bruteforce::Candidate;
+use crate::index::SearchIndex;
 use crate::kdtree::sort_candidates;
+use crate::planner::SearchBackend;
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{Aabb, Point3, PointCloud};
 
@@ -30,7 +32,7 @@ pub struct UniformGrid {
 
 impl Default for UniformGrid {
     /// An unbuilt grid with no configured cell size; call
-    /// [`UniformGrid::set_cell_size`] then [`UniformGrid::build_into`].
+    /// [`UniformGrid::set_cell_size`] then [`SearchIndex::build_into`].
     fn default() -> Self {
         UniformGrid {
             bounds: Aabb::from_points([Point3::ORIGIN]).expect("one point"),
@@ -57,7 +59,7 @@ impl UniformGrid {
     }
 
     /// Configures the cell edge length used by the next
-    /// [`UniformGrid::build_into`]. Radius queries are exact as long as the
+    /// [`SearchIndex::build_into`]. Radius queries are exact as long as the
     /// query radius does not exceed this (the planner builds one grid per
     /// `(cloud, radius)` with `cell_size = radius`).
     ///
@@ -67,35 +69,6 @@ impl UniformGrid {
     pub fn set_cell_size(&mut self, cell_size: f32) {
         assert!(cell_size > 0.0 && cell_size.is_finite(), "cell size must be positive");
         self.cell_size = cell_size;
-    }
-
-    /// Rebuilds the grid over `cloud` with the configured cell size,
-    /// reusing the entry storage: binning is an in-place unstable sort, so
-    /// same-sized frames rebuild with zero allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cloud is empty or no cell size was configured.
-    pub fn build_into(&mut self, cloud: &PointCloud) {
-        assert!(self.cell_size > 0.0, "set_cell_size before build_into");
-        assert!(cloud.len() <= u32::MAX as usize, "grid point indices are 32-bit");
-        self.bounds = cloud.bounds().expect("cannot index an empty cloud");
-        let extent = self.bounds.extent();
-        // A zero-extent cloud (all points coincident) degenerates to a
-        // single cell; `max(1)` keeps every dimension valid.
-        let dim = |e: f32| ((e / self.cell_size).ceil() as usize).max(1);
-        self.dims = [dim(extent.x), dim(extent.y), dim(extent.z)];
-        let mut entries = std::mem::take(&mut self.entries);
-        entries.clear();
-        entries.extend(
-            cloud.points().iter().enumerate().map(|(i, &p)| (self.key(self.coords(p)), i as u32)),
-        );
-        self.entries = entries;
-        // Sort by (cell, point index): cells become contiguous runs and
-        // members stay in ascending point order — the same order the old
-        // hash-map insertion produced.
-        self.entries.sort_unstable();
-        self.occupied = count_runs(&self.entries);
     }
 
     fn coords(&self, p: Point3) -> [isize; 3] {
@@ -120,12 +93,6 @@ impl UniformGrid {
     /// Number of occupied cells.
     pub fn occupied_cells(&self) -> usize {
         self.occupied
-    }
-
-    /// Heap bytes retained by the grid's storage (capacity, not length).
-    pub fn storage_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u64, u32)>()
-            + self.scratch.capacity() * std::mem::size_of::<Candidate>()
     }
 
     /// All points within `radius` of `query`, ascending by distance (ties
@@ -175,8 +142,8 @@ impl UniformGrid {
 
     /// Padded ball query over member-point centroids — same semantics as
     /// [`crate::ball::ball_query`], different backend. Parallel per query
-    /// (the cell scan is read-only). A thin wrapper over the same batch
-    /// [`UniformGrid::ball_into`] runs, so the two paths cannot diverge.
+    /// (the cell scan is read-only). The allocating form of
+    /// [`SearchIndex::ball_into`] — both run the same batch body.
     ///
     /// # Panics
     ///
@@ -193,27 +160,8 @@ impl UniformGrid {
         out
     }
 
-    /// [`UniformGrid::ball_query`] writing into a caller-owned table,
-    /// reusing this grid's scratch on the sequential path. Returns the
-    /// number of distance evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `radius < 0`, or a query index is out of bounds.
-    pub fn ball_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let evals = self.ball_batch(cloud, queries, radius, k, &mut scratch, out);
-        self.scratch = scratch;
-        evals
-    }
-
+    /// The padded-ball batch body, with caller-owned sequential-path
+    /// scratch.
     fn ball_batch(
         &self,
         cloud: &PointCloud,
@@ -236,6 +184,76 @@ impl UniformGrid {
     /// Nominal per-query scan work: 27 cells of average occupancy.
     fn per_query_cost(&self, n_points: usize) -> usize {
         27 * n_points.div_ceil(self.occupied.max(1)) * 8
+    }
+}
+
+impl SearchIndex for UniformGrid {
+    /// Binning is an in-place unstable sort over reused entry storage, so
+    /// same-sized frames rebuild with zero allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cloud is empty or [`UniformGrid::set_cell_size`] was
+    /// never called — the grid's resolution is configuration, not
+    /// derivable from the cloud.
+    fn build_into(&mut self, cloud: &PointCloud) {
+        assert!(self.cell_size > 0.0, "set_cell_size before build_into");
+        assert!(cloud.len() <= u32::MAX as usize, "grid point indices are 32-bit");
+        self.bounds = cloud.bounds().expect("cannot index an empty cloud");
+        let extent = self.bounds.extent();
+        // A zero-extent cloud (all points coincident) degenerates to a
+        // single cell; `max(1)` keeps every dimension valid.
+        let dim = |e: f32| ((e / self.cell_size).ceil() as usize).max(1);
+        self.dims = [dim(extent.x), dim(extent.y), dim(extent.z)];
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
+        entries.extend(
+            cloud.points().iter().enumerate().map(|(i, &p)| (self.key(self.coords(p)), i as u32)),
+        );
+        self.entries = entries;
+        // Sort by (cell, point index): cells become contiguous runs and
+        // members stay in ascending point order — the same order the old
+        // hash-map insertion produced.
+        self.entries.sort_unstable();
+        self.occupied = count_runs(&self.entries);
+    }
+
+    /// The grid cannot answer kNN exactly (a neighborhood may extend past
+    /// the scanned cells); the planner never routes kNN here.
+    fn knn_into(
+        &mut self,
+        _cloud: &PointCloud,
+        _queries: &[usize],
+        _k: usize,
+        _out: &mut NeighborIndexTable,
+    ) -> u64 {
+        panic!("the uniform grid serves radius (ball) queries only; plan kNN on another backend");
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, `radius < 0`, or a query index is out of bounds.
+    fn ball_into(
+        &mut self,
+        cloud: &PointCloud,
+        queries: &[usize],
+        radius: f32,
+        k: usize,
+        out: &mut NeighborIndexTable,
+    ) -> u64 {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let evals = self.ball_batch(cloud, queries, radius, k, &mut scratch, out);
+        self.scratch = scratch;
+        evals
+    }
+
+    fn storage_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, u32)>()
+            + self.scratch.capacity() * std::mem::size_of::<Candidate>()
+    }
+
+    fn kind(&self) -> SearchBackend {
+        SearchBackend::Grid
     }
 }
 

@@ -83,81 +83,11 @@ pub trait SearchIndex: Send + std::fmt::Debug {
 
     /// Which planner backend this index implements.
     fn kind(&self) -> SearchBackend;
-}
 
-impl SearchIndex for KdTree {
-    fn build_into(&mut self, cloud: &PointCloud) {
-        KdTree::build_into(self, cloud);
-    }
-
-    fn knn_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        KdTree::knn_into(self, cloud, queries, k, out)
-    }
-
-    fn ball_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        KdTree::ball_into(self, cloud, queries, radius, k, out)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        KdTree::storage_bytes(self)
-    }
-
-    fn kind(&self) -> SearchBackend {
-        SearchBackend::KdTree
-    }
-}
-
-impl SearchIndex for UniformGrid {
-    /// # Panics
-    ///
-    /// Panics unless [`UniformGrid::set_cell_size`] was called first — the
-    /// grid's resolution is configuration, not derivable from the cloud.
-    fn build_into(&mut self, cloud: &PointCloud) {
-        UniformGrid::build_into(self, cloud);
-    }
-
-    /// The grid cannot answer kNN exactly (a neighborhood may extend past
-    /// the scanned cells); the planner never routes kNN here.
-    fn knn_into(
-        &mut self,
-        _cloud: &PointCloud,
-        _queries: &[usize],
-        _k: usize,
-        _out: &mut NeighborIndexTable,
-    ) -> u64 {
-        panic!("the uniform grid serves radius (ball) queries only; plan kNN on another backend");
-    }
-
-    fn ball_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        UniformGrid::ball_into(self, cloud, queries, radius, k, out)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        UniformGrid::storage_bytes(self)
-    }
-
-    fn kind(&self) -> SearchBackend {
-        SearchBackend::Grid
+    /// Leaf-pager traffic of this index — all-zero for every backend that
+    /// keeps its payload resident (only a paged octree overrides this).
+    fn pager_stats(&self) -> PagerStats {
+        PagerStats::default()
     }
 }
 
@@ -231,115 +161,6 @@ impl SearchIndex for BruteForceIndex {
     }
 }
 
-/// The feature-space backend: dense row scans over an owned row-major
-/// feature buffer (DGCNN's dynamic-graph search; spatial structures
-/// degenerate at feature dimensionality, so brute force is the planner's
-/// only choice there). As a [`SearchIndex`] over clouds it treats xyz as a
-/// 3-wide feature matrix; the engine's feature searches borrow arbitrary
-/// rows via [`FeatureBrute::knn_view_into`] instead.
-#[derive(Debug, Default)]
-pub struct FeatureBrute {
-    rows: Vec<f32>,
-    dim: usize,
-    scratch: Vec<Candidate>,
-}
-
-impl FeatureBrute {
-    /// kNN over a borrowed feature matrix, reusing this backend's scratch.
-    /// Returns the distance evaluations performed.
-    pub fn knn_view_into(
-        &mut self,
-        view: FeatureView<'_>,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        feature::knn_rows_into(view, queries, k, out, &mut self.scratch)
-    }
-}
-
-impl SearchIndex for FeatureBrute {
-    fn build_into(&mut self, cloud: &PointCloud) {
-        self.dim = 3;
-        self.rows.clear();
-        for p in cloud.points() {
-            self.rows.extend_from_slice(&p.to_array());
-        }
-    }
-
-    fn knn_into(
-        &mut self,
-        _cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        let FeatureBrute { rows, dim, scratch } = self;
-        let view = FeatureView::new(rows, *dim).expect("row buffer is rectangular");
-        feature::knn_rows_into(view, queries, k, out, scratch)
-    }
-
-    fn ball_into(
-        &mut self,
-        _cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        assert!(k > 0, "k must be positive");
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let FeatureBrute { rows, dim, scratch } = self;
-        let view = FeatureView::new(rows, *dim).expect("row buffer is rectangular");
-        let n = view.rows();
-        let r2 = radius * radius;
-        let cost = n * (*dim).max(1) * 3;
-        batch_into(out, queries, k, cost, scratch, |found, q, slot| {
-            let qrow = view.row(q);
-            found.clear();
-            for i in 0..n {
-                let d = feature::distance_squared(qrow, view.row(i));
-                if d <= r2 {
-                    found.push(Candidate { index: i, dist_sq: d });
-                }
-            }
-            sort_candidates(found);
-            crate::ball::pad_slot(found, slot);
-            n as u64
-        })
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<f32>()
-            + self.scratch.capacity() * std::mem::size_of::<Candidate>()
-    }
-
-    fn kind(&self) -> SearchBackend {
-        SearchBackend::BruteForce
-    }
-}
-
-/// Indices a context keeps per slot (the stateless brute-force backends
-/// live outside the slot pool — they have nothing worth caching).
-#[derive(Debug)]
-enum SlotIndex {
-    Kd(KdTree),
-    Grid(UniformGrid),
-    // Boxed: the octree struct is ~3.5× the next-largest variant, and
-    // boxing keeps every pooled slot small when it holds a kd/grid index.
-    Octree(Box<MortonOctree>),
-}
-
-impl SlotIndex {
-    fn storage_bytes(&self) -> usize {
-        match self {
-            SlotIndex::Kd(t) => t.storage_bytes(),
-            SlotIndex::Grid(g) => g.storage_bytes(),
-            SlotIndex::Octree(t) => SearchIndex::storage_bytes(&**t),
-        }
-    }
-}
-
 /// One cached index: the key it answers for, a verification copy of the
 /// indexed cloud, and the structure itself.
 #[derive(Debug)]
@@ -347,15 +168,14 @@ struct Slot {
     /// Caller-chosen space id (the engine uses module-state ids, the tape
     /// runner uses cloud content hashes).
     space: u64,
-    backend: SearchBackend,
-    /// Grid resolution discriminator (`radius.to_bits()`; 0 for kd slots).
+    /// Grid resolution discriminator (`radius.to_bits()`; 0 otherwise).
     radius_bits: u32,
     /// Bit-exact copy of the indexed cloud: a slot only answers when its
     /// copy matches the query cloud, so stale or colliding keys can never
     /// produce a wrong table — at worst they trigger a rebuild.
     cloud: PointCloud,
     last_use: u64,
-    index: SlotIndex,
+    index: Box<dyn SearchIndex>,
 }
 
 /// Slots a context retains before evicting least-recently-used ones. Large
@@ -373,53 +193,37 @@ const MAX_SLOTS: usize = 16;
 pub struct SearchContext {
     planner: SearchPlanner,
     counters: SearchCounters,
+    /// The stateless exhaustive scan lives outside the slot pool — it has
+    /// nothing worth caching or verifying.
     brute: BruteForceIndex,
-    feature: FeatureBrute,
+    /// Sequential-path candidate scratch of the feature-space row scan.
+    feature_scratch: Vec<Candidate>,
     slots: Vec<Slot>,
     clock: u64,
     /// Fixed query-tile budget applied to every batch query through this
     /// context (see [`crate::with_query_tile_budget`]); `None` defers to
     /// the cost model. Never changes results, only chunk boundaries.
     tile_budget: Option<usize>,
-    /// LOD level for octree queries (`0` = exact, the default). Applied to
-    /// every octree slot at query time; other backends ignore it.
-    lod: usize,
     /// Octree leaf-payload residency budget: `None` keeps payloads
     /// resident, `Some(bytes)` pages them through a file-backed LRU.
     /// Results are bit-identical either way.
     pager_budget: Option<usize>,
 }
 
-impl Default for SearchContext {
-    fn default() -> Self {
-        SearchContext::new()
-    }
-}
-
 impl SearchContext {
-    /// A context planning via `MESORASI_SEARCH` / the cost model.
-    pub fn new() -> SearchContext {
-        SearchContext::with_planner(SearchPlanner::from_env())
-    }
-
-    /// A context with an explicit planner (session builder override).
+    /// A context choosing backends with `planner`, cost-model chunked and
+    /// with resident octree payloads. Never consults the environment.
     pub fn with_planner(planner: SearchPlanner) -> SearchContext {
         SearchContext {
             planner,
             counters: SearchCounters::default(),
             brute: BruteForceIndex::default(),
-            feature: FeatureBrute::default(),
+            feature_scratch: Vec::new(),
             slots: Vec::with_capacity(MAX_SLOTS),
             clock: 0,
             tile_budget: None,
-            lod: 0,
-            pager_budget: crate::pager::budget_from_env(),
+            pager_budget: None,
         }
-    }
-
-    /// The planner deciding this context's backends.
-    pub fn planner(&self) -> &SearchPlanner {
-        &self.planner
     }
 
     /// Forces every batch query through fixed-size query tiles of `budget`
@@ -439,45 +243,24 @@ impl SearchContext {
         self.tile_budget
     }
 
-    /// Sets the LOD level for octree queries: `0` (the default) answers
-    /// exactly; level `ℓ ≥ 1` scans per-node representative subsamples at
-    /// depth `ℓ` instead of descending further — approximate, but cheaper
-    /// (see [`MortonOctree::set_lod`]). Other backends ignore the knob.
-    pub fn set_lod(&mut self, lod: usize) {
-        self.lod = lod;
-    }
-
-    /// The octree LOD level (see [`SearchContext::set_lod`]).
-    pub fn lod(&self) -> usize {
-        self.lod
-    }
-
-    /// Sets the octree leaf-payload residency budget: `None` (the default,
-    /// unless `MESORASI_PAGER_BUDGET` says otherwise) keeps payloads
-    /// resident; `Some(bytes)` pages them through a file-backed LRU under
-    /// that budget. Results are bit-identical at every budget. Existing
-    /// octree slots are dropped so the next query rebuilds onto the new
-    /// store.
+    /// Sets the octree leaf-payload residency budget: `None` (the default)
+    /// keeps payloads resident; `Some(bytes)` pages them through a
+    /// file-backed LRU under that budget. Results are bit-identical at
+    /// every budget. Existing octree slots are dropped so the next query
+    /// rebuilds onto the new store.
     pub fn set_pager_budget(&mut self, budget: Option<usize>) {
         if self.pager_budget != budget {
             self.pager_budget = budget;
-            self.slots.retain(|s| !matches!(s.index, SlotIndex::Octree(_)));
+            self.slots.retain(|s| s.index.kind() != SearchBackend::Octree);
         }
     }
 
-    /// The octree pager budget (see [`SearchContext::set_pager_budget`]).
-    pub fn pager_budget(&self) -> Option<usize> {
-        self.pager_budget
-    }
-
-    /// Pager traffic counters summed over every octree slot (all-zero when
-    /// no octree has answered or payloads are resident).
+    /// Pager traffic counters summed over every slot (all-zero when no
+    /// paged octree has answered).
     pub fn pager_stats(&self) -> PagerStats {
         let mut total = PagerStats::default();
         for s in &self.slots {
-            if let SlotIndex::Octree(t) = &s.index {
-                total.add(&t.pager_stats());
-            }
+            total.add(&s.index.pager_stats());
         }
         total
     }
@@ -492,7 +275,7 @@ impl SearchContext {
     pub fn storage_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.index.storage_bytes() + s.cloud.storage_bytes()).sum::<usize>()
             + self.brute.storage_bytes()
-            + self.feature.storage_bytes()
+            + self.feature_scratch.capacity() * std::mem::size_of::<Candidate>()
     }
 
     /// Exact kNN for `queries` against `cloud`, on the planned backend,
@@ -506,49 +289,11 @@ impl SearchContext {
         k: usize,
         out: &mut NeighborIndexTable,
     ) {
-        match self.tile_budget {
-            Some(b) => crate::with_query_tile_budget(Some(b), || {
-                self.knn_into_inner(space, cloud, queries, k, out)
-            }),
-            None => self.knn_into_inner(space, cloud, queries, k, out),
-        }
-    }
-
-    fn knn_into_inner(
-        &mut self,
-        space: u64,
-        cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) {
         let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
-        match self.planner.plan_knn(&load) {
-            SearchBackend::BruteForce => {
-                let start = Instant::now();
-                let evals = self.brute.knn_into(cloud, queries, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-            SearchBackend::KdTree | SearchBackend::Grid => {
-                let si = self.ensure_slot(space, SearchBackend::KdTree, 0.0, cloud);
-                let start = Instant::now();
-                let SlotIndex::Kd(tree) = &mut self.slots[si].index else {
-                    unreachable!("kd slots hold kd-trees")
-                };
-                let evals = tree.knn_into(cloud, queries, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-            SearchBackend::Octree => {
-                let si = self.ensure_slot(space, SearchBackend::Octree, 0.0, cloud);
-                let start = Instant::now();
-                let SlotIndex::Octree(tree) = &mut self.slots[si].index else {
-                    unreachable!("octree slots hold octrees")
-                };
-                tree.set_lod(self.lod);
-                let evals = tree.knn_into(cloud, queries, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-        }
+        let backend = self.planner.plan_knn(&load);
+        self.answer(space, backend, 0.0, cloud, queries.len(), |index| {
+            index.knn_into(cloud, queries, k, out)
+        });
     }
 
     /// Padded radius query for `queries` against `cloud`, on the planned
@@ -562,63 +307,35 @@ impl SearchContext {
         k: usize,
         out: &mut NeighborIndexTable,
     ) {
-        match self.tile_budget {
-            Some(b) => crate::with_query_tile_budget(Some(b), || {
-                self.ball_into_inner(space, cloud, queries, radius, k, out)
-            }),
-            None => self.ball_into_inner(space, cloud, queries, radius, k, out),
-        }
+        let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
+        let backend = self.planner.plan_ball(&load, radius);
+        self.answer(space, backend, radius, cloud, queries.len(), |index| {
+            index.ball_into(cloud, queries, radius, k, out)
+        });
     }
 
-    fn ball_into_inner(
+    /// The one dispatch site: finds or builds `backend`'s index for
+    /// `(space, cloud)`, then times and meters `query` against it.
+    fn answer(
         &mut self,
         space: u64,
-        cloud: &PointCloud,
-        queries: &[usize],
+        backend: SearchBackend,
         radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
+        cloud: &PointCloud,
+        queries: usize,
+        query: impl FnOnce(&mut dyn SearchIndex) -> u64,
     ) {
-        let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
-        match self.planner.plan_ball(&load, radius) {
-            SearchBackend::BruteForce => {
-                let start = Instant::now();
-                let evals = self.brute.ball_into(cloud, queries, radius, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-            SearchBackend::KdTree => {
-                let si = self.ensure_slot(space, SearchBackend::KdTree, 0.0, cloud);
-                let start = Instant::now();
-                let SlotIndex::Kd(tree) = &mut self.slots[si].index else {
-                    unreachable!("kd slots hold kd-trees")
-                };
-                let evals = tree.ball_into(cloud, queries, radius, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-            SearchBackend::Grid => {
-                let si = self.ensure_slot(space, SearchBackend::Grid, radius, cloud);
-                let start = Instant::now();
-                let SlotIndex::Grid(grid) = &mut self.slots[si].index else {
-                    unreachable!("grid slots hold grids")
-                };
-                let evals = grid.ball_into(cloud, queries, radius, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-            SearchBackend::Octree => {
-                let si = self.ensure_slot(space, SearchBackend::Octree, 0.0, cloud);
-                let start = Instant::now();
-                let SlotIndex::Octree(tree) = &mut self.slots[si].index else {
-                    unreachable!("octree slots hold octrees")
-                };
-                tree.set_lod(self.lod);
-                let evals = tree.ball_into(cloud, queries, radius, k, out);
-                self.note_query(queries.len(), evals, start);
-            }
-        }
+        let tile_budget = self.tile_budget;
+        let index = self.ensure_index(space, backend, radius, cloud);
+        let start = Instant::now();
+        let evals = crate::with_query_tile_budget(tile_budget, || query(index));
+        self.note_query(backend, queries, evals, start);
     }
 
-    /// Feature-space kNN over a borrowed row matrix (always the dense
-    /// scan), written into `out`.
+    /// Feature-space kNN over a borrowed row matrix, written into `out`.
+    /// Always the dense row scan (DGCNN's dynamic-graph search: spatial
+    /// structures degenerate at feature dimensionality), metered as
+    /// [`SearchBackend::BruteForce`].
     pub fn feature_knn_into(
         &mut self,
         view: FeatureView<'_>,
@@ -627,67 +344,73 @@ impl SearchContext {
         out: &mut NeighborIndexTable,
     ) {
         let start = Instant::now();
-        let feature = &mut self.feature;
-        let evals = match self.tile_budget {
-            Some(b) => crate::with_query_tile_budget(Some(b), || {
-                feature.knn_view_into(view, queries, k, out)
-            }),
-            None => feature.knn_view_into(view, queries, k, out),
-        };
-        self.note_query(queries.len(), evals, start);
+        let scratch = &mut self.feature_scratch;
+        let evals = crate::with_query_tile_budget(self.tile_budget, || {
+            feature::knn_rows_into(view, queries, k, out, scratch)
+        });
+        self.note_query(SearchBackend::BruteForce, queries.len(), evals, start);
     }
 
-    /// A fresh octree on the configured leaf store (resident, or paged
-    /// under [`SearchContext::pager_budget`]).
-    fn new_octree(&self) -> Box<MortonOctree> {
-        Box::new(match self.pager_budget {
-            Some(budget) => MortonOctree::paged(budget),
-            None => MortonOctree::resident(),
-        })
-    }
-
-    fn note_query(&mut self, queries: usize, evals: u64, start: Instant) {
+    fn note_query(&mut self, backend: SearchBackend, queries: usize, evals: u64, start: Instant) {
         self.counters.query_calls += 1;
+        self.counters.calls_by_backend[backend as usize] += 1;
         self.counters.queries += queries as u64;
         self.counters.query_ns += start.elapsed().as_nanos() as u64;
         self.counters.distance_evals += evals;
     }
 
-    /// Finds or (re)builds the slot answering `(space, backend, radius)`
-    /// for `cloud`, returning its position. Rebuilds happen in place —
-    /// verification cloud and index storage reuse their capacity.
-    fn ensure_slot(
+    /// A fresh, unbuilt index of `backend` (grids at `cell_size = radius`,
+    /// octrees on the configured leaf store).
+    fn new_index(&self, backend: SearchBackend, radius: f32) -> Box<dyn SearchIndex> {
+        match backend {
+            SearchBackend::Grid => {
+                let mut grid = UniformGrid::default();
+                grid.set_cell_size(radius);
+                Box::new(grid)
+            }
+            SearchBackend::Octree => Box::new(match self.pager_budget {
+                Some(budget) => MortonOctree::paged(budget),
+                None => MortonOctree::resident(),
+            }),
+            SearchBackend::KdTree | SearchBackend::BruteForce => Box::new(KdTree::default()),
+        }
+    }
+
+    /// The index answering `backend` queries over `cloud`: the shared
+    /// exhaustive scan, or the slot keyed `(space, backend, radius)`,
+    /// found or (re)built. Rebuilds happen in place — verification cloud
+    /// and index storage reuse their capacity.
+    fn ensure_index(
         &mut self,
         space: u64,
         backend: SearchBackend,
         radius: f32,
         cloud: &PointCloud,
-    ) -> usize {
+    ) -> &mut dyn SearchIndex {
+        if backend == SearchBackend::BruteForce {
+            return &mut self.brute;
+        }
         self.clock += 1;
         let radius_bits = if backend == SearchBackend::Grid { radius.to_bits() } else { 0 };
-        let found = self
-            .slots
-            .iter()
-            .position(|s| s.space == space && s.backend == backend && s.radius_bits == radius_bits);
+        let found = self.slots.iter().position(|s| {
+            s.space == space && s.index.kind() == backend && s.radius_bits == radius_bits
+        });
         let si = match found {
             Some(si) => si,
             None if self.slots.len() < MAX_SLOTS => {
                 self.slots.push(Slot {
                     space,
-                    backend,
                     radius_bits,
                     cloud: PointCloud::new(),
                     last_use: self.clock,
-                    index: match backend {
-                        SearchBackend::Grid => SlotIndex::Grid(UniformGrid::default()),
-                        SearchBackend::Octree => SlotIndex::Octree(self.new_octree()),
-                        _ => SlotIndex::Kd(KdTree::default()),
-                    },
+                    index: self.new_index(backend, radius),
                 });
                 self.slots.len() - 1
             }
             None => {
-                // Evict the least-recently-used slot and rekey it.
+                // Evict the least-recently-used slot and rekey it, keeping
+                // its index storage when the structure (and, for grids,
+                // the resolution) carries over.
                 let si = self
                     .slots
                     .iter()
@@ -695,27 +418,16 @@ impl SearchContext {
                     .min_by_key(|(_, s)| s.last_use)
                     .map(|(i, _)| i)
                     .expect("slot pool is non-empty at capacity");
+                let old = &self.slots[si];
+                if old.index.kind() != backend || old.radius_bits != radius_bits {
+                    self.slots[si].index = self.new_index(backend, radius);
+                }
                 let slot = &mut self.slots[si];
                 slot.space = space;
-                slot.backend = backend;
                 slot.radius_bits = radius_bits;
                 // Force a rebuild below even if the cloud matches: the
-                // index answered a different (backend, radius) before.
+                // index answered a different key before.
                 slot.cloud = PointCloud::new();
-                let matches_backend = matches!(
-                    (&slot.index, backend),
-                    (SlotIndex::Kd(_), SearchBackend::KdTree | SearchBackend::BruteForce)
-                        | (SlotIndex::Grid(_), SearchBackend::Grid)
-                        | (SlotIndex::Octree(_), SearchBackend::Octree)
-                );
-                if !matches_backend {
-                    let fresh = match backend {
-                        SearchBackend::Grid => SlotIndex::Grid(UniformGrid::default()),
-                        SearchBackend::Octree => SlotIndex::Octree(self.new_octree()),
-                        _ => SlotIndex::Kd(KdTree::default()),
-                    };
-                    self.slots[si].index = fresh;
-                }
                 si
             }
         };
@@ -724,18 +436,11 @@ impl SearchContext {
         if !slot.cloud.content_eq(cloud) {
             slot.cloud.copy_from(cloud);
             let start = Instant::now();
-            match &mut slot.index {
-                SlotIndex::Kd(tree) => tree.build_into(cloud),
-                SlotIndex::Grid(grid) => {
-                    grid.set_cell_size(radius);
-                    grid.build_into(cloud);
-                }
-                SlotIndex::Octree(tree) => SearchIndex::build_into(&mut **tree, cloud),
-            }
+            slot.index.build_into(cloud);
             self.counters.index_builds += 1;
             self.counters.index_build_ns += start.elapsed().as_nanos() as u64;
         }
-        si
+        &mut *slot.index
     }
 }
 
@@ -755,9 +460,9 @@ mod tests {
         let q = queries(150);
         let want = bruteforce::knn_indices(&cloud, &q, 7);
         let mut backends: Vec<Box<dyn SearchIndex>> = vec![
-            Box::new(<KdTree as SearchIndex>::build(&cloud)),
+            Box::new(KdTree::build(&cloud)),
             Box::new(<BruteForceIndex as SearchIndex>::build(&cloud)),
-            Box::new(<FeatureBrute as SearchIndex>::build(&cloud)),
+            Box::new(<MortonOctree as SearchIndex>::build(&cloud)),
         ];
         for b in &mut backends {
             let mut got = NeighborIndexTable::default();
@@ -862,7 +567,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile budget must be positive")]
     fn zero_tile_budget_panics() {
-        SearchContext::new().set_tile_budget(Some(0));
+        SearchContext::with_planner(SearchPlanner::auto()).set_tile_budget(Some(0));
     }
 
     #[test]
@@ -871,9 +576,10 @@ mod tests {
         let view = FeatureView::new(&data, 8).unwrap();
         let q: Vec<usize> = (0..64).step_by(5).collect();
         let want = feature::knn_rows(view, &q, 6);
-        let mut ctx = SearchContext::new();
+        let mut ctx = SearchContext::with_planner(SearchPlanner::auto());
         let mut out = NeighborIndexTable::default();
         ctx.feature_knn_into(view, &q, 6, &mut out);
         assert_eq!(out, want);
+        assert_eq!(ctx.counters().calls_by_backend, [1, 0, 0, 0]);
     }
 }

@@ -7,13 +7,14 @@
 //! cost regardless of which structure produced the indices.
 //!
 //! The tree stores its nodes in a flat `Vec` (leaves reference ranges of a
-//! single index permutation) so [`KdTree::build_into`] can rebuild over a
-//! new cloud **in place**: same-sized clouds produce the same node layout,
-//! so a streaming frame sequence rebuilds contents without touching the
-//! allocator. The [`crate::index::SearchIndex`] implementation exposes the
-//! build/query split to the planner.
+//! single index permutation) so [`SearchIndex::build_into`] can rebuild
+//! over a new cloud **in place**: same-sized clouds produce the same node
+//! layout, so a streaming frame sequence rebuilds contents without touching
+//! the allocator.
 
 use crate::bruteforce::{push_bounded, Candidate};
+use crate::index::SearchIndex;
+use crate::planner::SearchBackend;
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{Point3, PointCloud};
 
@@ -71,23 +72,6 @@ impl KdTree {
         tree
     }
 
-    /// Rebuilds the tree over `cloud`, reusing the node and permutation
-    /// storage. Clouds of equal size produce identical node layouts, so
-    /// rebuilding over a same-sized frame performs zero allocations once
-    /// the buffers are warm.
-    pub fn build_into(&mut self, cloud: &PointCloud) {
-        assert!(cloud.len() <= u32::MAX as usize, "kd-tree indices are 32-bit");
-        self.size = cloud.len();
-        self.items.clear();
-        self.items.extend(0..cloud.len());
-        self.nodes.clear();
-        if !self.items.is_empty() {
-            let mut items = std::mem::take(&mut self.items);
-            build_node(cloud.points(), &mut items, 0, &mut self.nodes);
-            self.items = items;
-        }
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.size
@@ -96,13 +80,6 @@ impl KdTree {
     /// True when the tree indexes no points.
     pub fn is_empty(&self) -> bool {
         self.size == 0
-    }
-
-    /// Heap bytes retained by the tree's storage (capacity, not length).
-    pub fn storage_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.items.capacity() * std::mem::size_of::<usize>()
-            + self.scratch.capacity() * std::mem::size_of::<Candidate>()
     }
 
     /// Exact `k` nearest neighbors of `query`, ascending by distance with
@@ -120,9 +97,8 @@ impl KdTree {
     }
 
     /// KNN for a batch of member-point queries, as a [`NeighborIndexTable`].
-    /// Queries run in parallel (tree descent is read-only). A thin wrapper
-    /// over the same search [`KdTree::knn_into`] runs, so the two paths
-    /// cannot diverge.
+    /// Queries run in parallel (tree descent is read-only). The allocating
+    /// form of [`SearchIndex::knn_into`] — both run the same batch body.
     pub fn knn_indices(
         &self,
         cloud: &PointCloud,
@@ -134,27 +110,7 @@ impl KdTree {
         out
     }
 
-    /// [`KdTree::knn_indices`] writing into a caller-owned table (reset to
-    /// `queries.len()` entries of `k`), reusing this tree's scratch on the
-    /// sequential path. Returns the number of distance evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `k > self.len()`, or a query is out of bounds.
-    pub fn knn_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        let KdTree { nodes, items, scratch, .. } = self;
-        // Split borrows by hand: the scratch is a field of the same struct
-        // the (immutable) tree data lives in.
-        let tree = KdView { nodes, items, size: self.size };
-        tree.knn_batch_inner(cloud, queries, k, scratch, out)
-    }
-
+    /// The kNN batch body, with caller-owned sequential-path scratch.
     fn knn_batch(
         &self,
         cloud: &PointCloud,
@@ -163,32 +119,21 @@ impl KdTree {
         scratch: &mut Vec<Candidate>,
         out: &mut NeighborIndexTable,
     ) -> u64 {
-        KdView { nodes: &self.nodes, items: &self.items, size: self.size }
-            .knn_batch_inner(cloud, queries, k, scratch, out)
+        assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
+        let (nodes, items) = (&self.nodes, &self.items);
+        batch_into(out, queries, k, per_query_cost(self.size, k), scratch, |best, q, slot| {
+            best.clear();
+            let mut evals = 0u64;
+            search(nodes, items, 0, cloud.points(), cloud.point(q), k, best, &mut evals);
+            for (s, c) in slot.iter_mut().zip(best.iter()) {
+                *s = c.index;
+            }
+            evals
+        })
     }
 
-    /// Padded ball query (see [`crate::ball::ball_query`] for semantics)
-    /// writing into a caller-owned table. Returns the number of distance
-    /// evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `radius < 0`, or a query is out of bounds.
-    pub fn ball_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        let KdTree { nodes, items, scratch, .. } = self;
-        let tree = KdView { nodes, items, size: self.size };
-        tree.ball_batch_inner(cloud, queries, radius, k, scratch, out)
-    }
-
-    /// [`KdTree::ball_into`] from a shared reference, with caller-owned
-    /// scratch — what [`crate::ball::ball_query`] wraps.
+    /// The padded-ball batch body with caller-owned scratch — what
+    /// [`SearchIndex::ball_into`] and [`crate::ball::ball_query`] both run.
     pub(crate) fn ball_batch(
         &self,
         cloud: &PointCloud,
@@ -198,8 +143,18 @@ impl KdTree {
         scratch: &mut Vec<Candidate>,
         out: &mut NeighborIndexTable,
     ) -> u64 {
-        KdView { nodes: &self.nodes, items: &self.items, size: self.size }
-            .ball_batch_inner(cloud, queries, radius, k, scratch, out)
+        assert!(k > 0, "k must be positive");
+        assert!(radius >= 0.0, "radius must be non-negative");
+        let (nodes, items) = (&self.nodes, &self.items);
+        let r2 = radius * radius;
+        batch_into(out, queries, k, per_query_cost(self.size, k), scratch, |found, q, slot| {
+            found.clear();
+            let mut evals = 0u64;
+            radius_search(nodes, items, 0, cloud.points(), cloud.point(q), r2, found, &mut evals);
+            sort_candidates(found);
+            crate::ball::pad_slot(found, slot);
+            evals
+        })
     }
 
     /// All points within `radius` of `query`, ascending by distance.
@@ -222,6 +177,69 @@ impl KdTree {
     }
 }
 
+impl SearchIndex for KdTree {
+    /// Clouds of equal size produce identical node layouts, so rebuilding
+    /// over a same-sized frame performs zero allocations once the buffers
+    /// are warm.
+    fn build_into(&mut self, cloud: &PointCloud) {
+        assert!(cloud.len() <= u32::MAX as usize, "kd-tree indices are 32-bit");
+        self.size = cloud.len();
+        self.items.clear();
+        self.items.extend(0..cloud.len());
+        self.nodes.clear();
+        if !self.items.is_empty() {
+            let mut items = std::mem::take(&mut self.items);
+            build_node(cloud.points(), &mut items, 0, &mut self.nodes);
+            self.items = items;
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, `k > self.len()`, or a query is out of bounds.
+    fn knn_into(
+        &mut self,
+        cloud: &PointCloud,
+        queries: &[usize],
+        k: usize,
+        out: &mut NeighborIndexTable,
+    ) -> u64 {
+        // The scratch is a field of the struct the (shared) tree data
+        // lives in: lend it out for the call.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let evals = self.knn_batch(cloud, queries, k, &mut scratch, out);
+        self.scratch = scratch;
+        evals
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, `radius < 0`, or a query is out of bounds.
+    fn ball_into(
+        &mut self,
+        cloud: &PointCloud,
+        queries: &[usize],
+        radius: f32,
+        k: usize,
+        out: &mut NeighborIndexTable,
+    ) -> u64 {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let evals = self.ball_batch(cloud, queries, radius, k, &mut scratch, out);
+        self.scratch = scratch;
+        evals
+    }
+
+    fn storage_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.items.capacity() * std::mem::size_of::<usize>()
+            + self.scratch.capacity() * std::mem::size_of::<Candidate>()
+    }
+
+    fn kind(&self) -> SearchBackend {
+        SearchBackend::KdTree
+    }
+}
+
 /// Sorts candidates ascending by `(distance, index)`. The key is unique per
 /// candidate (indices are distinct), so the unstable sort — which does not
 /// allocate, unlike `sort_by` — is fully deterministic.
@@ -231,62 +249,7 @@ pub(crate) fn sort_candidates(found: &mut [Candidate]) {
     });
 }
 
-/// Borrowed view of a tree's immutable search data, so the batch query
-/// bodies exist exactly once whether scratch comes from the tree itself
-/// (`&mut self` paths) or from the caller (`&self` wrappers).
-struct KdView<'t> {
-    nodes: &'t [Node],
-    items: &'t [usize],
-    size: usize,
-}
-
-impl KdView<'_> {
-    fn knn_batch_inner(
-        &self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        scratch: &mut Vec<Candidate>,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
-        let (nodes, items) = (self.nodes, self.items);
-        batch_into(out, queries, k, per_query_cost(self.size, k), scratch, |best, q, slot| {
-            best.clear();
-            let mut evals = 0u64;
-            search(nodes, items, 0, cloud.points(), cloud.point(q), k, best, &mut evals);
-            for (s, c) in slot.iter_mut().zip(best.iter()) {
-                *s = c.index;
-            }
-            evals
-        })
-    }
-
-    fn ball_batch_inner(
-        &self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        scratch: &mut Vec<Candidate>,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        assert!(k > 0, "k must be positive");
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let (nodes, items) = (self.nodes, self.items);
-        let r2 = radius * radius;
-        batch_into(out, queries, k, per_query_cost(self.size, k), scratch, |found, q, slot| {
-            found.clear();
-            let mut evals = 0u64;
-            radius_search(nodes, items, 0, cloud.points(), cloud.point(q), r2, found, &mut evals);
-            sort_candidates(found);
-            crate::ball::pad_slot(found, slot);
-            evals
-        })
-    }
-}
-
-/// Shared out-parameter batch driver for `&mut self` index queries: fills
+/// Shared out-parameter batch driver for index queries: fills
 /// `out` with one entry per query, running `per_query(scratch, query, slot)`
 /// (which returns its distance-evaluation count) sequentially with the
 /// caller's reusable scratch, or in parallel chunks with per-worker pooled
@@ -571,7 +534,13 @@ mod tests {
         crate::with_query_tile_budget(Some(64), || {
             mesorasi_par::with_threads(2, || tree.knn_into(&cloud, &queries, 16, &mut out))
         });
-        assert!(crate::parallel_scratch_bytes() > 0, "parallel chunks must use the pool");
+        // The measurement skips slots that concurrently running tests hold
+        // at that instant, so give them a moment to hand the slots back.
+        let retained = (0..1000).any(|_| {
+            std::thread::yield_now();
+            crate::parallel_scratch_bytes() > 0
+        });
+        assert!(retained, "parallel chunks must use the pool");
     }
 
     #[test]

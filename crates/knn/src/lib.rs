@@ -18,12 +18,12 @@
 //! * [`index`] — the pluggable [`SearchIndex`] trait over every backend
 //!   (explicit build/query split, out-parameter queries) and the
 //!   [`SearchContext`] that owns reusable per-space index storage,
-//! * [`octree`] — a Morton-bucket octree for large clouds, with LOD
-//!   sampling and pageable leaf payloads,
+//! * [`octree`] — a Morton-bucket octree for large clouds, with pageable
+//!   leaf payloads,
 //! * [`pager`] — the [`pager::NodeStore`] leaf-payload stores (resident
 //!   and file-backed under a byte-budgeted LRU),
 //! * [`planner`] — the cost-model [`SearchPlanner`] choosing a backend per
-//!   workload shape (overridable via `MESORASI_SEARCH`),
+//!   workload shape (overridable with [`SearchPlanner::forced`]),
 //! * [`stats`] — neighborhood-membership statistics (reproduces Fig. 6)
 //!   and the [`stats::SearchCounters`] traffic meters.
 //!

@@ -15,22 +15,12 @@
 //! bit-identity bar: the planner can cross over to it at large N without
 //! changing a single result.
 //!
-//! Two sub-layers open the out-of-core scenario:
-//!
-//! * **LOD sampling** ([`MortonOctree::set_lod`]): every internal node
-//!   keeps a deterministic, evenly-strided subsample of its run. A nonzero
-//!   LOD level `ℓ` treats internal nodes at depth `ℓ` as virtual leaves
-//!   that scan only their representatives — trading points for latency.
-//!   LOD queries are *approximate by design* (the accuracy caveat lives in
-//!   the README); the query point seeds its own candidate set, and a query
-//!   whose reduced candidate set runs dry falls back to the exact descent,
-//!   so tables always carry `k` valid member indices.
-//! * **Paging** ([`MortonOctree::paged`]): leaf payloads live behind the
-//!   [`NodeStore`] trait — resident, or file-backed under a byte-budgeted
-//!   LRU ([`crate::pager::FileStore`]). Payloads round-trip bit-exactly,
-//!   so results are identical at every budget; paged queries run
-//!   sequentially (faults mutate LRU state), resident queries batch in
-//!   parallel like the kd-tree.
+//! **Paging** ([`MortonOctree::paged`]) opens the out-of-core scenario:
+//! leaf payloads live behind the [`NodeStore`] trait — resident, or
+//! file-backed under a byte-budgeted LRU ([`crate::pager::FileStore`]).
+//! Payloads round-trip bit-exactly, so results are identical at every
+//! budget; paged queries run sequentially (faults mutate LRU state),
+//! resident queries batch in parallel like the kd-tree.
 
 use crate::bruteforce::{push_bounded, Candidate};
 use crate::kdtree::{batch_into, per_query_cost, sort_candidates};
@@ -43,9 +33,6 @@ use mesorasi_pointcloud::{morton, Aabb, Point3, PointCloud};
 /// kd-tree's 16: leaves are contiguous scans (and pager I/O units), so
 /// fatter leaves amortize descent and fault cost.
 pub const LEAF_SIZE: usize = 32;
-
-/// Representatives an internal node keeps for LOD queries.
-const REPS_PER_NODE: usize = 8;
 
 /// `u32` sentinel for "no child".
 const NONE: u32 = u32::MAX;
@@ -63,10 +50,6 @@ enum OctNode {
     Internal {
         /// Children in Morton-digit order; [`NONE`] for empty octants.
         children: [u32; 8],
-        /// Range `reps_start..reps_start + reps_len` of the flat
-        /// representative list (original point indices).
-        reps_start: u32,
-        reps_len: u32,
     },
 }
 
@@ -111,13 +94,9 @@ pub struct MortonOctree {
     perm: Vec<usize>,
     /// Morton code per original index (build scratch).
     codes: Vec<u64>,
-    /// Flat LOD representative list (original indices).
-    reps: Vec<usize>,
     /// Scratch for assembling leaf payloads at build time.
     leaf_buf: Vec<Point3>,
     store: Store,
-    /// LOD level; `0` (the default) answers exactly.
-    lod: usize,
     size: usize,
     /// Sequential-query candidate scratch (parallel chunks pool their own).
     scratch: Vec<Candidate>,
@@ -148,10 +127,8 @@ impl MortonOctree {
             aabbs: Vec::new(),
             perm: Vec::new(),
             codes: Vec::new(),
-            reps: Vec::new(),
             leaf_buf: Vec::new(),
             store,
-            lod: 0,
             size: 0,
             scratch: Vec::new(),
         }
@@ -171,27 +148,6 @@ impl MortonOctree {
     pub fn is_paged(&self) -> bool {
         matches!(self.store, Store::Paged(_))
     }
-
-    /// Sets the LOD level: `0` answers exactly; level `ℓ ≥ 1` treats
-    /// internal nodes at depth `ℓ` as virtual leaves scanning only their
-    /// representatives (approximate, smaller candidate sets, lower
-    /// latency). Takes effect on the next query; no rebuild needed.
-    pub fn set_lod(&mut self, lod: usize) {
-        self.lod = lod;
-    }
-
-    /// The current LOD level (see [`MortonOctree::set_lod`]).
-    pub fn lod(&self) -> usize {
-        self.lod
-    }
-
-    /// Pager traffic counters (all-zero for a resident tree).
-    pub fn pager_stats(&self) -> PagerStats {
-        match &self.store {
-            Store::Resident(s) => s.stats(),
-            Store::Paged(s) => s.stats(),
-        }
-    }
 }
 
 impl crate::SearchIndex for MortonOctree {
@@ -200,7 +156,6 @@ impl crate::SearchIndex for MortonOctree {
         self.size = cloud.len();
         self.nodes.clear();
         self.aabbs.clear();
-        self.reps.clear();
         morton::sort_permutation_into(cloud, &mut self.codes, &mut self.perm);
         let leaves_hint = cloud.len().div_ceil(LEAF_SIZE).max(1);
         self.store.as_node_store().begin_rebuild(leaves_hint);
@@ -211,7 +166,6 @@ impl crate::SearchIndex for MortonOctree {
                 perm: &self.perm,
                 nodes: &mut self.nodes,
                 aabbs: &mut self.aabbs,
-                reps: &mut self.reps,
                 leaf_buf: &mut self.leaf_buf,
                 store: self.store.as_node_store(),
             };
@@ -229,8 +183,8 @@ impl crate::SearchIndex for MortonOctree {
         out: &mut NeighborIndexTable,
     ) -> u64 {
         assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
-        let MortonOctree { nodes, aabbs, perm, reps, store, scratch, lod, .. } = self;
-        let t = TreeView { nodes, aabbs, perm, reps, cloud_points: cloud.points(), lod: *lod };
+        let MortonOctree { nodes, aabbs, perm, store, scratch, .. } = self;
+        let t = TreeView { nodes, aabbs, perm, cloud_points: cloud.points() };
         match store {
             Store::Resident(r) => {
                 let payload = r.points();
@@ -280,8 +234,8 @@ impl crate::SearchIndex for MortonOctree {
         assert!(k > 0, "k must be positive");
         assert!(radius >= 0.0, "radius must be non-negative");
         let r2 = radius * radius;
-        let MortonOctree { nodes, aabbs, perm, reps, store, scratch, lod, .. } = self;
-        let t = TreeView { nodes, aabbs, perm, reps, cloud_points: cloud.points(), lod: *lod };
+        let MortonOctree { nodes, aabbs, perm, store, scratch, .. } = self;
+        let t = TreeView { nodes, aabbs, perm, cloud_points: cloud.points() };
         match store {
             Store::Resident(r) => {
                 let payload = r.points();
@@ -320,7 +274,7 @@ impl crate::SearchIndex for MortonOctree {
         };
         self.nodes.capacity() * std::mem::size_of::<OctNode>()
             + self.aabbs.capacity() * std::mem::size_of::<Aabb>()
-            + (self.perm.capacity() + self.reps.capacity()) * std::mem::size_of::<usize>()
+            + self.perm.capacity() * std::mem::size_of::<usize>()
             + self.codes.capacity() * std::mem::size_of::<u64>()
             + self.leaf_buf.capacity() * std::mem::size_of::<Point3>()
             + self.scratch.capacity() * std::mem::size_of::<Candidate>()
@@ -329,6 +283,13 @@ impl crate::SearchIndex for MortonOctree {
 
     fn kind(&self) -> SearchBackend {
         SearchBackend::Octree
+    }
+
+    fn pager_stats(&self) -> PagerStats {
+        match &self.store {
+            Store::Resident(s) => s.stats(),
+            Store::Paged(s) => s.stats(),
+        }
     }
 }
 
@@ -339,7 +300,6 @@ struct Builder<'b> {
     perm: &'b [usize],
     nodes: &'b mut Vec<OctNode>,
     aabbs: &'b mut Vec<Aabb>,
-    reps: &'b mut Vec<usize>,
     leaf_buf: &'b mut Vec<Point3>,
     store: &'b mut dyn NodeStore,
 }
@@ -363,14 +323,7 @@ impl Builder<'_> {
             self.nodes.push(OctNode::Leaf { leaf, start: start as u32, len: len as u32 });
             return id;
         }
-        self.nodes.push(OctNode::Internal { children: [NONE; 8], reps_start: 0, reps_len: 0 });
-        // Deterministic LOD subsample: evenly strided over the Morton run,
-        // so representatives spread across the node's octants.
-        let m = REPS_PER_NODE.min(len);
-        let reps_start = self.reps.len() as u32;
-        for j in 0..m {
-            self.reps.push(self.perm[start + j * len / m]);
-        }
+        self.nodes.push(OctNode::Internal { children: [NONE; 8] });
         // Children partition the run by the 3-bit Morton digit at `shift`
         // (the run is code-sorted, so each digit is one contiguous span).
         let mut children = [NONE; 8];
@@ -387,33 +340,22 @@ impl Builder<'_> {
             }
             lo = hi;
         }
-        let OctNode::Internal { children: c, reps_start: rs, reps_len: rl } =
-            &mut self.nodes[id as usize]
-        else {
-            unreachable!("pushed an internal node above")
-        };
-        *c = children;
-        *rs = reps_start;
-        *rl = m as u32;
+        self.nodes[id as usize] = OctNode::Internal { children };
         id
     }
 }
 
 /// Borrowed view of the tree's immutable search data, so the descent
-/// bodies exist once across the resident/paged and exact/LOD paths.
+/// bodies exist once across the resident and paged paths.
 #[derive(Clone, Copy)]
 struct TreeView<'t> {
     nodes: &'t [OctNode],
     aabbs: &'t [Aabb],
     perm: &'t [usize],
-    reps: &'t [usize],
     cloud_points: &'t [Point3],
-    lod: usize,
 }
 
 /// Leaf-payload access, the one seam between resident and paged queries.
-/// `skip` is an original index excluded from the scan (`usize::MAX` for
-/// none) — LOD queries seed the query point and must not collect it twice.
 trait LeafScan {
     /// The payload of leaf `leaf` (the points of `perm[start..start+len]`,
     /// in that order).
@@ -443,8 +385,7 @@ impl LeafScan for PagedScan<'_> {
     }
 }
 
-/// One kNN query: exact descent, or LOD descent with self-seed and an
-/// exact fallback when the reduced candidate set cannot fill `k`.
+/// One exact kNN query into `best` (ascending by `(distance, index)`).
 fn knn_one<S: LeafScan>(
     t: &TreeView<'_>,
     scan: &mut S,
@@ -453,21 +394,8 @@ fn knn_one<S: LeafScan>(
     best: &mut Vec<Candidate>,
 ) -> u64 {
     best.clear();
-    let query = t.cloud_points[q];
     let mut evals = 0u64;
-    if t.lod == 0 {
-        knn_descend(t, scan, 0, 0, query, k, usize::MAX, best, &mut evals);
-    } else {
-        push_bounded(best, k, Candidate { index: q, dist_sq: 0.0 });
-        knn_descend(t, scan, 0, 0, query, k, q, best, &mut evals);
-        if best.len() < k {
-            // Representatives ran dry (k exceeds the reduced set): answer
-            // this query exactly instead of padding with garbage.
-            best.clear();
-            let exact = TreeView { lod: 0, ..*t };
-            knn_descend(&exact, scan, 0, 0, query, k, usize::MAX, best, &mut evals);
-        }
-    }
+    knn_descend(t, scan, 0, t.cloud_points[q], k, best, &mut evals);
     evals
 }
 
@@ -480,29 +408,18 @@ fn ball_one<S: LeafScan>(
     found: &mut Vec<Candidate>,
 ) -> u64 {
     found.clear();
-    let query = t.cloud_points[q];
     let mut evals = 0u64;
-    if t.lod == 0 {
-        ball_descend(t, scan, 0, 0, query, r2, usize::MAX, found, &mut evals);
-    } else {
-        // The centroid always belongs to its own ball; seeding it keeps
-        // the padding contract even when no representative falls inside.
-        found.push(Candidate { index: q, dist_sq: 0.0 });
-        ball_descend(t, scan, 0, 0, query, r2, q, found, &mut evals);
-    }
+    ball_descend(t, scan, 0, t.cloud_points[q], r2, found, &mut evals);
     sort_candidates(found);
     evals
 }
 
-#[allow(clippy::too_many_arguments)]
 fn knn_descend<S: LeafScan>(
     t: &TreeView<'_>,
     scan: &mut S,
     at: u32,
-    depth: usize,
     query: Point3,
     k: usize,
-    skip: usize,
     best: &mut Vec<Candidate>,
     evals: &mut u64,
 ) {
@@ -510,30 +427,13 @@ fn knn_descend<S: LeafScan>(
         OctNode::Leaf { leaf, start, len } => {
             let (start, len) = (start as usize, len as usize);
             let payload = scan.payload(leaf, start, len);
+            *evals += len as u64;
             for (j, &p) in payload.iter().enumerate() {
-                let i = t.perm[start + j];
-                if i == skip {
-                    continue;
-                }
-                *evals += 1;
-                push_bounded(best, k, Candidate { index: i, dist_sq: p.distance_squared(query) });
+                let c = Candidate { index: t.perm[start + j], dist_sq: p.distance_squared(query) };
+                push_bounded(best, k, c);
             }
         }
-        OctNode::Internal { children, reps_start, reps_len } => {
-            if t.lod != 0 && depth >= t.lod {
-                for &i in &t.reps[reps_start as usize..(reps_start + reps_len) as usize] {
-                    if i == skip {
-                        continue;
-                    }
-                    *evals += 1;
-                    push_bounded(
-                        best,
-                        k,
-                        Candidate { index: i, dist_sq: t.cloud_points[i].distance_squared(query) },
-                    );
-                }
-                return;
-            }
+        OctNode::Internal { children } => {
             // Best-first: visit children by ascending box distance; prune a
             // child only when its box is strictly farther than the k-th
             // best (`<=` keeps boundary ties, exactly like the kd-tree).
@@ -549,22 +449,19 @@ fn knn_descend<S: LeafScan>(
             for &(d, c) in &order[..m] {
                 let worst = best.last().map_or(f32::INFINITY, |b| b.dist_sq);
                 if best.len() < k || d <= worst {
-                    knn_descend(t, scan, c, depth + 1, query, k, skip, best, evals);
+                    knn_descend(t, scan, c, query, k, best, evals);
                 }
             }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn ball_descend<S: LeafScan>(
     t: &TreeView<'_>,
     scan: &mut S,
     at: u32,
-    depth: usize,
     query: Point3,
     r2: f32,
-    skip: usize,
     found: &mut Vec<Candidate>,
     evals: &mut u64,
 ) {
@@ -572,35 +469,18 @@ fn ball_descend<S: LeafScan>(
         OctNode::Leaf { leaf, start, len } => {
             let (start, len) = (start as usize, len as usize);
             let payload = scan.payload(leaf, start, len);
+            *evals += len as u64;
             for (j, &p) in payload.iter().enumerate() {
-                let i = t.perm[start + j];
-                if i == skip {
-                    continue;
-                }
-                *evals += 1;
                 let d = p.distance_squared(query);
                 if d <= r2 {
-                    found.push(Candidate { index: i, dist_sq: d });
+                    found.push(Candidate { index: t.perm[start + j], dist_sq: d });
                 }
             }
         }
-        OctNode::Internal { children, reps_start, reps_len } => {
-            if t.lod != 0 && depth >= t.lod {
-                for &i in &t.reps[reps_start as usize..(reps_start + reps_len) as usize] {
-                    if i == skip {
-                        continue;
-                    }
-                    *evals += 1;
-                    let d = t.cloud_points[i].distance_squared(query);
-                    if d <= r2 {
-                        found.push(Candidate { index: i, dist_sq: d });
-                    }
-                }
-                return;
-            }
+        OctNode::Internal { children } => {
             for &c in &children {
                 if c != NONE && t.aabbs[c as usize].distance_squared_to(query) <= r2 {
-                    ball_descend(t, scan, c, depth + 1, query, r2, skip, found, evals);
+                    ball_descend(t, scan, c, query, r2, found, evals);
                 }
             }
         }
@@ -662,58 +542,6 @@ mod tests {
         tree.knn_into(&cloud, &[7, 0], 5, &mut out);
         assert_eq!(out.neighbors(0), &[0, 1, 2, 3, 4]);
         assert_eq!(out, bruteforce::knn_indices(&cloud, &[7, 0], 5));
-    }
-
-    #[test]
-    fn lod_answers_are_member_indices_and_include_self() {
-        let cloud = sample_shape(ShapeClass::Airplane, 1500, 2);
-        let q = queries(1500);
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
-        for lod in [1, 2, 4] {
-            tree.set_lod(lod);
-            assert_eq!(tree.lod(), lod);
-            let mut out = NeighborIndexTable::default();
-            tree.knn_into(&cloud, &q, 8, &mut out);
-            for (e, &c) in q.iter().enumerate() {
-                let n = out.neighbors(e);
-                assert_eq!(n[0], c, "lod {lod}: self is still the nearest neighbor");
-                assert!(n.iter().all(|&i| i < cloud.len()));
-            }
-            tree.ball_into(&cloud, &q, 0.25, 8, &mut out);
-            for (e, &c) in q.iter().enumerate() {
-                assert_eq!(out.neighbors(e)[0], c, "lod {lod}: ball seeds the centroid");
-            }
-        }
-    }
-
-    #[test]
-    fn deep_lod_equals_exact_and_dry_lod_falls_back() {
-        let cloud = sample_shape(ShapeClass::Sphere, 600, 5);
-        let q = queries(600);
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
-        let want = bruteforce::knn_indices(&cloud, &q, 6);
-        // A level deeper than the tree leaves no virtual leaves: exact.
-        tree.set_lod(64);
-        let mut out = NeighborIndexTable::default();
-        tree.knn_into(&cloud, &q, 6, &mut out);
-        assert_eq!(out, want, "an LOD below every leaf answers exactly");
-        // k far beyond the root's representative count runs the reduced
-        // set dry at the coarsest level; the fallback answers exactly.
-        tree.set_lod(1);
-        tree.knn_into(&cloud, &q, 200, &mut out);
-        assert_eq!(out, bruteforce::knn_indices(&cloud, &q, 200));
-    }
-
-    #[test]
-    fn lod_scans_fewer_points_than_exact() {
-        let cloud = sample_shape(ShapeClass::Chair, 2000, 7);
-        let q: Vec<usize> = (0..2000).step_by(11).collect();
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
-        let mut out = NeighborIndexTable::default();
-        let exact = tree.knn_into(&cloud, &q, 8, &mut out);
-        tree.set_lod(2);
-        let coarse = tree.knn_into(&cloud, &q, 8, &mut out);
-        assert!(coarse < exact, "lod 2 must evaluate fewer distances ({coarse} vs exact {exact})");
     }
 
     #[test]

@@ -25,40 +25,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// The default pager budget, from the `MESORASI_PAGER_BUDGET` environment
-/// variable (read once per process): unset or empty means resident leaf
-/// payloads (`None` — empty counts as unset because CI can only blank a
-/// job-level variable, not remove it); a byte count pages them under that
-/// budget; `unbounded` pages with no eviction pressure (the store still
-/// round-trips the file — useful for exercising the paged path without
-/// churn).
-///
-/// # Panics
-///
-/// Panics on any other value. A typo'd budget silently falling back to
-/// resident would *look* like paging was measured — config errors must
-/// fail loudly.
-pub fn budget_from_env() -> Option<usize> {
-    static RESOLVED: OnceLock<Option<usize>> = OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        let raw = std::env::var("MESORASI_PAGER_BUDGET").ok()?;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return None;
-        }
-        if trimmed.eq_ignore_ascii_case("unbounded") {
-            return Some(usize::MAX);
-        }
-        match trimmed.parse::<usize>() {
-            Ok(bytes) => Some(bytes),
-            Err(_) => panic!(
-                "invalid MESORASI_PAGER_BUDGET='{raw}': expected a byte count or 'unbounded'"
-            ),
-        }
-    })
-}
 
 /// Bytes one point occupies in a leaf payload (three little-endian `f32`s).
 pub const POINT_BYTES: usize = 12;

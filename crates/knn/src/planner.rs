@@ -10,15 +10,14 @@
 //! backend in this crate is exact with identical index tie-breaking; only
 //! where the time goes.
 //!
-//! The choice can be forced for experiments via the `MESORASI_SEARCH`
-//! environment variable (`auto` | `kdtree` | `grid` | `bruteforce` |
-//! `octree`) or the session builder's override. Forcing a backend that
-//! cannot serve a query
-//! class (the grid answers radius queries only, and needs a positive
-//! radius) falls back to the automatic choice for that query rather than
-//! failing — the override is a preference, not a correctness knob.
-
-use std::sync::OnceLock;
+//! The choice can be forced for experiments with [`SearchPlanner::forced`]
+//! (what the session builder's override and the `MESORASI_SEARCH`
+//! variable — `auto` | `kdtree` | `grid` | `bruteforce` | `octree`, read by
+//! `mesorasi_core::EngineConfig::from_env` — resolve to). Forcing a
+//! backend that cannot serve a query class (the grid answers radius
+//! queries only, and needs a positive radius) falls back to the automatic
+//! choice for that query rather than failing — the override is a
+//! preference, not a correctness knob.
 
 /// A selectable search backend. Feature-space kNN is not listed: feature
 /// dimensions reach 64–512 where spatial structures degenerate, so those
@@ -32,11 +31,19 @@ pub enum SearchBackend {
     /// Uniform grid with `cell_size = radius` — radius queries only.
     Grid,
     /// Morton-bucket octree — exact kNN and radius queries on large
-    /// clouds; supports LOD sampling and paged leaf payloads.
+    /// clouds; supports paged leaf payloads.
     Octree,
 }
 
 impl SearchBackend {
+    /// Every backend, in discriminant order (`ALL[b as usize] == b`).
+    pub const ALL: [SearchBackend; 4] = [
+        SearchBackend::BruteForce,
+        SearchBackend::KdTree,
+        SearchBackend::Grid,
+        SearchBackend::Octree,
+    ];
+
     /// The name used in bench records and the `MESORASI_SEARCH` variable.
     pub fn name(self) -> &'static str {
         match self {
@@ -142,31 +149,6 @@ impl SearchPlanner {
         SearchPlanner { forced: Some(backend) }
     }
 
-    /// A planner configured from the `MESORASI_SEARCH` environment variable
-    /// (read once per process): `auto` (or unset) for the cost model,
-    /// `kdtree` / `grid` / `bruteforce` / `octree` to force a backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value, naming the accepted ones. A typo'd
-    /// override silently falling back to `auto` would *look* like the
-    /// requested backend was measured — config errors must fail loudly,
-    /// not skew experiments.
-    pub fn from_env() -> SearchPlanner {
-        static RESOLVED: OnceLock<Option<SearchBackend>> = OnceLock::new();
-        let forced = *RESOLVED.get_or_init(|| {
-            let raw = std::env::var("MESORASI_SEARCH").ok()?;
-            match parse_override(&raw) {
-                Ok(forced) => forced,
-                Err(InvalidSearchOverride) => panic!(
-                    "invalid MESORASI_SEARCH='{raw}': accepted values are \
-                     auto|kdtree|grid|bruteforce|octree (case-insensitive)"
-                ),
-            }
-        });
-        SearchPlanner { forced }
-    }
-
     /// The forced backend, if any.
     pub fn forced_backend(&self) -> Option<SearchBackend> {
         self.forced
@@ -222,16 +204,16 @@ impl std::fmt::Display for InvalidSearchOverride {
 
 impl std::error::Error for InvalidSearchOverride {}
 
-/// Parses a `MESORASI_SEARCH` value: `Ok(None)` means auto, `Ok(Some(_))`
-/// a forced backend.
+/// Parses a `MESORASI_SEARCH` keyword (trimmed, ASCII-case-insensitive):
+/// `Ok(None)` means auto, `Ok(Some(_))` a forced backend.
 pub fn parse_override(raw: &str) -> Result<Option<SearchBackend>, InvalidSearchOverride> {
     match raw.trim().to_ascii_lowercase().as_str() {
         "" | "auto" => Ok(None),
-        "kdtree" => Ok(Some(SearchBackend::KdTree)),
-        "grid" => Ok(Some(SearchBackend::Grid)),
-        "bruteforce" => Ok(Some(SearchBackend::BruteForce)),
-        "octree" => Ok(Some(SearchBackend::Octree)),
-        _ => Err(InvalidSearchOverride),
+        name => SearchBackend::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .map(Some)
+            .ok_or(InvalidSearchOverride),
     }
 }
 
@@ -303,6 +285,24 @@ mod tests {
         let forced = SearchPlanner::forced(SearchBackend::Octree);
         assert_eq!(forced.plan_knn(&SMALL), SearchBackend::Octree);
         assert_eq!(forced.plan_ball(&SMALL, 0.3), SearchBackend::Octree);
+    }
+
+    #[test]
+    fn benchmark_module_shapes_pin_their_backends() {
+        // The search shapes of the paper-scale modules the repo benchmark
+        // runs (BENCHMARK.json workloads): which backends carry benchmark
+        // traffic is a checked fact, not folklore.
+        let p = SearchPlanner::auto();
+        let ball = |n, queries, k, r| p.plan_ball(&SearchLoad { n, queries, k }, r);
+        // PointNet++ (c) `pnpp_*` / `serve_mixed`: SA1 on the grid, SA2
+        // small enough for the exhaustive scan.
+        assert_eq!(ball(1024, 512, 32, 0.2), SearchBackend::Grid);
+        assert_eq!(ball(512, 128, 64, 0.4), SearchBackend::BruteForce);
+        // PointNet++ (s) `scene_32k`: the 32768-point SA1 on the grid.
+        assert_eq!(ball(32768, 512, 32, 0.2), SearchBackend::Grid);
+        // DGCNN (c) `dgcnn_delayed` plans nothing: every EdgeConv searches
+        // feature space, which is always the dense row scan. So no
+        // benchmark shape reaches the kd-tree or the octree.
     }
 
     #[test]

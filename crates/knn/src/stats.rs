@@ -26,6 +26,11 @@ pub struct SearchCounters {
     pub index_build_ns: u64,
     /// Batched query calls answered (one per module search).
     pub query_calls: u64,
+    /// `query_calls` split by the backend that answered, indexed by
+    /// `SearchBackend as usize` (the order of [`crate::SearchBackend::ALL`]) —
+    /// which backends the planner actually routed traffic to.
+    /// Feature-space scans count as [`crate::SearchBackend::BruteForce`].
+    pub calls_by_backend: [u64; 4],
     /// Individual centroid queries answered across all calls.
     pub queries: u64,
     /// Wall time spent answering queries, in nanoseconds.
@@ -40,6 +45,9 @@ impl SearchCounters {
         self.index_builds += other.index_builds;
         self.index_build_ns += other.index_build_ns;
         self.query_calls += other.query_calls;
+        for (mine, theirs) in self.calls_by_backend.iter_mut().zip(other.calls_by_backend) {
+            *mine += theirs;
+        }
         self.queries += other.queries;
         self.query_ns += other.query_ns;
         self.distance_evals += other.distance_evals;
@@ -53,6 +61,9 @@ impl SearchCounters {
             index_builds: self.index_builds.saturating_sub(baseline.index_builds),
             index_build_ns: self.index_build_ns.saturating_sub(baseline.index_build_ns),
             query_calls: self.query_calls.saturating_sub(baseline.query_calls),
+            calls_by_backend: std::array::from_fn(|i| {
+                self.calls_by_backend[i].saturating_sub(baseline.calls_by_backend[i])
+            }),
             queries: self.queries.saturating_sub(baseline.queries),
             query_ns: self.query_ns.saturating_sub(baseline.query_ns),
             distance_evals: self.distance_evals.saturating_sub(baseline.distance_evals),

@@ -13,8 +13,9 @@
 //! beyond any cell's population.
 
 use mesorasi_knn::grid::UniformGrid;
-use mesorasi_knn::index::{BruteForceIndex, FeatureBrute};
+use mesorasi_knn::index::BruteForceIndex;
 use mesorasi_knn::kdtree::KdTree;
+use mesorasi_knn::planner::SearchLoad;
 use mesorasi_knn::{
     ball, bruteforce, MortonOctree, NeighborIndexTable, SearchBackend, SearchContext, SearchIndex,
     SearchPlanner,
@@ -177,9 +178,8 @@ fn knn_backends(cloud: &PointCloud) -> Vec<Box<dyn SearchIndex>> {
     let mut paged = MortonOctree::paged(2 * 32 * 12); // two 32-point leaves
     SearchIndex::build_into(&mut paged, cloud);
     vec![
-        Box::new(<KdTree as SearchIndex>::build(cloud)),
+        Box::new(KdTree::build(cloud)),
         Box::new(<BruteForceIndex as SearchIndex>::build(cloud)),
-        Box::new(<FeatureBrute as SearchIndex>::build(cloud)),
         Box::new(<MortonOctree as SearchIndex>::build(cloud)),
         Box::new(paged),
     ]
@@ -294,9 +294,12 @@ fn grid_k_beyond_cell_population_pads_identically() {
     }
 }
 
-/// Every backend the planner can select — auto and all three forced
+/// Every backend the planner can select — auto and all four forced
 /// choices — must produce the NIT the kd-tree path produced before the
-/// subsystem existed, for kNN and ball alike.
+/// subsystem existed, for kNN and ball alike. The context is a pure
+/// dispatcher: its table *and* its metered distance evaluations equal a
+/// direct call on the `SearchIndex` it routed to, and the per-backend
+/// call counters name that index.
 #[test]
 fn planner_selected_backends_agree_through_the_context() {
     let cloud = sample_shape(ShapeClass::Airplane, 300, 26);
@@ -304,6 +307,13 @@ fn planner_selected_backends_agree_through_the_context() {
     let knn_want = bruteforce::knn_indices(&cloud, &queries, 10);
     let tree = KdTree::build(&cloud);
     let ball_want = ball::ball_query(&cloud, &tree, &queries, 0.3, 10);
+    let load = SearchLoad { n: cloud.len(), queries: queries.len(), k: 10 };
+    let direct = |kind: SearchBackend| {
+        ball_backends(&cloud, 0.3)
+            .into_iter()
+            .find(|b| b.kind() == kind)
+            .expect("every backend has a direct index")
+    };
     let planners = [
         SearchPlanner::auto(),
         SearchPlanner::forced(SearchBackend::BruteForce),
@@ -313,10 +323,26 @@ fn planner_selected_backends_agree_through_the_context() {
     ];
     for planner in planners {
         let mut ctx = SearchContext::with_planner(planner);
-        let mut got = NeighborIndexTable::default();
+        let (mut got, mut direct_got) =
+            (NeighborIndexTable::default(), NeighborIndexTable::default());
+
         ctx.knn_into(0, &cloud, &queries, 10, &mut got);
         assert_eq!(got, knn_want, "kNN drifted under {planner:?}");
+        let knn_kind = planner.plan_knn(&load);
+        let knn_evals = direct(knn_kind).knn_into(&cloud, &queries, 10, &mut direct_got);
+        assert_eq!(got, direct_got, "context kNN != direct {knn_kind:?}");
+        assert_eq!(ctx.counters().distance_evals, knn_evals, "kNN evals via {knn_kind:?}");
+
         ctx.ball_into(0, &cloud, &queries, 0.3, 10, &mut got);
         assert_eq!(got, ball_want, "ball drifted under {planner:?}");
+        let ball_kind = planner.plan_ball(&load, 0.3);
+        let ball_evals = direct(ball_kind).ball_into(&cloud, &queries, 0.3, 10, &mut direct_got);
+        assert_eq!(got, direct_got, "context ball != direct {ball_kind:?}");
+        assert_eq!(ctx.counters().distance_evals, knn_evals + ball_evals, "via {ball_kind:?}");
+
+        let mut calls = [0u64; 4];
+        calls[knn_kind as usize] += 1;
+        calls[ball_kind as usize] += 1;
+        assert_eq!(ctx.counters().calls_by_backend, calls, "under {planner:?}");
     }
 }

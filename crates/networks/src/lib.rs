@@ -32,10 +32,10 @@ use mesorasi_core::{NetworkTrace, Strategy};
 use mesorasi_nn::{Graph, Param, VarId};
 use mesorasi_pointcloud::PointCloud;
 
+pub use mesorasi_core::DEFAULT_TILE_BUDGET;
 pub use registry::{Domain, NetworkKind};
 pub use session::{
-    Boxes3D, CheckoutError, FrameStream, Inference, Logits, PerPointLabels, Session,
-    SessionBuilder, DEFAULT_TILE_BUDGET,
+    Boxes3D, CheckoutError, FrameStream, Inference, Logits, PerPointLabels, Session, SessionBuilder,
 };
 
 /// Result of a network forward pass: task output plus the recorded

@@ -39,7 +39,7 @@
 use crate::registry::{Domain, NetworkKind};
 use crate::PointCloudNetwork;
 use mesorasi_core::engine::{EngineStats, PlanEngine};
-use mesorasi_core::{SampleCacheStats, Strategy};
+use mesorasi_core::{EngineConfig, SampleCacheStats, Strategy};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_knn::{SearchBackend, SearchPlanner};
 use mesorasi_nn::loss;
@@ -270,7 +270,10 @@ enum NetSource {
 ///
 /// Defaults: [`Strategy::Delayed`], sampling seed 7, small-scale instances
 /// with 10 classes when building from a [`NetworkKind`], weight-init seed
-/// 0, and one engine per host thread.
+/// 0, and one engine per host thread. The engine knobs start from
+/// [`EngineConfig::from_env`], read when the builder is created; the
+/// `search_backend` / `sample_cache_cap` / `dtype` / `tile_budget` /
+/// `pager_budget` setters overwrite what the environment said.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -279,48 +282,7 @@ pub struct SessionBuilder {
     classes: usize,
     paper_scale: bool,
     init_seed: u64,
-    search: Option<SearchBackend>,
-    sample_cache_cap: Option<usize>,
-    dtype: Option<Dtype>,
-    tile_budget: Option<Option<usize>>,
-    lod: usize,
-    pager_budget: Option<Option<usize>>,
-}
-
-/// Default per-tile point budget of the tiled streaming path: large enough
-/// that paper-scale frames split into a handful of tiles, small enough to
-/// bound per-tile latency and scratch.
-pub const DEFAULT_TILE_BUDGET: usize = 256;
-
-/// Reads `MESORASI_TILE_BUDGET` (a positive point count, or `"off"` for
-/// untiled cost-model chunking). Like `MESORASI_SEARCH` and
-/// `MESORASI_THREADS`, an invalid value fails loudly rather than silently
-/// running the wrong configuration.
-fn tile_budget_from_env() -> Option<usize> {
-    match std::env::var("MESORASI_TILE_BUDGET") {
-        Ok(raw) if raw == "off" => None,
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(b) if b > 0 => Some(b),
-            _ => panic!(
-                "invalid MESORASI_TILE_BUDGET='{raw}': accepted values are positive \
-                 integers (points per tile) or \"off\""
-            ),
-        },
-        Err(_) => Some(DEFAULT_TILE_BUDGET),
-    }
-}
-
-/// Reads `MESORASI_DTYPE` through [`Dtype`]'s `FromStr` (`f32` / `f64`,
-/// trimmed, case-insensitive); unset or empty means `f32`. Like
-/// `MESORASI_SEARCH` and `MESORASI_THREADS`, an invalid value fails loudly
-/// rather than silently running the wrong configuration.
-fn dtype_from_env() -> Dtype {
-    match std::env::var("MESORASI_DTYPE") {
-        Ok(raw) if !raw.trim().is_empty() => {
-            raw.parse().unwrap_or_else(|e| panic!("invalid MESORASI_DTYPE='{raw}': {e}"))
-        }
-        _ => Dtype::F32,
-    }
+    config: EngineConfig,
 }
 
 impl SessionBuilder {
@@ -333,12 +295,7 @@ impl SessionBuilder {
             classes: 10,
             paper_scale: false,
             init_seed: 0,
-            search: None,
-            sample_cache_cap: None,
-            dtype: None,
-            tile_budget: None,
-            lod: 0,
-            pager_budget: None,
+            config: EngineConfig::from_env(),
         }
     }
 
@@ -415,7 +372,7 @@ impl SessionBuilder {
     /// never the inference results — useful for benchmarking and for
     /// pinning behaviour in latency-sensitive deployments.
     pub fn search_backend(mut self, backend: SearchBackend) -> Self {
-        self.search = Some(backend);
+        self.config.search = SearchPlanner::forced(backend);
         self
     }
 
@@ -425,7 +382,7 @@ impl SessionBuilder {
     /// so servers sizing for memory can shrink this without re-introducing
     /// a periodic cold-cache latency cliff.
     pub fn sample_cache_cap(mut self, cap: usize) -> Self {
-        self.sample_cache_cap = Some(cap);
+        self.config.sample_cache_cap = cap;
         self
     }
 
@@ -438,58 +395,36 @@ impl SessionBuilder {
     /// planned, thread invariance) hold *within* each dtype; use f64 runs
     /// to measure what f32 execution costs in end-task accuracy.
     pub fn dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = Some(dtype);
+        self.config.dtype = dtype;
         self
     }
 
     /// Per-tile point budget of the tiled streaming hot path (default
-    /// [`DEFAULT_TILE_BUDGET`], overridable via `MESORASI_TILE_BUDGET`).
+    /// [`mesorasi_core::DEFAULT_TILE_BUDGET`], overridable via
+    /// `MESORASI_TILE_BUDGET`).
     /// Every worker engine splits per-frame derivation — input-row fills
     /// and batch searches — into fixed tiles of this many points,
     /// pipelined across the `mesorasi-par` workers with a bounded
-    /// in-flight window. A scheduling knob only: results are bit-identical
-    /// at every budget and thread count.
+    /// in-flight window; `None` disables tiling (cost-model chunking, the
+    /// pre-tiling reference path). A scheduling knob only: results are
+    /// bit-identical at every budget and thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `budget == 0`.
-    pub fn tile_budget(mut self, budget: usize) -> Self {
-        assert!(budget > 0, "tile budget must be positive");
-        self.tile_budget = Some(Some(budget));
+    /// Panics if `budget` is `Some(0)`.
+    pub fn tile_budget(mut self, budget: Option<usize>) -> Self {
+        assert!(budget != Some(0), "tile budget must be positive");
+        self.config.tile_budget = budget;
         self
     }
 
-    /// Disables frame tiling: per-frame derivation falls back to
-    /// cost-model chunking (the pre-tiling reference path).
-    pub fn untiled(mut self) -> Self {
-        self.tile_budget = Some(None);
-        self
-    }
-
-    /// Octree LOD level for every worker's coordinate searches (default 0
-    /// = exact). Level `ℓ ≥ 1` lets octree-served searches answer from
-    /// depth-`ℓ` representative subsamples — approximate neighborhoods at
-    /// lower latency on large clouds. Searches served by other backends
-    /// stay exact, so this only affects clouds the planner (or a forced
-    /// `octree` backend) routes to the octree.
-    pub fn lod(mut self, lod: usize) -> Self {
-        self.lod = lod;
-        self
-    }
-
-    /// Pages octree leaf payloads through a file-backed LRU bounded by
-    /// `bytes` of residency per worker (the out-of-core mode; default:
-    /// resident, or `MESORASI_PAGER_BUDGET`). Paging is bit-identical to
-    /// resident execution at every budget — only memory and latency move.
-    pub fn pager_budget(mut self, bytes: usize) -> Self {
-        self.pager_budget = Some(Some(bytes));
-        self
-    }
-
-    /// Forces octree leaf payloads resident, overriding any
-    /// `MESORASI_PAGER_BUDGET` in the environment.
-    pub fn unpaged(mut self) -> Self {
-        self.pager_budget = Some(None);
+    /// Octree leaf-payload residency per worker: `Some(bytes)` pages
+    /// payloads through a file-backed LRU bounded by `bytes` (the
+    /// out-of-core mode), `None` keeps them resident (default: resident,
+    /// or `MESORASI_PAGER_BUDGET`). Paging is bit-identical to resident
+    /// execution at every budget — only memory and latency move.
+    pub fn pager_budget(mut self, bytes: Option<usize>) -> Self {
+        self.config.pager_budget = bytes;
         self
     }
 
@@ -509,32 +444,16 @@ impl SessionBuilder {
         };
         let workers = self.workers.unwrap_or_else(par::current_threads).max(1);
         let domain = net.domain();
-        let planner = match self.search {
-            Some(backend) => SearchPlanner::forced(backend),
-            None => SearchPlanner::from_env(),
-        };
-        let dtype = self.dtype.unwrap_or_else(dtype_from_env);
-        let tile_budget = self.tile_budget.unwrap_or_else(tile_budget_from_env);
         Session {
             net,
             strategy: self.strategy,
             seed: self.seed,
             domain,
-            dtype,
-            tile_budget,
+            config: self.config,
             engines: (0..workers)
-                .map(|_| {
-                    let mut engine = PlanEngine::with_planner(planner);
-                    if let Some(cap) = self.sample_cache_cap {
-                        engine.set_sample_cache_cap(cap);
-                    }
-                    engine.set_dtype(dtype);
-                    engine.set_tile_budget(tile_budget);
-                    engine.set_lod(self.lod);
-                    if let Some(budget) = self.pager_budget {
-                        engine.set_pager_budget(budget);
-                    }
-                    Worker { engine: Mutex::new(engine), holder: AtomicU64::new(0) }
+                .map(|_| Worker {
+                    engine: Mutex::new(PlanEngine::with_config(self.config)),
+                    holder: AtomicU64::new(0),
                 })
                 .collect(),
             next: AtomicUsize::new(0),
@@ -649,8 +568,7 @@ pub struct Session {
     strategy: Strategy,
     seed: u64,
     domain: Domain,
-    dtype: Dtype,
-    tile_budget: Option<usize>,
+    config: EngineConfig,
     engines: Vec<Worker>,
     next: AtomicUsize,
 }
@@ -679,13 +597,13 @@ impl Session {
 
     /// The execution dtype every worker engine runs at.
     pub fn dtype(&self) -> Dtype {
-        self.dtype
+        self.config.dtype
     }
 
     /// The per-tile point budget every worker engine streams under
     /// (`None` when tiling is disabled).
     pub fn tile_budget(&self) -> Option<usize> {
-        self.tile_budget
+        self.config.tile_budget
     }
 
     /// The task domain, deciding which [`Inference`] variant is returned.
@@ -1038,6 +956,7 @@ fn lock_unpoisoned<'m>(m: &'m Mutex<PlanEngine>) -> MutexGuard<'m, PlanEngine> {
 mod tests {
     use super::*;
     use crate::fpointnet::FPointNet;
+    use mesorasi_core::DEFAULT_TILE_BUDGET;
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
     use std::sync::Arc;
 
@@ -1357,7 +1276,7 @@ mod tests {
             let untiled = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
                 .classes(3)
                 .workers(1)
-                .untiled()
+                .tile_budget(None)
                 .build();
             assert_eq!(untiled.tile_budget(), None);
             n = untiled.network().input_points();
@@ -1375,7 +1294,7 @@ mod tests {
             let tiled = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
                 .classes(3)
                 .workers(1)
-                .tile_budget(budget)
+                .tile_budget(Some(budget))
                 .build();
             assert_eq!(tiled.tile_budget(), Some(budget));
             assert_eq!(tiled.frames().infer(&cloud), want, "budget {budget}");
@@ -1387,7 +1306,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile budget must be positive")]
     fn zero_tile_budget_knob_panics() {
-        let _ = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification).tile_budget(0);
+        let _ =
+            SessionBuilder::from_kind(NetworkKind::PointNetPPClassification).tile_budget(Some(0));
     }
 
     #[test]

@@ -135,27 +135,29 @@ impl<T> ScratchPool<T> {
     }
 }
 
-/// Resolves the `MESORASI_THREADS` override, once per process.
+/// Resolves the `MESORASI_THREADS` override, once per process: the value
+/// sizes the process-wide worker pool, so — unlike the engine variables
+/// `mesorasi_core::EngineConfig::from_env` re-reads on every call — it is
+/// frozen at first use. Unset or blank means the hardware parallelism (CI
+/// can blank a job-level variable but not remove it).
 ///
 /// # Panics
 ///
-/// Panics on a value that is not a positive integer, naming the accepted
-/// range. Silently falling back to the hardware count would make a typo'd
-/// override *look* honored — config errors must fail loudly, not skew
-/// thread-sweep experiments.
+/// Panics on any other value that is not a positive integer, naming the
+/// accepted range. Silently falling back to the hardware count would make
+/// a typo'd override *look* honored — config errors must fail loudly, not
+/// skew thread-sweep experiments.
 fn env_or_hardware_threads() -> usize {
     static RESOLVED: OnceLock<usize> = OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        if let Ok(raw) = std::env::var("MESORASI_THREADS") {
-            match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => return n.min(MAX_POOL),
-                _ => panic!(
-                    "invalid MESORASI_THREADS='{raw}': accepted values are \
+    *RESOLVED.get_or_init(|| match std::env::var("MESORASI_THREADS") {
+        Ok(raw) if !raw.trim().is_empty() => match raw.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n.min(MAX_POOL),
+            _ => panic!(
+                "invalid MESORASI_THREADS='{raw}': accepted values are \
                      positive integers 1..={MAX_POOL}"
-                ),
-            }
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_POOL))
+            ),
+        },
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_POOL)),
     })
 }
 

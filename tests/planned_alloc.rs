@@ -31,10 +31,22 @@
 //!    dtype modes, and the f64 mode's extra state is part of the total.
 
 use mesorasi::core::engine::PlanEngine;
+use mesorasi::core::EngineConfig;
 use mesorasi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// A forced-kd-tree engine (real index construction under audit, not just
+/// brute-force scans) at the given tile budget and dtype.
+fn kd_engine(tile_budget: Option<usize>, dtype: Dtype) -> PlanEngine {
+    PlanEngine::with_config(EngineConfig {
+        search: mesorasi::SearchPlanner::forced(SearchBackend::KdTree),
+        tile_budget,
+        dtype,
+        ..EngineConfig::default()
+    })
+}
 
 /// Serialises the audits (see the module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -114,8 +126,8 @@ fn warm_f64_shadow_forward_allocates_nothing() {
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = PlanEngine::new();
-        engine.set_dtype(Dtype::F64);
+        let mut engine =
+            PlanEngine::with_config(EngineConfig { dtype: Dtype::F64, ..EngineConfig::default() });
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let cloud = sample_shape(ShapeClass::Chair, net.input_points(), 4);
@@ -147,8 +159,7 @@ fn warm_streamed_forward_allocates_nothing_including_search() {
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine =
-            PlanEngine::with_planner(mesorasi::SearchPlanner::forced(SearchBackend::KdTree));
+        let mut engine = kd_engine(None, Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -227,11 +238,9 @@ fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine =
-            PlanEngine::with_planner(mesorasi::SearchPlanner::forced(SearchBackend::KdTree));
         // A budget well under the frame size, so every frame splits into
         // several tiles and the remainder tile is exercised too.
-        engine.set_tile_budget(Some(64));
+        let mut engine = kd_engine(Some(64), Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -272,10 +281,7 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
         mesorasi_par::with_threads(2, || {
             let mut rng = seeded_rng(6);
             let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-            let mut engine =
-                PlanEngine::with_planner(mesorasi::SearchPlanner::forced(SearchBackend::KdTree));
-            engine.set_tile_budget(Some(64));
-            engine.set_dtype(dtype);
+            let mut engine = kd_engine(Some(64), dtype);
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
             let n = net.input_points();

@@ -267,7 +267,7 @@ proptest! {
         let kind = NetworkKind::ALL[net_idx];
         let threads = [1usize, 2, 8][threads_idx];
         let untiled =
-            SessionBuilder::from_kind(kind).classes(5).workers(1).untiled().build();
+            SessionBuilder::from_kind(kind).classes(5).workers(1).tile_budget(None).build();
         let n = untiled.network().input_points();
         let cloud = sample_shape(ShapeClass::Car, n, seed);
         let want = untiled.frames().infer(&cloud);
@@ -281,7 +281,7 @@ proptest! {
                 let tiled = SessionBuilder::from_kind(kind)
                     .classes(5)
                     .workers(threads)
-                    .tile_budget(budget)
+                    .tile_budget(Some(budget))
                     .build();
                 prop_assert_eq!(tiled.tile_budget(), Some(budget));
                 let got = tiled.frames().infer(&cloud);
