@@ -29,8 +29,9 @@ impl Candidate {
 /// `k` candidates (by distance, ties by index). O(k) per insert, which
 /// beats a heap for the k ≤ 128 range point-cloud networks use. Shared by
 /// the brute-force selection, the kd-tree descent, and the feature search,
-/// so every backend breaks ties identically.
-pub(crate) fn push_bounded(best: &mut Vec<Candidate>, k: usize, c: Candidate) {
+/// so every backend breaks ties identically; public so test oracles select
+/// with the same rule.
+pub fn push_bounded(best: &mut Vec<Candidate>, k: usize, c: Candidate) {
     if best.len() == k && c.key() >= best.last().expect("best is non-empty when len == k").key() {
         return;
     }

@@ -7,6 +7,21 @@
 //! kd-tree degenerates, so implementations — and our GPU cost model — use a
 //! dense pairwise-distance computation. This module provides that search
 //! over row-major feature matrices.
+//!
+//! # The scan
+//!
+//! [`knn_rows_into`] ranks 16 candidate rows per pass. Once per call the
+//! searched rows are copied into a dim-major *panel* of 16-row blocks
+//! (`panel[(block · dim + d) · 16 + lane]`, row `block · 16 + lane`; the
+//! last block's unused lanes hold zeros and are never offered to the
+//! selection), `ceil(rows / 16) · 16 · dim · 4` bytes held in the caller's
+//! [`FeatureScratch`]. Per query and block, 16 accumulators take
+//! `(q[d] − row[d])²` for `d` ascending. The lanes are independent, each the
+//! same ascending-`d` sum [`distance_squared`] computes, so every distance
+//! is bit-equal to it. Rows are still offered to the bounded selection in
+//! ascending index with the `(distance, index)` tie-break, so the tables are
+//! those of the one-pair-at-a-time scan for every input, non-finite
+//! features included.
 
 use crate::bruteforce::Candidate;
 use crate::NeighborIndexTable;
@@ -60,11 +75,49 @@ impl<'a> FeatureView<'a> {
     }
 }
 
-/// Squared Euclidean distance between two equal-length vectors.
+/// Squared Euclidean distance between two equal-length vectors, summed in
+/// ascending `d`. [`knn_rows_into`] does not call it: it is the scalar
+/// reference that scan's distances are bit-equal to.
 #[inline]
 pub fn distance_squared(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Candidate rows ranked per pass of the scan (see the module docs).
+const LANES: usize = 16;
+
+/// Reusable storage of [`knn_rows_into`]: the dim-major panel of the
+/// searched rows and the sequential path's selection buffer. Both keep
+/// their capacity between calls, so a warm call of the same shape does not
+/// allocate.
+#[derive(Debug, Default)]
+pub struct FeatureScratch {
+    panel: Vec<f32>,
+    best: Vec<Candidate>,
+}
+
+impl FeatureScratch {
+    /// Heap bytes retained (capacity, not length).
+    pub fn storage_bytes(&self) -> usize {
+        self.panel.capacity() * std::mem::size_of::<f32>()
+            + self.best.capacity() * std::mem::size_of::<Candidate>()
+    }
+}
+
+/// Copies `view` into `panel` in the blocked dim-major layout, zeroing the
+/// last block's unused lanes.
+fn fill_panel(view: FeatureView<'_>, panel: &mut Vec<f32>) {
+    let (rows, dim) = (view.rows(), view.dim());
+    panel.clear();
+    panel.resize(rows.div_ceil(LANES) * dim * LANES, 0.0);
+    for (b, block) in panel.chunks_exact_mut(dim * LANES).enumerate() {
+        for lane in 0..LANES.min(rows - b * LANES) {
+            for (col, &v) in block.chunks_exact_mut(LANES).zip(view.row(b * LANES + lane)) {
+                col[lane] = v;
+            }
+        }
+    }
 }
 
 /// KNN over feature rows: for each query row index, the `k` rows nearest in
@@ -76,14 +129,14 @@ pub fn distance_squared(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if `k == 0`, `k > view.rows()`, or a query index is out of range.
 pub fn knn_rows(view: FeatureView<'_>, queries: &[usize], k: usize) -> NeighborIndexTable {
     let mut out = NeighborIndexTable::default();
-    knn_rows_into(view, queries, k, &mut out, &mut Vec::new());
+    knn_rows_into(view, queries, k, &mut out, &mut FeatureScratch::default());
     out
 }
 
 /// [`knn_rows`] writing into a caller-owned table, with caller-owned
-/// candidate scratch for the sequential path. Produces identical tables to
-/// [`knn_rows`] (the bounded selection visits rows in the same order) and
-/// returns the number of distance evaluations (`rows × queries`).
+/// scratch. The panel is built once and read by every query chunk, on
+/// whichever worker runs it. Returns the number of distance evaluations
+/// (`rows × queries`).
 ///
 /// # Panics
 ///
@@ -93,21 +146,39 @@ pub fn knn_rows_into(
     queries: &[usize],
     k: usize,
     out: &mut NeighborIndexTable,
-    scratch: &mut Vec<Candidate>,
+    scratch: &mut FeatureScratch,
 ) -> u64 {
-    assert!(k > 0 && k <= view.rows(), "k = {k} out of range for {} rows", view.rows());
-    let cost = view.rows() * view.dim() * 3;
-    crate::kdtree::batch_into(out, queries, k, cost, scratch, |best, q, slot| {
+    let (rows, dim) = (view.rows(), view.dim());
+    assert!(k > 0 && k <= rows, "k = {k} out of range for {rows} rows");
+    let FeatureScratch { panel, best } = scratch;
+    fill_panel(view, panel);
+    let panel = panel.as_slice();
+    let cost = rows * dim * 3;
+    crate::kdtree::batch_into(out, queries, k, cost, best, |best, q, slot| {
         let qrow = view.row(q);
         best.clear();
-        for i in 0..view.rows() {
-            let c = Candidate { index: i, dist_sq: distance_squared(qrow, view.row(i)) };
-            crate::bruteforce::push_bounded(best, k, c);
+        for (b, block) in panel.chunks_exact(dim * LANES).enumerate() {
+            let mut acc = [0.0f32; LANES];
+            for (&x, col) in qrow.iter().zip(block.chunks_exact(LANES)) {
+                for (a, &y) in acc.iter_mut().zip(col) {
+                    let e = x - y;
+                    *a += e * e;
+                }
+            }
+            let base = b * LANES;
+            for (lane, &dist_sq) in acc[..LANES.min(rows - base)].iter().enumerate() {
+                // Strictly greater, and false for NaN on either side: skips
+                // only what `push_bounded` would reject.
+                if best.len() == k && dist_sq > best[k - 1].dist_sq {
+                    continue;
+                }
+                crate::bruteforce::push_bounded(best, k, Candidate { index: base + lane, dist_sq });
+            }
         }
         for (s, c) in slot.iter_mut().zip(best.iter()) {
             *s = c.index;
         }
-        view.rows() as u64
+        rows as u64
     })
 }
 
@@ -156,7 +227,7 @@ mod tests {
         let queries: Vec<usize> = (0..100).step_by(7).collect();
         let want = knn_rows(view, &queries, 5);
         let mut got = crate::NeighborIndexTable::default();
-        let evals = knn_rows_into(view, &queries, 5, &mut got, &mut Vec::new());
+        let evals = knn_rows_into(view, &queries, 5, &mut got, &mut FeatureScratch::default());
         assert_eq!(got, want);
         assert!(evals > 0);
     }

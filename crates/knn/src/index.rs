@@ -21,7 +21,7 @@
 //! and real distance-evaluation counts.
 
 use crate::bruteforce::{push_bounded, Candidate};
-use crate::feature::{self, FeatureView};
+use crate::feature::{self, FeatureScratch, FeatureView};
 use crate::grid::UniformGrid;
 use crate::kdtree::{batch_into, sort_candidates, KdTree};
 use crate::octree::MortonOctree;
@@ -196,8 +196,8 @@ pub struct SearchContext {
     /// The stateless exhaustive scan lives outside the slot pool — it has
     /// nothing worth caching or verifying.
     brute: BruteForceIndex,
-    /// Sequential-path candidate scratch of the feature-space row scan.
-    feature_scratch: Vec<Candidate>,
+    /// Row panel and selection buffer of the feature-space scan.
+    feature_scratch: FeatureScratch,
     slots: Vec<Slot>,
     clock: u64,
     /// Fixed query-tile budget applied to every batch query through this
@@ -218,7 +218,7 @@ impl SearchContext {
             planner,
             counters: SearchCounters::default(),
             brute: BruteForceIndex::default(),
-            feature_scratch: Vec::new(),
+            feature_scratch: FeatureScratch::default(),
             slots: Vec::with_capacity(MAX_SLOTS),
             clock: 0,
             tile_budget: None,
@@ -272,10 +272,13 @@ impl SearchContext {
 
     /// Heap bytes retained by every cached index, verification cloud, and
     /// scratch buffer — the search half of the engine's arena statistics.
+    /// Includes the feature-space scan's row panel
+    /// (`ceil(rows / 16) · 16 · dim · 4` bytes at the largest shape searched;
+    /// see [`crate::feature`]).
     pub fn storage_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.index.storage_bytes() + s.cloud.storage_bytes()).sum::<usize>()
             + self.brute.storage_bytes()
-            + self.feature_scratch.capacity() * std::mem::size_of::<Candidate>()
+            + self.feature_scratch.storage_bytes()
     }
 
     /// Exact kNN for `queries` against `cloud`, on the planned backend,
@@ -578,8 +581,15 @@ mod tests {
         let want = feature::knn_rows(view, &q, 6);
         let mut ctx = SearchContext::with_planner(SearchPlanner::auto());
         let mut out = NeighborIndexTable::default();
+        let cold = ctx.storage_bytes();
         ctx.feature_knn_into(view, &q, 6, &mut out);
         assert_eq!(out, want);
         assert_eq!(ctx.counters().calls_by_backend, [1, 0, 0, 0]);
+        // The scan's row panel (64 rows = 4 blocks × 16 lanes × 8 dims of
+        // f32) is retained by the context and reported, then reused.
+        let warm = ctx.storage_bytes();
+        assert!(warm >= cold + 64 * 8 * 4, "panel unaccounted: {cold} -> {warm}");
+        ctx.feature_knn_into(view, &q, 6, &mut out);
+        assert_eq!(ctx.storage_bytes(), warm, "a warm scan of the same shape retains nothing new");
     }
 }

@@ -11,7 +11,12 @@
 //! NITs bit-identical to brute force for both kNN and padded radius
 //! queries — including degenerate grids (zero-extent AABB) and k far
 //! beyond any cell's population.
+//!
+//! The last part pins the lane-blocked feature-space scan to the
+//! one-pair-at-a-time scan it replaced, table for table.
 
+use mesorasi_knn::bruteforce::{push_bounded, Candidate};
+use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
 use mesorasi_knn::grid::UniformGrid;
 use mesorasi_knn::index::BruteForceIndex;
 use mesorasi_knn::kdtree::KdTree;
@@ -22,6 +27,7 @@ use mesorasi_knn::{
 };
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{Point3, PointCloud};
+use proptest::prelude::*;
 
 fn all_queries(cloud: &PointCloud) -> Vec<usize> {
     (0..cloud.len()).collect()
@@ -344,5 +350,93 @@ fn planner_selected_backends_agree_through_the_context() {
         calls[knn_kind as usize] += 1;
         calls[ball_kind as usize] += 1;
         assert_eq!(ctx.counters().calls_by_backend, calls, "under {planner:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Feature space: the lane-blocked scan against the per-pair scan.
+// ---------------------------------------------------------------------
+
+/// The scan `feature::knn_rows_into` replaced: one `distance_squared` per
+/// (query, row) pair, rows offered to `push_bounded` in ascending index.
+fn per_pair_knn(view: FeatureView<'_>, queries: &[usize], k: usize) -> (NeighborIndexTable, u64) {
+    let mut out = NeighborIndexTable::new(k);
+    let (mut best, mut neighbors, mut evals) = (Vec::new(), Vec::new(), 0);
+    for &q in queries {
+        best.clear();
+        for i in 0..view.rows() {
+            let dist_sq = feature::distance_squared(view.row(q), view.row(i));
+            push_bounded(&mut best, k, Candidate { index: i, dist_sq });
+            evals += 1;
+        }
+        neighbors.clear();
+        neighbors.extend(best.iter().map(|c| c.index));
+        out.push_entry(q, &neighbors);
+    }
+    (out, evals)
+}
+
+/// Row counts around the 16-lane block edge and dims around the 4-wide
+/// vector edge.
+const FEATURE_ROWS: [usize; 6] = [1, 15, 16, 17, 33, 250];
+const FEATURE_DIMS: [usize; 4] = [1, 3, 64, 130];
+
+/// `(rows, dim, data)`: continuous values, optionally snapped to a 0.5 grid
+/// (so distances tie between distinct rows), then edited element- and
+/// row-wise: duplicated rows, `±0.0`, and — in half the cases — `NaN`/`±∞`.
+fn arb_feature_rows() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
+    (0..FEATURE_ROWS.len(), 0..FEATURE_DIMS.len(), 0u8..2, 0u8..2).prop_flat_map(
+        |(r, d, snap, non_finite)| {
+            let (rows, dim) = (FEATURE_ROWS[r], FEATURE_DIMS[d]);
+            let values = prop::collection::vec(-2.0f32..2.0, rows * dim);
+            let edits =
+                prop::collection::vec((0u8..3 + 3 * non_finite, 0..rows, 0..rows, 0..dim), 0..12);
+            (values, edits).prop_map(move |(mut data, edits)| {
+                if snap == 1 {
+                    data.iter_mut().for_each(|v| *v = (*v * 2.0).round() / 2.0);
+                }
+                for (kind, a, b, col) in edits {
+                    match kind {
+                        0 => data.copy_within(a * dim..(a + 1) * dim, b * dim),
+                        1 => data[a * dim + col] = 0.0,
+                        2 => data[a * dim + col] = -0.0,
+                        3 => data[a * dim + col] = f32::NAN,
+                        4 => data[a * dim + col] = f32::INFINITY,
+                        _ => data[a * dim + col] = f32::NEG_INFINITY,
+                    }
+                }
+                (rows, dim, data)
+            })
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Same tables and evaluation counts as the per-pair scan: at every
+    /// block tail, for `k = 1` through `k = rows`, on query subsets, with
+    /// index tie-breaks and non-finite features, sequentially and through
+    /// the shared-panel tiled path, with the scratch reused across shapes.
+    #[test]
+    fn blocked_feature_scan_matches_the_per_pair_scan(
+        (rows, dim, data) in arb_feature_rows(),
+        start in 0usize..250,
+        step in 1usize..4,
+    ) {
+        let view = FeatureView::new(&data, dim).expect("rows * dim values");
+        let queries: Vec<usize> = (start % rows..rows).step_by(step).collect();
+        let mut scratch = FeatureScratch::default();
+        let mut got = NeighborIndexTable::default();
+        for k in [1, rows.min(20), rows] {
+            let (want, want_evals) = per_pair_knn(view, &queries, k);
+            for budget in [None, Some(7)] {
+                let evals = mesorasi_knn::with_query_tile_budget(budget, || {
+                    feature::knn_rows_into(view, &queries, k, &mut got, &mut scratch)
+                });
+                prop_assert_eq!(&got, &want, "rows {} dim {} k {} tiles {:?}", rows, dim, k, budget);
+                prop_assert_eq!(evals, want_evals);
+            }
+        }
     }
 }

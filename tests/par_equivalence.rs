@@ -135,6 +135,36 @@ proptest! {
             mesorasi::knn::feature::knn_rows(view, &queries, k)
         })?;
     }
+
+    /// DGCNN-width rows with a ragged last 16-row block: every query chunk,
+    /// on whichever worker, reads the one panel built per call, so the
+    /// table may depend on neither the thread count nor the tile budget.
+    #[test]
+    fn wide_feature_knn_is_thread_and_tile_invariant(
+        feats in arb_matrix(70..130, 64..65),
+        k in 1usize..21,
+    ) {
+        prop_assume!(feats.rows() % 16 != 0);
+        let rows = feats.rows();
+        let view = FeatureView::new(feats.as_slice(), 64).expect("matrix storage is rectangular");
+        let queries: Vec<usize> = (0..rows).collect();
+        let search = |threads, budget| {
+            par::with_threads(threads, || {
+                mesorasi::knn::with_query_tile_budget(budget, || {
+                    mesorasi::knn::feature::knn_rows(view, &queries, k)
+                })
+            })
+        };
+        let baseline = search(1, None);
+        for budget in [None, Some(64), Some(rows + 1)] {
+            for threads in THREAD_SWEEP {
+                prop_assert_eq!(
+                    &search(threads, budget), &baseline,
+                    "{} threads, tile budget {:?}", threads, budget
+                );
+            }
+        }
+    }
 }
 
 /// A deterministic second operand shaped for `matmul_at_b(a, ·)`.

@@ -10,7 +10,7 @@
 //! its whole body, or one audit's warm-up would land in another's armed
 //! window.
 //!
-//! Five audits, in increasing strictness:
+//! Six audits, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
 //!    cached, pure planned tensor execution;
@@ -28,7 +28,11 @@
 //! 5. the heap-ceiling audit: once warm, `EngineStats` byte totals
 //!    (tensor arena + search arena + parallel scratch pool) are frozen —
 //!    further frames neither grow a slot nor retain new storage — in both
-//!    dtype modes, and the f64 mode's extra state is part of the total.
+//!    dtype modes, and the f64 mode's extra state is part of the total;
+//! 6. the feature-space audit: audits 1–5 run PointNet++, which only ever
+//!    searches coordinates. A warm streamed DGCNN frame — every search a
+//!    feature-space scan over its row panel — makes zero heap allocations
+//!    at 1 and 2 threads under a frozen ceiling that counts the panel.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -320,4 +324,61 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
         f64_mode.arena.peak_bytes,
         f32_mode.arena.peak_bytes
     );
+}
+
+#[test]
+fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
+    let _serial = serial();
+    // Every DGCNN module searches the previous module's feature space: no
+    // index is ever built, each frame refills the scan's dim-major row
+    // panel instead. The panel belongs to the engine's search context, so
+    // it must be grown once, shared by every query tile on whichever
+    // worker runs it, and reported in `search_bytes`.
+    for threads in [1, 2] {
+        mesorasi_par::with_threads(threads, || {
+            let mut rng = seeded_rng(6);
+            let net = NetworkKind::DgcnnClassification.build_small(5, &mut rng);
+            let n = net.input_points();
+            // 128 queries in tiles of 48: two full tiles and a remainder.
+            let mut engine = PlanEngine::with_config(EngineConfig {
+                tile_budget: Some(48),
+                ..EngineConfig::default()
+            });
+            let record =
+                |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+            let frames: Vec<PointCloud> =
+                (0..4).map(|s| sample_shape(ShapeClass::Guitar, n, 90 + s)).collect();
+
+            for frame in &frames {
+                let _ = engine.run_streamed(frame, &record);
+            }
+            let warm = engine.stats(n).expect("compiled");
+
+            ARMED.store(true, Ordering::SeqCst);
+            let before = ALLOCS.load(Ordering::SeqCst);
+            for frame in &frames {
+                let _ = engine.run_streamed(frame, &record);
+            }
+            let after = ALLOCS.load(Ordering::SeqCst);
+            ARMED.store(false, Ordering::SeqCst);
+            assert_eq!(after - before, 0, "a warm DGCNN frame allocated at {threads} threads");
+
+            let stats = engine.stats(n).expect("compiled");
+            assert_eq!(stats.search.index_builds, 0, "DGCNN searches feature space only");
+            assert!(stats.search.calls_by_backend[SearchBackend::BruteForce as usize] >= 16);
+            assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
+            assert_eq!(stats.search_bytes, warm.search_bytes, "search arena grew warm");
+            assert_eq!(stats.parallel_scratch_bytes, warm.parallel_scratch_bytes);
+            // The widest space searched is ec2's 24-wide input: 128 rows
+            // are 8 full 16-lane blocks of 24 dims. Beside the panel the
+            // arena holds at least the 128 × (8 neighbors + centroid) NIT;
+            // everything but the panel sums to less than this bound.
+            let (panel, nit) = (n * 24 * 4, n * (8 + 1) * std::mem::size_of::<usize>());
+            assert!(
+                stats.search_bytes >= panel + nit,
+                "the panel must be part of the reported {} bytes",
+                stats.search_bytes
+            );
+        });
+    }
 }
