@@ -1,13 +1,15 @@
-//! Regenerates the paper's tables and figures, and runs the perf harness.
+//! Regenerates the paper's tables and figures, and runs the kernel/index
+//! micro-benchmarks (end-to-end numbers come from `benchmark/run.sh`).
 //!
 //! ```text
 //! cargo run --release -p mesorasi-bench --bin repro            # everything
 //! cargo run --release -p mesorasi-bench --bin repro -- fig17   # one figure
 //! cargo run --release -p mesorasi-bench --bin repro -- --list  # list ids
 //! cargo run --release -p mesorasi-bench --bin repro -- bench --json --smoke
+//! cargo run --release -p mesorasi-bench --bin repro -- bench-diff --baseline BENCH_<date>.json
 //! ```
 
-use mesorasi_bench::{diff, experiments, perf, serve_bench, Context};
+use mesorasi_bench::{diff, experiments, perf, Context};
 use mesorasi_core::Strategy;
 use mesorasi_networks::registry::NetworkKind;
 use std::io::Write;
@@ -181,13 +183,7 @@ fn run_bench(args: &[String]) -> ! {
     }
 
     let regressions = report.regressions();
-    let engine_regressions = report.engine_regressions();
-    let batch_regressions = report.batch_regressions();
-    if smoke
-        && !(regressions.is_empty()
-            && engine_regressions.is_empty()
-            && batch_regressions.is_empty())
-    {
+    if smoke && !regressions.is_empty() {
         for r in &regressions {
             eprintln!(
                 "[repro] REGRESSION: {}/{} at {} threads is {:.2}x the sequential time \
@@ -195,100 +191,12 @@ fn run_bench(args: &[String]) -> ! {
                 r.op,
                 r.backend,
                 r.threads,
-                r.speedup_vs_1t.map_or(f64::INFINITY, |s| 1.0 / s)
-            );
-        }
-        for r in &engine_regressions {
-            let vs_tape = r.extra.map_or(0.0, |e| e.speedup_vs_tape);
-            eprintln!(
-                "[repro] REGRESSION: planned inference on {} is {:.2}x the tape time \
-                 (gate: planned must not be slower)",
-                r.backend,
-                if vs_tape > 0.0 { 1.0 / vs_tape } else { f64::INFINITY }
-            );
-        }
-        for r in &batch_regressions {
-            let b = r.batch.expect("batch regressions carry batch extras");
-            eprintln!(
-                "[repro] REGRESSION: infer_batch({}) on {} is {:.2}x the sequential \
-                 per-sample time (gate: 1.5x)",
-                b.batch_size,
-                r.backend,
-                if b.speedup_vs_sequential > 0.0 {
-                    1.0 / b.speedup_vs_sequential
-                } else {
-                    f64::INFINITY
-                }
+                1.0 / r.speedup_vs_1t
             );
         }
         std::process::exit(1);
     }
     std::process::exit(0);
-}
-
-/// Runs the served-latency harness
-/// (`repro serve-bench [--json] [--smoke] [--out PATH]`).
-fn run_serve_bench(args: &[String]) -> ! {
-    let mut json = false;
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("[repro] --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "[repro] unknown serve-bench flag '{other}' (use --json, --smoke, --out PATH)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(p) = &out_path {
-        ensure_writable(p);
-    }
-    eprintln!(
-        "[repro] serve-bench: {} streams, {} load, {} host thread(s)...",
-        serve_bench::STREAMS,
-        if smoke { "smoke" } else { "full" },
-        mesorasi_par::current_threads()
-    );
-    let report = serve_bench::run(smoke);
-
-    if json {
-        let path = out_path.unwrap_or_else(|| format!("SERVE_{}.json", report.date));
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("[repro] cannot write {path}: {e} — the run is lost, fix the path");
-            std::process::exit(2);
-        }
-        eprintln!("[repro] wrote {path}");
-    }
-
-    {
-        let mut out = std::io::stdout().lock();
-        if let Err(e) = writeln!(out, "{}", report.to_table().trim_end()) {
-            if e.kind() != std::io::ErrorKind::BrokenPipe {
-                panic!("failed writing to stdout: {e}");
-            }
-        }
-    }
-
-    // Unlike `bench`, the serve gate holds in full runs too: sheds and
-    // latency cliffs are correctness-adjacent, not tuning noise.
-    let violations = report.serve_regressions();
-    for v in &violations {
-        eprintln!("[repro] REGRESSION: {v}");
-    }
-    std::process::exit(if violations.is_empty() { 0 } else { 1 });
 }
 
 fn main() {
@@ -298,31 +206,25 @@ fn main() {
         emit("");
         emit("usage: repro [--list] [EXPERIMENT_ID ...]");
         emit("       repro bench [--json] [--smoke] [--out PATH]");
-        emit("       repro serve-bench [--json] [--smoke] [--out PATH]");
         emit("       repro bench-diff --baseline PATH [--current PATH]");
         emit("                        [--threshold X] [--smoke]");
         emit("");
         emit("With no arguments every experiment runs in order. Paper-scale");
         emit("traces are built once (in parallel) and shared.");
         emit("");
-        emit("`repro bench` times the parallel kernels across a thread sweep,");
-        emit("whole-network forwards (tape vs Session), and batched Session");
-        emit("throughput; --json writes BENCH_<date>.json (mesorasi-bench/8),");
-        emit("--smoke runs reduced workloads and exits non-zero if a parallel,");
-        emit("planned, or batched path regresses past its gate.");
-        emit("");
-        emit("`repro serve-bench` serves inference over TCP and drives it with");
-        emit("concurrent sensor-replay streams (fresh vs mixed traffic),");
-        emit("reporting p50/p99/p999 request latency; --json writes");
-        emit("SERVE_<date>.json (same mesorasi-bench/8 schema). Exits non-zero");
-        emit("on any shed request or a mixed-traffic p99 beyond 1.5x fresh.");
-        emit("MESORASI_THREADS caps the pool.");
+        emit("`repro bench` times the kernels (matmul family, group/gather");
+        emit("reductions, knn/ball/feature queries, index builds) and the");
+        emit("large-cloud index_build/query sweep across a thread sweep; --json");
+        emit("writes BENCH_<date>.json (mesorasi-bench/9), --smoke runs reduced");
+        emit("workloads and exits non-zero if a parallel record is more than");
+        emit("1.5x slower than its 1-thread record. MESORASI_THREADS caps the");
+        emit("pool. Frame, stream and server numbers: benchmark/run.sh.");
         emit("");
         emit("`repro bench-diff` compares a bench artifact (--current, or a");
         emit("fresh in-process run) against a committed baseline per (op,");
-        emit("backend, threads, dtype, batch) record, printing a trajectory");
-        emit("table and exiting non-zero when any shared configuration is");
-        emit("more than --threshold (default 1.5) times slower.");
+        emit("backend, threads, dtype, points, mode) record, printing a");
+        emit("trajectory table and exiting non-zero when any shared");
+        emit("configuration is more than --threshold (default 1.5) times slower.");
         return;
     }
     if args.first().map(String::as_str) == Some("bench") {
@@ -330,9 +232,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("bench-diff") {
         run_bench_diff(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve-bench") {
-        run_serve_bench(&args[1..]);
     }
     if args.iter().any(|a| a == "--list") {
         for (id, _) in experiments::all() {

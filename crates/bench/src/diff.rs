@@ -3,23 +3,20 @@
 //! Compares a freshly measured `BENCH_<date>.json` against a committed
 //! baseline from an earlier PR, record by record, and fails when any
 //! shared configuration got more than `threshold`× slower. This is the
-//! longitudinal complement to the smoke gates in [`crate::perf`]: those
-//! compare configurations against each other *within* one run (parallel
-//! vs sequential, planned vs tape); this module compares the same
+//! longitudinal complement to the smoke gate in [`crate::perf`]: that one
+//! compares configurations against each other *within* one run (parallel
+//! vs sequential); this module compares the same
 //! configuration against its own past, so a kernel that silently loses
 //! its vectorized path — still self-consistent, still passing every
 //! smoke gate — shows up as a trajectory regression.
 //!
 //! Records are matched on their full identity: `(op, backend, threads,
-//! dtype, batch, tile_budget)`. `dtype` is absent on native-f32 records
-//! (see [`crate::perf`], schema `/6`), `batch` distinguishes the
-//! `infer_batch` sweep points that share an `(op, backend, threads)`
-//! triple, and `tile_budget` (schema `/7`) does the same for the
-//! `stream_tiled` sweep points. Keys present on only one side are
-//! reported but never fail the
-//! gate — new kernels appear and old ones retire as the repo grows, and
-//! a trajectory gate that punished adding a benchmark would teach people
-//! not to add benchmarks.
+//! dtype, points, mode)` (see [`crate::perf::BenchRecord`]); an artifact
+//! that carries one identity twice is rejected when it is read. Keys
+//! present on only one side are reported but never fail the gate — new
+//! kernels appear and old ones retire as the repo grows, and a trajectory
+//! gate that punished adding a benchmark would teach people not to add
+//! benchmarks.
 //!
 //! Smoke and full runs use different workload sizes, so their times are
 //! not comparable; [`diff`] refuses to cross them rather than emitting a
@@ -28,9 +25,10 @@
 //! The parser is hand-rolled like the writer in [`crate::perf`] (this
 //! environment has no JSON dependency) but general: it accepts any JSON
 //! document and then projects out the bench fields, so field order,
-//! whitespace, and unknown extras never break the gate.
+//! whitespace, and unknown extras never break the gate. `benchmark/`
+//! reads its suite and contract files through the same [`parse_json`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Regression tolerance the CI gate applies when `--threshold` is not
@@ -95,12 +93,17 @@ impl Json {
     }
 }
 
+/// Arrays and objects may nest this deep; the reader recurses per level,
+/// so unbounded input would otherwise overflow the stack. Bench, suite and
+/// contract documents nest fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Errors carry the byte offset so a truncated
 /// or hand-edited baseline fails with a pointer, not a shrug.
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -123,8 +126,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects enclosing this value.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth >= MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -140,7 +147,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -165,7 +172,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -259,12 +266,10 @@ pub struct DiffRecord {
     pub threads: u64,
     /// Element type; `"f32"` when the record carries no `dtype` field.
     pub dtype: String,
-    /// Batch size for `infer_batch` records, 0 otherwise (part of the
-    /// key: batch sizes share an `(op, backend, threads)` triple).
-    pub batch: u64,
-    /// Tile budget for `stream_tiled` records, 0 otherwise (part of the
-    /// key: tile budgets share an `(op, backend, threads)` triple).
-    pub tile_budget: u64,
+    /// Cloud size, on large-cloud records.
+    pub points: Option<u64>,
+    /// Pager mode (`"paged"`); `None` when the record carries no `mode`.
+    pub mode: Option<String>,
     /// Mean wall time per operation, nanoseconds.
     pub ns_per_op: f64,
 }
@@ -273,14 +278,14 @@ impl DiffRecord {
     /// Human-readable identity, used as the match key and in tables.
     pub fn key(&self) -> String {
         let mut k = format!("{}/{}", self.op, self.backend);
-        if self.batch > 0 {
-            let _ = write!(k, "[batch={}]", self.batch);
-        }
-        if self.tile_budget > 0 {
-            let _ = write!(k, "[tile={}]", self.tile_budget);
-        }
         if self.dtype != "f32" {
             let _ = write!(k, "[{}]", self.dtype);
+        }
+        if let Some(n) = self.points {
+            let _ = write!(k, "[n={n}]");
+        }
+        if let Some(m) = &self.mode {
+            let _ = write!(k, "[{m}]");
         }
         let _ = write!(k, " @{}t", self.threads);
         k
@@ -290,7 +295,7 @@ impl DiffRecord {
 /// A bench artifact read back for diffing.
 #[derive(Debug, Clone)]
 pub struct ParsedReport {
-    /// The artifact's `schema` string (e.g. `mesorasi-bench/6`).
+    /// The artifact's `schema` string (`mesorasi-bench/9`).
     pub schema: String,
     /// The artifact's run date.
     pub date: String,
@@ -302,10 +307,11 @@ pub struct ParsedReport {
 
 /// Reads a bench JSON artifact back into diffable form.
 ///
-/// Accepts every `mesorasi-bench/N` version: older artifacts simply
-/// lack the newer identity fields, which default (`dtype` → `"f32"`,
-/// `batch` → 0), so a `/5` baseline still diffs against a `/6` run for
-/// the records both carry.
+/// # Errors
+///
+/// Malformed JSON, a missing header or record field, or two records with
+/// the same [`DiffRecord::key`] — a trajectory cannot say which of the
+/// two a later run should be compared against.
 pub fn parse_report(src: &str) -> Result<ParsedReport, String> {
     let doc = parse_json(src)?;
     let schema = doc
@@ -325,6 +331,7 @@ pub fn parse_report(src: &str) -> Result<ParsedReport, String> {
         })
         .ok_or("missing `records` array")?;
     let mut out = Vec::with_capacity(records.len());
+    let mut seen = BTreeSet::new();
     for (i, r) in records.iter().enumerate() {
         let field_str = |k: &str| {
             r.get(k)
@@ -335,15 +342,19 @@ pub fn parse_report(src: &str) -> Result<ParsedReport, String> {
         let field_num = |k: &str| {
             r.get(k).and_then(Json::as_f64).ok_or(format!("record {i}: missing number field `{k}`"))
         };
-        out.push(DiffRecord {
+        let record = DiffRecord {
             op: field_str("op")?,
             backend: field_str("backend")?,
             threads: field_num("threads")? as u64,
             dtype: r.get("dtype").and_then(Json::as_str).unwrap_or("f32").to_owned(),
-            batch: r.get("batch").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            tile_budget: r.get("tile_budget").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+            points: r.get("points").and_then(Json::as_f64).map(|n| n as u64),
+            mode: r.get("mode").and_then(Json::as_str).map(str::to_owned),
             ns_per_op: field_num("ns_per_op")?,
-        });
+        };
+        if !seen.insert(record.key()) {
+            return Err(format!("record {i}: duplicate key `{}`", record.key()));
+        }
+        out.push(record);
     }
     Ok(ParsedReport { schema: schema.to_owned(), date, smoke, records: out })
 }
@@ -443,8 +454,8 @@ pub fn diff(
             mode(current.smoke)
         ));
     }
-    // BTreeMap keeps key order deterministic; a key measured twice in one
-    // artifact (it never is today) keeps its last record, on both sides.
+    // BTreeMap keeps key order deterministic; `parse_report` has already
+    // refused artifacts that measure one key twice.
     let base: BTreeMap<String, f64> =
         baseline.records.iter().map(|r| (r.key(), r.ns_per_op)).collect();
     let cur: BTreeMap<String, f64> =
@@ -488,18 +499,20 @@ mod tests {
             backend,
             threads,
             dtype,
+            points: None,
+            mode: None,
             ns_per_op: ns,
-            speedup_vs_1t: Some(1.0),
-            extra: None,
-            batch: None,
-            search: None,
-            serve: None,
-            stream: None,
+            speedup_vs_1t: 1.0,
         }
     }
 
     fn report(smoke: bool, records: Vec<BenchRecord>) -> BenchReport {
-        BenchReport { date: "2026-08-08".into(), unix_time: 1, host_threads: 2, smoke, records }
+        BenchReport { date: "2026-10-01".into(), unix_time: 1, host_threads: 2, smoke, records }
+    }
+
+    fn keys(records: Vec<BenchRecord>) -> Vec<String> {
+        let parsed = parse_report(&report(false, records).to_json()).expect("writer output parses");
+        parsed.records.iter().map(DiffRecord::key).collect()
     }
 
     #[test]
@@ -512,7 +525,7 @@ mod tests {
             ],
         );
         let parsed = parse_report(&rep.to_json()).expect("writer output parses");
-        assert_eq!(parsed.schema, "mesorasi-bench/8");
+        assert_eq!(parsed.schema, "mesorasi-bench/9");
         assert!(!parsed.smoke);
         assert_eq!(parsed.records.len(), 2);
         assert_eq!(parsed.records[0].dtype, "f32");
@@ -572,65 +585,40 @@ mod tests {
     }
 
     #[test]
-    fn batch_sizes_get_distinct_keys() {
-        // infer_batch records share (op, backend, threads); the batch size
-        // keeps their keys — and therefore their trajectories — separate.
-        let mut r2 = record("infer_batch", "PointNet++ (c)", 2, None, 100.0);
-        r2.batch = Some(crate::perf::BatchExtra {
-            batch_size: 2,
-            samples_per_sec: 1.0,
-            speedup_vs_sequential: 1.0,
-        });
-        let mut r8 = record("infer_batch", "PointNet++ (c)", 2, None, 50.0);
-        r8.batch = Some(crate::perf::BatchExtra {
-            batch_size: 8,
-            samples_per_sec: 1.0,
-            speedup_vs_sequential: 1.0,
-        });
-        let parsed = parse_report(&report(false, vec![r2, r8]).to_json()).unwrap();
-        let keys: Vec<String> = parsed.records.iter().map(DiffRecord::key).collect();
+    fn point_counts_get_distinct_keys() {
+        // The large-cloud sweep repeats (op, backend, threads) per cloud
+        // size; `points` keeps the trajectories apart, and the small-cloud
+        // kernel record of the same backend stays a plain key.
+        let at = |points| BenchRecord { points, ..record("query", "kdtree", 2, None, 100.0) };
         assert_eq!(
-            keys,
-            vec![
-                "infer_batch/PointNet++ (c)[batch=2] @2t",
-                "infer_batch/PointNet++ (c)[batch=8] @2t"
-            ]
+            keys(vec![at(Some(1 << 17)), at(Some(1 << 20)), at(None)]),
+            ["query/kdtree[n=131072] @2t", "query/kdtree[n=1048576] @2t", "query/kdtree @2t"]
         );
     }
 
     #[test]
-    fn tile_budgets_get_distinct_keys() {
-        // stream_tiled records share (op, backend, threads); the tile
-        // budget keeps their trajectories separate, and the untiled
-        // baseline (tile_budget 0) stays a plain key.
-        let stream = |op: &'static str, tile: usize, ns: f64| {
-            let mut r = record(op, "PointNet++ (c)", 2, None, ns);
-            r.stream = Some(crate::perf::StreamExtra {
-                tile_budget: tile,
-                frames: 8,
-                p99_frame_us: 100,
-                speedup_vs_untiled: 1.0,
-            });
-            r
+    fn pager_modes_get_distinct_keys() {
+        let octree = |mode| BenchRecord {
+            points: Some(1 << 20),
+            mode,
+            ..record("query", "octree", 2, None, 100.0)
         };
-        let rep = report(
-            false,
-            vec![
-                stream("stream_tiled", 256, 100.0),
-                stream("stream_tiled", 1024, 90.0),
-                stream("stream_untiled", 0, 150.0),
-            ],
-        );
-        let parsed = parse_report(&rep.to_json()).unwrap();
-        let keys: Vec<String> = parsed.records.iter().map(DiffRecord::key).collect();
         assert_eq!(
-            keys,
-            vec![
-                "stream_tiled/PointNet++ (c)[tile=256] @2t",
-                "stream_tiled/PointNet++ (c)[tile=1024] @2t",
-                "stream_untiled/PointNet++ (c) @2t"
-            ]
+            keys(vec![octree(None), octree(Some("paged"))]),
+            ["query/octree[n=1048576] @2t", "query/octree[n=1048576][paged] @2t"]
         );
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        let doc = r#"{ "schema": "mesorasi-bench/9", "smoke": false, "records": [
+            { "op": "query", "backend": "octree", "threads": 2, "points": 1048576,
+              "mode": "paged", "ns_per_op": 10.0 },
+            { "op": "query", "backend": "octree", "threads": 2, "points": 1048576,
+              "mode": "paged", "ns_per_op": 20.0 }
+        ] }"#;
+        let err = parse_report(doc).unwrap_err();
+        assert!(err.contains("duplicate key `query/octree[n=1048576][paged] @2t`"), "{err}");
     }
 
     #[test]
@@ -654,5 +642,22 @@ mod tests {
         assert!(err.contains("byte") || err.contains("end of input"), "{err}");
         let err = parse_report("{}").unwrap_err();
         assert!(err.contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+        let err = parse_json(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+
+        // 100 levels, arrays and objects alternating, is an ordinary document.
+        let deep = format!("{}7{}", "[{\"k\":".repeat(50), "}]".repeat(50));
+        let mut v = &parse_json(&deep).expect("100-deep document parses");
+        for _ in 0..50 {
+            let Json::Arr(items) = v else { panic!("expected an array, got {v:?}") };
+            v = items[0].get("k").expect("object level");
+        }
+        assert_eq!(v, &Json::Num(7.0));
     }
 }

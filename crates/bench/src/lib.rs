@@ -16,7 +16,6 @@ pub mod diff;
 pub mod experiments;
 pub mod largecloud;
 pub mod perf;
-pub mod serve_bench;
 pub mod training;
 
 pub use context::Context;

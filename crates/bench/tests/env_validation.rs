@@ -3,29 +3,45 @@
 //! override *look* honored and skew experiments).
 //!
 //! The environment is process-global and libtest runs tests on parallel
-//! threads, so these tests drive subprocesses (the `repro` binary, or this
-//! test binary re-running one `#[ignore]`d child test) instead of mutating
+//! threads, so these tests drive subprocesses (this test binary re-running
+//! one `#[ignore]`d child test, or the `repro` binary) instead of mutating
 //! this process' environment.
 
 use mesorasi_networks::{NetworkKind, SessionBuilder};
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use std::process::Command;
 
-fn repro_bench_with(var: &str, value: &str) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["bench", "--smoke"])
-        .env(var, value)
+/// Child half of every test that sets variables: the two reads any
+/// inference process makes — the pool size, then a session's engine
+/// configuration.
+#[test]
+#[ignore = "run by the tests of this file under the environment each one sets"]
+fn child_builds_a_session() {
+    let _ = mesorasi_par::current_threads();
+    let _ = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+        .classes(3)
+        .workers(1)
+        .build();
+}
+
+/// Runs [`child_builds_a_session`] under `vars`; returns whether it passed
+/// and everything it printed (libtest reports a panic on stdout).
+fn session_build_with(vars: &[(&str, &str)]) -> (bool, String) {
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--ignored", "--exact", "child_builds_a_session"])
+        .envs(vars.iter().copied())
         .output()
-        .expect("spawn repro")
+        .expect("spawn self");
+    let printed = [out.stdout, out.stderr].concat();
+    (out.status.success(), String::from_utf8_lossy(&printed).into_owned())
 }
 
 /// Every variable rejects junk through the one loud-failure shape.
 fn assert_rejected(var: &str, raw: &str, accepted: &str) {
-    let out = repro_bench_with(var, raw);
-    assert!(!out.status.success(), "invalid {var} must not be ignored");
-    let err = String::from_utf8_lossy(&out.stderr);
+    let (ok, err) = session_build_with(&[(var, raw)]);
+    assert!(!ok, "invalid {var} must not be ignored");
     let want = format!("invalid {var}='{raw}': accepted values are {accepted}");
-    assert!(err.contains(&want), "stderr: {err}");
+    assert!(err.contains(&want), "output: {err}");
 }
 
 #[test]
@@ -66,17 +82,12 @@ fn invalid_mesorasi_dtype_fails_loudly_with_accepted_values() {
 fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
     // A session build parses MESORASI_DTYPE immediately before
     // MESORASI_TILE_BUDGET, so an invalid tile budget is a cheap sentinel:
-    // reaching *its* loud failure proves the dtype value was accepted,
-    // without sitting through a whole smoke bench. Empty means unset (CI
-    // blanks variables that way), like MESORASI_PAGER_BUDGET.
+    // reaching *its* loud failure proves the dtype value was accepted.
+    // Empty means unset (CI blanks variables that way), like
+    // MESORASI_PAGER_BUDGET.
     for dtype in ["F64", " f64 ", "f32", ""] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["bench", "--smoke"])
-            .env("MESORASI_DTYPE", dtype)
-            .env("MESORASI_TILE_BUDGET", "huge")
-            .output()
-            .expect("spawn repro");
-        let err = String::from_utf8_lossy(&out.stderr);
+        let (_, err) =
+            session_build_with(&[("MESORASI_DTYPE", dtype), ("MESORASI_TILE_BUDGET", "huge")]);
         assert!(!err.contains("MESORASI_DTYPE"), "'{dtype}' must be accepted: {err}");
         assert!(err.contains("invalid MESORASI_TILE_BUDGET='huge'"), "'{dtype}': {err}");
     }
@@ -85,26 +96,22 @@ fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
 #[test]
 fn every_variable_accepts_blank_and_mixed_case() {
     // Blank means unset (CI can blank a job-level variable, not remove
-    // it); keywords are trimmed and ASCII case-insensitive. `--list`
-    // touches no engine, so the engine variables ride a second sentinel:
-    // an invalid `MESORASI_DTYPE` is parsed last, so reaching *its* loud
-    // failure proves the four variables before it were accepted.
+    // it); keywords are trimmed and ASCII case-insensitive. An invalid
+    // `MESORASI_DTYPE` is parsed last, so reaching *its* loud failure
+    // proves the four variables before it were accepted.
     for (search, tile, pager, threads) in [
         ("", "", "", ""),
         (" ", "\t", "  ", " "),
         (" OcTree ", " OFF ", "Unbounded", " 2 "),
         ("AUTO", "off", " 768 ", "1"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["bench", "--smoke"])
-            .env("MESORASI_THREADS", threads)
-            .env("MESORASI_SEARCH", search)
-            .env("MESORASI_TILE_BUDGET", tile)
-            .env("MESORASI_PAGER_BUDGET", pager)
-            .env("MESORASI_DTYPE", "f16")
-            .output()
-            .expect("spawn repro");
-        let err = String::from_utf8_lossy(&out.stderr);
+        let (_, err) = session_build_with(&[
+            ("MESORASI_THREADS", threads),
+            ("MESORASI_SEARCH", search),
+            ("MESORASI_TILE_BUDGET", tile),
+            ("MESORASI_PAGER_BUDGET", pager),
+            ("MESORASI_DTYPE", "f16"),
+        ]);
         let case = format!("('{search}', '{tile}', '{pager}', '{threads}'): {err}");
         assert!(err.contains("invalid MESORASI_DTYPE='f16'"), "{case}");
         assert_eq!(err.matches("invalid MESORASI_").count(), 1, "{case}");
