@@ -57,13 +57,20 @@ pub trait Element:
     /// `e^self`.
     fn exp(self) -> Self;
 
-    /// Four-row matmul micro-kernel; see [`simd::mm4`] for the contract.
-    /// The defaults are the generic scalar register tiles; `f32` overrides
-    /// all three hooks with the bounds-checked AVX2-dispatching [`simd`]
-    /// entry points.
+    /// Four-row matmul micro-kernel; see [`simd::mm4`] for the contract
+    /// (`accumulate` continues the partial sums already in `out`). The
+    /// defaults are the generic scalar register tiles; `f32` overrides
+    /// every hook with the bounds-checked AVX2-dispatching [`simd`] entry
+    /// points.
     #[inline]
-    fn mm4(a: [&[Self]; 4], b: &[Self], n: usize, out: [&mut [Self]; 4]) {
-        simd::mm4_scalar(a, b, n, out);
+    fn mm4(a: [&[Self]; 4], b: &[Self], n: usize, out: [&mut [Self]; 4], accumulate: bool) {
+        simd::mm4_scalar(a, b, n, out, accumulate);
+    }
+    /// Single-row matmul micro-kernel, the row tail of [`Element::mm4`];
+    /// see [`simd::mm1`].
+    #[inline]
+    fn mm1(a: &[Self], b: &[Self], n: usize, out: &mut [Self], accumulate: bool) {
+        simd::mm1t_scalar(a, 1, 0, a.len(), b, n, out, accumulate);
     }
     /// Four-column strided-coefficient micro-kernel; see [`simd::mm4t`].
     #[inline]
@@ -90,7 +97,7 @@ pub trait Element:
         n: usize,
         out: &mut [Self],
     ) {
-        simd::mm1t_scalar(a, stride, i0, k, b, n, out);
+        simd::mm1t_scalar(a, stride, i0, k, b, n, out, false);
     }
 }
 
@@ -128,8 +135,12 @@ impl Element for f32 {
     float_arith!(f32);
 
     #[inline]
-    fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
-        simd::mm4(a, b, n, out);
+    fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate: bool) {
+        simd::mm4(a, b, n, out, accumulate);
+    }
+    #[inline]
+    fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
+        simd::mm1(a, b, n, out, accumulate);
     }
     #[inline]
     fn mm4t(

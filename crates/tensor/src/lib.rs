@@ -29,17 +29,20 @@
 //! # One kernel tier, two dtypes
 //!
 //! Every forward kernel is written once over `T: Element`. The matmul
-//! family runs through cache-blocked, register-tiled micro-kernels, data-
-//! parallel over fixed output-row chunks; [`Element`] carries only the
-//! micro-kernel hooks, so `f32` monomorphises onto [`simd`]'s AVX2 inner
-//! loops (runtime-detected; the `simd` cargo feature, on by default, gates
-//! them) and `f64` onto the same register tiles in scalar form. The
-//! pre-tier `f32` loops survive as [`ops::naive`], the semantics reference.
+//! family runs through register-tiled micro-kernels, data-parallel over
+//! fixed output-row chunks, and [`ops::matmul_into`] blocks its loops for
+//! cache by operand shape (row block · packed `B` panel · `k`-block);
+//! [`Element`] carries only the micro-kernel hooks, so `f32` monomorphises
+//! onto [`simd`]'s AVX2 inner loops (runtime-detected; the `simd` cargo
+//! feature, on by default, gates them) and `f64` onto the same register
+//! tiles in scalar form. The pre-tier `f32` loops survive as
+//! [`ops::naive`], the semantics reference.
 //!
 //! **The per-dtype bit-identity contract:** within one element type,
 //! every output element accumulates in ascending-`p` order with one `mul`
 //! and one `add` per step and max scans are first-wins, so results are
-//! identical bit for bit across tiling, vector width, and thread count.
+//! identical bit for bit across tiling, cache blocking, vector width, and
+//! thread count.
 //! Across element types only closeness holds — an `f64` value differs
 //! from its `f32` counterpart by rounding, never by reassociation.
 

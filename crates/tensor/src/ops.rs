@@ -9,10 +9,13 @@
 //!
 //! # The fast tier and the [`naive`] reference
 //!
-//! The three matmul variants run through cache-blocked, register-tiled
-//! micro-kernels — the [`Element`] hooks: for `f32`, [`crate::simd`] (AVX2
-//! behind runtime detection), otherwise the same tiles as an
-//! auto-vectorizable block-accumulator scalar kernel. The pre-tier `f32`
+//! The three matmul variants run through register-tiled micro-kernels —
+//! the [`Element`] hooks: for `f32`, [`crate::simd`] (AVX2 behind runtime
+//! detection), otherwise the same tiles as an auto-vectorizable
+//! block-accumulator scalar kernel. [`matmul_into`], the inference
+//! product, is also cache-blocked (row block · packed `B` panel ·
+//! `k`-block, see its docs); the two transpose variants, which only
+//! training runs, walk their operands in place. The pre-tier `f32`
 //! kernels are preserved verbatim in [`naive`]: they are the semantics
 //! reference the property tests compare against, and the `"naive"` backend
 //! the bench harness records so every `BENCH_*.json` carries the measured
@@ -20,15 +23,17 @@
 //!
 //! Fast tier and reference are **bit-identical for finite inputs**: every
 //! output element accumulates its products in ascending-`p` order in both
-//! (tiling reorders only *which rows and columns* are resident in
-//! registers and cache, never the per-element chain), and the vector lanes
-//! perform the same one-mul-one-add per element as the scalar loop (no
-//! FMA). The only textual difference is the reference's skip of zero `A`
-//! elements in [`matmul_into`] and [`matmul_at_b_into`], which here adds
-//! `±0.0` products instead — an IEEE-754 identity on every finite sum (a
-//! running sum that starts at `+0.0` can never become `-0.0`:
-//! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
-//! `x + ±0.0 == x` bitwise throughout the chain).
+//! (tiling and blocking reorder only *which rows and columns* are resident
+//! in registers and cache, never the per-element chain — a chain split
+//! into `k`-blocks passes through `out`, and a store and reload in the
+//! element type is exact), and the vector lanes perform the same
+//! one-mul-one-add per element as the scalar loop (no FMA). The only
+//! textual difference is the reference's skip of zero `A` elements in
+//! [`matmul_into`] and [`matmul_at_b_into`], which here adds `±0.0`
+//! products instead — an IEEE-754 identity on every finite sum (a running
+//! sum that starts at `+0.0` can never become `-0.0`: `+0.0 + ±0.0 == +0.0`
+//! and exact cancellation rounds to `+0.0`, so `x + ±0.0 == x` bitwise
+//! throughout the chain).
 
 use crate::{Element, Mat, Matrix};
 use mesorasi_par as par;
@@ -48,16 +53,34 @@ pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// overwritten; no allocation once the buffer's capacity suffices).
 ///
 /// Register-tiled: output rows go four at a time through [`Element::mm4`],
-/// which holds a 4-row × 16-column output tile in registers for the whole
-/// `p` walk — each `B` row segment is loaded once per four output rows,
-/// and each output element is written exactly once (the naive kernel
-/// re-reads and re-writes the output row on every `p` step, which is what
-/// makes it memory-bound). The column panels double as cache blocking: a
-/// 16-column slice of `B` (`k × 64` bytes) stays L1-resident across the
-/// `p` walk. Per output element the products still accumulate in
-/// ascending-`p` order, so the result is bit-identical to
+/// which holds a 4-row × 16-column output tile in registers for a whole
+/// `p` walk — each `B` row segment is loaded once per four output rows
+/// (the naive kernel re-reads and re-writes the output row on every `p`
+/// step, which is what makes it memory-bound).
+///
+/// Cache-blocked by the shape of the operands. The tile walks a 16-column
+/// slice of `B` top to bottom — `k` loads, one `B` row apart — and between
+/// row quads that slice stays in L1 only while all of `B` fits there: a
+/// row stride of `n` elements maps the slice's cache lines onto few sets
+/// (a single one at `n` = 1024 in `f32`), so a deeper `B` read in place is
+/// fetched again from L2 or memory by every row quad. A deep `B` is
+/// therefore taken in the order row block · panel · `k`-block · row quad:
+/// each 16-column panel of `B` is copied once per row block into a
+/// contiguous buffer of at most `PANEL_BYTES` (L1-resident whatever `n`
+/// is) and reused by every row quad of the block, whose `A` slice
+/// (`A_BLOCK_BYTES`) stays in L2 across the panels; `k` beyond the
+/// buffer's depth is split into blocks whose partial sums are stored to
+/// and reloaded from `out`. A `B` within the L1 budget, or a product of
+/// too few rows to repay the copy, is the same walk with one row block,
+/// one `n`-wide panel read in place (row-major `B` *is* a contiguous
+/// `k × n` panel) and one `k`-block.
+///
+/// A store and reload in the element type is exact, so either way each
+/// output element runs the same chain — ascending `p` from `+0.0`, one
+/// `mul` and one `add` per step — and the result is bit-identical to
 /// [`naive::matmul_into`] for finite inputs (see the module docs; the
-/// reference's sparse zero-skip becomes `±0.0` additions here).
+/// reference's sparse zero-skip becomes `±0.0` additions here), whatever
+/// the blocking and the thread count.
 ///
 /// # Panics
 ///
@@ -70,12 +93,152 @@ pub fn matmul_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     if n == 0 {
         return;
     }
-    tile_rows(
-        out,
-        2 * k * n,
-        |i, rows| T::mm4(quad_rows(a, i), b.as_slice(), n, rows),
-        |i, row| T::mm1t(a.row(i), 1, 0, k, b.as_slice(), n, row),
-    );
+    let blocking = Blocking::pick::<T>(m, k, n);
+    let packs = blocking.packs(n);
+    let mut row_chunk = par::chunk_len(m, 2 * k * n);
+    if packs {
+        // Every chunk packs all of `B` once per row block: chunks of at
+        // least `PACK_MIN_ROWS` rows, evened out so the last is no sliver,
+        // keep that copy a small fraction of the chunk's MACs.
+        row_chunk = row_chunk.max(PACK_MIN_ROWS);
+        row_chunk = m.div_ceil((m / row_chunk).max(1));
+    }
+    par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
+        if packs {
+            blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut Panel::zeroed().0);
+        } else {
+            blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut []);
+        }
+    });
+}
+
+/// Width of a packed `B` panel: the column count of the register tile.
+const PANEL_COLS: usize = 16;
+/// L1 budget of the `B` panel a row quad walks, which decides both
+/// whether to pack and how deep: a `B` within it already *is* an
+/// L1-resident panel and is walked in place (packing it would only re-read
+/// `A` once per 16 columns), a larger one is packed into `kc × 16` pieces
+/// of this size. Two thirds of the 48 KB L1d of the host this tier is
+/// measured on — the rest is left to the four streaming `A` rows and the
+/// output tile — and exactly the networks' deepest layer (`k` = 512 in
+/// `f32`) in one `k`-block: 16 KB and 24 KB, which split that layer in
+/// two, measured 5–10 % slower on it.
+const PANEL_BYTES: usize = 32 * 1024;
+/// L2 budget of one row block's `A` slice, which fixes the block's height:
+/// every panel of `B` re-reads the slice, so it has to stay resident
+/// between panels. A quarter of a 2 MB L2; at `(1024,512)×(512,1024)`
+/// 128 KB measured 15 % slower, 256 KB 5 % slower, 1 MB level.
+const A_BLOCK_BYTES: usize = 512 * 1024;
+/// Fewest rows a packed panel must be reused by: packing costs one element
+/// copy per this many MACs. Below it the copy stops paying while `B` still
+/// fits L2 (in place 52 vs packed 47 GFLOP/s at `(16,256)×(256,256)`, 49 vs
+/// 35 at `(8,256)×(256,512)`; from 32 rows up packed is level or ahead),
+/// and the networks' only products that short are their one-row classifier
+/// heads, where a copied panel would be used once. No product with fewer
+/// rows packs, and no parallel chunk or row block of a packed product is
+/// shorter.
+const PACK_MIN_ROWS: usize = 32;
+
+/// Elements of the packed-panel buffer: [`PANEL_BYTES`] of the narrowest
+/// element type (an array length cannot depend on `T`).
+const PANEL_ELEMS: usize = PANEL_BYTES / size_of::<f32>();
+
+/// The packed-panel buffer: stack-resident (a warm call allocates
+/// nothing), cache-line aligned, sized for `f32`; a wider element type
+/// fills a prefix.
+#[repr(align(64))]
+struct Panel<T>([T; PANEL_ELEMS]);
+
+impl<T: Element> Panel<T> {
+    fn zeroed() -> Self {
+        Panel([T::ZERO; PANEL_ELEMS])
+    }
+}
+
+/// Loop blocking of one [`matmul_into`] call, picked from the operand
+/// shapes and the element size alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Blocking {
+    /// Columns of `B` per panel: `n` walks `B` in place, [`PANEL_COLS`]
+    /// packs.
+    panel_cols: usize,
+    /// Depth of a `k`-block.
+    kc: usize,
+    /// Rows per row block.
+    mc: usize,
+}
+
+impl Blocking {
+    fn pick<T: Element>(m: usize, k: usize, n: usize) -> Blocking {
+        let elem = size_of::<T>();
+        if m < PACK_MIN_ROWS || k * n * elem <= PANEL_BYTES {
+            return Blocking { panel_cols: n, kc: k, mc: m };
+        }
+        let mc = (A_BLOCK_BYTES / (k * elem)).max(PACK_MIN_ROWS);
+        Blocking { panel_cols: PANEL_COLS, kc: PANEL_BYTES / (PANEL_COLS * elem), mc: mc - mc % 4 }
+    }
+
+    fn packs(&self, n: usize) -> bool {
+        self.panel_cols < n
+    }
+}
+
+/// Output rows `first..` of `A · B` into `out_rows` (whole rows of the
+/// output), in the order `blocking` gives: row block · panel · `k`-block ·
+/// row quad. Each panel is copied into `panel` when `blocking` packs and
+/// read in place otherwise, where one row block, one panel and one
+/// `k`-block make this the plain walk of every row quad over all of `B`.
+fn blocked_rows<T: Element>(
+    a: &Mat<T>,
+    b: &Mat<T>,
+    first: usize,
+    out_rows: &mut [T],
+    blocking: Blocking,
+    panel: &mut [T],
+) {
+    let k = a.cols();
+    let n = b.cols();
+    let Blocking { panel_cols, kc, mc } = blocking;
+    let packs = blocking.packs(n);
+    // Even row blocks, in whole quads, so the last is no sliver.
+    let rows = out_rows.len() / n;
+    let mc = rows.div_ceil(rows.div_ceil(mc)).next_multiple_of(4);
+    for (bi, block) in out_rows.chunks_mut(mc * n).enumerate() {
+        let first = first + bi * mc;
+        for j0 in (0..n).step_by(panel_cols) {
+            let w = panel_cols.min(n - j0);
+            // Block 0 runs even at k == 0: it is what overwrites `out`.
+            let mut p0 = 0;
+            loop {
+                let kb = kc.min(k - p0);
+                let bp: &[T] = if packs {
+                    let packed = &mut panel[..kb * w];
+                    for (dst, p) in packed.chunks_exact_mut(w).zip(p0..) {
+                        dst.copy_from_slice(&b.row(p)[j0..j0 + w]);
+                    }
+                    packed
+                } else {
+                    &b.as_slice()[p0 * n..]
+                };
+                walk_quads(
+                    block,
+                    n,
+                    |i, rows| {
+                        let a_rows = quad_rows(a, first + i).map(|r| &r[p0..p0 + kb]);
+                        T::mm4(a_rows, bp, w, rows.map(|r| &mut r[j0..j0 + w]), p0 > 0);
+                    },
+                    |i, row| {
+                        let a_row = &a.row(first + i)[p0..p0 + kb];
+                        T::mm1(a_row, bp, w, &mut row[j0..j0 + w], p0 > 0);
+                    },
+                );
+                p0 += kb;
+                if p0 >= k {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// Rows `i..i + 4` of `a`.
@@ -83,12 +246,10 @@ fn quad_rows<T: Element>(a: &Mat<T>, i: usize) -> [&[T]; 4] {
     [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)]
 }
 
-/// The row driver shared by the matmul family: `out` (`m × n`, `n > 0`)
+/// The row driver of the transpose variants: `out` (`m × n`, `n > 0`)
 /// splits into fixed row chunks across the pool (`cost` is the work per
-/// row), and each chunk is walked four rows at a time through
-/// `quad(first_row, rows)` with its tail through `single(row, out_row)` —
-/// so every output row is produced entirely by one call, whatever the
-/// thread count.
+/// row), and each chunk is walked by [`walk_quads`] — so every output row
+/// is produced entirely by one call, whatever the thread count.
 fn tile_rows<T: Element>(
     out: &mut Mat<T>,
     cost: usize,
@@ -99,21 +260,33 @@ fn tile_rows<T: Element>(
     let row_chunk = par::chunk_len(m, cost);
     par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
         let first = ci * row_chunk;
-        let rows_here = chunk.len() / n;
-        let mut ri = 0;
-        while ri + 4 <= rows_here {
-            let rows = &mut chunk[ri * n..(ri + 4) * n];
-            let (r0, rest) = rows.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            quad(first + ri, [r0, r1, r2, r3]);
-            ri += 4;
-        }
-        while ri < rows_here {
-            single(first + ri, &mut chunk[ri * n..(ri + 1) * n]);
-            ri += 1;
-        }
+        walk_quads(chunk, n, |i, rows| quad(first + i, rows), |i, row| single(first + i, row));
     });
+}
+
+/// Walks `rows` (whole `n`-wide rows) four at a time through
+/// `quad(first_row, rows)` with the tail through `single(row, out_row)`,
+/// row indices relative to the slice.
+fn walk_quads<T: Element>(
+    rows: &mut [T],
+    n: usize,
+    quad: impl Fn(usize, [&mut [T]; 4]),
+    single: impl Fn(usize, &mut [T]),
+) {
+    let rows_here = rows.len() / n;
+    let mut ri = 0;
+    while ri + 4 <= rows_here {
+        let quad_rows = &mut rows[ri * n..(ri + 4) * n];
+        let (r0, rest) = quad_rows.split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, r3) = rest.split_at_mut(n);
+        quad(ri, [r0, r1, r2, r3]);
+        ri += 4;
+    }
+    while ri < rows_here {
+        single(ri, &mut rows[ri * n..(ri + 1) * n]);
+        ri += 1;
+    }
 }
 
 /// `Aᵀ · B` for `A: k×m`, `B: k×n` — the weight-gradient product of a
@@ -672,6 +845,32 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn matmul_bad_shapes_panic() {
         let _ = matmul(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
+    }
+
+    #[test]
+    fn blocking_follows_the_operand_shapes() {
+        // The boundary shapes `tests/matmul_blocking.rs` runs against the
+        // references: this pins which side of each rule they sit on.
+        let in_place = |m, k, n| Blocking { panel_cols: n, kc: k, mc: m };
+        let packed = |kc, mc| Blocking { panel_cols: PANEL_COLS, kc, mc };
+        // B up to PANEL_BYTES is walked in place, whatever the row count.
+        assert_eq!(Blocking::pick::<f32>(40, 128, 64), in_place(40, 128, 64));
+        assert_eq!(Blocking::pick::<f32>(40, 129, 64), packed(512, 1016));
+        assert_eq!(Blocking::pick::<f64>(40, 64, 64), in_place(40, 64, 64));
+        assert_eq!(Blocking::pick::<f64>(40, 65, 64), packed(256, 1008));
+        assert_eq!(Blocking::pick::<f32>(32768, 64, 128), in_place(32768, 64, 128));
+        // Fewer than PACK_MIN_ROWS rows never pack.
+        assert_eq!(Blocking::pick::<f32>(31, 512, 1024), in_place(31, 512, 1024));
+        assert_eq!(Blocking::pick::<f32>(32, 512, 1024), packed(512, 256));
+        assert_eq!(Blocking::pick::<f64>(128, 512, 1024), packed(256, 128));
+        // Row blocks hold A_BLOCK_BYTES of A, floored at PACK_MIN_ROWS.
+        assert_eq!(Blocking::pick::<f32>(70, 2048, 20), packed(512, 64));
+        assert_eq!(Blocking::pick::<f64>(70, 2048, 20), packed(256, 32));
+        assert_eq!(Blocking::pick::<f32>(67, 8192, 17), packed(512, 32));
+        // A deep B no wider than one panel is already contiguous: k- and
+        // row-blocked, but read in place.
+        assert!(!Blocking::pick::<f32>(64, 1024, 13).packs(13));
+        assert!(Blocking::pick::<f32>(64, 1024, 17).packs(17));
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //!   16-column output tile lives entirely in registers while the kernel
 //!   walks `p` over the shared dimension, so the hot loop touches memory
 //!   only to read `A` coefficients and stream rows of `B`; each output
-//!   element is stored exactly once. Per element the products accumulate
+//!   element is stored once per walk. Per element the products accumulate
 //!   in ascending-`p` order with separate `mul` and `add` instructions,
 //!   which is the whole bit-identity contract: any lane width (8-lane
 //!   AVX2, auto-vectorized scalar) produces the same rounding sequence.
+//!   The kernels do no cache blocking of their own — `b` is whatever
+//!   contiguous `k × n` panel the caller hands over, all of `B` or a
+//!   packed 16-column piece of it — but their `accumulate` form starts the
+//!   tile from the sums already in `out`, which is how
+//!   [`crate::ops::matmul_into`] splits a deep `k` into L1-sized blocks: a
+//!   store and reload in the element type is exact, so the chain is the
+//!   one an unsplit walk would run.
 //! * [`mm4t`] / [`mm1t`] — the same register tiles with a *strided*
 //!   coefficient walk (`a[p·stride + i0 + r]`), so `Aᵀ · B` gets the
 //!   identical treatment without materializing the transpose: four
@@ -39,7 +46,10 @@
 use crate::Element;
 
 /// Four-row matmul block: `out[r][j] = Σ_p a[r][p] · b[p·n + j]` for the
-/// row-major `k × n` matrix `b`, overwriting each `out[r]` completely.
+/// row-major `k × n` matrix `b`, overwriting each `out[r]` completely —
+/// or, with `accumulate`, continuing each element's chain from the partial
+/// sum already in `out[r][j]` (how a `k`-block after the first extends the
+/// sum the previous block stored; see [`crate::ops::matmul_into`]).
 ///
 /// This is the register-tiled heart of [`crate::ops::matmul_into`]: four
 /// output rows share every load of a `B` row, and the output tile stays in
@@ -52,7 +62,7 @@ use crate::Element;
 /// Panics when the `a` rows disagree in length, when an `out` row is not
 /// exactly `n` long, or when `b` is smaller than `k × n`.
 #[inline]
-pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
+pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate: bool) {
     let k = a[0].len();
     for row in &a[1..] {
         assert_eq!(row.len(), k, "mm4 A-row length mismatch");
@@ -65,22 +75,23 @@ pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime; the asserts
         // above are the bounds `mm4_avx2` requires.
-        return unsafe { x86::mm4_avx2(a, b, n, out) };
+        return unsafe { x86::mm4_avx2(a, b, n, out, accumulate) };
     }
-    mm4_scalar(a, b, n, out);
+    mm4_scalar(a, b, n, out, accumulate);
 }
 
 /// Single-row matmul block: `out[j] = Σ_p a[p] · b[p·n + j]` — the row
-/// tail of [`mm4`], same accumulation order and rounding contract. This is
-/// [`mm1t`] walking a contiguous coefficient row (stride 1).
+/// tail of [`mm4`], same accumulation order, rounding contract and
+/// `accumulate` form. This is [`mm1t`] walking a contiguous coefficient
+/// row (stride 1).
 ///
 /// # Panics
 ///
 /// Panics when `out` is not exactly `n` long or `b` is smaller than
 /// `k × n`.
 #[inline]
-pub fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
-    mm1t(a, 1, 0, a.len(), b, n, out);
+pub fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
+    mm1t_dispatch(a, 1, 0, a.len(), b, n, out, accumulate);
 }
 
 /// Four-row *transpose* matmul block:
@@ -133,6 +144,23 @@ pub fn mm4t(
 /// read out of bounds.
 #[inline]
 pub fn mm1t(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    mm1t_dispatch(a, stride, i0, k, b, n, out, false);
+}
+
+/// The checked entry both single-row forms share: [`mm1t`] (strided,
+/// overwriting) and [`mm1`] (stride 1, optionally accumulating).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn mm1t_dispatch(
+    a: &[f32],
+    stride: usize,
+    i0: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+) {
     assert_eq!(out.len(), n, "mm1t out length mismatch");
     assert!(b.len() >= k * n, "mm1t B too small");
     assert!(i0 < stride, "mm1t column out of range");
@@ -141,22 +169,31 @@ pub fn mm1t(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, 
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime; the asserts
         // above are the bounds `mm1t_avx2` requires.
-        return unsafe { x86::mm1t_avx2(a, stride, i0, k, b, n, out) };
+        return unsafe { x86::mm1t_avx2(a, stride, i0, k, b, n, out, accumulate) };
     }
-    mm1t_scalar(a, stride, i0, k, b, n, out);
+    mm1t_scalar(a, stride, i0, k, b, n, out, accumulate);
 }
 
 #[inline(always)]
-pub(crate) fn mm4_scalar<T: Element>(a: [&[T]; 4], b: &[T], n: usize, out: [&mut [T]; 4]) {
+pub(crate) fn mm4_scalar<T: Element>(
+    a: [&[T]; 4],
+    b: &[T],
+    n: usize,
+    out: [&mut [T]; 4],
+    accumulate: bool,
+) {
     for (ar, or) in a.into_iter().zip(out) {
-        mm1t_scalar(ar, 1, 0, ar.len(), b, n, or);
+        mm1t_scalar(ar, 1, 0, ar.len(), b, n, or, accumulate);
     }
 }
 
 /// The scalar register tile: 8 column accumulators held in locals over
 /// the full `p` walk (auto-vectorizes on SSE2/NEON without changing the
 /// per-element mul-then-add rounding sequence), stored once; coefficient
-/// `p` is read at `a[p·stride + i0]`.
+/// `p` is read at `a[p·stride + i0]`. With `accumulate` the accumulators
+/// start from `out` instead of zero — a store and reload in the element
+/// type is exact, so the chain is the one an unsplit `p` walk would run.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn mm1t_scalar<T: Element>(
     a: &[T],
@@ -166,10 +203,14 @@ pub(crate) fn mm1t_scalar<T: Element>(
     b: &[T],
     n: usize,
     out: &mut [T],
+    accumulate: bool,
 ) {
     let mut j = 0;
     while j + 8 <= n {
         let mut acc = [T::ZERO; 8];
+        if accumulate {
+            acc.copy_from_slice(&out[j..j + 8]);
+        }
         for p in 0..k {
             let ap = a[p * stride + i0];
             let br = &b[p * n + j..p * n + j + 8];
@@ -181,7 +222,7 @@ pub(crate) fn mm1t_scalar<T: Element>(
         j += 8;
     }
     for (jj, o) in out.iter_mut().enumerate().skip(j) {
-        let mut s = T::ZERO;
+        let mut s = if accumulate { *o } else { T::ZERO };
         for p in 0..k {
             s += a[p * stride + i0] * b[p * n + jj];
         }
@@ -200,7 +241,7 @@ pub(crate) fn mm4t_scalar<T: Element>(
     out: [&mut [T]; 4],
 ) {
     for (r, or) in out.into_iter().enumerate() {
-        mm1t_scalar(a, stride, i0 + r, k, b, n, or);
+        mm1t_scalar(a, stride, i0 + r, k, b, n, or, false);
     }
 }
 
@@ -213,21 +254,35 @@ mod x86 {
 
     /// 4 rows × 16 columns of the output held in eight ymm accumulators
     /// for the whole `p` walk; each `B` row segment is loaded once and
-    /// feeds all four output rows.
+    /// feeds all four output rows. With `accumulate` the accumulators are
+    /// loaded from `out` instead of zeroed.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime, and the
     /// bounds checked by [`super::mm4`] must hold.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm4_avx2(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
+    pub(super) unsafe fn mm4_avx2(
+        a: [&[f32]; 4],
+        b: &[f32],
+        n: usize,
+        out: [&mut [f32]; 4],
+        accumulate: bool,
+    ) {
         let k = a[0].len();
         let mut j = 0;
         while j + 16 <= n {
-            // SAFETY: j + 16 <= n and b.len() >= k·n bound every access;
-            // mul then add — never FMA — matches scalar rounding.
+            // SAFETY: j + 16 <= n, every out row is n long and
+            // b.len() >= k·n bound every access; mul then add — never
+            // FMA — matches scalar rounding.
             unsafe {
                 let mut acc = [[_mm256_setzero_ps(); 2]; 4];
+                if accumulate {
+                    for r in 0..4 {
+                        acc[r][0] = _mm256_loadu_ps(out[r].as_ptr().add(j));
+                        acc[r][1] = _mm256_loadu_ps(out[r].as_ptr().add(j + 8));
+                    }
+                }
                 for p in 0..k {
                     let bp = b.as_ptr().add(p * n + j);
                     let vb0 = _mm256_loadu_ps(bp);
@@ -246,9 +301,15 @@ mod x86 {
             j += 16;
         }
         if j + 8 <= n {
-            // SAFETY: j + 8 <= n and b.len() >= k·n bound every access.
+            // SAFETY: j + 8 <= n, every out row is n long and
+            // b.len() >= k·n bound every access.
             unsafe {
                 let mut acc = [_mm256_setzero_ps(); 4];
+                if accumulate {
+                    for r in 0..4 {
+                        acc[r] = _mm256_loadu_ps(out[r].as_ptr().add(j));
+                    }
+                }
                 for p in 0..k {
                     let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
                     for r in 0..4 {
@@ -264,7 +325,7 @@ mod x86 {
         }
         for jj in j..n {
             for r in 0..4 {
-                let mut s = 0.0f32;
+                let mut s = if accumulate { out[r][jj] } else { 0.0f32 };
                 for (p, &ap) in a[r].iter().enumerate() {
                     s += ap * b[p * n + jj];
                 }
@@ -346,12 +407,14 @@ mod x86 {
     }
 
     /// One output row, 8 columns per pass in one ymm accumulator, the
-    /// coefficient for step `p` read at `a[p·stride + i0]`.
+    /// coefficient for step `p` read at `a[p·stride + i0]`. With
+    /// `accumulate` the accumulator is loaded from `out` instead of zeroed.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime, and the
     /// bounds checked by [`super::mm1t`] must hold.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn mm1t_avx2(
         a: &[f32],
@@ -361,14 +424,19 @@ mod x86 {
         b: &[f32],
         n: usize,
         out: &mut [f32],
+        accumulate: bool,
     ) {
         let mut j = 0;
         while j + 8 <= n {
-            // SAFETY: j + 8 <= n, b.len() >= k·n and the mm1t column
-            // bounds cover every access; mul then add — never FMA —
+            // SAFETY: j + 8 <= n = out.len(), b.len() >= k·n and the mm1t
+            // column bounds cover every access; mul then add — never FMA —
             // matches scalar rounding.
             unsafe {
-                let mut acc: __m256 = _mm256_setzero_ps();
+                let mut acc: __m256 = if accumulate {
+                    _mm256_loadu_ps(out.as_ptr().add(j))
+                } else {
+                    _mm256_setzero_ps()
+                };
                 for p in 0..k {
                     let va = _mm256_set1_ps(*a.get_unchecked(p * stride + i0));
                     let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
@@ -379,7 +447,7 @@ mod x86 {
             j += 8;
         }
         for (jj, o) in out.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f32;
+            let mut s = if accumulate { *o } else { 0.0f32 };
             for p in 0..k {
                 s += a[p * stride + i0] * b[p * n + jj];
             }
@@ -419,7 +487,7 @@ mod tests {
             let a = sample(k, 1);
             let b = sample(k * n, 2);
             let mut out = vec![f32::NAN; n];
-            mm1(&a, &b, n, &mut out);
+            mm1(&a, &b, n, &mut out, false);
             assert_eq!(out, mm_reference(&a, &b, k, n), "k = {k}, n = {n}");
         }
     }
@@ -433,11 +501,11 @@ mod tests {
                 [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
             {
                 let [o0, o1, o2, o3] = &mut out;
-                mm4([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [o0, o1, o2, o3]);
+                mm4([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [o0, o1, o2, o3], false);
             }
             for (r, o) in out.iter().enumerate() {
                 let mut want = vec![0.0f32; n];
-                mm1(&rows[r], &b, n, &mut want);
+                mm1(&rows[r], &b, n, &mut want, false);
                 assert_eq!(o, &want, "k = {k}, n = {n}, row {r}");
             }
         }
@@ -453,9 +521,56 @@ mod tests {
             let b = sample(k * n, 9);
             let mut via_dispatch = vec![f32::NAN; n];
             let mut via_scalar = vec![f32::NAN; n];
-            mm1(&a, &b, n, &mut via_dispatch);
-            mm1t_scalar(&a, 1, 0, k, &b, n, &mut via_scalar);
+            mm1(&a, &b, n, &mut via_dispatch, false);
+            mm1t_scalar(&a, 1, 0, k, &b, n, &mut via_scalar, false);
             assert_eq!(via_dispatch, via_scalar, "k = {k}, n = {n}");
+        }
+    }
+
+    #[test]
+    fn accumulate_forms_agree_with_the_scalar_tile_bitwise() {
+        // A k-block after the first starts from the partial sums in `out`:
+        // the dispatched kernels must continue them exactly as the scalar
+        // tile does, on the 16-, 8- and 1-column paths alike.
+        for (k, n) in [(0, 5), (3, 7), (17, 16), (64, 31), (40, 24), (128, 64)] {
+            let rows: Vec<Vec<f32>> = (0..4).map(|r| sample(k, 40 + r)).collect();
+            let b = sample(k * n, 41);
+            let partial: Vec<Vec<f32>> = (0..4).map(|r| sample(n, 50 + r)).collect();
+            let mut via_dispatch = partial.clone();
+            let mut via_scalar = partial.clone();
+            {
+                let [o0, o1, o2, o3] = &mut via_dispatch[..] else { unreachable!() };
+                mm4([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [o0, o1, o2, o3], true);
+                let [s0, s1, s2, s3] = &mut via_scalar[..] else { unreachable!() };
+                mm4_scalar([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [s0, s1, s2, s3], true);
+            }
+            assert_eq!(via_dispatch, via_scalar, "mm4 k = {k}, n = {n}");
+            let mut single = partial[0].clone();
+            mm1(&rows[0], &b, n, &mut single, true);
+            assert_eq!(single, via_scalar[0], "mm1 k = {k}, n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_split_walk_continues_the_unsplit_chain_bitwise() {
+        // Storing the partial sums after `split` steps and reloading them
+        // for the rest is the unsplit chain: exact in the element type.
+        for (k, split, n) in [(1, 0, 3), (9, 4, 8), (40, 39, 17), (96, 32, 31), (130, 64, 48)] {
+            let rows: Vec<Vec<f32>> = (0..4).map(|r| sample(k, 60 + r)).collect();
+            let b = sample(k * n, 61);
+            let mut out = vec![vec![f32::NAN; n]; 4];
+            for (range, accumulate) in [(0..split, false), (split..k, true)] {
+                let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|r| &rows[r][range.clone()]);
+                let [o0, o1, o2, o3] = &mut out[..] else { unreachable!() };
+                mm4([a0, a1, a2, a3], &b[range.start * n..], n, [o0, o1, o2, o3], accumulate);
+            }
+            let mut single = vec![f32::NAN; n];
+            mm1(&rows[0][..split], &b, n, &mut single, false);
+            mm1(&rows[0][split..], &b[split * n..], n, &mut single, true);
+            for (r, o) in out.iter().enumerate() {
+                assert_eq!(o, &mm_reference(&rows[r], &b, k, n), "mm4 k = {k}, n = {n}, row {r}");
+            }
+            assert_eq!(single, out[0], "mm1 k = {k}, n = {n}");
         }
     }
 
@@ -528,7 +643,7 @@ mod tests {
             let mut via_dispatch = vec![f32::NAN; n];
             let mut via_scalar = vec![f32::NAN; n];
             mm1t(&a, stride, 2, k, &b, n, &mut via_dispatch);
-            mm1t_scalar(&a, stride, 2, k, &b, n, &mut via_scalar);
+            mm1t_scalar(&a, stride, 2, k, &b, n, &mut via_scalar, false);
             assert_eq!(via_dispatch, via_scalar, "k={k} stride={stride} n={n}");
         }
     }

@@ -167,6 +167,19 @@ proptest! {
     }
 }
 
+/// A product deep enough for `matmul_into`'s packed order (`B` is 188 KB in
+/// `f32`, `k` spans two `k`-blocks, three in `f64`): the row chunks a
+/// thread count picks move the row-block boundaries and which chunk packs
+/// which panel copy, never a bit of the result.
+#[test]
+fn packed_matmul_is_thread_invariant() {
+    let a = Matrix::from_fn(131, 600, |r, c| ((r * 29 + c * 13) % 23) as f32 * 0.125 - 1.3);
+    let b = Matrix::from_fn(600, 80, |r, c| ((r * 13 + c * 7) % 11) as f32 * 0.3 - 1.5);
+    assert_thread_invariant("packed matmul", || ops::matmul(&a, &b)).unwrap();
+    let (a64, b64) = (Matrix64::cast_from(&a), Matrix64::cast_from(&b));
+    assert_thread_invariant("packed matmul [f64]", || ops::matmul(&a64, &b64)).unwrap();
+}
+
 /// A deterministic second operand shaped for `matmul_at_b(a, ·)`.
 fn b2_like(a: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), 12, |r, c| ((r * 5 + c * 3) % 17) as f32 * 0.25 - 2.0)

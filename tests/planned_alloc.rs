@@ -10,7 +10,7 @@
 //! its whole body, or one audit's warm-up would land in another's armed
 //! window.
 //!
-//! Six audits, in increasing strictness:
+//! Seven audits, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
 //!    cached, pure planned tensor execution;
@@ -32,7 +32,13 @@
 //! 6. the feature-space audit: audits 1–5 run PointNet++, which only ever
 //!    searches coordinates. A warm streamed DGCNN frame — every search a
 //!    feature-space scan over its row panel — makes zero heap allocations
-//!    at 1 and 2 threads under a frozen ceiling that counts the panel.
+//!    at 1 and 2 threads under a frozen ceiling that counts the panel;
+//! 7. the packed-matmul audit: the small networks of audits 1–6 have no
+//!    weight matrix deep enough for `ops::matmul_into`'s packed order, the
+//!    paper-scale ones do. A warm packed product makes zero heap
+//!    allocations at 1 and 2 threads in both dtypes — its panel buffer is
+//!    on the stack of whichever thread runs the row chunk, so there is no
+//!    retained storage for `EngineStats` to count.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -379,6 +385,38 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
                 "the panel must be part of the reported {} bytes",
                 stats.search_bytes
             );
+        });
+    }
+}
+
+#[test]
+fn warm_packed_matmul_allocates_nothing() {
+    use mesorasi::tensor::{ops, Element, Mat};
+
+    /// Allocations of one warm `(128,600)×(600,80)` product: `B` is deeper
+    /// than the in-place limit in both dtypes, `k` spans several
+    /// `k`-blocks, and at 2 threads the rows split into four chunks that
+    /// each pack their own panels.
+    fn warm_allocs<T: Element>() -> u64 {
+        let a = Mat::<T>::from_fn(128, 600, |r, c| T::from_f64(((r * 7 + c) % 13) as f64 - 6.0));
+        let b = Mat::<T>::from_fn(600, 80, |r, c| T::from_f64(((r + c * 5) % 11) as f64 * 0.5));
+        let mut out = Mat::<T>::zeros(0, 0);
+        for _ in 0..2 {
+            ops::matmul_into(&a, &b, &mut out);
+        }
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        ops::matmul_into(&a, &b, &mut out);
+        let after = ALLOCS.load(Ordering::SeqCst);
+        ARMED.store(false, Ordering::SeqCst);
+        after - before
+    }
+
+    let _serial = serial();
+    for threads in [1, 2] {
+        mesorasi_par::with_threads(threads, || {
+            assert_eq!(warm_allocs::<f32>(), 0, "warm packed f32 matmul at {threads} threads");
+            assert_eq!(warm_allocs::<f64>(), 0, "warm packed f64 matmul at {threads} threads");
         });
     }
 }
