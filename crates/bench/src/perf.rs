@@ -4,7 +4,8 @@
 //! outside a frame: the matmul family (fast tier, the naive reference and
 //! the tier at `f64`; `matmul` at a shallow-weight and a deep-weight
 //! shape), the grouped reductions, every neighbor-search
-//! backend split into a warm `index_build` and pure `knn`/`ball` queries,
+//! backend split into a warm `index_build` and pure `knn`/`ball` queries
+//! (the feature-space scan at a shallow shape and at DGCNN's own),
 //! and the large-cloud `index_build`/`query` sweep of
 //! [`crate::largecloud`] — each across a thread sweep. Anything measured
 //! through a `Session`, a frame stream or the server belongs to
@@ -20,8 +21,10 @@
 //! its own 1-thread record fails (parallelism may never change results,
 //! and may not wreck performance either).
 
-use mesorasi_knn::feature::FeatureView;
-use mesorasi_knn::{ball, bruteforce, feature, grid::UniformGrid, kdtree::KdTree, SearchIndex};
+use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
+use mesorasi_knn::{
+    ball, bruteforce, grid::UniformGrid, kdtree::KdTree, NeighborIndexTable, SearchIndex,
+};
 use mesorasi_par as par;
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{sampling, PointCloud};
@@ -52,7 +55,9 @@ pub struct BenchRecord {
     /// of resident. `Some("deep")`, on `matmul` rows: the deep-weight shape
     /// `(128,512)×(512,1024)` — the last SA3 layer of PointNet++, whose 2 MB
     /// `B` takes the packed order — instead of the shallow-weight
-    /// `(2048,128)×(128,128)`.
+    /// `(2048,128)×(128,128)`; on the `knn`/`feature` row: DGCNN's widest
+    /// search, all 1024 rows of a 1024 × 128 matrix at `k = 20`, instead of
+    /// 512 queries over 2048 × 32 at `k = 16`.
     pub mode: Option<&'static str>,
     /// Wall time per operation, in nanoseconds: the fastest of five
     /// sub-batch means.
@@ -259,6 +264,16 @@ fn bench_matrix(rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) % 29) as f32 * 0.1 - 1.4)
 }
 
+/// Feature rows for the `knn`/`feature` records: [`bench_matrix`] repeats
+/// every 29 rows, which would make a query's nearest rows exact copies of
+/// itself; a multiplicative hash of the element index does not repeat.
+fn scattered_matrix(rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, c| {
+        let h = ((r * cols + c) as u32).wrapping_mul(2_654_435_761) >> 8;
+        h as f32 / (1 << 23) as f32 - 1.0
+    })
+}
+
 struct Workloads {
     mm_a: Matrix,
     mm_b: Matrix,
@@ -272,7 +287,12 @@ struct Workloads {
     queries: Vec<usize>,
     knn_k: usize,
     radius: f32,
-    feat_dim: usize,
+    /// Feature rows searched by the `knn`/`feature` row, one per cloud point.
+    feat: Matrix,
+    /// The `mode: "deep"` feature search: every row a query.
+    deep_feat: Matrix,
+    deep_feat_queries: Vec<usize>,
+    deep_feat_k: usize,
 }
 
 impl Workloads {
@@ -287,6 +307,7 @@ impl Workloads {
             (0..n_groups * red_k).map(|i| (i * 7 + i / red_k) % points).collect();
         let cloud = sample_shape(ShapeClass::Chair, points, 2020);
         let queries = sampling::random_indices(&cloud, n_queries, 7);
+        let (deep_rows, deep_dim) = if smoke { (256, 32) } else { (1024, 128) };
         Workloads {
             mm_a: bench_matrix(m, k),
             mm_b: bench_matrix(k, n),
@@ -299,9 +320,23 @@ impl Workloads {
             queries,
             knn_k,
             radius: 0.25,
-            feat_dim: if smoke { 16 } else { 32 },
+            feat: scattered_matrix(points, if smoke { 16 } else { 32 }),
+            deep_feat: scattered_matrix(deep_rows, deep_dim),
+            deep_feat_queries: (0..deep_rows).collect(),
+            deep_feat_k: 20,
         }
     }
+}
+
+/// One warm feature-space scan per call: table and scratch are retained
+/// across calls, as the engine's search context retains them.
+fn feature_scan<'a>(feat: &'a Matrix, queries: &'a [usize], k: usize) -> Box<dyn Fn() + 'a> {
+    let state = std::cell::RefCell::new((NeighborIndexTable::default(), FeatureScratch::default()));
+    Box::new(move || {
+        let view = FeatureView::new(feat.as_slice(), feat.cols()).expect("a matrix is rectangular");
+        let (out, scratch) = &mut *state.borrow_mut();
+        black_box(feature::knn_rows_into(view, queries, k, out, scratch));
+    })
 }
 
 /// Runs the full harness: every kernel at every swept thread count.
@@ -313,7 +348,6 @@ pub fn run(smoke: bool) -> BenchReport {
 
     let grid = UniformGrid::build(&w.cloud, w.radius);
     let tree = KdTree::build(&w.cloud);
-    let feat = bench_matrix(w.cloud.len(), w.feat_dim);
     let mm_at = w.mm_a.transposed();
     // Warm in-place rebuilds: what the search arena pays per streamed
     // frame, as opposed to the pure-query `knn`/`ball` records below.
@@ -444,15 +478,15 @@ pub fn run(smoke: bool) -> BenchReport {
             "grid",
             Box::new(|| drop(black_box(grid.ball_query(&w.cloud, &w.queries, w.radius, w.knn_k)))),
         ),
-        Kernel::new(
-            "knn",
-            "feature",
-            Box::new(|| {
-                let view = FeatureView::new(feat.as_slice(), w.feat_dim)
-                    .expect("bench feature matrix is rectangular");
-                drop(black_box(feature::knn_rows(view, &w.queries, w.knn_k)))
-            }),
-        ),
+        Kernel::new("knn", "feature", feature_scan(&w.feat, &w.queries, w.knn_k)),
+        Kernel {
+            mode: Some("deep"),
+            ..Kernel::new(
+                "knn",
+                "feature",
+                feature_scan(&w.deep_feat, &w.deep_feat_queries, w.deep_feat_k),
+            )
+        },
         Kernel::new(
             "index_build",
             "kdtree",
@@ -655,6 +689,13 @@ mod tests {
         };
         assert_eq!(matmul_rows(Some("deep")).len(), 3 * sweep.len());
         assert_eq!(matmul_rows(Some("deep")), matmul_rows(None));
+
+        // So is the feature-space scan: the shallow shape and DGCNN's.
+        let feature_rows = |mode| {
+            let rows = report.records.iter();
+            rows.filter(|r| (r.op, r.backend, r.mode) == ("knn", "feature", mode)).count()
+        };
+        assert_eq!((feature_rows(None), feature_rows(Some("deep"))), (sweep.len(), sweep.len()));
 
         // The identity is a key: reading the artifact back rejects duplicates.
         let parsed = crate::diff::parse_report(&report.to_json()).expect("keys are unique");

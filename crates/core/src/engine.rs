@@ -573,8 +573,9 @@ pub struct EngineStats {
     /// when the engine runs untiled, cost-model chunked).
     pub tile_budget: Option<usize>,
     /// Heap bytes retained by the process-wide per-worker search scratch
-    /// pool (the parallel half of the memory-ceiling contract; shared
-    /// across engines, bounded by worker count).
+    /// pools — candidate buffers and the feature scan's distance rows (the
+    /// parallel half of the memory-ceiling contract; shared across
+    /// engines, bounded by worker count).
     pub parallel_scratch_bytes: usize,
 }
 

@@ -10,21 +10,54 @@
 //!
 //! # The scan
 //!
-//! [`knn_rows_into`] ranks 16 candidate rows per pass. Once per call the
-//! searched rows are copied into a dim-major *panel* of 16-row blocks
+//! [`knn_rows_into`] bounds first, then ranks. Once per call the searched
+//! rows are copied into a dim-major *panel* of 16-row blocks
 //! (`panel[(block · dim + d) · 16 + lane]`, row `block · 16 + lane`; the
-//! last block's unused lanes hold zeros and are never offered to the
-//! selection), `ceil(rows / 16) · 16 · dim · 4` bytes held in the caller's
-//! [`FeatureScratch`]. Per query and block, 16 accumulators take
-//! `(q[d] − row[d])²` for `d` ascending. The lanes are independent, each the
-//! same ascending-`d` sum [`distance_squared`] computes, so every distance
-//! is bit-equal to it. Rows are still offered to the bounded selection in
-//! ascending index with the `(distance, index)` tie-break, so the tables are
-//! those of the one-pair-at-a-time scan for every input, non-finite
-//! features included.
+//! last block's unused lanes hold zeros), `ceil(rows / 16) · 16 · dim · 4`
+//! bytes held in the caller's [`FeatureScratch`]. Queries are then answered
+//! four at a time, in two passes that are both exact:
+//!
+//! 1. **Distances.** [`mesorasi_tensor::simd::sqdist_rows`] writes the four
+//!    queries' distances to every row into a `4 × ceil16(rows)` buffer
+//!    (16 KB at 1024 rows, so it stays in L1). Each of its accumulators
+//!    takes `(q[d] − row[d])²` for `d` ascending — the same sum
+//!    [`distance_squared`] computes, so every distance is bit-equal to it —
+//!    and a panel column, once loaded, serves all four queries. The unused
+//!    lanes of each distance row are then set to `+∞`.
+//! 2. **Bound, then rank.** Per query, the distance row is folded into
+//!    `w = min(ceil(3k / 16), ceil(rows / 16)) · 16` lane-wise minima —
+//!    minimum `c` is over the rows whose index is `c` modulo `w` — and τ is
+//!    the `k`-th smallest of them. Only rows with `d ≤ τ` are offered, in
+//!    ascending index, to the shared [`crate::bruteforce::push_bounded`]:
+//!    about 23 rows per query at `k = 20` over 1024 rows, where ranking
+//!    every row as it arrived made about 97 sorted inserts.
+//!
+//! **τ bounds the `k`-th distance from above.** The `w` residue classes are
+//! disjoint, so the `k` minima that are `≤ τ` are distances of `k` distinct
+//! rows. At least `k` rows therefore lie within τ, the `k`-th smallest
+//! distance is `≤ τ`, and every member of the answer passes the filter —
+//! including every row tied at τ, so the `(distance, index)` rule decides
+//! among ties exactly as before. Offering a superset of the answer in
+//! ascending index to the same bounded insert leaves the same `k` rows in
+//! the same order. An `+∞` lane never wins a minimum; when fewer than `k`
+//! classes hold a row at finite distance, τ is `+∞` and nothing is
+//! filtered.
+//!
+//! **`NaN` bypass.** No comparison orders a `NaN` distance, and what
+//! `push_bounded` leaves after meeting one depends on the whole sequence of
+//! offers. A distance row holding any `NaN` therefore gets no bound: every
+//! row is offered, which is the one-pair-at-a-time scan itself. The tables
+//! are those of that scan for every input, non-finite features included.
+//!
+//! Per worker the scan keeps, beside the `k + 1` candidates of the
+//! selection buffer, `4 · ceil16(rows) + w` floats: pooled per
+//! `mesorasi-par` slot for the parallel path, in the [`FeatureScratch`]
+//! for the sequential one, grown once and counted in
+//! [`FeatureScratch::storage_bytes`] and [`crate::parallel_scratch_bytes`].
 
 use crate::bruteforce::Candidate;
 use crate::NeighborIndexTable;
+use std::sync::OnceLock;
 
 /// A borrowed row-major `rows × dim` feature matrix.
 ///
@@ -84,40 +117,87 @@ pub fn distance_squared(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Candidate rows ranked per pass of the scan (see the module docs).
-const LANES: usize = 16;
+/// Rows per panel block, and lanes per block of a distance row.
+const LANES: usize = mesorasi_tensor::simd::SQDIST_LANES;
+
+/// Queries whose distance rows are computed in one pass over the panel.
+const QUERY_TILE: usize = 4;
 
 /// Reusable storage of [`knn_rows_into`]: the dim-major panel of the
-/// searched rows and the sequential path's selection buffer. Both keep
-/// their capacity between calls, so a warm call of the same shape does not
+/// searched rows and the sequential path's tile scratch. Both keep their
+/// capacity between calls, so a warm call of the same shape does not
 /// allocate.
 #[derive(Debug, Default)]
 pub struct FeatureScratch {
     panel: Vec<f32>,
-    best: Vec<Candidate>,
+    tile: TileScratch,
 }
 
 impl FeatureScratch {
     /// Heap bytes retained (capacity, not length).
     pub fn storage_bytes(&self) -> usize {
-        self.panel.capacity() * std::mem::size_of::<f32>()
+        self.panel.capacity() * std::mem::size_of::<f32>() + self.tile.storage_bytes()
+    }
+}
+
+/// What one worker needs to answer a query tile: the tile's distance rows
+/// (`QUERY_TILE × ceil16(rows)`), the lane-wise minima the bound is taken
+/// from, and the selection buffer.
+#[derive(Debug, Default)]
+pub(crate) struct TileScratch {
+    dist: Vec<f32>,
+    minima: Vec<f32>,
+    best: Vec<Candidate>,
+}
+
+impl TileScratch {
+    /// Heap bytes retained (capacity, not length).
+    pub(crate) fn storage_bytes(&self) -> usize {
+        (self.dist.capacity() + self.minima.capacity()) * std::mem::size_of::<f32>()
             + self.best.capacity() * std::mem::size_of::<Candidate>()
     }
 }
 
-/// Copies `view` into `panel` in the blocked dim-major layout, zeroing the
-/// last block's unused lanes.
+/// Per-worker [`TileScratch`] of the parallel path, keyed like
+/// [`crate::candidate_pool`].
+pub(crate) fn tile_pool() -> &'static mesorasi_par::ScratchPool<TileScratch> {
+    static POOL: OnceLock<mesorasi_par::ScratchPool<TileScratch>> = OnceLock::new();
+    POOL.get_or_init(mesorasi_par::ScratchPool::new)
+}
+
+/// Copies `view` into `panel` in the blocked dim-major layout. Every real
+/// lane is overwritten, so only the last block's unused lanes are zeroed.
 fn fill_panel(view: FeatureView<'_>, panel: &mut Vec<f32>) {
     let (rows, dim) = (view.rows(), view.dim());
-    panel.clear();
     panel.resize(rows.div_ceil(LANES) * dim * LANES, 0.0);
     for (b, block) in panel.chunks_exact_mut(dim * LANES).enumerate() {
-        for lane in 0..LANES.min(rows - b * LANES) {
+        let used = LANES.min(rows - b * LANES);
+        for lane in 0..used {
             for (col, &v) in block.chunks_exact_mut(LANES).zip(view.row(b * LANES + lane)) {
                 col[lane] = v;
             }
         }
+        if used < LANES {
+            block.chunks_exact_mut(LANES).for_each(|col| col[used..].fill(0.0));
+        }
     }
+}
+
+/// An upper bound τ on the `k`-th smallest of `dist` (one padded distance
+/// row, unused lanes `+∞`), or `None` when the row holds a `NaN` and so has
+/// no bound. The module docs' "# The scan" has the argument.
+fn kth_bound(dist: &[f32], k: usize, minima: &mut Vec<f32>) -> Option<f32> {
+    let width = (3 * k).div_ceil(LANES).min(dist.len() / LANES) * LANES;
+    minima.clear();
+    minima.resize(width, f32::INFINITY);
+    let mut nan = false;
+    for chunk in dist.chunks(width) {
+        for (m, &d) in minima.iter_mut().zip(chunk) {
+            nan |= d.is_nan();
+            *m = if d < *m { d } else { *m };
+        }
+    }
+    (!nan).then(|| *minima.select_nth_unstable_by(k - 1, f32::total_cmp).1)
 }
 
 /// KNN over feature rows: for each query row index, the `k` rows nearest in
@@ -150,35 +230,37 @@ pub fn knn_rows_into(
 ) -> u64 {
     let (rows, dim) = (view.rows(), view.dim());
     assert!(k > 0 && k <= rows, "k = {k} out of range for {rows} rows");
-    let FeatureScratch { panel, best } = scratch;
+    let FeatureScratch { panel, tile } = scratch;
     fill_panel(view, panel);
     let panel = panel.as_slice();
+    let padded = panel.len() / dim;
     let cost = rows * dim * 3;
-    crate::kdtree::batch_into(out, queries, k, cost, best, |best, q, slot| {
-        let qrow = view.row(q);
-        best.clear();
-        for (b, block) in panel.chunks_exact(dim * LANES).enumerate() {
-            let mut acc = [0.0f32; LANES];
-            for (&x, col) in qrow.iter().zip(block.chunks_exact(LANES)) {
-                for (a, &y) in acc.iter_mut().zip(col) {
-                    let e = x - y;
-                    *a += e * e;
+    let pool = tile_pool();
+    crate::kdtree::batch_chunks_into(out, queries, k, cost, tile, pool, |tile, chunk, slots| {
+        let TileScratch { dist, minima, best } = tile;
+        dist.resize(QUERY_TILE * padded, 0.0);
+        for (qs, slots) in chunk.chunks(QUERY_TILE).zip(slots.chunks_mut(QUERY_TILE * k)) {
+            // Pass 1: the tile's distances to every row.
+            let qrows: [&[f32]; QUERY_TILE] =
+                std::array::from_fn(|i| view.row(qs[i.min(qs.len() - 1)]));
+            let dist = &mut dist[..qs.len() * padded];
+            mesorasi_tensor::simd::sqdist_rows(&qrows[..qs.len()], panel, dist);
+            for (dist, slot) in dist.chunks_exact_mut(padded).zip(slots.chunks_exact_mut(k)) {
+                dist[rows..].fill(f32::INFINITY);
+                // Pass 2: rank what the bound lets through.
+                let tau = kth_bound(dist, k, minima);
+                best.clear();
+                for (index, &dist_sq) in dist[..rows].iter().enumerate() {
+                    if tau.is_none_or(|tau| dist_sq <= tau) {
+                        crate::bruteforce::push_bounded(best, k, Candidate { index, dist_sq });
+                    }
+                }
+                for (s, c) in slot.iter_mut().zip(best.iter()) {
+                    *s = c.index;
                 }
             }
-            let base = b * LANES;
-            for (lane, &dist_sq) in acc[..LANES.min(rows - base)].iter().enumerate() {
-                // Strictly greater, and false for NaN on either side: skips
-                // only what `push_bounded` would reject.
-                if best.len() == k && dist_sq > best[k - 1].dist_sq {
-                    continue;
-                }
-                crate::bruteforce::push_bounded(best, k, Candidate { index: base + lane, dist_sq });
-            }
         }
-        for (s, c) in slot.iter_mut().zip(best.iter()) {
-            *s = c.index;
-        }
-        rows as u64
+        (rows * chunk.len()) as u64
     })
 }
 

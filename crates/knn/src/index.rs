@@ -196,7 +196,7 @@ pub struct SearchContext {
     /// The stateless exhaustive scan lives outside the slot pool — it has
     /// nothing worth caching or verifying.
     brute: BruteForceIndex,
-    /// Row panel and selection buffer of the feature-space scan.
+    /// Row panel and sequential-path tile scratch of the feature-space scan.
     feature_scratch: FeatureScratch,
     slots: Vec<Slot>,
     clock: u64,
@@ -273,8 +273,9 @@ impl SearchContext {
     /// Heap bytes retained by every cached index, verification cloud, and
     /// scratch buffer — the search half of the engine's arena statistics.
     /// Includes the feature-space scan's row panel
-    /// (`ceil(rows / 16) · 16 · dim · 4` bytes at the largest shape searched;
-    /// see [`crate::feature`]).
+    /// (`ceil(rows / 16) · 16 · dim · 4` bytes at the largest shape searched)
+    /// and, when a batch ran untiled, its distance rows; see
+    /// [`crate::feature`].
     pub fn storage_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.index.storage_bytes() + s.cloud.storage_bytes()).sum::<usize>()
             + self.brute.storage_bytes()

@@ -268,31 +268,42 @@ pub(crate) fn batch_into(
     scratch: &mut Vec<Candidate>,
     per_query: impl Fn(&mut Vec<Candidate>, usize, &mut [usize]) -> u64 + Sync,
 ) -> u64 {
+    let pool = crate::candidate_pool();
+    batch_chunks_into(out, queries, k, cost_per_query, scratch, pool, |scratch, chunk, slots| {
+        let slots = slots.chunks_exact_mut(k);
+        chunk.iter().zip(slots).map(|(&q, slot)| per_query(scratch, q, slot)).sum()
+    })
+}
+
+/// [`batch_into`] one level up: `per_chunk(scratch, queries, slots)` fills
+/// the `k`-wide slots of a whole run of consecutive queries, for bodies
+/// that work on several queries at once. The sequential path hands it the
+/// whole batch with the caller's scratch, the parallel path one chunk per
+/// call with the calling worker's slot of `pool`.
+pub(crate) fn batch_chunks_into<S: Send>(
+    out: &mut NeighborIndexTable,
+    queries: &[usize],
+    k: usize,
+    cost_per_query: usize,
+    scratch: &mut S,
+    pool: &mesorasi_par::ScratchPool<S>,
+    per_chunk: impl Fn(&mut S, &[usize], &mut [usize]) -> u64 + Sync,
+) -> u64 {
     let entries = queries.len();
     let (cents, neighs) = out.fill_slots(k, entries);
+    cents.copy_from_slice(queries);
     let chunk = match crate::query_tile_budget() {
         Some(budget) => budget.min(entries).max(1),
         None => mesorasi_par::chunk_len(entries, cost_per_query),
     };
     if chunk >= entries {
-        let mut evals = 0u64;
-        for (i, &q) in queries.iter().enumerate() {
-            cents[i] = q;
-            evals += per_query(scratch, q, &mut neighs[i * k..(i + 1) * k]);
-        }
-        evals
+        per_chunk(scratch, queries, neighs)
     } else {
         let total = std::sync::atomic::AtomicU64::new(0);
-        mesorasi_par::par_chunks_mut_pair(cents, neighs, chunk, chunk * k, |ci, cc, nc| {
-            crate::candidate_pool().with(|local| {
-                let mut evals = 0u64;
-                for (j, cent) in cc.iter_mut().enumerate() {
-                    let q = queries[ci * chunk + j];
-                    *cent = q;
-                    evals += per_query(local, q, &mut nc[j * k..(j + 1) * k]);
-                }
-                total.fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
-            });
+        mesorasi_par::par_chunks_mut(neighs, chunk * k, |ci, slots| {
+            let chunk_queries = &queries[ci * chunk..][..slots.len() / k];
+            let evals = pool.with(|local| per_chunk(local, chunk_queries, slots));
+            total.fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
         });
         total.into_inner()
     }

@@ -104,9 +104,11 @@ pub(crate) fn candidate_pool() -> &'static mesorasi_par::ScratchPool<Vec<brutefo
     POOL.get_or_init(mesorasi_par::ScratchPool::new)
 }
 
-/// Heap bytes retained by the per-worker parallel query scratch pool
-/// (capacity across all idle slots). Surfaced through `EngineStats` so the
-/// memory-ceiling contract covers parallel search.
+/// Heap bytes retained by the per-worker parallel query scratch pools
+/// (capacity across all idle slots): the candidate buffers of the index
+/// backends and the feature scan's tile scratch. Surfaced through
+/// `EngineStats` so the memory-ceiling contract covers parallel search.
 pub fn parallel_scratch_bytes() -> usize {
     candidate_pool().measure_bytes(|v| v.capacity() * std::mem::size_of::<bruteforce::Candidate>())
+        + feature::tile_pool().measure_bytes(feature::TileScratch::storage_bytes)
 }

@@ -12,7 +12,7 @@
 //! queries — including degenerate grids (zero-extent AABB) and k far
 //! beyond any cell's population.
 //!
-//! The last part pins the lane-blocked feature-space scan to the
+//! The last part pins the two-pass feature-space scan to the
 //! one-pair-at-a-time scan it replaced, table for table.
 
 use mesorasi_knn::bruteforce::{push_bounded, Candidate};
@@ -354,7 +354,7 @@ fn planner_selected_backends_agree_through_the_context() {
 }
 
 // ---------------------------------------------------------------------
-// Feature space: the lane-blocked scan against the per-pair scan.
+// Feature space: the two-pass tiled scan against the per-pair scan.
 // ---------------------------------------------------------------------
 
 /// The scan `feature::knn_rows_into` replaced: one `distance_squared` per
@@ -376,17 +376,23 @@ fn per_pair_knn(view: FeatureView<'_>, queries: &[usize], k: usize) -> (Neighbor
     (out, evals)
 }
 
-/// Row counts around the 16-lane block edge and dims around the 4-wide
-/// vector edge.
-const FEATURE_ROWS: [usize; 6] = [1, 15, 16, 17, 33, 250];
+/// Row counts around the 16-lane block edge — 33, 50 and 250 also leave
+/// fewer blocks than the `ceil(3k / 16)` minima groups `k = 20` or
+/// `k = rows` ask for, so unused `+∞` lanes sit among the minima — and dims
+/// around the 4-wide vector edge.
+const FEATURE_ROWS: [usize; 8] = [1, 15, 16, 17, 33, 50, 64, 250];
 const FEATURE_DIMS: [usize; 4] = [1, 3, 64, 130];
 
 /// `(rows, dim, data)`: continuous values, optionally snapped to a 0.5 grid
 /// (so distances tie between distinct rows), then edited element- and
 /// row-wise: duplicated rows, `±0.0`, and — in half the cases — `NaN`/`±∞`.
+/// One case in four is then flattened to a single repeated row (every
+/// distance ties at the bound, 0), and one in four keeps only
+/// `min(rows, 20) − 1` rows finite, the rest alternately `NaN` and `+∞`:
+/// one fewer than the middle `k` the test asks for.
 fn arb_feature_rows() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
-    (0..FEATURE_ROWS.len(), 0..FEATURE_DIMS.len(), 0u8..2, 0u8..2).prop_flat_map(
-        |(r, d, snap, non_finite)| {
+    (0..FEATURE_ROWS.len(), 0..FEATURE_DIMS.len(), 0u8..2, 0u8..2, 0u8..4).prop_flat_map(
+        |(r, d, snap, non_finite, shape)| {
             let (rows, dim) = (FEATURE_ROWS[r], FEATURE_DIMS[d]);
             let values = prop::collection::vec(-2.0f32..2.0, rows * dim);
             let edits =
@@ -405,27 +411,60 @@ fn arb_feature_rows() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
                         _ => data[a * dim + col] = f32::NEG_INFINITY,
                     }
                 }
+                match shape {
+                    2 => (1..rows).for_each(|r| data.copy_within(0..dim, r * dim)),
+                    3 => (rows.min(20) - 1..rows).for_each(|r| {
+                        data[r * dim] = if r % 2 == 0 { f32::NAN } else { f32::INFINITY };
+                    }),
+                    _ => {}
+                }
                 (rows, dim, data)
             })
         },
     )
 }
 
+/// 1024 × 128 at `k = 20`, every row a query: DGCNN's widest search, the
+/// shape the scan's tile, bound and buffer sizes were chosen at. Values on
+/// a four-level grid, so distances are small integers (about 1.5 rows per
+/// value around the 20th place) and ties at the bound are common; some rows
+/// are exact copies of others.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a million 128-wide pairs through the oracle: release only")]
+fn paper_scale_feature_scan_matches_the_per_pair_scan() {
+    let (rows, dim, k) = (1024, 128, 20);
+    let mut data: Vec<f32> =
+        (0..rows * dim).map(|i| (((i * 2_654_435_761) >> 7) % 4) as f32).collect();
+    for r in (0..rows).step_by(37) {
+        data.copy_within(r * dim..(r + 1) * dim, ((r * 5 + 3) % rows) * dim);
+    }
+    let view = FeatureView::new(&data, dim).expect("rows * dim values");
+    let queries: Vec<usize> = (0..rows).collect();
+    let (want, want_evals) = per_pair_knn(view, &queries, k);
+    let mut got = NeighborIndexTable::default();
+    let evals = feature::knn_rows_into(view, &queries, k, &mut got, &mut FeatureScratch::default());
+    assert_eq!(got, want);
+    assert_eq!(evals, want_evals);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Same tables and evaluation counts as the per-pair scan: at every
-    /// block tail, for `k = 1` through `k = rows`, on query subsets, with
-    /// index tie-breaks and non-finite features, sequentially and through
-    /// the shared-panel tiled path, with the scratch reused across shapes.
+    /// block tail, for `k = 1` through `k = rows`, on query subsets of
+    /// every length modulo the four-query tile, with index tie-breaks and
+    /// non-finite features, sequentially and through the shared-panel
+    /// tiled path, with the scratch reused across shapes.
     #[test]
     fn blocked_feature_scan_matches_the_per_pair_scan(
         (rows, dim, data) in arb_feature_rows(),
         start in 0usize..250,
         step in 1usize..4,
+        drop in 0usize..4,
     ) {
         let view = FeatureView::new(&data, dim).expect("rows * dim values");
-        let queries: Vec<usize> = (start % rows..rows).step_by(step).collect();
+        let mut queries: Vec<usize> = (start % rows..rows).step_by(step).collect();
+        queries.truncate(queries.len().saturating_sub(drop).max(1));
         let mut scratch = FeatureScratch::default();
         let mut got = NeighborIndexTable::default();
         for k in [1, rows.min(20), rows] {

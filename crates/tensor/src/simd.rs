@@ -22,11 +22,24 @@
 //!   identical treatment without materializing the transpose: four
 //!   adjacent columns of `A` play the role of [`mm4`]'s four rows.
 //!
+//! A third entry, [`sqdist_rows`], serves the feature-space kNN scan of
+//! `mesorasi-knn` rather than the matmul tier: squared distances from a
+//! tile of queries to every row of a dim-major panel. It lives here for
+//! its dispatch, not for intrinsics — it has none. Its body is one safe
+//! generic function over the query-tile width whose 16-lane loops the
+//! compiler vectorises; the island contributes a
+//! `#[target_feature(enable = "avx2")]` wrapper that inlines that body at
+//! 4 queries × 16 lanes (eight ymm accumulators), which is the only way to
+//! have safe code compiled wider than the crate's x86-64 baseline and
+//! chosen at runtime. Elsewhere the same body runs one query per pass at
+//! baseline width — the loop the scan used before; on SSE2 tiles of 2 and
+//! 4 queries measured no faster (16 xmm registers cannot hold them).
+//!
 //! FMA is deliberately never used: a fused multiply-add rounds once where
 //! `mul` + `add` round twice, which would break the scalar ≡ vector
 //! contract.
 //!
-//! The public entry points are the `f32` hooks of [`Element`]: they check
+//! The matmul entry points are the `f32` hooks of [`Element`]: they check
 //! every bound the vector paths rely on, then dispatch. With the `simd`
 //! cargo feature (default on), x86_64 checks for AVX2 at runtime
 //! (`is_x86_feature_detected!`, cached by std) and falls back to the
@@ -245,12 +258,107 @@ pub(crate) fn mm4t_scalar<T: Element>(
     }
 }
 
+/// Rows per block of the dim-major panel [`sqdist_rows`] reads: element `d`
+/// of row `block · 16 + lane` sits at `panel[(block · dim + d) · 16 + lane]`.
+pub const SQDIST_LANES: usize = 16;
+
+/// Squared Euclidean distances from each query to every row of a dim-major
+/// panel: `out[q · padded + block · 16 + lane] = Σ_d (queries[q][d] −
+/// panel[(block · dim + d) · 16 + lane])²` with `dim = queries[0].len()`
+/// and `padded = panel.len() / dim`. Each element is its own ascending-`d`
+/// chain of one `sub`, one `mul` and one `add` per step, so the sums carry
+/// the bits of the one-pair-at-a-time loop whichever form runs: four
+/// queries per pass over the panel under AVX2 (runtime-detected, `simd`
+/// feature), one per pass at the target's baseline width otherwise.
+///
+/// # Panics
+///
+/// Panics when the queries disagree in length or are empty vectors, when
+/// `panel` is not whole 16-row blocks, or when `out` is not exactly
+/// `queries.len() × padded` long.
+#[inline]
+pub fn sqdist_rows(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+    let Some(first) = queries.first() else {
+        assert!(out.is_empty(), "sqdist_rows out length mismatch");
+        return;
+    };
+    let dim = first.len();
+    assert!(dim > 0, "sqdist_rows zero-length query");
+    for q in queries {
+        assert_eq!(q.len(), dim, "sqdist_rows query length mismatch");
+    }
+    assert_eq!(panel.len() % (dim * SQDIST_LANES), 0, "sqdist_rows panel is not whole blocks");
+    assert_eq!(out.len(), queries.len() * (panel.len() / dim), "sqdist_rows out length mismatch");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime, which is all
+        // `sqdist_rows_avx2` requires: its body is safe code.
+        return unsafe { x86::sqdist_rows_avx2(queries, panel, out) };
+    }
+    sqdist_rows_tiled::<1>(queries, panel, out);
+}
+
+/// [`sqdist_rows`] behind its checks: whole tiles of `Q` queries, then the
+/// remainder one query at a time.
+#[inline(always)]
+fn sqdist_rows_tiled<const Q: usize>(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+    let padded = panel.len() / queries[0].len();
+    let mut rows = out.chunks_exact_mut(padded);
+    let mut tiles = queries.chunks_exact(Q);
+    for tile in &mut tiles {
+        let q: [&[f32]; Q] = std::array::from_fn(|r| tile[r]);
+        sqdist_tile(q, panel, std::array::from_fn(|_| rows.next().expect("one out row per query")));
+    }
+    for (&q, row) in tiles.remainder().iter().zip(rows) {
+        sqdist_tile([q], panel, [row]);
+    }
+}
+
+/// The distance tile: `Q` queries × 16 panel rows of accumulators held in
+/// locals over the whole `d` walk, each panel column loaded once for all
+/// `Q` queries, stored once per block. Plain indexed arithmetic — the
+/// compiler vectorises the 16-lane loops at whatever width the enclosing
+/// function is compiled for, and never contracts `mul` + `add`.
+#[inline(always)]
+fn sqdist_tile<const Q: usize>(q: [&[f32]; Q], panel: &[f32], mut out: [&mut [f32]; Q]) {
+    let dim = q[0].len();
+    let q = q.map(|row| &row[..dim]);
+    for (b, block) in panel.chunks_exact(dim * SQDIST_LANES).enumerate() {
+        let mut acc = [[0.0f32; SQDIST_LANES]; Q];
+        for (d, col) in block.chunks_exact(SQDIST_LANES).enumerate() {
+            for (acc_r, q_r) in acc.iter_mut().zip(&q) {
+                let x = q_r[d];
+                for (a, &y) in acc_r.iter_mut().zip(col) {
+                    let e = x - y;
+                    *a += e * e;
+                }
+            }
+        }
+        for (out_r, acc_r) in out.iter_mut().zip(&acc) {
+            out_r[b * SQDIST_LANES..(b + 1) * SQDIST_LANES].copy_from_slice(acc_r);
+        }
+    }
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
+
+    /// [`super::sqdist_rows`] at 4 queries × 16 lanes, compiled for AVX2:
+    /// eight ymm accumulators, two panel loads and a broadcast per `d`. The
+    /// body is the safe generic tile, inlined here so the attribute decides
+    /// its vector width; there is nothing for an intrinsic to add.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sqdist_rows_avx2(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+        super::sqdist_rows_tiled::<4>(queries, panel, out);
+    }
 
     /// 4 rows × 16 columns of the output held in eight ymm accumulators
     /// for the whole `p` walk; each `B` row segment is loaded once and
@@ -646,6 +754,59 @@ mod tests {
             mm1t_scalar(&a, stride, 2, k, &b, n, &mut via_scalar, false);
             assert_eq!(via_dispatch, via_scalar, "k={k} stride={stride} n={n}");
         }
+    }
+
+    #[test]
+    fn sqdist_forms_agree_with_the_per_pair_sum_bitwise() {
+        // What `mesorasi_knn::feature::distance_squared` computes: the
+        // scan's tables are pinned to it, so every form of the tile must
+        // reproduce its bits, `NaN`s and infinities included.
+        fn per_pair(a: &[f32], b: &[f32]) -> f32 {
+            a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+        }
+        let rows = 37usize; // two full blocks and a ragged third
+        let padded = rows.div_ceil(SQDIST_LANES) * SQDIST_LANES;
+        for dim in [1, 3, 64, 130] {
+            let mut data = sample(rows * dim, dim as u32);
+            let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+            for (i, v) in specials.into_iter().enumerate() {
+                data[(i * 5 % rows) * dim + i % dim] = v;
+            }
+            let row = |r: usize| &data[r * dim..(r + 1) * dim];
+            let mut panel = vec![0.0f32; padded * dim];
+            for r in 0..rows {
+                for (d, &v) in row(r).iter().enumerate() {
+                    panel[((r / SQDIST_LANES) * dim + d) * SQDIST_LANES + r % SQDIST_LANES] = v;
+                }
+            }
+            // Seven queries: one tile of four and three singles, rows with
+            // and without a special value.
+            let queries: Vec<&[f32]> = [0, 5, 10, 15, 1, 36, 20].map(row).to_vec();
+            // `NaN` payloads are not part of the contract, `NaN`-ness is.
+            let bits = |v: &[f32]| {
+                v.iter()
+                    .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                    .collect::<Vec<_>>()
+            };
+            let mut want = vec![0.0f32; queries.len() * padded];
+            for (q, out) in queries.iter().zip(want.chunks_exact_mut(padded)) {
+                for (r, o) in out[..rows].iter_mut().enumerate() {
+                    *o = per_pair(q, row(r));
+                }
+                // Unused lanes read the panel's zero padding.
+                out[rows..].fill(per_pair(q, &vec![0.0; dim]));
+            }
+            let mut got = vec![f32::NAN; want.len()];
+            sqdist_rows(&queries, &panel, &mut got);
+            assert_eq!(bits(&got), bits(&want), "dispatched, dim {dim}");
+            got.fill(f32::NAN);
+            sqdist_rows_tiled::<1>(&queries, &panel, &mut got);
+            assert_eq!(bits(&got), bits(&want), "one query per pass, dim {dim}");
+            got.fill(f32::NAN);
+            sqdist_rows_tiled::<4>(&queries, &panel, &mut got);
+            assert_eq!(bits(&got), bits(&want), "four queries per pass, dim {dim}");
+        }
+        sqdist_rows(&[], &[], &mut []);
     }
 
     #[test]

@@ -138,7 +138,9 @@ proptest! {
 
     /// DGCNN-width rows with a ragged last 16-row block: every query chunk,
     /// on whichever worker, reads the one panel built per call, so the
-    /// table may depend on neither the thread count nor the tile budget.
+    /// table may depend on neither the thread count nor the tile budget —
+    /// a budget of 7 included, which cuts every chunk into one four-query
+    /// distance tile and three single queries.
     #[test]
     fn wide_feature_knn_is_thread_and_tile_invariant(
         feats in arb_matrix(70..130, 64..65),
@@ -156,7 +158,7 @@ proptest! {
             })
         };
         let baseline = search(1, None);
-        for budget in [None, Some(64), Some(rows + 1)] {
+        for budget in [None, Some(7), Some(64), Some(rows + 1)] {
             for threads in THREAD_SWEEP {
                 prop_assert_eq!(
                     &search(threads, budget), &baseline,

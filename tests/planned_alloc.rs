@@ -32,7 +32,8 @@
 //! 6. the feature-space audit: audits 1–5 run PointNet++, which only ever
 //!    searches coordinates. A warm streamed DGCNN frame — every search a
 //!    feature-space scan over its row panel — makes zero heap allocations
-//!    at 1 and 2 threads under a frozen ceiling that counts the panel;
+//!    at 1 and 2 threads under a frozen ceiling that counts the panel and
+//!    each worker's distance rows;
 //! 7. the packed-matmul audit: the small networks of audits 1–6 have no
 //!    weight matrix deep enough for `ops::matmul_into`'s packed order, the
 //!    paper-scale ones do. A warm packed product makes zero heap
@@ -384,6 +385,16 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
                 stats.search_bytes >= panel + nit,
                 "the panel must be part of the reported {} bytes",
                 stats.search_bytes
+            );
+            // The query tiles ran on pooled per-worker scratch: four
+            // 128-lane distance rows, the 2 · 16 minima that `k = 8` asks
+            // for, and the `k + 1` candidates of the selection buffer.
+            let tile =
+                (4 * n + 32) * 4 + 9 * std::mem::size_of::<mesorasi::knn::bruteforce::Candidate>();
+            assert!(
+                stats.parallel_scratch_bytes >= tile,
+                "a worker's distance rows must be part of the reported {} bytes",
+                stats.parallel_scratch_bytes
             );
         });
     }
