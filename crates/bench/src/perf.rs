@@ -3,7 +3,9 @@
 //! Times what the end-to-end harness in `benchmark/` cannot see from
 //! outside a frame: the matmul family (fast tier, the naive reference and
 //! the tier at `f64`; `matmul` at a shallow-weight and a deep-weight
-//! shape), the grouped reductions, every neighbor-search
+//! shape), the grouped reductions — the tape's argmax-tracking kernels and
+//! the `_into` forms a frame executes, at PointNet++ SA1's shape and at
+//! DGCNN's last EdgeConv — every neighbor-search
 //! backend split into a warm `index_build` and pure `knn`/`ball` queries
 //! (the feature-space scan at a shallow shape and at DGCNN's own),
 //! and the large-cloud `index_build`/`query` sweep of
@@ -38,9 +40,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Kernel name: `matmul`, `matmul_at_b`, `matmul_a_bt`,
-    /// `group_max_reduce`, `gather_max_reduce`, `knn`, `ball`,
-    /// `index_build` (a warm in-place rebuild) or `query` (the large-cloud
-    /// sweep's pure queries against a prebuilt index).
+    /// `group_max_reduce`, `gather_max_reduce` (the tape's allocating,
+    /// argmax-tracking reductions), `group_max_into`, `gather_max_into` (the
+    /// values-only forms the engine runs), `knn`, `ball`, `index_build` (a
+    /// warm in-place rebuild) or `query` (the large-cloud sweep's pure
+    /// queries against a prebuilt index).
     pub op: &'static str,
     /// Implementation or search structure the op ran on.
     pub backend: &'static str,
@@ -57,7 +61,10 @@ pub struct BenchRecord {
     /// `B` takes the packed order — instead of the shallow-weight
     /// `(2048,128)×(128,128)`; on the `knn`/`feature` row: DGCNN's widest
     /// search, all 1024 rows of a 1024 × 128 matrix at `k = 20`, instead of
-    /// 512 queries over 2048 × 32 at `k = 16`.
+    /// 512 queries over 2048 × 32 at `k = 16`; on the `gather_max_into` row:
+    /// DGCNN's last EdgeConv, 1024 groups of `k = 20` over a 1024 × 256
+    /// table, instead of PointNet++ SA1's 512 groups of `k = 32` over
+    /// 1024 × 128.
     pub mode: Option<&'static str>,
     /// Wall time per operation, in nanoseconds: the fastest of five
     /// sub-batch means.
@@ -268,10 +275,12 @@ fn bench_matrix(rows: usize, cols: usize) -> Matrix {
 /// every 29 rows, which would make a query's nearest rows exact copies of
 /// itself; a multiplicative hash of the element index does not repeat.
 fn scattered_matrix(rows: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |r, c| {
-        let h = ((r * cols + c) as u32).wrapping_mul(2_654_435_761) >> 8;
-        h as f32 / (1 << 23) as f32 - 1.0
-    })
+    Matrix::from_fn(rows, cols, |r, c| scatter(r * cols + c) as f32 / (1 << 23) as f32 - 1.0)
+}
+
+/// 24 well-mixed bits of `i` (a multiplicative hash).
+fn scatter(i: usize) -> u32 {
+    (i as u32).wrapping_mul(2_654_435_761) >> 8
 }
 
 struct Workloads {
@@ -293,6 +302,28 @@ struct Workloads {
     deep_feat: Matrix,
     deep_feat_queries: Vec<usize>,
     deep_feat_k: usize,
+    /// The `_into` reductions at PointNet++ SA1's shape, and the
+    /// `mode: "deep"` one at DGCNN's last EdgeConv.
+    agg: Aggregation,
+    deep_agg: Aggregation,
+}
+
+/// One max-aggregation as a frame runs it: a Point Feature Table and the
+/// neighbor lists reducing it, `k` scattered rows per group.
+struct Aggregation {
+    table: Matrix,
+    groups: Vec<usize>,
+    k: usize,
+}
+
+impl Aggregation {
+    fn new(rows: usize, cols: usize, n_groups: usize, k: usize) -> Self {
+        Aggregation {
+            table: scattered_matrix(rows, cols),
+            groups: (0..n_groups * k).map(|i| scatter(i) as usize % rows).collect(),
+            k,
+        }
+    }
 }
 
 impl Workloads {
@@ -324,6 +355,18 @@ impl Workloads {
             deep_feat: scattered_matrix(deep_rows, deep_dim),
             deep_feat_queries: (0..deep_rows).collect(),
             deep_feat_k: 20,
+            // Smoke widths are no multiple of a tile, so CI runs the
+            // column tail: 77 = 64 + 8 + 5, 100 = 64 + 4·8 + 4.
+            agg: if smoke {
+                Aggregation::new(256, 77, 64, 8)
+            } else {
+                Aggregation::new(1024, 128, 512, 32)
+            },
+            deep_agg: if smoke {
+                Aggregation::new(256, 100, 128, 5)
+            } else {
+                Aggregation::new(1024, 256, 1024, 20)
+            },
         }
     }
 }
@@ -337,6 +380,13 @@ fn feature_scan<'a>(feat: &'a Matrix, queries: &'a [usize], k: usize) -> Box<dyn
         let (out, scratch) = &mut *state.borrow_mut();
         black_box(feature::knn_rows_into(view, queries, k, out, scratch));
     })
+}
+
+/// One warm values-only aggregation per call, into a retained output as
+/// the plan arena retains it.
+fn gather_max(a: &Aggregation) -> Box<dyn Fn() + '_> {
+    let out = std::cell::RefCell::new(Matrix::zeros(0, 0));
+    Box::new(move || group::gather_max_into(&a.table, &a.groups, a.k, &mut out.borrow_mut()))
 }
 
 /// Runs the full harness: every kernel at every swept thread count.
@@ -367,6 +417,9 @@ pub fn run(smoke: bool) -> BenchReport {
     let mm_out64 = std::cell::RefCell::new(Matrix64::zeros(0, 0));
     let deep_a64 = Matrix64::cast_from(&w.deep_a);
     let deep_b64 = Matrix64::cast_from(&w.deep_b);
+    // What Strategy::Original reduces: the gathered rows, `k` per group.
+    let agg_grouped = group::gather_rows(&w.agg.table, &w.agg.groups);
+    let agg_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
 
     let kernels = [
         Kernel::new(
@@ -456,6 +509,16 @@ pub fn run(smoke: bool) -> BenchReport {
                 drop(black_box(group::gather_max_reduce(&w.red_src, &w.red_groups, w.red_k)))
             }),
         ),
+        Kernel::new(
+            "group_max_into",
+            "tensor",
+            Box::new(|| group::group_max_into(&agg_grouped, w.agg.k, &mut agg_out.borrow_mut())),
+        ),
+        Kernel::new("gather_max_into", "tensor", gather_max(&w.agg)),
+        Kernel {
+            mode: Some("deep"),
+            ..Kernel::new("gather_max_into", "tensor", gather_max(&w.deep_agg))
+        },
         Kernel::new(
             "knn",
             "bruteforce",
@@ -652,6 +715,8 @@ mod tests {
             "matmul_a_bt",
             "group_max_reduce",
             "gather_max_reduce",
+            "group_max_into",
+            "gather_max_into",
             "knn",
             "ball",
             "index_build",

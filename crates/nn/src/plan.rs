@@ -462,7 +462,7 @@ impl Plan {
             }
             Op::Gather { x, indices } => {
                 let idx = node.index_bid.map_or(&indices[..], |bid| &bind.indices[bid]);
-                debug_assert_eq!(idx.len(), indices.len(), "dynamic gather length changed");
+                assert_eq!(idx.len(), indices.len(), "dynamic gather length changed");
                 group::gather_rows_into(self.value(arena, *x), idx, &mut out);
             }
             Op::SubCentroid { grouped, centroids, k } => {
@@ -476,7 +476,7 @@ impl Plan {
             Op::GroupMax { x, k } => group::group_max_into(self.value(arena, *x), *k, &mut out),
             Op::GatherMax { x, groups, k } => {
                 let idx = node.index_bid.map_or(&groups[..], |bid| &bind.indices[bid]);
-                debug_assert_eq!(idx.len(), groups.len(), "dynamic group length changed");
+                assert_eq!(idx.len(), groups.len(), "dynamic group length changed");
                 group::gather_max_into(self.value(arena, *x), idx, *k, &mut out);
             }
             Op::WeightedGather { x, indices, weights, k } => {
@@ -487,7 +487,7 @@ impl Plan {
                     }
                     None => (&indices[..], &weights[..]),
                 };
-                debug_assert_eq!(idx.len(), indices.len(), "dynamic stencil length changed");
+                assert_eq!(idx.len(), indices.len(), "dynamic stencil length changed");
                 group::weighted_gather_into(self.value(arena, *x), idx, w, *k, &mut out);
             }
             Op::HStack { a, b } => {
@@ -691,6 +691,59 @@ mod tests {
         let mut wide = arena.cast::<f64>();
         plan.run(&mut wide, &b);
         assert_eq!(plan.output(&wide, 0), &Mat::cast_from(&want));
+    }
+
+    /// Records one dynamic op over a 6 × 3 input — index binding 0, or
+    /// stencil binding 0 — and replays it with the bindings `edit` leaves.
+    fn replay_dynamic(
+        stencil: bool,
+        record: impl FnOnce(&mut Graph, VarId) -> VarId,
+        edit: impl FnOnce(&mut Bindings),
+    ) {
+        let src = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
+        let mut g = Graph::new();
+        let x = g.input(src.clone());
+        let y = record(&mut g, x);
+        let bound = HashMap::from([(y.index(), 0)]);
+        let marks = DynMarks {
+            indices: if stencil { HashMap::new() } else { bound.clone() },
+            stencils: if stencil { bound } else { HashMap::new() },
+            n_index: usize::from(!stencil),
+            n_stencil: usize::from(stencil),
+        };
+        let (plan, mut arena) = Plan::from_graph(&g, &[y], &marks);
+        let mut b = input_bindings(&plan, &src);
+        edit(&mut b);
+        plan.run(&mut arena, &b);
+    }
+
+    // A binding of the wrong length would replay into a wrong-shaped value
+    // that nothing downstream rejects in release: these three are hard
+    // asserts, not debug ones.
+    #[test]
+    #[should_panic(expected = "dynamic gather length changed")]
+    fn short_gather_binding_is_rejected() {
+        replay_dynamic(false, |g, x| g.gather(x, vec![0, 1, 2]), |b| b.indices[0] = vec![5, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dynamic group length changed")]
+    fn long_gather_max_binding_is_rejected() {
+        replay_dynamic(
+            false,
+            |g, x| g.gather_max(x, &[0, 1, 2, 3], 2),
+            |b| b.indices[0] = vec![5, 4, 3, 2, 1, 0],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dynamic stencil length changed")]
+    fn short_stencil_binding_is_rejected() {
+        replay_dynamic(
+            true,
+            |g, x| g.weighted_gather(x, vec![0, 1, 2, 3], vec![0.25; 4], 2),
+            |b| b.stencils[0] = (vec![1, 2], vec![0.5; 2]),
+        );
     }
 
     #[test]

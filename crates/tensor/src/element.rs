@@ -17,10 +17,11 @@ mod sealed {
 /// contract is argued per implementor, so no third type can join from
 /// outside.
 ///
-/// Beyond plain float arithmetic the trait carries only the matmul
-/// micro-kernel hooks: every kernel in [`crate::ops`] and [`crate::group`]
-/// is written once over `T: Element`, and the hooks pick the register-tile
-/// body — AVX2-dispatching for `f32`, the generic scalar tile for `f64`.
+/// Beyond plain float arithmetic the trait carries only the micro-kernel
+/// hooks — the matmul tiles and the grouped max: every kernel in
+/// [`crate::ops`] and [`crate::group`] is written once over `T: Element`,
+/// and the hooks pick the register-tile body — AVX2-dispatching for `f32`,
+/// the generic scalar tile for `f64`.
 pub trait Element:
     sealed::Sealed
     + Copy
@@ -99,6 +100,21 @@ pub trait Element:
     ) {
         simd::mm1t_scalar(a, stride, i0, k, b, n, out, false);
     }
+    /// Grouped column-wise max, the kernel behind
+    /// [`crate::group::gather_max_into`] and [`crate::group::group_max_into`];
+    /// see [`simd::max_rows`] for the contract. The default is the generic
+    /// body at eight baseline-width registers of `f64`.
+    #[inline]
+    fn max_rows(
+        src: &[Self],
+        cols: usize,
+        rows: Option<&[usize]>,
+        first: usize,
+        k: usize,
+        out: &mut [Self],
+    ) {
+        simd::max_rows_tiled::<Self, 16>(src, cols, rows, first, k, out);
+    }
 }
 
 /// The float arithmetic both implementors take from their inherent methods.
@@ -157,6 +173,17 @@ impl Element for f32 {
     #[inline]
     fn mm1t(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
         simd::mm1t(a, stride, i0, k, b, n, out);
+    }
+    #[inline]
+    fn max_rows(
+        src: &[f32],
+        cols: usize,
+        rows: Option<&[usize]>,
+        first: usize,
+        k: usize,
+        out: &mut [f32],
+    ) {
+        simd::max_rows(src, cols, rows, first, k, out);
     }
 }
 

@@ -9,9 +9,14 @@
 //!   Feature Table* and subtracts the centroid's feature row afterwards
 //!   (`max(p1−pi, p2−pi) = max(p1,p2) − pi`, paper §IV-A).
 //!
-//! The reduce kernels also return argmax indices so the training substrate
-//! can route gradients through the max (only the winning row receives
-//! gradient).
+//! The max-reduce exists in two forms. [`group_max_reduce`] and
+//! [`gather_max_reduce`] are the tape's: they allocate their result and
+//! return argmax indices so the training substrate can route gradients
+//! through the max (only the winning row receives gradient), one element
+//! at a time. [`group_max_into`] and [`gather_max_into`] are the engine's:
+//! values only, into a caller-owned buffer, through the register tile of
+//! [`crate::simd::max_rows`]. The tape's loops are the oracle the tile is
+//! tested against — same comparison, same order, same bits.
 
 use crate::{Element, Mat, Matrix};
 use mesorasi_par as par;
@@ -174,25 +179,33 @@ pub fn group_max_reduce(grouped: &Matrix, k: usize) -> (Matrix, Vec<usize>) {
 pub fn group_max_into<T: Element>(grouped: &Mat<T>, k: usize, out: &mut Mat<T>) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(grouped.rows() % k, 0, "rows must be a multiple of k");
-    let n_out = grouped.rows() / k;
-    let cols = grouped.cols();
+    max_rows_into(grouped, None, grouped.rows() / k, k, out);
+}
+
+/// Elements [`Element::max_rows`] folds per unit of [`par::chunk_len`] work:
+/// the tile retires a vector of compares per cycle where the work unit is
+/// roughly one scalar inner-loop operation.
+const MAX_ELEMS_PER_WORK_UNIT: usize = 16;
+
+/// The engine's max-reduce, behind [`group_max_into`] (`rows` is `None`:
+/// `k` consecutive rows per group) and [`gather_max_into`] (`rows` is the
+/// validated index table): [`Element::max_rows`] over chunks of whole
+/// groups, so each group's comparison order stays on one thread.
+fn max_rows_into<T: Element>(
+    src: &Mat<T>,
+    rows: Option<&[usize]>,
+    n_out: usize,
+    k: usize,
+    out: &mut Mat<T>,
+) {
+    let cols = src.cols();
     out.reset_shape(n_out, cols);
     if cols == 0 {
         return;
     }
-    let group_chunk = par::chunk_len(n_out, k * cols);
+    let group_chunk = par::chunk_len(n_out, k * cols / MAX_ELEMS_PER_WORK_UNIT);
     par::par_chunks_mut(out.as_mut_slice(), group_chunk * cols, |ci, vals| {
-        for (gi, out_row) in vals.chunks_mut(cols).enumerate() {
-            let first = (ci * group_chunk + gi) * k;
-            out_row.copy_from_slice(grouped.row(first));
-            for r in first + 1..first + k {
-                for (&v, o) in grouped.row(r).iter().zip(out_row.iter_mut()) {
-                    if v > *o {
-                        *o = v;
-                    }
-                }
-            }
-        }
+        T::max_rows(src.as_slice(), cols, rows, ci * group_chunk * k, k, vals);
     });
 }
 
@@ -257,33 +270,10 @@ pub fn gather_max_reduce(src: &Matrix, groups: &[usize], k: usize) -> (Matrix, V
 pub fn gather_max_into<T: Element>(src: &Mat<T>, groups: &[usize], k: usize, out: &mut Mat<T>) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(groups.len() % k, 0, "groups must be a multiple of k");
-    let n_out = groups.len() / k;
-    let cols = src.cols();
-    out.reset_shape(n_out, cols);
-    if cols == 0 {
-        for &i in groups {
-            assert!(i < src.rows(), "group index {i} out of bounds");
-        }
-        return;
+    for &i in groups {
+        assert!(i < src.rows(), "group index {i} out of bounds");
     }
-    let group_chunk = par::chunk_len(n_out, k * cols);
-    par::par_chunks_mut(out.as_mut_slice(), group_chunk * cols, |ci, vals| {
-        for (gi, out_row) in vals.chunks_mut(cols).enumerate() {
-            let g = ci * group_chunk + gi;
-            let entry = &groups[g * k..(g + 1) * k];
-            let first = entry[0];
-            assert!(first < src.rows(), "group index {first} out of bounds");
-            out_row.copy_from_slice(src.row(first));
-            for &i in &entry[1..] {
-                assert!(i < src.rows(), "group index {i} out of bounds");
-                for (&v, o) in src.row(i).iter().zip(out_row.iter_mut()) {
-                    if v > *o {
-                        *o = v;
-                    }
-                }
-            }
-        }
-    });
+    max_rows_into(src, Some(groups), groups.len() / k, k, out);
 }
 
 /// Weighted row interpolation `out[g] = Σ_j weights[g·k+j] ·
@@ -436,6 +426,67 @@ mod tests {
         gather_max_into(&src, &groups, 3, &mut maxed);
         assert_eq!(maxed64, Matrix64::cast_from(&maxed));
     }
+
+    /// The `_into` reductions' panic contract, per element type: indices are
+    /// validated before any row is read (whichever slot of an entry holds
+    /// the bad one, and even when there are no columns to read), shapes
+    /// before that.
+    macro_rules! into_panic_contract {
+        ($dtype:ident, $t:ty) => {
+            mod $dtype {
+                use crate::{group, Mat};
+
+                fn reduce(rows: usize, cols: usize, groups: &[usize], k: usize) {
+                    let src = Mat::<$t>::zeros(rows, cols);
+                    group::gather_max_into(&src, groups, k, &mut Mat::zeros(0, 0));
+                }
+
+                #[test]
+                #[should_panic(expected = "group index 4 out of bounds")]
+                fn gather_max_into_rejects_an_index_in_the_first_slot() {
+                    reduce(4, 70, &[0, 1, 4, 2], 2);
+                }
+
+                #[test]
+                #[should_panic(expected = "group index 9 out of bounds")]
+                fn gather_max_into_rejects_an_index_in_a_later_slot() {
+                    reduce(4, 70, &[0, 1, 2, 9], 2);
+                }
+
+                #[test]
+                #[should_panic(expected = "group index 4 out of bounds")]
+                fn gather_max_into_rejects_an_index_with_no_columns() {
+                    reduce(4, 0, &[0, 4], 2);
+                }
+
+                #[test]
+                #[should_panic(expected = "group size must be positive")]
+                fn gather_max_into_rejects_k_zero() {
+                    reduce(4, 3, &[], 0);
+                }
+
+                #[test]
+                #[should_panic(expected = "groups must be a multiple of k")]
+                fn gather_max_into_rejects_a_partial_entry() {
+                    reduce(4, 3, &[0, 1, 2], 2);
+                }
+
+                #[test]
+                #[should_panic(expected = "group size must be positive")]
+                fn group_max_into_rejects_k_zero() {
+                    group::group_max_into(&Mat::<$t>::zeros(4, 3), 0, &mut Mat::zeros(0, 0));
+                }
+
+                #[test]
+                #[should_panic(expected = "rows must be a multiple of k")]
+                fn group_max_into_rejects_ragged_rows() {
+                    group::group_max_into(&Mat::<$t>::zeros(5, 3), 2, &mut Mat::zeros(0, 0));
+                }
+            }
+        };
+    }
+    into_panic_contract!(into_panics_f32, f32);
+    into_panic_contract!(into_panics_f64, f64);
 
     #[test]
     fn max_backward_routes_to_winner_only() {

@@ -35,6 +35,24 @@
 //! baseline width — the loop the scan used before; on SSE2 tiles of 2 and
 //! 4 queries measured no faster (16 xmm registers cannot hold them).
 //!
+//! A fourth, [`max_rows`], is the engine's aggregation and reduction
+//! kernel behind [`crate::group::gather_max_into`] and
+//! [`crate::group::group_max_into`]: the column-wise max over groups of
+//! `k` rows, named by an index table or consecutive. It is here for the
+//! same reason as [`sqdist_rows`] — one safe generic body, no intrinsics,
+//! and an AVX2 `target_feature` wrapper so the body's 64-column tile is
+//! eight ymm accumulators that stay in registers across all `k` rows and
+//! are stored once (32 columns at baseline width, 16 for `f64`). The loop
+//! it replaced compared each element against an output row in memory — a
+//! load, a branch and a store per element — and ran at about a nanosecond
+//! per element on a table that sat in L2. The fold is spelled
+//! `if v > acc { v } else { acc }` and never `max()`: the tape's argmax
+//! loop is that comparison, under which a `NaN` in a group's first row
+//! stays, a later `NaN` loses, and `−0.0` is not replaced by `+0.0`, while
+//! `f32::max` drops the first-row `NaN` and may return either zero. (x86's
+//! `maxps` happens to be exactly this select with the operands in this
+//! order, so the compiler may emit it.)
+//!
 //! FMA is deliberately never used: a fused multiply-add rounds once where
 //! `mul` + `add` round twice, which would break the scalar ≡ vector
 //! contract.
@@ -340,6 +358,97 @@ fn sqdist_tile<const Q: usize>(q: [&[f32]; Q], panel: &[f32], mut out: [&mut [f3
     }
 }
 
+/// Column-wise max over groups of `k` rows of the row-major, `cols`-wide
+/// `src` — the engine's aggregation and reduction kernel. `out` is whole
+/// `cols`-wide rows; its row `g` reduces the source rows at positions
+/// `first + g·k .. first + (g + 1)·k` of the row-index source `rows`: an
+/// index table (the NIT of a delayed aggregation), or `None` for the
+/// identity — position `i` is row `i`, `k` consecutive rows per group, no
+/// table materialised. Per column the group's first row seeds the result
+/// and each later row replaces it only if `v > acc`, in group order: a
+/// first-row `NaN` stays, a later `NaN` loses, and `−0.0` is not replaced
+/// by `+0.0`. Under AVX2 (runtime-detected, `simd` feature) a 64-column
+/// slice of the output row is held in eight ymm accumulators across all
+/// `k` rows; elsewhere the same body runs 32 columns wide.
+///
+/// # Panics
+///
+/// Panics when `k` or `cols` is zero, when `out` is not whole rows, or
+/// when a position or a row index is out of bounds.
+#[inline]
+pub fn max_rows(
+    src: &[f32],
+    cols: usize,
+    rows: Option<&[usize]>,
+    first: usize,
+    k: usize,
+    out: &mut [f32],
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime, which is all
+        // `max_rows_avx2` requires: its body is safe code.
+        return unsafe { x86::max_rows_avx2(src, cols, rows, first, k, out) };
+    }
+    max_rows_tiled::<f32, 32>(src, cols, rows, first, k, out);
+}
+
+/// [`max_rows`] at a full tile of `W` columns: per group, full tiles, then
+/// the column tail through the same tile 8 wide and 1 wide.
+#[inline(always)]
+pub(crate) fn max_rows_tiled<T: Element, const W: usize>(
+    src: &[T],
+    cols: usize,
+    rows: Option<&[usize]>,
+    first: usize,
+    k: usize,
+    out: &mut [T],
+) {
+    assert!(k > 0 && cols > 0, "max_rows needs a row and a column per group");
+    assert_eq!(out.len() % cols, 0, "max_rows out is not whole rows");
+    let n_rows = src.len() / cols;
+    for (g, out_row) in out.chunks_exact_mut(cols).enumerate() {
+        // Where the group's `j`-th source row starts in `src`.
+        let start = |j: usize| {
+            let i = first + g * k + j;
+            let row = rows.map_or(i, |table| table[i]);
+            assert!(row < n_rows, "max_rows row {row} out of bounds for {n_rows} rows");
+            row * cols
+        };
+        let c = max_tiles::<T, W>(src, &start, k, 0, out_row);
+        let c = max_tiles::<T, 8>(src, &start, k, c, out_row);
+        max_tiles::<T, 1>(src, &start, k, c, out_row);
+    }
+}
+
+/// The max-reduce tile: from column `c` on, every `W`-column slice of
+/// `out_row` that fits is seeded from the group's first row, folded over
+/// the other `k − 1` rows in locals and stored once. Returns the first
+/// column left over. The select is spelled out because `max()` is a
+/// different function (it drops a first-row `NaN` and may swap zeros); the
+/// compiler vectorises it at the enclosing function's width.
+#[inline(always)]
+fn max_tiles<T: Element, const W: usize>(
+    src: &[T],
+    start: &impl Fn(usize) -> usize,
+    k: usize,
+    mut c: usize,
+    out_row: &mut [T],
+) -> usize {
+    while c + W <= out_row.len() {
+        let mut acc = [T::ZERO; W];
+        acc.copy_from_slice(&src[start(0) + c..][..W]);
+        for j in 1..k {
+            for (a, &v) in acc.iter_mut().zip(&src[start(j) + c..][..W]) {
+                *a = if v > *a { v } else { *a };
+            }
+        }
+        out_row[c..c + W].copy_from_slice(&acc);
+        c += W;
+    }
+    c
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     use std::arch::x86_64::{
@@ -358,6 +467,26 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sqdist_rows_avx2(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
         super::sqdist_rows_tiled::<4>(queries, panel, out);
+    }
+
+    /// [`super::max_rows`] at 64 columns per tile, compiled for AVX2: eight
+    /// ymm accumulators per group and column slice, one compare-and-select
+    /// per source row. As with [`sqdist_rows_avx2`], the body is the safe
+    /// generic one and the attribute only decides its vector width.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn max_rows_avx2(
+        src: &[f32],
+        cols: usize,
+        rows: Option<&[usize]>,
+        first: usize,
+        k: usize,
+        out: &mut [f32],
+    ) {
+        super::max_rows_tiled::<f32, 64>(src, cols, rows, first, k, out);
     }
 
     /// 4 rows × 16 columns of the output held in eight ymm accumulators
@@ -807,6 +936,56 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "four queries per pass, dim {dim}");
         }
         sqdist_rows(&[], &[], &mut []);
+    }
+
+    #[test]
+    fn max_rows_forms_agree_with_a_per_element_fold_bitwise() {
+        // 77 columns: a 64-wide tile (or two 32-wide, or four 16-wide),
+        // one 8-wide and five single columns. Both row sources, starting
+        // mid-table at position 3.
+        let (n_rows, cols, k, first, n_groups) = (23usize, 77usize, 5usize, 3usize, 4usize);
+        let mut src = sample(n_rows * cols, 7);
+        let specials = [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0];
+        for (i, v) in specials.into_iter().enumerate() {
+            src[(i * 3 % n_rows) * cols + i * 11 % cols] = v;
+        }
+        src[3 * cols..4 * cols].fill(f32::NAN); // a group's first row, under either source
+        let table: Vec<usize> = (0..first + n_groups * k).map(|i| (i * 7 + 3) % n_rows).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in [None, Some(&table[..])] {
+            let row = |i: usize| rows.map_or(i, |t| t[i]);
+            let mut want = vec![0.0f32; n_groups * cols];
+            for (g, out) in want.chunks_exact_mut(cols).enumerate() {
+                out.copy_from_slice(&src[row(first + g * k) * cols..][..cols]);
+                for j in 1..k {
+                    for (o, &v) in out.iter_mut().zip(&src[row(first + g * k + j) * cols..][..cols])
+                    {
+                        if v > *o {
+                            *o = v;
+                        }
+                    }
+                }
+            }
+            type Form = fn(&[f32], usize, Option<&[usize]>, usize, usize, &mut [f32]);
+            let forms: [(&str, Form); 4] = [
+                ("dispatched", max_rows),
+                ("16 wide", max_rows_tiled::<f32, 16>),
+                ("32 wide", max_rows_tiled::<f32, 32>),
+                ("64 wide", max_rows_tiled::<f32, 64>),
+            ];
+            for (name, form) in forms {
+                let mut got = vec![f32::NAN; want.len()];
+                form(&src, cols, rows, first, k, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{name}");
+            }
+        }
+        max_rows(&src, cols, None, 0, k, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_rows row 2 out of bounds for 2 rows")]
+    fn max_rows_rejects_a_row_past_the_source() {
+        max_rows(&[0.0; 6], 3, Some(&[1, 2]), 0, 2, &mut [0.0; 3]);
     }
 
     #[test]

@@ -182,6 +182,30 @@ fn packed_matmul_is_thread_invariant() {
     assert_thread_invariant("packed matmul [f64]", || ops::matmul(&a64, &b64)).unwrap();
 }
 
+/// The engine's `f32` max-reduce at 77 columns — one 64-wide tile, one
+/// 8-wide, five single columns — and enough groups that 2 and 8 threads
+/// chunk them differently: chunks are whole groups, so no thread count
+/// moves a comparison.
+#[test]
+fn tiled_max_reduce_is_thread_invariant() {
+    let src = Matrix::from_fn(300, 77, |r, c| ((r * 29 + c * 13) % 23) as f32 * 0.125 - 1.3);
+    let (n_groups, k) = (2000, 16);
+    let groups: Vec<usize> = (0..n_groups * k).map(|i| (i * 31 + i / k) % src.rows()).collect();
+    assert_thread_invariant("gather_max_into", || {
+        let mut out = Matrix::zeros(0, 0);
+        group::gather_max_into(&src, &groups, k, &mut out);
+        out
+    })
+    .unwrap();
+    let grouped = group::gather_rows(&src, &groups);
+    assert_thread_invariant("group_max_into", || {
+        let mut out = Matrix::zeros(0, 0);
+        group::group_max_into(&grouped, k, &mut out);
+        out
+    })
+    .unwrap();
+}
+
 /// A deterministic second operand shaped for `matmul_at_b(a, ·)`.
 fn b2_like(a: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), 12, |r, c| ((r * 5 + c * 3) % 17) as f32 * 0.25 - 2.0)
