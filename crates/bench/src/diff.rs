@@ -268,7 +268,8 @@ pub struct DiffRecord {
     pub dtype: String,
     /// Cloud size, on large-cloud records.
     pub points: Option<u64>,
-    /// Pager mode (`"paged"`); `None` when the record carries no `mode`.
+    /// Configuration variant (`"deep"`); `None` when the record carries no
+    /// `mode`.
     pub mode: Option<String>,
     /// Mean wall time per operation, nanoseconds.
     pub ns_per_op: f64,
@@ -597,15 +598,15 @@ mod tests {
     }
 
     #[test]
-    fn pager_modes_get_distinct_keys() {
+    fn modes_get_distinct_keys() {
         let octree = |mode| BenchRecord {
             points: Some(1 << 20),
             mode,
             ..record("query", "octree", 2, None, 100.0)
         };
         assert_eq!(
-            keys(vec![octree(None), octree(Some("paged"))]),
-            ["query/octree[n=1048576] @2t", "query/octree[n=1048576][paged] @2t"]
+            keys(vec![octree(None), octree(Some("deep"))]),
+            ["query/octree[n=1048576] @2t", "query/octree[n=1048576][deep] @2t"]
         );
     }
 
@@ -613,12 +614,12 @@ mod tests {
     fn duplicate_keys_are_rejected() {
         let doc = r#"{ "schema": "mesorasi-bench/9", "smoke": false, "records": [
             { "op": "query", "backend": "octree", "threads": 2, "points": 1048576,
-              "mode": "paged", "ns_per_op": 10.0 },
+              "mode": "deep", "ns_per_op": 10.0 },
             { "op": "query", "backend": "octree", "threads": 2, "points": 1048576,
-              "mode": "paged", "ns_per_op": 20.0 }
+              "mode": "deep", "ns_per_op": 20.0 }
         ] }"#;
         let err = parse_report(doc).unwrap_err();
-        assert!(err.contains("duplicate key `query/octree[n=1048576][paged] @2t`"), "{err}");
+        assert!(err.contains("duplicate key `query/octree[n=1048576][deep] @2t`"), "{err}");
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! Out-of-core search records for the bench artifact: index build and
+//! Large-cloud search records for the bench artifact: index build and
 //! query timings at 2^17..2^20-point scales, where the octree backend
-//! earns its keep, measured for the octree (resident and paged) against
-//! the kd-tree and grid backends on the same cloud.
+//! earns its keep, measured for the octree against the kd-tree and grid
+//! backends on the same cloud.
 //!
-//! Every record carries the cloud size in `points`; the paged
-//! configurations carry `mode: "paged"` and run behind a file-backed node
-//! store with a byte budget of ⅛ of the cloud's storage, so every query
-//! sweep pays real eviction churn.
+//! Every record carries the cloud size in `points`.
 
 use crate::perf::{sweep_records, BenchRecord, Kernel};
 use mesorasi_knn::grid::UniformGrid;
 use mesorasi_knn::kdtree::KdTree;
-use mesorasi_knn::pager::POINT_BYTES;
 use mesorasi_knn::{MortonOctree, NeighborIndexTable, SearchIndex};
 use mesorasi_pointcloud::{Point3, PointCloud};
 use std::cell::RefCell;
@@ -48,39 +44,24 @@ const QUERIES: usize = 256;
 const K: usize = 16;
 const RADIUS: f32 = 0.05;
 
-/// Runs the large-cloud sweep: `index_build` and `query` for the octree
-/// (resident and paged), the kd-tree and the grid at every swept thread
-/// count (the paged configurations answer queries sequentially by design —
-/// the pager is a memory-bound store, not a parallel one — so their rows
-/// show it).
+/// Runs the large-cloud sweep: `index_build` and `query` for the octree,
+/// the kd-tree and the grid at every swept thread count.
 pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for &n in sizes(smoke) {
         let cloud = synthetic_cloud(n, 2020);
         let queries: Vec<usize> = (0..n).step_by(n / QUERIES).collect();
-        let pager_budget = n * POINT_BYTES / 8;
-        let paged_octree = || {
-            let mut t = MortonOctree::paged(pager_budget);
-            SearchIndex::build_into(&mut t, &cloud);
-            t
-        };
 
         // Prebuilt indices for the query records.
         let octree = RefCell::new(<MortonOctree as SearchIndex>::build(&cloud));
-        let paged = RefCell::new(paged_octree());
         let kdtree = RefCell::new(KdTree::build(&cloud));
         let grid = RefCell::new(UniformGrid::build(&cloud, RADIUS));
         let out = RefCell::new(NeighborIndexTable::default());
 
         // Warm in-place rebuild targets for the index_build records.
         let octree_rb = RefCell::new(<MortonOctree as SearchIndex>::build(&cloud));
-        let paged_rb = RefCell::new(paged_octree());
         let kdtree_rb = RefCell::new(KdTree::build(&cloud));
         let grid_rb = RefCell::new(UniformGrid::build(&cloud, RADIUS));
-
-        let octree_query = |tree: &RefCell<MortonOctree>| {
-            tree.borrow_mut().knn_into(&cloud, &queries, K, &mut out.borrow_mut());
-        };
 
         let mut kernels = [
             Kernel::new(
@@ -88,14 +69,6 @@ pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecor
                 "octree",
                 Box::new(|| SearchIndex::build_into(&mut *octree_rb.borrow_mut(), &cloud)),
             ),
-            Kernel {
-                mode: Some("paged"),
-                ..Kernel::new(
-                    "index_build",
-                    "octree",
-                    Box::new(|| SearchIndex::build_into(&mut *paged_rb.borrow_mut(), &cloud)),
-                )
-            },
             Kernel::new(
                 "index_build",
                 "kdtree",
@@ -106,11 +79,13 @@ pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecor
                 "grid",
                 Box::new(|| SearchIndex::build_into(&mut *grid_rb.borrow_mut(), &cloud)),
             ),
-            Kernel::new("query", "octree", Box::new(|| octree_query(&octree))),
-            Kernel {
-                mode: Some("paged"),
-                ..Kernel::new("query", "octree", Box::new(|| octree_query(&paged)))
-            },
+            Kernel::new(
+                "query",
+                "octree",
+                Box::new(|| {
+                    octree.borrow_mut().knn_into(&cloud, &queries, K, &mut out.borrow_mut());
+                }),
+            ),
             Kernel::new(
                 "query",
                 "kdtree",
@@ -155,17 +130,15 @@ mod tests {
     fn smoke_sweep_covers_every_configuration() {
         let sweep = [1, 2];
         let recs = records(true, Duration::from_millis(2), &sweep);
-        assert_eq!(recs.len(), 8 * sweep.len());
+        assert_eq!(recs.len(), 6 * sweep.len());
         assert!(recs.iter().all(|r| r.ns_per_op > 0.0 && r.points == Some(1 << 15)));
         for op in ["index_build", "query"] {
-            for (backend, mode) in
-                [("octree", None), ("octree", Some("paged")), ("kdtree", None), ("grid", None)]
-            {
+            for backend in ["octree", "kdtree", "grid"] {
                 let rows = recs
                     .iter()
-                    .filter(|r| r.op == op && r.backend == backend && r.mode == mode)
+                    .filter(|r| r.op == op && r.backend == backend && r.mode.is_none())
                     .count();
-                assert_eq!(rows, sweep.len(), "{op}/{backend} {mode:?}");
+                assert_eq!(rows, sweep.len(), "{op}/{backend}");
             }
         }
     }

@@ -55,8 +55,7 @@ pub struct BenchRecord {
     /// Cloud size, on large-cloud records only.
     pub points: Option<usize>,
     /// Variant of the configuration; `None` (key absent) is the default.
-    /// `Some("paged")`: the index ran behind the file-backed pager instead
-    /// of resident. `Some("deep")`, on `matmul` rows: the deep-weight shape
+    /// `Some("deep")`, on `matmul` rows: the deep-weight shape
     /// `(128,512)×(512,1024)` — the last SA3 layer of PointNet++, whose 2 MB
     /// `B` takes the packed order — instead of the shallow-weight
     /// `(2048,128)×(128,128)`; on the `knn`/`feature` row: DGCNN's widest
@@ -623,7 +622,7 @@ mod tests {
             records: vec![
                 rec("kdtree", 2, 1.8),
                 BenchRecord { dtype: Some("f64"), ..rec("tensor", 1, 1.0) },
-                BenchRecord { points: Some(1 << 20), mode: Some("paged"), ..rec("octree", 2, 0.9) },
+                BenchRecord { points: Some(1 << 20), mode: Some("deep"), ..rec("octree", 2, 0.9) },
             ],
         };
         let json = report.to_json();
@@ -633,13 +632,13 @@ mod tests {
              \"ns_per_op\": 1234.5, \"speedup_vs_1t\": 1.800 }"
         ));
         // Identity fields a record does not have are absent, not null.
-        for key in ["\"dtype\": \"f64\"", "\"points\": 1048576", "\"mode\": \"paged\""] {
+        for key in ["\"dtype\": \"f64\"", "\"points\": 1048576", "\"mode\": \"deep\""] {
             assert_eq!(json.matches(key).count(), 1, "{key}");
         }
         assert_eq!(json.matches("\"dtype\"").count(), 1);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(report.filename(), "BENCH_2026-10-01.json");
-        assert!(report.to_table().contains("octree (paged)   1048576"), "{}", report.to_table());
+        assert!(report.to_table().contains("octree (deep)    1048576"), "{}", report.to_table());
     }
 
     #[test]
@@ -734,16 +733,15 @@ mod tests {
             assert!(r.threads != 1 || (r.speedup_vs_1t - 1.0).abs() < 1e-9);
         }
 
-        // Size and pager mode are fields, never label suffixes.
+        // Size is a field, never a label suffix.
         for r in &report.records {
             assert!(
-                !r.backend.contains(|c: char| c.is_ascii_digit()) && !r.backend.contains("-paged"),
-                "backend label encodes a size or mode: {}",
+                !r.backend.contains(|c: char| c.is_ascii_digit()),
+                "backend label encodes a size: {}",
                 r.backend
             );
             assert!(r.op != "query" || r.points.is_some(), "large-cloud record without points");
         }
-        assert!(report.records.iter().any(|r| r.points.is_some() && r.mode == Some("paged")));
         assert!(report.records.iter().any(|r| r.op == "index_build" && r.points.is_none()));
 
         // matmul is timed at both weight shapes, the deep one as a mode of

@@ -7,6 +7,7 @@
 //! one `#[ignore]`d child test, or the `repro` binary) instead of mutating
 //! this process' environment.
 
+use mesorasi_knn::SearchBackend;
 use mesorasi_networks::{NetworkKind, SessionBuilder};
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use std::process::Command;
@@ -55,11 +56,6 @@ fn invalid_mesorasi_search_fails_loudly_with_accepted_values() {
 }
 
 #[test]
-fn invalid_mesorasi_pager_budget_fails_loudly_with_accepted_values() {
-    assert_rejected("MESORASI_PAGER_BUDGET", "huge", "byte counts or \"unbounded\"");
-}
-
-#[test]
 fn invalid_mesorasi_tile_budget_fails_loudly_with_accepted_values() {
     let accepted = "positive integers (points per tile) or \"off\"";
     assert_rejected("MESORASI_TILE_BUDGET", "huge", accepted);
@@ -83,8 +79,7 @@ fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
     // A session build parses MESORASI_DTYPE immediately before
     // MESORASI_TILE_BUDGET, so an invalid tile budget is a cheap sentinel:
     // reaching *its* loud failure proves the dtype value was accepted.
-    // Empty means unset (CI blanks variables that way), like
-    // MESORASI_PAGER_BUDGET.
+    // Empty means unset (CI blanks variables that way).
     for dtype in ["F64", " f64 ", "f32", ""] {
         let (_, err) =
             session_build_with(&[("MESORASI_DTYPE", dtype), ("MESORASI_TILE_BUDGET", "huge")]);
@@ -98,21 +93,17 @@ fn every_variable_accepts_blank_and_mixed_case() {
     // Blank means unset (CI can blank a job-level variable, not remove
     // it); keywords are trimmed and ASCII case-insensitive. An invalid
     // `MESORASI_DTYPE` is parsed last, so reaching *its* loud failure
-    // proves the four variables before it were accepted.
-    for (search, tile, pager, threads) in [
-        ("", "", "", ""),
-        (" ", "\t", "  ", " "),
-        (" OcTree ", " OFF ", "Unbounded", " 2 "),
-        ("AUTO", "off", " 768 ", "1"),
-    ] {
+    // proves the three variables before it were accepted.
+    for (search, tile, threads) in
+        [("", "", ""), (" ", "\t", " "), (" OcTree ", " OFF ", " 2 "), ("AUTO", " 768 ", "1")]
+    {
         let (_, err) = session_build_with(&[
             ("MESORASI_THREADS", threads),
             ("MESORASI_SEARCH", search),
             ("MESORASI_TILE_BUDGET", tile),
-            ("MESORASI_PAGER_BUDGET", pager),
             ("MESORASI_DTYPE", "f16"),
         ]);
-        let case = format!("('{search}', '{tile}', '{pager}', '{threads}'): {err}");
+        let case = format!("('{search}', '{tile}', '{threads}'): {err}");
         assert!(err.contains("invalid MESORASI_DTYPE='f16'"), "{case}");
         assert_eq!(err.matches("invalid MESORASI_").count(), 1, "{case}");
     }
@@ -121,23 +112,20 @@ fn every_variable_accepts_blank_and_mixed_case() {
 /// Child half of [`explicit_builder_settings_beat_the_environment`]: only
 /// meaningful under the environment the parent sets.
 #[test]
-#[ignore = "run by explicit_builder_settings_beat_the_environment under a paged-octree environment"]
-fn child_pager_traffic_follows_the_builder_not_the_environment() {
-    let pager_misses = |builder: SessionBuilder| {
+#[ignore = "run by explicit_builder_settings_beat_the_environment under a forced-octree environment"]
+fn child_search_backend_follows_the_builder_not_the_environment() {
+    let calls = |builder: SessionBuilder| {
         let session = builder.classes(3).workers(1).build();
         let n = session.network().input_points();
         let _ = session.infer(&sample_shape(ShapeClass::Chair, n, 1));
-        session.arena_stats(n).expect("shape compiled").pager
+        let by_backend = session.arena_stats(n).expect("shape compiled").search.calls_by_backend;
+        [SearchBackend::Octree, SearchBackend::KdTree].map(|b| by_backend[b as usize] > 0)
     };
     let kind = NetworkKind::PointNetPPClassification;
-    let ambient = pager_misses(SessionBuilder::from_kind(kind));
-    assert!(ambient.misses > 0, "the environment pages octree leaves: {ambient:?}");
-    let explicit = pager_misses(SessionBuilder::from_kind(kind).pager_budget(None));
-    assert_eq!(
-        (explicit.hits, explicit.misses, explicit.evictions, explicit.budget_bytes),
-        (0, 0, 0, 0),
-        "an explicit resident setting must win"
-    );
+    let ambient = calls(SessionBuilder::from_kind(kind));
+    assert_eq!(ambient, [true, false], "the environment forces the octree");
+    let explicit = calls(SessionBuilder::from_kind(kind).search_backend(SearchBackend::KdTree));
+    assert_eq!(explicit, [false, true], "an explicit kd-tree setting must win");
 }
 
 #[test]
@@ -146,10 +134,9 @@ fn explicit_builder_settings_beat_the_environment() {
         .args([
             "--ignored",
             "--exact",
-            "child_pager_traffic_follows_the_builder_not_the_environment",
+            "child_search_backend_follows_the_builder_not_the_environment",
         ])
         .env("MESORASI_SEARCH", "octree")
-        .env("MESORASI_PAGER_BUDGET", "768")
         .output()
         .expect("spawn self");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -19,8 +19,8 @@ use mesorasi_tensor::Dtype;
 pub const DEFAULT_TILE_BUDGET: usize = 256;
 
 /// Everything configurable about a plan engine. None of it changes
-/// results within a dtype: search backends are exact, tiling and paging
-/// are scheduling/residency choices, the cache only skips re-derivation.
+/// results within a dtype: search backends are exact, tiling is a
+/// scheduling choice, the cache only skips re-derivation.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Chooses the backend of every coordinate search (default: the cost
@@ -32,10 +32,6 @@ pub struct EngineConfig {
     /// [`DEFAULT_TILE_BUDGET`]; `MESORASI_TILE_BUDGET`). Must not be
     /// `Some(0)`.
     pub tile_budget: Option<usize>,
-    /// Octree leaf-payload residency budget in bytes: `None` keeps
-    /// payloads resident, `Some(bytes)` pages them through a file-backed
-    /// LRU (default resident; `MESORASI_PAGER_BUDGET`).
-    pub pager_budget: Option<usize>,
     /// Per-plan NIT sample-cache capacity; 0 disables caching (default
     /// [`DEFAULT_SAMPLE_CACHE_CAP`]; no environment variable).
     pub sample_cache_cap: usize,
@@ -49,7 +45,6 @@ impl Default for EngineConfig {
         EngineConfig {
             search: SearchPlanner::auto(),
             tile_budget: Some(DEFAULT_TILE_BUDGET),
-            pager_budget: None,
             sample_cache_cap: DEFAULT_SAMPLE_CACHE_CAP,
             dtype: Dtype::F32,
         }
@@ -64,10 +59,9 @@ impl EngineConfig {
     /// |---|---|
     /// | `MESORASI_SEARCH` | `auto` \| `kdtree` \| `grid` \| `bruteforce` \| `octree` |
     /// | `MESORASI_TILE_BUDGET` | a positive point count, or `off` |
-    /// | `MESORASI_PAGER_BUDGET` | a byte count, or `unbounded` |
     /// | `MESORASI_DTYPE` | `f32` \| `f64` |
     ///
-    /// One grammar for all four: values are trimmed, keywords are ASCII
+    /// One grammar for all three: values are trimmed, keywords are ASCII
     /// case-insensitive, and an unset or blank variable keeps the default
     /// (CI can blank a job-level variable but not remove it).
     ///
@@ -95,14 +89,6 @@ impl EngineConfig {
             })
         {
             config.tile_budget = budget;
-        }
-        if let Some(bytes) =
-            env_var("MESORASI_PAGER_BUDGET", "byte counts or \"unbounded\"", |s| match s {
-                "unbounded" => Some(usize::MAX),
-                _ => s.parse().ok(),
-            })
-        {
-            config.pager_budget = Some(bytes);
         }
         if let Some(dtype) = env_var("MESORASI_DTYPE", "f32|f64", |s| s.parse().ok()) {
             config.dtype = dtype;

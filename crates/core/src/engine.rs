@@ -35,7 +35,7 @@ use crate::module::NeighborMode;
 use crate::runner::{fp_stencils_into, search_nit_into, select_centroids_into};
 use crate::sample_cache::{SampleCache, SampleCacheStats};
 use mesorasi_knn::stats::SearchCounters;
-use mesorasi_knn::{NeighborIndexTable, PagerStats, SearchContext};
+use mesorasi_knn::{NeighborIndexTable, SearchContext};
 use mesorasi_nn::ir::VarId;
 use mesorasi_nn::plan::{Arena, ArenaStats, Bindings, DynMarks, Plan};
 use mesorasi_nn::Graph;
@@ -55,11 +55,9 @@ pub enum StateSource {
     /// The sample cloud itself (the root state of every network).
     Sample,
     /// A pure function of the sample cloud (e.g. F-PointNet's
-    /// mask-and-recenter crop). Must be deterministic.
-    Derived(Arc<dyn Fn(&PointCloud) -> PointCloud + Send + Sync>),
-    /// Like [`StateSource::Derived`], but writing into the engine's
-    /// persistent state buffer instead of returning a fresh cloud — the
-    /// streaming form, which derives without allocating on warm frames.
+    /// mask-and-recenter crop), written into the engine's persistent state
+    /// buffer so warm frames derive without allocating. Must be
+    /// deterministic.
     DerivedInto(DeriveIntoFn),
 }
 
@@ -67,7 +65,6 @@ impl std::fmt::Debug for StateSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StateSource::Sample => write!(f, "Sample"),
-            StateSource::Derived(_) => write!(f, "Derived(..)"),
             StateSource::DerivedInto(_) => write!(f, "DerivedInto(..)"),
         }
     }
@@ -249,7 +246,7 @@ pub(crate) mod rec {
         });
     }
 
-    /// Registers an input state created by `ModuleState::from_cloud[_derived]`.
+    /// Registers an input state created by `ModuleState::from_cloud[_derived_into]`.
     pub(crate) fn input_state(input_var: VarId, cloud: &PointCloud, source: Option<StateSource>) {
         with(|rec| {
             let source = match source {
@@ -258,7 +255,7 @@ pub(crate) mod rec {
                 None => {
                     rec.error = Some(
                         "a mid-network input state has no derivation; create it with \
-                         ModuleState::from_cloud_derived so the plan can replay it"
+                         ModuleState::from_cloud_derived_into so the plan can replay it"
                             .into(),
                     );
                     return;
@@ -566,9 +563,6 @@ pub struct EngineStats {
     pub search: SearchCounters,
     /// NIT sample-cache traffic (hits / misses / LRU evictions).
     pub cache: SampleCacheStats,
-    /// Octree node-pager traffic (hits / misses / evictions / residency);
-    /// all-zero unless a paged octree answered searches for this plan.
-    pub pager: PagerStats,
     /// Fixed per-tile point budget of the tiled streaming path (`None`
     /// when the engine runs untiled, cost-model chunked).
     pub tile_budget: Option<usize>,
@@ -656,7 +650,7 @@ impl PlanEngine {
     /// # Panics
     ///
     /// Panics when the recorded forward contains per-sample values the
-    /// recorder cannot derive (see [`crate::runner::ModuleState::from_cloud_derived`]),
+    /// recorder cannot derive (see [`crate::runner::ModuleState::from_cloud_derived_into`]),
     /// or when a replay disagrees with the recorded shapes.
     pub fn run<'a>(
         &'a mut self,
@@ -760,7 +754,6 @@ impl PlanEngine {
             search_bytes: c.search_bytes(),
             search: c.search.counters(),
             cache: c.samples.stats(),
-            pager: c.search.pager_stats(),
             tile_budget: self.config.tile_budget,
             parallel_scratch_bytes: mesorasi_knn::parallel_scratch_bytes(),
         })
@@ -821,7 +814,6 @@ impl PlanEngine {
             search: {
                 let mut search = SearchContext::with_planner(self.config.search);
                 search.set_tile_budget(self.config.tile_budget);
-                search.set_pager_budget(self.config.pager_budget);
                 search
             },
             nit: NeighborIndexTable::default(),
@@ -932,10 +924,6 @@ fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
             DynStep::Input { state, input_node, source, .. } => {
                 match source {
                     StateSource::Sample => state_bufs[*state].copy_from(cloud),
-                    StateSource::Derived(f) => {
-                        let derived = f(cloud);
-                        state_bufs[*state].copy_from(&derived);
-                    }
                     StateSource::DerivedInto(f) => f(cloud, &mut state_bufs[*state]),
                 }
                 state_set[*state] = true;
@@ -1161,13 +1149,14 @@ mod tests {
         // A mid-network state derived from the sample (F-PointNet's
         // mask/recenter pattern): the plan must re-derive it per sample.
         let module = offset_module(NeighborMode::CoordKnn);
-        let derive: Arc<dyn Fn(&PointCloud) -> PointCloud + Send + Sync> = Arc::new(|cloud| {
+        let derive: DeriveIntoFn = Arc::new(|cloud, out| {
             let half: Vec<usize> = (0..cloud.len() / 2).collect();
-            cloud.select(&half)
+            cloud.select_into(&half, out);
         });
         let record = move |g: &mut Graph, cloud: &PointCloud| {
-            let cropped = derive(cloud);
-            let state = ModuleState::from_cloud_derived(g, &cropped, derive.clone());
+            let mut cropped = PointCloud::new();
+            derive(cloud, &mut cropped);
+            let state = ModuleState::from_cloud_derived_into(g, &cropped, derive.clone());
             let out = runner::run_module(g, &module, &state, Strategy::Original, 5);
             vec![out.state.features]
         };
@@ -1437,9 +1426,9 @@ mod tests {
 
     #[test]
     fn derive_into_states_replay_without_cloning() {
-        // The streaming form of the derived-input pattern: the derivation
+        // The derived-input pattern on the streamed path: the derivation
         // writes into the engine's state buffer and must replay per sample
-        // bit-identically to the allocating form.
+        // bit-identically to an allocating derivation on the tape.
         let module = offset_module(NeighborMode::CoordKnn);
         let derive = |cloud: &PointCloud| {
             let half: Vec<usize> = (0..cloud.len() / 2).collect();

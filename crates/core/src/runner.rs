@@ -21,7 +21,6 @@ use mesorasi_nn::{Graph, VarId};
 use mesorasi_pointcloud::{sampling, Point3, PointCloud};
 use mesorasi_tensor::Matrix;
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// The data flowing between modules: 3-D positions (for coordinate-space
 /// search and interpolation) and the per-point feature rows on the graph.
@@ -39,7 +38,8 @@ impl ModuleState {
     ///
     /// Under plan recording the *first* `from_cloud` of a forward pass is
     /// taken to be the sample itself; later input states must use
-    /// [`ModuleState::from_cloud_derived`] so the plan can re-derive them.
+    /// [`ModuleState::from_cloud_derived_into`] so the plan can re-derive
+    /// them.
     pub fn from_cloud(g: &mut Graph, cloud: &PointCloud) -> Self {
         let features = g.input(Matrix::from_vec(cloud.len(), 3, cloud.to_xyz_rows()));
         rec::input_state(features, cloud, None);
@@ -48,24 +48,11 @@ impl ModuleState {
 
     /// Like [`ModuleState::from_cloud`], for a cloud that is a pure,
     /// deterministic function of the sample (e.g. F-PointNet's masked and
-    /// recentered crop). `derive` must reproduce `cloud` when applied to
-    /// the sample this forward pass runs on; the inference plan replays it
-    /// per sample.
-    pub fn from_cloud_derived(
-        g: &mut Graph,
-        cloud: &PointCloud,
-        derive: Arc<dyn Fn(&PointCloud) -> PointCloud + Send + Sync>,
-    ) -> Self {
-        let features = g.input(Matrix::from_vec(cloud.len(), 3, cloud.to_xyz_rows()));
-        rec::input_state(features, cloud, Some(StateSource::Derived(derive)));
-        ModuleState { positions: cloud.clone(), features }
-    }
-
-    /// Like [`ModuleState::from_cloud_derived`], but the derivation writes
-    /// into the engine's persistent per-state buffer (`derive(sample,
-    /// out)`) instead of returning a fresh cloud — the streaming form. A
-    /// warm engine replays it with zero heap allocations as long as the
-    /// derivation itself reuses its own scratch.
+    /// recentered crop). `derive(sample, out)` must reproduce `cloud` when
+    /// applied to the sample this forward pass runs on; the inference plan
+    /// replays it per sample, writing into the engine's persistent
+    /// per-state buffer. A warm engine replays it with zero heap
+    /// allocations as long as the derivation itself reuses its own scratch.
     pub fn from_cloud_derived_into(
         g: &mut Graph,
         cloud: &PointCloud,
@@ -146,15 +133,11 @@ thread_local! {
     /// The tape path's search context: persistent per thread so consecutive
     /// modules (and consecutive forwards) searching the same cloud share
     /// one built index. Keyed by cloud content hash, verified bit-exactly,
-    /// so sharing can never change a result. Backend and paging follow the
+    /// so sharing can never change a result. The backend follows the
     /// environment as of the thread's first tape search; the tape has no
     /// tiled path, so chunking stays with the cost model.
-    static TAPE_SEARCH: RefCell<SearchContext> = RefCell::new({
-        let config = EngineConfig::from_env();
-        let mut search = SearchContext::with_planner(config.search);
-        search.set_pager_budget(config.pager_budget);
-        search
-    });
+    static TAPE_SEARCH: RefCell<SearchContext> =
+        RefCell::new(SearchContext::with_planner(EngineConfig::from_env().search));
 }
 
 /// Runs the neighbor search of one module: the single search

@@ -90,13 +90,6 @@ pub fn knn_indices(cloud: &PointCloud, queries: &[usize], k: usize) -> NeighborI
     out
 }
 
-/// The number of distance computations a brute-force KNN performs — the
-/// work term the GPU cost model charges (each distance is 3 subs, 3 MULs,
-/// 2 adds in 3-D; generalized to `dim`).
-pub fn distance_ops(n_points: usize, n_queries: usize, dim: usize) -> u64 {
-    (n_points as u64) * (n_queries as u64) * (3 * dim as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +154,5 @@ mod tests {
         let found = knn_point(&cloud, Point3::ORIGIN, 3);
         let idx: Vec<usize> = found.iter().map(|c| c.index).collect();
         assert_eq!(idx, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn distance_ops_scales_bilinearly() {
-        assert_eq!(distance_ops(100, 10, 3), 9_000);
-        assert_eq!(distance_ops(200, 10, 3), 18_000);
-        assert_eq!(distance_ops(100, 20, 3), 18_000);
     }
 }

@@ -25,7 +25,6 @@ use crate::feature::{self, FeatureScratch, FeatureView};
 use crate::grid::UniformGrid;
 use crate::kdtree::{batch_into, sort_candidates, KdTree};
 use crate::octree::MortonOctree;
-use crate::pager::PagerStats;
 use crate::planner::{SearchBackend, SearchLoad, SearchPlanner};
 use crate::stats::SearchCounters;
 use crate::NeighborIndexTable;
@@ -83,12 +82,6 @@ pub trait SearchIndex: Send + std::fmt::Debug {
 
     /// Which planner backend this index implements.
     fn kind(&self) -> SearchBackend;
-
-    /// Leaf-pager traffic of this index — all-zero for every backend that
-    /// keeps its payload resident (only a paged octree overrides this).
-    fn pager_stats(&self) -> PagerStats {
-        PagerStats::default()
-    }
 }
 
 /// The index-free backend: exhaustive scans, the reference every other
@@ -204,15 +197,11 @@ pub struct SearchContext {
     /// context (see [`crate::with_query_tile_budget`]); `None` defers to
     /// the cost model. Never changes results, only chunk boundaries.
     tile_budget: Option<usize>,
-    /// Octree leaf-payload residency budget: `None` keeps payloads
-    /// resident, `Some(bytes)` pages them through a file-backed LRU.
-    /// Results are bit-identical either way.
-    pager_budget: Option<usize>,
 }
 
 impl SearchContext {
-    /// A context choosing backends with `planner`, cost-model chunked and
-    /// with resident octree payloads. Never consults the environment.
+    /// A context choosing backends with `planner`, cost-model chunked.
+    /// Never consults the environment.
     pub fn with_planner(planner: SearchPlanner) -> SearchContext {
         SearchContext {
             planner,
@@ -222,7 +211,6 @@ impl SearchContext {
             slots: Vec::with_capacity(MAX_SLOTS),
             clock: 0,
             tile_budget: None,
-            pager_budget: None,
         }
     }
 
@@ -241,28 +229,6 @@ impl SearchContext {
     /// The fixed query-tile budget, if one is set.
     pub fn tile_budget(&self) -> Option<usize> {
         self.tile_budget
-    }
-
-    /// Sets the octree leaf-payload residency budget: `None` (the default)
-    /// keeps payloads resident; `Some(bytes)` pages them through a
-    /// file-backed LRU under that budget. Results are bit-identical at
-    /// every budget. Existing octree slots are dropped so the next query
-    /// rebuilds onto the new store.
-    pub fn set_pager_budget(&mut self, budget: Option<usize>) {
-        if self.pager_budget != budget {
-            self.pager_budget = budget;
-            self.slots.retain(|s| s.index.kind() != SearchBackend::Octree);
-        }
-    }
-
-    /// Pager traffic counters summed over every slot (all-zero when no
-    /// paged octree has answered).
-    pub fn pager_stats(&self) -> PagerStats {
-        let mut total = PagerStats::default();
-        for s in &self.slots {
-            total.add(&s.index.pager_stats());
-        }
-        total
     }
 
     /// Traffic counters accumulated since construction.
@@ -363,20 +329,19 @@ impl SearchContext {
         self.counters.distance_evals += evals;
     }
 
-    /// A fresh, unbuilt index of `backend` (grids at `cell_size = radius`,
-    /// octrees on the configured leaf store).
-    fn new_index(&self, backend: SearchBackend, radius: f32) -> Box<dyn SearchIndex> {
+    /// A fresh, unbuilt index of `backend` (grids at `cell_size = radius`).
+    fn new_index(backend: SearchBackend, radius: f32) -> Box<dyn SearchIndex> {
         match backend {
             SearchBackend::Grid => {
                 let mut grid = UniformGrid::default();
                 grid.set_cell_size(radius);
                 Box::new(grid)
             }
-            SearchBackend::Octree => Box::new(match self.pager_budget {
-                Some(budget) => MortonOctree::paged(budget),
-                None => MortonOctree::resident(),
-            }),
-            SearchBackend::KdTree | SearchBackend::BruteForce => Box::new(KdTree::default()),
+            SearchBackend::Octree => Box::new(MortonOctree::default()),
+            SearchBackend::KdTree => Box::new(KdTree::default()),
+            SearchBackend::BruteForce => {
+                unreachable!("`ensure_index` answers brute force from the shared scan, not a slot")
+            }
         }
     }
 
@@ -407,7 +372,7 @@ impl SearchContext {
                     radius_bits,
                     cloud: PointCloud::new(),
                     last_use: self.clock,
-                    index: self.new_index(backend, radius),
+                    index: Self::new_index(backend, radius),
                 });
                 self.slots.len() - 1
             }
@@ -424,7 +389,7 @@ impl SearchContext {
                     .expect("slot pool is non-empty at capacity");
                 let old = &self.slots[si];
                 if old.index.kind() != backend || old.radius_bits != radius_bits {
-                    self.slots[si].index = self.new_index(backend, radius);
+                    self.slots[si].index = Self::new_index(backend, radius);
                 }
                 let slot = &mut self.slots[si];
                 slot.space = space;

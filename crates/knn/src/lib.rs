@@ -18,10 +18,7 @@
 //! * [`index`] — the pluggable [`SearchIndex`] trait over every backend
 //!   (explicit build/query split, out-parameter queries) and the
 //!   [`SearchContext`] that owns reusable per-space index storage,
-//! * [`octree`] — a Morton-bucket octree for large clouds, with pageable
-//!   leaf payloads,
-//! * [`pager`] — the [`pager::NodeStore`] leaf-payload stores (resident
-//!   and file-backed under a byte-budgeted LRU),
+//! * [`octree`] — a Morton-bucket octree for large clouds,
 //! * [`planner`] — the cost-model [`SearchPlanner`] choosing a backend per
 //!   workload shape (overridable with [`SearchPlanner::forced`]),
 //! * [`stats`] — neighborhood-membership statistics (reproduces Fig. 6)
@@ -57,14 +54,12 @@ pub mod index;
 pub mod kdtree;
 pub mod nit;
 pub mod octree;
-pub mod pager;
 pub mod planner;
 pub mod stats;
 
 pub use index::{SearchContext, SearchIndex};
 pub use nit::NeighborIndexTable;
 pub use octree::MortonOctree;
-pub use pager::{NodeStore, PagerStats};
 pub use planner::{SearchBackend, SearchPlanner};
 
 thread_local! {

@@ -13,25 +13,17 @@
 //! `(distance, index)` tie-breaking as every other backend (shared
 //! `push_bounded`/`sort_candidates`/`pad_slot`), so the octree joins the
 //! bit-identity bar: the planner can cross over to it at large N without
-//! changing a single result.
-//!
-//! **Paging** ([`MortonOctree::paged`]) opens the out-of-core scenario:
-//! leaf payloads live behind the [`NodeStore`] trait — resident, or
-//! file-backed under a byte-budgeted LRU ([`crate::pager::FileStore`]).
-//! Payloads round-trip bit-exactly, so results are identical at every
-//! budget; paged queries run sequentially (faults mutate LRU state),
-//! resident queries batch in parallel like the kd-tree.
+//! changing a single result. Queries batch in parallel like the kd-tree's.
 
 use crate::bruteforce::{push_bounded, Candidate};
 use crate::kdtree::{batch_into, per_query_cost, sort_candidates};
-use crate::pager::{FileStore, NodeStore, PagerStats, ResidentStore};
 use crate::planner::SearchBackend;
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{morton, Aabb, Point3, PointCloud};
 
 /// Points per leaf before a Morton run stops splitting. Larger than the
-/// kd-tree's 16: leaves are contiguous scans (and pager I/O units), so
-/// fatter leaves amortize descent and fault cost.
+/// kd-tree's 16: leaves are contiguous scans, so fatter leaves amortize
+/// descent cost.
 pub const LEAF_SIZE: usize = 32;
 
 /// `u32` sentinel for "no child".
@@ -41,9 +33,8 @@ const NONE: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 enum OctNode {
     Leaf {
-        /// Payload id in the node store (push order).
-        leaf: u32,
-        /// Range `start..start + len` of the Morton permutation.
+        /// Range `start..start + len` of the Morton permutation (and of
+        /// the sorted payload).
         start: u32,
         len: u32,
     },
@@ -51,22 +42,6 @@ enum OctNode {
         /// Children in Morton-digit order; [`NONE`] for empty octants.
         children: [u32; 8],
     },
-}
-
-/// Where this tree's leaf payloads live (see [`crate::pager`]).
-#[derive(Debug)]
-enum Store {
-    Resident(ResidentStore),
-    Paged(FileStore),
-}
-
-impl Store {
-    fn as_node_store(&mut self) -> &mut dyn NodeStore {
-        match self {
-            Store::Resident(s) => s,
-            Store::Paged(s) => s,
-        }
-    }
 }
 
 /// A Morton-bucket octree with reusable storage, implementing
@@ -86,7 +61,7 @@ impl Store {
 /// tree.knn_into(&cloud, &queries, 8, &mut out);
 /// assert_eq!(out, bruteforce::knn_indices(&cloud, &queries, 8));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MortonOctree {
     nodes: Vec<OctNode>,
     aabbs: Vec<Aabb>,
@@ -94,46 +69,15 @@ pub struct MortonOctree {
     perm: Vec<usize>,
     /// Morton code per original index (build scratch).
     codes: Vec<u64>,
-    /// Scratch for assembling leaf payloads at build time.
-    leaf_buf: Vec<Point3>,
-    store: Store,
+    /// The cloud in Morton order (`sorted[i]` is point `perm[i]`): leaf
+    /// payloads are slices of it.
+    sorted: Vec<Point3>,
     size: usize,
     /// Sequential-query candidate scratch (parallel chunks pool their own).
     scratch: Vec<Candidate>,
 }
 
-impl Default for MortonOctree {
-    fn default() -> Self {
-        MortonOctree::resident()
-    }
-}
-
 impl MortonOctree {
-    /// A tree whose leaf payloads stay in memory (the fast default).
-    pub fn resident() -> MortonOctree {
-        MortonOctree::with_store(Store::Resident(ResidentStore::default()))
-    }
-
-    /// A tree whose leaf payloads are file-backed and paged under `budget`
-    /// bytes of residency (see [`crate::pager::FileStore`]). Results are
-    /// bit-identical to the resident tree at every budget.
-    pub fn paged(budget: usize) -> MortonOctree {
-        MortonOctree::with_store(Store::Paged(FileStore::new(budget)))
-    }
-
-    fn with_store(store: Store) -> MortonOctree {
-        MortonOctree {
-            nodes: Vec::new(),
-            aabbs: Vec::new(),
-            perm: Vec::new(),
-            codes: Vec::new(),
-            leaf_buf: Vec::new(),
-            store,
-            size: 0,
-            scratch: Vec::new(),
-        }
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.size
@@ -142,11 +86,6 @@ impl MortonOctree {
     /// True when the tree indexes no points.
     pub fn is_empty(&self) -> bool {
         self.size == 0
-    }
-
-    /// True when leaf payloads are file-backed.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.store, Store::Paged(_))
     }
 }
 
@@ -157,22 +96,20 @@ impl crate::SearchIndex for MortonOctree {
         self.nodes.clear();
         self.aabbs.clear();
         morton::sort_permutation_into(cloud, &mut self.codes, &mut self.perm);
-        let leaves_hint = cloud.len().div_ceil(LEAF_SIZE).max(1);
-        self.store.as_node_store().begin_rebuild(leaves_hint);
+        let points = cloud.points();
+        self.sorted.clear();
+        self.sorted.extend(self.perm.iter().map(|&i| points[i]));
         if !self.perm.is_empty() {
             let mut b = Builder {
-                points: cloud.points(),
                 codes: &self.codes,
                 perm: &self.perm,
+                sorted: &self.sorted,
                 nodes: &mut self.nodes,
                 aabbs: &mut self.aabbs,
-                leaf_buf: &mut self.leaf_buf,
-                store: self.store.as_node_store(),
             };
             let top_shift = 3 * (morton::BITS_PER_AXIS as i32 - 1);
             b.build(0, self.perm.len(), top_shift);
         }
-        self.store.as_node_store().finish_rebuild();
     }
 
     fn knn_into(
@@ -183,44 +120,18 @@ impl crate::SearchIndex for MortonOctree {
         out: &mut NeighborIndexTable,
     ) -> u64 {
         assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
-        let MortonOctree { nodes, aabbs, perm, store, scratch, .. } = self;
-        let t = TreeView { nodes, aabbs, perm, cloud_points: cloud.points() };
-        match store {
-            Store::Resident(r) => {
-                let payload = r.points();
-                batch_into(
-                    out,
-                    queries,
-                    k,
-                    per_query_cost(t.perm.len(), k),
-                    scratch,
-                    |best, q, slot| {
-                        let mut scan = ResidentScan { payload };
-                        let evals = knn_one(&t, &mut scan, q, k, best);
-                        for (s, c) in slot.iter_mut().zip(best.iter()) {
-                            *s = c.index;
-                        }
-                        evals
-                    },
-                )
+        let MortonOctree { nodes, aabbs, perm, sorted, scratch, .. } = self;
+        let t = TreeView { nodes, aabbs, perm, sorted };
+        let points = cloud.points();
+        batch_into(out, queries, k, per_query_cost(t.perm.len(), k), scratch, |best, q, slot| {
+            best.clear();
+            let mut evals = 0u64;
+            knn_descend(&t, 0, points[q], k, best, &mut evals);
+            for (s, c) in slot.iter_mut().zip(best.iter()) {
+                *s = c.index;
             }
-            Store::Paged(p) => {
-                // Faulting leaves in mutates the LRU, so paged queries
-                // share the store sequentially; results are identical to
-                // the parallel resident path at any budget.
-                let (cents, neighs) = out.fill_slots(k, queries.len());
-                let mut scan = PagedScan { store: p };
-                let mut evals = 0u64;
-                for (i, &q) in queries.iter().enumerate() {
-                    cents[i] = q;
-                    evals += knn_one(&t, &mut scan, q, k, scratch);
-                    for (s, c) in neighs[i * k..(i + 1) * k].iter_mut().zip(scratch.iter()) {
-                        *s = c.index;
-                    }
-                }
-                evals
-            }
-        }
+            evals
+        })
     }
 
     fn ball_into(
@@ -234,74 +145,40 @@ impl crate::SearchIndex for MortonOctree {
         assert!(k > 0, "k must be positive");
         assert!(radius >= 0.0, "radius must be non-negative");
         let r2 = radius * radius;
-        let MortonOctree { nodes, aabbs, perm, store, scratch, .. } = self;
-        let t = TreeView { nodes, aabbs, perm, cloud_points: cloud.points() };
-        match store {
-            Store::Resident(r) => {
-                let payload = r.points();
-                batch_into(
-                    out,
-                    queries,
-                    k,
-                    per_query_cost(t.perm.len(), k),
-                    scratch,
-                    |found, q, slot| {
-                        let mut scan = ResidentScan { payload };
-                        let evals = ball_one(&t, &mut scan, q, r2, found);
-                        crate::ball::pad_slot(found, slot);
-                        evals
-                    },
-                )
-            }
-            Store::Paged(p) => {
-                let (cents, neighs) = out.fill_slots(k, queries.len());
-                let mut scan = PagedScan { store: p };
-                let mut evals = 0u64;
-                for (i, &q) in queries.iter().enumerate() {
-                    cents[i] = q;
-                    evals += ball_one(&t, &mut scan, q, r2, scratch);
-                    crate::ball::pad_slot(scratch, &mut neighs[i * k..(i + 1) * k]);
-                }
-                evals
-            }
-        }
+        let MortonOctree { nodes, aabbs, perm, sorted, scratch, .. } = self;
+        let t = TreeView { nodes, aabbs, perm, sorted };
+        let points = cloud.points();
+        batch_into(out, queries, k, per_query_cost(t.perm.len(), k), scratch, |found, q, slot| {
+            found.clear();
+            let mut evals = 0u64;
+            ball_descend(&t, 0, points[q], r2, found, &mut evals);
+            sort_candidates(found);
+            crate::ball::pad_slot(found, slot);
+            evals
+        })
     }
 
     fn storage_bytes(&self) -> usize {
-        let store_bytes = match &self.store {
-            Store::Resident(s) => s.storage_bytes(),
-            Store::Paged(s) => s.storage_bytes(),
-        };
         self.nodes.capacity() * std::mem::size_of::<OctNode>()
             + self.aabbs.capacity() * std::mem::size_of::<Aabb>()
             + self.perm.capacity() * std::mem::size_of::<usize>()
             + self.codes.capacity() * std::mem::size_of::<u64>()
-            + self.leaf_buf.capacity() * std::mem::size_of::<Point3>()
+            + self.sorted.capacity() * std::mem::size_of::<Point3>()
             + self.scratch.capacity() * std::mem::size_of::<Candidate>()
-            + store_bytes
     }
 
     fn kind(&self) -> SearchBackend {
         SearchBackend::Octree
     }
-
-    fn pager_stats(&self) -> PagerStats {
-        match &self.store {
-            Store::Resident(s) => s.stats(),
-            Store::Paged(s) => s.stats(),
-        }
-    }
 }
 
 /// Build-time borrow bundle (the tree's fields, split for the recursion).
 struct Builder<'b> {
-    points: &'b [Point3],
     codes: &'b [u64],
     perm: &'b [usize],
+    sorted: &'b [Point3],
     nodes: &'b mut Vec<OctNode>,
     aabbs: &'b mut Vec<Aabb>,
-    leaf_buf: &'b mut Vec<Point3>,
-    store: &'b mut dyn NodeStore,
 }
 
 impl Builder<'_> {
@@ -310,17 +187,13 @@ impl Builder<'_> {
     /// a node's id precedes all its descendants'.
     fn build(&mut self, start: usize, len: usize, shift: i32) -> u32 {
         let id = self.nodes.len() as u32;
-        let run = &self.perm[start..start + len];
-        let aabb = Aabb::from_points(run.iter().map(|&i| self.points[i]))
+        let aabb = Aabb::from_points(self.sorted[start..start + len].iter().copied())
             .expect("build ranges are non-empty");
         self.aabbs.push(aabb);
         // A zero-extent run (duplicate points) exhausts `shift` and
         // collapses into one leaf of the full run.
         if len <= LEAF_SIZE || shift < 0 {
-            self.leaf_buf.clear();
-            self.leaf_buf.extend(run.iter().map(|&i| self.points[i]));
-            let leaf = self.store.push_leaf(self.leaf_buf);
-            self.nodes.push(OctNode::Leaf { leaf, start: start as u32, len: len as u32 });
+            self.nodes.push(OctNode::Leaf { start: start as u32, len: len as u32 });
             return id;
         }
         self.nodes.push(OctNode::Internal { children: [NONE; 8] });
@@ -345,78 +218,20 @@ impl Builder<'_> {
     }
 }
 
-/// Borrowed view of the tree's immutable search data, so the descent
-/// bodies exist once across the resident and paged paths.
+/// Borrowed view of the tree's immutable search data: what every parallel
+/// query chunk shares while the candidate scratch is borrowed mutably.
 #[derive(Clone, Copy)]
 struct TreeView<'t> {
     nodes: &'t [OctNode],
     aabbs: &'t [Aabb],
     perm: &'t [usize],
-    cloud_points: &'t [Point3],
+    sorted: &'t [Point3],
 }
 
-/// Leaf-payload access, the one seam between resident and paged queries.
-trait LeafScan {
-    /// The payload of leaf `leaf` (the points of `perm[start..start+len]`,
-    /// in that order).
-    fn payload(&mut self, leaf: u32, start: usize, len: usize) -> &[Point3];
-}
-
-struct ResidentScan<'a> {
-    /// The Morton-sorted cloud: leaf payloads are slices of it.
-    payload: &'a [Point3],
-}
-
-impl LeafScan for ResidentScan<'_> {
-    fn payload(&mut self, _leaf: u32, start: usize, len: usize) -> &[Point3] {
-        &self.payload[start..start + len]
-    }
-}
-
-struct PagedScan<'a> {
-    store: &'a mut FileStore,
-}
-
-impl LeafScan for PagedScan<'_> {
-    fn payload(&mut self, leaf: u32, _start: usize, len: usize) -> &[Point3] {
-        let pts = self.store.leaf_points(leaf);
-        debug_assert_eq!(pts.len(), len, "paged payload length matches the leaf run");
-        pts
-    }
-}
-
-/// One exact kNN query into `best` (ascending by `(distance, index)`).
-fn knn_one<S: LeafScan>(
+/// Exact kNN descent from node `at` into `best` (kept ascending by
+/// `(distance, index)`).
+fn knn_descend(
     t: &TreeView<'_>,
-    scan: &mut S,
-    q: usize,
-    k: usize,
-    best: &mut Vec<Candidate>,
-) -> u64 {
-    best.clear();
-    let mut evals = 0u64;
-    knn_descend(t, scan, 0, t.cloud_points[q], k, best, &mut evals);
-    evals
-}
-
-/// One ball query into `found` (sorted ascending by `(distance, index)`).
-fn ball_one<S: LeafScan>(
-    t: &TreeView<'_>,
-    scan: &mut S,
-    q: usize,
-    r2: f32,
-    found: &mut Vec<Candidate>,
-) -> u64 {
-    found.clear();
-    let mut evals = 0u64;
-    ball_descend(t, scan, 0, t.cloud_points[q], r2, found, &mut evals);
-    sort_candidates(found);
-    evals
-}
-
-fn knn_descend<S: LeafScan>(
-    t: &TreeView<'_>,
-    scan: &mut S,
     at: u32,
     query: Point3,
     k: usize,
@@ -424,9 +239,9 @@ fn knn_descend<S: LeafScan>(
     evals: &mut u64,
 ) {
     match t.nodes[at as usize] {
-        OctNode::Leaf { leaf, start, len } => {
+        OctNode::Leaf { start, len } => {
             let (start, len) = (start as usize, len as usize);
-            let payload = scan.payload(leaf, start, len);
+            let payload = &t.sorted[start..start + len];
             *evals += len as u64;
             for (j, &p) in payload.iter().enumerate() {
                 let c = Candidate { index: t.perm[start + j], dist_sq: p.distance_squared(query) };
@@ -449,16 +264,17 @@ fn knn_descend<S: LeafScan>(
             for &(d, c) in &order[..m] {
                 let worst = best.last().map_or(f32::INFINITY, |b| b.dist_sq);
                 if best.len() < k || d <= worst {
-                    knn_descend(t, scan, c, query, k, best, evals);
+                    knn_descend(t, c, query, k, best, evals);
                 }
             }
         }
     }
 }
 
-fn ball_descend<S: LeafScan>(
+/// Ball descent from node `at`: every point within `r2` lands in `found`,
+/// unsorted.
+fn ball_descend(
     t: &TreeView<'_>,
-    scan: &mut S,
     at: u32,
     query: Point3,
     r2: f32,
@@ -466,9 +282,9 @@ fn ball_descend<S: LeafScan>(
     evals: &mut u64,
 ) {
     match t.nodes[at as usize] {
-        OctNode::Leaf { leaf, start, len } => {
+        OctNode::Leaf { start, len } => {
             let (start, len) = (start as usize, len as usize);
-            let payload = scan.payload(leaf, start, len);
+            let payload = &t.sorted[start..start + len];
             *evals += len as u64;
             for (j, &p) in payload.iter().enumerate() {
                 let d = p.distance_squared(query);
@@ -480,7 +296,7 @@ fn ball_descend<S: LeafScan>(
         OctNode::Internal { children } => {
             for &c in &children {
                 if c != NONE && t.aabbs[c as usize].distance_squared_to(query) <= r2 {
-                    ball_descend(t, scan, c, query, r2, found, evals);
+                    ball_descend(t, c, query, r2, found, evals);
                 }
             }
         }
@@ -498,29 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn matches_bruteforce_resident_and_paged() {
+    fn matches_bruteforce_knn_and_kdtree_ball() {
         let cloud = sample_shape(ShapeClass::Chair, 700, 1);
         let q = queries(700);
-        let tiny = 2 * LEAF_SIZE * crate::pager::POINT_BYTES;
+        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
+        let mut got = NeighborIndexTable::default();
         for k in [1, 9, 64] {
-            let want = bruteforce::knn_indices(&cloud, &q, k);
-            let mut resident = <MortonOctree as SearchIndex>::build(&cloud);
-            let mut paged = MortonOctree::paged(tiny);
-            paged.build_into(&cloud);
-            for tree in [&mut resident, &mut paged] {
-                let mut got = NeighborIndexTable::default();
-                tree.knn_into(&cloud, &q, k, &mut got);
-                assert_eq!(got, want, "k {k} paged {}", tree.is_paged());
-            }
+            tree.knn_into(&cloud, &q, k, &mut got);
+            assert_eq!(got, bruteforce::knn_indices(&cloud, &q, k), "k {k}");
         }
         let kd = KdTree::build(&cloud);
-        let want = ball::ball_query(&cloud, &kd, &q, 0.3, 12);
-        let mut paged = MortonOctree::paged(tiny);
-        paged.build_into(&cloud);
-        let mut got = NeighborIndexTable::default();
-        paged.ball_into(&cloud, &q, 0.3, 12, &mut got);
-        assert_eq!(got, want);
-        assert!(paged.pager_stats().evictions > 0, "a tiny budget must churn");
+        tree.ball_into(&cloud, &q, 0.3, 12, &mut got);
+        assert_eq!(got, ball::ball_query(&cloud, &kd, &q, 0.3, 12));
     }
 
     #[test]
@@ -549,7 +354,7 @@ mod tests {
         let a = sample_shape(ShapeClass::Chair, 512, 1);
         let b = sample_shape(ShapeClass::Lamp, 512, 2);
         let q = queries(512);
-        let mut tree = MortonOctree::paged(LEAF_SIZE * crate::pager::POINT_BYTES);
+        let mut tree = MortonOctree::default();
         let mut out = NeighborIndexTable::default();
         // Node layout is content-dependent (unlike the kd-tree), so warm
         // the high-water capacity on both clouds first.

@@ -31,7 +31,7 @@ pub enum SearchBackend {
     /// Uniform grid with `cell_size = radius` — radius queries only.
     Grid,
     /// Morton-bucket octree — exact kNN and radius queries on large
-    /// clouds; supports paged leaf payloads.
+    /// clouds.
     Octree,
 }
 
@@ -178,12 +178,16 @@ impl SearchPlanner {
             Some(b) => return b,
             None => {}
         }
-        let mut candidates =
-            vec![SearchBackend::BruteForce, SearchBackend::KdTree, SearchBackend::Octree];
-        if grid_ok {
-            candidates.push(SearchBackend::Grid);
-        }
-        pick_min(&candidates, |b| ball_cost(b, load))
+        // A fixed array, grid last: this runs on every warm frame, which
+        // must not allocate.
+        let candidates = [
+            SearchBackend::BruteForce,
+            SearchBackend::KdTree,
+            SearchBackend::Octree,
+            SearchBackend::Grid,
+        ];
+        let servable = if grid_ok { &candidates[..] } else { &candidates[..3] };
+        pick_min(servable, |b| ball_cost(b, load))
     }
 }
 

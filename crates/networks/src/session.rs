@@ -272,8 +272,8 @@ enum NetSource {
 /// with 10 classes when building from a [`NetworkKind`], weight-init seed
 /// 0, and one engine per host thread. The engine knobs start from
 /// [`EngineConfig::from_env`], read when the builder is created; the
-/// `search_backend` / `sample_cache_cap` / `dtype` / `tile_budget` /
-/// `pager_budget` setters overwrite what the environment said.
+/// `search_backend` / `sample_cache_cap` / `dtype` / `tile_budget`
+/// setters overwrite what the environment said.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -415,16 +415,6 @@ impl SessionBuilder {
     pub fn tile_budget(mut self, budget: Option<usize>) -> Self {
         assert!(budget != Some(0), "tile budget must be positive");
         self.config.tile_budget = budget;
-        self
-    }
-
-    /// Octree leaf-payload residency per worker: `Some(bytes)` pages
-    /// payloads through a file-backed LRU bounded by `bytes` (the
-    /// out-of-core mode), `None` keeps them resident (default: resident,
-    /// or `MESORASI_PAGER_BUDGET`). Paging is bit-identical to resident
-    /// execution at every budget — only memory and latency move.
-    pub fn pager_budget(mut self, bytes: Option<usize>) -> Self {
-        self.config.pager_budget = bytes;
         self
     }
 

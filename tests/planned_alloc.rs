@@ -10,7 +10,7 @@
 //! its whole body, or one audit's warm-up would land in another's armed
 //! window.
 //!
-//! Seven audits, in increasing strictness:
+//! Eight audits, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
 //!    cached, pure planned tensor execution;
@@ -40,6 +40,12 @@
 //!    allocations at 1 and 2 threads in both dtypes — its panel buffer is
 //!    on the stack of whichever thread runs the row chunk, so there is no
 //!    retained storage for `EngineStats` to count.
+//! 8. the default-configuration audit: audits 1–7 force the kd-tree (or
+//!    search feature space), so the automatic planner — the configuration
+//!    every benchmark workload runs — never planned a coordinate search
+//!    inside an armed window. A warm streamed PointNet++ frame on
+//!    [`PlanEngine::new`] makes zero heap allocations, backend choice
+//!    included.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -199,6 +205,39 @@ fn warm_streamed_forward_allocates_nothing_including_search() {
         );
         let stats = engine.stats(net.input_points()).expect("compiled");
         assert!(stats.search.index_builds >= 8, "every streamed frame rebuilds its indices");
+    });
+}
+
+#[test]
+fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
+    let _serial = serial();
+    // Built-in defaults, environment not consulted: the automatic planner
+    // costs every candidate backend for every ball query of every frame,
+    // and that choice must not touch the allocator either.
+    mesorasi_par::with_threads(1, || {
+        let mut rng = seeded_rng(6);
+        let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
+        let mut engine = PlanEngine::new();
+        let record =
+            |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+        let frames: Vec<PointCloud> =
+            (0..4).map(|s| sample_shape(ShapeClass::Chair, net.input_points(), s)).collect();
+
+        for frame in &frames {
+            let _ = engine.run_streamed(frame, &record);
+        }
+
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for frame in &frames {
+            let _ = engine.run_streamed(frame, &record);
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        ARMED.store(false, Ordering::SeqCst);
+
+        assert_eq!(after - before, 0, "planning a warm frame's searches must not allocate");
+        let stats = engine.stats(net.input_points()).expect("compiled");
+        assert!(stats.search.query_calls >= 8, "every streamed frame plans and runs its searches");
     });
 }
 
