@@ -554,10 +554,10 @@ mod tests {
     #[test]
     fn jitter_inside_the_threshold_passes() {
         let base =
-            parse_report(&report(false, vec![record("knn", "kdtree", 1, None, 1000.0)]).to_json())
+            parse_report(&report(false, vec![record("knn", "octree", 1, None, 1000.0)]).to_json())
                 .unwrap();
         let cur =
-            parse_report(&report(false, vec![record("knn", "kdtree", 1, None, 1400.0)]).to_json())
+            parse_report(&report(false, vec![record("knn", "octree", 1, None, 1400.0)]).to_json())
                 .unwrap();
         assert!(diff(&base, &cur, DEFAULT_THRESHOLD).unwrap().regressions().is_empty());
     }
@@ -590,10 +590,10 @@ mod tests {
         // The large-cloud sweep repeats (op, backend, threads) per cloud
         // size; `points` keeps the trajectories apart, and the small-cloud
         // kernel record of the same backend stays a plain key.
-        let at = |points| BenchRecord { points, ..record("query", "kdtree", 2, None, 100.0) };
+        let at = |points| BenchRecord { points, ..record("query", "octree", 2, None, 100.0) };
         assert_eq!(
             keys(vec![at(Some(1 << 17)), at(Some(1 << 20)), at(None)]),
-            ["query/kdtree[n=131072] @2t", "query/kdtree[n=1048576] @2t", "query/kdtree @2t"]
+            ["query/octree[n=131072] @2t", "query/octree[n=1048576] @2t", "query/octree @2t"]
         );
     }
 

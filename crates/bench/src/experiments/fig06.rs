@@ -8,7 +8,7 @@
 //! most points are normalized to 20–100 centroids).
 
 use crate::Context;
-use mesorasi_knn::{ball, bruteforce, kdtree::KdTree, stats};
+use mesorasi_knn::{ball, bruteforce, stats};
 use mesorasi_pointcloud::sampling::random_indices;
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_sim::report::{pct, Table};
@@ -17,14 +17,12 @@ use mesorasi_sim::report::{pct, Table};
 /// modules 512/K32/r0.2 then 128/K64/r0.4, mapped back to input points.
 fn pointnetpp_membership(seed: u64) -> Vec<u32> {
     let cloud = sample_shape(ShapeClass::ALL[(seed % 40) as usize], 1024, seed);
-    let tree = KdTree::build(&cloud);
     let c1 = random_indices(&cloud, 512, seed);
-    let nit1 = ball::ball_query(&cloud, &tree, &c1, 0.2, 32);
+    let nit1 = ball::ball_query(&cloud, &c1, 0.2, 32);
 
     let level1 = cloud.select(&c1);
-    let tree1 = KdTree::build(&level1);
     let c2 = random_indices(&level1, 128, seed ^ 1);
-    let nit2_local = ball::ball_query(&level1, &tree1, &c2, 0.4, 64);
+    let nit2_local = ball::ball_query(&level1, &c2, 0.4, 64);
     // Map level-1-local indices back to original input ids.
     let mut nit2 = mesorasi_knn::NeighborIndexTable::new(64);
     for (centroid, neighbors) in nit2_local.iter() {

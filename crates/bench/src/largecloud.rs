@@ -1,13 +1,10 @@
-//! Large-cloud search records for the bench artifact: index build and
-//! query timings at 2^17..2^20-point scales, where the octree backend
-//! earns its keep, measured for the octree against the kd-tree and grid
-//! backends on the same cloud.
+//! Large-cloud search records for the bench artifact: the octree's index
+//! build, kNN and ball-query timings at 2^17..2^20-point scales — the
+//! scene-scale numbers ROADMAP item 4's spatial split is measured against.
 //!
 //! Every record carries the cloud size in `points`.
 
 use crate::perf::{sweep_records, BenchRecord, Kernel};
-use mesorasi_knn::grid::UniformGrid;
-use mesorasi_knn::kdtree::KdTree;
 use mesorasi_knn::{MortonOctree, NeighborIndexTable, SearchIndex};
 use mesorasi_pointcloud::{Point3, PointCloud};
 use std::cell::RefCell;
@@ -27,7 +24,7 @@ pub fn synthetic_cloud(n: usize, seed: u64) -> PointCloud {
     PointCloud::from_points(pts)
 }
 
-/// Cloud sizes measured: one for the smoke run, the 2^17 crossover and
+/// Cloud sizes measured: one for the smoke run, a 2^17-point sweep and
 /// the million-point acceptance scale for the full run.
 fn sizes(smoke: bool) -> &'static [usize] {
     if smoke {
@@ -44,40 +41,25 @@ const QUERIES: usize = 256;
 const K: usize = 16;
 const RADIUS: f32 = 0.05;
 
-/// Runs the large-cloud sweep: `index_build` and `query` for the octree,
-/// the kd-tree and the grid at every swept thread count.
+/// Runs the large-cloud sweep: the octree's `index_build` and its `query`
+/// (kNN, and `mode: "ball"`) at every swept thread count.
 pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for &n in sizes(smoke) {
         let cloud = synthetic_cloud(n, 2020);
         let queries: Vec<usize> = (0..n).step_by(n / QUERIES).collect();
 
-        // Prebuilt indices for the query records.
-        let octree = RefCell::new(<MortonOctree as SearchIndex>::build(&cloud));
-        let kdtree = RefCell::new(KdTree::build(&cloud));
-        let grid = RefCell::new(UniformGrid::build(&cloud, RADIUS));
+        // A prebuilt index for the query records, and a warm in-place
+        // rebuild target for the index_build record.
+        let octree = RefCell::new(MortonOctree::build(&cloud));
         let out = RefCell::new(NeighborIndexTable::default());
-
-        // Warm in-place rebuild targets for the index_build records.
-        let octree_rb = RefCell::new(<MortonOctree as SearchIndex>::build(&cloud));
-        let kdtree_rb = RefCell::new(KdTree::build(&cloud));
-        let grid_rb = RefCell::new(UniformGrid::build(&cloud, RADIUS));
+        let octree_rb = RefCell::new(MortonOctree::build(&cloud));
 
         let mut kernels = [
             Kernel::new(
                 "index_build",
                 "octree",
-                Box::new(|| SearchIndex::build_into(&mut *octree_rb.borrow_mut(), &cloud)),
-            ),
-            Kernel::new(
-                "index_build",
-                "kdtree",
-                Box::new(|| SearchIndex::build_into(&mut *kdtree_rb.borrow_mut(), &cloud)),
-            ),
-            Kernel::new(
-                "index_build",
-                "grid",
-                Box::new(|| SearchIndex::build_into(&mut *grid_rb.borrow_mut(), &cloud)),
+                Box::new(|| octree_rb.borrow_mut().build_into(&cloud)),
             ),
             Kernel::new(
                 "query",
@@ -86,20 +68,17 @@ pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecor
                     octree.borrow_mut().knn_into(&cloud, &queries, K, &mut out.borrow_mut());
                 }),
             ),
-            Kernel::new(
-                "query",
-                "kdtree",
-                Box::new(|| {
-                    kdtree.borrow_mut().knn_into(&cloud, &queries, K, &mut out.borrow_mut());
-                }),
-            ),
-            Kernel::new(
-                "query",
-                "grid",
-                Box::new(|| {
-                    grid.borrow_mut().ball_into(&cloud, &queries, RADIUS, K, &mut out.borrow_mut());
-                }),
-            ),
+            Kernel {
+                mode: Some("ball"),
+                ..Kernel::new(
+                    "query",
+                    "octree",
+                    Box::new(|| {
+                        let (tree, out) = (&mut *octree.borrow_mut(), &mut *out.borrow_mut());
+                        tree.ball_into(&cloud, &queries, RADIUS, K, out);
+                    }),
+                )
+            },
         ];
         for k in &mut kernels {
             k.points = Some(n);
@@ -130,16 +109,12 @@ mod tests {
     fn smoke_sweep_covers_every_configuration() {
         let sweep = [1, 2];
         let recs = records(true, Duration::from_millis(2), &sweep);
-        assert_eq!(recs.len(), 6 * sweep.len());
+        assert_eq!(recs.len(), 3 * sweep.len());
         assert!(recs.iter().all(|r| r.ns_per_op > 0.0 && r.points == Some(1 << 15)));
-        for op in ["index_build", "query"] {
-            for backend in ["octree", "kdtree", "grid"] {
-                let rows = recs
-                    .iter()
-                    .filter(|r| r.op == op && r.backend == backend && r.mode.is_none())
-                    .count();
-                assert_eq!(rows, sweep.len(), "{op}/{backend}");
-            }
+        assert!(recs.iter().all(|r| r.backend == "octree"));
+        for key in [("index_build", None), ("query", None), ("query", Some("ball"))] {
+            let rows = recs.iter().filter(|r| (r.op, r.mode) == key).count();
+            assert_eq!(rows, sweep.len(), "{key:?}");
         }
     }
 }

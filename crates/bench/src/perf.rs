@@ -5,9 +5,10 @@
 //! the tier at `f64`; `matmul` at a shallow-weight and a deep-weight
 //! shape), the grouped reductions — the tape's argmax-tracking kernels and
 //! the `_into` forms a frame executes, at PointNet++ SA1's shape and at
-//! DGCNN's last EdgeConv — every neighbor-search
-//! backend split into a warm `index_build` and pure `knn`/`ball` queries
-//! (the feature-space scan at a shallow shape and at DGCNN's own),
+//! DGCNN's last EdgeConv — both coordinate-search backends (the
+//! exhaustive scan, and the octree split into a warm `index_build` and
+//! pure `knn`/`ball` queries) and the feature-space scan at a shallow
+//! shape and at DGCNN's own,
 //! and the large-cloud `index_build`/`query` sweep of
 //! [`crate::largecloud`] — each across a thread sweep. Anything measured
 //! through a `Session`, a frame stream or the server belongs to
@@ -24,9 +25,7 @@
 //! and may not wreck performance either).
 
 use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
-use mesorasi_knn::{
-    ball, bruteforce, grid::UniformGrid, kdtree::KdTree, NeighborIndexTable, SearchIndex,
-};
+use mesorasi_knn::{ball, bruteforce, MortonOctree, NeighborIndexTable, SearchIndex};
 use mesorasi_par as par;
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{sampling, PointCloud};
@@ -395,13 +394,13 @@ pub fn run(smoke: bool) -> BenchReport {
     let budget = budget(smoke);
     let w = Workloads::new(smoke);
 
-    let grid = UniformGrid::build(&w.cloud, w.radius);
-    let tree = KdTree::build(&w.cloud);
     let mm_at = w.mm_a.transposed();
-    // Warm in-place rebuilds: what the search arena pays per streamed
-    // frame, as opposed to the pure-query `knn`/`ball` records below.
-    let kd_rebuild = std::cell::RefCell::new(KdTree::build(&w.cloud));
-    let grid_rebuild = std::cell::RefCell::new(UniformGrid::build(&w.cloud, w.radius));
+    // The octree as the search arena holds it: built once and queried into
+    // a retained table (the pure-query `knn`/`ball` records), and rebuilt
+    // warm in place — what a streamed frame pays (`index_build`).
+    let octree = std::cell::RefCell::new(MortonOctree::build(&w.cloud));
+    let nit = std::cell::RefCell::new(NeighborIndexTable::default());
+    let octree_rebuild = std::cell::RefCell::new(MortonOctree::build(&w.cloud));
 
     // The fast-tier acceptance comparison: the same paper-scale product
     // through the pre-tier reference kernel and the tier's f64
@@ -525,20 +524,24 @@ pub fn run(smoke: bool) -> BenchReport {
         ),
         Kernel::new(
             "knn",
-            "kdtree",
-            Box::new(|| drop(black_box(tree.knn_indices(&w.cloud, &w.queries, w.knn_k)))),
-        ),
-        Kernel::new(
-            "ball",
-            "kdtree",
+            "octree",
             Box::new(|| {
-                drop(black_box(ball::ball_query(&w.cloud, &tree, &w.queries, w.radius, w.knn_k)))
+                let (tree, out) = (&mut *octree.borrow_mut(), &mut *nit.borrow_mut());
+                black_box(tree.knn_into(&w.cloud, &w.queries, w.knn_k, out));
             }),
         ),
         Kernel::new(
             "ball",
-            "grid",
-            Box::new(|| drop(black_box(grid.ball_query(&w.cloud, &w.queries, w.radius, w.knn_k)))),
+            "bruteforce",
+            Box::new(|| drop(black_box(ball::ball_query(&w.cloud, &w.queries, w.radius, w.knn_k)))),
+        ),
+        Kernel::new(
+            "ball",
+            "octree",
+            Box::new(|| {
+                let (tree, out) = (&mut *octree.borrow_mut(), &mut *nit.borrow_mut());
+                black_box(tree.ball_into(&w.cloud, &w.queries, w.radius, w.knn_k, out));
+            }),
         ),
         Kernel::new("knn", "feature", feature_scan(&w.feat, &w.queries, w.knn_k)),
         Kernel {
@@ -551,13 +554,8 @@ pub fn run(smoke: bool) -> BenchReport {
         },
         Kernel::new(
             "index_build",
-            "kdtree",
-            Box::new(|| kd_rebuild.borrow_mut().build_into(&w.cloud)),
-        ),
-        Kernel::new(
-            "index_build",
-            "grid",
-            Box::new(|| grid_rebuild.borrow_mut().build_into(&w.cloud)),
+            "octree",
+            Box::new(|| octree_rebuild.borrow_mut().build_into(&w.cloud)),
         ),
     ];
 
@@ -620,7 +618,7 @@ mod tests {
             host_threads: 4,
             smoke: true,
             records: vec![
-                rec("kdtree", 2, 1.8),
+                rec("bruteforce", 2, 1.8),
                 BenchRecord { dtype: Some("f64"), ..rec("tensor", 1, 1.0) },
                 BenchRecord { points: Some(1 << 20), mode: Some("deep"), ..rec("octree", 2, 0.9) },
             ],
@@ -628,7 +626,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"mesorasi-bench/9\""));
         assert!(json.contains(
-            "{ \"op\": \"knn\", \"backend\": \"kdtree\", \"threads\": 2, \
+            "{ \"op\": \"knn\", \"backend\": \"bruteforce\", \"threads\": 2, \
              \"ns_per_op\": 1234.5, \"speedup_vs_1t\": 1.800 }"
         ));
         // Identity fields a record does not have are absent, not null.

@@ -52,7 +52,10 @@ fn invalid_mesorasi_threads_fails_loudly_with_accepted_values() {
 
 #[test]
 fn invalid_mesorasi_search_fails_loudly_with_accepted_values() {
-    assert_rejected("MESORASI_SEARCH", "octtree", "auto|kdtree|grid|bruteforce|octree");
+    // A typo and a deleted backend alike: unknown values.
+    for raw in ["octtree", "grid"] {
+        assert_rejected("MESORASI_SEARCH", raw, "auto|bruteforce|octree");
+    }
 }
 
 #[test]
@@ -119,13 +122,13 @@ fn child_search_backend_follows_the_builder_not_the_environment() {
         let n = session.network().input_points();
         let _ = session.infer(&sample_shape(ShapeClass::Chair, n, 1));
         let by_backend = session.arena_stats(n).expect("shape compiled").search.calls_by_backend;
-        [SearchBackend::Octree, SearchBackend::KdTree].map(|b| by_backend[b as usize] > 0)
+        [SearchBackend::Octree, SearchBackend::BruteForce].map(|b| by_backend[b as usize] > 0)
     };
     let kind = NetworkKind::PointNetPPClassification;
     let ambient = calls(SessionBuilder::from_kind(kind));
     assert_eq!(ambient, [true, false], "the environment forces the octree");
-    let explicit = calls(SessionBuilder::from_kind(kind).search_backend(SearchBackend::KdTree));
-    assert_eq!(explicit, [false, true], "an explicit kd-tree setting must win");
+    let explicit = calls(SessionBuilder::from_kind(kind).search_backend(SearchBackend::BruteForce));
+    assert_eq!(explicit, [false, true], "an explicit brute-force setting must win");
 }
 
 #[test]
@@ -152,7 +155,7 @@ fn valid_overrides_still_accepted() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("--list")
         .env("MESORASI_THREADS", "2")
-        .env("MESORASI_SEARCH", "kdtree")
+        .env("MESORASI_SEARCH", "octree")
         .env("MESORASI_TILE_BUDGET", "off")
         .output()
         .expect("spawn repro");

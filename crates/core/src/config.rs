@@ -57,7 +57,7 @@ impl EngineConfig {
     ///
     /// | variable | accepted values |
     /// |---|---|
-    /// | `MESORASI_SEARCH` | `auto` \| `kdtree` \| `grid` \| `bruteforce` \| `octree` |
+    /// | `MESORASI_SEARCH` | `auto` \| `bruteforce` \| `octree` |
     /// | `MESORASI_TILE_BUDGET` | a positive point count, or `off` |
     /// | `MESORASI_DTYPE` | `f32` \| `f64` |
     ///
@@ -73,11 +73,9 @@ impl EngineConfig {
     /// errors must fail loudly, not skew experiments.
     pub fn from_env() -> EngineConfig {
         let mut config = EngineConfig::default();
-        if let Some(search) =
-            env_var("MESORASI_SEARCH", "auto|kdtree|grid|bruteforce|octree", |s| {
-                planner::parse_override(s).ok()
-            })
-        {
+        if let Some(search) = env_var("MESORASI_SEARCH", "auto|bruteforce|octree", |s| {
+            planner::parse_override(s).ok()
+        }) {
             config.search = search.map_or(SearchPlanner::auto(), SearchPlanner::forced);
         }
         if let Some(budget) =

@@ -143,9 +143,9 @@ thread_local! {
 /// Runs the neighbor search of one module: the single search
 /// implementation behind both the tape-based runner and the inference
 /// engine's per-sample replay (both must produce the identical NIT).
-/// The backend is chosen by the [`mesorasi_knn::SearchPlanner`] cost model
-/// (override with `MESORASI_SEARCH`, see [`EngineConfig::from_env`]);
-/// every backend is exact with
+/// The backend — exhaustive scan or octree — is chosen by the
+/// [`mesorasi_knn::SearchPlanner`] cost model (override with
+/// `MESORASI_SEARCH`, see [`EngineConfig::from_env`]); both are exact with
 /// identical tie-breaking, so the choice never changes the NIT.
 ///
 /// `features` is required exactly for [`NeighborMode::FeatureKnn`].

@@ -6,7 +6,7 @@
 //! implementation's behaviour). This padding is why Fig. 6's membership
 //! counts can exceed what pure KNN would produce in dense regions.
 
-use crate::kdtree::KdTree;
+use crate::index::{BruteForceIndex, SearchIndex};
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::PointCloud;
 
@@ -27,27 +27,27 @@ pub(crate) fn pad_slot(found: &[crate::bruteforce::Candidate], slot: &mut [usize
 }
 
 /// Runs a padded ball query for every centroid in `queries`, in parallel
-/// per query.
+/// per query — the ball-query oracle, beside
+/// [`crate::bruteforce::knn_indices`].
 ///
 /// For each centroid, collects at most `k` points within `radius`
 /// (ascending by distance; the centroid itself, at distance 0, is first) and
 /// pads with the nearest found index up to exactly `k` entries. A centroid
 /// always finds at least itself, so entries are never empty. A thin wrapper
-/// over the same batch body [`crate::SearchIndex::ball_into`] runs on the
-/// tree, so the two paths cannot diverge.
+/// over [`BruteForceIndex`]'s `ball_into`, so the reference path and the
+/// pluggable backend cannot diverge.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`, `radius < 0`, or a query index is out of bounds.
 pub fn ball_query(
     cloud: &PointCloud,
-    tree: &KdTree,
     queries: &[usize],
     radius: f32,
     k: usize,
 ) -> NeighborIndexTable {
     let mut out = NeighborIndexTable::default();
-    tree.ball_batch(cloud, queries, radius, k, &mut Vec::new(), &mut out);
+    BruteForceIndex::default().ball_into(cloud, queries, radius, k, &mut out);
     out
 }
 
@@ -66,8 +66,7 @@ mod tests {
             pts.push(Point3::new(10.0 + 0.01 * i as f32, 0.0, 0.0));
         }
         let cloud = PointCloud::from_points(pts);
-        let tree = KdTree::build(&cloud);
-        let nit = ball_query(&cloud, &tree, &[0], 0.5, 8);
+        let nit = ball_query(&cloud, &[0], 0.5, 8);
         let n = nit.neighbors(0);
         assert_eq!(n[0], 0);
         assert_eq!(n[1], 1);
@@ -78,21 +77,19 @@ mod tests {
     #[test]
     fn dense_region_truncates_to_k_nearest() {
         let cloud = sample_shape(ShapeClass::Sphere, 512, 3);
-        let tree = KdTree::build(&cloud);
-        let nit = ball_query(&cloud, &tree, &[0], 2.5, 16); // radius covers everything
+        let nit = ball_query(&cloud, &[0], 2.5, 16); // radius covers everything
         let n = nit.neighbors(0);
         assert_eq!(n.len(), 16);
         // Must equal the 16 nearest by KNN.
-        let knn = tree.knn_indices(&cloud, &[0], 16);
+        let knn = crate::bruteforce::knn_indices(&cloud, &[0], 16);
         assert_eq!(n, knn.neighbors(0));
     }
 
     #[test]
     fn centroid_is_always_first() {
         let cloud = sample_shape(ShapeClass::Table, 256, 1);
-        let tree = KdTree::build(&cloud);
         let queries: Vec<usize> = (0..256).step_by(31).collect();
-        let nit = ball_query(&cloud, &tree, &queries, 0.2, 8);
+        let nit = ball_query(&cloud, &queries, 0.2, 8);
         for (i, &q) in queries.iter().enumerate() {
             assert_eq!(nit.neighbors(i)[0], q);
         }
@@ -103,8 +100,7 @@ mod tests {
         // The Fig. 6 effect: with padding, a point in a sparse region can
         // appear many times within one entry.
         let cloud = PointCloud::from_points(vec![Point3::ORIGIN, Point3::new(100.0, 0.0, 0.0)]);
-        let tree = KdTree::build(&cloud);
-        let nit = ball_query(&cloud, &tree, &[0], 1.0, 4);
+        let nit = ball_query(&cloud, &[0], 1.0, 4);
         let occurrences = nit.neighbors(0).iter().filter(|&&i| i == 0).count();
         assert_eq!(occurrences, 4);
     }

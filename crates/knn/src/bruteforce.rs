@@ -1,6 +1,6 @@
 //! Exact KNN by exhaustive search.
 //!
-//! This is the reference against which the kd-tree is tested, and the
+//! This is the reference against which the octree is tested, and the
 //! algorithm whose cost the GPU model charges for neighbor search: GPU
 //! point-cloud implementations (including the paper's baselines) compute a
 //! dense pairwise-distance matrix and select the top-K, because that maps
@@ -28,7 +28,7 @@ impl Candidate {
 /// Inserts `c` into `best`, an ascending insertion-sorted buffer bounded to
 /// `k` candidates (by distance, ties by index). O(k) per insert, which
 /// beats a heap for the k ≤ 128 range point-cloud networks use. Shared by
-/// the brute-force selection, the kd-tree descent, and the feature search,
+/// the brute-force selection, the octree descent, and the feature search,
 /// so every backend breaks ties identically; public so test oracles select
 /// with the same rule.
 pub fn push_bounded(best: &mut Vec<Candidate>, k: usize, c: Candidate) {

@@ -4,7 +4,7 @@
 //! feature space of the previous module rather than in 3-D coordinates
 //! (paper §V-A: "the neighbor search in module i searches in the output
 //! feature space of module i−1"). Feature dimensions reach 64–512, where a
-//! kd-tree degenerates, so implementations — and our GPU cost model — use a
+//! spatial tree degenerates, so implementations — and our GPU cost model — use a
 //! dense pairwise-distance computation. This module provides that search
 //! over row-major feature matrices.
 //!
@@ -236,7 +236,7 @@ pub fn knn_rows_into(
     let padded = panel.len() / dim;
     let cost = rows * dim * 3;
     let pool = tile_pool();
-    crate::kdtree::batch_chunks_into(out, queries, k, cost, tile, pool, |tile, chunk, slots| {
+    crate::index::batch_chunks_into(out, queries, k, cost, tile, pool, |tile, chunk, slots| {
         let TileScratch { dist, minima, best } = tile;
         dist.resize(QUERY_TILE * padded, 0.0);
         for (qs, slots) in chunk.chunks(QUERY_TILE).zip(slots.chunks_mut(QUERY_TILE * k)) {

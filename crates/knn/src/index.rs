@@ -1,29 +1,29 @@
-//! The pluggable search subsystem: one trait over every backend, plus the
-//! [`SearchContext`] that owns reusable index storage.
+//! The search subsystem: one trait over both backends, the batch driver
+//! they share, and the [`SearchContext`] that owns reusable index storage.
 //!
 //! Mesorasi treats neighbor search as a first-class phase — delayed
-//! aggregation exists precisely to decouple it from feature computation —
-//! so the executors should not hard-code one structure. [`SearchIndex`]
-//! makes the build/query split explicit: `build_into` (re)constructs an
-//! index over a cloud reusing its storage, and the `*_into` queries write
-//! into a caller-owned [`NeighborIndexTable`]. Every implementation is
-//! **exact** with identical `(distance, index)` tie-breaking, so backends
-//! are interchangeable bit-for-bit and the [`crate::planner::SearchPlanner`]
+//! aggregation exists precisely to decouple it from feature computation.
+//! [`SearchIndex`] makes the build/query split explicit: `build_into`
+//! (re)constructs an index over a cloud reusing its storage, and the
+//! `*_into` queries write into a caller-owned [`NeighborIndexTable`]. Its
+//! two implementations — the exhaustive scan [`BruteForceIndex`] (nothing to
+//! build; the oracle) and the [`MortonOctree`] (the one spatial index) — are
+//! **exact** with identical `(distance, index)` tie-breaking, so they are
+//! interchangeable bit-for-bit and the [`crate::planner::SearchPlanner`]
 //! picks purely on predicted cost.
 //!
 //! [`SearchContext`] adds the arena discipline on top: a small pool of
-//! keyed slots, each holding one built index plus a verification copy of
-//! its cloud. Within a forward pass, every module searching the same
-//! `(cloud, space)` shares one index; across a frame sequence, slots are
-//! rebuilt *in place* (capacity reused, contents replaced), so a warm
-//! stream performs zero heap allocations in the search phase. The context
-//! also meters its traffic ([`SearchCounters`]): index-build vs query time
-//! and real distance-evaluation counts.
+//! slots keyed by search space, each holding one built octree plus a
+//! verification copy of its cloud. Within a forward pass, every module
+//! searching the same `(cloud, space)` — kNN or ball, at any radius — shares
+//! one index; across a frame sequence, slots are rebuilt *in place*
+//! (capacity reused, contents replaced), so a warm stream performs zero
+//! heap allocations in the search phase. The context also meters its
+//! traffic ([`SearchCounters`]): index-build vs query time and real
+//! distance-evaluation counts.
 
 use crate::bruteforce::{push_bounded, Candidate};
 use crate::feature::{self, FeatureScratch, FeatureView};
-use crate::grid::UniformGrid;
-use crate::kdtree::{batch_into, sort_candidates, KdTree};
 use crate::octree::MortonOctree;
 use crate::planner::{SearchBackend, SearchLoad, SearchPlanner};
 use crate::stats::SearchCounters;
@@ -35,7 +35,8 @@ use std::time::Instant;
 ///
 /// Implementations must be exact and deterministic: for any cloud and
 /// query batch, `knn_into` and `ball_into` produce tables bit-identical to
-/// [`crate::bruteforce::knn_indices`] / [`crate::ball::ball_query`] — the
+/// the two oracles, [`crate::bruteforce::knn_indices`] and
+/// [`crate::ball::ball_query`] (both the exhaustive scan) — the
 /// correctness bar that lets the planner switch backends freely. Queries
 /// take `&mut self` so indices can own reusable scratch; they never change
 /// query results. Both query methods return the number of pairwise
@@ -79,15 +80,12 @@ pub trait SearchIndex: Send + std::fmt::Debug {
 
     /// Heap bytes retained by the index (capacity, not length).
     fn storage_bytes(&self) -> usize;
-
-    /// Which planner backend this index implements.
-    fn kind(&self) -> SearchBackend;
 }
 
-/// The index-free backend: exhaustive scans, the reference every other
-/// backend is tested against and the algorithm whose cost the GPU model
-/// charges. `build_into` is a no-op (there is nothing to build), which is
-/// exactly why the planner picks it for small workloads.
+/// The index-free backend: exhaustive scans, the reference the octree is
+/// tested against and the algorithm whose cost the GPU model charges.
+/// `build_into` is a no-op (there is nothing to build), which is exactly
+/// why the planner picks it for small workloads.
 #[derive(Debug, Default)]
 pub struct BruteForceIndex {
     scratch: Vec<Candidate>,
@@ -148,10 +146,82 @@ impl SearchIndex for BruteForceIndex {
     fn storage_bytes(&self) -> usize {
         self.scratch.capacity() * std::mem::size_of::<Candidate>()
     }
+}
 
-    fn kind(&self) -> SearchBackend {
-        SearchBackend::BruteForce
+/// Sorts candidates ascending by `(distance, index)`. The key is unique per
+/// candidate (indices are distinct), so the unstable sort — which does not
+/// allocate, unlike `sort_by` — is fully deterministic.
+pub(crate) fn sort_candidates(found: &mut [Candidate]) {
+    found.sort_unstable_by(|a, b| {
+        (a.dist_sq, a.index).partial_cmp(&(b.dist_sq, b.index)).expect("distances are finite")
+    });
+}
+
+/// Shared out-parameter batch driver for index queries: fills
+/// `out` with one entry per query, running `per_query(scratch, query, slot)`
+/// (which returns its distance-evaluation count) sequentially with the
+/// caller's reusable scratch, or in parallel chunks with per-worker pooled
+/// scratch when the workload justifies it. Entries are written in query
+/// order and every `per_query` body resets its scratch before use, so both
+/// paths — at any chunk size — produce identical tables.
+///
+/// An ambient [`crate::with_query_tile_budget`] override replaces the cost
+/// model's chunk choice with fixed-budget query tiles (clamped to the batch
+/// size); a budget covering the whole batch runs sequentially.
+pub(crate) fn batch_into(
+    out: &mut NeighborIndexTable,
+    queries: &[usize],
+    k: usize,
+    cost_per_query: usize,
+    scratch: &mut Vec<Candidate>,
+    per_query: impl Fn(&mut Vec<Candidate>, usize, &mut [usize]) -> u64 + Sync,
+) -> u64 {
+    let pool = crate::candidate_pool();
+    batch_chunks_into(out, queries, k, cost_per_query, scratch, pool, |scratch, chunk, slots| {
+        let slots = slots.chunks_exact_mut(k);
+        chunk.iter().zip(slots).map(|(&q, slot)| per_query(scratch, q, slot)).sum()
+    })
+}
+
+/// [`batch_into`] one level up: `per_chunk(scratch, queries, slots)` fills
+/// the `k`-wide slots of a whole run of consecutive queries, for bodies
+/// that work on several queries at once. The sequential path hands it the
+/// whole batch with the caller's scratch, the parallel path one chunk per
+/// call with the calling worker's slot of `pool`.
+pub(crate) fn batch_chunks_into<S: Send>(
+    out: &mut NeighborIndexTable,
+    queries: &[usize],
+    k: usize,
+    cost_per_query: usize,
+    scratch: &mut S,
+    pool: &mesorasi_par::ScratchPool<S>,
+    per_chunk: impl Fn(&mut S, &[usize], &mut [usize]) -> u64 + Sync,
+) -> u64 {
+    let entries = queries.len();
+    let (cents, neighs) = out.fill_slots(k, entries);
+    cents.copy_from_slice(queries);
+    let chunk = match crate::query_tile_budget() {
+        Some(budget) => budget.min(entries).max(1),
+        None => mesorasi_par::chunk_len(entries, cost_per_query),
+    };
+    if chunk >= entries {
+        per_chunk(scratch, queries, neighs)
+    } else {
+        let total = std::sync::atomic::AtomicU64::new(0);
+        mesorasi_par::par_chunks_mut(neighs, chunk * k, |ci, slots| {
+            let chunk_queries = &queries[ci * chunk..][..slots.len() / k];
+            let evals = pool.with(|local| per_chunk(local, chunk_queries, slots));
+            total.fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
+        });
+        total.into_inner()
     }
+}
+
+/// Rough per-query work estimate for a tree descent — `O(k · log n)` leaf
+/// scans plus backtracking, 16 units a level — used only to gate
+/// batch-query parallelism ([`mesorasi_par::chunk_len`]).
+pub(crate) fn per_query_cost(size: usize, k: usize) -> usize {
+    16 * crate::planner::depth(size) as usize * (k + 8)
 }
 
 /// One cached index: the key it answers for, a verification copy of the
@@ -161,19 +231,17 @@ struct Slot {
     /// Caller-chosen space id (the engine uses module-state ids, the tape
     /// runner uses cloud content hashes).
     space: u64,
-    /// Grid resolution discriminator (`radius.to_bits()`; 0 otherwise).
-    radius_bits: u32,
     /// Bit-exact copy of the indexed cloud: a slot only answers when its
     /// copy matches the query cloud, so stale or colliding keys can never
     /// produce a wrong table — at worst they trigger a rebuild.
     cloud: PointCloud,
     last_use: u64,
-    index: Box<dyn SearchIndex>,
+    index: MortonOctree,
 }
 
 /// Slots a context retains before evicting least-recently-used ones. Large
 /// enough for every space a single network forward touches (the deepest
-/// network here searches ~6 distinct (cloud, radius) combinations).
+/// network here searches ~6 distinct clouds).
 const MAX_SLOTS: usize = 16;
 
 /// A planning search front-end with reusable per-space index storage.
@@ -261,7 +329,7 @@ impl SearchContext {
     ) {
         let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
         let backend = self.planner.plan_knn(&load);
-        self.answer(space, backend, 0.0, cloud, queries.len(), |index| {
+        self.answer(space, backend, cloud, queries.len(), |index| {
             index.knn_into(cloud, queries, k, out)
         });
     }
@@ -278,8 +346,8 @@ impl SearchContext {
         out: &mut NeighborIndexTable,
     ) {
         let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
-        let backend = self.planner.plan_ball(&load, radius);
-        self.answer(space, backend, radius, cloud, queries.len(), |index| {
+        let backend = self.planner.plan_ball(&load);
+        self.answer(space, backend, cloud, queries.len(), |index| {
             index.ball_into(cloud, queries, radius, k, out)
         });
     }
@@ -290,13 +358,12 @@ impl SearchContext {
         &mut self,
         space: u64,
         backend: SearchBackend,
-        radius: f32,
         cloud: &PointCloud,
         queries: usize,
         query: impl FnOnce(&mut dyn SearchIndex) -> u64,
     ) {
         let tile_budget = self.tile_budget;
-        let index = self.ensure_index(space, backend, radius, cloud);
+        let index = self.ensure_index(space, backend, cloud);
         let start = Instant::now();
         let evals = crate::with_query_tile_budget(tile_budget, || query(index));
         self.note_query(backend, queries, evals, start);
@@ -329,57 +396,35 @@ impl SearchContext {
         self.counters.distance_evals += evals;
     }
 
-    /// A fresh, unbuilt index of `backend` (grids at `cell_size = radius`).
-    fn new_index(backend: SearchBackend, radius: f32) -> Box<dyn SearchIndex> {
-        match backend {
-            SearchBackend::Grid => {
-                let mut grid = UniformGrid::default();
-                grid.set_cell_size(radius);
-                Box::new(grid)
-            }
-            SearchBackend::Octree => Box::new(MortonOctree::default()),
-            SearchBackend::KdTree => Box::new(KdTree::default()),
-            SearchBackend::BruteForce => {
-                unreachable!("`ensure_index` answers brute force from the shared scan, not a slot")
-            }
-        }
-    }
-
     /// The index answering `backend` queries over `cloud`: the shared
-    /// exhaustive scan, or the slot keyed `(space, backend, radius)`,
-    /// found or (re)built. Rebuilds happen in place — verification cloud
-    /// and index storage reuse their capacity.
+    /// exhaustive scan, or the octree of the slot keyed `space`, found or
+    /// (re)built. Rebuilds happen in place — verification cloud and index
+    /// storage reuse their capacity.
     fn ensure_index(
         &mut self,
         space: u64,
         backend: SearchBackend,
-        radius: f32,
         cloud: &PointCloud,
     ) -> &mut dyn SearchIndex {
         if backend == SearchBackend::BruteForce {
             return &mut self.brute;
         }
         self.clock += 1;
-        let radius_bits = if backend == SearchBackend::Grid { radius.to_bits() } else { 0 };
-        let found = self.slots.iter().position(|s| {
-            s.space == space && s.index.kind() == backend && s.radius_bits == radius_bits
-        });
-        let si = match found {
+        let si = match self.slots.iter().position(|s| s.space == space) {
             Some(si) => si,
             None if self.slots.len() < MAX_SLOTS => {
                 self.slots.push(Slot {
                     space,
-                    radius_bits,
                     cloud: PointCloud::new(),
                     last_use: self.clock,
-                    index: Self::new_index(backend, radius),
+                    index: MortonOctree::default(),
                 });
                 self.slots.len() - 1
             }
             None => {
-                // Evict the least-recently-used slot and rekey it, keeping
-                // its index storage when the structure (and, for grids,
-                // the resolution) carries over.
+                // Evict the least-recently-used slot and rekey it; its
+                // storage carries over, and the content check below decides
+                // whether its octree still answers for `cloud`.
                 let si = self
                     .slots
                     .iter()
@@ -387,16 +432,7 @@ impl SearchContext {
                     .min_by_key(|(_, s)| s.last_use)
                     .map(|(i, _)| i)
                     .expect("slot pool is non-empty at capacity");
-                let old = &self.slots[si];
-                if old.index.kind() != backend || old.radius_bits != radius_bits {
-                    self.slots[si].index = Self::new_index(backend, radius);
-                }
-                let slot = &mut self.slots[si];
-                slot.space = space;
-                slot.radius_bits = radius_bits;
-                // Force a rebuild below even if the cloud matches: the
-                // index answered a different key before.
-                slot.cloud = PointCloud::new();
+                self.slots[si].space = space;
                 si
             }
         };
@@ -409,7 +445,7 @@ impl SearchContext {
             self.counters.index_builds += 1;
             self.counters.index_build_ns += start.elapsed().as_nanos() as u64;
         }
-        &mut *slot.index
+        &mut slot.index
     }
 }
 
@@ -428,15 +464,12 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Chair, 150, 1);
         let q = queries(150);
         let want = bruteforce::knn_indices(&cloud, &q, 7);
-        let mut backends: Vec<Box<dyn SearchIndex>> = vec![
-            Box::new(KdTree::build(&cloud)),
-            Box::new(<BruteForceIndex as SearchIndex>::build(&cloud)),
-            Box::new(<MortonOctree as SearchIndex>::build(&cloud)),
-        ];
-        for b in &mut backends {
+        let backends: [Box<dyn SearchIndex>; 2] =
+            [Box::new(BruteForceIndex::build(&cloud)), Box::new(MortonOctree::build(&cloud))];
+        for (kind, mut b) in SearchBackend::ALL.into_iter().zip(backends) {
             let mut got = NeighborIndexTable::default();
             b.knn_into(&cloud, &q, 7, &mut got);
-            assert_eq!(got, want, "backend {:?}", b.kind());
+            assert_eq!(got, want, "backend {kind:?}");
         }
     }
 
@@ -444,21 +477,21 @@ mod tests {
     fn context_answers_match_reference_and_share_indices() {
         let cloud = sample_shape(ShapeClass::Lamp, 400, 2);
         let q = queries(400);
-        let mut ctx = SearchContext::with_planner(SearchPlanner::auto());
+        // Forced octree, so that sharing one build is observable.
+        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::Octree));
         let mut out = NeighborIndexTable::default();
 
         ctx.knn_into(1, &cloud, &q, 9, &mut out);
         assert_eq!(out, bruteforce::knn_indices(&cloud, &q, 9));
 
-        ctx.ball_into(1, &cloud, &q, 0.25, 8, &mut out);
-        let tree = KdTree::build(&cloud);
-        assert_eq!(out, ball::ball_query(&cloud, &tree, &q, 0.25, 8));
-
-        // Re-querying the same (space, cloud) must not rebuild.
-        let builds = ctx.counters().index_builds;
+        // One space, one index: kNN and ball queries at any radius share it,
+        // and re-querying the same (space, cloud) must not rebuild.
+        for radius in [0.25, 0.4] {
+            ctx.ball_into(1, &cloud, &q, radius, 8, &mut out);
+            assert_eq!(out, ball::ball_query(&cloud, &q, radius, 8));
+        }
         ctx.knn_into(1, &cloud, &q, 9, &mut out);
-        ctx.ball_into(1, &cloud, &q, 0.25, 8, &mut out);
-        assert_eq!(ctx.counters().index_builds, builds, "warm spaces must not rebuild");
+        assert_eq!(ctx.counters().index_builds, 1, "warm spaces must not rebuild");
         assert!(ctx.counters().distance_evals > 0);
         assert!(ctx.storage_bytes() > 0);
     }
@@ -468,7 +501,7 @@ mod tests {
         let a = sample_shape(ShapeClass::Chair, 300, 3);
         let b = sample_shape(ShapeClass::Sphere, 300, 4);
         let q = queries(300);
-        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::KdTree));
+        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::Octree));
         let mut out = NeighborIndexTable::default();
         ctx.knn_into(7, &a, &q, 5, &mut out);
         let builds = ctx.counters().index_builds;
@@ -489,13 +522,12 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Guitar, 350, 5);
         let q = queries(350);
         let reference = bruteforce::knn_indices(&cloud, &q, 11);
-        for backend in [SearchBackend::BruteForce, SearchBackend::KdTree, SearchBackend::Grid] {
+        let ball_ref = ball::ball_query(&cloud, &q, 0.3, 6);
+        for backend in SearchBackend::ALL {
             let mut ctx = SearchContext::with_planner(SearchPlanner::forced(backend));
             let mut out = NeighborIndexTable::default();
             ctx.knn_into(0, &cloud, &q, 11, &mut out);
             assert_eq!(out, reference, "forced {backend:?} drifted on kNN");
-            let tree = KdTree::build(&cloud);
-            let ball_ref = ball::ball_query(&cloud, &tree, &q, 0.3, 6);
             ctx.ball_into(0, &cloud, &q, 0.3, 6, &mut out);
             assert_eq!(out, ball_ref, "forced {backend:?} drifted on ball");
         }
@@ -504,7 +536,7 @@ mod tests {
     #[test]
     fn slot_pool_evicts_lru_without_unbounded_growth() {
         let q: Vec<usize> = (0..64).collect();
-        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::KdTree));
+        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::Octree));
         let mut out = NeighborIndexTable::default();
         for space in 0..(MAX_SLOTS as u64 + 9) {
             let cloud = sample_shape(ShapeClass::Cube, 64, space + 1);
@@ -519,8 +551,7 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Airplane, 500, 6);
         let q: Vec<usize> = (0..500).collect();
         let want_knn = bruteforce::knn_indices(&cloud, &q, 9);
-        let tree = KdTree::build(&cloud);
-        let want_ball = ball::ball_query(&cloud, &tree, &q, 0.3, 8);
+        let want_ball = ball::ball_query(&cloud, &q, 0.3, 8);
         for budget in [1, 64, 500, 501] {
             let mut ctx = SearchContext::with_planner(SearchPlanner::auto());
             ctx.set_tile_budget(Some(budget));
@@ -531,6 +562,44 @@ mod tests {
             ctx.ball_into(3, &cloud, &q, 0.3, 8, &mut out);
             assert_eq!(out, want_ball, "budget {budget} ball");
         }
+    }
+
+    #[test]
+    fn tile_budget_chunking_is_bit_identical() {
+        let cloud = sample_shape(ShapeClass::Chair, 400, 9);
+        let mut tree = MortonOctree::build(&cloud);
+        let queries: Vec<usize> = (0..400).collect();
+        let mut want = NeighborIndexTable::default();
+        tree.knn_into(&cloud, &queries, 8, &mut want);
+        for budget in [1, 7, 64, 400, 401] {
+            let mut got = NeighborIndexTable::default();
+            crate::with_query_tile_budget(Some(budget), || {
+                mesorasi_par::with_threads(4, || tree.knn_into(&cloud, &queries, 8, &mut got))
+            });
+            assert_eq!(got, want, "budget {budget}");
+        }
+        // The override restores on exit: cost-model chunking answers again.
+        let mut after = NeighborIndexTable::default();
+        tree.knn_into(&cloud, &queries, 8, &mut after);
+        assert_eq!(after, want);
+    }
+
+    #[test]
+    fn parallel_queries_retain_pooled_scratch() {
+        let cloud = sample_shape(ShapeClass::Sphere, 1024, 2);
+        let mut tree = MortonOctree::build(&cloud);
+        let queries: Vec<usize> = (0..1024).collect();
+        let mut out = NeighborIndexTable::default();
+        crate::with_query_tile_budget(Some(64), || {
+            mesorasi_par::with_threads(2, || tree.knn_into(&cloud, &queries, 16, &mut out))
+        });
+        // The measurement skips slots that concurrently running tests hold
+        // at that instant, so give them a moment to hand the slots back.
+        let retained = (0..1000).any(|_| {
+            std::thread::yield_now();
+            crate::parallel_scratch_bytes() > 0
+        });
+        assert!(retained, "parallel chunks must use the pool");
     }
 
     #[test]
@@ -550,7 +619,7 @@ mod tests {
         let cold = ctx.storage_bytes();
         ctx.feature_knn_into(view, &q, 6, &mut out);
         assert_eq!(out, want);
-        assert_eq!(ctx.counters().calls_by_backend, [1, 0, 0, 0]);
+        assert_eq!(ctx.counters().calls_by_backend, [1, 0]);
         // The scan's row panel (64 rows = 4 blocks × 16 lanes × 8 dims of
         // f32) is retained by the context and reported, then reused.
         let warm = ctx.storage_bytes();

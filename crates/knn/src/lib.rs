@@ -7,37 +7,40 @@
 //!
 //! * [`bruteforce`] — exact KNN by exhaustive distance computation, the
 //!   reference implementation and the cost model the GPU simulator charges,
-//! * [`kdtree`] — a kd-tree for fast exact KNN on the CPU (keeps the
+//! * [`octree`] — the Morton-bucket octree, the one spatial index: exact
+//!   kNN and radius queries on the CPU at every cloud size (keeps the
 //!   functional executors fast; the *simulated* GPU still uses the
 //!   brute-force cost, which is what TX2 implementations do),
 //! * [`ball`] — radius (ball) query with padding, PointNet++'s grouping,
+//!   and its exhaustive-scan oracle,
 //! * [`feature`] — KNN in arbitrary-dimensional feature space, used by
 //!   DGCNN's dynamic graph construction,
 //! * [`nit`] — the Neighbor Index Table, the `N_out × K` index structure
 //!   that the delayed-aggregation hardware streams through the NIT buffer,
-//! * [`index`] — the pluggable [`SearchIndex`] trait over every backend
-//!   (explicit build/query split, out-parameter queries) and the
-//!   [`SearchContext`] that owns reusable per-space index storage,
-//! * [`octree`] — a Morton-bucket octree for large clouds,
-//! * [`planner`] — the cost-model [`SearchPlanner`] choosing a backend per
-//!   workload shape (overridable with [`SearchPlanner::forced`]),
+//! * [`index`] — the [`SearchIndex`] trait over both backends (explicit
+//!   build/query split, out-parameter queries), the batch driver they
+//!   share, and the [`SearchContext`] that owns reusable per-space index
+//!   storage,
+//! * [`planner`] — the cost-model [`SearchPlanner`] choosing scan or octree
+//!   per workload shape (overridable with [`SearchPlanner::forced`]),
 //! * [`stats`] — neighborhood-membership statistics (reproduces Fig. 6)
 //!   and the [`stats::SearchCounters`] traffic meters.
 //!
-//! Every backend is exact with identical `(distance, index)` tie-breaking,
+//! Both backends are exact with identical `(distance, index)` tie-breaking,
 //! so the planner's choice changes *where time goes*, never the results.
 //!
 //! # Example
 //!
 //! ```
 //! use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
-//! use mesorasi_knn::{bruteforce, kdtree::KdTree};
+//! use mesorasi_knn::{bruteforce, MortonOctree, NeighborIndexTable, SearchIndex};
 //!
 //! let cloud = sample_shape(ShapeClass::Sphere, 256, 1);
 //! let queries: Vec<usize> = (0..32).collect();
 //! let exact = bruteforce::knn_indices(&cloud, &queries, 8);
-//! let tree = KdTree::build(&cloud);
-//! let fast = tree.knn_indices(&cloud, &queries, 8);
+//! let mut tree = MortonOctree::build(&cloud);
+//! let mut fast = NeighborIndexTable::default();
+//! tree.knn_into(&cloud, &queries, 8, &mut fast);
 //! assert_eq!(exact.neighbors_flat(), fast.neighbors_flat());
 //! ```
 
@@ -49,9 +52,7 @@ use std::sync::OnceLock;
 pub mod ball;
 pub mod bruteforce;
 pub mod feature;
-pub mod grid;
 pub mod index;
-pub mod kdtree;
 pub mod nit;
 pub mod octree;
 pub mod planner;
@@ -100,8 +101,8 @@ pub(crate) fn candidate_pool() -> &'static mesorasi_par::ScratchPool<Vec<brutefo
 }
 
 /// Heap bytes retained by the per-worker parallel query scratch pools
-/// (capacity across all idle slots): the candidate buffers of the index
-/// backends and the feature scan's tile scratch. Surfaced through
+/// (capacity across all idle slots): the candidate buffers of the scan and
+/// the octree, and the feature scan's tile scratch. Surfaced through
 /// `EngineStats` so the memory-ceiling contract covers parallel search.
 pub fn parallel_scratch_bytes() -> usize {
     candidate_pool().measure_bytes(|v| v.capacity() * std::mem::size_of::<bruteforce::Candidate>())

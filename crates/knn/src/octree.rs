@@ -1,7 +1,7 @@
-//! A hierarchical Morton-bucket octree for large clouds.
+//! A hierarchical Morton-bucket octree: the one spatial index.
 //!
-//! The flat kd/grid backends assume fully-resident clouds at paper scale
-//! (≤ ~2048 points). This backend is the large-N structure: points are
+//! Every coordinate search the exhaustive scan does not answer runs here,
+//! from PointNet++'s 1024-point modules to million-point scenes: points are
 //! sorted along the Morton curve ([`mesorasi_pointcloud::morton`]), leaves
 //! own contiguous runs of that order, and every node carries the AABB of
 //! its run. Because a node's Morton range is a contiguous index range,
@@ -9,21 +9,21 @@
 //! in place, cache-friendly to descend, and with leaf payloads that are
 //! literally slices of the sorted cloud.
 //!
-//! `knn_into`/`ball_into` do best-first descent with the same exact
-//! `(distance, index)` tie-breaking as every other backend (shared
-//! `push_bounded`/`sort_candidates`/`pad_slot`), so the octree joins the
-//! bit-identity bar: the planner can cross over to it at large N without
-//! changing a single result. Queries batch in parallel like the kd-tree's.
+//! `knn_into` descends best-first and `ball_into` visits every in-range
+//! box — at any radius, 0 and `f32::INFINITY` included — with the same
+//! exact `(distance, index)` tie-breaking as the scan (shared
+//! `push_bounded`/`sort_candidates`/`pad_slot`), so the octree meets the
+//! bit-identity bar: the planner can cross over to it without changing a
+//! single result. Queries batch in parallel through the shared
+//! `batch_into` driver.
 
 use crate::bruteforce::{push_bounded, Candidate};
-use crate::kdtree::{batch_into, per_query_cost, sort_candidates};
-use crate::planner::SearchBackend;
+use crate::index::{batch_into, per_query_cost, sort_candidates};
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{morton, Aabb, Point3, PointCloud};
 
-/// Points per leaf before a Morton run stops splitting. Larger than the
-/// kd-tree's 16: leaves are contiguous scans, so fatter leaves amortize
-/// descent cost.
+/// Points per leaf before a Morton run stops splitting: leaves are
+/// contiguous scans, so fat leaves amortize descent cost.
 pub const LEAF_SIZE: usize = 32;
 
 /// `u32` sentinel for "no child".
@@ -166,10 +166,6 @@ impl crate::SearchIndex for MortonOctree {
             + self.sorted.capacity() * std::mem::size_of::<Point3>()
             + self.scratch.capacity() * std::mem::size_of::<Candidate>()
     }
-
-    fn kind(&self) -> SearchBackend {
-        SearchBackend::Octree
-    }
 }
 
 /// Build-time borrow bundle (the tree's fields, split for the recursion).
@@ -251,7 +247,7 @@ fn knn_descend(
         OctNode::Internal { children } => {
             // Best-first: visit children by ascending box distance; prune a
             // child only when its box is strictly farther than the k-th
-            // best (`<=` keeps boundary ties, exactly like the kd-tree).
+            // best (`<=` keeps boundary ties, which the index may still win).
             let mut order = [(f32::INFINITY, NONE); 8];
             let mut m = 0;
             for &c in &children {
@@ -306,7 +302,7 @@ fn ball_descend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ball, bruteforce, kdtree::KdTree, SearchIndex};
+    use crate::{ball, bruteforce, SearchIndex};
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 
     fn queries(n: usize) -> Vec<usize> {
@@ -314,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_bruteforce_knn_and_kdtree_ball() {
+    fn matches_the_exhaustive_scan_on_knn_and_ball() {
         let cloud = sample_shape(ShapeClass::Chair, 700, 1);
         let q = queries(700);
         let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
@@ -323,9 +319,8 @@ mod tests {
             tree.knn_into(&cloud, &q, k, &mut got);
             assert_eq!(got, bruteforce::knn_indices(&cloud, &q, k), "k {k}");
         }
-        let kd = KdTree::build(&cloud);
         tree.ball_into(&cloud, &q, 0.3, 12, &mut got);
-        assert_eq!(got, ball::ball_query(&cloud, &kd, &q, 0.3, 12));
+        assert_eq!(got, ball::ball_query(&cloud, &q, 0.3, 12));
     }
 
     #[test]
@@ -356,8 +351,8 @@ mod tests {
         let q = queries(512);
         let mut tree = MortonOctree::default();
         let mut out = NeighborIndexTable::default();
-        // Node layout is content-dependent (unlike the kd-tree), so warm
-        // the high-water capacity on both clouds first.
+        // Node layout is content-dependent, so warm the high-water
+        // capacity on both clouds first.
         for cloud in [&a, &b, &a, &b] {
             tree.build_into(cloud);
             tree.knn_into(cloud, &q, 5, &mut out);
@@ -375,8 +370,7 @@ mod tests {
     fn zero_radius_ball_returns_exact_matches_padded() {
         let cloud = sample_shape(ShapeClass::Cube, 300, 4);
         let q = queries(300);
-        let kd = KdTree::build(&cloud);
-        let want = ball::ball_query(&cloud, &kd, &q, 0.0, 4);
+        let want = ball::ball_query(&cloud, &q, 0.0, 4);
         let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
         let mut got = NeighborIndexTable::default();
         tree.ball_into(&cloud, &q, 0.0, 4, &mut got);

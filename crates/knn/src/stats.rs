@@ -19,8 +19,8 @@ use crate::NeighborIndexTable;
 /// Fig. 6-style overlap analysis can run against production-shaped traffic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchCounters {
-    /// Index structures (re)built — kd-trees and grids, not the stateless
-    /// brute-force backends.
+    /// Index structures (re)built — octrees; the exhaustive scan has
+    /// nothing to build.
     pub index_builds: u64,
     /// Wall time spent building indices, in nanoseconds.
     pub index_build_ns: u64,
@@ -30,7 +30,7 @@ pub struct SearchCounters {
     /// `SearchBackend as usize` (the order of [`crate::SearchBackend::ALL`]) —
     /// which backends the planner actually routed traffic to.
     /// Feature-space scans count as [`crate::SearchBackend::BruteForce`].
-    pub calls_by_backend: [u64; 4],
+    pub calls_by_backend: [u64; 2],
     /// Individual centroid queries answered across all calls.
     pub queries: u64,
     /// Wall time spent answering queries, in nanoseconds.

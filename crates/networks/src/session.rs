@@ -366,11 +366,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Forces every worker's neighbor searches onto one backend instead of
-    /// the cost-model choice (the programmatic form of `MESORASI_SEARCH`).
-    /// Every backend is exact, so this changes where search time goes,
-    /// never the inference results — useful for benchmarking and for
-    /// pinning behaviour in latency-sensitive deployments.
+    /// Forces every worker's coordinate searches onto one backend — the
+    /// exhaustive scan or the octree — instead of the cost-model choice (the
+    /// programmatic form of `MESORASI_SEARCH`). Both are exact, so this
+    /// changes where search time goes, never the inference results — useful
+    /// for benchmarking and for pinning behaviour in latency-sensitive
+    /// deployments.
     pub fn search_backend(mut self, backend: SearchBackend) -> Self {
         self.config.search = SearchPlanner::forced(backend);
         self
@@ -1056,7 +1057,7 @@ mod tests {
         let net = crate::pointnetpp::PointNetPP::classification_small(4, &mut rng);
         let cloud = sample_shape(ShapeClass::Guitar, net.input_points(), 3);
         let reference = SessionBuilder::from_network_ref(&net).build().infer(&cloud);
-        for backend in [SearchBackend::BruteForce, SearchBackend::KdTree, SearchBackend::Grid] {
+        for backend in SearchBackend::ALL {
             let session = SessionBuilder::from_network_ref(&net).search_backend(backend).build();
             assert_eq!(session.infer(&cloud), reference, "forced {backend:?} drifted");
         }
@@ -1067,9 +1068,9 @@ mod tests {
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(3)
             .workers(2)
-            // Forced kd-tree so index builds are observable even at the
+            // Forced octree so index builds are observable even at the
             // small scale where the cost model prefers brute force.
-            .search_backend(SearchBackend::KdTree)
+            .search_backend(SearchBackend::Octree)
             .build();
         let n = session.network().input_points();
         let cloud = sample_shape(ShapeClass::Chair, n, 2);

@@ -54,7 +54,7 @@ const MAX_POOL: usize = 256;
 const MIN_CHUNK_WORK: usize = 16 * 1024;
 
 /// Chunks-per-thread target: a few chunks per worker lets the atomic queue
-/// balance uneven per-item cost (e.g. kd-tree queries) without shrinking
+/// balance uneven per-item cost (e.g. octree queries) without shrinking
 /// chunks into spawn-overhead territory.
 const CHUNKS_PER_THREAD: usize = 4;
 

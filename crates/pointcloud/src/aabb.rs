@@ -3,7 +3,7 @@
 use crate::Point3;
 
 /// An axis-aligned bounding box, used to normalize clouds into the unit cube
-/// (required by [`crate::morton`]) and to prune kd-tree searches.
+/// (required by [`crate::morton`]) and to prune octree searches.
 ///
 /// # Example
 ///
@@ -103,7 +103,7 @@ impl Aabb {
         self.max = self.max.max(p);
     }
 
-    /// Squared distance from `p` to the box (zero when inside). The kd-tree
+    /// Squared distance from `p` to the box (zero when inside). The octree
     /// uses this bound to prune subtrees during KNN search.
     #[inline]
     pub fn distance_squared_to(&self, p: Point3) -> f32 {

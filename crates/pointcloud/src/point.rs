@@ -197,8 +197,8 @@ impl Neg for Point3 {
 impl Index<usize> for Point3 {
     type Output = f32;
 
-    /// Indexes the coordinates as `0 → x`, `1 → y`, `2 → z`; the kd-tree
-    /// cycles split axes this way.
+    /// Indexes the coordinates as `0 → x`, `1 → y`, `2 → z`, for code that
+    /// loops over axes.
     ///
     /// # Panics
     ///

@@ -96,16 +96,22 @@ impl Server {
                         lock(&conns.streams).insert(conn_id, clone);
                     }
                     let scheduler = Arc::clone(&scheduler);
-                    let conns = Arc::clone(&conns);
                     let hello = hello.clone();
-                    let handler = std::thread::Builder::new()
+                    let table = Arc::clone(&conns);
+                    let spawned = std::thread::Builder::new()
                         .name(format!("mesorasi-conn-{conn_id}"))
                         .spawn(move || {
                             handle_connection(stream, hello, &scheduler);
+                            lock(&table.streams).remove(&conn_id);
+                        });
+                    match spawned {
+                        Ok(handler) => handlers.push(handler),
+                        // Out of threads: drop this connection (the failed
+                        // spawn already dropped `stream`) and keep accepting.
+                        Err(_) => {
                             lock(&conns.streams).remove(&conn_id);
-                        })
-                        .expect("spawn connection handler");
-                    handlers.push(handler);
+                        }
+                    }
                 }
                 handlers
             })?
@@ -169,10 +175,11 @@ fn handle_connection(stream: TcpStream, hello: Frame, scheduler: &Scheduler) {
         Err(_) => return,
     };
     let (tx, rx) = mpsc::channel::<Frame>();
-    let writer = std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name("mesorasi-conn-writer".into())
-        .spawn(move || writer_loop(writer_stream, &rx))
-        .expect("spawn connection writer");
+        .spawn(move || writer_loop(writer_stream, &rx));
+    // Out of threads: returning drops `stream`, which closes the socket.
+    let Ok(writer) = spawned else { return };
 
     if tx.send(hello).is_ok() {
         let mut reader = BufReader::new(stream);

@@ -8,7 +8,9 @@
 //! execute on the pool.
 
 use mesorasi::core::{executor, module::Module, module::ModuleConfig, module::NeighborMode};
-use mesorasi::knn::{ball, bruteforce, feature::FeatureView, grid::UniformGrid, kdtree::KdTree};
+use mesorasi::knn::{
+    ball, bruteforce, feature::FeatureView, MortonOctree, NeighborIndexTable, SearchIndex,
+};
 use mesorasi::nn::layers::NormMode;
 use mesorasi::nn::Graph;
 use mesorasi::par;
@@ -122,13 +124,18 @@ proptest! {
         assert_thread_invariant("bruteforce NIT", || {
             bruteforce::knn_indices(&cloud, &queries, k)
         })?;
-        let tree = KdTree::build(&cloud);
-        assert_thread_invariant("kdtree NIT", || tree.knn_indices(&cloud, &queries, k))?;
-        assert_thread_invariant("ball NIT", || {
-            ball::ball_query(&cloud, &tree, &queries, 0.3, k)
+        assert_thread_invariant("ball NIT", || ball::ball_query(&cloud, &queries, 0.3, k))?;
+        let tree = std::cell::RefCell::new(MortonOctree::build(&cloud));
+        assert_thread_invariant("octree NIT", || {
+            let mut out = NeighborIndexTable::default();
+            tree.borrow_mut().knn_into(&cloud, &queries, k, &mut out);
+            out
         })?;
-        let grid = UniformGrid::build(&cloud, 0.3);
-        assert_thread_invariant("grid NIT", || grid.ball_query(&cloud, &queries, 0.3, k))?;
+        assert_thread_invariant("octree ball NIT", || {
+            let mut out = NeighborIndexTable::default();
+            tree.borrow_mut().ball_into(&cloud, &queries, 0.3, k, &mut out);
+            out
+        })?;
         let flat = cloud.to_xyz_rows();
         let view = FeatureView::new(&flat, 3).expect("xyz rows are rectangular");
         assert_thread_invariant("feature NIT", || {

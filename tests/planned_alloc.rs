@@ -4,13 +4,21 @@
 //! sample) pair is warm, a forward pass allocates **nothing**: every
 //! intermediate writes into its preassigned slot and the cached bindings
 //! are read in place. This binary installs a counting global allocator and
-//! asserts exactly that. The counter is process-global and libtest runs
-//! the `#[test]`s of one file on concurrent threads, so living in its own
-//! file is not enough: every audit holds the file-level [`SERIAL`] lock for
-//! its whole body, or one audit's warm-up would land in another's armed
-//! window.
+//! asserts exactly that. Two things keep a count exact:
 //!
-//! Eight audits, in increasing strictness:
+//! * libtest runs the `#[test]`s of one file on concurrent threads, so
+//!   every audit holds the file-level [`SERIAL`] lock for its whole body,
+//!   or one audit's warm-up would land in another's armed window — and the
+//!   allocator counts only the audit's own thread (marked [`AUDITED`]) and
+//!   the pool workers, because the harness itself spawns, captures and
+//!   reports on other threads whenever it likes;
+//! * chunks of a parallel region are claimed by whichever participant gets
+//!   there first, so warm-up frames do not by themselves make every pool
+//!   worker touch its `ScratchPool` slot: audits above one thread warm up
+//!   through [`warm_on_every_pool_thread`], which runs the frames once on
+//!   each participant.
+//!
+//! Nine audits, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
 //!    cached, pure planned tensor execution;
@@ -40,8 +48,9 @@
 //!    allocations at 1 and 2 threads in both dtypes — its panel buffer is
 //!    on the stack of whichever thread runs the row chunk, so there is no
 //!    retained storage for `EngineStats` to count.
-//! 8. the default-configuration audit: audits 1–7 force the kd-tree (or
-//!    search feature space), so the automatic planner — the configuration
+//! 8. the default-configuration audit: audits 2–5 force the octree (the
+//!    small networks' searches would otherwise all stay on the exhaustive
+//!    scan) and 6 searches feature space, so the automatic planner — the configuration
 //!    every benchmark workload runs — never planned a coordinate search
 //!    inside an armed window. A warm streamed PointNet++ frame on
 //!    [`PlanEngine::new`] makes zero heap allocations, backend choice
@@ -49,16 +58,18 @@
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
+use mesorasi::nn::VarId;
 use mesorasi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// A forced-kd-tree engine (real index construction under audit, not just
+/// A forced-octree engine (real index construction under audit, not just
 /// brute-force scans) at the given tile budget and dtype.
-fn kd_engine(tile_budget: Option<usize>, dtype: Dtype) -> PlanEngine {
+fn octree_engine(tile_budget: Option<usize>, dtype: Dtype) -> PlanEngine {
     PlanEngine::with_config(EngineConfig {
-        search: mesorasi::SearchPlanner::forced(SearchBackend::KdTree),
+        search: mesorasi::SearchPlanner::forced(SearchBackend::Octree),
         tile_budget,
         dtype,
         ..EngineConfig::default()
@@ -68,22 +79,85 @@ fn kd_engine(tile_budget: Option<usize>, dtype: Dtype) -> PlanEngine {
 /// Serialises the audits (see the module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Takes [`SERIAL`]; a failed audit must not poison the rest into failing.
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+/// An audit in progress: holds [`SERIAL`] while its thread is [`AUDITED`].
+struct Audit {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl Drop for Audit {
+    /// Unmarks the thread before the lock goes (fields drop after this):
+    /// what libtest does on it once the test function has returned —
+    /// collecting output, reporting — may overlap the next audit's window.
+    fn drop(&mut self) {
+        AUDITED.with(|a| a.set(false));
+    }
+}
+
+/// Takes [`SERIAL`] and marks the calling thread [`AUDITED`]; a failed audit
+/// must not poison the rest into failing.
+fn serial() -> Audit {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    AUDITED.with(|a| a.set(true));
+    Audit { _serial }
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread is running an audit. Const and without a
+    /// destructor, so reading it inside the allocator neither allocates nor
+    /// fails during thread teardown.
+    static AUDITED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocator call if an audit is armed and owns this thread: its
+/// own, or a pool worker (which only ever runs the armed audit's jobs).
+fn count() {
+    if ARMED.load(Ordering::Relaxed) && (AUDITED.with(Cell::get) || mesorasi_par::worker_slot() > 0)
+    {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Streams `frames` through `engine` once on every participant of a
+/// `threads`-wide parallel region — the caller and each of the
+/// `threads - 1` pool workers: compiles the plan, sizes the stream
+/// bindings, and grows each participant's search scratch to this frame
+/// population's high-water mark, so whichever of them claims a query chunk
+/// later finds its slot warm. There are as many one-item chunks as
+/// participants and nobody passes the barrier alone, so each participant
+/// claims exactly one; nested parallel calls run inline on a participant,
+/// which is what makes the frames draw from *that* thread's `ScratchPool`
+/// slots. The region's own dispatch also spawns the workers and leaves the
+/// pool a retired job header. No audit asks for more than two threads, so
+/// the pool never has a worker this did not reach.
+fn warm_on_every_pool_thread(
+    threads: usize,
+    engine: &mut PlanEngine,
+    frames: &[PointCloud],
+    record: &(dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId> + Sync),
+) {
+    let engine = Mutex::new(engine);
+    let barrier = Barrier::new(threads);
+    let mut one_each = vec![0u8; threads];
+    mesorasi_par::with_threads(threads, || {
+        mesorasi_par::par_chunks_mut(&mut one_each, 1, |_, _| {
+            barrier.wait();
+            let mut engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
+            for frame in frames {
+                let _ = engine.run_streamed(frame, record);
+            }
+        })
+    });
+}
 
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System`; only adds counting.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -92,9 +166,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -169,14 +241,14 @@ fn warm_f64_shadow_forward_allocates_nothing() {
 fn warm_streamed_forward_allocates_nothing_including_search() {
     let _serial = serial();
     // The streaming path never caches samples: every frame re-selects
-    // centroids, rebuilds per-space indices (forced kd-tree, so real index
+    // centroids, rebuilds per-space indices (forced octree, so real index
     // construction — not just brute-force scans — is under audit), and
     // re-queries. All of it must run out of the engine's persistent search
     // arena. Sequential execution for the same reason as above.
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = kd_engine(None, Dtype::F32);
+        let mut engine = octree_engine(None, Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -252,7 +324,7 @@ fn warm_session_frame_inference_allocates_nothing_end_to_end() {
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(5)
             .workers(1)
-            .search_backend(SearchBackend::KdTree)
+            .search_backend(SearchBackend::Octree)
             .build();
         let n = session.network().input_points();
         let frames: Vec<PointCloud> =
@@ -282,26 +354,21 @@ fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
     let _serial = serial();
     // The multi-worker bar: at 2 pool threads with a fixed tile budget,
     // tile dispatch rides retired job headers and each participant's
-    // kd-rebuild/query scratch comes out of its per-worker `ScratchPool`
-    // slot — so the warm streamed frame stays at exactly zero heap
-    // allocations even though real parallel dispatch is in the loop.
+    // query scratch comes out of its per-worker `ScratchPool` slot — so
+    // the warm streamed frame stays at exactly zero heap allocations even
+    // though real parallel dispatch is in the loop.
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
         // A budget well under the frame size, so every frame splits into
         // several tiles and the remainder tile is exercised too.
-        let mut engine = kd_engine(Some(64), Dtype::F32);
+        let mut engine = octree_engine(Some(64), Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
             (0..4).map(|s| sample_shape(ShapeClass::Chair, net.input_points(), 60 + s)).collect();
 
-        // Warm pass: compiles the plan, sizes stream bindings and every
-        // worker's scratch slot, and lets the pool allocate its one-time
-        // job headers outside the armed window.
-        for frame in &frames {
-            let _ = engine.run_streamed(frame, &record);
-        }
+        warm_on_every_pool_thread(2, &mut engine, &frames, &record);
 
         ARMED.store(true, Ordering::SeqCst);
         let before = ALLOCS.load(Ordering::SeqCst);
@@ -331,16 +398,14 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
         mesorasi_par::with_threads(2, || {
             let mut rng = seeded_rng(6);
             let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-            let mut engine = kd_engine(Some(64), dtype);
+            let mut engine = octree_engine(Some(64), dtype);
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
             let n = net.input_points();
             let frames: Vec<PointCloud> =
                 (0..4).map(|s| sample_shape(ShapeClass::Lamp, n, 80 + s)).collect();
 
-            for frame in &frames {
-                let _ = engine.run_streamed(frame, &record);
-            }
+            warm_on_every_pool_thread(2, &mut engine, &frames, &record);
             let warm = engine.stats(n).expect("compiled");
             assert!(warm.arena.peak_bytes > 0, "the arena must retain planned storage");
             assert!(warm.search_bytes > 0, "the search arena must retain storage");
@@ -395,9 +460,7 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
             let frames: Vec<PointCloud> =
                 (0..4).map(|s| sample_shape(ShapeClass::Guitar, n, 90 + s)).collect();
 
-            for frame in &frames {
-                let _ = engine.run_streamed(frame, &record);
-            }
+            warm_on_every_pool_thread(threads, &mut engine, &frames, &record);
             let warm = engine.stats(n).expect("compiled");
 
             ARMED.store(true, Ordering::SeqCst);

@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants, with randomized inputs.
 
-use mesorasi::knn::{bruteforce, kdtree::KdTree};
+use mesorasi::knn::{bruteforce, MortonOctree, NeighborIndexTable, SearchIndex};
 use mesorasi::pointcloud::{morton, Point3, PointCloud};
 use mesorasi::tensor::{group, ops, Matrix};
 use mesorasi_core::distributivity;
@@ -37,12 +37,12 @@ proptest! {
     }
 
     #[test]
-    fn kdtree_knn_matches_bruteforce(cloud in arb_cloud(120), k in 1usize..8) {
+    fn octree_knn_matches_bruteforce(cloud in arb_cloud(120), k in 1usize..8) {
         prop_assume!(k <= cloud.len());
-        let tree = KdTree::build(&cloud);
         let queries: Vec<usize> = (0..cloud.len()).step_by(5).collect();
         let a = bruteforce::knn_indices(&cloud, &queries, k);
-        let b = tree.knn_indices(&cloud, &queries, k);
+        let mut b = NeighborIndexTable::default();
+        MortonOctree::build(&cloud).knn_into(&cloud, &queries, k, &mut b);
         prop_assert_eq!(a, b);
     }
 

@@ -104,7 +104,7 @@ fn all_seven_networks_framed_streams_bit_identical_to_tape() {
 }
 
 /// The acceptance bar for backend pluggability: every backend the planner
-/// can select (forced brute-force, kd-tree, grid — and auto) produces
+/// can select (forced brute-force, forced octree — and auto) produces
 /// network outputs bit-identical to the tape, which still runs whatever
 /// `MESORASI_SEARCH` dictates (unset in CI ⇒ the cost model).
 #[test]
@@ -115,7 +115,7 @@ fn forced_search_backends_match_tape_for_every_network() {
         let net = kind.build_small(4, &mut rng);
         let cloud = sample_shape(ShapeClass::Lamp, net.input_points(), 6);
         let want = tape_logits(net.as_ref(), &cloud, Strategy::Delayed, 7);
-        for backend in [SearchBackend::BruteForce, SearchBackend::KdTree, SearchBackend::Grid] {
+        for backend in SearchBackend::ALL {
             let session = SessionBuilder::from_network_ref(net.as_ref())
                 .seed(7)
                 .workers(1)
@@ -297,5 +297,54 @@ proptest! {
             SessionBuilder::from_network_ref(net.as_ref()).seed(3).dtype(Dtype::F32).build();
         let out = session.infer(&cloud);
         prop_assert_eq!(out.logits(), &expected);
+    }
+}
+
+/// Which backend carries each network's searches, as a checked fact: one
+/// Delayed forward per registry network at small and at paper scale under
+/// the automatic planner, `calls_by_backend` as `[scan, octree]`. Feature-space
+/// modules (DGCNN, LDGCNN) never plan — always the dense row scan — and
+/// below the ball crossover (≈ 128 points) the small networks stay on the
+/// exhaustive scan; every paper-scale coordinate search (no network uses
+/// `NeighborMode::CoordKnn`, they are all ball queries) reaches the octree,
+/// DensePoint's three narrow late stages excepted.
+#[test]
+fn planned_backends_carry_the_traffic_the_planner_tests_pin() {
+    use NetworkKind::*;
+    let expected = [
+        (PointNetPPClassification, [2, 0], [0, 2]),
+        (PointNetPPSegmentation, [1, 1], [0, 2]),
+        (DgcnnClassification, [2, 0], [4, 0]),
+        (DgcnnSegmentation, [2, 0], [3, 0]),
+        (FPointNet, [2, 0], [0, 3]),
+        (Ldgcnn, [2, 0], [4, 0]),
+        (DensePoint, [3, 0], [3, 5]),
+    ];
+    assert_eq!(expected.map(|(kind, ..)| kind), NetworkKind::ALL);
+    for (kind, small, paper) in expected {
+        for (paper_scale, want) in [(false, small), (true, paper)] {
+            // Unoptimised, the paper-scale feature scans are half a minute
+            // spent learning that a module without a planner call has none.
+            if cfg!(debug_assertions) && paper_scale && want[1] == 0 {
+                continue;
+            }
+            let mut rng = seeded_rng(3);
+            let net = if paper_scale {
+                kind.build_paper(&mut rng)
+            } else {
+                kind.build_small(4, &mut rng)
+            };
+            let n = net.input_points();
+            let record =
+                |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+            // Built-in defaults: the automatic planner, environment not read.
+            let mut engine = mesorasi::core::engine::PlanEngine::new();
+            let _ = engine.run(&sample_shape(ShapeClass::Chair, n, 3), &record);
+            let traffic = engine.stats(n).expect("compiled").search;
+            let scale = if paper_scale { "paper" } else { "small" };
+            assert_eq!(traffic.calls_by_backend, want, "{} at {scale} scale", kind.name());
+            assert_eq!(traffic.calls_by_backend.iter().sum::<u64>(), traffic.query_calls);
+            assert_eq!(traffic.index_builds > 0, want[1] > 0, "only the octree is ever built");
+        }
     }
 }
