@@ -1,10 +1,14 @@
 //! Large-cloud search records for the bench artifact: the octree's index
 //! build, kNN and ball-query timings at 2^17..2^20-point scales — the
-//! scene-scale numbers ROADMAP item 4's spatial split is measured against.
+//! scene-scale numbers a spatial split of the ball query is measured
+//! against — and feature propagation's 3-NN stencil at `scene_32k`'s
+//! shape, on the scan and on the octree.
 //!
-//! Every record carries the cloud size in `points`.
+//! Every record carries the cloud size in `points` (for the stencil, the
+//! number of fine query points).
 
 use crate::perf::{sweep_records, BenchRecord, Kernel};
+use mesorasi_knn::index::BruteForceIndex;
 use mesorasi_knn::{MortonOctree, NeighborIndexTable, SearchIndex};
 use mesorasi_pointcloud::{Point3, PointCloud};
 use std::cell::RefCell;
@@ -41,8 +45,17 @@ const QUERIES: usize = 256;
 const K: usize = 16;
 const RADIUS: f32 = 0.05;
 
+/// The stencil's fine points (every point of the cloud) and the coarse
+/// points they interpolate from: 32,768 × 512 is `scene_32k`'s last
+/// feature propagation; the smoke run keeps the coarse set and cuts the
+/// fine one.
+fn stencil_shape(smoke: bool) -> (usize, usize) {
+    (if smoke { 1 << 12 } else { 1 << 15 }, 512)
+}
+
 /// Runs the large-cloud sweep: the octree's `index_build` and its `query`
-/// (kNN, and `mode: "ball"`) at every swept thread count.
+/// (kNN, and `mode: "ball"`) at every swept thread count, then the
+/// `stencil` pair.
 pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for &n in sizes(smoke) {
@@ -85,7 +98,34 @@ pub fn records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecor
         }
         records.extend(sweep_records(&kernels, budget, sweep));
     }
+    records.extend(stencil_records(smoke, budget, sweep));
     records
+}
+
+/// The 3-NN point queries of one stencil, answered into a retained index
+/// buffer by the scan and by an octree prebuilt over the coarse points (as
+/// a segmentation frame finds it, built by the set-abstraction module that
+/// searched that level).
+fn stencil_records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchRecord> {
+    let (n_fine, n_coarse) = stencil_shape(smoke);
+    let fine = synthetic_cloud(n_fine, 2021);
+    let picks: Vec<usize> = (0..n_fine).step_by(n_fine / n_coarse).collect();
+    let coarse = fine.select(&picks);
+    let out = RefCell::new(vec![0; n_fine * 3]);
+    let scan = RefCell::new(BruteForceIndex::default());
+    let octree = RefCell::new(MortonOctree::build(&coarse));
+    let query = |index: &RefCell<dyn SearchIndex>| {
+        let (index, out) = (&mut *index.borrow_mut(), &mut *out.borrow_mut());
+        index.knn_points_into(&coarse, fine.points(), 3, out);
+    };
+    let mut kernels = [
+        Kernel::new("stencil", "bruteforce", Box::new(|| query(&scan))),
+        Kernel::new("stencil", "octree", Box::new(|| query(&octree))),
+    ];
+    for k in &mut kernels {
+        k.points = Some(n_fine);
+    }
+    sweep_records(&kernels, budget, sweep)
 }
 
 #[cfg(test)]
@@ -109,12 +149,18 @@ mod tests {
     fn smoke_sweep_covers_every_configuration() {
         let sweep = [1, 2];
         let recs = records(true, Duration::from_millis(2), &sweep);
-        assert_eq!(recs.len(), 3 * sweep.len());
-        assert!(recs.iter().all(|r| r.ns_per_op > 0.0 && r.points == Some(1 << 15)));
-        assert!(recs.iter().all(|r| r.backend == "octree"));
+        assert_eq!(recs.len(), 5 * sweep.len());
+        assert!(recs.iter().all(|r| r.ns_per_op > 0.0));
+        let (octree, stencil): (Vec<_>, Vec<_>) = recs.iter().partition(|r| r.op != "stencil");
+        assert!(octree.iter().all(|r| r.backend == "octree" && r.points == Some(1 << 15)));
         for key in [("index_build", None), ("query", None), ("query", Some("ball"))] {
-            let rows = recs.iter().filter(|r| (r.op, r.mode) == key).count();
+            let rows = octree.iter().filter(|r| (r.op, r.mode) == key).count();
             assert_eq!(rows, sweep.len(), "{key:?}");
+        }
+        for backend in ["bruteforce", "octree"] {
+            let rows = stencil.iter().filter(|r| r.backend == backend);
+            assert!(rows.clone().all(|r| r.points == Some(stencil_shape(true).0)));
+            assert_eq!(rows.count(), sweep.len(), "stencil/{backend}");
         }
     }
 }

@@ -9,7 +9,7 @@
 //! exhaustive scan, and the octree split into a warm `index_build` and
 //! pure `knn`/`ball` queries) and the feature-space scan at a shallow
 //! shape and at DGCNN's own,
-//! and the large-cloud `index_build`/`query` sweep of
+//! and the large-cloud `index_build`/`query` sweep and `stencil` pair of
 //! [`crate::largecloud`] — each across a thread sweep. Anything measured
 //! through a `Session`, a frame stream or the server belongs to
 //! `benchmark/` and has no record here.
@@ -42,8 +42,9 @@ pub struct BenchRecord {
     /// `group_max_reduce`, `gather_max_reduce` (the tape's allocating,
     /// argmax-tracking reductions), `group_max_into`, `gather_max_into` (the
     /// values-only forms the engine runs), `knn`, `ball`, `index_build` (a
-    /// warm in-place rebuild) or `query` (the large-cloud sweep's pure
-    /// queries against a prebuilt index).
+    /// warm in-place rebuild), `query` (the large-cloud sweep's pure
+    /// queries against a prebuilt index) or `stencil` (feature
+    /// propagation's 3-NN point queries, likewise).
     pub op: &'static str,
     /// Implementation or search structure the op ran on.
     pub backend: &'static str,
@@ -51,7 +52,8 @@ pub struct BenchRecord {
     pub threads: usize,
     /// Element type; `None` (key absent in JSON) is the native f32 tier.
     pub dtype: Option<&'static str>,
-    /// Cloud size, on large-cloud records only.
+    /// Cloud size, on large-cloud records only (query points, on
+    /// `stencil` rows).
     pub points: Option<usize>,
     /// Variant of the configuration; `None` (key absent) is the default.
     /// `Some("deep")`, on `matmul` rows: the deep-weight shape
@@ -718,6 +720,7 @@ mod tests {
             "ball",
             "index_build",
             "query",
+            "stencil",
         ];
         assert_eq!(ops, BTreeSet::from(expected), "nothing Session-, stream- or server-level");
 
@@ -738,7 +741,8 @@ mod tests {
                 "backend label encodes a size: {}",
                 r.backend
             );
-            assert!(r.op != "query" || r.points.is_some(), "large-cloud record without points");
+            let large = r.op == "query" || r.op == "stencil";
+            assert!(!large || r.points.is_some(), "large-cloud record without points");
         }
         assert!(report.records.iter().any(|r| r.op == "index_build" && r.points.is_none()));
 

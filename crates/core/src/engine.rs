@@ -32,7 +32,7 @@
 
 use crate::config::EngineConfig;
 use crate::module::NeighborMode;
-use crate::runner::{fp_stencils_into, search_nit_into, select_centroids_into};
+use crate::runner::{search_nit_into, search_stencils_into, select_centroids_into};
 use crate::sample_cache::{SampleCache, SampleCacheStats};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_knn::{NeighborIndexTable, SearchContext};
@@ -987,8 +987,11 @@ fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
                     state_set[*coarse] && state_set[*fine],
                     "stencil endpoints derive before the stencil"
                 );
+                // Keyed like the searches: a coarse level a set-abstraction
+                // module already indexed this frame serves the stencil.
                 let (idx, w) = &mut b.stencils[*bid];
-                fp_stencils_into(&state_bufs[*coarse], &state_bufs[*fine], idx, w);
+                let (coarse_pts, fine_pts) = (&state_bufs[*coarse], &state_bufs[*fine]);
+                search_stencils_into(search, *coarse as u64, coarse_pts, fine_pts, idx, w);
             }
         }
     }

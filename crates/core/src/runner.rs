@@ -14,7 +14,6 @@ use crate::executor;
 use crate::module::{Module, NeighborMode};
 use crate::strategy::Strategy;
 use crate::trace::{AggregateOp, MatMulOp, ModuleTrace, ReduceOp, SearchOp};
-use mesorasi_knn::bruteforce::Candidate;
 use mesorasi_knn::{feature::FeatureView, NeighborIndexTable, SearchContext};
 use mesorasi_nn::layers::SharedMlp;
 use mesorasi_nn::{Graph, VarId};
@@ -292,25 +291,12 @@ pub fn run_module(
 }
 
 /// Computes the 3-NN inverse-distance interpolation stencil lifting
-/// `coarse` features onto `fine` points — shared by the tape-based
-/// [`run_feature_propagation`] and the inference engine's replay (both must
-/// produce bit-identical index/weight vectors). Returns `(indices,
-/// weights)`, flattened `n_fine × 3`.
-///
-/// # Panics
-///
-/// Panics when `coarse` has fewer than 3 points.
-pub fn fp_stencils(coarse: &PointCloud, fine: &PointCloud) -> (Vec<usize>, Vec<f32>) {
-    let (mut indices, mut weights) = (Vec::new(), Vec::new());
-    fp_stencils_into(coarse, fine, &mut indices, &mut weights);
-    (indices, weights)
-}
-
-/// [`fp_stencils`] writing into caller-owned buffers, reusing their
-/// capacity — the engine's streaming replay recomputes interpolation
-/// stencils per frame without allocating. Bit-identical to
-/// [`fp_stencils`]: the 3 nearest coarse points under `(distance, index)`
-/// ordering are unique, and the weight arithmetic is unchanged.
+/// `coarse` features onto `fine` points into caller-owned buffers
+/// (flattened `n_fine × 3` indices and weights), reusing their capacity:
+/// [`search_stencils_into`] on the tape's search context, keyed by the
+/// coarse cloud's content hash — so a coarse level some module already
+/// indexed is not rebuilt — the way [`search_nit`] wraps
+/// [`search_nit_into`].
 ///
 /// # Panics
 ///
@@ -321,57 +307,48 @@ pub fn fp_stencils_into(
     indices: &mut Vec<usize>,
     weights: &mut Vec<f32>,
 ) {
-    let n_coarse = coarse.len();
-    assert!(n_coarse >= 3, "3-NN interpolation needs at least 3 coarse points");
-    let n_fine = fine.len();
-    indices.clear();
-    indices.resize(n_fine * 3, 0);
-    weights.clear();
-    weights.resize(n_fine * 3, 0.0);
-    // Each fine point's stencil is independent: split the flat output
-    // buffers into per-chunk slices and search the chunks in parallel.
-    let chunk = mesorasi_par::chunk_len(n_fine, n_coarse * 8);
-    let (fine_pts, coarse_pts) = (fine.points(), coarse.points());
-    mesorasi_par::par_chunks_mut_pair(indices, weights, chunk * 3, chunk * 3, |ci, ic, wc| {
-        for (j, p) in fine_pts[ci * chunk..].iter().take(ic.len() / 3).enumerate() {
-            let nn = knn3(coarse_pts, *p);
-            let mut w = [0f32; 3];
-            for (wi, c) in w.iter_mut().zip(&nn) {
-                *wi = 1.0 / (c.dist_sq + 1e-8);
-            }
-            let sum: f32 = w.iter().sum();
-            for t in 0..3 {
-                ic[j * 3 + t] = nn[t].index;
-                wc[j * 3 + t] = w[t] / sum;
-            }
-        }
+    TAPE_SEARCH.with(|ctx| {
+        let space = coarse.content_hash();
+        search_stencils_into(&mut ctx.borrow_mut(), space, coarse, fine, indices, weights);
     });
 }
 
-/// The exact 3 nearest `points` to `query`, ascending by
-/// `(distance, index)` — a fixed-size, allocation-free specialization of
-/// [`mesorasi_knn::bruteforce::knn_point`] for the interpolation stencils.
-fn knn3(points: &[Point3], query: Point3) -> [Candidate; 3] {
-    debug_assert!(points.len() >= 3);
-    let mut best = [Candidate { index: usize::MAX, dist_sq: f32::INFINITY }; 3];
-    let key = |c: &Candidate| (c.dist_sq, c.index);
-    for (i, &p) in points.iter().enumerate() {
-        let c = Candidate { index: i, dist_sq: p.distance_squared(query) };
-        if key(&c) >= key(&best[2]) {
-            continue;
+/// The interpolation stencil against an explicit [`SearchContext`]: the
+/// single stencil implementation behind the tape-based
+/// [`run_feature_propagation`] and the inference engine's per-sample
+/// replay (both must produce bit-identical index/weight vectors). Each fine
+/// point's 3 nearest coarse points come from the context's point-query
+/// kNN on the planned backend — exact under `(distance, index)` ordering,
+/// so unique — and get weights `1 / (d² + 1e-8)`, normalised to sum 1.
+/// `space` identifies the coarse cloud for index sharing, as in
+/// [`search_nit_into`]. Warm buffers of the same shape are refilled
+/// without allocating.
+///
+/// # Panics
+///
+/// Panics when `coarse` has fewer than 3 points.
+pub fn search_stencils_into(
+    ctx: &mut SearchContext,
+    space: u64,
+    coarse: &PointCloud,
+    fine: &PointCloud,
+    indices: &mut Vec<usize>,
+    weights: &mut Vec<f32>,
+) {
+    assert!(coarse.len() >= 3, "3-NN interpolation needs at least 3 coarse points");
+    indices.clear();
+    indices.resize(fine.len() * 3, 0);
+    ctx.knn_points_into(space, coarse, fine.points(), 3, indices);
+    weights.clear();
+    let coarse_pts = coarse.points();
+    for (nn, &p) in indices.chunks_exact(3).zip(fine.points()) {
+        let mut w = [0f32; 3];
+        for (wi, &i) in w.iter_mut().zip(nn) {
+            *wi = 1.0 / (coarse_pts[i].distance_squared(p) + 1e-8);
         }
-        if key(&c) < key(&best[0]) {
-            best[2] = best[1];
-            best[1] = best[0];
-            best[0] = c;
-        } else if key(&c) < key(&best[1]) {
-            best[2] = best[1];
-            best[1] = c;
-        } else {
-            best[2] = c;
-        }
+        let sum: f32 = w.iter().sum();
+        weights.extend(w.map(|wi| wi / sum));
     }
-    best
 }
 
 fn centroid_or_origin(cloud: &PointCloud) -> Point3 {
@@ -423,8 +400,7 @@ fn build_module_trace(
             // Layer 1 runs per point before aggregation; the tail per edge.
             let w1 = widths[1];
             let pre = vec![MatMulOp { rows: n_in, inner: widths[0], cols: w1 }];
-            let mut post = mlp_ops(&widths[1..], edge_rows);
-            post.retain(|_| true);
+            let post = mlp_ops(&widths[1..], edge_rows);
             let rows_per_entry = if cfg.edge { k + 2 } else { k + 1 };
             (
                 pre,
@@ -481,8 +457,11 @@ fn build_module_trace(
 /// Feature propagation (PointNet++'s segmentation upsampling): for each
 /// fine-level point, interpolate the 3 nearest coarse points' features with
 /// inverse-distance weights, concatenate skip features if given, and run a
-/// unit MLP. The paper's baseline moved this operator (`three_interpolate`)
-/// to the GPU (§VI, optimization 2); delayed-aggregation does not change it.
+/// unit MLP. The 3-NN is a point-query search through the tape's search
+/// context ([`fp_stencils_into`]), planned and metered like every module
+/// search, and recorded as the trace's `SearchOp`. The paper's baseline
+/// moved this operator (`three_interpolate`) to the GPU (§VI, optimization
+/// 2); delayed-aggregation does not change it.
 ///
 /// # Panics
 ///
@@ -507,7 +486,8 @@ pub fn run_feature_propagation(
         let idx = vec![0usize; n_fine];
         g.gather(coarse.features, idx)
     } else {
-        let (indices, weights) = fp_stencils(&coarse.positions, fine_positions);
+        let (mut indices, mut weights) = (Vec::new(), Vec::new());
+        fp_stencils_into(&coarse.positions, fine_positions, &mut indices, &mut weights);
         g.weighted_gather(coarse.features, indices, weights, 3)
     };
     let stencil_var = (n_coarse >= 3).then_some(interpolated);
@@ -697,25 +677,77 @@ mod tests {
         assert_eq!(g.value(up.features).shape(), (96, 16));
     }
 
-    #[test]
-    fn knn3_matches_reference_selection() {
-        let cloud = sample_shape(ShapeClass::Sphere, 170, 8);
-        for q in [0usize, 31, 169] {
-            let want: Vec<usize> = mesorasi_knn::bruteforce::knn_point(&cloud, cloud.point(q), 3)
+    /// The stencil by definition: every coarse point ranked by a full sort
+    /// on `(distance, index)`, the first three weighted `1 / (d² + 1e-8)`
+    /// and normalised.
+    fn reference_stencils(coarse: &PointCloud, fine: &PointCloud) -> (Vec<usize>, Vec<f32>) {
+        let (mut indices, mut weights) = (Vec::new(), Vec::new());
+        for &p in fine.points() {
+            let mut ranked: Vec<(f32, usize)> = coarse
+                .points()
                 .iter()
-                .map(|c| c.index)
+                .enumerate()
+                .map(|(i, c)| (c.distance_squared(p), i))
                 .collect();
-            let got: Vec<usize> =
-                knn3(cloud.points(), cloud.point(q)).iter().map(|c| c.index).collect();
-            assert_eq!(got, want, "query {q}");
+            ranked.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+            let w = [0, 1, 2].map(|t| 1.0 / (ranked[t].0 + 1e-8));
+            let sum: f32 = w.iter().sum();
+            indices.extend(ranked[..3].iter().map(|&(_, i)| i));
+            weights.extend(w.map(|wi| wi / sum));
         }
+        (indices, weights)
+    }
+
+    /// A coarse level drawn from `fine` (so every coarse point coincides with
+    /// a fine one) with every 16th point duplicated, so distance ties are
+    /// common and broken by index.
+    fn coarse_with_duplicates(fine: &PointCloud, n_coarse: usize) -> PointCloud {
+        let step = fine.len() / n_coarse;
+        let picks: Vec<usize> =
+            (0..n_coarse).map(|i| if i % 16 == 15 { (i - 1) * step } else { i * step }).collect();
+        fine.select(&picks)
+    }
+
+    /// Indices and weight bits of the tape path and of both backends
+    /// forced through a context, against the full-sort reference.
+    fn stencils_match_the_reference(n_fine: usize, n_coarse: usize) {
+        use mesorasi_knn::{SearchBackend, SearchPlanner};
+        let fine = sample_shape(ShapeClass::Chair, n_fine, 2);
+        let coarse = coarse_with_duplicates(&fine, n_coarse);
+        let (want_idx, want_w) = reference_stencils(&coarse, &fine);
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut idx, mut w) = (Vec::new(), Vec::new());
+        fp_stencils_into(&coarse, &fine, &mut idx, &mut w);
+        assert_eq!(idx, want_idx, "tape indices at {n_fine} x {n_coarse}");
+        assert_eq!(bits(&w), bits(&want_w), "tape weights at {n_fine} x {n_coarse}");
+        for backend in SearchBackend::ALL {
+            let mut ctx = SearchContext::with_planner(SearchPlanner::forced(backend));
+            search_stencils_into(&mut ctx, 0, &coarse, &fine, &mut idx, &mut w);
+            assert_eq!(idx, want_idx, "{backend:?} indices at {n_fine} x {n_coarse}");
+            assert_eq!(bits(&w), bits(&want_w), "{backend:?} weights at {n_fine} x {n_coarse}");
+            assert_eq!(ctx.counters().queries, n_fine as u64, "the stencil is metered");
+        }
+    }
+
+    #[test]
+    fn stencils_match_a_full_sort_reference() {
+        stencils_match_the_reference(120, 40);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "16.8 M pairs through the full-sort reference: release only"
+    )]
+    fn scene_scale_stencils_match_a_full_sort_reference() {
+        stencils_match_the_reference(32768, 512);
     }
 
     #[test]
     fn fp_stencils_into_reuses_buffers_and_matches() {
         let fine = sample_shape(ShapeClass::Chair, 120, 2);
         let coarse = fine.select(&(0..40).collect::<Vec<_>>());
-        let (want_idx, want_w) = fp_stencils(&coarse, &fine);
+        let (want_idx, want_w) = reference_stencils(&coarse, &fine);
         let (mut idx, mut w) = (Vec::new(), Vec::new());
         fp_stencils_into(&coarse, &fine, &mut idx, &mut w);
         assert_eq!(idx, want_idx);

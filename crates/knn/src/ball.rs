@@ -13,7 +13,8 @@ use mesorasi_pointcloud::PointCloud;
 /// Writes the nearest `min(found.len(), k)` candidate indices into `slot`
 /// (`k` wide), padding the remainder with the first index — the original
 /// implementation's behaviour for sparse neighborhoods. `found` must be
-/// sorted ascending.
+/// sorted ascending: every in-range point (the scan), or the octree's
+/// survivors, which always include the `k` nearest.
 pub(crate) fn pad_slot(found: &[crate::bruteforce::Candidate], slot: &mut [usize]) {
     debug_assert!(!found.is_empty(), "centroid always finds itself");
     let take = found.len().min(slot.len());
@@ -35,7 +36,10 @@ pub(crate) fn pad_slot(found: &[crate::bruteforce::Candidate], slot: &mut [usize
 /// pads with the nearest found index up to exactly `k` entries. A centroid
 /// always finds at least itself, so entries are never empty. A thin wrapper
 /// over [`BruteForceIndex`]'s `ball_into`, so the reference path and the
-/// pluggable backend cannot diverge.
+/// pluggable scan cannot diverge: it gathers *every* in-range point and
+/// sorts them all — the plain collect-and-sort definition that the
+/// octree's bounded selection, which keeps only what it can return, is
+/// tested against.
 ///
 /// # Panics
 ///

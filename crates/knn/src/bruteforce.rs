@@ -7,7 +7,7 @@
 //! well onto GPU execution even though it does more work than a tree.
 
 use crate::NeighborIndexTable;
-use mesorasi_pointcloud::{Point3, PointCloud};
+use mesorasi_pointcloud::PointCloud;
 
 /// An index paired with its squared distance to the query. Ordering ties are
 /// broken by index so results are deterministic across implementations.
@@ -25,6 +25,13 @@ impl Candidate {
     }
 }
 
+/// Orders candidates by `(distance, index)`: the one ranking every backend
+/// selects by.
+#[inline]
+pub(crate) fn by_key(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    a.key().partial_cmp(&b.key()).expect("distances are finite")
+}
+
 /// Inserts `c` into `best`, an ascending insertion-sorted buffer bounded to
 /// `k` candidates (by distance, ties by index). O(k) per insert, which
 /// beats a heap for the k ≤ 128 range point-cloud networks use. Shared by
@@ -40,34 +47,6 @@ pub fn push_bounded(best: &mut Vec<Candidate>, k: usize, c: Candidate) {
     if best.len() > k {
         best.pop();
     }
-}
-
-/// Selects the `k` smallest candidates (by distance, ties by index) from an
-/// unsorted list, in ascending order.
-pub(crate) fn select_k_smallest(candidates: &mut Vec<Candidate>, k: usize) -> Vec<Candidate> {
-    let mut best: Vec<Candidate> = Vec::with_capacity(k + 1);
-    for &c in candidates.iter() {
-        push_bounded(&mut best, k, c);
-    }
-    candidates.clear();
-    best
-}
-
-/// Finds the `k` nearest neighbors (including the query point itself if it
-/// belongs to the cloud) of one explicit query point.
-///
-/// # Panics
-///
-/// Panics if `k` exceeds the cloud size or the cloud is empty.
-pub fn knn_point(cloud: &PointCloud, query: Point3, k: usize) -> Vec<Candidate> {
-    assert!(k > 0 && k <= cloud.len(), "k = {k} out of range for {} points", cloud.len());
-    let mut candidates: Vec<Candidate> = cloud
-        .points()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| Candidate { index: i, dist_sq: p.distance_squared(query) })
-        .collect();
-    select_k_smallest(&mut candidates, k)
 }
 
 /// Runs KNN for every centroid in `queries` (indices into `cloud`) and
@@ -108,9 +87,10 @@ mod tests {
     #[test]
     fn results_are_sorted_by_distance() {
         let cloud = sample_shape(ShapeClass::Chair, 200, 1);
-        let found = knn_point(&cloud, cloud.point(0), 10);
-        for w in found.windows(2) {
-            assert!(w[0].dist_sq <= w[1].dist_sq);
+        let nit = knn_indices(&cloud, &[0], 10);
+        let dist = |i: usize| cloud.point(i).distance_squared(cloud.point(0));
+        for w in nit.neighbors(0).windows(2) {
+            assert!(dist(w[0]) <= dist(w[1]));
         }
     }
 
@@ -124,18 +104,15 @@ mod tests {
             .enumerate()
             .map(|(i, &p)| Candidate { index: i, dist_sq: p.distance_squared(q) })
             .collect();
-        all.sort_by(|a, b| a.key().partial_cmp(&b.key()).unwrap());
-        let got = knn_point(&cloud, q, 7);
+        all.sort_by(by_key);
         let want: Vec<usize> = all[..7].iter().map(|c| c.index).collect();
-        let got_idx: Vec<usize> = got.iter().map(|c| c.index).collect();
-        assert_eq!(got_idx, want);
+        assert_eq!(knn_indices(&cloud, &[10], 7).neighbors(0), want.as_slice());
     }
 
     #[test]
     fn k_equals_n_returns_everything() {
         let cloud = sample_shape(ShapeClass::Cube, 16, 2);
-        let found = knn_point(&cloud, cloud.point(0), 16);
-        let mut idx: Vec<usize> = found.iter().map(|c| c.index).collect();
+        let mut idx = knn_indices(&cloud, &[0], 16).neighbors(0).to_vec();
         idx.sort_unstable();
         assert_eq!(idx, (0..16).collect::<Vec<_>>());
     }
@@ -144,15 +121,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn k_larger_than_n_panics() {
         let cloud = sample_shape(ShapeClass::Cube, 8, 2);
-        let _ = knn_point(&cloud, cloud.point(0), 9);
+        let _ = knn_indices(&cloud, &[0], 9);
     }
 
     #[test]
     fn tie_break_is_by_index() {
-        // Four identical points: neighbors must come back in index order.
-        let cloud = PointCloud::from_points(vec![Point3::ORIGIN; 4]);
-        let found = knn_point(&cloud, Point3::ORIGIN, 3);
-        let idx: Vec<usize> = found.iter().map(|c| c.index).collect();
-        assert_eq!(idx, vec![0, 1, 2]);
+        // Four identical points: neighbors must come back in index order,
+        // whichever of them asks.
+        let cloud = PointCloud::from_points(vec![mesorasi_pointcloud::Point3::ORIGIN; 4]);
+        assert_eq!(knn_indices(&cloud, &[3], 3).neighbors(0), &[0, 1, 2]);
     }
 }

@@ -236,7 +236,8 @@ pub fn knn_rows_into(
     let padded = panel.len() / dim;
     let cost = rows * dim * 3;
     let pool = tile_pool();
-    crate::index::batch_chunks_into(out, queries, k, cost, tile, pool, |tile, chunk, slots| {
+    let slots = crate::index::table_slots(out, queries, k);
+    crate::index::batch_chunks_into(slots, queries, k, cost, tile, pool, |tile, chunk, slots| {
         let TileScratch { dist, minima, best } = tile;
         dist.resize(QUERY_TILE * padded, 0.0);
         for (qs, slots) in chunk.chunks(QUERY_TILE).zip(slots.chunks_mut(QUERY_TILE * k)) {

@@ -5,7 +5,8 @@
 //! aggregation exists precisely to decouple it from feature computation.
 //! [`SearchIndex`] makes the build/query split explicit: `build_into`
 //! (re)constructs an index over a cloud reusing its storage, and the
-//! `*_into` queries write into a caller-owned [`NeighborIndexTable`]. Its
+//! `*_into` queries write into a caller-owned [`NeighborIndexTable`] (or,
+//! for query points outside the cloud, a caller-owned index slice). Its
 //! two implementations — the exhaustive scan [`BruteForceIndex`] (nothing to
 //! build; the oracle) and the [`MortonOctree`] (the one spatial index) — are
 //! **exact** with identical `(distance, index)` tie-breaking, so they are
@@ -15,8 +16,9 @@
 //! [`SearchContext`] adds the arena discipline on top: a small pool of
 //! slots keyed by search space, each holding one built octree plus a
 //! verification copy of its cloud. Within a forward pass, every module
-//! searching the same `(cloud, space)` — kNN or ball, at any radius — shares
-//! one index; across a frame sequence, slots are rebuilt *in place*
+//! searching the same `(cloud, space)` — kNN or ball, at any radius, member
+//! centroids or feature propagation's free query points — shares one
+//! index; across a frame sequence, slots are rebuilt *in place*
 //! (capacity reused, contents replaced), so a warm stream performs zero
 //! heap allocations in the search phase. The context also meters its
 //! traffic ([`SearchCounters`]): index-build vs query time and real
@@ -28,7 +30,7 @@ use crate::octree::MortonOctree;
 use crate::planner::{SearchBackend, SearchLoad, SearchPlanner};
 use crate::stats::SearchCounters;
 use crate::NeighborIndexTable;
-use mesorasi_pointcloud::PointCloud;
+use mesorasi_pointcloud::{Point3, PointCloud};
 use std::time::Instant;
 
 /// A neighbor-search index with an explicit build/query split.
@@ -67,6 +69,23 @@ pub trait SearchIndex: Send + std::fmt::Debug {
         out: &mut NeighborIndexTable,
     ) -> u64;
 
+    /// Exact kNN for query *points*, which need not belong to `cloud` (feature
+    /// propagation's fine points against the coarse cloud): `out` holds
+    /// `queries.len()` rows of `k` indices, each ascending by distance, ties
+    /// by index. The same body answers [`SearchIndex::knn_into`]. Returns the
+    /// distance evaluations performed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != queries.len() * k` or `k` is out of range.
+    fn knn_points_into(
+        &mut self,
+        cloud: &PointCloud,
+        queries: &[Point3],
+        k: usize,
+        out: &mut [usize],
+    ) -> u64;
+
     /// Padded radius query (see [`crate::ball::ball_query`] semantics)
     /// written into `out`. Returns the distance evaluations performed.
     fn ball_into(
@@ -91,6 +110,33 @@ pub struct BruteForceIndex {
     scratch: Vec<Candidate>,
 }
 
+impl BruteForceIndex {
+    /// The scan's one kNN body: every point of `cloud` offered to the
+    /// bounded selection of each query point `at(q)`.
+    fn knn_batch<Q: Copy + Sync>(
+        &mut self,
+        cloud: &PointCloud,
+        queries: &[Q],
+        at: impl Fn(Q) -> Point3 + Sync,
+        k: usize,
+        slots: &mut [usize],
+    ) -> u64 {
+        assert!(k > 0 && k <= cloud.len(), "k = {k} out of range for {} points", cloud.len());
+        let n = cloud.len();
+        batch_into(slots, queries, k, n * 8, &mut self.scratch, |best, q, slot| {
+            let query = at(q);
+            best.clear();
+            for (i, &p) in cloud.points().iter().enumerate() {
+                push_bounded(best, k, Candidate { index: i, dist_sq: p.distance_squared(query) });
+            }
+            for (s, c) in slot.iter_mut().zip(best.iter()) {
+                *s = c.index;
+            }
+            n as u64
+        })
+    }
+}
+
 impl SearchIndex for BruteForceIndex {
     fn build_into(&mut self, _cloud: &PointCloud) {}
 
@@ -101,19 +147,18 @@ impl SearchIndex for BruteForceIndex {
         k: usize,
         out: &mut NeighborIndexTable,
     ) -> u64 {
-        assert!(k > 0 && k <= cloud.len(), "k = {k} out of range for {} points", cloud.len());
-        let n = cloud.len();
-        batch_into(out, queries, k, n * 8, &mut self.scratch, |best, q, slot| {
-            let query = cloud.point(q);
-            best.clear();
-            for (i, &p) in cloud.points().iter().enumerate() {
-                push_bounded(best, k, Candidate { index: i, dist_sq: p.distance_squared(query) });
-            }
-            for (s, c) in slot.iter_mut().zip(best.iter()) {
-                *s = c.index;
-            }
-            n as u64
-        })
+        self.knn_batch(cloud, queries, |q| cloud.point(q), k, table_slots(out, queries, k))
+    }
+
+    fn knn_points_into(
+        &mut self,
+        cloud: &PointCloud,
+        queries: &[Point3],
+        k: usize,
+        out: &mut [usize],
+    ) -> u64 {
+        assert_eq!(out.len(), queries.len() * k, "one {k}-wide row per query point");
+        self.knn_batch(cloud, queries, |p| p, k, out)
     }
 
     fn ball_into(
@@ -128,7 +173,8 @@ impl SearchIndex for BruteForceIndex {
         assert!(radius >= 0.0, "radius must be non-negative");
         let n = cloud.len();
         let r2 = radius * radius;
-        batch_into(out, queries, k, n * 8, &mut self.scratch, |found, q, slot| {
+        let slots = table_slots(out, queries, k);
+        batch_into(slots, queries, k, n * 8, &mut self.scratch, |found, q, slot| {
             let query = cloud.point(q);
             found.clear();
             for (i, &p) in cloud.points().iter().enumerate() {
@@ -152,32 +198,43 @@ impl SearchIndex for BruteForceIndex {
 /// candidate (indices are distinct), so the unstable sort — which does not
 /// allocate, unlike `sort_by` — is fully deterministic.
 pub(crate) fn sort_candidates(found: &mut [Candidate]) {
-    found.sort_unstable_by(|a, b| {
-        (a.dist_sq, a.index).partial_cmp(&(b.dist_sq, b.index)).expect("distances are finite")
-    });
+    found.sort_unstable_by(crate::bruteforce::by_key);
 }
 
-/// Shared out-parameter batch driver for index queries: fills
-/// `out` with one entry per query, running `per_query(scratch, query, slot)`
-/// (which returns its distance-evaluation count) sequentially with the
-/// caller's reusable scratch, or in parallel chunks with per-worker pooled
-/// scratch when the workload justifies it. Entries are written in query
-/// order and every `per_query` body resets its scratch before use, so both
-/// paths — at any chunk size — produce identical tables.
+/// Resets `out` to one `k`-wide entry per member query, centroids filled
+/// in, and returns the neighbor slots for a batch driver to fill.
+pub(crate) fn table_slots<'t>(
+    out: &'t mut NeighborIndexTable,
+    queries: &[usize],
+    k: usize,
+) -> &'t mut [usize] {
+    let (cents, neighs) = out.fill_slots(k, queries.len());
+    cents.copy_from_slice(queries);
+    neighs
+}
+
+/// Shared out-parameter batch driver for index queries: fills the `k`-wide
+/// row of `slots` belonging to each query, running
+/// `per_query(scratch, query, slot)` (which returns its distance-evaluation
+/// count) sequentially with the caller's reusable scratch, or in parallel
+/// chunks with per-worker pooled scratch when the workload justifies it.
+/// Queries are member indices or free points alike. Rows are written in
+/// query order and every `per_query` body resets its scratch before use, so
+/// both paths — at any chunk size — produce identical tables.
 ///
 /// An ambient [`crate::with_query_tile_budget`] override replaces the cost
 /// model's chunk choice with fixed-budget query tiles (clamped to the batch
 /// size); a budget covering the whole batch runs sequentially.
-pub(crate) fn batch_into(
-    out: &mut NeighborIndexTable,
-    queries: &[usize],
+pub(crate) fn batch_into<Q: Copy + Sync>(
+    slots: &mut [usize],
+    queries: &[Q],
     k: usize,
     cost_per_query: usize,
     scratch: &mut Vec<Candidate>,
-    per_query: impl Fn(&mut Vec<Candidate>, usize, &mut [usize]) -> u64 + Sync,
+    per_query: impl Fn(&mut Vec<Candidate>, Q, &mut [usize]) -> u64 + Sync,
 ) -> u64 {
     let pool = crate::candidate_pool();
-    batch_chunks_into(out, queries, k, cost_per_query, scratch, pool, |scratch, chunk, slots| {
+    batch_chunks_into(slots, queries, k, cost_per_query, scratch, pool, |scratch, chunk, slots| {
         let slots = slots.chunks_exact_mut(k);
         chunk.iter().zip(slots).map(|(&q, slot)| per_query(scratch, q, slot)).sum()
     })
@@ -188,27 +245,26 @@ pub(crate) fn batch_into(
 /// that work on several queries at once. The sequential path hands it the
 /// whole batch with the caller's scratch, the parallel path one chunk per
 /// call with the calling worker's slot of `pool`.
-pub(crate) fn batch_chunks_into<S: Send>(
-    out: &mut NeighborIndexTable,
-    queries: &[usize],
+pub(crate) fn batch_chunks_into<Q: Sync, S: Send>(
+    slots: &mut [usize],
+    queries: &[Q],
     k: usize,
     cost_per_query: usize,
     scratch: &mut S,
     pool: &mesorasi_par::ScratchPool<S>,
-    per_chunk: impl Fn(&mut S, &[usize], &mut [usize]) -> u64 + Sync,
+    per_chunk: impl Fn(&mut S, &[Q], &mut [usize]) -> u64 + Sync,
 ) -> u64 {
     let entries = queries.len();
-    let (cents, neighs) = out.fill_slots(k, entries);
-    cents.copy_from_slice(queries);
+    debug_assert_eq!(slots.len(), entries * k, "one k-wide row per query");
     let chunk = match crate::query_tile_budget() {
         Some(budget) => budget.min(entries).max(1),
         None => mesorasi_par::chunk_len(entries, cost_per_query),
     };
     if chunk >= entries {
-        per_chunk(scratch, queries, neighs)
+        per_chunk(scratch, queries, slots)
     } else {
         let total = std::sync::atomic::AtomicU64::new(0);
-        mesorasi_par::par_chunks_mut(neighs, chunk * k, |ci, slots| {
+        mesorasi_par::par_chunks_mut(slots, chunk * k, |ci, slots| {
             let chunk_queries = &queries[ci * chunk..][..slots.len() / k];
             let evals = pool.with(|local| per_chunk(local, chunk_queries, slots));
             total.fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
@@ -240,8 +296,10 @@ struct Slot {
 }
 
 /// Slots a context retains before evicting least-recently-used ones. Large
-/// enough for every space a single network forward touches (the deepest
-/// network here searches ~6 distinct clouds).
+/// enough for every space a single network forward builds an octree over:
+/// one per searched point set, set-abstraction inputs and feature
+/// propagation's coarse levels alike (paper-scale F-PointNet, the widest,
+/// indexes four).
 const MAX_SLOTS: usize = 16;
 
 /// A planning search front-end with reusable per-space index storage.
@@ -349,6 +407,26 @@ impl SearchContext {
         let backend = self.planner.plan_ball(&load);
         self.answer(space, backend, cloud, queries.len(), |index| {
             index.ball_into(cloud, queries, radius, k, out)
+        });
+    }
+
+    /// Exact kNN for query points that need not belong to `cloud`, on the
+    /// planned backend, written row-major into `out` (`queries.len() × k`
+    /// indices) — feature propagation's interpolation stencil. `space` is
+    /// shared with the member-query searches of the same cloud, so a coarse
+    /// level a set-abstraction module already indexed is not rebuilt.
+    pub fn knn_points_into(
+        &mut self,
+        space: u64,
+        cloud: &PointCloud,
+        queries: &[Point3],
+        k: usize,
+        out: &mut [usize],
+    ) {
+        let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
+        let backend = self.planner.plan_knn(&load);
+        self.answer(space, backend, cloud, queries.len(), |index| {
+            index.knn_points_into(cloud, queries, k, out)
         });
     }
 

@@ -9,16 +9,22 @@
 //! in place, cache-friendly to descend, and with leaf payloads that are
 //! literally slices of the sorted cloud.
 //!
-//! `knn_into` descends best-first and `ball_into` visits every in-range
-//! box — at any radius, 0 and `f32::INFINITY` included — with the same
-//! exact `(distance, index)` tie-breaking as the scan (shared
-//! `push_bounded`/`sort_candidates`/`pad_slot`), so the octree meets the
-//! bit-identity bar: the planner can cross over to it without changing a
-//! single result. Queries batch in parallel through the shared
-//! `batch_into` driver.
+//! Both queries descend best-first, children by ascending box distance,
+//! and stop at the `k`-th bound. `knn_into` (member centroids) and
+//! `knn_points_into` (free query points) share one descent that keeps a
+//! `k`-bounded insertion list. `ball_into` — at any radius, 0 and
+//! `f32::INFINITY` included — prunes boxes at `min(r², bound)`, collects
+//! in-range candidates at or under the bound, and once `2k + LEAF_SIZE`
+//! have piled up keeps only the `k` smallest and tightens the bound to the
+//! `k`-th distance; a query sorts at most a few `k` survivors, however many
+//! points its ball holds. Ties break by `(distance, index)` as in the scan
+//! (shared `push_bounded`/`sort_candidates`/`pad_slot`, and `<=` at every
+//! bound), so the octree meets the bit-identity bar: the planner can cross
+//! over to it without changing a single result. Queries batch in parallel
+//! through the shared `batch_into` driver.
 
-use crate::bruteforce::{push_bounded, Candidate};
-use crate::index::{batch_into, per_query_cost, sort_candidates};
+use crate::bruteforce::{by_key, push_bounded, Candidate};
+use crate::index::{batch_into, per_query_cost, sort_candidates, table_slots};
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{morton, Aabb, Point3, PointCloud};
 
@@ -87,6 +93,29 @@ impl MortonOctree {
     pub fn is_empty(&self) -> bool {
         self.size == 0
     }
+
+    /// The one kNN body: the exact `k` nearest indexed points of each query
+    /// point `at(q)`, written into `slots` row by row.
+    fn knn_batch<Q: Copy + Sync>(
+        &mut self,
+        queries: &[Q],
+        at: impl Fn(Q) -> Point3 + Sync,
+        k: usize,
+        slots: &mut [usize],
+    ) -> u64 {
+        assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
+        let MortonOctree { nodes, aabbs, perm, sorted, scratch, .. } = self;
+        let t = TreeView { nodes, aabbs, perm, sorted };
+        batch_into(slots, queries, k, per_query_cost(t.perm.len(), k), scratch, |best, q, slot| {
+            best.clear();
+            let mut evals = 0u64;
+            knn_descend(&t, 0, at(q), k, best, &mut evals);
+            for (s, c) in slot.iter_mut().zip(best.iter()) {
+                *s = c.index;
+            }
+            evals
+        })
+    }
 }
 
 impl crate::SearchIndex for MortonOctree {
@@ -119,19 +148,19 @@ impl crate::SearchIndex for MortonOctree {
         k: usize,
         out: &mut NeighborIndexTable,
     ) -> u64 {
-        assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
-        let MortonOctree { nodes, aabbs, perm, sorted, scratch, .. } = self;
-        let t = TreeView { nodes, aabbs, perm, sorted };
         let points = cloud.points();
-        batch_into(out, queries, k, per_query_cost(t.perm.len(), k), scratch, |best, q, slot| {
-            best.clear();
-            let mut evals = 0u64;
-            knn_descend(&t, 0, points[q], k, best, &mut evals);
-            for (s, c) in slot.iter_mut().zip(best.iter()) {
-                *s = c.index;
-            }
-            evals
-        })
+        self.knn_batch(queries, |q| points[q], k, table_slots(out, queries, k))
+    }
+
+    fn knn_points_into(
+        &mut self,
+        _cloud: &PointCloud,
+        queries: &[Point3],
+        k: usize,
+        out: &mut [usize],
+    ) -> u64 {
+        assert_eq!(out.len(), queries.len() * k, "one {k}-wide row per query point");
+        self.knn_batch(queries, |p| p, k, out)
     }
 
     fn ball_into(
@@ -148,13 +177,14 @@ impl crate::SearchIndex for MortonOctree {
         let MortonOctree { nodes, aabbs, perm, sorted, scratch, .. } = self;
         let t = TreeView { nodes, aabbs, perm, sorted };
         let points = cloud.points();
-        batch_into(out, queries, k, per_query_cost(t.perm.len(), k), scratch, |found, q, slot| {
+        let slots = table_slots(out, queries, k);
+        batch_into(slots, queries, k, per_query_cost(t.perm.len(), k), scratch, |found, q, slot| {
             found.clear();
-            let mut evals = 0u64;
-            ball_descend(&t, 0, points[q], r2, found, &mut evals);
+            let mut ball = Ball { k, bound: r2, evals: 0 };
+            ball.descend(&t, 0, points[q], found);
             sort_candidates(found);
             crate::ball::pad_slot(found, slot);
-            evals
+            ball.evals
         })
     }
 
@@ -224,6 +254,32 @@ struct TreeView<'t> {
     sorted: &'t [Point3],
 }
 
+/// The children of an internal node whose boxes lie within `bound`, nearest
+/// box first: `(box distance, node)` pairs, `m` of them — the order both
+/// descents visit them in. A box farther than the bound holds no point
+/// either descent could keep, and the bound only tightens, so dropping it
+/// before the sort changes nothing but the sort's length.
+fn children_within(
+    t: &TreeView<'_>,
+    children: &[u32; 8],
+    query: Point3,
+    bound: f32,
+) -> ([(f32, u32); 8], usize) {
+    let mut order = [(f32::INFINITY, NONE); 8];
+    let mut m = 0;
+    for &c in children {
+        if c != NONE {
+            let d = t.aabbs[c as usize].distance_squared_to(query);
+            if d <= bound {
+                order[m] = (d, c);
+                m += 1;
+            }
+        }
+    }
+    order[..m].sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+    (order, m)
+}
+
 /// Exact kNN descent from node `at` into `best` (kept ascending by
 /// `(distance, index)`).
 fn knn_descend(
@@ -245,21 +301,16 @@ fn knn_descend(
             }
         }
         OctNode::Internal { children } => {
-            // Best-first: visit children by ascending box distance; prune a
-            // child only when its box is strictly farther than the k-th
-            // best (`<=` keeps boundary ties, which the index may still win).
-            let mut order = [(f32::INFINITY, NONE); 8];
-            let mut m = 0;
-            for &c in &children {
-                if c != NONE {
-                    order[m] = (t.aabbs[c as usize].distance_squared_to(query), c);
-                    m += 1;
-                }
-            }
-            order[..m].sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+            // Prune a child only when its box is strictly farther than the
+            // k-th best (`<=` keeps boundary ties, which the index may
+            // still win).
+            let worst = |best: &Vec<Candidate>| match best.last() {
+                Some(w) if best.len() == k => w.dist_sq,
+                _ => f32::INFINITY,
+            };
+            let (order, m) = children_within(t, &children, query, worst(best));
             for &(d, c) in &order[..m] {
-                let worst = best.last().map_or(f32::INFINITY, |b| b.dist_sq);
-                if best.len() < k || d <= worst {
+                if d <= worst(best) {
                     knn_descend(t, c, query, k, best, evals);
                 }
             }
@@ -267,35 +318,56 @@ fn knn_descend(
     }
 }
 
-/// Ball descent from node `at`: every point within `r2` lands in `found`,
-/// unsorted.
-fn ball_descend(
-    t: &TreeView<'_>,
-    at: u32,
-    query: Point3,
-    r2: f32,
-    found: &mut Vec<Candidate>,
-    evals: &mut u64,
-) {
-    match t.nodes[at as usize] {
-        OctNode::Leaf { start, len } => {
-            let (start, len) = (start as usize, len as usize);
-            let payload = &t.sorted[start..start + len];
-            *evals += len as u64;
-            for (j, &p) in payload.iter().enumerate() {
-                let d = p.distance_squared(query);
-                if d <= r2 {
-                    found.push(Candidate { index: t.perm[start + j], dist_sq: d });
+/// One padded ball query's selection state: the `k` it returns, the
+/// squared-distance bound (`r²`, then the `k`-th smallest distance seen
+/// once a compaction has run), and the distance evaluations so far.
+struct Ball {
+    k: usize,
+    bound: f32,
+    evals: u64,
+}
+
+impl Ball {
+    /// Ball descent from node `at`: every point at or under the bound lands
+    /// in `found`, unsorted. The bound only tightens, and only to the
+    /// `k`-th smallest key among in-range points already found, so what
+    /// it drops could never be returned; `found` always includes the `k`
+    /// smallest in-range keys seen so far.
+    fn descend(&mut self, t: &TreeView<'_>, at: u32, query: Point3, found: &mut Vec<Candidate>) {
+        match t.nodes[at as usize] {
+            OctNode::Leaf { start, len } => {
+                let (start, len) = (start as usize, len as usize);
+                let payload = &t.sorted[start..start + len];
+                self.evals += len as u64;
+                for (j, &p) in payload.iter().enumerate() {
+                    let d = p.distance_squared(query);
+                    if d <= self.bound {
+                        found.push(Candidate { index: t.perm[start + j], dist_sq: d });
+                    }
+                }
+                if found.len() >= 2 * self.k + LEAF_SIZE {
+                    self.compact(found);
+                }
+            }
+            OctNode::Internal { children } => {
+                let (order, m) = children_within(t, &children, query, self.bound);
+                for &(d, c) in &order[..m] {
+                    if d <= self.bound {
+                        self.descend(t, c, query, found);
+                    }
                 }
             }
         }
-        OctNode::Internal { children } => {
-            for &c in &children {
-                if c != NONE && t.aabbs[c as usize].distance_squared_to(query) <= r2 {
-                    ball_descend(t, c, query, r2, found, evals);
-                }
-            }
-        }
+    }
+
+    /// Keeps the `k` smallest `(distance, index)` keys of `found` and
+    /// tightens the bound to the `k`-th distance: a point farther than it
+    /// has `k` strictly nearer rivals, one at it may still win on index.
+    fn compact(&mut self, found: &mut Vec<Candidate>) {
+        let kth = self.k - 1;
+        found.select_nth_unstable_by(kth, by_key);
+        found.truncate(self.k);
+        self.bound = found[kth].dist_sq;
     }
 }
 

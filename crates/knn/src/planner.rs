@@ -70,7 +70,8 @@ fn octree_build_cost(load: &SearchLoad) -> u64 {
 /// the scan won at 32 points / 16 queries / `k` = 8 (6.5 vs 7.1 µs) and
 /// lost from 64 / 24 / 8 up (15.4 vs 9.5 µs; 4.6 vs 1.3 ms at
 /// 1024 / 512 / 32). They decide that crossover only — both backends
-/// return identical tables.
+/// return identical tables. Feature propagation's point queries (a fine
+/// level against a coarse one, `k` = 3) plan through it too.
 pub fn knn_cost(backend: SearchBackend, load: &SearchLoad) -> u64 {
     let (n, q, k) = (load.n as u64, load.queries as u64, load.k as u64);
     match backend {
@@ -86,14 +87,20 @@ pub fn knn_cost(backend: SearchBackend, load: &SearchLoad) -> u64 {
 /// head-to-head run as [`knn_cost`]: below ≈ 128 points a ball covers most
 /// leaves and the descent saves nothing (12.2 vs 14.0 µs at 128 points /
 /// 48 queries / `k` = 8), from 256 / 64 / 16 up the octree wins (73 vs
-/// 50 µs; 1.83 vs 1.22 ms at PointNet++ SA1's 1024 / 512 / 32). Sorting
-/// the in-range candidates costs both backends the same and is not charged.
+/// 50 µs; 1.83 vs 1.22 ms at PointNet++ SA1's 1024 / 512 / 32).
+///
+/// The scan sorts every in-range point of a query; the octree stops at the
+/// `k`-th bound and sorts at most a few `k`. That saving grows with the
+/// ball's population and is not charged: re-measured with it (one thread,
+/// build + one batch, median), the pinned shapes kept their sides — 15 vs
+/// 19–22 µs at 128 / 48 / 8 and 129–138 vs 49–53 µs at 256 / 64 / 16,
+/// radius 0.4 — so the crossover, and the constants, stand.
 pub fn ball_cost(backend: SearchBackend, load: &SearchLoad) -> u64 {
     let (n, q, k) = (load.n as u64, load.queries as u64, load.k as u64);
     match backend {
         SearchBackend::BruteForce => 3 * n * q,
-        // Query: box tests down to every in-range leaf, then contiguous
-        // leaf scans.
+        // Query: box tests down to the in-range leaves the `k`-th bound
+        // leaves open, then contiguous leaf scans.
         SearchBackend::Octree => octree_build_cost(load) + q * (40 + k) * depth(load.n),
     }
 }
@@ -232,8 +239,12 @@ mod tests {
         // the ball crossover.
         assert_eq!(p.plan_ball(&load(1024, 512, 32)), SearchBackend::Octree);
         assert_eq!(p.plan_ball(&load(512, 128, 64)), SearchBackend::Octree);
-        // PointNet++ (s) `scene_32k`: the 32768-point SA1.
+        // PointNet++ (s) `scene_32k`: the 32768-point SA1, and the two
+        // interpolation stencils (every fine point against the coarse
+        // level, `k` = 3).
         assert_eq!(p.plan_ball(&load(32768, 512, 32)), SearchBackend::Octree);
+        assert_eq!(p.plan_knn(&load(128, 512, 3)), SearchBackend::Octree);
+        assert_eq!(p.plan_knn(&load(512, 32768, 3)), SearchBackend::Octree);
         // DGCNN (c) `dgcnn_delayed` plans nothing: every EdgeConv searches
         // feature space, which is always the dense row scan.
     }

@@ -24,14 +24,16 @@ pub struct SearchCounters {
     pub index_builds: u64,
     /// Wall time spent building indices, in nanoseconds.
     pub index_build_ns: u64,
-    /// Batched query calls answered (one per module search).
+    /// Batched query calls answered (one per module search or
+    /// interpolation stencil).
     pub query_calls: u64,
     /// `query_calls` split by the backend that answered, indexed by
     /// `SearchBackend as usize` (the order of [`crate::SearchBackend::ALL`]) —
     /// which backends the planner actually routed traffic to.
     /// Feature-space scans count as [`crate::SearchBackend::BruteForce`].
     pub calls_by_backend: [u64; 2],
-    /// Individual centroid queries answered across all calls.
+    /// Individual queries answered across all calls — centroids, and the
+    /// fine points of interpolation stencils.
     pub queries: u64,
     /// Wall time spent answering queries, in nanoseconds.
     pub query_ns: u64,

@@ -10,10 +10,14 @@
 //! [`SearchPlanner`] can make through a [`SearchContext`], must produce
 //! NITs bit-identical to the scan for both kNN and padded radius queries.
 //!
-//! The third part holds the octree to the scan at the cloud sizes it
-//! exists for (2^15 here, 2^20 `#[ignore]`d for the `octree-forced` CI
-//! job's release step), and the last pins the two-pass feature-space scan
-//! to the one-pair-at-a-time scan it replaced, table for table.
+//! A third part holds the octree's bounded ball selection to the
+//! collect-and-sort oracle where keeping only `k` could go wrong: ties
+//! straddling the `k`-th slot, unbounded and zero radii, padding, and the
+//! scene-scale shape (release only). The fourth holds the octree to the
+//! scan at the cloud sizes it exists for (2^15 here, 2^20 `#[ignore]`d for
+//! the `octree-forced` CI job's release step), and the last pins the
+//! two-pass feature-space scan to the one-pair-at-a-time scan it replaced,
+//! table for table.
 
 use mesorasi_knn::bruteforce::{push_bounded, Candidate};
 use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
@@ -175,6 +179,89 @@ fn single_point_cloud_every_backend_returns_the_point() {
 }
 
 // ---------------------------------------------------------------------
+// The octree's bounded ball selection against the collect-and-sort oracle.
+// ---------------------------------------------------------------------
+
+/// A cloud in which the origin's ball neighbors tie in bulk: the origin,
+/// five nearer points, 240 points at one distance (the 48 signed
+/// permutations of `(0.25, 0.5, 0.125)`, five copies each, so the tie group
+/// spans every octant's leaves), 24 farther ones inside radius 1 and a
+/// shell outside it. Coordinates are multiples of 1/16, so every distance
+/// is exact and equal distances are equal bits. Indices are scattered by
+/// a fixed permutation, so ties break by index, not by insertion order;
+/// the origin stays index 0.
+fn cloud_with_a_tie_group() -> PointCloud {
+    let mut pts = vec![Point3::ORIGIN];
+    pts.extend((1..=5).map(|i| Point3::new(0.0625 * i as f32, 0.0, 0.0)));
+    let signed = |v: [f32; 3]| {
+        (0..8).map(move |s| {
+            let f = |b: usize, x: f32| if s >> b & 1 == 1 { -x } else { x };
+            Point3::new(f(0, v[0]), f(1, v[1]), f(2, v[2]))
+        })
+    };
+    let (a, b, c) = (0.25, 0.5, 0.125);
+    for v in [[a, b, c], [a, c, b], [b, a, c], [b, c, a], [c, a, b], [c, b, a]] {
+        for p in signed(v) {
+            pts.extend([p; 5]);
+        }
+    }
+    for p in signed([0.5, 0.5, 0.5]) {
+        pts.extend([p; 3]);
+    }
+    pts.extend(signed([1.0, 0.75, 0.5]));
+    let n = pts.len();
+    // 97 is prime to n, so i -> 97 i mod n is a permutation.
+    assert_ne!(n % 97, 0);
+    let mut scattered = vec![Point3::ORIGIN; n];
+    for (i, p) in pts.into_iter().enumerate() {
+        scattered[i * 97 % n] = p;
+    }
+    PointCloud::from_points(scattered)
+}
+
+/// The cases where keeping only the `k` smallest keys could go wrong, each
+/// on a cloud large enough for the selection to compact (`2k + 32` in-range
+/// candidates) at least once: an unbounded radius, which compacts as soon
+/// as two leaves are in; a tie group straddling the `k`-th slot across
+/// several compactions; `k = 1`, where every compaction bounds at the
+/// query's own distance 0; `k` above the in-range population (padding);
+/// radius 0.
+#[test]
+fn octree_ball_selection_matches_the_collect_and_sort_oracle() {
+    let ties = cloud_with_a_tie_group();
+    assert_eq!(ties.point(0), Point3::ORIGIN);
+    let all = all_queries(&ties);
+    // Six points nearer than the tie group: k = 8..64 ends inside it.
+    for k in [1, 6, 7, 8, 16, 32, 64, 246, 247, 300] {
+        for radius in [1.0, f32::INFINITY, 0.0, 0.6] {
+            let want = ball::ball_query(&ties, &all, radius, k);
+            let got = octree_ball(&ties, &all, radius, k);
+            assert_eq!(got, want, "tie group, r {radius}, k {k}");
+        }
+    }
+    let dense = sample_shape(ShapeClass::Lamp, 2000, 27);
+    let queries: Vec<usize> = (0..2000).step_by(7).collect();
+    for k in [1, 4, 32] {
+        for radius in [f32::INFINITY, 0.3, 0.0] {
+            let want = ball::ball_query(&dense, &queries, radius, k);
+            assert_eq!(octree_ball(&dense, &queries, radius, k), want, "r {radius}, k {k}");
+        }
+    }
+}
+
+/// `scene_32k`'s first set-abstraction shape: 512 centroids, radius 0.2,
+/// `k = 32` over 32,768 surface points, where a ball holds hundreds of
+/// points and the selection compacts many times per query.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "16.8 M pairs through the oracle: release only")]
+fn scene_scale_octree_ball_matches_the_collect_and_sort_oracle() {
+    let cloud = sample_shape(ShapeClass::Chair, 32768, 7);
+    let queries: Vec<usize> = (0..32768).step_by(64).collect();
+    let want = ball::ball_query(&cloud, &queries, 0.2, 32);
+    assert_eq!(octree_ball(&cloud, &queries, 0.2, 32), want);
+}
+
+// ---------------------------------------------------------------------
 // The pluggable subsystem: trait objects, the planner, and the context.
 // ---------------------------------------------------------------------
 
@@ -276,6 +363,33 @@ fn octree_k_beyond_in_range_population_pads_identically() {
         assert_eq!(got, want, "k {k}");
         // Sparse neighborhoods: entries pad with their first index.
         assert!(got.neighbors(0).iter().filter(|&&i| i == 0).count() >= k - 2);
+    }
+}
+
+/// Point queries (feature propagation's fine points, not members of the
+/// searched cloud) run the same kNN body as member queries: for points of
+/// the cloud both backends answer exactly the member table's rows, and for
+/// points off it the octree answers the scan's rows, ties included.
+#[test]
+fn point_queries_match_member_queries_and_the_scan() {
+    let coarse = cloud_with_duplicates();
+    let n = coarse.len();
+    let members: Vec<usize> = (0..n).rev().collect();
+    let member_points: Vec<Point3> = members.iter().map(|&q| coarse.point(q)).collect();
+    let fine = sample_shape(ShapeClass::Sphere, 150, 28);
+    for k in [1, 3, n] {
+        let want = bruteforce::knn_indices(&coarse, &members, k);
+        let mut off_cloud = Vec::new();
+        for (kind, backend) in &mut backends(&coarse) {
+            let mut rows = vec![usize::MAX; n * k];
+            let evals = backend.knn_points_into(&coarse, &member_points, k, &mut rows);
+            assert_eq!(rows, want.neighbors_flat(), "{kind:?} member points, k {k}");
+            assert!(evals > 0, "{kind:?} must meter distance work");
+            let mut rows = vec![usize::MAX; fine.len() * k];
+            backend.knn_points_into(&coarse, fine.points(), k, &mut rows);
+            off_cloud.push(rows);
+        }
+        assert_eq!(off_cloud[0], off_cloud[1], "off-cloud points, k {k}");
     }
 }
 

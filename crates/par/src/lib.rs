@@ -100,8 +100,17 @@ pub fn worker_slot() -> usize {
 /// Buffers keep their capacity across checkouts — after a warm-up pass,
 /// `with` performs zero heap allocations no matter the thread count.
 pub struct ScratchPool<T> {
-    slots: Box<[Mutex<T>]>,
+    slots: Box<[Slot<T>]>,
 }
+
+/// One pool slot on cache lines of its own. A kNN selection rewrites its
+/// buffer's `Vec` header on every insert; two workers' headers on one
+/// line (or on the line pair x86 prefetches together) turned each write
+/// into a cross-core invalidation, and parallel per-query kNN ran slower
+/// than one thread whenever the pool's allocation happened to land that
+/// way.
+#[repr(align(128))]
+struct Slot<T>(Mutex<T>);
 
 impl<T: Default> Default for ScratchPool<T> {
     fn default() -> Self {
@@ -113,7 +122,7 @@ impl<T: Default> ScratchPool<T> {
     /// A pool with one default-initialized slot per possible participant
     /// (`MAX_POOL` workers plus the slot-0 caller).
     pub fn new() -> Self {
-        ScratchPool { slots: (0..=MAX_POOL).map(|_| Mutex::new(T::default())).collect() }
+        ScratchPool { slots: (0..=MAX_POOL).map(|_| Slot(Mutex::new(T::default()))).collect() }
     }
 }
 
@@ -124,14 +133,14 @@ impl<T> ScratchPool<T> {
     /// need a fresh start.
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let mut guard =
-            self.slots[worker_slot()].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.slots[worker_slot()].0.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         f(&mut guard)
     }
 
     /// Folds `measure` over every slot buffer (skipping any slot currently
     /// checked out) — how retained scratch memory is reported.
     pub fn measure_bytes(&self, measure: impl Fn(&T) -> usize) -> usize {
-        self.slots.iter().filter_map(|m| m.try_lock().ok()).map(|guard| measure(&guard)).sum()
+        self.slots.iter().filter_map(|s| s.0.try_lock().ok()).map(|guard| measure(&guard)).sum()
     }
 }
 
@@ -639,6 +648,14 @@ mod tests {
         assert!(caps.iter().all(|&c| c >= 128));
         // Capacity is retained across checkouts and visible to the meter.
         assert!(pool.measure_bytes(|v| v.capacity() * 8) >= 128 * 8);
+    }
+
+    #[test]
+    fn scratch_pool_slots_never_share_a_cache_line_pair() {
+        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
+        let addrs: Vec<usize> = pool.slots.iter().map(|s| s as *const _ as usize).collect();
+        assert!(addrs.iter().all(|a| a % 128 == 0));
+        assert!(addrs.windows(2).all(|w| w[1] - w[0] >= 128));
     }
 
     #[test]

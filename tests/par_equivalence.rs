@@ -213,6 +213,42 @@ fn tiled_max_reduce_is_thread_invariant() {
     .unwrap();
 }
 
+/// `scene_32k`'s two coordinate searches at its own shapes: the octree's
+/// bounded ball selection (512 centroids, radius 0.2, `k = 32` over 32,768
+/// points — many compactions per query) and feature propagation's 3-NN
+/// stencil (every one of the 32,768 points against those 512, through a
+/// context's planned backend, weights included). Queries split into
+/// different chunks at each thread count; no table moves a bit.
+#[test]
+fn scene_scale_ball_and_stencil_are_thread_invariant() {
+    use mesorasi::core::runner;
+    use mesorasi::knn::{SearchContext, SearchPlanner};
+    let cloud = sample_shape(ShapeClass::Chair, 32768, 7);
+    let queries: Vec<usize> = (0..32768).step_by(64).collect();
+    let tree = std::cell::RefCell::new(MortonOctree::build(&cloud));
+    assert_thread_invariant("scene-scale octree ball NIT", || {
+        let mut out = NeighborIndexTable::default();
+        tree.borrow_mut().ball_into(&cloud, &queries, 0.2, 32, &mut out);
+        out
+    })
+    .unwrap();
+    let coarse = cloud.select(&queries);
+    let ctx = std::cell::RefCell::new(SearchContext::with_planner(SearchPlanner::auto()));
+    assert_thread_invariant("scene-scale FP stencil", || {
+        let (mut indices, mut weights) = (Vec::new(), Vec::new());
+        runner::search_stencils_into(
+            &mut ctx.borrow_mut(),
+            0,
+            &coarse,
+            &cloud,
+            &mut indices,
+            &mut weights,
+        );
+        (indices, weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>())
+    })
+    .unwrap();
+}
+
 /// A deterministic second operand shaped for `matmul_at_b(a, ·)`.
 fn b2_like(a: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), 12, |r, c| ((r * 5 + c * 3) % 17) as f32 * 0.25 - 2.0)

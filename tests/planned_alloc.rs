@@ -18,10 +18,10 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant.
 //!
-//! Nine audits, in increasing strictness:
+//! Ten audits, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
-//!    cached, pure planned tensor execution;
+//!    cached, pure planned tensor execution — in both dtypes;
 //! 2. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
 //!    cache is bypassed, so centroid sampling, **index rebuilds, and
 //!    neighbor queries run on every frame** — the search arena must make
@@ -54,7 +54,12 @@
 //!    every benchmark workload runs — never planned a coordinate search
 //!    inside an armed window. A warm streamed PointNet++ frame on
 //!    [`PlanEngine::new`] makes zero heap allocations, backend choice
-//!    included.
+//!    included;
+//! 9. the segmentation audit: audits 1–8 run no feature propagation. A warm
+//!    streamed PointNet++ (s) frame point-queries two coarse levels for its
+//!    interpolation stencils — one on the scan, one on the octree — and
+//!    makes zero heap allocations at 1 and 2 threads, stencil indices and
+//!    weights included.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -498,6 +503,56 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
                 "a worker's distance rows must be part of the reported {} bytes",
                 stats.parallel_scratch_bytes
             );
+        });
+    }
+}
+
+#[test]
+fn warm_segmentation_stream_allocates_nothing_including_stencils() {
+    let _serial = serial();
+    // Feature propagation searches like every module: each frame's
+    // stencils point-query the coarse levels through the engine's search
+    // context and land in the stream bindings. A query list or a table
+    // built per frame on that path would show here.
+    for threads in [1, 2] {
+        mesorasi_par::with_threads(threads, || {
+            let mut rng = seeded_rng(6);
+            let net = NetworkKind::PointNetPPSegmentation.build_small(5, &mut rng);
+            let n = net.input_points();
+            // The last stencil's 192 query points in tiles of 64: three
+            // chunks, on whichever worker claims them.
+            let mut engine = PlanEngine::with_config(EngineConfig {
+                tile_budget: Some(64),
+                ..EngineConfig::default()
+            });
+            let record =
+                |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+            let frames: Vec<PointCloud> =
+                (0..4).map(|s| sample_shape(ShapeClass::Table, n, 110 + s)).collect();
+
+            warm_on_every_pool_thread(threads, &mut engine, &frames, &record);
+            let warm = engine.stats(n).expect("compiled");
+
+            ARMED.store(true, Ordering::SeqCst);
+            let before = ALLOCS.load(Ordering::SeqCst);
+            for frame in &frames {
+                let _ = engine.run_streamed(frame, &record);
+            }
+            let after = ALLOCS.load(Ordering::SeqCst);
+            ARMED.store(false, Ordering::SeqCst);
+            assert_eq!(
+                after - before,
+                0,
+                "a warm segmentation frame allocated at {threads} threads"
+            );
+
+            // Per frame: two ball queries and two stencils, one of each on
+            // the scan and on the octree (see `session_inference`).
+            let stats = engine.stats(n).expect("compiled");
+            let frames_run = (threads as u64 + 1) * frames.len() as u64;
+            assert_eq!(stats.search.calls_by_backend, [2, 2].map(|c| c * frames_run));
+            assert_eq!(stats.search_bytes, warm.search_bytes, "search arena grew warm");
+            assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
         });
     }
 }
