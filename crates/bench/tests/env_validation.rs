@@ -14,15 +14,19 @@ use std::process::Command;
 
 /// Child half of every test that sets variables: the two reads any
 /// inference process makes — the pool size, then a session's engine
-/// configuration.
+/// configuration. When the parent names one in `EXPECT_DTYPE`, the session
+/// must have been built at that dtype.
 #[test]
 #[ignore = "run by the tests of this file under the environment each one sets"]
 fn child_builds_a_session() {
     let _ = mesorasi_par::current_threads();
-    let _ = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+    let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
         .classes(3)
         .workers(1)
         .build();
+    if let Ok(want) = std::env::var("EXPECT_DTYPE") {
+        assert_eq!(session.dtype().to_string(), want);
+    }
 }
 
 /// Runs [`child_builds_a_session`] under `vars`; returns whether it passed
@@ -59,35 +63,16 @@ fn invalid_mesorasi_search_fails_loudly_with_accepted_values() {
 }
 
 #[test]
-fn invalid_mesorasi_tile_budget_fails_loudly_with_accepted_values() {
-    let accepted = "positive integers (points per tile) or \"off\"";
-    assert_rejected("MESORASI_TILE_BUDGET", "huge", accepted);
-}
-
-#[test]
-fn zero_mesorasi_tile_budget_fails_loudly() {
-    // `0` parses as an integer but is not a legal budget — it must be
-    // rejected by the same loud path, not fall through to a panic deep in
-    // the tile splitter.
-    assert_rejected("MESORASI_TILE_BUDGET", "0", "positive integers (points per tile) or \"off\"");
-}
-
-#[test]
 fn invalid_mesorasi_dtype_fails_loudly_with_accepted_values() {
     assert_rejected("MESORASI_DTYPE", "f16", "f32|f64");
 }
 
 #[test]
 fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
-    // A session build parses MESORASI_DTYPE immediately before
-    // MESORASI_TILE_BUDGET, so an invalid tile budget is a cheap sentinel:
-    // reaching *its* loud failure proves the dtype value was accepted.
     // Empty means unset (CI blanks variables that way).
-    for dtype in ["F64", " f64 ", "f32", ""] {
-        let (_, err) =
-            session_build_with(&[("MESORASI_DTYPE", dtype), ("MESORASI_TILE_BUDGET", "huge")]);
-        assert!(!err.contains("MESORASI_DTYPE"), "'{dtype}' must be accepted: {err}");
-        assert!(err.contains("invalid MESORASI_TILE_BUDGET='huge'"), "'{dtype}': {err}");
+    for (raw, want) in [("F64", "f64"), (" f64 ", "f64"), ("f32", "f32"), ("", "f32")] {
+        let (ok, out) = session_build_with(&[("MESORASI_DTYPE", raw), ("EXPECT_DTYPE", want)]);
+        assert!(ok && out.contains("1 passed"), "'{raw}' must build a {want} session: {out}");
     }
 }
 
@@ -96,17 +81,14 @@ fn every_variable_accepts_blank_and_mixed_case() {
     // Blank means unset (CI can blank a job-level variable, not remove
     // it); keywords are trimmed and ASCII case-insensitive. An invalid
     // `MESORASI_DTYPE` is parsed last, so reaching *its* loud failure
-    // proves the three variables before it were accepted.
-    for (search, tile, threads) in
-        [("", "", ""), (" ", "\t", " "), (" OcTree ", " OFF ", " 2 "), ("AUTO", " 768 ", "1")]
-    {
+    // proves the two variables before it were accepted.
+    for (search, threads) in [("", ""), (" ", " "), (" OcTree ", " 2 "), ("AUTO", "1")] {
         let (_, err) = session_build_with(&[
             ("MESORASI_THREADS", threads),
             ("MESORASI_SEARCH", search),
-            ("MESORASI_TILE_BUDGET", tile),
             ("MESORASI_DTYPE", "f16"),
         ]);
-        let case = format!("('{search}', '{tile}', '{threads}'): {err}");
+        let case = format!("('{search}', '{threads}'): {err}");
         assert!(err.contains("invalid MESORASI_DTYPE='f16'"), "{case}");
         assert_eq!(err.matches("invalid MESORASI_").count(), 1, "{case}");
     }
@@ -156,7 +138,6 @@ fn valid_overrides_still_accepted() {
         .arg("--list")
         .env("MESORASI_THREADS", "2")
         .env("MESORASI_SEARCH", "octree")
-        .env("MESORASI_TILE_BUDGET", "off")
         .output()
         .expect("spawn repro");
     assert!(out.status.success(), "valid overrides must not fail: {:?}", out);

@@ -13,25 +13,15 @@ use crate::sample_cache::DEFAULT_SAMPLE_CACHE_CAP;
 use mesorasi_knn::{planner, SearchPlanner};
 use mesorasi_tensor::Dtype;
 
-/// Default per-tile point budget of the tiled streaming path: large enough
-/// that paper-scale frames split into a handful of tiles, small enough to
-/// bound per-tile latency and scratch.
-pub const DEFAULT_TILE_BUDGET: usize = 256;
-
 /// Everything configurable about a plan engine. None of it changes
-/// results within a dtype: search backends are exact, tiling is a
-/// scheduling choice, the cache only skips re-derivation.
+/// results within a dtype: search backends are exact and the cache only
+/// skips re-derivation. How a frame's searches split across the worker
+/// pool is not configured: `mesorasi_par::chunk_len`'s cost model decides.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Chooses the backend of every coordinate search (default: the cost
     /// model; `MESORASI_SEARCH`).
     pub search: SearchPlanner,
-    /// Fixed per-tile point budget for per-frame derivation — input-row
-    /// fills and batch searches run in tiles of this many points across
-    /// the worker pool; `None` falls back to cost-model chunking (default
-    /// [`DEFAULT_TILE_BUDGET`]; `MESORASI_TILE_BUDGET`). Must not be
-    /// `Some(0)`.
-    pub tile_budget: Option<usize>,
     /// Per-plan NIT sample-cache capacity; 0 disables caching (default
     /// [`DEFAULT_SAMPLE_CACHE_CAP`]; no environment variable).
     pub sample_cache_cap: usize,
@@ -44,7 +34,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             search: SearchPlanner::auto(),
-            tile_budget: Some(DEFAULT_TILE_BUDGET),
             sample_cache_cap: DEFAULT_SAMPLE_CACHE_CAP,
             dtype: Dtype::F32,
         }
@@ -58,10 +47,9 @@ impl EngineConfig {
     /// | variable | accepted values |
     /// |---|---|
     /// | `MESORASI_SEARCH` | `auto` \| `bruteforce` \| `octree` |
-    /// | `MESORASI_TILE_BUDGET` | a positive point count, or `off` |
     /// | `MESORASI_DTYPE` | `f32` \| `f64` |
     ///
-    /// One grammar for all three: values are trimmed, keywords are ASCII
+    /// One grammar for both: values are trimmed, keywords are ASCII
     /// case-insensitive, and an unset or blank variable keeps the default
     /// (CI can blank a job-level variable but not remove it).
     ///
@@ -77,16 +65,6 @@ impl EngineConfig {
             planner::parse_override(s).ok()
         }) {
             config.search = search.map_or(SearchPlanner::auto(), SearchPlanner::forced);
-        }
-        if let Some(budget) =
-            env_var("MESORASI_TILE_BUDGET", "positive integers (points per tile) or \"off\"", |s| {
-                match s {
-                    "off" => Some(None),
-                    _ => s.parse().ok().filter(|&b: &usize| b > 0).map(Some),
-                }
-            })
-        {
-            config.tile_budget = budget;
         }
         if let Some(dtype) = env_var("MESORASI_DTYPE", "f32|f64", |s| s.parse().ok()) {
             config.dtype = dtype;

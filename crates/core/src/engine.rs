@@ -70,56 +70,6 @@ impl std::fmt::Debug for StateSource {
     }
 }
 
-/// Carves a frame of `n` points into contiguous fixed-budget tiles — the
-/// StreamGrid-style *compulsory split* that bounds per-tile memory and
-/// latency regardless of frame size. Splitting is fully deterministic:
-/// tile `i` covers `i·B .. min((i+1)·B, n)`, so there are `⌈n/B⌉` tiles,
-/// every tile except possibly the last holds exactly `B` points, and the
-/// last holds the remainder (`1..=B` points; a frame smaller than one
-/// budget is a single short tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileSplitter {
-    budget: usize,
-}
-
-impl TileSplitter {
-    /// A splitter with a fixed per-tile point budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget == 0`.
-    pub fn new(budget: usize) -> TileSplitter {
-        assert!(budget > 0, "tile budget must be positive");
-        TileSplitter { budget }
-    }
-
-    /// The per-tile point budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Number of tiles a frame of `n` points splits into (`0` for an
-    /// empty frame).
-    pub fn tile_count(&self, n: usize) -> usize {
-        n.div_ceil(self.budget)
-    }
-
-    /// The half-open point range of tile `i` in a frame of `n` points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.tile_count(n)`.
-    pub fn tile(&self, i: usize, n: usize) -> std::ops::Range<usize> {
-        assert!(i < self.tile_count(n), "tile {i} out of range for {n} points");
-        i * self.budget..((i + 1) * self.budget).min(n)
-    }
-
-    /// The tiles of a frame of `n` points, in split order.
-    pub fn tiles(&self, n: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        (0..self.tile_count(n)).map(move |i| self.tile(i, n))
-    }
-}
-
 /// One per-sample derivation the engine replays between plan ranges.
 /// `at` is the tape position the step must complete before.
 #[derive(Debug)]
@@ -563,9 +513,6 @@ pub struct EngineStats {
     pub search: SearchCounters,
     /// NIT sample-cache traffic (hits / misses / LRU evictions).
     pub cache: SampleCacheStats,
-    /// Fixed per-tile point budget of the tiled streaming path (`None`
-    /// when the engine runs untiled, cost-model chunked).
-    pub tile_budget: Option<usize>,
     /// Heap bytes retained by the process-wide per-worker search scratch
     /// pools — candidate buffers and the feature scan's distance rows (the
     /// parallel half of the memory-ceiling contract; shared across
@@ -604,13 +551,10 @@ impl PlanEngine {
     /// An engine with no compiled plans yet, configured by `config` for
     /// its whole lifetime.
     ///
-    /// With a tile budget, every per-frame derivation runs through
-    /// fixed-budget point tiles: input-row fills are chunked by
-    /// [`TileSplitter`] boundaries and batch searches run in `budget`-query
-    /// tiles across the worker pool (each worker holding pooled scratch,
-    /// with the in-flight tile window bounded by the participant count).
-    /// Tiling is a scheduling knob only — outputs are bit-identical at
-    /// every budget and thread count.
+    /// Batch searches split across the worker pool wherever
+    /// `mesorasi_par::chunk_len`'s cost model says the work pays for it,
+    /// each worker drawing pooled scratch; outputs are bit-identical at
+    /// every thread count.
     ///
     /// [`Dtype::F32`] is pure native execution. In [`Dtype::F64`] mode the
     /// engine still runs the f32 plan — the dynamic derivation steps
@@ -620,12 +564,7 @@ impl PlanEngine {
     /// so [`PlannedOutputs::get`] returns f64-accumulated values rounded
     /// once to f32. The f64 state is built lazily per compiled plan on the
     /// first run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.tile_budget` is `Some(0)`.
     pub fn with_config(config: EngineConfig) -> PlanEngine {
-        assert!(config.tile_budget != Some(0), "tile budget must be positive");
         PlanEngine { compiled: Vec::new(), config }
     }
 
@@ -754,7 +693,6 @@ impl PlanEngine {
             search_bytes: c.search_bytes(),
             search: c.search.counters(),
             cache: c.samples.stats(),
-            tile_budget: self.config.tile_budget,
             parallel_scratch_bytes: mesorasi_knn::parallel_scratch_bytes(),
         })
     }
@@ -811,11 +749,7 @@ impl PlanEngine {
             step_live,
             arena,
             samples: SampleCache::new(self.config.sample_cache_cap),
-            search: {
-                let mut search = SearchContext::with_planner(self.config.search);
-                search.set_tile_budget(self.config.tile_budget);
-                search
-            },
+            search: SearchContext::with_planner(self.config.search),
             nit: NeighborIndexTable::default(),
             centroids: Vec::new(),
             shuffle: Vec::new(),
@@ -908,7 +842,6 @@ fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
         state_set,
         ..
     } = c;
-    let tiles = search.tile_budget().map(TileSplitter::new);
     state_set.iter_mut().for_each(|s| *s = false);
     let mut cursor = 0usize;
     for (si, step) in steps.iter().enumerate() {
@@ -928,7 +861,7 @@ fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
                 }
                 state_set[*state] = true;
                 if let Some(ip) = plan.input_position(*input_node) {
-                    write_xyz_rows(&state_bufs[*state], &mut b.inputs[ip], tiles);
+                    write_xyz_rows(&state_bufs[*state], &mut b.inputs[ip]);
                 }
             }
             DynStep::Search {
@@ -1000,28 +933,13 @@ fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
 
 /// Writes `positions`' xyz rows into `m` (reshaped to `n × 3`), reusing
 /// its backing allocation — the streaming path's replacement for
-/// `Matrix::from_vec(cloud.to_xyz_rows())`. With a [`TileSplitter`], rows
-/// fill in budget-sized tiles across the worker pool — a pure per-element
-/// scatter, so any tiling is bit-identical to the sequential fill.
-fn write_xyz_rows(positions: &PointCloud, m: &mut Matrix, tiles: Option<TileSplitter>) {
+/// `Matrix::from_vec(cloud.to_xyz_rows())`.
+fn write_xyz_rows(positions: &PointCloud, m: &mut Matrix) {
     m.reset_shape(positions.len(), 3);
-    let data = m.as_mut_slice();
-    let points = positions.points();
-    let fill = |base: usize, rows: &mut [f32]| {
-        for (j, out) in rows.chunks_exact_mut(3).enumerate() {
-            let p = points[base + j];
-            out[0] = p.x;
-            out[1] = p.y;
-            out[2] = p.z;
-        }
-    };
-    match tiles {
-        Some(t) if t.tile_count(positions.len()) > 1 => {
-            mesorasi_par::par_chunks_mut(data, t.budget() * 3, |ti, rows| {
-                fill(t.tile(ti, positions.len()).start, rows);
-            });
-        }
-        _ => fill(0, data),
+    for (out, p) in m.as_mut_slice().chunks_exact_mut(3).zip(positions.points()) {
+        out[0] = p.x;
+        out[1] = p.y;
+        out[2] = p.z;
     }
 }
 
@@ -1178,7 +1096,8 @@ mod tests {
     fn streamed_frames_match_cached_runs_bit_exactly() {
         // The streaming path bypasses the NIT cache and reuses the search
         // arena across frames — outputs must not change by a single bit,
-        // including for ball and feature-space searches.
+        // including for ball and feature-space searches, at any thread
+        // count the cost model chunks the searches for.
         for module in [
             offset_module(NeighborMode::CoordKnn),
             offset_module(NeighborMode::CoordBall { radius: 0.4 }),
@@ -1194,13 +1113,16 @@ mod tests {
             for frame_seed in [1, 2, 3, 4] {
                 let cloud = sample_shape(ShapeClass::Cup, 96, frame_seed);
                 let want = cached.run(&cloud, &record).get(0).clone();
-                let got = streamed.run_streamed(&cloud, &record);
-                assert_eq!(
-                    got.get(0),
-                    &want,
-                    "{} frame {frame_seed}: streamed != cached",
-                    module.config.name
-                );
+                for threads in [1, 4] {
+                    let got = mesorasi_par::with_threads(threads, || {
+                        streamed.run_streamed(&cloud, &record).get(0).clone()
+                    });
+                    assert_eq!(
+                        got, want,
+                        "{} frame {frame_seed} threads {threads}: streamed != cached",
+                        module.config.name
+                    );
+                }
             }
         }
     }
@@ -1350,84 +1272,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_splitter_pins_remainder_rules() {
-        let t = TileSplitter::new(64);
-        assert_eq!(t.budget(), 64);
-        // Exact multiple: every tile holds exactly the budget.
-        assert_eq!(t.tile_count(256), 4);
-        assert_eq!(t.tiles(256).collect::<Vec<_>>(), vec![0..64, 64..128, 128..192, 192..256]);
-        // Remainder: the last tile holds what is left (1..=budget points).
-        assert_eq!(t.tile_count(200), 4);
-        assert_eq!(t.tile(3, 200), 192..200);
-        // One past an exact multiple: a one-point remainder tile.
-        assert_eq!(t.tile_count(257), 5);
-        assert_eq!(t.tile(4, 257), 256..257);
-        // Frame smaller than one budget: a single short tile.
-        assert_eq!(t.tile_count(10), 1);
-        assert_eq!(t.tiles(10).collect::<Vec<_>>(), vec![0..10]);
-        // Empty frame: no tiles.
-        assert_eq!(t.tile_count(0), 0);
-        assert_eq!(t.tiles(0).count(), 0);
-        // Tiles partition the frame: contiguous, in order, disjoint.
-        for n in [1usize, 63, 64, 65, 500] {
-            let mut covered = 0;
-            for r in t.tiles(n) {
-                assert_eq!(r.start, covered, "tiles are contiguous and ordered");
-                assert!(r.len() <= t.budget() && !r.is_empty());
-                covered = r.end;
-            }
-            assert_eq!(covered, n, "tiles cover the frame exactly");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tile budget must be positive")]
-    fn zero_budget_splitter_panics() {
-        let _ = TileSplitter::new(0);
-    }
-
-    #[test]
-    fn tiled_streaming_is_bit_identical_to_untiled() {
-        // The tiled hot path re-chunks input fills and searches; outputs
-        // must not move by a bit at any budget or thread count, including
-        // the N (one tile) and N+1 edge budgets.
-        for module in [
-            offset_module(NeighborMode::CoordKnn),
-            offset_module(NeighborMode::CoordBall { radius: 0.4 }),
-            edge_module(),
-        ] {
-            let record = |g: &mut Graph, cloud: &PointCloud| {
-                let state = ModuleState::from_cloud(g, cloud);
-                let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-                vec![out.state.features]
-            };
-            let n = 96;
-            let with_budget = |tile_budget| {
-                PlanEngine::with_config(EngineConfig { tile_budget, ..EngineConfig::default() })
-            };
-            let mut untiled = with_budget(None);
-            for budget in [16, n, n + 1] {
-                let mut tiled = with_budget(Some(budget));
-                assert_eq!(tiled.config().tile_budget, Some(budget));
-                for frame_seed in [1, 2] {
-                    let cloud = sample_shape(ShapeClass::Cup, n, frame_seed);
-                    let want = untiled.run_streamed(&cloud, &record).get(0).clone();
-                    for threads in [1, 4] {
-                        let got = mesorasi_par::with_threads(threads, || {
-                            tiled.run_streamed(&cloud, &record).get(0).clone()
-                        });
-                        assert_eq!(
-                            got, want,
-                            "{} budget {budget} threads {threads} frame {frame_seed}",
-                            module.config.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn derive_into_states_replay_without_cloning() {
         // The derived-input pattern on the streamed path: the derivation
         // writes into the engine's state buffer and must replay per sample
@@ -1456,26 +1300,6 @@ mod tests {
             let got = engine.run_streamed(&cloud, &record);
             assert_eq!(got.get(0), &expected, "cloud {cloud_seed}");
         }
-    }
-
-    #[test]
-    fn stats_surface_tile_budget_and_parallel_scratch() {
-        let module = offset_module(NeighborMode::CoordKnn);
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
-        let mut engine = PlanEngine::with_config(EngineConfig {
-            tile_budget: Some(32),
-            ..EngineConfig::default()
-        });
-        let cloud = sample_shape(ShapeClass::Bottle, 80, 4);
-        let _ = engine.run_streamed(&cloud, &record);
-        let stats = engine.stats(80).expect("plan compiled");
-        assert_eq!(stats.tile_budget, Some(32));
-        // The pool is process-wide; after any parallel tiled search it
-        // retains bytes, but a 1-thread run may legitimately report 0.
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod sample_cache;
 pub mod strategy;
 pub mod trace;
 
-pub use config::{EngineConfig, DEFAULT_TILE_BUDGET};
+pub use config::EngineConfig;
 pub use sample_cache::{SampleCacheStats, DEFAULT_SAMPLE_CACHE_CAP};
 pub use strategy::Strategy;
 pub use trace::{ModuleTrace, NetworkTrace, Stage};

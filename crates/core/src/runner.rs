@@ -133,8 +133,7 @@ thread_local! {
     /// modules (and consecutive forwards) searching the same cloud share
     /// one built index. Keyed by cloud content hash, verified bit-exactly,
     /// so sharing can never change a result. The backend follows the
-    /// environment as of the thread's first tape search; the tape has no
-    /// tiled path, so chunking stays with the cost model.
+    /// environment as of the thread's first tape search.
     static TAPE_SEARCH: RefCell<SearchContext> =
         RefCell::new(SearchContext::with_planner(EngineConfig::from_env().search));
 }

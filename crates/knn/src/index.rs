@@ -221,10 +221,6 @@ pub(crate) fn table_slots<'t>(
 /// Queries are member indices or free points alike. Rows are written in
 /// query order and every `per_query` body resets its scratch before use, so
 /// both paths — at any chunk size — produce identical tables.
-///
-/// An ambient [`crate::with_query_tile_budget`] override replaces the cost
-/// model's chunk choice with fixed-budget query tiles (clamped to the batch
-/// size); a budget covering the whole batch runs sequentially.
 pub(crate) fn batch_into<Q: Copy + Sync>(
     slots: &mut [usize],
     queries: &[Q],
@@ -256,10 +252,7 @@ pub(crate) fn batch_chunks_into<Q: Sync, S: Send>(
 ) -> u64 {
     let entries = queries.len();
     debug_assert_eq!(slots.len(), entries * k, "one k-wide row per query");
-    let chunk = match crate::query_tile_budget() {
-        Some(budget) => budget.min(entries).max(1),
-        None => mesorasi_par::chunk_len(entries, cost_per_query),
-    };
+    let chunk = mesorasi_par::chunk_len(entries, cost_per_query);
     if chunk >= entries {
         per_chunk(scratch, queries, slots)
     } else {
@@ -319,15 +312,11 @@ pub struct SearchContext {
     feature_scratch: FeatureScratch,
     slots: Vec<Slot>,
     clock: u64,
-    /// Fixed query-tile budget applied to every batch query through this
-    /// context (see [`crate::with_query_tile_budget`]); `None` defers to
-    /// the cost model. Never changes results, only chunk boundaries.
-    tile_budget: Option<usize>,
 }
 
 impl SearchContext {
-    /// A context choosing backends with `planner`, cost-model chunked.
-    /// Never consults the environment.
+    /// A context choosing backends with `planner`. Never consults the
+    /// environment.
     pub fn with_planner(planner: SearchPlanner) -> SearchContext {
         SearchContext {
             planner,
@@ -336,26 +325,12 @@ impl SearchContext {
             feature_scratch: FeatureScratch::default(),
             slots: Vec::with_capacity(MAX_SLOTS),
             clock: 0,
-            tile_budget: None,
         }
     }
 
-    /// Forces every batch query through fixed-size query tiles of `budget`
-    /// points (`None` restores cost-model chunking). Tiling is a
-    /// scheduling knob: results stay bit-identical at every budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is `Some(0)`.
-    pub fn set_tile_budget(&mut self, budget: Option<usize>) {
-        assert!(budget != Some(0), "tile budget must be positive");
-        self.tile_budget = budget;
-    }
-
-    /// The fixed query-tile budget, if one is set.
-    pub fn tile_budget(&self) -> Option<usize> {
-        self.tile_budget
-    }
+    // A no-op, kept only so `benchmark/src/replay.rs` compiles until it drops the call.
+    #[doc(hidden)]
+    pub fn set_tile_budget(&mut self, _: Option<usize>) {}
 
     /// Traffic counters accumulated since construction.
     pub fn counters(&self) -> SearchCounters {
@@ -366,7 +341,7 @@ impl SearchContext {
     /// scratch buffer — the search half of the engine's arena statistics.
     /// Includes the feature-space scan's row panel
     /// (`ceil(rows / 16) · 16 · dim · 4` bytes at the largest shape searched)
-    /// and, when a batch ran untiled, its distance rows; see
+    /// and, when a batch ran sequentially, its distance rows; see
     /// [`crate::feature`].
     pub fn storage_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.index.storage_bytes() + s.cloud.storage_bytes()).sum::<usize>()
@@ -440,10 +415,9 @@ impl SearchContext {
         queries: usize,
         query: impl FnOnce(&mut dyn SearchIndex) -> u64,
     ) {
-        let tile_budget = self.tile_budget;
         let index = self.ensure_index(space, backend, cloud);
         let start = Instant::now();
-        let evals = crate::with_query_tile_budget(tile_budget, || query(index));
+        let evals = query(index);
         self.note_query(backend, queries, evals, start);
     }
 
@@ -459,10 +433,7 @@ impl SearchContext {
         out: &mut NeighborIndexTable,
     ) {
         let start = Instant::now();
-        let scratch = &mut self.feature_scratch;
-        let evals = crate::with_query_tile_budget(self.tile_budget, || {
-            feature::knn_rows_into(view, queries, k, out, scratch)
-        });
+        let evals = feature::knn_rows_into(view, queries, k, out, &mut self.feature_scratch);
         self.note_query(SearchBackend::BruteForce, queries.len(), evals, start);
     }
 
@@ -625,41 +596,29 @@ mod tests {
     }
 
     #[test]
-    fn tile_budget_on_context_is_bit_identical_across_budgets() {
+    fn cost_model_chunking_is_bit_identical() {
+        // At every thread count the cost model cuts the batch into
+        // different chunks (or none); the tables may not move.
         let cloud = sample_shape(ShapeClass::Airplane, 500, 6);
         let q: Vec<usize> = (0..500).collect();
         let want_knn = bruteforce::knn_indices(&cloud, &q, 9);
         let want_ball = ball::ball_query(&cloud, &q, 0.3, 8);
-        for budget in [1, 64, 500, 501] {
-            let mut ctx = SearchContext::with_planner(SearchPlanner::auto());
-            ctx.set_tile_budget(Some(budget));
-            assert_eq!(ctx.tile_budget(), Some(budget));
-            let mut out = NeighborIndexTable::default();
-            ctx.knn_into(3, &cloud, &q, 9, &mut out);
-            assert_eq!(out, want_knn, "budget {budget} knn");
-            ctx.ball_into(3, &cloud, &q, 0.3, 8, &mut out);
-            assert_eq!(out, want_ball, "budget {budget} ball");
+        let octree_cost = per_query_cost(cloud.len(), 9);
+        for threads in [1, 2, 3, 4, 8] {
+            let chunk =
+                mesorasi_par::with_threads(threads, || mesorasi_par::chunk_len(500, octree_cost));
+            assert_eq!(chunk < 500, threads > 1, "{threads} threads must split the batch");
+            for backend in SearchBackend::ALL {
+                let mut ctx = SearchContext::with_planner(SearchPlanner::forced(backend));
+                let mut out = NeighborIndexTable::default();
+                mesorasi_par::with_threads(threads, || {
+                    ctx.knn_into(3, &cloud, &q, 9, &mut out);
+                    assert_eq!(out, want_knn, "{backend:?} knn at {threads} threads");
+                    ctx.ball_into(3, &cloud, &q, 0.3, 8, &mut out);
+                    assert_eq!(out, want_ball, "{backend:?} ball at {threads} threads");
+                });
+            }
         }
-    }
-
-    #[test]
-    fn tile_budget_chunking_is_bit_identical() {
-        let cloud = sample_shape(ShapeClass::Chair, 400, 9);
-        let mut tree = MortonOctree::build(&cloud);
-        let queries: Vec<usize> = (0..400).collect();
-        let mut want = NeighborIndexTable::default();
-        tree.knn_into(&cloud, &queries, 8, &mut want);
-        for budget in [1, 7, 64, 400, 401] {
-            let mut got = NeighborIndexTable::default();
-            crate::with_query_tile_budget(Some(budget), || {
-                mesorasi_par::with_threads(4, || tree.knn_into(&cloud, &queries, 8, &mut got))
-            });
-            assert_eq!(got, want, "budget {budget}");
-        }
-        // The override restores on exit: cost-model chunking answers again.
-        let mut after = NeighborIndexTable::default();
-        tree.knn_into(&cloud, &queries, 8, &mut after);
-        assert_eq!(after, want);
     }
 
     #[test]
@@ -668,8 +627,9 @@ mod tests {
         let mut tree = MortonOctree::build(&cloud);
         let queries: Vec<usize> = (0..1024).collect();
         let mut out = NeighborIndexTable::default();
-        crate::with_query_tile_budget(Some(64), || {
-            mesorasi_par::with_threads(2, || tree.knn_into(&cloud, &queries, 16, &mut out))
+        mesorasi_par::with_threads(2, || {
+            assert!(mesorasi_par::chunk_len(1024, per_query_cost(1024, 16)) < 1024);
+            tree.knn_into(&cloud, &queries, 16, &mut out);
         });
         // The measurement skips slots that concurrently running tests hold
         // at that instant, so give them a moment to hand the slots back.
@@ -678,12 +638,6 @@ mod tests {
             crate::parallel_scratch_bytes() > 0
         });
         assert!(retained, "parallel chunks must use the pool");
-    }
-
-    #[test]
-    #[should_panic(expected = "tile budget must be positive")]
-    fn zero_tile_budget_panics() {
-        SearchContext::with_planner(SearchPlanner::auto()).set_tile_budget(Some(0));
     }
 
     #[test]

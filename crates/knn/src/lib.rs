@@ -46,7 +46,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 pub mod ball;
@@ -62,34 +61,6 @@ pub use index::{SearchContext, SearchIndex};
 pub use nit::NeighborIndexTable;
 pub use octree::MortonOctree;
 pub use planner::{SearchBackend, SearchPlanner};
-
-thread_local! {
-    /// Ambient per-call override for the batch-query chunk size. `None`
-    /// (the default) lets the cost model pick; `Some(b)` forces
-    /// fixed-budget query tiles so the streaming engine's tile splitter
-    /// controls chunk boundaries deterministically. Chunking never changes
-    /// results (queries are independent), only where the work lands.
-    static QUERY_TILE_BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the batch-query tile budget overridden to `budget`
-/// (`None` restores cost-model chunking). Restores the previous value on
-/// return or unwind, so overrides nest.
-pub fn with_query_tile_budget<R>(budget: Option<usize>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            QUERY_TILE_BUDGET.with(|b| b.set(self.0));
-        }
-    }
-    let _restore = Restore(QUERY_TILE_BUDGET.with(|b| b.replace(budget)));
-    f()
-}
-
-/// Current ambient tile budget (see [`with_query_tile_budget`]).
-pub(crate) fn query_tile_budget() -> Option<usize> {
-    QUERY_TILE_BUDGET.with(|b| b.get())
-}
 
 /// Per-worker candidate scratch for parallel batch queries. Keyed by
 /// `mesorasi_par` worker slot, so a warm pool serves every chunk body

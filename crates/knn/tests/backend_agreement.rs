@@ -605,8 +605,8 @@ proptest! {
     /// Same tables and evaluation counts as the per-pair scan: at every
     /// block tail, for `k = 1` through `k = rows`, on query subsets of
     /// every length modulo the four-query tile, with index tie-breaks and
-    /// non-finite features, sequentially and through the shared-panel
-    /// tiled path, with the scratch reused across shapes.
+    /// non-finite features, sequentially and in the parallel query chunks
+    /// that read one shared panel, with the scratch reused across shapes.
     #[test]
     fn blocked_feature_scan_matches_the_per_pair_scan(
         (rows, dim, data) in arb_feature_rows(),
@@ -621,11 +621,11 @@ proptest! {
         let mut got = NeighborIndexTable::default();
         for k in [1, rows.min(20), rows] {
             let (want, want_evals) = per_pair_knn(view, &queries, k);
-            for budget in [None, Some(7)] {
-                let evals = mesorasi_knn::with_query_tile_budget(budget, || {
+            for threads in [1, 8] {
+                let evals = mesorasi_par::with_threads(threads, || {
                     feature::knn_rows_into(view, &queries, k, &mut got, &mut scratch)
                 });
-                prop_assert_eq!(&got, &want, "rows {} dim {} k {} tiles {:?}", rows, dim, k, budget);
+                prop_assert_eq!(&got, &want, "rows {} dim {} k {} threads {}", rows, dim, k, threads);
                 prop_assert_eq!(evals, want_evals);
             }
         }

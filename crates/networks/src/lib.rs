@@ -32,11 +32,14 @@ use mesorasi_core::{NetworkTrace, Strategy};
 use mesorasi_nn::{Graph, Param, VarId};
 use mesorasi_pointcloud::PointCloud;
 
-pub use mesorasi_core::DEFAULT_TILE_BUDGET;
 pub use registry::{Domain, NetworkKind};
 pub use session::{
     Boxes3D, CheckoutError, FrameStream, Inference, Logits, PerPointLabels, Session, SessionBuilder,
 };
+
+// Unused; kept only so `benchmark/src/replay.rs` compiles until it drops the import.
+#[doc(hidden)]
+pub const DEFAULT_TILE_BUDGET: usize = 256;
 
 /// Result of a network forward pass: task output plus the recorded
 /// workload.

@@ -272,8 +272,8 @@ enum NetSource {
 /// with 10 classes when building from a [`NetworkKind`], weight-init seed
 /// 0, and one engine per host thread. The engine knobs start from
 /// [`EngineConfig::from_env`], read when the builder is created; the
-/// `search_backend` / `sample_cache_cap` / `dtype` / `tile_budget`
-/// setters overwrite what the environment said.
+/// `search_backend` / `sample_cache_cap` / `dtype` setters overwrite what
+/// the environment said.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -397,25 +397,6 @@ impl SessionBuilder {
     /// to measure what f32 execution costs in end-task accuracy.
     pub fn dtype(mut self, dtype: Dtype) -> Self {
         self.config.dtype = dtype;
-        self
-    }
-
-    /// Per-tile point budget of the tiled streaming hot path (default
-    /// [`mesorasi_core::DEFAULT_TILE_BUDGET`], overridable via
-    /// `MESORASI_TILE_BUDGET`).
-    /// Every worker engine splits per-frame derivation — input-row fills
-    /// and batch searches — into fixed tiles of this many points,
-    /// pipelined across the `mesorasi-par` workers with a bounded
-    /// in-flight window; `None` disables tiling (cost-model chunking, the
-    /// pre-tiling reference path). A scheduling knob only: results are
-    /// bit-identical at every budget and thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is `Some(0)`.
-    pub fn tile_budget(mut self, budget: Option<usize>) -> Self {
-        assert!(budget != Some(0), "tile budget must be positive");
-        self.config.tile_budget = budget;
         self
     }
 
@@ -589,12 +570,6 @@ impl Session {
     /// The execution dtype every worker engine runs at.
     pub fn dtype(&self) -> Dtype {
         self.config.dtype
-    }
-
-    /// The per-tile point budget every worker engine streams under
-    /// (`None` when tiling is disabled).
-    pub fn tile_budget(&self) -> Option<usize> {
-        self.config.tile_budget
     }
 
     /// The task domain, deciding which [`Inference`] variant is returned.
@@ -947,7 +922,6 @@ fn lock_unpoisoned<'m>(m: &'m Mutex<PlanEngine>) -> MutexGuard<'m, PlanEngine> {
 mod tests {
     use super::*;
     use crate::fpointnet::FPointNet;
-    use mesorasi_core::DEFAULT_TILE_BUDGET;
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
     use std::sync::Arc;
 
@@ -1255,50 +1229,6 @@ mod tests {
         assert_eq!(stats.evictions, 2, "LRU evicts one at a time past the cap");
         let per_shape = session.arena_stats(n).expect("shape compiled");
         assert_eq!(per_shape.cache.capacity, 2);
-    }
-
-    #[test]
-    fn tile_budget_knob_reaches_the_engines_and_stays_bit_identical() {
-        // Default sessions are tiled; explicit budgets and the untiled
-        // reference path must all produce bit-identical inference.
-        let n;
-        let want;
-        {
-            let untiled = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-                .classes(3)
-                .workers(1)
-                .tile_budget(None)
-                .build();
-            assert_eq!(untiled.tile_budget(), None);
-            n = untiled.network().input_points();
-            let cloud = sample_shape(ShapeClass::Chair, n, 1);
-            want = untiled.frames().infer(&cloud);
-        }
-        let cloud = sample_shape(ShapeClass::Chair, n, 1);
-        let default_session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-            .classes(3)
-            .workers(1)
-            .build();
-        assert_eq!(default_session.tile_budget(), Some(DEFAULT_TILE_BUDGET));
-        assert_eq!(default_session.frames().infer(&cloud), want);
-        for budget in [64, n, n + 1] {
-            let tiled = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-                .classes(3)
-                .workers(1)
-                .tile_budget(Some(budget))
-                .build();
-            assert_eq!(tiled.tile_budget(), Some(budget));
-            assert_eq!(tiled.frames().infer(&cloud), want, "budget {budget}");
-            let stats = tiled.arena_stats(n).expect("shape compiled");
-            assert_eq!(stats.tile_budget, Some(budget), "budget must reach the engines");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tile budget must be positive")]
-    fn zero_tile_budget_knob_panics() {
-        let _ =
-            SessionBuilder::from_kind(NetworkKind::PointNetPPClassification).tile_budget(Some(0));
     }
 
     #[test]

@@ -60,6 +60,15 @@ fn parse_err(line: usize, message: impl Into<String>) -> ReadCloudError {
     ReadCloudError::Parse { line, message: message.into() }
 }
 
+/// One coordinate field of line `line_no`: a finite `f32`.
+fn parse_coord(line_no: usize, s: &str) -> Result<f32, ReadCloudError> {
+    let v: f32 = s.parse().map_err(|_| parse_err(line_no, format!("bad coordinate '{s}'")))?;
+    if !v.is_finite() {
+        return Err(parse_err(line_no, format!("non-finite coordinate '{s}'")));
+    }
+    Ok(v)
+}
+
 /// Reads an XYZ file: `x y z [label]` per line, `#` comments, blank lines
 /// ignored. Labels must appear on every line or none.
 ///
@@ -85,14 +94,7 @@ pub fn read_xyz<R: Read>(reader: R) -> Result<PointCloud, ReadCloudError> {
                 format!("expected 3 or 4 fields, got {}", fields.len()),
             ));
         }
-        let coord = |s: &str| -> Result<f32, ReadCloudError> {
-            let v: f32 =
-                s.parse().map_err(|_| parse_err(line_no, format!("bad coordinate '{s}'")))?;
-            if !v.is_finite() {
-                return Err(parse_err(line_no, format!("non-finite coordinate '{s}'")));
-            }
-            Ok(v)
-        };
+        let coord = |s| parse_coord(line_no, s);
         points.push(Point3::new(coord(fields[0])?, coord(fields[1])?, coord(fields[2])?));
         let labelled = fields.len() == 4;
         match has_labels {
@@ -213,7 +215,9 @@ pub fn read_ply<R: Read>(reader: R) -> Result<PointCloud, ReadCloudError> {
     }
     let has_label = columns.contains(&Some(3));
 
-    let mut cloud = PointCloud::with_capacity(vertex_count);
+    // Grown as rows arrive: the header's count is untrusted, and a file
+    // declaring more rows than it holds ends in an error, not an allocation.
+    let mut cloud = PointCloud::new();
     let mut labelled = PointCloud::new();
     for _ in 0..vertex_count {
         let (n, line) = next_line("a vertex row")?;
@@ -232,11 +236,7 @@ pub fn read_ply<R: Read>(reader: R) -> Result<PointCloud, ReadCloudError> {
         let mut label = 0u32;
         for (value, role) in fields.iter().zip(&columns) {
             match role {
-                Some(r @ 0..=2) => {
-                    coords[*r] = value
-                        .parse()
-                        .map_err(|_| parse_err(n, format!("bad coordinate '{value}'")))?;
-                }
+                Some(r @ 0..=2) => coords[*r] = parse_coord(n, value)?,
                 Some(_) => {
                     label = value
                         .parse::<f64>()
@@ -389,6 +389,31 @@ mod tests {
         let text = "ply\nformat ascii 1.0\nelement vertex 3\n\
                     property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n";
         assert!(read_ply(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn ply_huge_vertex_counts_report_truncation_without_allocating() {
+        for count in ["100000000000", "18446744073709551615"] {
+            let text = format!(
+                "ply\nformat ascii 1.0\nelement vertex {count}\n\
+                 property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n"
+            );
+            assert!(read_ply(text.as_bytes()).is_err(), "count {count}");
+        }
+    }
+
+    #[test]
+    fn ply_rejects_non_finite_coordinates() {
+        for row in ["nan 2 3", "1 inf 3"] {
+            let text = format!(
+                "ply\nformat ascii 1.0\nelement vertex 1\n\
+                 property float x\nproperty float y\nproperty float z\nend_header\n{row}\n"
+            );
+            assert!(
+                matches!(read_ply(text.as_bytes()), Err(ReadCloudError::Parse { line: 8, .. })),
+                "row '{row}'"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   there first, so warm-up frames do not by themselves make every pool
 //!   worker touch its `ScratchPool` slot: audits above one thread warm up
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
-//!   each participant.
+//!   each participant, that participant claiming every search chunk.
 //!
 //! Ten audits, in increasing strictness:
 //!
@@ -29,10 +29,11 @@
 //! 3. the session-level audit: a warm [`mesorasi::Session`] frame stream
 //!    served through `infer_into` (outputs recycled) performs zero heap
 //!    allocations end to end;
-//! 4. the multi-worker tiled audit: with the pool at 2 threads and a
-//!    fixed tile budget, a warm streamed frame still makes zero heap
-//!    allocations — job dispatch reuses retired headers and every worker
-//!    draws search scratch from its `ScratchPool` slot;
+//! 4. the multi-worker audit: with the pool at 2 threads, where the cost
+//!    model splits the frame's searches into parallel chunks, a warm
+//!    streamed frame still makes zero heap allocations — job dispatch
+//!    reuses retired headers and every worker draws search scratch from
+//!    its `ScratchPool` slot;
 //! 5. the heap-ceiling audit: once warm, `EngineStats` byte totals
 //!    (tensor arena + search arena + parallel scratch pool) are frozen —
 //!    further frames neither grow a slot nor retain new storage — in both
@@ -71,11 +72,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// A forced-octree engine (real index construction under audit, not just
-/// brute-force scans) at the given tile budget and dtype.
-fn octree_engine(tile_budget: Option<usize>, dtype: Dtype) -> PlanEngine {
+/// brute-force scans) at the given dtype.
+fn octree_engine(dtype: Dtype) -> PlanEngine {
     PlanEngine::with_config(EngineConfig {
         search: mesorasi::SearchPlanner::forced(SearchBackend::Octree),
-        tile_budget,
         dtype,
         ..EngineConfig::default()
     })
@@ -132,11 +132,14 @@ fn count() {
 /// population's high-water mark, so whichever of them claims a query chunk
 /// later finds its slot warm. There are as many one-item chunks as
 /// participants and nobody passes the barrier alone, so each participant
-/// claims exactly one; nested parallel calls run inline on a participant,
-/// which is what makes the frames draw from *that* thread's `ScratchPool`
-/// slots. The region's own dispatch also spawns the workers and leaves the
-/// pool a retired job header. No audit asks for more than two threads, so
-/// the pool never has a worker this did not reach.
+/// claims exactly one. A participant runs nested parallel calls inline, so
+/// it re-raises its thread count to `threads`: the cost model then splits
+/// the frames' searches as it does in the audit, and, with every other
+/// participant parked on the engine lock, the one holding it claims every
+/// chunk from *its own* `ScratchPool` slots. The region's own dispatch
+/// also spawns the workers and leaves the pool retired job headers. No
+/// audit asks for more than two threads, so the pool never has a worker
+/// this did not reach.
 fn warm_on_every_pool_thread(
     threads: usize,
     engine: &mut PlanEngine,
@@ -150,9 +153,11 @@ fn warm_on_every_pool_thread(
         mesorasi_par::par_chunks_mut(&mut one_each, 1, |_, _| {
             barrier.wait();
             let mut engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
-            for frame in frames {
-                let _ = engine.run_streamed(frame, record);
-            }
+            mesorasi_par::with_threads(threads, || {
+                for frame in frames {
+                    let _ = engine.run_streamed(frame, record);
+                }
+            });
         })
     });
 }
@@ -253,7 +258,7 @@ fn warm_streamed_forward_allocates_nothing_including_search() {
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = octree_engine(None, Dtype::F32);
+        let mut engine = octree_engine(Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -357,17 +362,16 @@ fn warm_session_frame_inference_allocates_nothing_end_to_end() {
 #[test]
 fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
     let _serial = serial();
-    // The multi-worker bar: at 2 pool threads with a fixed tile budget,
-    // tile dispatch rides retired job headers and each participant's
-    // query scratch comes out of its per-worker `ScratchPool` slot — so
-    // the warm streamed frame stays at exactly zero heap allocations even
-    // though real parallel dispatch is in the loop.
+    // The multi-worker bar: at 2 pool threads the cost model splits both
+    // ball queries (48 and 16 centroids) into parallel chunks; dispatch
+    // rides retired job headers and each participant's query scratch comes
+    // out of its per-worker `ScratchPool` slot — so the warm streamed frame
+    // stays at exactly zero heap allocations even though real parallel
+    // dispatch is in the loop.
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        // A budget well under the frame size, so every frame splits into
-        // several tiles and the remainder tile is exercised too.
-        let mut engine = octree_engine(Some(64), Dtype::F32);
+        let mut engine = octree_engine(Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -383,9 +387,9 @@ fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
         let after = ALLOCS.load(Ordering::SeqCst);
         ARMED.store(false, Ordering::SeqCst);
 
-        assert_eq!(after - before, 0, "a warm tiled streamed frame must not allocate at 2 threads");
+        assert_eq!(after - before, 0, "a warm streamed frame must not allocate at 2 threads");
         let stats = engine.stats(net.input_points()).expect("compiled");
-        assert_eq!(stats.tile_budget, Some(64), "the tile budget must be live");
+        assert!(stats.parallel_scratch_bytes > 0, "pooled parallel chunks must have run");
     });
 }
 
@@ -403,7 +407,7 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
         mesorasi_par::with_threads(2, || {
             let mut rng = seeded_rng(6);
             let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-            let mut engine = octree_engine(Some(64), dtype);
+            let mut engine = octree_engine(dtype);
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
             let n = net.input_points();
@@ -414,6 +418,7 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
             let warm = engine.stats(n).expect("compiled");
             assert!(warm.arena.peak_bytes > 0, "the arena must retain planned storage");
             assert!(warm.search_bytes > 0, "the search arena must retain storage");
+            assert!(warm.parallel_scratch_bytes > 0, "pooled parallel chunks must have run");
 
             for _ in 0..3 {
                 for frame in &frames {
@@ -448,18 +453,16 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
     // Every DGCNN module searches the previous module's feature space: no
     // index is ever built, each frame refills the scan's dim-major row
     // panel instead. The panel belongs to the engine's search context, so
-    // it must be grown once, shared by every query tile on whichever
+    // it must be grown once, shared by every query chunk on whichever
     // worker runs it, and reported in `search_bytes`.
     for threads in [1, 2] {
         mesorasi_par::with_threads(threads, || {
             let mut rng = seeded_rng(6);
             let net = NetworkKind::DgcnnClassification.build_small(5, &mut rng);
             let n = net.input_points();
-            // 128 queries in tiles of 48: two full tiles and a remainder.
-            let mut engine = PlanEngine::with_config(EngineConfig {
-                tile_budget: Some(48),
-                ..EngineConfig::default()
-            });
+            // At 2 threads the cost model cuts each scan's 128 queries
+            // into 16-query chunks.
+            let mut engine = PlanEngine::new();
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
             let frames: Vec<PointCloud> =
@@ -493,16 +496,18 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
                 "the panel must be part of the reported {} bytes",
                 stats.search_bytes
             );
-            // The query tiles ran on pooled per-worker scratch: four
-            // 128-lane distance rows, the 2 · 16 minima that `k = 8` asks
-            // for, and the `k + 1` candidates of the selection buffer.
+            // The scan's query scratch: four 128-lane distance rows, the
+            // 2 · 16 minima that `k = 8` asks for, and the `k + 1`
+            // candidates of the selection buffer. One thread keeps it in
+            // the context; at two, the parallel chunks ran on pooled
+            // per-worker scratch.
             let tile =
                 (4 * n + 32) * 4 + 9 * std::mem::size_of::<mesorasi::knn::bruteforce::Candidate>();
-            assert!(
-                stats.parallel_scratch_bytes >= tile,
-                "a worker's distance rows must be part of the reported {} bytes",
-                stats.parallel_scratch_bytes
-            );
+            let (held, by) = match threads {
+                1 => (stats.search_bytes - panel - nit, "the search arena"),
+                _ => (stats.parallel_scratch_bytes, "the worker pool"),
+            };
+            assert!(held >= tile, "the distance rows must be part of what {by} reports");
         });
     }
 }
@@ -519,12 +524,9 @@ fn warm_segmentation_stream_allocates_nothing_including_stencils() {
             let mut rng = seeded_rng(6);
             let net = NetworkKind::PointNetPPSegmentation.build_small(5, &mut rng);
             let n = net.input_points();
-            // The last stencil's 192 query points in tiles of 64: three
-            // chunks, on whichever worker claims them.
-            let mut engine = PlanEngine::with_config(EngineConfig {
-                tile_budget: Some(64),
-                ..EngineConfig::default()
-            });
+            // At 2 threads the cost model splits the ball queries and the
+            // stencils into chunks, on whichever worker claims them.
+            let mut engine = PlanEngine::new();
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
             let frames: Vec<PointCloud> =
@@ -553,6 +555,10 @@ fn warm_segmentation_stream_allocates_nothing_including_stencils() {
             assert_eq!(stats.search.calls_by_backend, [2, 2].map(|c| c * frames_run));
             assert_eq!(stats.search_bytes, warm.search_bytes, "search arena grew warm");
             assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
+            assert_eq!(stats.parallel_scratch_bytes, warm.parallel_scratch_bytes);
+            if threads > 1 {
+                assert!(stats.parallel_scratch_bytes > 0, "pooled parallel chunks must have run");
+            }
         });
     }
 }

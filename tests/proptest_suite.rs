@@ -205,28 +205,6 @@ proptest! {
     }
 
     #[test]
-    fn tile_splitter_covers_every_point_exactly_once(n in 1usize..600, budget in 1usize..300) {
-        // Remainder rules under adversarial (n, budget) pairs: tiles are
-        // contiguous, in order, every one but the last exactly `budget`
-        // points, and concatenating them reproduces 0..n.
-        let tiles: Vec<std::ops::Range<usize>> =
-            mesorasi_core::engine::TileSplitter::new(budget).tiles(n).collect();
-        prop_assert_eq!(tiles.len(), n.div_ceil(budget));
-        let mut next = 0usize;
-        for (i, tile) in tiles.iter().enumerate() {
-            prop_assert_eq!(tile.start, next);
-            prop_assert!(tile.end > tile.start, "empty tile");
-            if i + 1 < tiles.len() {
-                prop_assert_eq!(tile.len(), budget, "only the last tile may run short");
-            } else {
-                prop_assert!(tile.len() <= budget);
-            }
-            next = tile.end;
-        }
-        prop_assert_eq!(next, n);
-    }
-
-    #[test]
     fn bank_conflict_rounds_bounded_by_k_and_banks(cloud in arb_cloud(80)) {
         let k = 4usize.min(cloud.len());
         let queries: Vec<usize> = (0..cloud.len().min(8)).collect();
@@ -240,60 +218,5 @@ proptest! {
         };
         let r = AuConfig::default().simulate(&agg);
         prop_assert!(r.time_vs_ideal <= k as f64 + 1e-9, "rounds can never exceed K");
-    }
-}
-
-proptest! {
-    // Each case builds five sessions and runs real inference, so the case
-    // count is kept low; the strategy still sweeps all seven networks and
-    // the {1, 2, 8}-thread pool sizes across a run.
-    #![proptest_config(ProptestConfig::with_cases(14))]
-
-    #[test]
-    fn tiled_streaming_is_bit_identical_to_untiled(
-        net_idx in 0usize..7,
-        threads_idx in 0usize..3,
-        seed in 0u64..50,
-    ) {
-        // The tiling contract: a fixed tile budget is a scheduling knob
-        // only. For every network, the streamed frame result must be
-        // bit-for-bit the sequential untiled result at every budget —
-        // including 256 > n (one short tile), n (one exact tile), and
-        // n + 1 (a budget that can never fill).
-        use mesorasi_networks::registry::NetworkKind;
-        use mesorasi_networks::session::SessionBuilder;
-        use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
-
-        let kind = NetworkKind::ALL[net_idx];
-        let threads = [1usize, 2, 8][threads_idx];
-        let untiled =
-            SessionBuilder::from_kind(kind).classes(5).workers(1).tile_budget(None).build();
-        let n = untiled.network().input_points();
-        let cloud = sample_shape(ShapeClass::Car, n, seed);
-        let want = untiled.frames().infer(&cloud);
-        let bits = |m: &mesorasi::tensor::Matrix| {
-            m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
-        };
-        let want_bits = bits(want.logits());
-
-        for budget in [64, 256, n, n + 1] {
-            let check: Result<(), TestCaseError> = mesorasi_par::with_threads(threads, || {
-                let tiled = SessionBuilder::from_kind(kind)
-                    .classes(5)
-                    .workers(threads)
-                    .tile_budget(Some(budget))
-                    .build();
-                prop_assert_eq!(tiled.tile_budget(), Some(budget));
-                let got = tiled.frames().infer(&cloud);
-                prop_assert_eq!(
-                    bits(got.logits()),
-                    want_bits.clone(),
-                    "budget {} threads {} on {}", budget, threads, kind.name()
-                );
-                prop_assert_eq!(&got, &want, "full result must match, not just logits");
-                Ok(())
-            });
-            check?;
-        }
     }
 }

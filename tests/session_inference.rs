@@ -76,8 +76,10 @@ fn all_seven_networks_bit_identical_at_every_thread_count() {
 }
 
 /// Frame-sequence mode: the streaming path (NIT cache bypassed, search
-/// indices warm-started from the previous frame) must stay bit-identical
-/// to the tape for every network on every frame of an unseen sequence.
+/// indices warm-started from the previous frame, searches chunked across
+/// the pool by the cost model) must stay bit-identical to the tape for
+/// every network on every frame of an unseen sequence, at {1, 2, 8} pool
+/// threads — the whole result, not only the logits, equal across them.
 #[test]
 fn all_seven_networks_framed_streams_bit_identical_to_tape() {
     let mut rng = seeded_rng(23);
@@ -87,19 +89,29 @@ fn all_seven_networks_framed_streams_bit_identical_to_tape() {
             (10u64..14).map(|s| sample_shape(ShapeClass::Chair, net.input_points(), s)).collect();
         let expected: Vec<Matrix> =
             frames.iter().map(|c| tape_logits(net.as_ref(), c, Strategy::Delayed, 7)).collect();
-        let session = SessionBuilder::from_network_ref(net.as_ref())
-            .seed(7)
-            .workers(1)
-            .dtype(Dtype::F32)
-            .build();
-        let framed: Vec<Inference> = session.infer_frames(frames.iter()).collect();
-        for (i, (out, want)) in framed.iter().zip(&expected).enumerate() {
-            assert_eq!(out.logits(), want, "{} frame {i}: framed != tape", kind.name());
+        let mut sequential: Option<Vec<Inference>> = None;
+        for threads in [1usize, 2, 8] {
+            let framed: Vec<Inference> = mesorasi_par::with_threads(threads, || {
+                let session = SessionBuilder::from_network_ref(net.as_ref())
+                    .seed(7)
+                    .workers(1)
+                    .dtype(Dtype::F32)
+                    .build();
+                let framed: Vec<Inference> = session.infer_frames(frames.iter()).collect();
+                for (i, (out, want)) in framed.iter().zip(&expected).enumerate() {
+                    assert_eq!(out.logits(), want, "{} {threads}t frame {i} != tape", kind.name());
+                }
+                // A second pass over the same sequence reuses all warm search
+                // state and must reproduce the results exactly.
+                let again: Vec<Inference> = session.infer_frames(frames.iter()).collect();
+                assert_eq!(again, framed, "{} {threads}t: warm stream drifted", kind.name());
+                framed
+            });
+            match &sequential {
+                None => sequential = Some(framed),
+                Some(want) => assert_eq!(&framed, want, "{} {threads}t != 1t", kind.name()),
+            }
         }
-        // A second pass over the same sequence reuses all warm search
-        // state and must reproduce the results exactly.
-        let again: Vec<Inference> = session.infer_frames(frames.iter()).collect();
-        assert_eq!(again, framed, "{}: warm stream drifted", kind.name());
     }
 }
 
