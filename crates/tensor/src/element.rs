@@ -17,11 +17,12 @@ mod sealed {
 /// contract is argued per implementor, so no third type can join from
 /// outside.
 ///
-/// Beyond plain float arithmetic the trait carries only the micro-kernel
-/// hooks — the matmul tiles and the grouped max: every kernel in
-/// [`crate::ops`] and [`crate::group`] is written once over `T: Element`,
-/// and the hooks pick the register-tile body — AVX2-dispatching for `f32`,
-/// the generic scalar tile for `f64`.
+/// Beyond plain float arithmetic the trait carries only three micro-kernel
+/// hooks — the four-row and single-row matmul tiles ([`Element::mm4`],
+/// [`Element::mm1`]) and the grouped max ([`Element::max_rows`]): every
+/// kernel in [`crate::ops`] and [`crate::group`] is written once over
+/// `T: Element`, and the hooks pick the register-tile body —
+/// AVX2-dispatching for `f32`, the generic scalar tile for `f64`.
 pub trait Element:
     sealed::Sealed
     + Copy
@@ -71,34 +72,7 @@ pub trait Element:
     /// see [`simd::mm1`].
     #[inline]
     fn mm1(a: &[Self], b: &[Self], n: usize, out: &mut [Self], accumulate: bool) {
-        simd::mm1t_scalar(a, 1, 0, a.len(), b, n, out, accumulate);
-    }
-    /// Four-column strided-coefficient micro-kernel; see [`simd::mm4t`].
-    #[inline]
-    fn mm4t(
-        a: &[Self],
-        stride: usize,
-        i0: usize,
-        k: usize,
-        b: &[Self],
-        n: usize,
-        out: [&mut [Self]; 4],
-    ) {
-        simd::mm4t_scalar(a, stride, i0, k, b, n, out);
-    }
-    /// Single-row strided-coefficient micro-kernel (stride 1 walks a
-    /// contiguous row); see [`simd::mm1t`].
-    #[inline]
-    fn mm1t(
-        a: &[Self],
-        stride: usize,
-        i0: usize,
-        k: usize,
-        b: &[Self],
-        n: usize,
-        out: &mut [Self],
-    ) {
-        simd::mm1t_scalar(a, stride, i0, k, b, n, out, false);
+        simd::mm1_scalar(a, b, n, out, accumulate);
     }
     /// Grouped column-wise max, the kernel behind
     /// [`crate::group::gather_max_into`] and [`crate::group::group_max_into`];
@@ -157,22 +131,6 @@ impl Element for f32 {
     #[inline]
     fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
         simd::mm1(a, b, n, out, accumulate);
-    }
-    #[inline]
-    fn mm4t(
-        a: &[f32],
-        stride: usize,
-        i0: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        out: [&mut [f32]; 4],
-    ) {
-        simd::mm4t(a, stride, i0, k, b, n, out);
-    }
-    #[inline]
-    fn mm1t(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        simd::mm1t(a, stride, i0, k, b, n, out);
     }
     #[inline]
     fn max_rows(

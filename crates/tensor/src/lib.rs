@@ -10,7 +10,8 @@
 //!
 //! * [`Mat`] — the storage type, generic over a sealed [`Element`]
 //!   (`f32`, `f64`); [`Matrix`] = `Mat<f32>` is what the workspace speaks,
-//! * [`ops`] — matmul (three transpose variants), bias broadcast,
+//! * [`ops`] — matmul (and its two transpose variants, the same product
+//!   on a transposed copy), bias broadcast,
 //!   elementwise arithmetic, ReLU and its gradient mask, column statistics,
 //! * [`group`] — gather / grouped-reduce / scatter kernels used by
 //!   aggregation in both the original and the delayed formulation.
@@ -28,10 +29,11 @@
 //!
 //! # One kernel tier, two dtypes
 //!
-//! Every forward kernel is written once over `T: Element`. The matmul
-//! family runs through register-tiled micro-kernels, data-parallel over
-//! fixed output-row chunks, and [`ops::matmul_into`] blocks its loops for
-//! cache by operand shape (row block · packed `B` panel · `k`-block);
+//! Every forward kernel is written once over `T: Element`. Every matmul,
+//! the transpose variants included, runs through one driver,
+//! [`ops::matmul_into`]: register-tiled micro-kernels, data-parallel over
+//! fixed output-row chunks, loops blocked for cache by operand shape (row
+//! block · packed `B` panel · `k`-block);
 //! [`Element`] carries only the micro-kernel hooks, so `f32` monomorphises
 //! onto [`simd`]'s AVX2 inner loops (runtime-detected; the `simd` cargo
 //! feature, on by default, gates them) and `f64` onto the same register

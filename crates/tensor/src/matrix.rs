@@ -2,6 +2,7 @@
 
 use crate::Element;
 use std::fmt;
+use std::ops::Range;
 
 /// A dense row-major matrix over an [`Element`] type.
 ///
@@ -203,12 +204,29 @@ impl<T: Element> Mat<T> {
     /// The transpose.
     pub fn transposed(&self) -> Self {
         let mut out = Mat::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
+        self.transpose_cols_into(0..self.cols, &mut out);
+        out
+    }
+
+    /// Columns `cols` of `self`, transposed into `out` (reshaped to
+    /// `cols.len() × rows`). Copied in 16 × 16 tiles: the 16 source rows a
+    /// tile reads and the 16 output rows it writes stay in L1 across it,
+    /// where a row-at-a-time copy writes each element to a different cache
+    /// line.
+    pub(crate) fn transpose_cols_into(&self, cols: Range<usize>, out: &mut Mat<T>) {
+        const TILE: usize = 16;
+        out.reset_shape(cols.len(), self.rows);
+        for r0 in (0..self.rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(self.rows);
+            for c0 in cols.clone().step_by(TILE) {
+                let c1 = (c0 + TILE).min(cols.end);
+                for r in r0..r1 {
+                    for (c, &v) in (c0..c1).zip(&self.row(r)[c0..c1]) {
+                        out.data[(c - cols.start) * self.rows + r] = v;
+                    }
+                }
             }
         }
-        out
     }
 
     /// Applies `f` to every element in place.
@@ -356,10 +374,12 @@ mod tests {
 
     #[test]
     fn transpose_round_trips() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 10 + c) as f32);
-        assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed().shape(), (5, 3));
-        assert_eq!(m.transposed()[(4, 2)], m[(2, 4)]);
+        // 17 × 33 ends in a partial tile on both axes.
+        for (rows, cols) in [(3, 5), (17, 33), (1, 40), (0, 5)] {
+            let m = Matrix::from_fn(rows, cols, |r, c| (r * 100 + c) as f32);
+            assert_eq!(m.transposed().transposed(), m);
+            assert_eq!(m.transposed(), Matrix::from_fn(cols, rows, |r, c| m[(c, r)]));
+        }
     }
 
     #[test]

@@ -9,17 +9,16 @@
 //!
 //! # The fast tier and the [`naive`] reference
 //!
-//! The three matmul variants run through register-tiled micro-kernels —
-//! the [`Element`] hooks: for `f32`, [`crate::simd`] (AVX2 behind runtime
-//! detection), otherwise the same tiles as an auto-vectorizable
-//! block-accumulator scalar kernel. [`matmul_into`], the inference
-//! product, is also cache-blocked (row block · packed `B` panel ·
-//! `k`-block, see its docs); the two transpose variants, which only
-//! training runs, walk their operands in place. The pre-tier `f32`
-//! kernels are preserved verbatim in [`naive`]: they are the semantics
-//! reference the property tests compare against, and the `"naive"` backend
-//! the bench harness records so every `BENCH_*.json` carries the measured
-//! speedup.
+//! Every matmul runs through one driver, [`matmul_into`]: register-tiled
+//! micro-kernels — the [`Element`] hooks: for `f32`, [`crate::simd`] (AVX2
+//! behind runtime detection), otherwise the same tiles as an
+//! auto-vectorizable block-accumulator scalar kernel — cache-blocked by
+//! operand shape (row block · packed `B` panel · `k`-block, see its docs).
+//! The two transpose variants, which only training runs, are that driver
+//! on a transposed copy of one operand. The pre-tier `f32` kernels are
+//! preserved verbatim in [`naive`]: they are the semantics reference the
+//! property tests compare against, and the `"naive"` backend the bench
+//! harness records so every `BENCH_*.json` carries the measured speedup.
 //!
 //! Fast tier and reference are **bit-identical for finite inputs**: every
 //! output element accumulates its products in ascending-`p` order in both
@@ -29,11 +28,11 @@
 //! element type is exact), and the vector lanes perform the same
 //! one-mul-one-add per element as the scalar loop (no FMA). The only
 //! textual difference is the reference's skip of zero `A` elements in
-//! [`matmul_into`] and [`matmul_at_b_into`], which here adds `±0.0`
-//! products instead — an IEEE-754 identity on every finite sum (a running
-//! sum that starts at `+0.0` can never become `-0.0`: `+0.0 + ±0.0 == +0.0`
-//! and exact cancellation rounds to `+0.0`, so `x + ±0.0 == x` bitwise
-//! throughout the chain).
+//! [`naive::matmul_into`] and [`naive::matmul_at_b_into`], which here
+//! adds `±0.0` products instead — an IEEE-754 identity on every finite
+//! sum (a running sum that starts at `+0.0` can never become `-0.0`:
+//! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
+//! `x + ±0.0 == x` bitwise throughout the chain).
 
 use crate::{Element, Mat, Matrix};
 use mesorasi_par as par;
@@ -246,24 +245,6 @@ fn quad_rows<T: Element>(a: &Mat<T>, i: usize) -> [&[T]; 4] {
     [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)]
 }
 
-/// The row driver of the transpose variants: `out` (`m × n`, `n > 0`)
-/// splits into fixed row chunks across the pool (`cost` is the work per
-/// row), and each chunk is walked by [`walk_quads`] — so every output row
-/// is produced entirely by one call, whatever the thread count.
-fn tile_rows<T: Element>(
-    out: &mut Mat<T>,
-    cost: usize,
-    quad: impl Fn(usize, [&mut [T]; 4]) + Sync,
-    single: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let (m, n) = out.shape();
-    let row_chunk = par::chunk_len(m, cost);
-    par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
-        let first = ci * row_chunk;
-        walk_quads(chunk, n, |i, rows| quad(first + i, rows), |i, row| single(first + i, row));
-    });
-}
-
 /// Walks `rows` (whole `n`-wide rows) four at a time through
 /// `quad(first_row, rows)` with the tail through `single(row, out_row)`,
 /// row indices relative to the slice.
@@ -289,36 +270,30 @@ fn walk_quads<T: Element>(
     }
 }
 
+/// Output rows per pass of [`matmul_at_b`], i.e. columns of `A` transposed
+/// at a time: a wide product's transient buffers (the transposed columns
+/// and the pass's product) stay a fraction of its output instead of
+/// doubling the call's heap peak. At `(128, 2048)ᵀ × (128, 128)` a
+/// whole-`A` copy took that peak to 2 MB, which glibc's allocator returned
+/// to the kernel on every call and faulted back in on the next (≈ 480 page
+/// faults, 1.3–2× the call's time).
+const AT_B_ROWS: usize = 256;
+
 /// `Aᵀ · B` for `A: k×m`, `B: k×n` — the weight-gradient product of a
-/// linear layer (`dW = Xᵀ · dY`), computed without materializing `Aᵀ`.
-/// Parallel over output-row chunks.
+/// linear layer (`dW = Xᵀ · dY`): [`matmul_into`] on a transposed copy of
+/// `A`, 256 output rows per pass.
+///
+/// Output element `(i, j)` is the chain `Σ_p A[p][i] · B[p][j]`, ascending
+/// `p` from `+0.0`, one `mul` and one `add` per step, so the result is
+/// bit-identical to [`naive::matmul_at_b_into`] for finite inputs: the
+/// reference's sparse zero-skip (gradients behind a ReLU are mostly zeros)
+/// becomes `±0.0` additions here, an IEEE-754 no-op on every finite
+/// running sum (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics when the row counts disagree.
 pub fn matmul_at_b<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
-    matmul_at_b_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_at_b`] writing into a caller-owned buffer.
-///
-/// Register-tiled like [`matmul_into`]: output rows go four at a time
-/// through [`Element::mm4t`], which is [`Element::mm4`] with a strided
-/// coefficient walk — output row `i` is column `i` of `A`, so the
-/// coefficient for step `p` sits at `a[p·m + i]` and four adjacent
-/// columns share every load of a `B` row while the 4 × 16 output tile
-/// stays in registers. Each output element accumulates over `p` ascending,
-/// so the result is bit-identical to [`naive::matmul_at_b_into`] for
-/// finite inputs: the reference's sparse zero-skip (gradients behind a
-/// ReLU are mostly zeros) becomes `±0.0` additions here, an IEEE-754
-/// no-op on every finite running sum (see the module docs).
-///
-/// # Panics
-///
-/// Panics when the row counts disagree.
-pub fn matmul_at_b_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -326,51 +301,28 @@ pub fn matmul_at_b_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
         a.shape(),
         b.shape()
     );
-    let (k, m) = a.shape();
-    let n = b.cols();
-    out.reset_shape(m, n);
-    if n == 0 {
-        return;
+    let (m, n) = (a.cols(), b.cols());
+    let mut out = Vec::with_capacity(m * n);
+    let (mut at, mut part) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+    for i0 in (0..m).step_by(AT_B_ROWS) {
+        a.transpose_cols_into(i0..(i0 + AT_B_ROWS).min(m), &mut at);
+        matmul_into(&at, b, &mut part);
+        out.extend_from_slice(part.as_slice());
     }
-    tile_rows(
-        out,
-        2 * k * n,
-        |i, rows| T::mm4t(a.as_slice(), m, i, k, b.as_slice(), n, rows),
-        |i, row| T::mm1t(a.as_slice(), m, i, k, b.as_slice(), n, row),
-    );
+    Mat::from_vec(m, n, out)
 }
 
 /// `A · Bᵀ` for `A: m×k`, `B: n×k` — the input-gradient product of a linear
-/// layer (`dX = dY · Wᵀ`), computed without materializing `Bᵀ`.
+/// layer (`dX = dY · Wᵀ`): [`matmul_into`] on a transposed copy of `B`.
+///
+/// Output element `(i, j)` is the dot product of `A` row `i` and `B` row
+/// `j` as one chain in ascending `p` from `+0.0`, bit-identical to
+/// [`naive::matmul_a_bt_into`].
 ///
 /// # Panics
 ///
 /// Panics when the column counts disagree.
 pub fn matmul_a_bt<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
-    matmul_a_bt_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_a_bt`] writing into a caller-owned buffer.
-///
-/// Register-tiled over 4 × 4 *output blocks*: sixteen scalar accumulators
-/// live in registers while the block walks `p`, so each load of an
-/// `A`-row element feeds four dot products and each load of a `B`-row
-/// element feeds the other four — 8 loads per 16 multiply-adds, versus
-/// 5 per 4 in a plain column-unrolled row loop, with enough independent
-/// FP-add chains to hide the add latency. Every element still keeps a
-/// single accumulator walked in ascending `p`, which is why this kernel
-/// has **no AVX2 lane-split path**: a dot product's accumulation chain is
-/// sequential over `p`, and splitting it across vector lanes would
-/// re-associate the sum and break bit-identity with
-/// [`naive::matmul_a_bt_into`] (the tiling here reorders only which rows
-/// and columns are register-resident, never any per-element chain).
-///
-/// # Panics
-///
-/// Panics when the column counts disagree.
-pub fn matmul_a_bt_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -378,58 +330,7 @@ pub fn matmul_a_bt_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
         a.shape(),
         b.shape()
     );
-    let (m, k) = a.shape();
-    let n = b.rows();
-    out.reset_shape(m, n);
-    if n == 0 {
-        return;
-    }
-    tile_rows(
-        out,
-        2 * k * n,
-        |i, rows| dot_rows_bt(quad_rows(a, i), b, rows),
-        |i, row| dot_rows_bt([a.row(i)], b, [row]),
-    );
-}
-
-/// An `R × 4` output block walk of [`matmul_a_bt_into`] (`R` = 4 for row
-/// quads, 1 for the row tail): `out[r][j+c]` holds the dot product of
-/// `a_rows[r]` with `B` row `j+c`, the whole block accumulated together in
-/// ascending `p`.
-fn dot_rows_bt<T: Element, const R: usize>(a_rows: [&[T]; R], b: &Mat<T>, mut out: [&mut [T]; R]) {
-    let n = b.rows();
-    let k = a_rows[0].len();
-    let n4 = n - n % 4;
-    let mut j = 0;
-    while j < n4 {
-        let bq = [b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3)];
-        let mut acc = [[T::ZERO; 4]; R];
-        for p in 0..k {
-            let ys = [bq[0][p], bq[1][p], bq[2][p], bq[3][p]];
-            for (acc_r, ar) in acc.iter_mut().zip(&a_rows) {
-                let x = ar[p];
-                for (s, &y) in acc_r.iter_mut().zip(&ys) {
-                    *s += x * y;
-                }
-            }
-        }
-        for (or, acc_r) in out.iter_mut().zip(&acc) {
-            or[j..j + 4].copy_from_slice(acc_r);
-        }
-        j += 4;
-    }
-    for jj in n4..n {
-        let b_row = b.row(jj);
-        let mut acc = [T::ZERO; R];
-        for (p, &y) in b_row.iter().enumerate() {
-            for (s, ar) in acc.iter_mut().zip(&a_rows) {
-                *s += ar[p] * y;
-            }
-        }
-        for (or, &s) in out.iter_mut().zip(&acc) {
-            or[jj] = s;
-        }
-    }
+    matmul(a, &b.transposed())
 }
 
 /// Elementwise `a + b`.
@@ -740,7 +641,7 @@ pub mod naive {
         });
     }
 
-    /// Reference `Aᵀ · B` — see [`super::matmul_at_b_into`].
+    /// Reference `Aᵀ · B` — see [`super::matmul_at_b`].
     ///
     /// # Panics
     ///
@@ -780,7 +681,7 @@ pub mod naive {
         });
     }
 
-    /// Reference `A · Bᵀ` — see [`super::matmul_a_bt_into`].
+    /// Reference `A · Bᵀ` — see [`super::matmul_a_bt`].
     ///
     /// # Panics
     ///
@@ -1037,42 +938,54 @@ mod tests {
     fn at_b_and_a_bt_are_bit_identical_to_naive() {
         // Shapes straddle the register-tile boundaries: m below/at/above a
         // quad (unpaired row tails), n across the 16- and 8-lane column
-        // blocks of `mm4t`, and zero fractions that exercise the
-        // reference's sparse skip against the tier's ±0.0 additions.
-        for &(k, m, n) in &[
-            (1usize, 1usize, 1usize),
+        // blocks, and zero fractions that exercise the reference's sparse
+        // skip against the tier's ±0.0 additions. (9, 520, 21) runs
+        // `matmul_at_b` in three passes of `AT_B_ROWS`, the last one short.
+        // The last shape of each list takes `matmul_into`'s packed branch:
+        // at least 32 rows, a `B` past 32 KB and `k` past one 512-deep
+        // panel, so partial sums pass through `out`. Release adds
+        // PointNet++'s SA gradients at 16384 points, 67 inputs and 64
+        // outputs, slow unoptimised.
+        let paper_scale = |shape| if cfg!(debug_assertions) { None } else { Some(shape) };
+        for (k, m, n) in [
+            (1, 1, 1),
             (7, 3, 9),
             (64, 5, 12),
             (130, 33, 2),
             (64, 9, 40),
             (30, 8, 33),
             (13, 17, 19),
-        ] {
+            (9, 520, 21),
+            (1030, 36, 40),
+        ]
+        .into_iter()
+        .chain(paper_scale((16384, 67, 64)))
+        {
             for zero_every in [0, 2, 3] {
                 let a = noisy(k, m, 31, zero_every);
                 let b = noisy(k, n, 41, 0);
-                let mut fast = Matrix::zeros(0, 0);
                 let mut reference = Matrix::zeros(0, 0);
-                matmul_at_b_into(&a, &b, &mut fast);
                 naive::matmul_at_b_into(&a, &b, &mut reference);
-                assert_eq!(fast, reference, "at_b {k}ᵀ{m}×{n} zeros 1/{zero_every}");
+                assert_eq!(matmul_at_b(&a, &b), reference, "at_b {k}ᵀ{m}×{n} zeros 1/{zero_every}");
             }
         }
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
+        for (m, k, n) in [
+            (1, 1, 1),
             (3, 9, 7),
             (5, 12, 64),
             (33, 2, 130),
             (9, 64, 40),
             (12, 7, 35),
-        ] {
+            (36, 1030, 40),
+        ]
+        .into_iter()
+        .chain(paper_scale((16384, 64, 67)))
+        {
             let a = noisy(m, k, 51, 0);
             let b = noisy(n, k, 61, 4);
-            let mut fast = Matrix::zeros(0, 0);
             let mut reference = Matrix::zeros(0, 0);
-            matmul_a_bt_into(&a, &b, &mut fast);
             naive::matmul_a_bt_into(&a, &b, &mut reference);
-            assert_eq!(fast, reference, "a_bt {m}×{k}×{n}ᵀ");
+            assert_eq!(matmul_a_bt(&a, &b), reference, "a_bt {m}×{k}×{n}ᵀ");
         }
     }
 }

@@ -1,28 +1,22 @@
 //! Vectorized micro-kernels — the workspace's only `unsafe` island.
 //!
-//! Two primitive families power the matmul tier in [`crate::ops`]:
+//! One primitive pair powers the matmul tier in [`crate::ops`]: [`mm4`] /
+//! [`mm1`], register-accumulator matmul blocks. A 4-row × 16-column output
+//! tile lives entirely in registers while the kernel walks `p` over the
+//! shared dimension, so the hot loop touches memory only to read `A`
+//! coefficients and stream rows of `B`; each output element is stored once
+//! per walk. Per element the products accumulate in ascending-`p` order
+//! with separate `mul` and `add` instructions, which is the whole
+//! bit-identity contract: any lane width (8-lane AVX2, auto-vectorized
+//! scalar) produces the same rounding sequence. The kernels do no cache
+//! blocking of their own — `b` is whatever contiguous `k × n` panel the
+//! caller hands over, all of `B` or a packed 16-column piece of it — but
+//! their `accumulate` form starts the tile from the sums already in `out`,
+//! which is how [`crate::ops::matmul_into`] splits a deep `k` into L1-sized
+//! blocks: a store and reload in the element type is exact, so the chain
+//! is the one an unsplit walk would run.
 //!
-//! * [`mm4`] / [`mm1`] — register-accumulator matmul blocks. A 4-row ×
-//!   16-column output tile lives entirely in registers while the kernel
-//!   walks `p` over the shared dimension, so the hot loop touches memory
-//!   only to read `A` coefficients and stream rows of `B`; each output
-//!   element is stored once per walk. Per element the products accumulate
-//!   in ascending-`p` order with separate `mul` and `add` instructions,
-//!   which is the whole bit-identity contract: any lane width (8-lane
-//!   AVX2, auto-vectorized scalar) produces the same rounding sequence.
-//!   The kernels do no cache blocking of their own — `b` is whatever
-//!   contiguous `k × n` panel the caller hands over, all of `B` or a
-//!   packed 16-column piece of it — but their `accumulate` form starts the
-//!   tile from the sums already in `out`, which is how
-//!   [`crate::ops::matmul_into`] splits a deep `k` into L1-sized blocks: a
-//!   store and reload in the element type is exact, so the chain is the
-//!   one an unsplit walk would run.
-//! * [`mm4t`] / [`mm1t`] — the same register tiles with a *strided*
-//!   coefficient walk (`a[p·stride + i0 + r]`), so `Aᵀ · B` gets the
-//!   identical treatment without materializing the transpose: four
-//!   adjacent columns of `A` play the role of [`mm4`]'s four rows.
-//!
-//! A third entry, [`sqdist_rows`], serves the feature-space kNN scan of
+//! A second entry, [`sqdist_rows`], serves the feature-space kNN scan of
 //! `mesorasi-knn` rather than the matmul tier: squared distances from a
 //! tile of queries to every row of a dim-major panel. It lives here for
 //! its dispatch, not for intrinsics — it has none. Its body is one safe
@@ -35,7 +29,7 @@
 //! baseline width — the loop the scan used before; on SSE2 tiles of 2 and
 //! 4 queries measured no faster (16 xmm registers cannot hold them).
 //!
-//! A fourth, [`max_rows`], is the engine's aggregation and reduction
+//! A third, [`max_rows`], is the engine's aggregation and reduction
 //! kernel behind [`crate::group::gather_max_into`] and
 //! [`crate::group::group_max_into`]: the column-wise max over groups of
 //! `k` rows, named by an index table or consecutive. It is here for the
@@ -113,8 +107,7 @@ pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate
 
 /// Single-row matmul block: `out[j] = Σ_p a[p] · b[p·n + j]` — the row
 /// tail of [`mm4`], same accumulation order, rounding contract and
-/// `accumulate` form. This is [`mm1t`] walking a contiguous coefficient
-/// row (stride 1).
+/// `accumulate` form.
 ///
 /// # Panics
 ///
@@ -122,87 +115,15 @@ pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate
 /// `k × n`.
 #[inline]
 pub fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
-    mm1t_dispatch(a, 1, 0, a.len(), b, n, out, accumulate);
-}
-
-/// Four-row *transpose* matmul block:
-/// `out[r][j] = Σ_p a[p·stride + i0 + r] · b[p·n + j]` — four adjacent
-/// columns `i0..i0+4` of a row-major `k × stride` matrix `a` play the role
-/// of [`mm4`]'s four `A` rows, so [`crate::ops::matmul_at_b_into`] gets
-/// the same register-tiled treatment without materializing `Aᵀ`. The `B`
-/// row walk, accumulation order (ascending `p`, one `mul` + one `add` per
-/// step) and 4 × 16 register tile are identical to [`mm4`]; only the
-/// coefficient load is strided.
-///
-/// # Panics
-///
-/// Panics when an `out` row is not exactly `n` long, when `b` is smaller
-/// than `k × n`, or when columns `i0..i0+4` of the `k × stride` view of
-/// `a` would read out of bounds.
-#[inline]
-pub fn mm4t(
-    a: &[f32],
-    stride: usize,
-    i0: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: [&mut [f32]; 4],
-) {
-    for row in &out {
-        assert_eq!(row.len(), n, "mm4t out-row length mismatch");
-    }
-    assert!(b.len() >= k * n, "mm4t B too small");
-    assert!(i0 + 4 <= stride, "mm4t column block out of range");
-    assert!(k == 0 || (k - 1) * stride + i0 + 4 <= a.len(), "mm4t A too small");
+    assert_eq!(out.len(), n, "mm1 out length mismatch");
+    assert!(b.len() >= a.len() * n, "mm1 B too small");
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime; the asserts
-        // above are the bounds `mm4t_avx2` requires.
-        return unsafe { x86::mm4t_avx2(a, stride, i0, k, b, n, out) };
+        // above are the bounds `mm1_avx2` requires.
+        return unsafe { x86::mm1_avx2(a, b, n, out, accumulate) };
     }
-    mm4t_scalar(a, stride, i0, k, b, n, out);
-}
-
-/// Single-column transpose matmul block:
-/// `out[j] = Σ_p a[p·stride + i0] · b[p·n + j]` — the row tail of
-/// [`mm4t`], same accumulation order and rounding contract.
-///
-/// # Panics
-///
-/// Panics when `out` is not exactly `n` long, when `b` is smaller than
-/// `k × n`, or when column `i0` of the `k × stride` view of `a` would
-/// read out of bounds.
-#[inline]
-pub fn mm1t(a: &[f32], stride: usize, i0: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    mm1t_dispatch(a, stride, i0, k, b, n, out, false);
-}
-
-/// The checked entry both single-row forms share: [`mm1t`] (strided,
-/// overwriting) and [`mm1`] (stride 1, optionally accumulating).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn mm1t_dispatch(
-    a: &[f32],
-    stride: usize,
-    i0: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-) {
-    assert_eq!(out.len(), n, "mm1t out length mismatch");
-    assert!(b.len() >= k * n, "mm1t B too small");
-    assert!(i0 < stride, "mm1t column out of range");
-    assert!(k == 0 || (k - 1) * stride + i0 < a.len(), "mm1t A too small");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime; the asserts
-        // above are the bounds `mm1t_avx2` requires.
-        return unsafe { x86::mm1t_avx2(a, stride, i0, k, b, n, out, accumulate) };
-    }
-    mm1t_scalar(a, stride, i0, k, b, n, out, accumulate);
+    mm1_scalar(a, b, n, out, accumulate);
 }
 
 #[inline(always)]
@@ -214,36 +135,25 @@ pub(crate) fn mm4_scalar<T: Element>(
     accumulate: bool,
 ) {
     for (ar, or) in a.into_iter().zip(out) {
-        mm1t_scalar(ar, 1, 0, ar.len(), b, n, or, accumulate);
+        mm1_scalar(ar, b, n, or, accumulate);
     }
 }
 
 /// The scalar register tile: 8 column accumulators held in locals over
 /// the full `p` walk (auto-vectorizes on SSE2/NEON without changing the
-/// per-element mul-then-add rounding sequence), stored once; coefficient
-/// `p` is read at `a[p·stride + i0]`. With `accumulate` the accumulators
-/// start from `out` instead of zero — a store and reload in the element
-/// type is exact, so the chain is the one an unsplit `p` walk would run.
-#[allow(clippy::too_many_arguments)]
+/// per-element mul-then-add rounding sequence), stored once. With
+/// `accumulate` the accumulators start from `out` instead of zero — a
+/// store and reload in the element type is exact, so the chain is the one
+/// an unsplit `p` walk would run.
 #[inline(always)]
-pub(crate) fn mm1t_scalar<T: Element>(
-    a: &[T],
-    stride: usize,
-    i0: usize,
-    k: usize,
-    b: &[T],
-    n: usize,
-    out: &mut [T],
-    accumulate: bool,
-) {
+pub(crate) fn mm1_scalar<T: Element>(a: &[T], b: &[T], n: usize, out: &mut [T], accumulate: bool) {
     let mut j = 0;
     while j + 8 <= n {
         let mut acc = [T::ZERO; 8];
         if accumulate {
             acc.copy_from_slice(&out[j..j + 8]);
         }
-        for p in 0..k {
-            let ap = a[p * stride + i0];
+        for (p, &ap) in a.iter().enumerate() {
             let br = &b[p * n + j..p * n + j + 8];
             for (s, &bv) in acc.iter_mut().zip(br) {
                 *s += ap * bv;
@@ -254,25 +164,10 @@ pub(crate) fn mm1t_scalar<T: Element>(
     }
     for (jj, o) in out.iter_mut().enumerate().skip(j) {
         let mut s = if accumulate { *o } else { T::ZERO };
-        for p in 0..k {
-            s += a[p * stride + i0] * b[p * n + jj];
+        for (p, &ap) in a.iter().enumerate() {
+            s += ap * b[p * n + jj];
         }
         *o = s;
-    }
-}
-
-#[inline(always)]
-pub(crate) fn mm4t_scalar<T: Element>(
-    a: &[T],
-    stride: usize,
-    i0: usize,
-    k: usize,
-    b: &[T],
-    n: usize,
-    out: [&mut [T]; 4],
-) {
-    for (r, or) in out.into_iter().enumerate() {
-        mm1t_scalar(a, stride, i0 + r, k, b, n, or, false);
     }
 }
 
@@ -571,93 +466,16 @@ mod x86 {
         }
     }
 
-    /// Strided-coefficient sibling of [`mm4_avx2`]: the same 4 × 16
-    /// register tile and `B` row walk, coefficients read down four
-    /// adjacent columns of the `k × stride` matrix `a`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime, and the
-    /// bounds checked by [`super::mm4t`] must hold.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm4t_avx2(
-        a: &[f32],
-        stride: usize,
-        i0: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        out: [&mut [f32]; 4],
-    ) {
-        let mut j = 0;
-        while j + 16 <= n {
-            // SAFETY: j + 16 <= n, b.len() >= k·n and the mm4t column
-            // bounds cover every access; mul then add — never FMA —
-            // matches scalar rounding.
-            unsafe {
-                let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-                for p in 0..k {
-                    let bp = b.as_ptr().add(p * n + j);
-                    let vb0 = _mm256_loadu_ps(bp);
-                    let vb1 = _mm256_loadu_ps(bp.add(8));
-                    let ap = a.as_ptr().add(p * stride + i0);
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let va = _mm256_set1_ps(*ap.add(r));
-                        acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(va, vb0));
-                        acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(va, vb1));
-                    }
-                }
-                for r in 0..4 {
-                    _mm256_storeu_ps(out[r].as_mut_ptr().add(j), acc[r][0]);
-                    _mm256_storeu_ps(out[r].as_mut_ptr().add(j + 8), acc[r][1]);
-                }
-            }
-            j += 16;
-        }
-        if j + 8 <= n {
-            // SAFETY: j + 8 <= n plus the mm4t bounds cover every access.
-            unsafe {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                for p in 0..k {
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                    let ap = a.as_ptr().add(p * stride + i0);
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let va = _mm256_set1_ps(*ap.add(r));
-                        *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(va, vb));
-                    }
-                }
-                for r in 0..4 {
-                    _mm256_storeu_ps(out[r].as_mut_ptr().add(j), acc[r]);
-                }
-            }
-            j += 8;
-        }
-        for jj in j..n {
-            for r in 0..4 {
-                let mut s = 0.0f32;
-                for p in 0..k {
-                    s += a[p * stride + i0 + r] * b[p * n + jj];
-                }
-                out[r][jj] = s;
-            }
-        }
-    }
-
-    /// One output row, 8 columns per pass in one ymm accumulator, the
-    /// coefficient for step `p` read at `a[p·stride + i0]`. With
+    /// One output row, 8 columns per pass in one ymm accumulator. With
     /// `accumulate` the accumulator is loaded from `out` instead of zeroed.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime, and the
-    /// bounds checked by [`super::mm1t`] must hold.
-    #[allow(clippy::too_many_arguments)]
+    /// bounds checked by [`super::mm1`] must hold.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm1t_avx2(
+    pub(super) unsafe fn mm1_avx2(
         a: &[f32],
-        stride: usize,
-        i0: usize,
-        k: usize,
         b: &[f32],
         n: usize,
         out: &mut [f32],
@@ -665,19 +483,18 @@ mod x86 {
     ) {
         let mut j = 0;
         while j + 8 <= n {
-            // SAFETY: j + 8 <= n = out.len(), b.len() >= k·n and the mm1t
-            // column bounds cover every access; mul then add — never FMA —
-            // matches scalar rounding.
+            // SAFETY: j + 8 <= n = out.len() and b.len() >= k·n bound
+            // every access; mul then add — never FMA — matches scalar
+            // rounding.
             unsafe {
                 let mut acc: __m256 = if accumulate {
                     _mm256_loadu_ps(out.as_ptr().add(j))
                 } else {
                     _mm256_setzero_ps()
                 };
-                for p in 0..k {
-                    let va = _mm256_set1_ps(*a.get_unchecked(p * stride + i0));
+                for (p, &ap) in a.iter().enumerate() {
                     let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(ap), vb));
                 }
                 _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
             }
@@ -685,8 +502,8 @@ mod x86 {
         }
         for (jj, o) in out.iter_mut().enumerate().skip(j) {
             let mut s = if accumulate { *o } else { 0.0f32 };
-            for p in 0..k {
-                s += a[p * stride + i0] * b[p * n + jj];
+            for (p, &ap) in a.iter().enumerate() {
+                s += ap * b[p * n + jj];
             }
             *o = s;
         }
@@ -759,7 +576,7 @@ mod tests {
             let mut via_dispatch = vec![f32::NAN; n];
             let mut via_scalar = vec![f32::NAN; n];
             mm1(&a, &b, n, &mut via_dispatch, false);
-            mm1t_scalar(&a, 1, 0, k, &b, n, &mut via_scalar, false);
+            mm1_scalar(&a, &b, n, &mut via_scalar, false);
             assert_eq!(via_dispatch, via_scalar, "k = {k}, n = {n}");
         }
     }
@@ -808,80 +625,6 @@ mod tests {
                 assert_eq!(o, &mm_reference(&rows[r], &b, k, n), "mm4 k = {k}, n = {n}, row {r}");
             }
             assert_eq!(single, out[0], "mm1 k = {k}, n = {n}");
-        }
-    }
-
-    fn mmt_reference(
-        a: &[f32],
-        stride: usize,
-        i0: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-    ) -> Vec<f32> {
-        // The naive per-element chain with the strided coefficient walk.
-        (0..n)
-            .map(|j| {
-                let mut s = 0.0f32;
-                for p in 0..k {
-                    s += a[p * stride + i0] * b[p * n + j];
-                }
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn mm1t_matches_reference_bitwise() {
-        for (k, stride, n) in
-            [(0, 4, 5), (1, 1, 1), (3, 6, 8), (7, 9, 16), (13, 13, 17), (64, 7, 40)]
-        {
-            let a = sample(k.max(1) * stride, 3);
-            let b = sample(k * n, 4);
-            for i0 in [0, stride - 1] {
-                let mut out = vec![f32::NAN; n];
-                mm1t(&a, stride, i0, k, &b, n, &mut out);
-                assert_eq!(
-                    out,
-                    mmt_reference(&a, stride, i0, k, &b, n),
-                    "k={k} stride={stride} i0={i0} n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mm4t_matches_four_mm1t_bitwise() {
-        for (k, stride, n) in
-            [(0, 4, 3), (2, 5, 8), (5, 8, 16), (9, 11, 24), (64, 6, 19), (100, 4, 48)]
-        {
-            let a = sample(k.max(1) * stride, 21);
-            let b = sample(k * n, 22);
-            let i0 = stride - 4;
-            let mut out =
-                [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
-            {
-                let [o0, o1, o2, o3] = &mut out;
-                mm4t(&a, stride, i0, k, &b, n, [o0, o1, o2, o3]);
-            }
-            for (r, o) in out.iter().enumerate() {
-                let mut want = vec![0.0f32; n];
-                mm1t(&a, stride, i0 + r, k, &b, n, &mut want);
-                assert_eq!(o, &want, "k={k} stride={stride} n={n} row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn mm1t_dispatch_and_scalar_agree_bitwise() {
-        for (k, stride, n) in [(3, 5, 7), (17, 4, 16), (64, 9, 31), (128, 8, 64)] {
-            let a = sample(k * stride, 31);
-            let b = sample(k * n, 32);
-            let mut via_dispatch = vec![f32::NAN; n];
-            let mut via_scalar = vec![f32::NAN; n];
-            mm1t(&a, stride, 2, k, &b, n, &mut via_dispatch);
-            mm1t_scalar(&a, stride, 2, k, &b, n, &mut via_scalar, false);
-            assert_eq!(via_dispatch, via_scalar, "k={k} stride={stride} n={n}");
         }
     }
 
@@ -986,15 +729,5 @@ mod tests {
     #[should_panic(expected = "max_rows row 2 out of bounds for 2 rows")]
     fn max_rows_rejects_a_row_past_the_source() {
         max_rows(&[0.0; 6], 3, Some(&[1, 2]), 0, 2, &mut [0.0; 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "column block out of range")]
-    fn mm4t_column_block_out_of_range_panics() {
-        let a = [0.0f32; 12];
-        let b = [0.0f32; 12];
-        let mut out = [vec![0.0f32; 4], vec![0.0f32; 4], vec![0.0f32; 4], vec![0.0f32; 4]];
-        let [o0, o1, o2, o3] = &mut out;
-        mm4t(&a, 3, 0, 3, &b, 4, [o0, o1, o2, o3]);
     }
 }

@@ -94,10 +94,15 @@ proptest! {
 
     #[test]
     fn f64_matmul_family_matches_the_sequential_oracle_bitwise(
-        m in 0usize..11, k in 0usize..25, n in 0usize..35, seed in 0u64..1000, zero_every in 0usize..4
+        m in 0usize..11, k in 0usize..25, n in 0usize..35, seed in 0u64..1000, zero_every in 0usize..4,
+        packed in 0usize..8
     ) {
         // m % 4 row tails, n % 16 / n % 8 column tails, k == 0 and n == 0
-        // empties, signed zeros in the coefficient operand.
+        // empties, signed zeros in the coefficient operand. One case in
+        // eight is a product `matmul_into` packs in f64 — at least 32 rows,
+        // a `B` past 32 KB, `k` past one 256-deep panel — which the
+        // transpose variants reach through their transposed operand.
+        let (m, k, n) = if packed == 0 { (36, 300, 20) } else { (m, k, n) };
         let a = noisy(m, k, seed, zero_every);
         let b = noisy(k, n, seed + 1, 0);
         prop_assert_eq!(bits(&ops::matmul(&a, &b)), bits(&oracle::matmul(&a, &b)));

@@ -54,15 +54,18 @@ fn row_mut_writes_land_at_the_right_stride() {
 
 #[test]
 fn transpose_swaps_shape_and_is_an_involution() {
-    let m = Matrix::from_fn(3, 5, |r, c| (r * 31 + c * 7) as f32);
-    let t = m.transposed();
-    assert_eq!(t.shape(), (5, 3));
-    for r in 0..3 {
-        for c in 0..5 {
-            assert_eq!(m[(r, c)], t[(c, r)]);
+    // Whole and partial 16 × 16 copy tiles, a single row, no rows.
+    for (rows, cols) in [(3, 5), (17, 33), (32, 16), (1, 21), (0, 5)] {
+        let m = Matrix::from_fn(rows, cols, |r, c| (r * 31 + c * 7) as f32);
+        let t = m.transposed();
+        assert_eq!(t.shape(), (cols, rows));
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(m[(r, c)], t[(c, r)]);
+            }
         }
+        assert_eq!(t.transposed(), m);
     }
-    assert_eq!(t.transposed(), m);
 }
 
 #[test]
