@@ -7,9 +7,8 @@
 //! one `#[ignore]`d child test, or the `repro` binary) instead of mutating
 //! this process' environment.
 
-use mesorasi_knn::SearchBackend;
 use mesorasi_networks::{NetworkKind, SessionBuilder};
-use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
+use mesorasi_tensor::Dtype;
 use std::process::Command;
 
 /// Child half of every test that sets variables: the two reads any
@@ -55,14 +54,6 @@ fn invalid_mesorasi_threads_fails_loudly_with_accepted_values() {
 }
 
 #[test]
-fn invalid_mesorasi_search_fails_loudly_with_accepted_values() {
-    // A typo and a deleted backend alike: unknown values.
-    for raw in ["octtree", "grid"] {
-        assert_rejected("MESORASI_SEARCH", raw, "auto|bruteforce|octree");
-    }
-}
-
-#[test]
 fn invalid_mesorasi_dtype_fails_loudly_with_accepted_values() {
     assert_rejected("MESORASI_DTYPE", "f16", "f32|f64");
 }
@@ -81,14 +72,11 @@ fn every_variable_accepts_blank_and_mixed_case() {
     // Blank means unset (CI can blank a job-level variable, not remove
     // it); keywords are trimmed and ASCII case-insensitive. An invalid
     // `MESORASI_DTYPE` is parsed last, so reaching *its* loud failure
-    // proves the two variables before it were accepted.
-    for (search, threads) in [("", ""), (" ", " "), (" OcTree ", " 2 "), ("AUTO", "1")] {
-        let (_, err) = session_build_with(&[
-            ("MESORASI_THREADS", threads),
-            ("MESORASI_SEARCH", search),
-            ("MESORASI_DTYPE", "f16"),
-        ]);
-        let case = format!("('{search}', '{threads}'): {err}");
+    // proves the variable before it was accepted.
+    for threads in ["", " ", " 2 ", "1"] {
+        let (_, err) =
+            session_build_with(&[("MESORASI_THREADS", threads), ("MESORASI_DTYPE", "f16")]);
+        let case = format!("'{threads}': {err}");
         assert!(err.contains("invalid MESORASI_DTYPE='f16'"), "{case}");
         assert_eq!(err.matches("invalid MESORASI_").count(), 1, "{case}");
     }
@@ -97,31 +85,20 @@ fn every_variable_accepts_blank_and_mixed_case() {
 /// Child half of [`explicit_builder_settings_beat_the_environment`]: only
 /// meaningful under the environment the parent sets.
 #[test]
-#[ignore = "run by explicit_builder_settings_beat_the_environment under a forced-octree environment"]
-fn child_search_backend_follows_the_builder_not_the_environment() {
-    let calls = |builder: SessionBuilder| {
-        let session = builder.classes(3).workers(1).build();
-        let n = session.network().input_points();
-        let _ = session.infer(&sample_shape(ShapeClass::Chair, n, 1));
-        let by_backend = session.arena_stats(n).expect("shape compiled").search.calls_by_backend;
-        [SearchBackend::Octree, SearchBackend::BruteForce].map(|b| by_backend[b as usize] > 0)
-    };
+#[ignore = "run by explicit_builder_settings_beat_the_environment under MESORASI_DTYPE=f64"]
+fn child_dtype_follows_the_builder_not_the_environment() {
     let kind = NetworkKind::PointNetPPClassification;
-    let ambient = calls(SessionBuilder::from_kind(kind));
-    assert_eq!(ambient, [true, false], "the environment forces the octree");
-    let explicit = calls(SessionBuilder::from_kind(kind).search_backend(SearchBackend::BruteForce));
-    assert_eq!(explicit, [false, true], "an explicit brute-force setting must win");
+    let ambient = SessionBuilder::from_kind(kind).classes(3).workers(1).build();
+    assert_eq!(ambient.dtype(), Dtype::F64, "the environment selects f64");
+    let explicit = SessionBuilder::from_kind(kind).classes(3).workers(1).dtype(Dtype::F32).build();
+    assert_eq!(explicit.dtype(), Dtype::F32, "an explicit f32 setting must win");
 }
 
 #[test]
 fn explicit_builder_settings_beat_the_environment() {
     let out = Command::new(std::env::current_exe().expect("test binary path"))
-        .args([
-            "--ignored",
-            "--exact",
-            "child_search_backend_follows_the_builder_not_the_environment",
-        ])
-        .env("MESORASI_SEARCH", "octree")
+        .args(["--ignored", "--exact", "child_dtype_follows_the_builder_not_the_environment"])
+        .env("MESORASI_DTYPE", "f64")
         .output()
         .expect("spawn self");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -130,14 +107,13 @@ fn explicit_builder_settings_beat_the_environment() {
 
 #[test]
 fn valid_overrides_still_accepted() {
-    // `0`/negative are rejected; a plain valid pair must boot far enough
+    // `0`/negative are rejected; a plain valid value must boot far enough
     // to start benching (we don't wait for completion — kill via timeout
     // is unavailable, so assert only on the loud-failure cases above and
     // on the cheap parse acceptance here).
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("--list")
         .env("MESORASI_THREADS", "2")
-        .env("MESORASI_SEARCH", "octree")
         .output()
         .expect("spawn repro");
     assert!(out.status.success(), "valid overrides must not fail: {:?}", out);

@@ -10,18 +10,15 @@
 //! the environment.
 
 use crate::sample_cache::DEFAULT_SAMPLE_CACHE_CAP;
-use mesorasi_knn::{planner, SearchPlanner};
 use mesorasi_tensor::Dtype;
 
 /// Everything configurable about a plan engine. None of it changes
-/// results within a dtype: search backends are exact and the cache only
-/// skips re-derivation. How a frame's searches split across the worker
-/// pool is not configured: `mesorasi_par::chunk_len`'s cost model decides.
+/// results within a dtype: the cache only skips re-derivation. Searches are
+/// not configured: every coordinate search runs on the octree, and how a
+/// frame's searches split across the worker pool is
+/// `mesorasi_par::chunk_len`'s cost model's call.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Chooses the backend of every coordinate search (default: the cost
-    /// model; `MESORASI_SEARCH`).
-    pub search: SearchPlanner,
     /// Per-plan NIT sample-cache capacity; 0 disables caching (default
     /// [`DEFAULT_SAMPLE_CACHE_CAP`]; no environment variable).
     pub sample_cache_cap: usize,
@@ -32,11 +29,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     /// The built-in defaults, ignoring the environment.
     fn default() -> EngineConfig {
-        EngineConfig {
-            search: SearchPlanner::auto(),
-            sample_cache_cap: DEFAULT_SAMPLE_CACHE_CAP,
-            dtype: Dtype::F32,
-        }
+        EngineConfig { sample_cache_cap: DEFAULT_SAMPLE_CACHE_CAP, dtype: Dtype::F32 }
     }
 }
 
@@ -46,12 +39,11 @@ impl EngineConfig {
     ///
     /// | variable | accepted values |
     /// |---|---|
-    /// | `MESORASI_SEARCH` | `auto` \| `bruteforce` \| `octree` |
     /// | `MESORASI_DTYPE` | `f32` \| `f64` |
     ///
-    /// One grammar for both: values are trimmed, keywords are ASCII
-    /// case-insensitive, and an unset or blank variable keeps the default
-    /// (CI can blank a job-level variable but not remove it).
+    /// Values are trimmed, keywords are ASCII case-insensitive, and an unset
+    /// or blank variable keeps the default (CI can blank a job-level
+    /// variable but not remove it) — the grammar `MESORASI_THREADS` shares.
     ///
     /// # Panics
     ///
@@ -61,11 +53,6 @@ impl EngineConfig {
     /// errors must fail loudly, not skew experiments.
     pub fn from_env() -> EngineConfig {
         let mut config = EngineConfig::default();
-        if let Some(search) = env_var("MESORASI_SEARCH", "auto|bruteforce|octree", |s| {
-            planner::parse_override(s).ok()
-        }) {
-            config.search = search.map_or(SearchPlanner::auto(), SearchPlanner::forced);
-        }
         if let Some(dtype) = env_var("MESORASI_DTYPE", "f32|f64", |s| s.parse().ok()) {
             config.dtype = dtype;
         }

@@ -388,8 +388,8 @@ struct Compiled {
     arena: Arena<f32>,
     /// NIT cache: hash-keyed, true-LRU bindings per seen sample.
     samples: SampleCache,
-    /// The search arena: planner + per-space reusable index storage, keyed
-    /// by module-state id so streaming frames rebuild indices in place.
+    /// The search arena: per-space reusable index storage, keyed by
+    /// module-state id so streaming frames rebuild indices in place.
     search: SearchContext,
     /// Reusable NIT buffer the searches write into before binding fill.
     nit: NeighborIndexTable,
@@ -749,7 +749,7 @@ impl PlanEngine {
             step_live,
             arena,
             samples: SampleCache::new(self.config.sample_cache_cap),
-            search: SearchContext::with_planner(self.config.search),
+            search: SearchContext::new(),
             nit: NeighborIndexTable::default(),
             centroids: Vec::new(),
             shuffle: Vec::new(),

@@ -8,7 +8,6 @@
 //! [`ModuleTrace`] with the real NIT so the hardware simulator can replay
 //! exactly what happened.
 
-use crate::config::EngineConfig;
 use crate::engine::{rec, StateSource};
 use crate::executor;
 use crate::module::{Module, NeighborMode};
@@ -132,19 +131,15 @@ thread_local! {
     /// The tape path's search context: persistent per thread so consecutive
     /// modules (and consecutive forwards) searching the same cloud share
     /// one built index. Keyed by cloud content hash, verified bit-exactly,
-    /// so sharing can never change a result. The backend follows the
-    /// environment as of the thread's first tape search.
-    static TAPE_SEARCH: RefCell<SearchContext> =
-        RefCell::new(SearchContext::with_planner(EngineConfig::from_env().search));
+    /// so sharing can never change a result.
+    static TAPE_SEARCH: RefCell<SearchContext> = RefCell::new(SearchContext::new());
 }
 
 /// Runs the neighbor search of one module: the single search
 /// implementation behind both the tape-based runner and the inference
 /// engine's per-sample replay (both must produce the identical NIT).
-/// The backend — exhaustive scan or octree — is chosen by the
-/// [`mesorasi_knn::SearchPlanner`] cost model (override with
-/// `MESORASI_SEARCH`, see [`EngineConfig::from_env`]); both are exact with
-/// identical tie-breaking, so the choice never changes the NIT.
+/// Coordinate searches run on the octree, feature-space searches on the
+/// dense row scan; both are exact with `(distance, index)` tie-breaking.
 ///
 /// `features` is required exactly for [`NeighborMode::FeatureKnn`].
 ///
@@ -317,7 +312,7 @@ pub fn fp_stencils_into(
 /// [`run_feature_propagation`] and the inference engine's per-sample
 /// replay (both must produce bit-identical index/weight vectors). Each fine
 /// point's 3 nearest coarse points come from the context's point-query
-/// kNN on the planned backend — exact under `(distance, index)` ordering,
+/// kNN on the octree — exact under `(distance, index)` ordering,
 /// so unique — and get weights `1 / (d² + 1e-8)`, normalised to sum 1.
 /// `space` identifies the coarse cloud for index sharing, as in
 /// [`search_nit_into`]. Warm buffers of the same shape are refilled
@@ -707,10 +702,9 @@ mod tests {
         fine.select(&picks)
     }
 
-    /// Indices and weight bits of the tape path and of both backends
-    /// forced through a context, against the full-sort reference.
+    /// Indices and weight bits of the tape path and of a fresh context,
+    /// against the full-sort reference.
     fn stencils_match_the_reference(n_fine: usize, n_coarse: usize) {
-        use mesorasi_knn::{SearchBackend, SearchPlanner};
         let fine = sample_shape(ShapeClass::Chair, n_fine, 2);
         let coarse = coarse_with_duplicates(&fine, n_coarse);
         let (want_idx, want_w) = reference_stencils(&coarse, &fine);
@@ -719,13 +713,11 @@ mod tests {
         fp_stencils_into(&coarse, &fine, &mut idx, &mut w);
         assert_eq!(idx, want_idx, "tape indices at {n_fine} x {n_coarse}");
         assert_eq!(bits(&w), bits(&want_w), "tape weights at {n_fine} x {n_coarse}");
-        for backend in SearchBackend::ALL {
-            let mut ctx = SearchContext::with_planner(SearchPlanner::forced(backend));
-            search_stencils_into(&mut ctx, 0, &coarse, &fine, &mut idx, &mut w);
-            assert_eq!(idx, want_idx, "{backend:?} indices at {n_fine} x {n_coarse}");
-            assert_eq!(bits(&w), bits(&want_w), "{backend:?} weights at {n_fine} x {n_coarse}");
-            assert_eq!(ctx.counters().queries, n_fine as u64, "the stencil is metered");
-        }
+        let mut ctx = SearchContext::new();
+        search_stencils_into(&mut ctx, 0, &coarse, &fine, &mut idx, &mut w);
+        assert_eq!(idx, want_idx, "context indices at {n_fine} x {n_coarse}");
+        assert_eq!(bits(&w), bits(&want_w), "context weights at {n_fine} x {n_coarse}");
+        assert_eq!(ctx.counters().queries, n_fine as u64, "the stencil is metered");
     }
 
     #[test]

@@ -10,24 +10,22 @@
 //! two implementations — the exhaustive scan [`BruteForceIndex`] (nothing to
 //! build; the oracle) and the [`MortonOctree`] (the one spatial index) — are
 //! **exact** with identical `(distance, index)` tie-breaking, so they are
-//! interchangeable bit-for-bit and the [`crate::planner::SearchPlanner`]
-//! picks purely on predicted cost.
+//! interchangeable bit-for-bit and the scan is the octree's oracle.
 //!
-//! [`SearchContext`] adds the arena discipline on top: a small pool of
-//! slots keyed by search space, each holding one built octree plus a
-//! verification copy of its cloud. Within a forward pass, every module
-//! searching the same `(cloud, space)` — kNN or ball, at any radius, member
-//! centroids or feature propagation's free query points — shares one
-//! index; across a frame sequence, slots are rebuilt *in place*
-//! (capacity reused, contents replaced), so a warm stream performs zero
-//! heap allocations in the search phase. The context also meters its
+//! [`SearchContext`] answers every coordinate search on the octree and adds
+//! the arena discipline: a small pool of slots keyed by search space, each
+//! holding one built octree plus a verification copy of its cloud. Within a
+//! forward pass, every module searching the same `(cloud, space)` — kNN or
+//! ball, at any radius, member centroids or feature propagation's free query
+//! points — shares one index; across a frame sequence, slots are rebuilt *in
+//! place* (capacity reused, contents replaced), so a warm stream performs
+//! zero heap allocations in the search phase. The context also meters its
 //! traffic ([`SearchCounters`]): index-build vs query time and real
 //! distance-evaluation counts.
 
 use crate::bruteforce::{push_bounded, Candidate};
 use crate::feature::{self, FeatureScratch, FeatureView};
 use crate::octree::MortonOctree;
-use crate::planner::{SearchBackend, SearchLoad, SearchPlanner};
 use crate::stats::SearchCounters;
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{Point3, PointCloud};
@@ -35,13 +33,12 @@ use std::time::Instant;
 
 /// A neighbor-search index with an explicit build/query split.
 ///
-/// Implementations must be exact and deterministic: for any cloud and
-/// query batch, `knn_into` and `ball_into` produce tables bit-identical to
-/// the two oracles, [`crate::bruteforce::knn_indices`] and
-/// [`crate::ball::ball_query`] (both the exhaustive scan) — the
-/// correctness bar that lets the planner switch backends freely. Queries
-/// take `&mut self` so indices can own reusable scratch; they never change
-/// query results. Both query methods return the number of pairwise
+/// Implementations must be exact and deterministic: for any cloud and query
+/// batch, `knn_into` and `ball_into` produce tables bit-identical to the two
+/// oracles, [`crate::bruteforce::knn_indices`] and [`crate::ball::ball_query`]
+/// (both the exhaustive scan) — the correctness bar the octree is held to.
+/// Queries take `&mut self` so indices can own reusable scratch; they never
+/// change query results. Both query methods return the number of pairwise
 /// distance evaluations performed (the traffic counters' currency).
 pub trait SearchIndex: Send + std::fmt::Debug {
     /// Builds a fresh index over `cloud`.
@@ -103,8 +100,7 @@ pub trait SearchIndex: Send + std::fmt::Debug {
 
 /// The index-free backend: exhaustive scans, the reference the octree is
 /// tested against and the algorithm whose cost the GPU model charges.
-/// `build_into` is a no-op (there is nothing to build), which is exactly
-/// why the planner picks it for small workloads.
+/// `build_into` is a no-op (there is nothing to build).
 #[derive(Debug, Default)]
 pub struct BruteForceIndex {
     scratch: Vec<Candidate>,
@@ -270,7 +266,12 @@ pub(crate) fn batch_chunks_into<Q: Sync, S: Send>(
 /// scans plus backtracking, 16 units a level — used only to gate
 /// batch-query parallelism ([`mesorasi_par::chunk_len`]).
 pub(crate) fn per_query_cost(size: usize, k: usize) -> usize {
-    16 * crate::planner::depth(size) as usize * (k + 8)
+    16 * depth(size) * (k + 8)
+}
+
+/// `⌈log₂ n⌉`-ish tree depth used by [`per_query_cost`].
+fn depth(n: usize) -> usize {
+    (usize::BITS - n.max(2).leading_zeros()) as usize
 }
 
 /// One cached index: the key it answers for, a verification copy of the
@@ -295,40 +296,47 @@ struct Slot {
 /// indexes four).
 const MAX_SLOTS: usize = 16;
 
-/// A planning search front-end with reusable per-space index storage.
+/// The search front-end, with reusable per-space index storage.
 ///
 /// Callers address searches by a `space` id of their choosing; the context
-/// plans a backend, (re)builds the index for that space only when the
-/// cloud's content changed, and answers into a caller-owned table. See the
-/// module docs for the sharing and reuse discipline.
-#[derive(Debug)]
+/// (re)builds the octree for that space only when the cloud's content
+/// changed, and answers into a caller-owned table. See the module docs for
+/// the sharing and reuse discipline.
+#[derive(Debug, Default)]
 pub struct SearchContext {
-    planner: SearchPlanner,
     counters: SearchCounters,
-    /// The stateless exhaustive scan lives outside the slot pool — it has
-    /// nothing worth caching or verifying.
-    brute: BruteForceIndex,
     /// Row panel and sequential-path tile scratch of the feature-space scan.
     feature_scratch: FeatureScratch,
     slots: Vec<Slot>,
     clock: u64,
 }
 
+/// Stand-in for the deleted backend planner, kept only so
+/// `benchmark/src/replay.rs` compiles until it drops the name.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct SearchPlanner;
+
+impl SearchPlanner {
+    #[doc(hidden)]
+    pub fn auto() -> SearchPlanner {
+        SearchPlanner
+    }
+}
+
 impl SearchContext {
-    /// A context choosing backends with `planner`. Never consults the
-    /// environment.
-    pub fn with_planner(planner: SearchPlanner) -> SearchContext {
-        SearchContext {
-            planner,
-            counters: SearchCounters::default(),
-            brute: BruteForceIndex::default(),
-            feature_scratch: FeatureScratch::default(),
-            slots: Vec::with_capacity(MAX_SLOTS),
-            clock: 0,
-        }
+    /// An empty context. Never consults the environment.
+    pub fn new() -> SearchContext {
+        SearchContext { slots: Vec::with_capacity(MAX_SLOTS), ..SearchContext::default() }
     }
 
-    // A no-op, kept only so `benchmark/src/replay.rs` compiles until it drops the call.
+    // The shims below are kept only so `benchmark/src/replay.rs` compiles
+    // until it drops the calls.
+    #[doc(hidden)]
+    pub fn with_planner(_: SearchPlanner) -> SearchContext {
+        SearchContext::new()
+    }
+
     #[doc(hidden)]
     pub fn set_tile_budget(&mut self, _: Option<usize>) {}
 
@@ -345,13 +353,12 @@ impl SearchContext {
     /// [`crate::feature`].
     pub fn storage_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.index.storage_bytes() + s.cloud.storage_bytes()).sum::<usize>()
-            + self.brute.storage_bytes()
             + self.feature_scratch.storage_bytes()
     }
 
-    /// Exact kNN for `queries` against `cloud`, on the planned backend,
-    /// written into `out`. `space` identifies the search space for index
-    /// sharing (same space + unchanged cloud ⇒ no rebuild).
+    /// Exact kNN for `queries` against `cloud`, written into `out`. `space`
+    /// identifies the search space for index sharing (same space +
+    /// unchanged cloud ⇒ no rebuild).
     pub fn knn_into(
         &mut self,
         space: u64,
@@ -360,15 +367,11 @@ impl SearchContext {
         k: usize,
         out: &mut NeighborIndexTable,
     ) {
-        let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
-        let backend = self.planner.plan_knn(&load);
-        self.answer(space, backend, cloud, queries.len(), |index| {
-            index.knn_into(cloud, queries, k, out)
-        });
+        self.answer(space, cloud, queries.len(), |index| index.knn_into(cloud, queries, k, out));
     }
 
-    /// Padded radius query for `queries` against `cloud`, on the planned
-    /// backend, written into `out`.
+    /// Padded radius query for `queries` against `cloud`, written into
+    /// `out`.
     pub fn ball_into(
         &mut self,
         space: u64,
@@ -378,18 +381,16 @@ impl SearchContext {
         k: usize,
         out: &mut NeighborIndexTable,
     ) {
-        let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
-        let backend = self.planner.plan_ball(&load);
-        self.answer(space, backend, cloud, queries.len(), |index| {
+        self.answer(space, cloud, queries.len(), |index| {
             index.ball_into(cloud, queries, radius, k, out)
         });
     }
 
-    /// Exact kNN for query points that need not belong to `cloud`, on the
-    /// planned backend, written row-major into `out` (`queries.len() × k`
-    /// indices) — feature propagation's interpolation stencil. `space` is
-    /// shared with the member-query searches of the same cloud, so a coarse
-    /// level a set-abstraction module already indexed is not rebuilt.
+    /// Exact kNN for query points that need not belong to `cloud`, written
+    /// row-major into `out` (`queries.len() × k` indices) — feature
+    /// propagation's interpolation stencil. `space` is shared with the
+    /// member-query searches of the same cloud, so a coarse level a
+    /// set-abstraction module already indexed is not rebuilt.
     pub fn knn_points_into(
         &mut self,
         space: u64,
@@ -398,33 +399,30 @@ impl SearchContext {
         k: usize,
         out: &mut [usize],
     ) {
-        let load = SearchLoad { n: cloud.len(), queries: queries.len(), k };
-        let backend = self.planner.plan_knn(&load);
-        self.answer(space, backend, cloud, queries.len(), |index| {
+        self.answer(space, cloud, queries.len(), |index| {
             index.knn_points_into(cloud, queries, k, out)
         });
     }
 
-    /// The one dispatch site: finds or builds `backend`'s index for
+    /// The one dispatch site: finds or builds the octree for
     /// `(space, cloud)`, then times and meters `query` against it.
     fn answer(
         &mut self,
         space: u64,
-        backend: SearchBackend,
         cloud: &PointCloud,
         queries: usize,
-        query: impl FnOnce(&mut dyn SearchIndex) -> u64,
+        query: impl FnOnce(&mut MortonOctree) -> u64,
     ) {
-        let index = self.ensure_index(space, backend, cloud);
+        let index = self.ensure_index(space, cloud);
         let start = Instant::now();
         let evals = query(index);
-        self.note_query(backend, queries, evals, start);
+        self.note_query(queries, evals, start);
     }
 
     /// Feature-space kNN over a borrowed row matrix, written into `out`.
     /// Always the dense row scan (DGCNN's dynamic-graph search: spatial
-    /// structures degenerate at feature dimensionality), metered as
-    /// [`SearchBackend::BruteForce`].
+    /// structures degenerate at feature dimensionality), metered as a query
+    /// call with no index build behind it.
     pub fn feature_knn_into(
         &mut self,
         view: FeatureView<'_>,
@@ -434,30 +432,20 @@ impl SearchContext {
     ) {
         let start = Instant::now();
         let evals = feature::knn_rows_into(view, queries, k, out, &mut self.feature_scratch);
-        self.note_query(SearchBackend::BruteForce, queries.len(), evals, start);
+        self.note_query(queries.len(), evals, start);
     }
 
-    fn note_query(&mut self, backend: SearchBackend, queries: usize, evals: u64, start: Instant) {
+    fn note_query(&mut self, queries: usize, evals: u64, start: Instant) {
         self.counters.query_calls += 1;
-        self.counters.calls_by_backend[backend as usize] += 1;
         self.counters.queries += queries as u64;
         self.counters.query_ns += start.elapsed().as_nanos() as u64;
         self.counters.distance_evals += evals;
     }
 
-    /// The index answering `backend` queries over `cloud`: the shared
-    /// exhaustive scan, or the octree of the slot keyed `space`, found or
-    /// (re)built. Rebuilds happen in place — verification cloud and index
-    /// storage reuse their capacity.
-    fn ensure_index(
-        &mut self,
-        space: u64,
-        backend: SearchBackend,
-        cloud: &PointCloud,
-    ) -> &mut dyn SearchIndex {
-        if backend == SearchBackend::BruteForce {
-            return &mut self.brute;
-        }
+    /// The octree answering queries over `cloud`: the one of the slot keyed
+    /// `space`, found or (re)built. Rebuilds happen in place — verification
+    /// cloud and index storage reuse their capacity.
+    fn ensure_index(&mut self, space: u64, cloud: &PointCloud) -> &mut MortonOctree {
         self.clock += 1;
         let si = match self.slots.iter().position(|s| s.space == space) {
             Some(si) => si,
@@ -513,12 +501,14 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Chair, 150, 1);
         let q = queries(150);
         let want = bruteforce::knn_indices(&cloud, &q, 7);
-        let backends: [Box<dyn SearchIndex>; 2] =
-            [Box::new(BruteForceIndex::build(&cloud)), Box::new(MortonOctree::build(&cloud))];
-        for (kind, mut b) in SearchBackend::ALL.into_iter().zip(backends) {
+        let backends: [(&str, Box<dyn SearchIndex>); 2] = [
+            ("bruteforce", Box::new(BruteForceIndex::build(&cloud))),
+            ("octree", Box::new(MortonOctree::build(&cloud))),
+        ];
+        for (kind, mut b) in backends {
             let mut got = NeighborIndexTable::default();
             b.knn_into(&cloud, &q, 7, &mut got);
-            assert_eq!(got, want, "backend {kind:?}");
+            assert_eq!(got, want, "backend {kind}");
         }
     }
 
@@ -526,8 +516,7 @@ mod tests {
     fn context_answers_match_reference_and_share_indices() {
         let cloud = sample_shape(ShapeClass::Lamp, 400, 2);
         let q = queries(400);
-        // Forced octree, so that sharing one build is observable.
-        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::Octree));
+        let mut ctx = SearchContext::new();
         let mut out = NeighborIndexTable::default();
 
         ctx.knn_into(1, &cloud, &q, 9, &mut out);
@@ -550,7 +539,7 @@ mod tests {
         let a = sample_shape(ShapeClass::Chair, 300, 3);
         let b = sample_shape(ShapeClass::Sphere, 300, 4);
         let q = queries(300);
-        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::Octree));
+        let mut ctx = SearchContext::new();
         let mut out = NeighborIndexTable::default();
         ctx.knn_into(7, &a, &q, 5, &mut out);
         let builds = ctx.counters().index_builds;
@@ -567,25 +556,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_planner_choices_stay_bit_identical() {
-        let cloud = sample_shape(ShapeClass::Guitar, 350, 5);
-        let q = queries(350);
-        let reference = bruteforce::knn_indices(&cloud, &q, 11);
-        let ball_ref = ball::ball_query(&cloud, &q, 0.3, 6);
-        for backend in SearchBackend::ALL {
-            let mut ctx = SearchContext::with_planner(SearchPlanner::forced(backend));
-            let mut out = NeighborIndexTable::default();
-            ctx.knn_into(0, &cloud, &q, 11, &mut out);
-            assert_eq!(out, reference, "forced {backend:?} drifted on kNN");
-            ctx.ball_into(0, &cloud, &q, 0.3, 6, &mut out);
-            assert_eq!(out, ball_ref, "forced {backend:?} drifted on ball");
-        }
-    }
-
-    #[test]
     fn slot_pool_evicts_lru_without_unbounded_growth() {
         let q: Vec<usize> = (0..64).collect();
-        let mut ctx = SearchContext::with_planner(SearchPlanner::forced(SearchBackend::Octree));
+        let mut ctx = SearchContext::new();
         let mut out = NeighborIndexTable::default();
         for space in 0..(MAX_SLOTS as u64 + 9) {
             let cloud = sample_shape(ShapeClass::Cube, 64, space + 1);
@@ -608,16 +581,14 @@ mod tests {
             let chunk =
                 mesorasi_par::with_threads(threads, || mesorasi_par::chunk_len(500, octree_cost));
             assert_eq!(chunk < 500, threads > 1, "{threads} threads must split the batch");
-            for backend in SearchBackend::ALL {
-                let mut ctx = SearchContext::with_planner(SearchPlanner::forced(backend));
-                let mut out = NeighborIndexTable::default();
-                mesorasi_par::with_threads(threads, || {
-                    ctx.knn_into(3, &cloud, &q, 9, &mut out);
-                    assert_eq!(out, want_knn, "{backend:?} knn at {threads} threads");
-                    ctx.ball_into(3, &cloud, &q, 0.3, 8, &mut out);
-                    assert_eq!(out, want_ball, "{backend:?} ball at {threads} threads");
-                });
-            }
+            let mut ctx = SearchContext::new();
+            let mut out = NeighborIndexTable::default();
+            mesorasi_par::with_threads(threads, || {
+                ctx.knn_into(3, &cloud, &q, 9, &mut out);
+                assert_eq!(out, want_knn, "knn at {threads} threads");
+                ctx.ball_into(3, &cloud, &q, 0.3, 8, &mut out);
+                assert_eq!(out, want_ball, "ball at {threads} threads");
+            });
         }
     }
 
@@ -646,12 +617,12 @@ mod tests {
         let view = FeatureView::new(&data, 8).unwrap();
         let q: Vec<usize> = (0..64).step_by(5).collect();
         let want = feature::knn_rows(view, &q, 6);
-        let mut ctx = SearchContext::with_planner(SearchPlanner::auto());
+        let mut ctx = SearchContext::new();
         let mut out = NeighborIndexTable::default();
         let cold = ctx.storage_bytes();
         ctx.feature_knn_into(view, &q, 6, &mut out);
         assert_eq!(out, want);
-        assert_eq!(ctx.counters().calls_by_backend, [1, 0]);
+        assert_eq!((ctx.counters().query_calls, ctx.counters().index_builds), (1, 0));
         // The scan's row panel (64 rows = 4 blocks × 16 lanes × 8 dims of
         // f32) is retained by the context and reported, then reused.
         let warm = ctx.storage_bytes();

@@ -20,14 +20,12 @@
 //! * [`index`] — the [`SearchIndex`] trait over both backends (explicit
 //!   build/query split, out-parameter queries), the batch driver they
 //!   share, and the [`SearchContext`] that owns reusable per-space index
-//!   storage,
-//! * [`planner`] — the cost-model [`SearchPlanner`] choosing scan or octree
-//!   per workload shape (overridable with [`SearchPlanner::forced`]),
+//!   storage, through which every coordinate search reaches the octree,
 //! * [`stats`] — neighborhood-membership statistics (reproduces Fig. 6)
 //!   and the [`stats::SearchCounters`] traffic meters.
 //!
-//! Both backends are exact with identical `(distance, index)` tie-breaking,
-//! so the planner's choice changes *where time goes*, never the results.
+//! Both backends are exact with identical `(distance, index)` tie-breaking:
+//! the scan is the oracle every octree table is held to, bit for bit.
 //!
 //! # Example
 //!
@@ -54,13 +52,13 @@ pub mod feature;
 pub mod index;
 pub mod nit;
 pub mod octree;
-pub mod planner;
 pub mod stats;
 
+#[doc(hidden)]
+pub use index::SearchPlanner;
 pub use index::{SearchContext, SearchIndex};
 pub use nit::NeighborIndexTable;
 pub use octree::MortonOctree;
-pub use planner::{SearchBackend, SearchPlanner};
 
 /// Per-worker candidate scratch for parallel batch queries. Keyed by
 /// `mesorasi_par` worker slot, so a warm pool serves every chunk body

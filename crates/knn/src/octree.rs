@@ -1,10 +1,9 @@
 //! A hierarchical Morton-bucket octree: the one spatial index.
 //!
-//! Every coordinate search the exhaustive scan does not answer runs here,
-//! from PointNet++'s 1024-point modules to million-point scenes: points are
-//! sorted along the Morton curve ([`mesorasi_pointcloud::morton`]), leaves
-//! own contiguous runs of that order, and every node carries the AABB of
-//! its run. Because a node's Morton range is a contiguous index range,
+//! Every coordinate search runs here, from PointNet++'s 1024-point modules
+//! to million-point scenes: points are sorted along the Morton curve
+//! ([`mesorasi_pointcloud::morton`]), leaves own contiguous runs of that
+//! order, and every node carries the AABB of its run. Because a node's Morton range is a contiguous index range,
 //! the whole tree is three flat vectors plus one permutation — rebuildable
 //! in place, cache-friendly to descend, and with leaf payloads that are
 //! literally slices of the sorted cloud.
@@ -19,9 +18,9 @@
 //! `k`-th distance; a query sorts at most a few `k` survivors, however many
 //! points its ball holds. Ties break by `(distance, index)` as in the scan
 //! (shared `push_bounded`/`sort_candidates`/`pad_slot`, and `<=` at every
-//! bound), so the octree meets the bit-identity bar: the planner can cross
-//! over to it without changing a single result. Queries batch in parallel
-//! through the shared `batch_into` driver.
+//! bound), so the octree meets the bit-identity bar: its tables equal the
+//! scan's oracle tables, bit for bit. Queries batch in parallel through
+//! the shared `batch_into` driver.
 
 use crate::bruteforce::{by_key, push_bounded, Candidate};
 use crate::index::{batch_into, per_query_cost, sort_candidates, table_slots};

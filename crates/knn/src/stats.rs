@@ -12,32 +12,27 @@ use crate::NeighborIndexTable;
 
 /// Search-traffic counters accumulated by a [`crate::index::SearchContext`]:
 /// how much index-build vs query work real inference traffic performs, and
-/// how many pairwise distance evaluations the chosen backends actually ran
+/// how many pairwise distance evaluations the searches actually ran
 /// (the quantity the GPU cost model charges, here measured instead of
 /// assumed). Plain fields, no global state — each context owns its own
 /// counters, and the bench harness reads them off the serving session, so
 /// Fig. 6-style overlap analysis can run against production-shaped traffic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchCounters {
-    /// Index structures (re)built — octrees; the exhaustive scan has
-    /// nothing to build.
+    /// Octrees (re)built; feature-space scans have nothing to build.
     pub index_builds: u64,
     /// Wall time spent building indices, in nanoseconds.
     pub index_build_ns: u64,
     /// Batched query calls answered (one per module search or
-    /// interpolation stencil).
+    /// interpolation stencil): coordinate searches on the octree and
+    /// feature-space row scans alike.
     pub query_calls: u64,
-    /// `query_calls` split by the backend that answered, indexed by
-    /// `SearchBackend as usize` (the order of [`crate::SearchBackend::ALL`]) —
-    /// which backends the planner actually routed traffic to.
-    /// Feature-space scans count as [`crate::SearchBackend::BruteForce`].
-    pub calls_by_backend: [u64; 2],
     /// Individual queries answered across all calls — centroids, and the
     /// fine points of interpolation stencils.
     pub queries: u64,
     /// Wall time spent answering queries, in nanoseconds.
     pub query_ns: u64,
-    /// Pairwise distance evaluations performed by the backends.
+    /// Pairwise distance evaluations performed by the searches.
     pub distance_evals: u64,
 }
 
@@ -47,9 +42,6 @@ impl SearchCounters {
         self.index_builds += other.index_builds;
         self.index_build_ns += other.index_build_ns;
         self.query_calls += other.query_calls;
-        for (mine, theirs) in self.calls_by_backend.iter_mut().zip(other.calls_by_backend) {
-            *mine += theirs;
-        }
         self.queries += other.queries;
         self.query_ns += other.query_ns;
         self.distance_evals += other.distance_evals;
@@ -63,9 +55,6 @@ impl SearchCounters {
             index_builds: self.index_builds.saturating_sub(baseline.index_builds),
             index_build_ns: self.index_build_ns.saturating_sub(baseline.index_build_ns),
             query_calls: self.query_calls.saturating_sub(baseline.query_calls),
-            calls_by_backend: std::array::from_fn(|i| {
-                self.calls_by_backend[i].saturating_sub(baseline.calls_by_backend[i])
-            }),
             queries: self.queries.saturating_sub(baseline.queries),
             query_ns: self.query_ns.saturating_sub(baseline.query_ns),
             distance_evals: self.distance_evals.saturating_sub(baseline.distance_evals),

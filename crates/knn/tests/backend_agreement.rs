@@ -6,26 +6,24 @@
 //! both backends), a single point, a zero-extent cloud, radius 0 and ∞.
 //!
 //! The second half drives the *pluggable* subsystem: both backends behind
-//! the [`SearchIndex`] trait-object path, and every choice the
-//! [`SearchPlanner`] can make through a [`SearchContext`], must produce
-//! NITs bit-identical to the scan for both kNN and padded radius queries.
+//! the [`SearchIndex`] trait-object path, and the octree through a
+//! [`SearchContext`], must produce NITs bit-identical to the scan for both
+//! kNN and padded radius queries.
 //!
 //! A third part holds the octree's bounded ball selection to the
 //! collect-and-sort oracle where keeping only `k` could go wrong: ties
 //! straddling the `k`-th slot, unbounded and zero radii, padding, and the
 //! scene-scale shape (release only). The fourth holds the octree to the
 //! scan at the cloud sizes it exists for (2^15 here, 2^20 `#[ignore]`d for
-//! the `octree-forced` CI job's release step), and the last pins the
+//! the `threads-2` CI job's release step), and the last pins the
 //! two-pass feature-space scan to the one-pair-at-a-time scan it replaced,
 //! table for table.
 
 use mesorasi_knn::bruteforce::{push_bounded, Candidate};
 use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
 use mesorasi_knn::index::BruteForceIndex;
-use mesorasi_knn::planner::SearchLoad;
 use mesorasi_knn::{
-    ball, bruteforce, MortonOctree, NeighborIndexTable, SearchBackend, SearchContext, SearchIndex,
-    SearchPlanner,
+    ball, bruteforce, MortonOctree, NeighborIndexTable, SearchContext, SearchIndex,
 };
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{Point3, PointCloud};
@@ -262,15 +260,15 @@ fn scene_scale_octree_ball_matches_the_collect_and_sort_oracle() {
 }
 
 // ---------------------------------------------------------------------
-// The pluggable subsystem: trait objects, the planner, and the context.
+// The pluggable subsystem: trait objects and the context.
 // ---------------------------------------------------------------------
 
-/// Both backends behind `Box<dyn SearchIndex>`, in `SearchBackend::ALL`
-/// order; each answers kNN and ball queries at any radius.
-fn backends(cloud: &PointCloud) -> [(SearchBackend, Box<dyn SearchIndex>); 2] {
+/// Both backends behind `Box<dyn SearchIndex>`, by name; each answers kNN
+/// and ball queries at any radius.
+fn backends(cloud: &PointCloud) -> [(&'static str, Box<dyn SearchIndex>); 2] {
     [
-        (SearchBackend::BruteForce, Box::new(BruteForceIndex::build(cloud))),
-        (SearchBackend::Octree, Box::new(MortonOctree::build(cloud))),
+        ("bruteforce", Box::new(BruteForceIndex::build(cloud))),
+        ("octree", Box::new(MortonOctree::build(cloud))),
     ]
 }
 
@@ -285,8 +283,8 @@ fn trait_object_knn_matches_bruteforce_with_ties_and_extremes() {
             for (kind, backend) in &mut backends(cloud) {
                 let mut got = NeighborIndexTable::default();
                 let evals = backend.knn_into(cloud, &queries, k, &mut got);
-                assert_eq!(got, want, "{kind:?} kNN drifted at k {k}, n {n}");
-                assert!(evals > 0, "{kind:?} must meter distance work");
+                assert_eq!(got, want, "{kind} kNN drifted at k {k}, n {n}");
+                assert!(evals > 0, "{kind} must meter distance work");
             }
         }
     }
@@ -307,7 +305,7 @@ fn trait_object_ball_matches_reference_with_padding_and_ties() {
         for (kind, backend) in &mut backends(&cloud) {
             let mut got = NeighborIndexTable::default();
             backend.ball_into(&cloud, &queries, radius, k, &mut got);
-            assert_eq!(got, want, "{kind:?} ball drifted (r {radius}, k {k})");
+            assert_eq!(got, want, "{kind} ball drifted (r {radius}, k {k})");
         }
     }
 }
@@ -321,7 +319,7 @@ fn trait_object_rebuild_over_new_frame_answers_for_the_new_cloud() {
         backend.build_into(&b);
         let mut got = NeighborIndexTable::default();
         backend.knn_into(&b, &queries, 6, &mut got);
-        assert_eq!(got, bruteforce::knn_indices(&b, &queries, 6), "{kind:?}");
+        assert_eq!(got, bruteforce::knn_indices(&b, &queries, 6), "{kind}");
     }
 }
 
@@ -340,7 +338,7 @@ fn coincident_cloud_zero_extent_agrees_with_all_backends() {
         for (kind, backend) in &mut backends(&cloud) {
             let mut got = NeighborIndexTable::default();
             backend.ball_into(&cloud, &queries, 0.4, k, &mut got);
-            assert_eq!(got, want, "{kind:?} on coincident cloud, k {k}");
+            assert_eq!(got, want, "{kind} on coincident cloud, k {k}");
         }
     }
 }
@@ -383,8 +381,8 @@ fn point_queries_match_member_queries_and_the_scan() {
         for (kind, backend) in &mut backends(&coarse) {
             let mut rows = vec![usize::MAX; n * k];
             let evals = backend.knn_points_into(&coarse, &member_points, k, &mut rows);
-            assert_eq!(rows, want.neighbors_flat(), "{kind:?} member points, k {k}");
-            assert!(evals > 0, "{kind:?} must meter distance work");
+            assert_eq!(rows, want.neighbors_flat(), "{kind} member points, k {k}");
+            assert!(evals > 0, "{kind} must meter distance work");
             let mut rows = vec![usize::MAX; fine.len() * k];
             backend.knn_points_into(&coarse, fine.points(), k, &mut rows);
             off_cloud.push(rows);
@@ -393,49 +391,31 @@ fn point_queries_match_member_queries_and_the_scan() {
     }
 }
 
-/// Every backend the planner can select — auto and both forced choices —
-/// must produce the scan's NIT, for kNN and ball alike. The context is a
-/// pure dispatcher: its table *and* its metered distance evaluations
-/// equal a direct call on the `SearchIndex` it routed to, and the
-/// per-backend call counters name that index.
+/// The context must produce the scan's NIT, for kNN and ball alike, and
+/// is a pure dispatcher: its table *and* its metered distance evaluations
+/// equal a direct call on an octree over the same cloud, built once.
 #[test]
-fn planner_selected_backends_agree_through_the_context() {
+fn context_tables_and_evals_equal_a_direct_octree_call() {
     let cloud = sample_shape(ShapeClass::Airplane, 300, 26);
     let queries: Vec<usize> = (0..300).step_by(2).collect();
     let knn_want = bruteforce::knn_indices(&cloud, &queries, 10);
     let ball_want = ball::ball_query(&cloud, &queries, 0.3, 10);
-    let load = SearchLoad { n: cloud.len(), queries: queries.len(), k: 10 };
-    let direct =
-        |kind: SearchBackend| backends(&cloud).into_iter().nth(kind as usize).expect("ALL order").1;
-    let planners = [
-        SearchPlanner::auto(),
-        SearchPlanner::forced(SearchBackend::BruteForce),
-        SearchPlanner::forced(SearchBackend::Octree),
-    ];
-    for planner in planners {
-        let mut ctx = SearchContext::with_planner(planner);
-        let (mut got, mut direct_got) =
-            (NeighborIndexTable::default(), NeighborIndexTable::default());
+    let mut ctx = SearchContext::new();
+    let mut direct = MortonOctree::build(&cloud);
+    let (mut got, mut direct_got) = (NeighborIndexTable::default(), NeighborIndexTable::default());
 
-        ctx.knn_into(0, &cloud, &queries, 10, &mut got);
-        assert_eq!(got, knn_want, "kNN drifted under {planner:?}");
-        let knn_kind = planner.plan_knn(&load);
-        let knn_evals = direct(knn_kind).knn_into(&cloud, &queries, 10, &mut direct_got);
-        assert_eq!(got, direct_got, "context kNN != direct {knn_kind:?}");
-        assert_eq!(ctx.counters().distance_evals, knn_evals, "kNN evals via {knn_kind:?}");
+    ctx.knn_into(0, &cloud, &queries, 10, &mut got);
+    assert_eq!(got, knn_want, "kNN drifted");
+    let knn_evals = direct.knn_into(&cloud, &queries, 10, &mut direct_got);
+    assert_eq!(got, direct_got, "context kNN != direct octree");
+    assert_eq!(ctx.counters().distance_evals, knn_evals, "kNN evals");
 
-        ctx.ball_into(0, &cloud, &queries, 0.3, 10, &mut got);
-        assert_eq!(got, ball_want, "ball drifted under {planner:?}");
-        let ball_kind = planner.plan_ball(&load);
-        let ball_evals = direct(ball_kind).ball_into(&cloud, &queries, 0.3, 10, &mut direct_got);
-        assert_eq!(got, direct_got, "context ball != direct {ball_kind:?}");
-        assert_eq!(ctx.counters().distance_evals, knn_evals + ball_evals, "via {ball_kind:?}");
-
-        let mut calls = [0u64; 2];
-        calls[knn_kind as usize] += 1;
-        calls[ball_kind as usize] += 1;
-        assert_eq!(ctx.counters().calls_by_backend, calls, "under {planner:?}");
-    }
+    ctx.ball_into(0, &cloud, &queries, 0.3, 10, &mut got);
+    assert_eq!(got, ball_want, "ball drifted");
+    let ball_evals = direct.ball_into(&cloud, &queries, 0.3, 10, &mut direct_got);
+    assert_eq!(got, direct_got, "context ball != direct octree");
+    assert_eq!(ctx.counters().distance_evals, knn_evals + ball_evals, "ball evals");
+    assert_eq!((ctx.counters().query_calls, ctx.counters().index_builds), (2, 1));
 }
 
 // ---------------------------------------------------------------------
@@ -500,7 +480,7 @@ fn octree_matches_the_scan_at_32k_points_across_warm_rebuilds() {
 }
 
 #[test]
-#[ignore = "million-point acceptance; run with --release --ignored (octree-forced CI job)"]
+#[ignore = "million-point acceptance; run with --release --ignored (threads-2 CI job)"]
 fn octree_matches_the_scan_at_a_million_points_across_warm_rebuilds() {
     octree_agrees_with_the_scan_across_warm_rebuilds(1 << 20);
 }

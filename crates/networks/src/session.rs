@@ -41,7 +41,6 @@ use crate::PointCloudNetwork;
 use mesorasi_core::engine::{EngineStats, PlanEngine};
 use mesorasi_core::{EngineConfig, SampleCacheStats, Strategy};
 use mesorasi_knn::stats::SearchCounters;
-use mesorasi_knn::{SearchBackend, SearchPlanner};
 use mesorasi_nn::loss;
 use mesorasi_nn::{Graph, VarId};
 use mesorasi_par as par;
@@ -272,8 +271,8 @@ enum NetSource {
 /// with 10 classes when building from a [`NetworkKind`], weight-init seed
 /// 0, and one engine per host thread. The engine knobs start from
 /// [`EngineConfig::from_env`], read when the builder is created; the
-/// `search_backend` / `sample_cache_cap` / `dtype` setters overwrite what
-/// the environment said.
+/// `sample_cache_cap` / `dtype` setters overwrite what the environment
+/// said.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -366,17 +365,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Forces every worker's coordinate searches onto one backend — the
-    /// exhaustive scan or the octree — instead of the cost-model choice (the
-    /// programmatic form of `MESORASI_SEARCH`). Both are exact, so this
-    /// changes where search time goes, never the inference results — useful
-    /// for benchmarking and for pinning behaviour in latency-sensitive
-    /// deployments.
-    pub fn search_backend(mut self, backend: SearchBackend) -> Self {
-        self.config.search = SearchPlanner::forced(backend);
-        self
-    }
-
     /// Per-worker, per-plan NIT sample-cache capacity (default
     /// [`mesorasi_core::DEFAULT_SAMPLE_CACHE_CAP`]; 0 disables caching).
     /// Eviction is true LRU — hot samples survive unbounded fresh traffic —
@@ -433,14 +421,13 @@ impl SessionBuilder {
     }
 }
 
-/// The fallible checkout paths' error: every worker engine is already
+/// The fallible checkout path's error: every worker engine is already
 /// checked out **by the calling thread** (via live [`FrameStream`]s), so
 /// blocking would self-deadlock — `std::sync::Mutex` is not re-entrant.
 ///
-/// Returned by [`Session::try_infer`] / [`Session::try_frames`]; the
-/// infallible paths panic with the same message instead of hanging. Server
-/// handler code should use the `try_` variants and surface this as a typed
-/// "unavailable" response.
+/// Returned by [`Session::try_infer`]; the infallible paths panic with the
+/// same message instead of hanging. Server handler code should use
+/// `try_infer` and surface this as a typed "unavailable" response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckoutError {
     workers: usize,
@@ -635,20 +622,6 @@ impl Session {
         results.into_iter().flatten().collect()
     }
 
-    /// Lazily infers a stream of clouds, yielding one result per input in
-    /// order. Each item runs like [`Session::infer`]; for throughput,
-    /// collect chunks and call [`Session::infer_batch`] instead — and for
-    /// *frame sequences* (consecutive captures of a scene, where inputs
-    /// rarely repeat), use [`Session::infer_frames`] / [`Session::frames`],
-    /// which reuse search state across frames instead of caching samples.
-    pub fn infer_stream<'s, I>(&'s self, clouds: I) -> impl Iterator<Item = Inference> + 's
-    where
-        I: IntoIterator + 's,
-        I::Item: Borrow<PointCloud>,
-    {
-        clouds.into_iter().map(move |cloud| self.infer(cloud.borrow()))
-    }
-
     /// Checks out one worker engine for a frame sequence. All frames run
     /// on that engine's streaming path: the per-sample NIT cache is
     /// bypassed (frames rarely repeat) and neighbor-search indices
@@ -668,32 +641,10 @@ impl Session {
     /// — would block on the held engine; from the holding thread that is a
     /// self-deadlock, since `std::sync::Mutex` is not re-entrant. The
     /// session detects this and **panics with a clear message instead of
-    /// hanging**; use [`Session::try_infer`] / [`Session::try_frames`] to
-    /// get a typed [`CheckoutError`] instead.
+    /// hanging**; use [`Session::try_infer`] to get a typed
+    /// [`CheckoutError`] instead.
     pub fn frames(&self) -> FrameStream<'_> {
         FrameStream { session: self, engine: self.checkout_engine() }
-    }
-
-    /// Like [`Session::frames`], but returns a typed [`CheckoutError`]
-    /// instead of panicking when every worker engine is already held by
-    /// the calling thread.
-    pub fn try_frames(&self) -> Result<FrameStream<'_>, CheckoutError> {
-        Ok(FrameStream { session: self, engine: self.try_checkout_engine()? })
-    }
-
-    /// Convenience over [`Session::frames`]: lazily infers a frame
-    /// sequence on one engine, yielding results in order.
-    ///
-    /// The engine is checked out **eagerly** and held until the returned
-    /// iterator is dropped — the same-thread re-entrancy caveat on
-    /// [`Session::frames`] applies for as long as the iterator lives.
-    pub fn infer_frames<'s, I>(&'s self, clouds: I) -> impl Iterator<Item = Inference> + 's
-    where
-        I: IntoIterator + 's,
-        I::Item: Borrow<PointCloud>,
-    {
-        let mut frames = self.frames();
-        clouds.into_iter().map(move |cloud| frames.infer(cloud.borrow()))
     }
 
     /// Pre-warms every worker engine on `cloud`: compiles the plan for its
@@ -990,7 +941,8 @@ mod tests {
         assert_eq!(session.infer_batch(&clouds), singles);
         let refs: Vec<&PointCloud> = clouds.iter().collect();
         assert_eq!(session.infer_batch(&refs), singles);
-        let streamed: Vec<Inference> = session.infer_stream(clouds.iter()).collect();
+        let mut frames = session.frames();
+        let streamed: Vec<Inference> = clouds.iter().map(|c| frames.infer(c)).collect();
         assert_eq!(streamed, singles);
     }
 
@@ -1004,7 +956,8 @@ mod tests {
             let clouds: Vec<PointCloud> =
                 (0..4).map(|s| sample_shape(ShapeClass::Airplane, n, s)).collect();
             let singles: Vec<Inference> = clouds.iter().map(|c| session.infer(c)).collect();
-            let framed: Vec<Inference> = session.infer_frames(clouds.iter()).collect();
+            let mut frames = session.frames();
+            let framed: Vec<Inference> = clouds.iter().map(|c| frames.infer(c)).collect();
             assert_eq!(framed, singles, "{}", kind.name());
         }
     }
@@ -1026,25 +979,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_search_backends_do_not_change_results() {
-        let mut rng = mesorasi_pointcloud::seeded_rng(8);
-        let net = crate::pointnetpp::PointNetPP::classification_small(4, &mut rng);
-        let cloud = sample_shape(ShapeClass::Guitar, net.input_points(), 3);
-        let reference = SessionBuilder::from_network_ref(&net).build().infer(&cloud);
-        for backend in SearchBackend::ALL {
-            let session = SessionBuilder::from_network_ref(&net).search_backend(backend).build();
-            assert_eq!(session.infer(&cloud), reference, "forced {backend:?} drifted");
-        }
-    }
-
-    #[test]
     fn warm_primes_search_state_and_stats_report_it() {
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(3)
             .workers(2)
-            // Forced octree so index builds are observable even at the
-            // small scale where the cost model prefers brute force.
-            .search_backend(SearchBackend::Octree)
             .build();
         let n = session.network().input_points();
         let cloud = sample_shape(ShapeClass::Chair, n, 2);
@@ -1159,7 +1097,7 @@ mod tests {
     #[test]
     fn reentrant_checkout_is_a_typed_error_not_a_deadlock() {
         // With a single worker held by a live FrameStream on this thread,
-        // the old code deadlocked; now the try_ paths return a typed
+        // the old code deadlocked; now `try_infer` returns a typed
         // error and the infallible paths panic with the same message.
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(3)
@@ -1167,13 +1105,12 @@ mod tests {
             .build();
         let n = session.network().input_points();
         let cloud = sample_shape(ShapeClass::Chair, n, 1);
-        let mut frames = session.try_frames().expect("free pool checks out");
+        let mut frames = session.frames();
         let _ = frames.infer(&cloud);
 
         let err = session.try_infer(&cloud).expect_err("all engines self-held");
         assert_eq!(err.workers(), 1);
         assert!(err.to_string().contains("self-deadlock"), "unhelpful message: {err}");
-        assert!(session.try_frames().is_err());
 
         // Dropping the stream frees the engine for the same thread again.
         drop(frames);

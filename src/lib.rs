@@ -11,7 +11,7 @@
 //! The front door is [`Session`]: an owned, `Send + Sync`,
 //! lifetime-free handle over one frozen network that serves
 //! [`Session::infer`], [`Session::infer_batch`] (data-parallel over a
-//! per-worker engine pool), and [`Session::infer_stream`], returning
+//! per-worker engine pool), and [`Session::frames`], returning
 //! domain-typed results ([`Logits`], [`PerPointLabels`], [`Boxes3D`])
 //! that are bit-identical to the autograd tape at every thread count.
 //!
@@ -53,7 +53,6 @@ pub use mesorasi_tensor as tensor;
 // The curated top level: the session-first inference API and the handful
 // of types almost every caller touches.
 pub use mesorasi_core::Strategy;
-pub use mesorasi_knn::{SearchBackend, SearchPlanner};
 pub use mesorasi_networks::{
     Boxes3D, Domain, FrameStream, Inference, Logits, NetworkKind, PerPointLabels,
     PointCloudNetwork, Session, SessionBuilder,
@@ -69,8 +68,7 @@ pub use mesorasi_tensor::Dtype;
 pub mod prelude {
     pub use crate::{
         seeded_rng, Boxes3D, Domain, Dtype, FrameStream, Inference, Logits, NetworkKind,
-        PerPointLabels, PointCloud, PointCloudNetwork, SearchBackend, Session, SessionBuilder,
-        Strategy,
+        PerPointLabels, PointCloud, PointCloudNetwork, Session, SessionBuilder, Strategy,
     };
     pub use mesorasi_nn::Graph;
     pub use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};

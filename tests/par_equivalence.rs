@@ -209,12 +209,12 @@ fn tiled_max_reduce_is_thread_invariant() {
 /// bounded ball selection (512 centroids, radius 0.2, `k = 32` over 32,768
 /// points — many compactions per query) and feature propagation's 3-NN
 /// stencil (every one of the 32,768 points against those 512, through a
-/// context's planned backend, weights included). Queries split into
-/// different chunks at each thread count; no table moves a bit.
+/// context's octree, weights included). Queries split into different
+/// chunks at each thread count; no table moves a bit.
 #[test]
 fn scene_scale_ball_and_stencil_are_thread_invariant() {
     use mesorasi::core::runner;
-    use mesorasi::knn::{SearchContext, SearchPlanner};
+    use mesorasi::knn::SearchContext;
     let cloud = sample_shape(ShapeClass::Chair, 32768, 7);
     let queries: Vec<usize> = (0..32768).step_by(64).collect();
     let tree = std::cell::RefCell::new(MortonOctree::build(&cloud));
@@ -225,7 +225,7 @@ fn scene_scale_ball_and_stencil_are_thread_invariant() {
     })
     .unwrap();
     let coarse = cloud.select(&queries);
-    let ctx = std::cell::RefCell::new(SearchContext::with_planner(SearchPlanner::auto()));
+    let ctx = std::cell::RefCell::new(SearchContext::new());
     assert_thread_invariant("scene-scale FP stencil", || {
         let (mut indices, mut weights) = (Vec::new(), Vec::new());
         runner::search_stencils_into(

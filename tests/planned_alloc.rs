@@ -49,18 +49,14 @@
 //!    allocations at 1 and 2 threads in both dtypes — its panel buffer is
 //!    on the stack of whichever thread runs the row chunk, so there is no
 //!    retained storage for `EngineStats` to count.
-//! 8. the default-configuration audit: audits 2–5 force the octree (the
-//!    small networks' searches would otherwise all stay on the exhaustive
-//!    scan) and 6 searches feature space, so the automatic planner — the configuration
-//!    every benchmark workload runs — never planned a coordinate search
-//!    inside an armed window. A warm streamed PointNet++ frame on
-//!    [`PlanEngine::new`] makes zero heap allocations, backend choice
-//!    included;
+//! 8. the default-configuration audit: audits 2–5 build their engines from
+//!    an explicit [`EngineConfig`]. A warm streamed PointNet++ frame on
+//!    [`PlanEngine::new`] — the configuration every benchmark workload
+//!    runs — makes zero heap allocations too;
 //! 9. the segmentation audit: audits 1–8 run no feature propagation. A warm
 //!    streamed PointNet++ (s) frame point-queries two coarse levels for its
-//!    interpolation stencils — one on the scan, one on the octree — and
-//!    makes zero heap allocations at 1 and 2 threads, stencil indices and
-//!    weights included.
+//!    interpolation stencils on the octree and makes zero heap allocations
+//!    at 1 and 2 threads, stencil indices and weights included.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -71,14 +67,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// A forced-octree engine (real index construction under audit, not just
-/// brute-force scans) at the given dtype.
-fn octree_engine(dtype: Dtype) -> PlanEngine {
-    PlanEngine::with_config(EngineConfig {
-        search: mesorasi::SearchPlanner::forced(SearchBackend::Octree),
-        dtype,
-        ..EngineConfig::default()
-    })
+/// An engine at the given dtype, every other knob at its default.
+fn engine_at(dtype: Dtype) -> PlanEngine {
+    PlanEngine::with_config(EngineConfig { dtype, ..EngineConfig::default() })
 }
 
 /// Serialises the audits (see the module docs).
@@ -251,14 +242,13 @@ fn warm_f64_shadow_forward_allocates_nothing() {
 fn warm_streamed_forward_allocates_nothing_including_search() {
     let _serial = serial();
     // The streaming path never caches samples: every frame re-selects
-    // centroids, rebuilds per-space indices (forced octree, so real index
-    // construction — not just brute-force scans — is under audit), and
-    // re-queries. All of it must run out of the engine's persistent search
-    // arena. Sequential execution for the same reason as above.
+    // centroids, rebuilds per-space octrees, and re-queries. All of it
+    // must run out of the engine's persistent search arena. Sequential
+    // execution for the same reason as above.
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = octree_engine(Dtype::F32);
+        let mut engine = engine_at(Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -293,9 +283,8 @@ fn warm_streamed_forward_allocates_nothing_including_search() {
 #[test]
 fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
     let _serial = serial();
-    // Built-in defaults, environment not consulted: the automatic planner
-    // costs every candidate backend for every ball query of every frame,
-    // and that choice must not touch the allocator either.
+    // Built-in defaults, environment not consulted: the engine every
+    // benchmark workload runs must not touch the allocator either.
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
@@ -317,9 +306,9 @@ fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
         let after = ALLOCS.load(Ordering::SeqCst);
         ARMED.store(false, Ordering::SeqCst);
 
-        assert_eq!(after - before, 0, "planning a warm frame's searches must not allocate");
+        assert_eq!(after - before, 0, "a warm default-engine frame must not allocate");
         let stats = engine.stats(net.input_points()).expect("compiled");
-        assert!(stats.search.query_calls >= 8, "every streamed frame plans and runs its searches");
+        assert!(stats.search.query_calls >= 8, "every streamed frame runs its searches");
     });
 }
 
@@ -334,7 +323,6 @@ fn warm_session_frame_inference_allocates_nothing_end_to_end() {
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(5)
             .workers(1)
-            .search_backend(SearchBackend::Octree)
             .build();
         let n = session.network().input_points();
         let frames: Vec<PointCloud> =
@@ -371,7 +359,7 @@ fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = octree_engine(Dtype::F32);
+        let mut engine = engine_at(Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -407,7 +395,7 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
         mesorasi_par::with_threads(2, || {
             let mut rng = seeded_rng(6);
             let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-            let mut engine = octree_engine(dtype);
+            let mut engine = engine_at(dtype);
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
             let n = net.input_points();
@@ -482,7 +470,7 @@ fn warm_dgcnn_stream_allocates_nothing_and_accounts_the_feature_panel() {
 
             let stats = engine.stats(n).expect("compiled");
             assert_eq!(stats.search.index_builds, 0, "DGCNN searches feature space only");
-            assert!(stats.search.calls_by_backend[SearchBackend::BruteForce as usize] >= 16);
+            assert!(stats.search.query_calls >= 16, "every frame runs its feature scans");
             assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
             assert_eq!(stats.search_bytes, warm.search_bytes, "search arena grew warm");
             assert_eq!(stats.parallel_scratch_bytes, warm.parallel_scratch_bytes);
@@ -548,11 +536,12 @@ fn warm_segmentation_stream_allocates_nothing_including_stencils() {
                 "a warm segmentation frame allocated at {threads} threads"
             );
 
-            // Per frame: two ball queries and two stencils, one of each on
-            // the scan and on the octree (see `session_inference`).
+            // Per frame: two ball queries and two stencils over three
+            // octrees (see `session_inference`).
             let stats = engine.stats(n).expect("compiled");
             let frames_run = (threads as u64 + 1) * frames.len() as u64;
-            assert_eq!(stats.search.calls_by_backend, [2, 2].map(|c| c * frames_run));
+            let traffic = (stats.search.query_calls, stats.search.index_builds);
+            assert_eq!(traffic, (4 * frames_run, 3 * frames_run));
             assert_eq!(stats.search_bytes, warm.search_bytes, "search arena grew warm");
             assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
             assert_eq!(stats.parallel_scratch_bytes, warm.parallel_scratch_bytes);

@@ -5,7 +5,7 @@
 //! *bit-identically* — same kernels, same search code, same accumulation
 //! orders — for every network, every strategy, every thread count, on
 //! samples it never recorded on, through every entry point (`infer`,
-//! `infer_batch`, `infer_stream`), and from concurrent callers sharing one
+//! `infer_batch`, `frames`), and from concurrent callers sharing one
 //! `Arc<Session>`.
 
 use mesorasi::prelude::*;
@@ -97,13 +97,14 @@ fn all_seven_networks_framed_streams_bit_identical_to_tape() {
                     .workers(1)
                     .dtype(Dtype::F32)
                     .build();
-                let framed: Vec<Inference> = session.infer_frames(frames.iter()).collect();
+                let mut stream = session.frames();
+                let framed: Vec<Inference> = frames.iter().map(|c| stream.infer(c)).collect();
                 for (i, (out, want)) in framed.iter().zip(&expected).enumerate() {
                     assert_eq!(out.logits(), want, "{} {threads}t frame {i} != tape", kind.name());
                 }
                 // A second pass over the same sequence reuses all warm search
                 // state and must reproduce the results exactly.
-                let again: Vec<Inference> = session.infer_frames(frames.iter()).collect();
+                let again: Vec<Inference> = frames.iter().map(|c| stream.infer(c)).collect();
                 assert_eq!(again, framed, "{} {threads}t: warm stream drifted", kind.name());
                 framed
             });
@@ -111,35 +112,6 @@ fn all_seven_networks_framed_streams_bit_identical_to_tape() {
                 None => sequential = Some(framed),
                 Some(want) => assert_eq!(&framed, want, "{} {threads}t != 1t", kind.name()),
             }
-        }
-    }
-}
-
-/// The acceptance bar for backend pluggability: every backend the planner
-/// can select (forced brute-force, forced octree — and auto) produces
-/// network outputs bit-identical to the tape, which still runs whatever
-/// `MESORASI_SEARCH` dictates (unset in CI ⇒ the cost model).
-#[test]
-fn forced_search_backends_match_tape_for_every_network() {
-    use mesorasi::knn::SearchBackend;
-    let mut rng = seeded_rng(31);
-    for kind in NetworkKind::ALL {
-        let net = kind.build_small(4, &mut rng);
-        let cloud = sample_shape(ShapeClass::Lamp, net.input_points(), 6);
-        let want = tape_logits(net.as_ref(), &cloud, Strategy::Delayed, 7);
-        for backend in SearchBackend::ALL {
-            let session = SessionBuilder::from_network_ref(net.as_ref())
-                .seed(7)
-                .workers(1)
-                .dtype(Dtype::F32)
-                .search_backend(backend)
-                .build();
-            assert_eq!(
-                session.infer(&cloud).logits(),
-                &want,
-                "{} under forced {backend:?} != tape",
-                kind.name()
-            );
         }
     }
 }
@@ -240,13 +212,14 @@ fn concurrent_callers_sharing_a_session_stay_deterministic() {
 }
 
 #[test]
-fn infer_stream_yields_results_in_input_order() {
+fn frame_stream_yields_results_in_input_order() {
     let session =
         SessionBuilder::from_kind(NetworkKind::PointNetPPClassification).classes(4).build();
     let n = session.network().input_points();
     let clouds: Vec<PointCloud> = (0..4).map(|s| sample_shape(ShapeClass::Cup, n, s)).collect();
     let singles: Vec<Inference> = clouds.iter().map(|c| session.infer(c)).collect();
-    let streamed: Vec<Inference> = session.infer_stream(clouds.iter()).collect();
+    let mut stream = session.frames();
+    let streamed: Vec<Inference> = clouds.iter().map(|c| stream.infer(c)).collect();
     assert_eq!(streamed, singles);
 }
 
@@ -312,36 +285,34 @@ proptest! {
     }
 }
 
-/// Which backend carries each network's searches, as a checked fact: one
-/// Delayed forward per registry network at small and at paper scale under
-/// the automatic planner, `calls_by_backend` as `[scan, octree]` and the
-/// octree builds it took. Feature-space modules (DGCNN, LDGCNN) never
-/// plan — always the dense row scan — and below the ball crossover (≈ 128
-/// points) the small networks stay on the exhaustive scan; every
-/// paper-scale coordinate search (no network uses
-/// `NeighborMode::CoordKnn`; set abstraction is all ball queries, feature
-/// propagation's stencils point-query kNN) reaches the octree, DensePoint's
-/// three narrow late stages excepted. A build per searched point set, not
-/// per call: the paper-scale segmentation networks' last stencil searches
-/// the coarse level the second set-abstraction module already indexed.
+/// Each network's search traffic, as a checked fact: one Delayed forward
+/// per registry network at small and at paper scale on the built-in
+/// defaults, as `(query_calls, index_builds)`. Every coordinate search (no
+/// network uses `NeighborMode::CoordKnn`; set abstraction is all ball
+/// queries, feature propagation's stencils point-query kNN) reaches the
+/// octree; feature-space modules (DGCNN, LDGCNN) run the dense row scan
+/// and build nothing. A build per searched point set, not per call: the
+/// segmentation networks' last stencil searches the coarse level the
+/// second set-abstraction module already indexed.
 #[test]
-fn planned_backends_carry_the_traffic_the_planner_tests_pin() {
+fn every_network_carries_the_pinned_search_traffic() {
     use NetworkKind::*;
     let expected = [
-        (PointNetPPClassification, ([2, 0], 0), ([0, 2], 2)),
-        (PointNetPPSegmentation, ([2, 2], 2), ([0, 4], 3)),
-        (DgcnnClassification, ([2, 0], 0), ([4, 0], 0)),
-        (DgcnnSegmentation, ([2, 0], 0), ([3, 0], 0)),
-        (FPointNet, ([2, 1], 1), ([0, 5], 4)),
-        (Ldgcnn, ([2, 0], 0), ([4, 0], 0)),
-        (DensePoint, ([3, 0], 0), ([3, 5], 2)),
+        (PointNetPPClassification, (2, 2), (2, 2)),
+        (PointNetPPSegmentation, (4, 3), (4, 3)),
+        (DgcnnClassification, (2, 0), (4, 0)),
+        (DgcnnSegmentation, (2, 0), (3, 0)),
+        (FPointNet, (3, 3), (5, 4)),
+        (Ldgcnn, (2, 0), (4, 0)),
+        (DensePoint, (3, 2), (8, 3)),
     ];
     assert_eq!(expected.map(|(kind, ..)| kind), NetworkKind::ALL);
     for (kind, small, paper) in expected {
         for (paper_scale, (calls, builds)) in [(false, small), (true, paper)] {
             // Unoptimised, the paper-scale feature scans are half a minute
-            // spent learning that a module without a planner call has none.
-            if cfg!(debug_assertions) && paper_scale && calls[1] == 0 {
+            // spent learning that a network without an octree build has
+            // none.
+            if cfg!(debug_assertions) && paper_scale && builds == 0 {
                 continue;
             }
             let mut rng = seeded_rng(3);
@@ -353,13 +324,12 @@ fn planned_backends_carry_the_traffic_the_planner_tests_pin() {
             let n = net.input_points();
             let record =
                 |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
-            // Built-in defaults: the automatic planner, environment not read.
+            // Built-in defaults, environment not read.
             let mut engine = mesorasi::core::engine::PlanEngine::new();
             let _ = engine.run(&sample_shape(ShapeClass::Chair, n, 3), &record);
             let traffic = engine.stats(n).expect("compiled").search;
             let scale = if paper_scale { "paper" } else { "small" };
-            assert_eq!(traffic.calls_by_backend, calls, "{} at {scale} scale", kind.name());
-            assert_eq!(traffic.calls_by_backend.iter().sum::<u64>(), traffic.query_calls);
+            assert_eq!(traffic.query_calls, calls, "{} at {scale} scale", kind.name());
             assert_eq!(traffic.index_builds, builds, "{} builds at {scale} scale", kind.name());
         }
     }
