@@ -19,10 +19,10 @@
 //!   executors for offset modules (PointNet++ family), edge modules
 //!   (DGCNN family), global modules and feature propagation,
 //! * [`trace`] — workload traces: per-module operator lists with real
-//!   neighbor index tables, consumed by `mesorasi-sim`'s hardware models,
+//!   neighbor index tables, consumed by `mesorasi-sim`'s hardware models
+//!   and counted for the MACs and footprints of Figs. 7, 9 and 10,
 //! * [`distributivity`] — the Equ. 3 identity, exact for the linear part,
-//!   with utilities measuring the ReLU-induced approximation error,
-//! * [`cost`] — closed-form MAC/footprint accounting (Figs. 7, 9, 10).
+//!   with utilities measuring the ReLU-induced approximation error.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod cost;
 pub mod distributivity;
 pub mod engine;
 pub mod executor;

@@ -600,6 +600,51 @@ mod tests {
         assert!(wd > wo, "wider gather working set (§IV-C)");
     }
 
+    /// MLP MACs executed by the Fig. 3 module (1024 → 512 points, K = 32,
+    /// MLP [3, 64, 64, 128]) under `strategy`, counted by its trace.
+    fn fig3_module_macs(strategy: Strategy) -> u64 {
+        let mut rng = mesorasi_pointcloud::seeded_rng(1);
+        let module = Module::new(
+            ModuleConfig::offset("sa1", 512, 32, NeighborMode::CoordKnn, vec![3, 64, 64, 128]),
+            NormMode::None,
+            &mut rng,
+        );
+        let cloud = sample_shape(ShapeClass::Lamp, 1024, 3);
+        let mut g = Graph::new();
+        let state = ModuleState::from_cloud(&mut g, &cloud);
+        run_module(&mut g, &module, &state, strategy, 7).trace.mlp_macs()
+    }
+
+    const FIG3_MACS_PER_ROW: u64 = 3 * 64 + 64 * 64 + 64 * 128;
+
+    #[test]
+    fn fig3_original_macs_match_paper_example() {
+        // Original: 512 NFMs of 32×3 through the MLP = 16384 rows.
+        assert_eq!(fig3_module_macs(Strategy::Original), 16384 * FIG3_MACS_PER_ROW);
+    }
+
+    #[test]
+    fn fig3_delayed_macs_run_once_per_input_point() {
+        // Delayed: one 1024×3 matrix through the MLP (§IV-B).
+        assert_eq!(fig3_module_macs(Strategy::Delayed), 1024 * FIG3_MACS_PER_ROW);
+    }
+
+    #[test]
+    fn fig3_delayed_reduces_macs_by_an_order_of_magnitude() {
+        // 512·32 / 1024 = 16× fewer rows.
+        let original = fig3_module_macs(Strategy::Original);
+        assert_eq!(original / fig3_module_macs(Strategy::Delayed), 16);
+    }
+
+    #[test]
+    fn fig3_ltd_saves_only_first_layer() {
+        // Limited: layer 1 over the 1024 input points, the tail over 16384 rows.
+        let ltd = fig3_module_macs(Strategy::LtdDelayed);
+        assert_eq!(ltd, 1024 * 3 * 64 + 16384 * (64 * 64 + 64 * 128));
+        assert!(ltd < fig3_module_macs(Strategy::Original));
+        assert!(ltd > fig3_module_macs(Strategy::Delayed));
+    }
+
     #[test]
     fn same_seed_same_nit_across_strategies() {
         // The comparison experiments rely on all strategies sharing the

@@ -6,8 +6,6 @@
 //! models — no weights, just arithmetic — because only the MAC counts
 //! enter the figure.
 
-use mesorasi_core::cost::conv2d_macs;
-
 /// A convolutional layer description sufficient for MAC counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvLayer {
@@ -33,6 +31,12 @@ impl ConvLayer {
         conv2d_macs(self.out_hw, self.out_hw, self.c_in, self.c_out, self.kernel)
             * self.repeat as u64
     }
+}
+
+/// MAC count of a conventional convolution layer: `H·W · C_in·C_out · k²`
+/// (stride folded into the output size).
+fn conv2d_macs(out_h: usize, out_w: usize, c_in: usize, c_out: usize, kernel: usize) -> u64 {
+    (out_h as u64) * (out_w as u64) * (c_in as u64) * (c_out as u64) * (kernel as u64).pow(2)
 }
 
 /// A CNN as a list of conv layers plus dense-layer MACs.
@@ -141,6 +145,12 @@ pub fn fig7_baselines() -> Vec<CnnModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn conv_macs_alexnet_conv1() {
+        // AlexNet conv1: 96 filters of 11×11×3 over a 55×55 output.
+        assert_eq!(conv2d_macs(55, 55, 3, 96, 11), 55 * 55 * 3 * 96 * 121);
+    }
 
     #[test]
     fn alexnet_macs_in_published_range() {

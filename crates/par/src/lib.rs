@@ -395,48 +395,15 @@ where
     panic_slot.resume();
 }
 
-/// Maps `f(index, item)` over `items`, preserving order. The closure runs
-/// on worker threads but the result vector is assembled in index order, so
-/// output is identical at every thread count.
-pub fn par_map_collect<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indices(items.len(), |i| f(i, &items[i]))
-}
-
-/// Like [`par_map_collect`] but stays sequential when the total work
-/// (`items.len() × cost_per_item` units) is too small to amortize thread
-/// spawns — the per-query kNN paths use this so unit-test-sized clouds
-/// never pay pool overhead.
-pub fn par_map_collect_cost<T, R, F>(items: &[T], cost_per_item: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk = chunk_len(items.len(), cost_per_item);
-    par_map_indices_chunked(items.len(), chunk, |i| f(i, &items[i]))
-}
-
-/// Index-space variant of [`par_map_collect`]: computes `f(0..n)` in
-/// parallel and returns the results in index order.
+/// Computes `f(0..n)` in parallel and returns the results in index order.
+/// The closure runs on worker threads but the result vector is assembled
+/// in index order, so output is identical at every thread count.
 pub fn par_map_indices<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let chunk = n.div_ceil(current_threads() * CHUNKS_PER_THREAD).max(1);
-    par_map_indices_chunked(n, chunk, f)
-}
-
-fn par_map_indices_chunked<R, F>(n: usize, chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     if current_threads() <= 1 || n <= 1 || chunk >= n {
         return (0..n).map(f).collect();
     }
@@ -538,11 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_collect_preserves_order() {
-        let items: Vec<usize> = (0..500).collect();
+    fn par_map_indices_preserves_order() {
         for threads in [1, 2, 8] {
-            let out = with_threads(threads, || par_map_collect(&items, |i, &x| i * 1000 + x));
-            let want: Vec<usize> = (0..500).map(|i| i * 1000 + i).collect();
+            let out = with_threads(threads, || par_map_indices(500, |i| i * 1000 + 7));
+            let want: Vec<usize> = (0..500).map(|i| i * 1000 + 7).collect();
             assert_eq!(out, want, "threads = {threads}");
         }
     }
@@ -569,15 +535,6 @@ mod tests {
                 assert!(a[3 * g..3 * (g + 1)].iter().all(|&v| v == chunk));
             }
         }
-    }
-
-    #[test]
-    fn par_map_collect_cost_gates_small_work() {
-        // Cheap items: must produce identical output regardless, and the
-        // gate (chunk >= n) keeps it on the calling thread.
-        let items: Vec<u32> = (0..50).collect();
-        let out = with_threads(8, || par_map_collect_cost(&items, 1, |_, &x| x * 2));
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod point;
 pub mod sampling;
 pub mod shapes;
 pub mod transform;
-pub mod voxel;
 
 pub use aabb::Aabb;
 pub use cloud::PointCloud;

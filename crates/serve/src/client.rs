@@ -1,6 +1,6 @@
-//! The client side: a blocking request/response [`Client`] and a paced
-//! sensor-[`replay`] harness that feeds recorded frame sequences at a
-//! target rate while measuring per-request latency.
+//! The client side: a blocking request/response [`Client`] over one TCP
+//! connection, lock-step through [`Client::infer`] or pipelined through
+//! [`Client::send_infer`] and [`Client::recv`].
 
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, Frame, ProtocolError, ServerStats, PROTOCOL_VERSION,
@@ -8,11 +8,8 @@ use crate::protocol::{
 use mesorasi_networks::{Boxes3D, Domain, Inference, Logits, PerPointLabels};
 use mesorasi_pointcloud::PointCloud;
 use mesorasi_tensor::Matrix;
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -28,13 +25,11 @@ pub enum ClientError {
     },
     /// The server sent a frame that makes no sense here.
     UnexpectedFrame(&'static str),
-    /// A frame to be sent exceeds the point limit the server announced in
+    /// A cloud to be sent exceeds the point limit the server announced in
     /// its hello, so the request would be refused as malformed and the
-    /// connection closed; the client checks up front instead.
+    /// connection closed; the client checks before sending instead.
     FrameTooLarge {
-        /// Index of the offending frame in the replay sequence.
-        frame: usize,
-        /// Points in that frame.
+        /// Points in the cloud.
         points: usize,
         /// The server's announced per-request limit.
         max_points: u32,
@@ -58,11 +53,8 @@ impl std::fmt::Display for ClientError {
                 write!(f, "server speaks protocol v{server}, this client v{client}")
             }
             ClientError::UnexpectedFrame(what) => write!(f, "unexpected frame: {what}"),
-            ClientError::FrameTooLarge { frame, points, max_points } => {
-                write!(
-                    f,
-                    "frame {frame} has {points} points, over the server's limit of {max_points}"
-                )
+            ClientError::FrameTooLarge { points, max_points } => {
+                write!(f, "cloud has {points} points, over the server's limit of {max_points}")
             }
             ClientError::Rejected { id, code, message } => {
                 write!(f, "request {id} rejected ({code}): {message}")
@@ -154,14 +146,24 @@ impl Client {
     }
 
     /// The server's hard per-request point limit, announced in its hello.
-    /// Requests above it would be rejected as malformed and close the
-    /// connection, so check loaded frames against this first.
+    /// [`Client::send_infer`] refuses larger clouds before sending them.
     pub fn max_points(&self) -> u32 {
         self.max_points
     }
 
     /// Sends one inference request without waiting for the response.
+    ///
+    /// A cloud over the server's [`max_points`](Client::max_points) is
+    /// refused with [`ClientError::FrameTooLarge`] before any byte is
+    /// written: the server would answer it as malformed and close the
+    /// connection.
     pub fn send_infer(&mut self, id: u64, cloud: &PointCloud) -> Result<(), ClientError> {
+        if cloud.len() as u64 > u64::from(self.max_points) {
+            return Err(ClientError::FrameTooLarge {
+                points: cloud.len(),
+                max_points: self.max_points,
+            });
+        }
         write_frame(&mut self.writer, &Frame::Infer { id, cloud: cloud.clone() })?;
         use std::io::Write;
         self.writer.flush()?;
@@ -239,225 +241,17 @@ fn rebuild_inference(domain: Domain, mats: Vec<Matrix>) -> Result<Inference, Cli
     Ok(inference)
 }
 
-/// What a [`replay`] run observed.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayReport {
-    /// Requests sent.
-    pub sent: u64,
-    /// Requests answered with a result.
-    pub ok: u64,
-    /// Requests shed by server admission control.
-    pub shed: u64,
-    /// Requests failed with any other typed error.
-    pub errored: u64,
-    /// Per-request latency (send → response), microseconds, in completion
-    /// order. Length is `ok + shed + errored`.
-    pub latencies_us: Vec<u64>,
-    /// Wall-clock from first send to last response.
-    pub elapsed: Duration,
-}
-
-impl ReplayReport {
-    /// Latency quantile `q` in `[0, 1]` over every completed request
-    /// (nearest-rank); `None` when nothing completed.
-    pub fn latency_quantile_us(&self, q: f64) -> Option<u64> {
-        quantile_us(&self.latencies_us, q)
-    }
-}
-
-/// Nearest-rank quantile over a latency sample, `q` clamped to `[0, 1]`.
-pub fn quantile_us(latencies_us: &[u64], q: f64) -> Option<u64> {
-    if latencies_us.is_empty() {
-        return None;
-    }
-    let mut sorted = latencies_us.to_vec();
-    sorted.sort_unstable();
-    let q = q.clamp(0.0, 1.0);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
-}
-
-/// Replays a recorded frame sequence against a server at `hz` frames per
-/// second (0 = as fast as possible), pipelining sends against receives the
-/// way a live sensor would: capture timing never waits for inference, and
-/// a dedicated reader thread timestamps each response as it arrives, so
-/// latency is send → response, not send → end-of-replay.
-///
-/// Every request gets a typed outcome — the protocol never drops silently
-/// — so the report's counters always sum to `sent`.
-///
-/// Loaded frames (e.g. from `.xyz`/`.ply` files) are validated against the
-/// server's announced point limit before anything is sent: an oversized
-/// frame returns [`ClientError::FrameTooLarge`] up front rather than a
-/// mid-replay malformed error that kills the connection.
-pub fn replay<A: ToSocketAddrs>(
-    addr: A,
-    frames: &[PointCloud],
-    hz: f64,
-) -> Result<ReplayReport, ClientError> {
-    let client = Client::connect(addr)?;
-    let max_points = client.max_points();
-    for (frame, cloud) in frames.iter().enumerate() {
-        if cloud.len() as u64 > u64::from(max_points) {
-            return Err(ClientError::FrameTooLarge { frame, points: cloud.len(), max_points });
-        }
-    }
-    let Client { reader, mut writer, .. } = client;
-    let interval = if hz > 0.0 { Duration::from_secs_f64(1.0 / hz) } else { Duration::ZERO };
-
-    let start = Instant::now();
-    let total = frames.len() as u64;
-    let in_flight: Arc<Mutex<HashMap<u64, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
-
-    // The reader runs concurrently with the send schedule and stamps each
-    // response the moment it is read. It owns the read half; it exits
-    // after exactly `total` responses (every request is guaranteed a typed
-    // outcome) or on a dead socket.
-    let collector = {
-        let in_flight = Arc::clone(&in_flight);
-        std::thread::spawn(move || -> Result<ReplayReport, ClientError> {
-            let mut reader = reader;
-            let mut report = ReplayReport::default();
-            for _ in 0..total {
-                let (id, outcome) = match read_frame(&mut reader)? {
-                    Frame::Result { id, .. } => (id, Outcome::Ok),
-                    Frame::Error { id, code: ErrorCode::Shed, .. } => (id, Outcome::Shed),
-                    Frame::Error { id, .. } => (id, Outcome::Err),
-                    _ => return Err(ClientError::UnexpectedFrame("non-response frame in replay")),
-                };
-                let sent_at = in_flight
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .remove(&id)
-                    .ok_or(ClientError::UnexpectedFrame("response to unknown id"))?;
-                report.latencies_us.push(sent_at.elapsed().as_micros() as u64);
-                match outcome {
-                    Outcome::Ok => report.ok += 1,
-                    Outcome::Shed => report.shed += 1,
-                    Outcome::Err => report.errored += 1,
-                }
-            }
-            Ok(report)
-        })
-    };
-
-    let send_result: Result<(), ClientError> = (|| {
-        for (i, cloud) in frames.iter().enumerate() {
-            let due = start + interval.mul_f64(i as f64);
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            let id = i as u64;
-            // Register the send time before the bytes can hit the wire so
-            // the reader never sees a response to an unknown id.
-            in_flight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(id, Instant::now());
-            write_frame(&mut writer, &Frame::Infer { id, cloud: cloud.clone() })?;
-            use std::io::Write;
-            writer.flush()?;
-        }
-        Ok(())
-    })();
-    if send_result.is_err() {
-        // Unblock the reader: fewer than `total` requests made it out, so
-        // it would otherwise wait forever for responses that cannot come.
-        let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
-    }
-    let collected = collector.join().expect("replay reader thread");
-    send_result?;
-    let mut report = collected?;
-    report.sent = total;
-    report.elapsed = start.elapsed();
-    Ok(report)
-}
-
-enum Outcome {
-    Ok,
-    Shed,
-    Err,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SchedulerConfig;
-    use crate::server::{Server, ServerConfig};
-    use mesorasi_networks::{NetworkKind, SessionBuilder};
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
-    use std::sync::Arc;
 
     #[test]
-    fn replay_collects_every_outcome_and_measures_latency() {
-        let session = Arc::new(
-            SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-                .classes(4)
-                .workers(2)
-                .build(),
-        );
-        let n = session.network().input_points();
-        let server = Server::spawn(session, ServerConfig::default()).expect("bind");
-        let frames: Vec<PointCloud> =
-            (0..10).map(|i| sample_shape(ShapeClass::Monitor, n, i)).collect();
-        let report = replay(server.local_addr(), &frames, 0.0).expect("replay");
-        assert_eq!(report.sent, 10);
-        assert_eq!(report.ok + report.shed + report.errored, 10);
-        assert_eq!(report.shed + report.errored, 0, "an idle server sheds nothing");
-        assert_eq!(report.latencies_us.len(), 10);
-        assert!(report.latencies_us.iter().all(|&us| us > 0));
-        let p50 = report.latency_quantile_us(0.50).expect("quantile");
-        let p99 = report.latency_quantile_us(0.99).expect("quantile");
-        assert!(p50 <= p99);
-        server.shutdown();
-    }
-
-    #[test]
-    fn replay_under_overload_reports_sheds_not_hangs() {
-        let session = Arc::new(
-            SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-                .classes(4)
-                .workers(1)
-                .build(),
-        );
-        let n = session.network().input_points();
-        let server = Server::spawn(
-            session,
-            ServerConfig {
-                scheduler: SchedulerConfig { queue_depth: 2, max_batch: 1, dispatchers: 1 },
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-        // Full speed into a depth-2 queue: the first dispatch compiles the
-        // plan, so a backlog forms and admission control must engage.
-        let frames: Vec<PointCloud> =
-            (0..32).map(|i| sample_shape(ShapeClass::Stool, n, i)).collect();
-        let report = replay(server.local_addr(), &frames, 0.0).expect("replay");
-        assert_eq!(report.ok + report.shed + report.errored, 32, "no silent drops");
-        assert!(report.shed > 0, "overload must shed");
-        assert_eq!(report.errored, 0);
-        assert_eq!(server.stats().shed, report.shed);
-        server.shutdown();
-    }
-
-    #[test]
-    fn quantiles_use_nearest_rank() {
-        let lat: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile_us(&lat, 0.50), Some(50));
-        assert_eq!(quantile_us(&lat, 0.99), Some(99));
-        assert_eq!(quantile_us(&lat, 0.999), Some(100));
-        assert_eq!(quantile_us(&lat, 0.0), Some(1));
-        assert_eq!(quantile_us(&lat, 1.0), Some(100));
-        assert_eq!(quantile_us(&[], 0.5), None);
-    }
-
-    #[test]
-    fn replay_refuses_oversized_frames_before_sending() {
+    fn send_infer_refuses_oversized_clouds_before_sending() {
         use crate::protocol::{write_frame, Frame};
         use std::io::Write;
-        // A fake server announcing a tiny point limit: replay must refuse
-        // the oversized frame up front, without sending a single request.
+        // A fake server announcing a tiny point limit: the client must
+        // refuse the oversized cloud without sending a single byte.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let fake = std::thread::spawn(move || {
@@ -470,26 +264,24 @@ mod tests {
             };
             write_frame(&mut stream, &hello).expect("write hello");
             stream.flush().expect("flush");
-            // Were replay to send anyway, this read would see bytes; EOF
-            // proves the client hung up without transmitting a request.
+            // Were the client to send anyway, this read would see bytes;
+            // EOF proves it hung up without transmitting a request.
             let mut rest = Vec::new();
             std::io::Read::read_to_end(&mut stream, &mut rest).expect("read");
             rest
         });
-        let frames = vec![
-            sample_shape(ShapeClass::Chair, 8, 1),
-            sample_shape(ShapeClass::Chair, 32, 2), // over the limit of 16
-        ];
-        match replay(addr, &frames, 0.0) {
-            Err(ClientError::FrameTooLarge { frame, points, max_points }) => {
-                assert_eq!(frame, 1);
+        let mut client = Client::connect(addr).expect("connect");
+        let cloud = sample_shape(ShapeClass::Chair, 32, 2); // over the limit of 16
+        match client.send_infer(0, &cloud) {
+            Err(ClientError::FrameTooLarge { points, max_points }) => {
                 assert_eq!(points, 32);
                 assert_eq!(max_points, 16);
             }
             other => panic!("expected FrameTooLarge, got {other:?}"),
         }
+        drop(client);
         let leaked = fake.join().expect("fake server");
-        assert!(leaked.is_empty(), "replay sent bytes despite the oversized frame");
+        assert!(leaked.is_empty(), "the client sent bytes despite the oversized cloud");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! boundary: a long-lived TCP [`Server`] speaking a length-prefixed
 //! binary [`protocol`], a batching [`scheduler`] with admission
 //! control in front of a [`mesorasi_networks::Session`] pool, and a
-//! [`Client`] plus paced sensor-[`replay`] harness on the other side.
+//! blocking [`Client`] on the other side.
 //!
 //! Design pillars, in scheduler terms:
 //!
@@ -42,7 +42,7 @@ pub mod protocol;
 pub mod scheduler;
 pub mod server;
 
-pub use client::{quantile_us, replay, Client, ClientError, ReplayReport, Response};
+pub use client::{Client, ClientError, Response};
 pub use protocol::{
     ErrorCode, Frame, ProtocolError, ServerStats, MAX_FRAME_BYTES, MAX_POINTS, PROTOCOL_VERSION,
 };

@@ -248,7 +248,7 @@ fn writer_loop(stream: TcpStream, rx: &mpsc::Receiver<Frame>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{Client, Response};
     use mesorasi_networks::{NetworkKind, SessionBuilder};
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 
@@ -305,6 +305,53 @@ mod tests {
         let remote = client.infer(3, &cloud).expect("served");
         let local = session.infer(&cloud);
         assert_eq!(remote, local, "the wire must not perturb results");
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_overload_sheds_and_answers_every_request_once() {
+        let session = Arc::new(
+            SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+                .classes(4)
+                .workers(1)
+                .build(),
+        );
+        let server = Server::spawn(
+            session,
+            ServerConfig {
+                scheduler: SchedulerConfig { queue_depth: 2, max_batch: 1, dispatchers: 1 },
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let n = client.input_points() as usize;
+        // Full speed into a depth-2 queue: the first dispatch compiles the
+        // plan, so a backlog forms and admission control must engage.
+        for id in 0..32u64 {
+            let cloud = sample_shape(ShapeClass::Stool, n, id);
+            client.send_infer(id, &cloud).expect("send");
+        }
+        let mut answered = [0u32; 32];
+        let (mut ok, mut shed) = (0u64, 0u64);
+        for _ in 0..32 {
+            let id = match client.recv().expect("every request gets a typed outcome") {
+                Response::Result { id, .. } => {
+                    ok += 1;
+                    id
+                }
+                Response::Error { id, code, .. } => {
+                    assert_eq!(code, ErrorCode::Shed, "request {id}");
+                    shed += 1;
+                    id
+                }
+            };
+            answered[id as usize] += 1;
+        }
+        assert!(answered.iter().all(|&a| a == 1), "each id answered once: {answered:?}");
+        assert_eq!(ok + shed, 32, "no silent drops");
+        assert!(shed > 0, "overload must shed");
+        assert_eq!(client.stats().expect("stats").shed, shed);
         server.shutdown();
     }
 

@@ -1,13 +1,13 @@
-//! Serve quickstart: stand up a mesorasi-serve server in-process, replay a
-//! synthetic sensor stream at 30 Hz through the network client, and read
-//! the latency + scheduler counters back.
+//! Serve quickstart: stand up a mesorasi-serve server in-process, pipeline
+//! a synthetic sensor stream through the network client, and read the
+//! scheduler counters back.
 //!
 //! ```text
 //! cargo run --release --example serve_quickstart
 //! ```
 
 use mesorasi::prelude::*;
-use mesorasi::serve::{replay, Client, Server, ServerConfig};
+use mesorasi::serve::{Client, Response, Server, ServerConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -32,20 +32,21 @@ fn main() {
     let logits = inference.as_classification().expect("classification domain");
     println!("remote inference: predicted class {}", logits.predicted());
 
-    // A 30 Hz sensor replay: 60 frames, same shape size (batchable),
-    // varied content. Every request gets a typed outcome — sheds are
-    // reported, never silent.
-    let frames: Vec<_> = (0..60).map(|i| sample_shape(ShapeClass::Car, n, i)).collect();
-    let report = replay(server.local_addr(), &frames, 30.0).expect("replay");
-    println!(
-        "replayed {} frames in {:.2}s: {} ok, {} shed, p50 {:.2} ms, p99 {:.2} ms",
-        report.sent,
-        report.elapsed.as_secs_f64(),
-        report.ok,
-        report.shed,
-        report.latency_quantile_us(0.50).unwrap_or(0) as f64 / 1000.0,
-        report.latency_quantile_us(0.99).unwrap_or(0) as f64 / 1000.0,
-    );
+    // A pipelined sensor stream: 60 frames, same shape size (batchable),
+    // varied content, all sent before any response is read. Every request
+    // gets a typed outcome — sheds are reported, never silent.
+    for id in 1..=60u64 {
+        let frame = sample_shape(ShapeClass::Car, n, id);
+        client.send_infer(id, &frame).expect("send");
+    }
+    let (mut ok, mut shed) = (0, 0);
+    for _ in 0..60 {
+        match client.recv().expect("response") {
+            Response::Result { .. } => ok += 1,
+            Response::Error { .. } => shed += 1,
+        }
+    }
+    println!("pipelined 60 frames: {ok} ok, {shed} shed");
 
     let stats = client.stats().expect("stats");
     println!(

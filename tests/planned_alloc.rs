@@ -21,42 +21,45 @@
 //! Ten audits, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
-//!    cached, pure planned tensor execution — in both dtypes;
-//! 2. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
+//!    cached, pure planned tensor execution;
+//! 2. the same audit in f64 mode, where the engine replays the plan
+//!    against a persistent f64 shadow arena after every forward;
+//! 3. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
 //!    cache is bypassed, so centroid sampling, **index rebuilds, and
 //!    neighbor queries run on every frame** — the search arena must make
 //!    them allocation-free too;
-//! 3. the session-level audit: a warm [`mesorasi::Session`] frame stream
+//! 4. the default-configuration audit: audit 3 and audits 6–7 build their
+//!    engines from an explicit [`EngineConfig`]. The same streamed frames
+//!    on [`PlanEngine::new`] — the configuration every benchmark workload
+//!    runs — make zero heap allocations too;
+//! 5. the session-level audit: a warm [`mesorasi::Session`] frame stream
 //!    served through `infer_into` (outputs recycled) performs zero heap
 //!    allocations end to end;
-//! 4. the multi-worker audit: with the pool at 2 threads, where the cost
+//! 6. the multi-worker audit: with the pool at 2 threads, where the cost
 //!    model splits the frame's searches into parallel chunks, a warm
 //!    streamed frame still makes zero heap allocations — job dispatch
 //!    reuses retired headers and every worker draws search scratch from
 //!    its `ScratchPool` slot;
-//! 5. the heap-ceiling audit: once warm, `EngineStats` byte totals
+//! 7. the heap-ceiling audit: once warm, `EngineStats` byte totals
 //!    (tensor arena + search arena + parallel scratch pool) are frozen —
 //!    further frames neither grow a slot nor retain new storage — in both
 //!    dtype modes, and the f64 mode's extra state is part of the total;
-//! 6. the feature-space audit: audits 1–5 run PointNet++, which only ever
+//! 8. the feature-space audit: audits 1–7 run PointNet++, which only ever
 //!    searches coordinates. A warm streamed DGCNN frame — every search a
 //!    feature-space scan over its row panel — makes zero heap allocations
 //!    at 1 and 2 threads under a frozen ceiling that counts the panel and
 //!    each worker's distance rows;
-//! 7. the packed-matmul audit: the small networks of audits 1–6 have no
+//! 9. the packed-matmul audit: the small networks of audits 1–8 have no
 //!    weight matrix deep enough for `ops::matmul_into`'s packed order, the
 //!    paper-scale ones do. A warm packed product makes zero heap
 //!    allocations at 1 and 2 threads in both dtypes — its panel buffer is
 //!    on the stack of whichever thread runs the row chunk, so there is no
-//!    retained storage for `EngineStats` to count.
-//! 8. the default-configuration audit: audits 2–5 build their engines from
-//!    an explicit [`EngineConfig`]. A warm streamed PointNet++ frame on
-//!    [`PlanEngine::new`] — the configuration every benchmark workload
-//!    runs — makes zero heap allocations too;
-//! 9. the segmentation audit: audits 1–8 run no feature propagation. A warm
-//!    streamed PointNet++ (s) frame point-queries two coarse levels for its
-//!    interpolation stencils on the octree and makes zero heap allocations
-//!    at 1 and 2 threads, stencil indices and weights included.
+//!    retained storage for `EngineStats` to count;
+//! 10. the segmentation audit: audits 1–9 run no feature propagation. A
+//!     warm streamed PointNet++ (s) frame point-queries two coarse levels
+//!     for its interpolation stencils on the octree and makes zero heap
+//!     allocations at 1 and 2 threads, stencil indices and weights
+//!     included.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -238,17 +241,15 @@ fn warm_f64_shadow_forward_allocates_nothing() {
     });
 }
 
-#[test]
-fn warm_streamed_forward_allocates_nothing_including_search() {
-    let _serial = serial();
-    // The streaming path never caches samples: every frame re-selects
-    // centroids, rebuilds per-space octrees, and re-queries. All of it
-    // must run out of the engine's persistent search arena. Sequential
-    // execution for the same reason as above.
+/// Audits 3 and 4: warm streamed PointNet++ frames on `engine` make zero
+/// heap allocations. The streaming path never caches samples: every frame
+/// re-selects centroids, rebuilds per-space octrees, and re-queries. All of
+/// it must run out of the engine's persistent search arena. Sequential
+/// execution for the same reason as the cache-hit audit.
+fn assert_warm_streamed_frames_allocate_nothing(mut engine: PlanEngine) {
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = engine_at(Dtype::F32);
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -277,7 +278,14 @@ fn warm_streamed_forward_allocates_nothing_including_search() {
         );
         let stats = engine.stats(net.input_points()).expect("compiled");
         assert!(stats.search.index_builds >= 8, "every streamed frame rebuilds its indices");
+        assert!(stats.search.query_calls >= 8, "every streamed frame runs its searches");
     });
+}
+
+#[test]
+fn warm_streamed_forward_allocates_nothing_including_search() {
+    let _serial = serial();
+    assert_warm_streamed_frames_allocate_nothing(engine_at(Dtype::F32));
 }
 
 #[test]
@@ -285,31 +293,7 @@ fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
     let _serial = serial();
     // Built-in defaults, environment not consulted: the engine every
     // benchmark workload runs must not touch the allocator either.
-    mesorasi_par::with_threads(1, || {
-        let mut rng = seeded_rng(6);
-        let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = PlanEngine::new();
-        let record =
-            |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
-        let frames: Vec<PointCloud> =
-            (0..4).map(|s| sample_shape(ShapeClass::Chair, net.input_points(), s)).collect();
-
-        for frame in &frames {
-            let _ = engine.run_streamed(frame, &record);
-        }
-
-        ARMED.store(true, Ordering::SeqCst);
-        let before = ALLOCS.load(Ordering::SeqCst);
-        for frame in &frames {
-            let _ = engine.run_streamed(frame, &record);
-        }
-        let after = ALLOCS.load(Ordering::SeqCst);
-        ARMED.store(false, Ordering::SeqCst);
-
-        assert_eq!(after - before, 0, "a warm default-engine frame must not allocate");
-        let stats = engine.stats(net.input_points()).expect("compiled");
-        assert!(stats.search.query_calls >= 8, "every streamed frame runs its searches");
-    });
+    assert_warm_streamed_frames_allocate_nothing(PlanEngine::new());
 }
 
 #[test]
@@ -348,7 +332,7 @@ fn warm_session_frame_inference_allocates_nothing_end_to_end() {
 }
 
 #[test]
-fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
+fn warm_streamed_forward_allocates_nothing_at_two_threads() {
     let _serial = serial();
     // The multi-worker bar: at 2 pool threads the cost model splits both
     // ball queries (48 and 16 centroids) into parallel chunks; dispatch
@@ -382,7 +366,7 @@ fn warm_tiled_streaming_allocates_nothing_at_two_threads() {
 }
 
 #[test]
-fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
+fn warm_stream_holds_a_hard_heap_ceiling() {
     let _serial = serial();
     // The memory-ceiling half of the contract: beyond "no allocator
     // calls", the bytes already *retained* must stop moving once warm.
