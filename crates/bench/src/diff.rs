@@ -11,8 +11,9 @@
 //! smoke gate — shows up as a trajectory regression.
 //!
 //! Records are matched on their full identity: `(op, backend, threads,
-//! dtype, points, mode)` (see [`crate::perf::BenchRecord`]); an artifact
-//! that carries one identity twice is rejected when it is read. Keys
+//! points, mode)` (see [`crate::perf::BenchRecord`]), plus the `dtype` that
+//! records of older artifacts carry where they timed an `f64` tier; an
+//! artifact that carries one identity twice is rejected when it is read. Keys
 //! present on only one side are reported but never fail the gate — new
 //! kernels appear and old ones retire as the repo grows, and a trajectory
 //! gate that punished adding a benchmark would teach people not to add
@@ -264,7 +265,9 @@ pub struct DiffRecord {
     pub backend: String,
     /// Thread count of the measurement.
     pub threads: u64,
-    /// Element type; `"f32"` when the record carries no `dtype` field.
+    /// Element type: `"f32"` when the record carries no `dtype` field, as
+    /// every record written now; older artifacts also hold `"f64"` rows,
+    /// which match nothing a current run measures.
     pub dtype: String,
     /// Cloud size, on large-cloud records.
     pub points: Option<u64>,
@@ -488,18 +491,11 @@ mod tests {
     use super::*;
     use crate::perf::{BenchRecord, BenchReport};
 
-    fn record(
-        op: &'static str,
-        backend: &'static str,
-        threads: usize,
-        dtype: Option<&'static str>,
-        ns: f64,
-    ) -> BenchRecord {
+    fn record(op: &'static str, backend: &'static str, threads: usize, ns: f64) -> BenchRecord {
         BenchRecord {
             op,
             backend,
             threads,
-            dtype,
             points: None,
             mode: None,
             ns_per_op: ns,
@@ -520,31 +516,54 @@ mod tests {
     fn roundtrips_the_writers_own_output() {
         let rep = report(
             false,
-            vec![
-                record("matmul", "tensor", 2, None, 1000.0),
-                record("matmul", "tensor", 1, Some("f64"), 9000.0),
-            ],
+            vec![record("matmul", "tensor", 2, 1000.0), record("matmul", "naive", 1, 9000.0)],
         );
         let parsed = parse_report(&rep.to_json()).expect("writer output parses");
         assert_eq!(parsed.schema, "mesorasi-bench/9");
         assert!(!parsed.smoke);
         assert_eq!(parsed.records.len(), 2);
-        assert_eq!(parsed.records[0].dtype, "f32");
-        assert_eq!(parsed.records[1].dtype, "f64");
+        assert!(parsed.records.iter().all(|r| r.dtype == "f32"));
         assert_eq!(parsed.records[0].key(), "matmul/tensor @2t");
-        assert_eq!(parsed.records[1].key(), "matmul/tensor[f64] @1t");
+        assert_eq!(parsed.records[1].key(), "matmul/naive @1t");
+    }
+
+    #[test]
+    fn legacy_f64_rows_are_read_apart_and_never_gate() {
+        // Older artifacts timed the matmul tier at f64 too: such a row keeps
+        // its own key, so it neither collides with the f32 row of the same
+        // configuration nor is compared against it.
+        let baseline = parse_report(
+            r#"{ "schema": "mesorasi-bench/9", "smoke": false, "records": [
+            { "op": "matmul", "backend": "tensor", "threads": 1, "ns_per_op": 1000.0 },
+            { "op": "matmul", "backend": "tensor", "threads": 1, "dtype": "f64",
+              "ns_per_op": 10.0 }
+        ] }"#,
+        )
+        .expect("a legacy baseline parses");
+        assert_eq!(baseline.records[1].dtype, "f64");
+        assert_eq!(baseline.records[1].key(), "matmul/tensor[f64] @1t");
+        let current =
+            parse_report(&report(false, vec![record("matmul", "tensor", 1, 1000.0)]).to_json())
+                .unwrap();
+        let d = diff(&baseline, &current, DEFAULT_THRESHOLD).unwrap();
+        assert!(d.regressions().is_empty());
+        assert_eq!(d.only_baseline, vec!["matmul/tensor[f64] @1t"]);
+        assert!(d.only_current.is_empty());
+
+        // The committed baseline is such an artifact.
+        let committed = parse_report(include_str!("../../../BENCH_2026-10-05.json"))
+            .expect("the committed baseline parses");
+        assert_eq!(committed.records.iter().filter(|r| r.dtype == "f64").count(), 4);
     }
 
     #[test]
     fn injected_2x_slowdown_fails_the_gate() {
-        let base = parse_report(
-            &report(false, vec![record("matmul", "tensor", 2, None, 1000.0)]).to_json(),
-        )
-        .unwrap();
-        let slow = parse_report(
-            &report(false, vec![record("matmul", "tensor", 2, None, 2000.0)]).to_json(),
-        )
-        .unwrap();
+        let base =
+            parse_report(&report(false, vec![record("matmul", "tensor", 2, 1000.0)]).to_json())
+                .unwrap();
+        let slow =
+            parse_report(&report(false, vec![record("matmul", "tensor", 2, 2000.0)]).to_json())
+                .unwrap();
         let d = diff(&base, &slow, DEFAULT_THRESHOLD).unwrap();
         assert_eq!(d.regressions().len(), 1);
         assert!((d.regressions()[0].ratio - 2.0).abs() < 1e-9);
@@ -553,23 +572,19 @@ mod tests {
 
     #[test]
     fn jitter_inside_the_threshold_passes() {
-        let base =
-            parse_report(&report(false, vec![record("knn", "octree", 1, None, 1000.0)]).to_json())
-                .unwrap();
-        let cur =
-            parse_report(&report(false, vec![record("knn", "octree", 1, None, 1400.0)]).to_json())
-                .unwrap();
+        let base = parse_report(&report(false, vec![record("knn", "octree", 1, 1000.0)]).to_json())
+            .unwrap();
+        let cur = parse_report(&report(false, vec![record("knn", "octree", 1, 1400.0)]).to_json())
+            .unwrap();
         assert!(diff(&base, &cur, DEFAULT_THRESHOLD).unwrap().regressions().is_empty());
     }
 
     #[test]
     fn unmatched_keys_inform_but_never_fail() {
         let base =
-            parse_report(&report(false, vec![record("old_op", "x", 1, None, 10.0)]).to_json())
-                .unwrap();
+            parse_report(&report(false, vec![record("old_op", "x", 1, 10.0)]).to_json()).unwrap();
         let cur =
-            parse_report(&report(false, vec![record("new_op", "y", 1, None, 10.0)]).to_json())
-                .unwrap();
+            parse_report(&report(false, vec![record("new_op", "y", 1, 10.0)]).to_json()).unwrap();
         let d = diff(&base, &cur, DEFAULT_THRESHOLD).unwrap();
         assert!(d.rows.is_empty());
         assert!(d.regressions().is_empty());
@@ -590,7 +605,7 @@ mod tests {
         // The large-cloud sweep repeats (op, backend, threads) per cloud
         // size; `points` keeps the trajectories apart, and the small-cloud
         // kernel record of the same backend stays a plain key.
-        let at = |points| BenchRecord { points, ..record("query", "octree", 2, None, 100.0) };
+        let at = |points| BenchRecord { points, ..record("query", "octree", 2, 100.0) };
         assert_eq!(
             keys(vec![at(Some(1 << 17)), at(Some(1 << 20)), at(None)]),
             ["query/octree[n=131072] @2t", "query/octree[n=1048576] @2t", "query/octree @2t"]
@@ -602,7 +617,7 @@ mod tests {
         let octree = |mode| BenchRecord {
             points: Some(1 << 20),
             mode,
-            ..record("query", "octree", 2, None, 100.0)
+            ..record("query", "octree", 2, 100.0)
         };
         assert_eq!(
             keys(vec![octree(None), octree(Some("deep"))]),

@@ -1,9 +1,8 @@
 //! Kernel and index micro-records (`repro bench`).
 //!
 //! Times what the end-to-end harness in `benchmark/` cannot see from
-//! outside a frame: the matmul family (fast tier, the naive reference and
-//! the tier at `f64`; `matmul` at a shallow-weight and a deep-weight
-//! shape), the grouped reductions — the tape's argmax-tracking kernels and
+//! outside a frame: the matmul family (fast tier and the naive reference;
+//! `matmul` at a shallow-weight and a deep-weight shape), the grouped reductions — the tape's argmax-tracking kernels and
 //! the `_into` forms a frame executes, at PointNet++ SA1's shape and at
 //! DGCNN's last EdgeConv — both coordinate-search backends (the
 //! exhaustive scan, and the octree split into a warm `index_build` and
@@ -29,13 +28,13 @@ use mesorasi_knn::{ball, bruteforce, MortonOctree, NeighborIndexTable, SearchInd
 use mesorasi_par as par;
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{sampling, PointCloud};
-use mesorasi_tensor::{group, ops, Matrix, Matrix64};
+use mesorasi_tensor::{group, ops, Matrix};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// One measured configuration. `(op, backend, threads, dtype, points,
-/// mode)` is its identity for `bench-diff`.
+/// One measured configuration. `(op, backend, threads, points, mode)` is
+/// its identity for `bench-diff`.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Kernel name: `matmul`, `matmul_at_b`, `matmul_a_bt`,
@@ -50,8 +49,6 @@ pub struct BenchRecord {
     pub backend: &'static str,
     /// Pool threads the measurement ran at.
     pub threads: usize,
-    /// Element type; `None` (key absent in JSON) is the native f32 tier.
-    pub dtype: Option<&'static str>,
     /// Cloud size, on large-cloud records only (query points, on
     /// `stencil` rows).
     pub points: Option<usize>,
@@ -108,9 +105,6 @@ impl BenchReport {
         s.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             let mut id = String::new();
-            if let Some(d) = r.dtype {
-                let _ = write!(id, ", \"dtype\": \"{d}\"");
-            }
             if let Some(n) = r.points {
                 let _ = write!(id, ", \"points\": {n}");
             }
@@ -147,8 +141,8 @@ impl BenchReport {
         ));
         for r in &self.records {
             let mut backend = r.backend.to_owned();
-            for tag in [r.dtype, r.mode].into_iter().flatten() {
-                let _ = write!(backend, " ({tag})");
+            if let Some(mode) = r.mode {
+                let _ = write!(backend, " ({mode})");
             }
             let points = r.points.map_or("-".into(), |n| n.to_string());
             s.push_str(&format!(
@@ -222,7 +216,6 @@ fn thread_sweep(host: usize) -> Vec<usize> {
 pub(crate) struct Kernel<'a> {
     pub op: &'static str,
     pub backend: &'static str,
-    pub dtype: Option<&'static str>,
     pub points: Option<usize>,
     pub mode: Option<&'static str>,
     /// One timed call.
@@ -230,9 +223,9 @@ pub(crate) struct Kernel<'a> {
 }
 
 impl<'a> Kernel<'a> {
-    /// An f32 kernel on no particular cloud.
+    /// A kernel on no particular cloud.
     pub fn new(op: &'static str, backend: &'static str, run: Box<dyn Fn() + 'a>) -> Self {
-        Kernel { op, backend, dtype: None, points: None, mode: None, run }
+        Kernel { op, backend, points: None, mode: None, run }
     }
 }
 
@@ -255,7 +248,6 @@ pub(crate) fn sweep_records(
                 op: k.op,
                 backend: k.backend,
                 threads,
-                dtype: k.dtype,
                 points: k.points,
                 mode: k.mode,
                 ns_per_op: ns,
@@ -405,18 +397,12 @@ pub fn run(smoke: bool) -> BenchReport {
     let octree_rebuild = std::cell::RefCell::new(MortonOctree::build(&w.cloud));
 
     // The fast-tier acceptance comparison: the same paper-scale product
-    // through the pre-tier reference kernel and the tier's f64
-    // instantiation, so the committed artifact carries the tier speedup
-    // and the cost of double precision as first-class records.
+    // through the pre-tier reference kernel, so the committed artifact
+    // carries the tier speedup as a first-class record.
     let naive_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
     let at_b_naive_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
     let a_bt_naive_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
     let mm_bt = w.mm_b.transposed();
-    let mm_a64 = Matrix64::cast_from(&w.mm_a);
-    let mm_b64 = Matrix64::cast_from(&w.mm_b);
-    let mm_out64 = std::cell::RefCell::new(Matrix64::zeros(0, 0));
-    let deep_a64 = Matrix64::cast_from(&w.deep_a);
-    let deep_b64 = Matrix64::cast_from(&w.deep_b);
     // What Strategy::Original reduces: the gathered rows, `k` per group.
     let agg_grouped = group::gather_rows(&w.agg.table, &w.agg.groups);
     let agg_out = std::cell::RefCell::new(Matrix::zeros(0, 0));
@@ -432,15 +418,7 @@ pub fn run(smoke: bool) -> BenchReport {
             "naive",
             Box::new(|| ops::naive::matmul_into(&w.mm_a, &w.mm_b, &mut naive_out.borrow_mut())),
         ),
-        Kernel {
-            dtype: Some("f64"),
-            ..Kernel::new(
-                "matmul",
-                "tensor",
-                Box::new(|| ops::matmul_into(&mm_a64, &mm_b64, &mut mm_out64.borrow_mut())),
-            )
-        },
-        // The same three rows at the deep-weight shape the single
+        // The same two rows at the deep-weight shape the single
         // shallow one cannot stand for (its 64 KB `B` never showed the
         // 2 MB cliff).
         Kernel {
@@ -459,15 +437,6 @@ pub fn run(smoke: bool) -> BenchReport {
                 Box::new(|| {
                     ops::naive::matmul_into(&w.deep_a, &w.deep_b, &mut naive_out.borrow_mut())
                 }),
-            )
-        },
-        Kernel {
-            dtype: Some("f64"),
-            mode: Some("deep"),
-            ..Kernel::new(
-                "matmul",
-                "tensor",
-                Box::new(|| ops::matmul_into(&deep_a64, &deep_b64, &mut mm_out64.borrow_mut())),
             )
         },
         Kernel::new(
@@ -597,7 +566,6 @@ mod tests {
             op: "knn",
             backend,
             threads,
-            dtype: None,
             points: None,
             mode: None,
             ns_per_op: 1234.5,
@@ -621,7 +589,7 @@ mod tests {
             smoke: true,
             records: vec![
                 rec("bruteforce", 2, 1.8),
-                BenchRecord { dtype: Some("f64"), ..rec("tensor", 1, 1.0) },
+                rec("tensor", 1, 1.0),
                 BenchRecord { points: Some(1 << 20), mode: Some("deep"), ..rec("octree", 2, 0.9) },
             ],
         };
@@ -632,10 +600,10 @@ mod tests {
              \"ns_per_op\": 1234.5, \"speedup_vs_1t\": 1.800 }"
         ));
         // Identity fields a record does not have are absent, not null.
-        for key in ["\"dtype\": \"f64\"", "\"points\": 1048576", "\"mode\": \"deep\""] {
+        for key in ["\"points\": 1048576", "\"mode\": \"deep\""] {
             assert_eq!(json.matches(key).count(), 1, "{key}");
         }
-        assert_eq!(json.matches("\"dtype\"").count(), 1);
+        assert!(!json.contains("\"dtype\""), "records carry no dtype key");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(report.filename(), "BENCH_2026-10-01.json");
         assert!(report.to_table().contains("octree (deep)    1048576"), "{}", report.to_table());
@@ -747,12 +715,12 @@ mod tests {
         assert!(report.records.iter().any(|r| r.op == "index_build" && r.points.is_none()));
 
         // matmul is timed at both weight shapes, the deep one as a mode of
-        // the same three (backend, dtype) rows.
+        // the same two backend rows.
         let matmul_rows = |mode| {
             let rows = report.records.iter().filter(|r| r.op == "matmul" && r.mode == mode);
-            rows.map(|r| (r.backend, r.dtype, r.threads)).collect::<BTreeSet<_>>()
+            rows.map(|r| (r.backend, r.threads)).collect::<BTreeSet<_>>()
         };
-        assert_eq!(matmul_rows(Some("deep")).len(), 3 * sweep.len());
+        assert_eq!(matmul_rows(Some("deep")).len(), 2 * sweep.len());
         assert_eq!(matmul_rows(Some("deep")), matmul_rows(None));
 
         // So is the feature-space scan: the shallow shape and DGCNN's.

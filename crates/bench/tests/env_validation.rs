@@ -8,23 +8,21 @@
 //! this process' environment.
 
 use mesorasi_networks::{NetworkKind, SessionBuilder};
-use mesorasi_tensor::Dtype;
 use std::process::Command;
 
-/// Child half of every test that sets variables: the two reads any
-/// inference process makes — the pool size, then a session's engine
-/// configuration. When the parent names one in `EXPECT_DTYPE`, the session
-/// must have been built at that dtype.
+/// Child half of every test that sets variables: what any inference
+/// process does — size the pool, then build a session. When the parent
+/// names a count in `EXPECT_THREADS`, the pool must have resolved to it.
 #[test]
 #[ignore = "run by the tests of this file under the environment each one sets"]
 fn child_builds_a_session() {
-    let _ = mesorasi_par::current_threads();
-    let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+    let threads = mesorasi_par::current_threads();
+    let _ = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
         .classes(3)
         .workers(1)
         .build();
-    if let Ok(want) = std::env::var("EXPECT_DTYPE") {
-        assert_eq!(session.dtype().to_string(), want);
+    if let Ok(want) = std::env::var("EXPECT_THREADS") {
+        assert_eq!(threads.to_string(), want);
     }
 }
 
@@ -54,55 +52,15 @@ fn invalid_mesorasi_threads_fails_loudly_with_accepted_values() {
 }
 
 #[test]
-fn invalid_mesorasi_dtype_fails_loudly_with_accepted_values() {
-    assert_rejected("MESORASI_DTYPE", "f16", "f32|f64");
-}
-
-#[test]
-fn mesorasi_dtype_accepts_any_case_padding_and_empty() {
-    // Empty means unset (CI blanks variables that way).
-    for (raw, want) in [("F64", "f64"), (" f64 ", "f64"), ("f32", "f32"), ("", "f32")] {
-        let (ok, out) = session_build_with(&[("MESORASI_DTYPE", raw), ("EXPECT_DTYPE", want)]);
-        assert!(ok && out.contains("1 passed"), "'{raw}' must build a {want} session: {out}");
-    }
-}
-
-#[test]
 fn every_variable_accepts_blank_and_mixed_case() {
     // Blank means unset (CI can blank a job-level variable, not remove
-    // it); keywords are trimmed and ASCII case-insensitive. An invalid
-    // `MESORASI_DTYPE` is parsed last, so reaching *its* loud failure
-    // proves the variable before it was accepted.
-    for threads in ["", " ", " 2 ", "1"] {
-        let (_, err) =
-            session_build_with(&[("MESORASI_THREADS", threads), ("MESORASI_DTYPE", "f16")]);
-        let case = format!("'{threads}': {err}");
-        assert!(err.contains("invalid MESORASI_DTYPE='f16'"), "{case}");
-        assert_eq!(err.matches("invalid MESORASI_").count(), 1, "{case}");
+    // it); values are trimmed.
+    for (threads, want) in [("", None), (" ", None), (" 2 ", Some("2")), ("1", Some("1"))] {
+        let mut vars = vec![("MESORASI_THREADS", threads)];
+        vars.extend(want.map(|n| ("EXPECT_THREADS", n)));
+        let (ok, out) = session_build_with(&vars);
+        assert!(ok && out.contains("1 passed"), "'{threads}' must build a session: {out}");
     }
-}
-
-/// Child half of [`explicit_builder_settings_beat_the_environment`]: only
-/// meaningful under the environment the parent sets.
-#[test]
-#[ignore = "run by explicit_builder_settings_beat_the_environment under MESORASI_DTYPE=f64"]
-fn child_dtype_follows_the_builder_not_the_environment() {
-    let kind = NetworkKind::PointNetPPClassification;
-    let ambient = SessionBuilder::from_kind(kind).classes(3).workers(1).build();
-    assert_eq!(ambient.dtype(), Dtype::F64, "the environment selects f64");
-    let explicit = SessionBuilder::from_kind(kind).classes(3).workers(1).dtype(Dtype::F32).build();
-    assert_eq!(explicit.dtype(), Dtype::F32, "an explicit f32 setting must win");
-}
-
-#[test]
-fn explicit_builder_settings_beat_the_environment() {
-    let out = Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--ignored", "--exact", "child_dtype_follows_the_builder_not_the_environment"])
-        .env("MESORASI_DTYPE", "f64")
-        .output()
-        .expect("spawn self");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success() && stdout.contains("1 passed"), "{stdout}");
 }
 
 #[test]

@@ -40,7 +40,7 @@ use mesorasi_nn::ir::VarId;
 use mesorasi_nn::plan::{Arena, ArenaStats, Bindings, DynMarks, Plan};
 use mesorasi_nn::Graph;
 use mesorasi_pointcloud::PointCloud;
-use mesorasi_tensor::{Dtype, Matrix};
+use mesorasi_tensor::Matrix;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -385,7 +385,7 @@ struct Compiled {
     steps: Vec<DynStep>,
     /// Steps that survived plan dead-code elimination.
     step_live: Vec<bool>,
-    arena: Arena<f32>,
+    arena: Arena,
     /// NIT cache: hash-keyed, true-LRU bindings per seen sample.
     samples: SampleCache,
     /// The search arena: per-space reusable index storage, keyed by
@@ -402,51 +402,6 @@ struct Compiled {
     state_set: Vec<bool>,
     /// Persistent bindings of the streaming (cache-bypass) path.
     stream_bindings: Option<Bindings>,
-    /// The f64 shadow-execution state, built lazily on the first
-    /// [`Dtype::F64`] run against this plan.
-    shadow: Option<ShadowExec>,
-}
-
-/// Lazy per-plan state of the f64 execution mode: the `f64` instantiation
-/// of the plan's arena (widened constants included) and the rounded-to-f32
-/// output views callers borrow.
-struct ShadowExec {
-    arena: Arena<f64>,
-    /// One f32 matrix per plan output, refreshed (rounded once per
-    /// element) after every shadow replay.
-    outs: Vec<Matrix>,
-}
-
-/// Replays the complete plan in f64 against the bindings the f32 pass
-/// derived, then rounds every output to f32 once. Neighbor structure is
-/// **dtype-invariant by construction**: every dynamic step (centroid
-/// selection, neighbor search — including DGCNN's feature-space kNN —
-/// and stencil derivation) reads the f32 arena, so an f64 run gathers
-/// exactly the rows an f32 run gathers and only the dense arithmetic
-/// changes precision.
-fn run_shadow(
-    plan: &Plan,
-    native: &Arena<f32>,
-    shadow: &mut Option<ShadowExec>,
-    bindings: &Bindings,
-) {
-    let ex = shadow.get_or_insert_with(|| ShadowExec {
-        arena: native.cast(),
-        outs: vec![Matrix::zeros(0, 0); plan.output_count()],
-    });
-    plan.run(&mut ex.arena, bindings);
-    for (i, o) in ex.outs.iter_mut().enumerate() {
-        o.copy_cast_from(plan.output(&ex.arena, i));
-    }
-}
-
-impl ShadowExec {
-    /// Heap bytes the f64 mode adds on top of the native arena.
-    fn bytes(&self) -> usize {
-        self.arena.peak_bytes()
-            + self.arena.const_bytes()
-            + self.outs.iter().map(|o| o.capacity() * std::mem::size_of::<f32>()).sum::<usize>()
-    }
 }
 
 impl Compiled {
@@ -465,23 +420,16 @@ impl Compiled {
 /// Borrow of a finished execution's outputs.
 pub struct PlannedOutputs<'a> {
     plan: &'a Plan,
-    arena: &'a Arena<f32>,
+    arena: &'a Arena,
     outputs: usize,
-    /// When the engine ran in [`Dtype::F64`] mode: the rounded shadow
-    /// outputs, overriding the f32 arena values.
-    shadow_outs: Option<&'a [Matrix]>,
 }
 
 impl<'a> PlannedOutputs<'a> {
     /// The `i`-th output requested by the recording closure. The borrow
     /// carries the engine's lifetime, so several outputs can be held at
-    /// once. In [`Dtype::F64`] mode this is the shadow execution's value,
-    /// rounded to f32 once at the boundary.
+    /// once.
     pub fn get(&self, i: usize) -> &'a Matrix {
-        match self.shadow_outs {
-            Some(outs) => &outs[i],
-            None => self.plan.output(self.arena, i),
-        }
+        self.plan.output(self.arena, i)
     }
 
     /// Number of outputs.
@@ -542,8 +490,7 @@ impl Default for PlanEngine {
 
 impl PlanEngine {
     /// An engine with no compiled plans yet, on the built-in default
-    /// configuration (the environment is not consulted — pass
-    /// [`EngineConfig::from_env`] to [`PlanEngine::with_config`] for that).
+    /// configuration.
     pub fn new() -> PlanEngine {
         PlanEngine::with_config(EngineConfig::default())
     }
@@ -555,15 +502,6 @@ impl PlanEngine {
     /// `mesorasi_par::chunk_len`'s cost model says the work pays for it,
     /// each worker drawing pooled scratch; outputs are bit-identical at
     /// every thread count.
-    ///
-    /// [`Dtype::F32`] is pure native execution. In [`Dtype::F64`] mode the
-    /// engine still runs the f32 plan — the dynamic derivation steps
-    /// (searches, stencils) read intermediate features from the f32 arena,
-    /// which keeps neighbor structure dtype-invariant — and then replays
-    /// the complete plan through the same kernels against an `f64` arena,
-    /// so [`PlannedOutputs::get`] returns f64-accumulated values rounded
-    /// once to f32. The f64 state is built lazily per compiled plan on the
-    /// first run.
     pub fn with_config(config: EngineConfig) -> PlanEngine {
         PlanEngine { compiled: Vec::new(), config }
     }
@@ -596,29 +534,22 @@ impl PlanEngine {
         cloud: &PointCloud,
         record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
     ) -> PlannedOutputs<'a> {
-        let dtype = self.config.dtype;
         let ci = self.ensure_compiled(cloud, record);
         let c = &mut self.compiled[ci];
 
         let hash = cloud.content_hash();
         // Split the borrows: the cache hands out `&Bindings` while the plan
         // runs against the arena.
-        let Compiled { samples, plan, arena, shadow, .. } = c;
+        let Compiled { samples, plan, arena, .. } = c;
         match samples.get(hash, cloud) {
             Some(bindings) => {
                 // Steady state: pure planned tensor execution, no searches,
                 // no allocation (the LRU relink is pointer surgery).
                 plan.run(arena, bindings);
-                if dtype == Dtype::F64 {
-                    run_shadow(plan, arena, shadow, bindings);
-                }
             }
             None => {
                 let mut bindings = Bindings::for_plan(&c.plan);
                 derive_and_run(c, cloud, &mut bindings);
-                if dtype == Dtype::F64 {
-                    run_shadow(&c.plan, &c.arena, &mut c.shadow, &bindings);
-                }
                 // True LRU: at capacity exactly one (least recently used)
                 // entry is evicted — never a wholesale clear, so hot
                 // samples survive unbounded fresh traffic.
@@ -646,7 +577,6 @@ impl PlanEngine {
         cloud: &PointCloud,
         record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
     ) -> PlannedOutputs<'a> {
-        let dtype = self.config.dtype;
         let ci = self.ensure_compiled(cloud, record);
         let c = &mut self.compiled[ci];
         let mut bindings = match c.stream_bindings.take() {
@@ -654,42 +584,21 @@ impl PlanEngine {
             None => Bindings::for_plan(&c.plan),
         };
         derive_and_run(c, cloud, &mut bindings);
-        if dtype == Dtype::F64 {
-            run_shadow(&c.plan, &c.arena, &mut c.shadow, &bindings);
-        }
         c.stream_bindings = Some(bindings);
         self.outputs_of(ci)
     }
 
-    /// The output borrow of a finished execution, honoring the dtype mode.
+    /// The output borrow of a finished execution.
     fn outputs_of(&self, ci: usize) -> PlannedOutputs<'_> {
         let c = &self.compiled[ci];
-        PlannedOutputs {
-            plan: &c.plan,
-            arena: &c.arena,
-            outputs: c.plan.output_count(),
-            shadow_outs: match self.config.dtype {
-                Dtype::F64 => c.shadow.as_ref().map(|s| s.outs.as_slice()),
-                Dtype::F32 => None,
-            },
-        }
+        PlannedOutputs { plan: &c.plan, arena: &c.arena, outputs: c.plan.output_count() }
     }
 
     /// Statistics of the plan compiled for `n_points`, if any: tensor-arena
-    /// usage plus search-arena bytes and traffic counters. Once the plan
-    /// has run in [`Dtype::F64`] mode, the arena totals include the f64
-    /// state (its arena, widened constants and rounded outputs) — the
-    /// heap ceiling is whatever the engine actually retains.
+    /// usage plus search-arena bytes and traffic counters.
     pub fn stats(&self, n_points: usize) -> Option<EngineStats> {
         self.compiled.iter().find(|c| c.n_points == n_points).map(|c| EngineStats {
-            arena: {
-                let mut arena = c.plan.stats(&c.arena);
-                if let Some(shadow) = &c.shadow {
-                    arena.peak_bytes += shadow.bytes();
-                    arena.grow_events += shadow.arena.grow_events();
-                }
-                arena
-            },
+            arena: c.plan.stats(&c.arena),
             search_bytes: c.search_bytes(),
             search: c.search.counters(),
             cache: c.samples.stats(),
@@ -756,7 +665,6 @@ impl PlanEngine {
             state_bufs: vec![PointCloud::new(); n_states],
             state_set: vec![false; n_states],
             stream_bindings: None,
-            shadow: None,
         });
         self.compiled.len() - 1
     }
@@ -1162,10 +1070,7 @@ mod tests {
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::with_config(EngineConfig {
-            sample_cache_cap: 8,
-            ..EngineConfig::default()
-        });
+        let mut engine = PlanEngine::with_config(EngineConfig { sample_cache_cap: 8 });
         let hot = sample_shape(ShapeClass::Chair, 64, 1000);
         let want = engine.run(&hot, &record).get(0).clone();
         let fresh_count = 32; // 4× the cap: would trigger 4 wholesale clears
@@ -1196,10 +1101,7 @@ mod tests {
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::with_config(EngineConfig {
-            sample_cache_cap: 2,
-            ..EngineConfig::default()
-        });
+        let mut engine = PlanEngine::with_config(EngineConfig { sample_cache_cap: 2 });
         let victim = sample_shape(ShapeClass::Lamp, 64, 7);
         let want = engine.run(&victim, &record).get(0).clone();
         for seed in 0..4 {
@@ -1235,40 +1137,6 @@ mod tests {
         assert_eq!(stats.cache.entries, 1);
         assert_eq!(stats.cache.capacity, crate::DEFAULT_SAMPLE_CACHE_CAP);
         assert_eq!(stats.cache.evictions, 0);
-    }
-
-    #[test]
-    fn f64_mode_tracks_f32_and_keeps_neighbor_structure() {
-        let module = offset_module(NeighborMode::CoordKnn);
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
-        let cloud = sample_shape(ShapeClass::Cup, 96, 7);
-
-        let mut f32_engine = PlanEngine::new();
-        let f32_out = f32_engine.run(&cloud, &record).get(0).clone();
-
-        let mut engine =
-            PlanEngine::with_config(EngineConfig { dtype: Dtype::F64, ..EngineConfig::default() });
-        assert_eq!(engine.config().dtype, Dtype::F64);
-        // Cover both the cache-miss (derive) and cache-hit paths.
-        let first = engine.run(&cloud, &record).get(0).clone();
-        let second = engine.run(&cloud, &record).get(0).clone();
-        assert_eq!(first, second, "f64 replay must be deterministic");
-        assert_eq!(first.shape(), f32_out.shape());
-        for r in 0..first.rows() {
-            for (a, b) in first.row(r).iter().zip(f32_out.row(r)) {
-                assert!(
-                    (a - b).abs() <= 1e-3 * (1.0 + b.abs()),
-                    "f64 value {a} drifted from f32 value {b}"
-                );
-            }
-        }
-        // Streamed execution honors the dtype too.
-        let streamed = engine.run_streamed(&cloud, &record).get(0).clone();
-        assert_eq!(streamed, first, "streamed f64 must match cached f64");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use mesorasi_nn::loss;
 use mesorasi_nn::{Graph, VarId};
 use mesorasi_par as par;
 use mesorasi_pointcloud::{Point3, PointCloud};
-use mesorasi_tensor::{Dtype, Matrix};
+use mesorasi_tensor::Matrix;
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -269,10 +269,8 @@ enum NetSource {
 ///
 /// Defaults: [`Strategy::Delayed`], sampling seed 7, small-scale instances
 /// with 10 classes when building from a [`NetworkKind`], weight-init seed
-/// 0, and one engine per host thread. The engine knobs start from
-/// [`EngineConfig::from_env`], read when the builder is created; the
-/// `sample_cache_cap` / `dtype` setters overwrite what the environment
-/// said.
+/// 0, one engine per host thread, and the engine knobs of
+/// [`EngineConfig::default`].
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -294,7 +292,7 @@ impl SessionBuilder {
             classes: 10,
             paper_scale: false,
             init_seed: 0,
-            config: EngineConfig::from_env(),
+            config: EngineConfig::default(),
         }
     }
 
@@ -375,19 +373,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Execution dtype for every worker engine. The default (also when
-    /// `MESORASI_DTYPE` is unset) is [`Dtype::F32`] — the native fast
-    /// tier. [`Dtype::F64`] selects shadow-precision execution: the f32
-    /// plan still runs and derives all neighbor structure (searches are
-    /// dtype-invariant), then a sequential f64 replay produces the
-    /// outputs, rounded to f32 once. Bit-identity contracts (tape vs.
-    /// planned, thread invariance) hold *within* each dtype; use f64 runs
-    /// to measure what f32 execution costs in end-task accuracy.
-    pub fn dtype(mut self, dtype: Dtype) -> Self {
-        self.config.dtype = dtype;
-        self
-    }
-
     /// Builds the session. Plan compilation is lazy: each worker engine
     /// records the network on first contact with a given input shape.
     pub fn build(self) -> Session {
@@ -409,7 +394,6 @@ impl SessionBuilder {
             strategy: self.strategy,
             seed: self.seed,
             domain,
-            config: self.config,
             engines: (0..workers)
                 .map(|_| Worker {
                     engine: Mutex::new(PlanEngine::with_config(self.config)),
@@ -527,7 +511,6 @@ pub struct Session {
     strategy: Strategy,
     seed: u64,
     domain: Domain,
-    config: EngineConfig,
     engines: Vec<Worker>,
     next: AtomicUsize,
 }
@@ -552,11 +535,6 @@ impl Session {
     /// The centroid-sampling seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The execution dtype every worker engine runs at.
-    pub fn dtype(&self) -> Dtype {
-        self.config.dtype
     }
 
     /// The task domain, deciding which [`Inference`] variant is returned.
@@ -890,8 +868,6 @@ mod tests {
             let session = SessionBuilder::from_network_ref(net.as_ref())
                 .strategy(Strategy::Delayed)
                 .seed(9)
-                // Bit-identity to the tape is a per-dtype (f32) contract.
-                .dtype(Dtype::F32)
                 .build();
             for cloud_seed in [1, 2] {
                 let cloud = sample_shape(ShapeClass::Guitar, net.input_points(), cloud_seed);
@@ -914,11 +890,8 @@ mod tests {
         let mut rng = mesorasi_pointcloud::seeded_rng(4);
         let net = FPointNet::small(&mut rng);
         let frustums = crate::datasets::frustums(2, 128, 5);
-        let session = SessionBuilder::from_network_ref(&net)
-            .strategy(Strategy::Original)
-            .seed(11)
-            .dtype(Dtype::F32)
-            .build();
+        let session =
+            SessionBuilder::from_network_ref(&net).strategy(Strategy::Original).seed(11).build();
         for ex in frustums.iter().take(3) {
             let mut g = Graph::new();
             let det = net.forward_detection(&mut g, &ex.cloud, Strategy::Original, 11);
@@ -1077,8 +1050,7 @@ mod tests {
         let inner = crate::pointnetpp::PointNetPP::classification_small(3, &mut rng);
         let reference = inner.clone();
         let flaky = FlakyOnce { inner, tripped: std::sync::atomic::AtomicBool::new(false) };
-        let session =
-            SessionBuilder::from_network(flaky).seed(5).workers(2).dtype(Dtype::F32).build();
+        let session = SessionBuilder::from_network(flaky).seed(5).workers(2).build();
         let cloud = sample_shape(ShapeClass::Chair, reference.input_points(), 8);
 
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -17,14 +17,7 @@
 //! Steady-state execution then performs **zero heap allocation**: every op
 //! writes into its preassigned slot through the `_into` kernels of
 //! `mesorasi-tensor`, which are the same kernels the tape calls, so planned
-//! `f32` values are bit-identical to tape values at every thread count.
-//!
-//! The executor is generic over the arena's [`Element`] type: the plan —
-//! schedule, slot assignment, per-sample [`Bindings`] — is one structure,
-//! and an [`Arena<f64>`](Arena) replays it through the same kernels in
-//! double precision. Per-sample `f32` data crosses into `T` at
-//! [`Op::Input`] nodes and stencil weights; everything downstream
-//! accumulates in `T`.
+//! values are bit-identical to tape values at every thread count.
 //!
 //! Per-sample variability (input matrices, neighbor-search index lists,
 //! interpolation stencils) enters through [`Bindings`], produced by the
@@ -33,7 +26,7 @@
 
 use crate::graph::Graph;
 use crate::ir::{Op, VarId};
-use mesorasi_tensor::{group, ops, Element, Mat, Matrix};
+use mesorasi_tensor::{group, ops, Matrix};
 use std::collections::HashMap;
 
 /// Marks ops of a recorded graph whose index operands are per-sample
@@ -119,24 +112,21 @@ pub struct ArenaStats {
     pub grow_events: usize,
 }
 
-/// The execution state for one plan in element type `T`: the plan's
-/// constants in `T` (so the plan itself stays element-type-free), one
-/// reusable buffer per slot, and a scratch vector for statistics.
-/// [`Plan::from_graph`] returns the native `f32` arena; [`Arena::cast`]
-/// derives one in another element type. After the first execution it
-/// stops allocating.
+/// The execution state for one plan: the plan's constants, one reusable
+/// buffer per slot, and a scratch vector for statistics. After the first
+/// execution it stops allocating.
 #[derive(Debug)]
-pub struct Arena<T: Element> {
+pub struct Arena {
     /// Parameter snapshots, addressed by `Loc::Const`.
-    params: Vec<Mat<T>>,
+    params: Vec<Matrix>,
     /// Live [`Op::MulConst`] node index → mask.
-    masks: HashMap<usize, Mat<T>>,
-    slots: Vec<Mat<T>>,
-    scratch: Vec<T>,
+    masks: HashMap<usize, Matrix>,
+    slots: Vec<Matrix>,
+    scratch: Vec<f32>,
     grow_events: usize,
 }
 
-impl<T: Element> Arena<T> {
+impl Arena {
     /// Times any slot grew beyond its planned capacity (0 in steady state).
     pub fn grow_events(&self) -> usize {
         self.grow_events
@@ -145,26 +135,8 @@ impl<T: Element> Arena<T> {
     /// Total bytes currently reserved for intermediates (slots + scratch).
     pub fn peak_bytes(&self) -> usize {
         let elems: usize =
-            self.slots.iter().map(Mat::capacity).sum::<usize>() + self.scratch.capacity();
-        elems * std::mem::size_of::<T>()
-    }
-
-    /// Bytes held by this arena's copy of the plan's constants.
-    pub fn const_bytes(&self) -> usize {
-        self.params.iter().chain(self.masks.values()).map(Mat::size_bytes).sum()
-    }
-
-    /// A fresh arena for the same plan in element type `U`: constants
-    /// converted once (exact when widening), empty slots at this arena's
-    /// capacities.
-    pub fn cast<U: Element>(&self) -> Arena<U> {
-        Arena {
-            params: self.params.iter().map(Mat::cast_from).collect(),
-            masks: self.masks.iter().map(|(&i, m)| (i, Mat::cast_from(m))).collect(),
-            slots: self.slots.iter().map(|s| Mat::with_capacity(s.capacity())).collect(),
-            scratch: Vec::new(),
-            grow_events: 0,
-        }
+            self.slots.iter().map(Matrix::capacity).sum::<usize>() + self.scratch.capacity();
+        elems * std::mem::size_of::<f32>()
     }
 }
 
@@ -186,14 +158,14 @@ pub struct Plan {
 
 impl Plan {
     /// Compiles the recorded graph into a plan producing `outputs`, plus
-    /// the native arena holding the graph's parameter values. `marks` names
+    /// the arena holding the graph's parameter values. `marks` names
     /// the ops whose index operands are per-sample dynamic.
     ///
     /// # Panics
     ///
     /// Panics when `outputs` is empty or references a node the graph does
     /// not have.
-    pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> (Plan, Arena<f32>) {
+    pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> (Plan, Arena) {
         let n = g.len();
         assert!(!outputs.is_empty(), "a plan needs at least one output");
         for o in outputs {
@@ -356,7 +328,7 @@ impl Plan {
     }
 
     /// Usage statistics for the bench report.
-    pub fn stats<T: Element>(&self, arena: &Arena<T>) -> ArenaStats {
+    pub fn stats(&self, arena: &Arena) -> ArenaStats {
         ArenaStats {
             slots: self.slot_elems.len(),
             values: self.slot_values,
@@ -375,7 +347,7 @@ impl Plan {
     /// # Panics
     ///
     /// Panics when `v` was eliminated as dead code.
-    pub fn value<'a, T: Element>(&self, arena: &'a Arena<T>, v: VarId) -> &'a Mat<T> {
+    pub fn value<'a>(&self, arena: &'a Arena, v: VarId) -> &'a Matrix {
         match self.nodes[v.index()].loc {
             Loc::Slot(s) => &arena.slots[s],
             Loc::Const(c) => &arena.params[c],
@@ -384,7 +356,7 @@ impl Plan {
     }
 
     /// The `idx`-th requested output.
-    pub fn output<'a, T: Element>(&self, arena: &'a Arena<T>, idx: usize) -> &'a Mat<T> {
+    pub fn output<'a>(&self, arena: &'a Arena, idx: usize) -> &'a Matrix {
         self.value(arena, VarId::from_index(self.outputs[idx]))
     }
 
@@ -393,10 +365,8 @@ impl Plan {
         self.outputs.len()
     }
 
-    /// Executes the whole plan against `arena` with `bindings`, in the
-    /// arena's element type. The same per-sample `bindings` serve every
-    /// element type.
-    pub fn run<T: Element>(&self, arena: &mut Arena<T>, bindings: &Bindings) {
+    /// Executes the whole plan against `arena` with `bindings`.
+    pub fn run(&self, arena: &mut Arena, bindings: &Bindings) {
         self.run_range(arena, bindings, 0, self.ops.len());
     }
 
@@ -406,19 +376,13 @@ impl Plan {
     /// # Panics
     ///
     /// Panics when bindings disagree with the recorded shapes.
-    pub fn run_range<T: Element>(
-        &self,
-        arena: &mut Arena<T>,
-        bindings: &Bindings,
-        lo: usize,
-        hi: usize,
-    ) {
+    pub fn run_range(&self, arena: &mut Arena, bindings: &Bindings, lo: usize, hi: usize) {
         for i in lo..hi {
             self.exec_node(i, arena, bindings);
         }
     }
 
-    fn exec_node<T: Element>(&self, i: usize, arena: &mut Arena<T>, bind: &Bindings) {
+    fn exec_node(&self, i: usize, arena: &mut Arena, bind: &Bindings) {
         let node = &self.nodes[i];
         let out_slot = match node.loc {
             Loc::Slot(s) => s,
@@ -436,7 +400,7 @@ impl Plan {
                     (node.rows, node.cols),
                     "input {i} shape changed since the plan was recorded"
                 );
-                out.copy_cast_from(src);
+                out.copy_from(src);
             }
             Op::MatMul { a, b } => {
                 ops::matmul_into(self.value(arena, *a), self.value(arena, *b), &mut out);
@@ -458,7 +422,7 @@ impl Plan {
                 ops::hadamard_into(self.value(arena, *x), &arena.masks[&i], &mut out);
             }
             Op::Scale { x, s } => {
-                ops::scale_into(self.value(arena, *x), T::from_f64(f64::from(*s)), &mut out);
+                ops::scale_into(self.value(arena, *x), *s, &mut out);
             }
             Op::Gather { x, indices } => {
                 let idx = node.index_bid.map_or(&indices[..], |bid| &bind.indices[bid]);
@@ -499,18 +463,17 @@ impl Plan {
                 arena.scratch = scratch;
             }
             // Losses are replayed for completeness (a plan may be asked for
-            // a recorded loss); in `f32` the arithmetic mirrors the tape's
-            // exactly.
+            // a recorded loss); the arithmetic mirrors the tape's exactly.
             Op::Mse { pred, target } => {
                 let (p, t) = (self.value(arena, *pred), self.value(arena, *target));
                 assert_eq!(p.shape(), t.shape(), "mse shape mismatch");
-                let n = T::from_f64(p.len() as f64);
+                let n = p.len() as f32;
                 let loss = p
                     .as_slice()
                     .iter()
                     .zip(t.as_slice())
                     .map(|(&a, &b)| (a - b) * (a - b))
-                    .sum::<T>()
+                    .sum::<f32>()
                     / n;
                 out.reset_shape(1, 1);
                 out[(0, 0)] = loss;
@@ -521,11 +484,11 @@ impl Plan {
                 let mut loss = 0.0f64;
                 for (r, &label) in labels.iter().enumerate() {
                     let row = l.row(r);
-                    let max = row.iter().copied().fold(T::NEG_INFINITY, T::max);
+                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
                     // Same exp/accumulate order as `ops::softmax_rows`, so
                     // the probability of the labelled class is bit-identical.
-                    let mut sum = T::ZERO;
-                    let mut p_label = T::ZERO;
+                    let mut sum = 0.0;
+                    let mut p_label = 0.0;
                     for (c, &v) in row.iter().enumerate() {
                         let e = (v - max).exp();
                         sum += e;
@@ -533,10 +496,10 @@ impl Plan {
                             p_label = e;
                         }
                     }
-                    loss -= (p_label / sum).max(T::from_f64(1e-12)).to_f64().ln();
+                    loss -= f64::from((p_label / sum).max(1e-12)).ln();
                 }
                 out.reset_shape(1, 1);
-                out[(0, 0)] = T::from_f64(loss / labels.len() as f64);
+                out[(0, 0)] = (loss / labels.len() as f64) as f32;
             }
         }
         debug_assert_eq!(
@@ -687,10 +650,6 @@ mod tests {
         plan.run(&mut arena, &b);
         let want = group::gather_rows(&src, &[5, 4, 3]);
         assert_eq!(plan.output(&arena, 0), &want);
-        // The same bindings drive an f64 replay.
-        let mut wide = arena.cast::<f64>();
-        plan.run(&mut wide, &b);
-        assert_eq!(plan.output(&wide, 0), &Mat::cast_from(&want));
     }
 
     /// Records one dynamic op over a 6 × 3 input — index binding 0, or
@@ -757,44 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn f64_replay_tracks_f32_closely_and_never_grows_warm() {
-        let x = Matrix::from_fn(10, 4, |r, c| ((r * 5 + c) as f32 * 0.37).sin());
-        let (g, y, _mlp) = record_mlp(&x);
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let b = input_bindings(&plan, &x);
-        plan.run(&mut arena, &b);
-
-        let mut wide = arena.cast::<f64>();
-        for _ in 0..3 {
-            plan.run(&mut wide, &b);
-        }
-        assert_eq!(wide.grow_events(), 0, "cast capacities must cover execution");
-        assert_eq!(wide.peak_bytes(), 2 * arena.peak_bytes());
-        assert_eq!(wide.const_bytes(), 2 * arena.const_bytes());
-
-        let f32_out = plan.output(&arena, 0);
-        let f64_out = plan.output(&wide, 0);
-        assert_eq!(f32_out.shape(), f64_out.shape());
-        for (a, &b) in f32_out.as_slice().iter().zip(f64_out.as_slice()) {
-            assert!((f64::from(*a) - b).abs() < 1e-4, "f32 {a} drifted from f64 {b}");
-        }
-    }
-
-    #[test]
-    fn f64_replay_is_deterministic() {
-        let x = Matrix::from_fn(12, 4, |r, c| ((r * 7 + c) as f32 * 0.19).cos());
-        let (g, y, _mlp) = record_mlp(&x);
-        let (plan, arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let b = input_bindings(&plan, &x);
-        let mut a1 = arena.cast::<f64>();
-        let mut a2 = arena.cast::<f64>();
-        plan.run(&mut a1, &b);
-        plan.run(&mut a2, &b);
-        assert_eq!(plan.output(&a1, 0), plan.output(&a2, 0));
-    }
-
-    #[test]
-    fn constant_masks_and_scales_replay_in_both_element_types() {
+    fn constant_masks_and_scales_replay() {
         let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 - 2.5);
         let mask = Matrix::from_fn(3, 2, |r, c| if (r + c) % 2 == 0 { 0.0 } else { 2.0 });
         let mut g = Graph::new();
@@ -805,13 +727,6 @@ mod tests {
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);
         assert_eq!(plan.output(&arena, 0), g.value(y));
-
-        let mut wide = arena.cast::<f64>();
-        plan.run(&mut wide, &b);
-        let want = Mat::<f64>::from_fn(3, 2, |r, c| {
-            f64::from(x[(r, c)]) * if (r + c) % 2 == 0 { 0.0 } else { 2.0 } * f64::from(0.3f32)
-        });
-        assert_eq!(plan.output(&wide, 0), &want);
     }
 
     #[test]

@@ -145,10 +145,9 @@ impl<T> ScratchPool<T> {
 }
 
 /// Resolves the `MESORASI_THREADS` override, once per process: the value
-/// sizes the process-wide worker pool, so — unlike the engine variables
-/// `mesorasi_core::EngineConfig::from_env` re-reads on every call — it is
-/// frozen at first use. Unset or blank means the hardware parallelism (CI
-/// can blank a job-level variable but not remove it).
+/// sizes the process-wide worker pool, so it is frozen at first use. Unset
+/// or blank means the hardware parallelism (CI can blank a job-level
+/// variable but not remove it).
 ///
 /// # Panics
 ///

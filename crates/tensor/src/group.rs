@@ -18,7 +18,7 @@
 //! [`crate::simd::max_rows`]. The tape's loops are the oracle the tile is
 //! tested against — same comparison, same order, same bits.
 
-use crate::{Element, Mat, Matrix};
+use crate::{simd, Matrix};
 use mesorasi_par as par;
 
 /// Gathers `indices.len()` rows of `src` into a new matrix (row `i` of the
@@ -29,8 +29,8 @@ use mesorasi_par as par;
 /// # Panics
 ///
 /// Panics if any index is out of bounds.
-pub fn gather_rows<T: Element>(src: &Mat<T>, indices: &[usize]) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn gather_rows(src: &Matrix, indices: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     gather_rows_into(src, indices, &mut out);
     out
 }
@@ -40,7 +40,7 @@ pub fn gather_rows<T: Element>(src: &Mat<T>, indices: &[usize]) -> Mat<T> {
 /// # Panics
 ///
 /// Panics if any index is out of bounds.
-pub fn gather_rows_into<T: Element>(src: &Mat<T>, indices: &[usize], out: &mut Mat<T>) {
+pub fn gather_rows_into(src: &Matrix, indices: &[usize], out: &mut Matrix) {
     let cols = src.cols();
     out.reset_shape(indices.len(), cols);
     if cols == 0 {
@@ -83,12 +83,8 @@ pub fn scatter_add_rows(acc: &mut Matrix, indices: &[usize], grad: &Matrix) {
 /// # Panics
 ///
 /// Panics if shapes are inconsistent.
-pub fn subtract_centroid_per_group<T: Element>(
-    grouped: &Mat<T>,
-    centroid_rows: &Mat<T>,
-    k: usize,
-) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn subtract_centroid_per_group(grouped: &Matrix, centroid_rows: &Matrix, k: usize) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     subtract_centroid_per_group_into(grouped, centroid_rows, k, &mut out);
     out
 }
@@ -98,11 +94,11 @@ pub fn subtract_centroid_per_group<T: Element>(
 /// # Panics
 ///
 /// Panics if shapes are inconsistent.
-pub fn subtract_centroid_per_group_into<T: Element>(
-    grouped: &Mat<T>,
-    centroid_rows: &Mat<T>,
+pub fn subtract_centroid_per_group_into(
+    grouped: &Matrix,
+    centroid_rows: &Matrix,
     k: usize,
-    out: &mut Mat<T>,
+    out: &mut Matrix,
 ) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(grouped.rows() % k, 0, "grouped rows must be a multiple of k");
@@ -176,28 +172,22 @@ pub fn group_max_reduce(grouped: &Matrix, k: usize) -> (Matrix, Vec<usize>) {
 /// # Panics
 ///
 /// Panics if `rows` is not a multiple of `k` or `k == 0`.
-pub fn group_max_into<T: Element>(grouped: &Mat<T>, k: usize, out: &mut Mat<T>) {
+pub fn group_max_into(grouped: &Matrix, k: usize, out: &mut Matrix) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(grouped.rows() % k, 0, "rows must be a multiple of k");
     max_rows_into(grouped, None, grouped.rows() / k, k, out);
 }
 
-/// Elements [`Element::max_rows`] folds per unit of [`par::chunk_len`] work:
+/// Elements [`simd::max_rows`] folds per unit of [`par::chunk_len`] work:
 /// the tile retires a vector of compares per cycle where the work unit is
 /// roughly one scalar inner-loop operation.
 const MAX_ELEMS_PER_WORK_UNIT: usize = 16;
 
 /// The engine's max-reduce, behind [`group_max_into`] (`rows` is `None`:
 /// `k` consecutive rows per group) and [`gather_max_into`] (`rows` is the
-/// validated index table): [`Element::max_rows`] over chunks of whole
+/// validated index table): [`simd::max_rows`] over chunks of whole
 /// groups, so each group's comparison order stays on one thread.
-fn max_rows_into<T: Element>(
-    src: &Mat<T>,
-    rows: Option<&[usize]>,
-    n_out: usize,
-    k: usize,
-    out: &mut Mat<T>,
-) {
+fn max_rows_into(src: &Matrix, rows: Option<&[usize]>, n_out: usize, k: usize, out: &mut Matrix) {
     let cols = src.cols();
     out.reset_shape(n_out, cols);
     if cols == 0 {
@@ -205,7 +195,7 @@ fn max_rows_into<T: Element>(
     }
     let group_chunk = par::chunk_len(n_out, k * cols / MAX_ELEMS_PER_WORK_UNIT);
     par::par_chunks_mut(out.as_mut_slice(), group_chunk * cols, |ci, vals| {
-        T::max_rows(src.as_slice(), cols, rows, ci * group_chunk * k, k, vals);
+        simd::max_rows(src.as_slice(), cols, rows, ci * group_chunk * k, k, vals);
     });
 }
 
@@ -267,7 +257,7 @@ pub fn gather_max_reduce(src: &Matrix, groups: &[usize], k: usize) -> (Matrix, V
 ///
 /// Panics if `groups.len()` is not a multiple of `k`, `k == 0`, or an index
 /// is out of bounds.
-pub fn gather_max_into<T: Element>(src: &Mat<T>, groups: &[usize], k: usize, out: &mut Mat<T>) {
+pub fn gather_max_into(src: &Matrix, groups: &[usize], k: usize, out: &mut Matrix) {
     assert!(k > 0, "group size must be positive");
     assert_eq!(groups.len() % k, 0, "groups must be a multiple of k");
     for &i in groups {
@@ -279,21 +269,14 @@ pub fn gather_max_into<T: Element>(src: &Mat<T>, groups: &[usize], k: usize, out
 /// Weighted row interpolation `out[g] = Σ_j weights[g·k+j] ·
 /// x[indices[g·k+j]]` — the 3-NN feature-propagation stencil (PointNet++'s
 /// `three_interpolate`). Shared by the autograd tape and the planned
-/// executor so both produce bit-identical values. Stencil weights are
-/// per-sample `f32` data at every element type (like network inputs) and
-/// are widened exactly at use.
+/// executor so both produce bit-identical values.
 ///
 /// # Panics
 ///
 /// Panics when `indices.len() != weights.len()`, the length is not a
 /// multiple of `k`, or an index is out of bounds.
-pub fn weighted_gather<T: Element>(
-    src: &Mat<T>,
-    indices: &[usize],
-    weights: &[f32],
-    k: usize,
-) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn weighted_gather(src: &Matrix, indices: &[usize], weights: &[f32], k: usize) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     weighted_gather_into(src, indices, weights, k, &mut out);
     out
 }
@@ -303,21 +286,21 @@ pub fn weighted_gather<T: Element>(
 /// # Panics
 ///
 /// Panics on the same inconsistencies as [`weighted_gather`].
-pub fn weighted_gather_into<T: Element>(
-    src: &Mat<T>,
+pub fn weighted_gather_into(
+    src: &Matrix,
     indices: &[usize],
     weights: &[f32],
     k: usize,
-    out: &mut Mat<T>,
+    out: &mut Matrix,
 ) {
     assert_eq!(indices.len(), weights.len(), "one weight per index");
     assert!(k > 0 && indices.len().is_multiple_of(k), "indices must be n × k");
     let n_out = indices.len() / k;
     out.reset_shape(n_out, src.cols());
-    out.as_mut_slice().fill(T::ZERO);
+    out.as_mut_slice().fill(0.0);
     for g in 0..n_out {
         for j in 0..k {
-            let w = T::from_f64(f64::from(weights[g * k + j]));
+            let w = weights[g * k + j];
             let row = src.row(indices[g * k + j]);
             for (o, &v) in out.row_mut(g).iter_mut().zip(row) {
                 *o += w * v;
@@ -347,7 +330,6 @@ pub fn max_reduce_backward(acc: &mut Matrix, arg: &[usize], grad: &Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix64;
 
     #[test]
     fn gather_copies_rows_with_repeats() {
@@ -412,81 +394,59 @@ mod tests {
         assert_eq!(arg, vec![1]); // row 1 of src won
     }
 
-    #[test]
-    fn f64_group_kernels_select_the_same_rows_as_f32() {
-        // Gathers and max scans only move and compare values, so the f64
-        // instantiation is the exact widening of the f32 result.
-        let src = Matrix::from_fn(12, 6, |r, c| ((r * 31 + c * 17) as f32 * 0.37).sin() * 2.0);
-        let src64 = Matrix64::cast_from(&src);
-        let groups = [0usize, 5, 11, 2, 2, 7, 9, 1, 4];
-        assert_eq!(gather_rows(&src64, &groups), Matrix64::cast_from(&gather_rows(&src, &groups)));
-        let mut maxed64 = Matrix64::zeros(0, 0);
-        gather_max_into(&src64, &groups, 3, &mut maxed64);
-        let mut maxed = Matrix::zeros(0, 0);
-        gather_max_into(&src, &groups, 3, &mut maxed);
-        assert_eq!(maxed64, Matrix64::cast_from(&maxed));
+    /// The `_into` reductions' panic contract: indices are validated before
+    /// any row is read (whichever slot of an entry holds the bad one, and
+    /// even when there are no columns to read), shapes before that.
+    mod into_panics_f32 {
+        use crate::{group, Matrix};
+
+        fn reduce(rows: usize, cols: usize, groups: &[usize], k: usize) {
+            let src = Matrix::zeros(rows, cols);
+            group::gather_max_into(&src, groups, k, &mut Matrix::zeros(0, 0));
+        }
+
+        #[test]
+        #[should_panic(expected = "group index 4 out of bounds")]
+        fn gather_max_into_rejects_an_index_in_the_first_slot() {
+            reduce(4, 70, &[0, 1, 4, 2], 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "group index 9 out of bounds")]
+        fn gather_max_into_rejects_an_index_in_a_later_slot() {
+            reduce(4, 70, &[0, 1, 2, 9], 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "group index 4 out of bounds")]
+        fn gather_max_into_rejects_an_index_with_no_columns() {
+            reduce(4, 0, &[0, 4], 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "group size must be positive")]
+        fn gather_max_into_rejects_k_zero() {
+            reduce(4, 3, &[], 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "groups must be a multiple of k")]
+        fn gather_max_into_rejects_a_partial_entry() {
+            reduce(4, 3, &[0, 1, 2], 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "group size must be positive")]
+        fn group_max_into_rejects_k_zero() {
+            group::group_max_into(&Matrix::zeros(4, 3), 0, &mut Matrix::zeros(0, 0));
+        }
+
+        #[test]
+        #[should_panic(expected = "rows must be a multiple of k")]
+        fn group_max_into_rejects_ragged_rows() {
+            group::group_max_into(&Matrix::zeros(5, 3), 2, &mut Matrix::zeros(0, 0));
+        }
     }
-
-    /// The `_into` reductions' panic contract, per element type: indices are
-    /// validated before any row is read (whichever slot of an entry holds
-    /// the bad one, and even when there are no columns to read), shapes
-    /// before that.
-    macro_rules! into_panic_contract {
-        ($dtype:ident, $t:ty) => {
-            mod $dtype {
-                use crate::{group, Mat};
-
-                fn reduce(rows: usize, cols: usize, groups: &[usize], k: usize) {
-                    let src = Mat::<$t>::zeros(rows, cols);
-                    group::gather_max_into(&src, groups, k, &mut Mat::zeros(0, 0));
-                }
-
-                #[test]
-                #[should_panic(expected = "group index 4 out of bounds")]
-                fn gather_max_into_rejects_an_index_in_the_first_slot() {
-                    reduce(4, 70, &[0, 1, 4, 2], 2);
-                }
-
-                #[test]
-                #[should_panic(expected = "group index 9 out of bounds")]
-                fn gather_max_into_rejects_an_index_in_a_later_slot() {
-                    reduce(4, 70, &[0, 1, 2, 9], 2);
-                }
-
-                #[test]
-                #[should_panic(expected = "group index 4 out of bounds")]
-                fn gather_max_into_rejects_an_index_with_no_columns() {
-                    reduce(4, 0, &[0, 4], 2);
-                }
-
-                #[test]
-                #[should_panic(expected = "group size must be positive")]
-                fn gather_max_into_rejects_k_zero() {
-                    reduce(4, 3, &[], 0);
-                }
-
-                #[test]
-                #[should_panic(expected = "groups must be a multiple of k")]
-                fn gather_max_into_rejects_a_partial_entry() {
-                    reduce(4, 3, &[0, 1, 2], 2);
-                }
-
-                #[test]
-                #[should_panic(expected = "group size must be positive")]
-                fn group_max_into_rejects_k_zero() {
-                    group::group_max_into(&Mat::<$t>::zeros(4, 3), 0, &mut Mat::zeros(0, 0));
-                }
-
-                #[test]
-                #[should_panic(expected = "rows must be a multiple of k")]
-                fn group_max_into_rejects_ragged_rows() {
-                    group::group_max_into(&Mat::<$t>::zeros(5, 3), 2, &mut Mat::zeros(0, 0));
-                }
-            }
-        };
-    }
-    into_panic_contract!(into_panics_f32, f32);
-    into_panic_contract!(into_panics_f64, f64);
 
     #[test]
     fn max_backward_routes_to_winner_only() {

@@ -1,44 +1,37 @@
-//! The [`Mat`] storage type and its [`Matrix`] / [`Matrix64`] aliases.
+//! The [`Matrix`] storage type.
 
-use crate::Element;
 use std::fmt;
 use std::ops::Range;
 
-/// A dense row-major matrix over an [`Element`] type.
+/// A dense row-major `f32` matrix.
 ///
 /// Everything in the workspace — point features, MLP weights, activations,
-/// the Point Feature Table — is a `Mat`. Row-major layout matches the
+/// the Point Feature Table — is a `Matrix`. Row-major layout matches the
 /// paper's tables (one row per point) and makes the row-gather used by
 /// aggregation a contiguous copy.
 #[derive(Clone, PartialEq)]
-pub struct Mat<T: Element> {
+pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<T>,
+    data: Vec<f32>,
 }
 
-/// The workspace's native storage: a dense row-major `f32` matrix.
-pub type Matrix = Mat<f32>;
-
-/// The `f64` instantiation — storage of the precision-reference tier.
-pub type Matrix64 = Mat<f64>;
-
-impl<T: Element> Mat<T> {
+impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Mat { rows, cols, data: vec![T::ZERO; rows * cols] }
+        Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
     /// A `rows × cols` matrix with every element `value`.
-    pub fn full(rows: usize, cols: usize, value: T) -> Self {
-        Mat { rows, cols, data: vec![value; rows * cols] }
+    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
+        Matrix { rows, cols, data: vec![value; rows * cols] }
     }
 
     /// The `n × n` identity.
     pub fn identity(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
+        let mut m = Matrix::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = T::ONE;
+            m[(i, i)] = 1.0;
         }
         m
     }
@@ -48,9 +41,9 @@ impl<T: Element> Mat<T> {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must equal rows × cols");
-        Mat { rows, cols, data }
+        Matrix { rows, cols, data }
     }
 
     /// Builds a matrix from a slice of equal-length rows.
@@ -58,9 +51,9 @@ impl<T: Element> Mat<T> {
     /// # Panics
     ///
     /// Panics if rows have differing lengths.
-    pub fn from_rows(rows: &[&[T]]) -> Self {
+    pub fn from_rows(rows: &[&[f32]]) -> Self {
         if rows.is_empty() {
-            return Mat::zeros(0, 0);
+            return Matrix::zeros(0, 0);
         }
         let cols = rows[0].len();
         let mut data = Vec::with_capacity(rows.len() * cols);
@@ -68,18 +61,18 @@ impl<T: Element> Mat<T> {
             assert_eq!(r.len(), cols, "all rows must have the same length");
             data.extend_from_slice(r);
         }
-        Mat { rows: rows.len(), cols, data }
+        Matrix { rows: rows.len(), cols, data }
     }
 
     /// Builds a matrix element-by-element from `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
             }
         }
-        Mat { rows, cols, data }
+        Matrix { rows, cols, data }
     }
 
     /// Number of rows.
@@ -116,36 +109,36 @@ impl<T: Element> Mat<T> {
     /// memory-footprint experiments (Fig. 10).
     #[inline]
     pub fn size_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+        self.data.len() * std::mem::size_of::<f32>()
     }
 
     /// Row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[T] {
+    pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Row `r` as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The raw row-major data.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// The raw row-major data, mutably.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// Consumes the matrix, returning its row-major data.
     #[inline]
-    pub fn into_vec(self) -> Vec<T> {
+    pub fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -155,7 +148,7 @@ impl<T: Element> Mat<T> {
     /// capacity, so a buffer cycling through the shapes of an inference plan
     /// stops allocating once it has seen the largest one.
     pub fn reset_shape(&mut self, rows: usize, cols: usize) {
-        self.data.resize(rows * cols, T::ZERO);
+        self.data.resize(rows * cols, 0.0);
         self.rows = rows;
         self.cols = cols;
     }
@@ -164,28 +157,9 @@ impl<T: Element> Mat<T> {
     /// backing allocation — the buffer-recycling sibling of `Clone::clone`,
     /// used by the session's `infer_into` path so repeated inference on
     /// same-shaped inputs stops allocating for outputs.
-    pub fn copy_from(&mut self, other: &Mat<T>) {
+    pub fn copy_from(&mut self, other: &Matrix) {
         self.reset_shape(other.rows, other.cols);
         self.data.copy_from_slice(&other.data);
-    }
-
-    /// Overwrites this matrix with `src` converted element by element,
-    /// reusing the backing allocation — the dtype boundary of the planned
-    /// executor. Widening (`f32` → `f64`) is exact; narrowing rounds each
-    /// element once (IEEE round-to-nearest); same-type is a plain copy.
-    pub fn copy_cast_from<S: Element>(&mut self, src: &Mat<S>) {
-        self.reset_shape(src.rows, src.cols);
-        for (o, &v) in self.data.iter_mut().zip(&src.data) {
-            *o = T::from_f64(v.to_f64());
-        }
-    }
-
-    /// A new matrix converted from `src` — [`Mat::copy_cast_from`] without
-    /// a reusable destination.
-    pub fn cast_from<S: Element>(src: &Mat<S>) -> Self {
-        let mut out = Mat::zeros(0, 0);
-        out.copy_cast_from(src);
-        out
     }
 
     /// Number of elements the backing allocation can hold without
@@ -198,12 +172,12 @@ impl<T: Element> Mat<T> {
     /// A `0 × 0` matrix whose backing store can hold `elems` elements
     /// without reallocating — the initial state of an arena slot.
     pub fn with_capacity(elems: usize) -> Self {
-        Mat { rows: 0, cols: 0, data: Vec::with_capacity(elems) }
+        Matrix { rows: 0, cols: 0, data: Vec::with_capacity(elems) }
     }
 
     /// The transpose.
     pub fn transposed(&self) -> Self {
-        let mut out = Mat::zeros(self.cols, self.rows);
+        let mut out = Matrix::zeros(self.cols, self.rows);
         self.transpose_cols_into(0..self.cols, &mut out);
         out
     }
@@ -213,7 +187,7 @@ impl<T: Element> Mat<T> {
     /// tile reads and the 16 output rows it writes stay in L1 across it,
     /// where a row-at-a-time copy writes each element to a different cache
     /// line.
-    pub(crate) fn transpose_cols_into(&self, cols: Range<usize>, out: &mut Mat<T>) {
+    pub(crate) fn transpose_cols_into(&self, cols: Range<usize>, out: &mut Matrix) {
         const TILE: usize = 16;
         out.reset_shape(cols.len(), self.rows);
         for r0 in (0..self.rows).step_by(TILE) {
@@ -230,14 +204,14 @@ impl<T: Element> Mat<T> {
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
+    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
         for v in &mut self.data {
             *v = f(*v);
         }
     }
 
     /// Returns a new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl FnMut(T) -> T) -> Self {
+    pub fn map(&self, f: impl FnMut(f32) -> f32) -> Self {
         let mut out = self.clone();
         out.map_inplace(f);
         out
@@ -248,12 +222,12 @@ impl<T: Element> Mat<T> {
     /// # Panics
     ///
     /// Panics when column counts differ.
-    pub fn vstack(&self, other: &Mat<T>) -> Self {
+    pub fn vstack(&self, other: &Matrix) -> Self {
         assert_eq!(self.cols, other.cols, "vstack requires equal column counts");
         let mut data = Vec::with_capacity(self.data.len() + other.data.len());
         data.extend_from_slice(&self.data);
         data.extend_from_slice(&other.data);
-        Mat { rows: self.rows + other.rows, cols: self.cols, data }
+        Matrix { rows: self.rows + other.rows, cols: self.cols, data }
     }
 
     /// Horizontally concatenates `self` with `other` (the "+" tensor
@@ -262,18 +236,18 @@ impl<T: Element> Mat<T> {
     /// # Panics
     ///
     /// Panics when row counts differ.
-    pub fn hstack(&self, other: &Mat<T>) -> Self {
-        let mut out = Mat::zeros(0, 0);
+    pub fn hstack(&self, other: &Matrix) -> Self {
+        let mut out = Matrix::zeros(0, 0);
         self.hstack_into(other, &mut out);
         out
     }
 
-    /// [`Mat::hstack`] writing into a caller-owned buffer.
+    /// [`Matrix::hstack`] writing into a caller-owned buffer.
     ///
     /// # Panics
     ///
     /// Panics when row counts differ.
-    pub fn hstack_into(&self, other: &Mat<T>, out: &mut Mat<T>) {
+    pub fn hstack_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "hstack requires equal row counts");
         out.reset_shape(self.rows, self.cols + other.cols);
         for r in 0..self.rows {
@@ -281,9 +255,7 @@ impl<T: Element> Mat<T> {
             out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
         }
     }
-}
 
-impl Mat<f32> {
     /// Maximum absolute element, or 0 for an empty matrix. Used by tests to
     /// bound the divergence the delayed-aggregation approximation introduces.
     pub fn max_abs(&self) -> f32 {
@@ -301,32 +273,32 @@ impl Mat<f32> {
     }
 }
 
-impl<T: Element> Default for Mat<T> {
+impl Default for Matrix {
     /// The empty `0 × 0` matrix (no allocation) — lets arena slots be
     /// `std::mem::take`n during execution.
     fn default() -> Self {
-        Mat::zeros(0, 0)
+        Matrix::zeros(0, 0)
     }
 }
 
-impl<T: Element> std::ops::Index<(usize, usize)> for Mat<T> {
-    type Output = T;
+impl std::ops::Index<(usize, usize)> for Matrix {
+    type Output = f32;
     #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &T {
+    fn index(&self, (r, c): (usize, usize)) -> &f32 {
         debug_assert!(r < self.rows && c < self.cols);
         &self.data[r * self.cols + c]
     }
 }
 
-impl<T: Element> std::ops::IndexMut<(usize, usize)> for Mat<T> {
+impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
     }
 }
 
-impl<T: Element> fmt::Debug for Mat<T> {
+impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         let show_rows = self.rows.min(6);
@@ -424,35 +396,6 @@ mod tests {
         buf.copy_from(&small);
         assert_eq!(buf, small);
         assert_eq!(buf.capacity(), cap, "copy_from must not shrink the backing store");
-    }
-
-    #[test]
-    fn widen_then_round_is_the_identity_on_f32_values() {
-        // Every f32 is exactly representable in f64, so widen → round is
-        // the identity.
-        let src = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f32 * 0.7).sin());
-        let wide = Matrix64::cast_from(&src);
-        let mut back = Matrix::zeros(0, 0);
-        back.copy_cast_from(&wide);
-        assert_eq!(back, src);
-    }
-
-    #[test]
-    fn f64_reset_shape_keeps_capacity() {
-        let mut m = Matrix64::zeros(8, 8);
-        let cap = m.capacity();
-        m.reset_shape(2, 2);
-        m.reset_shape(8, 8);
-        assert_eq!(m.capacity(), cap);
-    }
-
-    #[test]
-    fn f64_hstack_concatenates_rows() {
-        let a = Matrix64::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix64::from_rows(&[&[3.0]]);
-        let mut out = Matrix64::zeros(0, 0);
-        a.hstack_into(&b, &mut out);
-        assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

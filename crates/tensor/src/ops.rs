@@ -1,21 +1,20 @@
 //! Dense kernels: matrix products, broadcasts, activations, statistics.
 //!
-//! Every forward kernel is written once over `T: Element` (`f32`, `f64`).
 //! The matmul family is data-parallel over output rows via [`mesorasi_par`]:
 //! every output row is produced entirely by one chunk with a fixed
 //! accumulation order, so results are bit-identical at every thread count
-//! within an element type (and the whole layer degrades to the plain
-//! sequential loop at an effective thread count of 1 or for small shapes).
+//! (and the whole layer degrades to the plain sequential loop at an
+//! effective thread count of 1 or for small shapes).
 //!
 //! # The fast tier and the [`naive`] reference
 //!
 //! Every matmul runs through one driver, [`matmul_into`]: register-tiled
-//! micro-kernels — the [`Element`] hooks: for `f32`, [`crate::simd`] (AVX2
-//! behind runtime detection), otherwise the same tiles as an
-//! auto-vectorizable block-accumulator scalar kernel — cache-blocked by
-//! operand shape (row block · packed `B` panel · `k`-block, see its docs).
+//! micro-kernels — [`crate::simd`]'s: AVX2 behind runtime detection,
+//! otherwise the same tiles as an auto-vectorizable block-accumulator
+//! scalar kernel — cache-blocked by operand shape (row block · packed `B`
+//! panel · `k`-block, see its docs).
 //! The two transpose variants, which only training runs, are that driver
-//! on a transposed copy of one operand. The pre-tier `f32` kernels are
+//! on a transposed copy of one operand. The pre-tier kernels are
 //! preserved verbatim in [`naive`]: they are the semantics reference the
 //! property tests compare against, and the `"naive"` backend the bench
 //! harness records so every `BENCH_*.json` carries the measured speedup.
@@ -24,9 +23,9 @@
 //! output element accumulates its products in ascending-`p` order in both
 //! (tiling and blocking reorder only *which rows and columns* are resident
 //! in registers and cache, never the per-element chain — a chain split
-//! into `k`-blocks passes through `out`, and a store and reload in the
-//! element type is exact), and the vector lanes perform the same
-//! one-mul-one-add per element as the scalar loop (no FMA). The only
+//! into `k`-blocks passes through `out`, and a store and reload of an
+//! `f32` is exact), and the vector lanes perform the same one-mul-one-add
+//! per element as the scalar loop (no FMA). The only
 //! textual difference is the reference's skip of zero `A` elements in
 //! [`naive::matmul_into`] and [`naive::matmul_at_b_into`], which here
 //! adds `±0.0` products instead — an IEEE-754 identity on every finite
@@ -34,7 +33,7 @@
 //! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
 //! `x + ±0.0 == x` bitwise throughout the chain).
 
-use crate::{Element, Mat, Matrix};
+use crate::{simd, Matrix};
 use mesorasi_par as par;
 
 /// `A · B` for `A: m×k`, `B: k×n`, parallel over output rows.
@@ -42,8 +41,8 @@ use mesorasi_par as par;
 /// # Panics
 ///
 /// Panics when the inner dimensions disagree.
-pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     matmul_into(a, b, &mut out);
     out
 }
@@ -51,7 +50,7 @@ pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// [`matmul`] writing into a caller-owned buffer (reshaped, fully
 /// overwritten; no allocation once the buffer's capacity suffices).
 ///
-/// Register-tiled: output rows go four at a time through [`Element::mm4`],
+/// Register-tiled: output rows go four at a time through [`simd::mm4`],
 /// which holds a 4-row × 16-column output tile in registers for a whole
 /// `p` walk — each `B` row segment is loaded once per four output rows
 /// (the naive kernel re-reads and re-writes the output row on every `p`
@@ -61,8 +60,8 @@ pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// slice of `B` top to bottom — `k` loads, one `B` row apart — and between
 /// row quads that slice stays in L1 only while all of `B` fits there: a
 /// row stride of `n` elements maps the slice's cache lines onto few sets
-/// (a single one at `n` = 1024 in `f32`), so a deeper `B` read in place is
-/// fetched again from L2 or memory by every row quad. A deep `B` is
+/// (a single one at `n` = 1024), so a deeper `B` read in place is fetched
+/// again from L2 or memory by every row quad. A deep `B` is
 /// therefore taken in the order row block · panel · `k`-block · row quad:
 /// each 16-column panel of `B` is copied once per row block into a
 /// contiguous buffer of at most `PANEL_BYTES` (L1-resident whatever `n`
@@ -74,8 +73,8 @@ pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// one `n`-wide panel read in place (row-major `B` *is* a contiguous
 /// `k × n` panel) and one `k`-block.
 ///
-/// A store and reload in the element type is exact, so either way each
-/// output element runs the same chain — ascending `p` from `+0.0`, one
+/// A store and reload of an `f32` is exact, so either way each output
+/// element runs the same chain — ascending `p` from `+0.0`, one
 /// `mul` and one `add` per step — and the result is bit-identical to
 /// [`naive::matmul_into`] for finite inputs (see the module docs; the
 /// reference's sparse zero-skip becomes `±0.0` additions here), whatever
@@ -84,7 +83,7 @@ pub fn matmul<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when the inner dimensions disagree.
-pub fn matmul_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
+pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} × {:?}", a.shape(), b.shape());
     let (m, k) = a.shape();
     let n = b.cols();
@@ -92,7 +91,7 @@ pub fn matmul_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     if n == 0 {
         return;
     }
-    let blocking = Blocking::pick::<T>(m, k, n);
+    let blocking = Blocking::pick(m, k, n);
     let packs = blocking.packs(n);
     let mut row_chunk = par::chunk_len(m, 2 * k * n);
     if packs {
@@ -104,7 +103,7 @@ pub fn matmul_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     }
     par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
         if packs {
-            blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut Panel::zeroed().0);
+            blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut Panel([0.0; PANEL_ELEMS]).0);
         } else {
             blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut []);
         }
@@ -119,9 +118,9 @@ const PANEL_COLS: usize = 16;
 /// `A` once per 16 columns), a larger one is packed into `kc × 16` pieces
 /// of this size. Two thirds of the 48 KB L1d of the host this tier is
 /// measured on — the rest is left to the four streaming `A` rows and the
-/// output tile — and exactly the networks' deepest layer (`k` = 512 in
-/// `f32`) in one `k`-block: 16 KB and 24 KB, which split that layer in
-/// two, measured 5–10 % slower on it.
+/// output tile — and exactly the networks' deepest layer (`k` = 512) in one
+/// `k`-block: 16 KB and 24 KB, which split that layer in two, measured
+/// 5–10 % slower on it.
 const PANEL_BYTES: usize = 32 * 1024;
 /// L2 budget of one row block's `A` slice, which fixes the block's height:
 /// every panel of `B` re-reads the slice, so it has to stay resident
@@ -138,24 +137,16 @@ const A_BLOCK_BYTES: usize = 512 * 1024;
 /// shorter.
 const PACK_MIN_ROWS: usize = 32;
 
-/// Elements of the packed-panel buffer: [`PANEL_BYTES`] of the narrowest
-/// element type (an array length cannot depend on `T`).
+/// Elements of the packed-panel buffer.
 const PANEL_ELEMS: usize = PANEL_BYTES / size_of::<f32>();
 
 /// The packed-panel buffer: stack-resident (a warm call allocates
-/// nothing), cache-line aligned, sized for `f32`; a wider element type
-/// fills a prefix.
+/// nothing), cache-line aligned.
 #[repr(align(64))]
-struct Panel<T>([T; PANEL_ELEMS]);
-
-impl<T: Element> Panel<T> {
-    fn zeroed() -> Self {
-        Panel([T::ZERO; PANEL_ELEMS])
-    }
-}
+struct Panel([f32; PANEL_ELEMS]);
 
 /// Loop blocking of one [`matmul_into`] call, picked from the operand
-/// shapes and the element size alone.
+/// shapes alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Blocking {
     /// Columns of `B` per panel: `n` walks `B` in place, [`PANEL_COLS`]
@@ -168,8 +159,8 @@ struct Blocking {
 }
 
 impl Blocking {
-    fn pick<T: Element>(m: usize, k: usize, n: usize) -> Blocking {
-        let elem = size_of::<T>();
+    fn pick(m: usize, k: usize, n: usize) -> Blocking {
+        let elem = size_of::<f32>();
         if m < PACK_MIN_ROWS || k * n * elem <= PANEL_BYTES {
             return Blocking { panel_cols: n, kc: k, mc: m };
         }
@@ -187,13 +178,13 @@ impl Blocking {
 /// row quad. Each panel is copied into `panel` when `blocking` packs and
 /// read in place otherwise, where one row block, one panel and one
 /// `k`-block make this the plain walk of every row quad over all of `B`.
-fn blocked_rows<T: Element>(
-    a: &Mat<T>,
-    b: &Mat<T>,
+fn blocked_rows(
+    a: &Matrix,
+    b: &Matrix,
     first: usize,
-    out_rows: &mut [T],
+    out_rows: &mut [f32],
     blocking: Blocking,
-    panel: &mut [T],
+    panel: &mut [f32],
 ) {
     let k = a.cols();
     let n = b.cols();
@@ -210,7 +201,7 @@ fn blocked_rows<T: Element>(
             let mut p0 = 0;
             loop {
                 let kb = kc.min(k - p0);
-                let bp: &[T] = if packs {
+                let bp: &[f32] = if packs {
                     let packed = &mut panel[..kb * w];
                     for (dst, p) in packed.chunks_exact_mut(w).zip(p0..) {
                         dst.copy_from_slice(&b.row(p)[j0..j0 + w]);
@@ -224,11 +215,11 @@ fn blocked_rows<T: Element>(
                     n,
                     |i, rows| {
                         let a_rows = quad_rows(a, first + i).map(|r| &r[p0..p0 + kb]);
-                        T::mm4(a_rows, bp, w, rows.map(|r| &mut r[j0..j0 + w]), p0 > 0);
+                        simd::mm4(a_rows, bp, w, rows.map(|r| &mut r[j0..j0 + w]), p0 > 0);
                     },
                     |i, row| {
                         let a_row = &a.row(first + i)[p0..p0 + kb];
-                        T::mm1(a_row, bp, w, &mut row[j0..j0 + w], p0 > 0);
+                        simd::mm1(a_row, bp, w, &mut row[j0..j0 + w], p0 > 0);
                     },
                 );
                 p0 += kb;
@@ -241,18 +232,18 @@ fn blocked_rows<T: Element>(
 }
 
 /// Rows `i..i + 4` of `a`.
-fn quad_rows<T: Element>(a: &Mat<T>, i: usize) -> [&[T]; 4] {
+fn quad_rows(a: &Matrix, i: usize) -> [&[f32]; 4] {
     [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)]
 }
 
 /// Walks `rows` (whole `n`-wide rows) four at a time through
 /// `quad(first_row, rows)` with the tail through `single(row, out_row)`,
 /// row indices relative to the slice.
-fn walk_quads<T: Element>(
-    rows: &mut [T],
+fn walk_quads(
+    rows: &mut [f32],
     n: usize,
-    quad: impl Fn(usize, [&mut [T]; 4]),
-    single: impl Fn(usize, &mut [T]),
+    quad: impl Fn(usize, [&mut [f32]; 4]),
+    single: impl Fn(usize, &mut [f32]),
 ) {
     let rows_here = rows.len() / n;
     let mut ri = 0;
@@ -293,7 +284,7 @@ const AT_B_ROWS: usize = 256;
 /// # Panics
 ///
 /// Panics when the row counts disagree.
-pub fn matmul_at_b<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -303,13 +294,13 @@ pub fn matmul_at_b<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
     );
     let (m, n) = (a.cols(), b.cols());
     let mut out = Vec::with_capacity(m * n);
-    let (mut at, mut part) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+    let (mut at, mut part) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     for i0 in (0..m).step_by(AT_B_ROWS) {
         a.transpose_cols_into(i0..(i0 + AT_B_ROWS).min(m), &mut at);
         matmul_into(&at, b, &mut part);
         out.extend_from_slice(part.as_slice());
     }
-    Mat::from_vec(m, n, out)
+    Matrix::from_vec(m, n, out)
 }
 
 /// `A · Bᵀ` for `A: m×k`, `B: n×k` — the input-gradient product of a linear
@@ -322,7 +313,7 @@ pub fn matmul_at_b<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when the column counts disagree.
-pub fn matmul_a_bt<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -338,8 +329,8 @@ pub fn matmul_a_bt<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn add<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     add_into(a, b, &mut out);
     out
 }
@@ -349,7 +340,7 @@ pub fn add<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn add_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
+pub fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.shape(), b.shape(), "add shape mismatch");
     out.reset_shape(a.rows(), a.cols());
     for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
@@ -362,8 +353,8 @@ pub fn add_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn sub<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     sub_into(a, b, &mut out);
     out
 }
@@ -373,7 +364,7 @@ pub fn sub<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn sub_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
+pub fn sub_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.shape(), b.shape(), "sub shape mismatch");
     out.reset_shape(a.rows(), a.cols());
     for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
@@ -386,8 +377,8 @@ pub fn sub_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn hadamard<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     hadamard_into(a, b, &mut out);
     out
 }
@@ -397,7 +388,7 @@ pub fn hadamard<T: Element>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when shapes differ.
-pub fn hadamard_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
+pub fn hadamard_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
     out.reset_shape(a.rows(), a.cols());
     for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
@@ -406,12 +397,12 @@ pub fn hadamard_into<T: Element>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
 }
 
 /// `a * s` for a scalar `s`.
-pub fn scale<T: Element>(a: &Mat<T>, s: T) -> Mat<T> {
+pub fn scale(a: &Matrix, s: f32) -> Matrix {
     a.map(|v| v * s)
 }
 
 /// [`scale`] writing into a caller-owned buffer.
-pub fn scale_into<T: Element>(a: &Mat<T>, s: T, out: &mut Mat<T>) {
+pub fn scale_into(a: &Matrix, s: f32, out: &mut Matrix) {
     out.reset_shape(a.rows(), a.cols());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
         *o = x * s;
@@ -424,8 +415,8 @@ pub fn scale_into<T: Element>(a: &Mat<T>, s: T, out: &mut Mat<T>) {
 /// # Panics
 ///
 /// Panics when `bias` is not a single row of matching width.
-pub fn add_bias_row<T: Element>(a: &Mat<T>, bias: &Mat<T>) -> Mat<T> {
-    let mut out = Mat::zeros(0, 0);
+pub fn add_bias_row(a: &Matrix, bias: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
     add_bias_row_into(a, bias, &mut out);
     out
 }
@@ -435,7 +426,7 @@ pub fn add_bias_row<T: Element>(a: &Mat<T>, bias: &Mat<T>) -> Mat<T> {
 /// # Panics
 ///
 /// Panics when `bias` is not a single row of matching width.
-pub fn add_bias_row_into<T: Element>(a: &Mat<T>, bias: &Mat<T>, out: &mut Mat<T>) {
+pub fn add_bias_row_into(a: &Matrix, bias: &Matrix, out: &mut Matrix) {
     assert_eq!(bias.rows(), 1, "bias must be a row vector");
     assert_eq!(bias.cols(), a.cols(), "bias width must match");
     out.reset_shape(a.rows(), a.cols());
@@ -449,15 +440,15 @@ pub fn add_bias_row_into<T: Element>(a: &Mat<T>, bias: &Mat<T>, out: &mut Mat<T>
 
 /// ReLU: `max(v, 0)` elementwise — the non-linearity φ whose presence makes
 /// delayed-aggregation *approximate* (paper Equ. 3).
-pub fn relu<T: Element>(a: &Mat<T>) -> Mat<T> {
-    a.map(|v| v.max(T::ZERO))
+pub fn relu(a: &Matrix) -> Matrix {
+    a.map(|v| v.max(0.0))
 }
 
 /// [`relu`] writing into a caller-owned buffer.
-pub fn relu_into<T: Element>(a: &Mat<T>, out: &mut Mat<T>) {
+pub fn relu_into(a: &Matrix, out: &mut Matrix) {
     out.reset_shape(a.rows(), a.cols());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
-        *o = x.max(T::ZERO);
+        *o = x.max(0.0);
     }
 }
 
@@ -510,12 +501,12 @@ pub fn column_stats(a: &Matrix) -> (Matrix, Matrix) {
 /// # Panics
 ///
 /// Panics on an empty matrix.
-pub fn standardize_into<T: Element>(a: &Mat<T>, stats: &mut Vec<T>, out: &mut Mat<T>) {
+pub fn standardize_into(a: &Matrix, stats: &mut Vec<f32>, out: &mut Matrix) {
     assert!(a.rows() > 0, "column stats of empty matrix");
     let (rows, cols) = a.shape();
-    let n = T::from_f64(rows as f64);
+    let n = rows as f32;
     stats.clear();
-    stats.resize(2 * cols, T::ZERO);
+    stats.resize(2 * cols, 0.0);
     let (mean, inv) = stats.split_at_mut(cols);
     // Same accumulation order as `sum_rows` + `scale(_, 1/n)`.
     for r in 0..rows {
@@ -523,7 +514,7 @@ pub fn standardize_into<T: Element>(a: &Mat<T>, stats: &mut Vec<T>, out: &mut Ma
             *m += v;
         }
     }
-    let s = T::ONE / n;
+    let s = 1.0 / n;
     for m in mean.iter_mut() {
         *m *= s;
     }
@@ -535,7 +526,7 @@ pub fn standardize_into<T: Element>(a: &Mat<T>, stats: &mut Vec<T>, out: &mut Ma
         }
     }
     for v in inv.iter_mut() {
-        *v = T::ONE / (*v / n + T::from_f64(1e-5)).sqrt();
+        *v = 1.0 / (*v / n + 1e-5).sqrt();
     }
     out.reset_shape(rows, cols);
     for r in 0..rows {
@@ -720,7 +711,6 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix64;
 
     fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
         a.shape() == b.shape()
@@ -755,23 +745,19 @@ mod tests {
         let in_place = |m, k, n| Blocking { panel_cols: n, kc: k, mc: m };
         let packed = |kc, mc| Blocking { panel_cols: PANEL_COLS, kc, mc };
         // B up to PANEL_BYTES is walked in place, whatever the row count.
-        assert_eq!(Blocking::pick::<f32>(40, 128, 64), in_place(40, 128, 64));
-        assert_eq!(Blocking::pick::<f32>(40, 129, 64), packed(512, 1016));
-        assert_eq!(Blocking::pick::<f64>(40, 64, 64), in_place(40, 64, 64));
-        assert_eq!(Blocking::pick::<f64>(40, 65, 64), packed(256, 1008));
-        assert_eq!(Blocking::pick::<f32>(32768, 64, 128), in_place(32768, 64, 128));
+        assert_eq!(Blocking::pick(40, 128, 64), in_place(40, 128, 64));
+        assert_eq!(Blocking::pick(40, 129, 64), packed(512, 1016));
+        assert_eq!(Blocking::pick(32768, 64, 128), in_place(32768, 64, 128));
         // Fewer than PACK_MIN_ROWS rows never pack.
-        assert_eq!(Blocking::pick::<f32>(31, 512, 1024), in_place(31, 512, 1024));
-        assert_eq!(Blocking::pick::<f32>(32, 512, 1024), packed(512, 256));
-        assert_eq!(Blocking::pick::<f64>(128, 512, 1024), packed(256, 128));
+        assert_eq!(Blocking::pick(31, 512, 1024), in_place(31, 512, 1024));
+        assert_eq!(Blocking::pick(32, 512, 1024), packed(512, 256));
         // Row blocks hold A_BLOCK_BYTES of A, floored at PACK_MIN_ROWS.
-        assert_eq!(Blocking::pick::<f32>(70, 2048, 20), packed(512, 64));
-        assert_eq!(Blocking::pick::<f64>(70, 2048, 20), packed(256, 32));
-        assert_eq!(Blocking::pick::<f32>(67, 8192, 17), packed(512, 32));
+        assert_eq!(Blocking::pick(70, 2048, 20), packed(512, 64));
+        assert_eq!(Blocking::pick(67, 8192, 17), packed(512, 32));
         // A deep B no wider than one panel is already contiguous: k- and
         // row-blocked, but read in place.
-        assert!(!Blocking::pick::<f32>(64, 1024, 13).packs(13));
-        assert!(Blocking::pick::<f32>(64, 1024, 17).packs(17));
+        assert!(!Blocking::pick(64, 1024, 13).packs(13));
+        assert!(Blocking::pick(64, 1024, 17).packs(17));
     }
 
     #[test]
@@ -872,38 +858,6 @@ mod tests {
                 ((h >> 8) as f32 / 1e5).sin() * 3.0
             }
         })
-    }
-
-    fn close(wide: &Matrix64, narrow: &Matrix, tol: f64) {
-        assert_eq!(wide.shape(), narrow.shape());
-        for (x, &y) in wide.as_slice().iter().zip(narrow.as_slice()) {
-            assert!((x - f64::from(y)).abs() <= tol, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn f64_matmul_tracks_f32_closely() {
-        let a = noisy(9, 17, 1, 0);
-        let b = noisy(17, 5, 2, 0);
-        let wide = matmul(&Matrix64::cast_from(&a), &Matrix64::cast_from(&b));
-        close(&wide, &matmul(&a, &b), 1e-4);
-    }
-
-    #[test]
-    fn f64_standardize_matches_f32_shape_and_scale() {
-        let a = noisy(20, 4, 7, 0);
-        let mut out = Matrix64::zeros(0, 0);
-        standardize_into(&Matrix64::cast_from(&a), &mut Vec::new(), &mut out);
-        let mut f32_out = Matrix::zeros(0, 0);
-        standardize_into(&a, &mut Vec::new(), &mut f32_out);
-        close(&out, &f32_out, 1e-4);
-    }
-
-    #[test]
-    fn f64_kernels_are_deterministic() {
-        let a = Matrix64::cast_from(&noisy(8, 8, 9, 0));
-        let b = Matrix64::cast_from(&noisy(8, 8, 10, 0));
-        assert_eq!(matmul(&a, &b), matmul(&a, &b));
     }
 
     #[test]

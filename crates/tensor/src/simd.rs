@@ -13,7 +13,7 @@
 //! caller hands over, all of `B` or a packed 16-column piece of it — but
 //! their `accumulate` form starts the tile from the sums already in `out`,
 //! which is how [`crate::ops::matmul_into`] splits a deep `k` into L1-sized
-//! blocks: a store and reload in the element type is exact, so the chain
+//! blocks: a store and reload of an `f32` is exact, so the chain
 //! is the one an unsplit walk would run.
 //!
 //! A second entry, [`sqdist_rows`], serves the feature-space kNN scan of
@@ -36,7 +36,7 @@
 //! same reason as [`sqdist_rows`] — one safe generic body, no intrinsics,
 //! and an AVX2 `target_feature` wrapper so the body's 64-column tile is
 //! eight ymm accumulators that stay in registers across all `k` rows and
-//! are stored once (32 columns at baseline width, 16 for `f64`). The loop
+//! are stored once (32 columns at baseline width). The loop
 //! it replaced compared each element against an output row in memory — a
 //! load, a branch and a store per element — and ran at about a nanosecond
 //! per element on a table that sat in L2. The fold is spelled
@@ -51,8 +51,8 @@
 //! `mul` + `add` round twice, which would break the scalar ≡ vector
 //! contract.
 //!
-//! The matmul entry points are the `f32` hooks of [`Element`]: they check
-//! every bound the vector paths rely on, then dispatch. With the `simd`
+//! The matmul entry points check every bound the vector paths rely on,
+//! then dispatch. With the `simd`
 //! cargo feature (default on), x86_64 checks for AVX2 at runtime
 //! (`is_x86_feature_detected!`, cached by std) and falls back to the
 //! scalar micro-kernels on machines without it; other architectures
@@ -60,15 +60,12 @@
 //! Rust never contracts `mul` + `add` into FMA) always use the scalar
 //! micro-kernels. Without the feature, only the scalar micro-kernels
 //! compile — no `unsafe` remains in the crate. The scalar micro-kernels
-//! are safe code written once over `T: Element`; they are also the `f64`
-//! hooks.
+//! are safe code.
 //!
 //! The rest of the workspace is `#![forbid(unsafe_code)]` (the crate root
 //! here carries `deny` so this one module can opt back in); keep every
 //! `unsafe` block inside this file.
 #![allow(unsafe_code)]
-
-use crate::Element;
 
 /// Four-row matmul block: `out[r][j] = Σ_p a[r][p] · b[p·n + j]` for the
 /// row-major `k × n` matrix `b`, overwriting each `out[r]` completely —
@@ -127,13 +124,7 @@ pub fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
 }
 
 #[inline(always)]
-pub(crate) fn mm4_scalar<T: Element>(
-    a: [&[T]; 4],
-    b: &[T],
-    n: usize,
-    out: [&mut [T]; 4],
-    accumulate: bool,
-) {
+fn mm4_scalar(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate: bool) {
     for (ar, or) in a.into_iter().zip(out) {
         mm1_scalar(ar, b, n, or, accumulate);
     }
@@ -143,13 +134,13 @@ pub(crate) fn mm4_scalar<T: Element>(
 /// the full `p` walk (auto-vectorizes on SSE2/NEON without changing the
 /// per-element mul-then-add rounding sequence), stored once. With
 /// `accumulate` the accumulators start from `out` instead of zero — a
-/// store and reload in the element type is exact, so the chain is the one
+/// store and reload of an `f32` is exact, so the chain is the one
 /// an unsplit `p` walk would run.
 #[inline(always)]
-pub(crate) fn mm1_scalar<T: Element>(a: &[T], b: &[T], n: usize, out: &mut [T], accumulate: bool) {
+fn mm1_scalar(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
     let mut j = 0;
     while j + 8 <= n {
-        let mut acc = [T::ZERO; 8];
+        let mut acc = [0.0f32; 8];
         if accumulate {
             acc.copy_from_slice(&out[j..j + 8]);
         }
@@ -163,7 +154,7 @@ pub(crate) fn mm1_scalar<T: Element>(a: &[T], b: &[T], n: usize, out: &mut [T], 
         j += 8;
     }
     for (jj, o) in out.iter_mut().enumerate().skip(j) {
-        let mut s = if accumulate { *o } else { T::ZERO };
+        let mut s = if accumulate { *o } else { 0.0 };
         for (p, &ap) in a.iter().enumerate() {
             s += ap * b[p * n + jj];
         }
@@ -285,19 +276,19 @@ pub fn max_rows(
         // `max_rows_avx2` requires: its body is safe code.
         return unsafe { x86::max_rows_avx2(src, cols, rows, first, k, out) };
     }
-    max_rows_tiled::<f32, 32>(src, cols, rows, first, k, out);
+    max_rows_tiled::<32>(src, cols, rows, first, k, out);
 }
 
 /// [`max_rows`] at a full tile of `W` columns: per group, full tiles, then
 /// the column tail through the same tile 8 wide and 1 wide.
 #[inline(always)]
-pub(crate) fn max_rows_tiled<T: Element, const W: usize>(
-    src: &[T],
+fn max_rows_tiled<const W: usize>(
+    src: &[f32],
     cols: usize,
     rows: Option<&[usize]>,
     first: usize,
     k: usize,
-    out: &mut [T],
+    out: &mut [f32],
 ) {
     assert!(k > 0 && cols > 0, "max_rows needs a row and a column per group");
     assert_eq!(out.len() % cols, 0, "max_rows out is not whole rows");
@@ -310,9 +301,9 @@ pub(crate) fn max_rows_tiled<T: Element, const W: usize>(
             assert!(row < n_rows, "max_rows row {row} out of bounds for {n_rows} rows");
             row * cols
         };
-        let c = max_tiles::<T, W>(src, &start, k, 0, out_row);
-        let c = max_tiles::<T, 8>(src, &start, k, c, out_row);
-        max_tiles::<T, 1>(src, &start, k, c, out_row);
+        let c = max_tiles::<W>(src, &start, k, 0, out_row);
+        let c = max_tiles::<8>(src, &start, k, c, out_row);
+        max_tiles::<1>(src, &start, k, c, out_row);
     }
 }
 
@@ -323,15 +314,15 @@ pub(crate) fn max_rows_tiled<T: Element, const W: usize>(
 /// different function (it drops a first-row `NaN` and may swap zeros); the
 /// compiler vectorises it at the enclosing function's width.
 #[inline(always)]
-fn max_tiles<T: Element, const W: usize>(
-    src: &[T],
+fn max_tiles<const W: usize>(
+    src: &[f32],
     start: &impl Fn(usize) -> usize,
     k: usize,
     mut c: usize,
-    out_row: &mut [T],
+    out_row: &mut [f32],
 ) -> usize {
     while c + W <= out_row.len() {
-        let mut acc = [T::ZERO; W];
+        let mut acc = [0.0f32; W];
         acc.copy_from_slice(&src[start(0) + c..][..W]);
         for j in 1..k {
             for (a, &v) in acc.iter_mut().zip(&src[start(j) + c..][..W]) {
@@ -381,7 +372,7 @@ mod x86 {
         k: usize,
         out: &mut [f32],
     ) {
-        super::max_rows_tiled::<f32, 64>(src, cols, rows, first, k, out);
+        super::max_rows_tiled::<64>(src, cols, rows, first, k, out);
     }
 
     /// 4 rows × 16 columns of the output held in eight ymm accumulators
@@ -608,7 +599,7 @@ mod tests {
     #[test]
     fn a_split_walk_continues_the_unsplit_chain_bitwise() {
         // Storing the partial sums after `split` steps and reloading them
-        // for the rest is the unsplit chain: exact in the element type.
+        // for the rest is the unsplit chain: exact in `f32`.
         for (k, split, n) in [(1, 0, 3), (9, 4, 8), (40, 39, 17), (96, 32, 31), (130, 64, 48)] {
             let rows: Vec<Vec<f32>> = (0..4).map(|r| sample(k, 60 + r)).collect();
             let b = sample(k * n, 61);
@@ -683,9 +674,8 @@ mod tests {
 
     #[test]
     fn max_rows_forms_agree_with_a_per_element_fold_bitwise() {
-        // 77 columns: a 64-wide tile (or two 32-wide, or four 16-wide),
-        // one 8-wide and five single columns. Both row sources, starting
-        // mid-table at position 3.
+        // 77 columns: a 64-wide tile (or two 32-wide), one 8-wide and five
+        // single columns. Both row sources, starting mid-table at position 3.
         let (n_rows, cols, k, first, n_groups) = (23usize, 77usize, 5usize, 3usize, 4usize);
         let mut src = sample(n_rows * cols, 7);
         let specials = [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0];
@@ -710,11 +700,10 @@ mod tests {
                 }
             }
             type Form = fn(&[f32], usize, Option<&[usize]>, usize, usize, &mut [f32]);
-            let forms: [(&str, Form); 4] = [
+            let forms: [(&str, Form); 3] = [
                 ("dispatched", max_rows),
-                ("16 wide", max_rows_tiled::<f32, 16>),
-                ("32 wide", max_rows_tiled::<f32, 32>),
-                ("64 wide", max_rows_tiled::<f32, 64>),
+                ("32 wide", max_rows_tiled::<32>),
+                ("64 wide", max_rows_tiled::<64>),
             ];
             for (name, form) in forms {
                 let mut got = vec![f32::NAN; want.len()];

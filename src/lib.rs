@@ -58,7 +58,6 @@ pub use mesorasi_networks::{
     PointCloudNetwork, Session, SessionBuilder,
 };
 pub use mesorasi_pointcloud::{seeded_rng, PointCloud};
-pub use mesorasi_tensor::Dtype;
 
 /// One-stop imports for the common inference and training workflow.
 ///
@@ -67,8 +66,8 @@ pub use mesorasi_tensor::Dtype;
 /// ```
 pub mod prelude {
     pub use crate::{
-        seeded_rng, Boxes3D, Domain, Dtype, FrameStream, Inference, Logits, NetworkKind,
-        PerPointLabels, PointCloud, PointCloudNetwork, Session, SessionBuilder, Strategy,
+        seeded_rng, Boxes3D, Domain, FrameStream, Inference, Logits, NetworkKind, PerPointLabels,
+        PointCloud, PointCloudNetwork, Session, SessionBuilder, Strategy,
     };
     pub use mesorasi_nn::Graph;
     pub use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};

@@ -16,7 +16,7 @@ use mesorasi::nn::Graph;
 use mesorasi::par;
 use mesorasi::pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi::pointcloud::{sampling, Point3, PointCloud};
-use mesorasi::tensor::{group, ops, Matrix, Matrix64};
+use mesorasi::tensor::{group, ops, Matrix};
 use proptest::prelude::*;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -64,13 +64,6 @@ proptest! {
         assert_thread_invariant("matmul", || ops::matmul(&a, &b))?;
         assert_thread_invariant("matmul_at_b", || ops::matmul_at_b(&a, &b2_like(&a)))?;
         assert_thread_invariant("matmul_a_bt", || ops::matmul_a_bt(&a, &a.clone()))?;
-
-        // The same generic kernels at f64: same chunking, same contract.
-        let (a64, b64) = (Matrix64::cast_from(&a), Matrix64::cast_from(&b));
-        let b2_64 = Matrix64::cast_from(&b2_like(&a));
-        assert_thread_invariant("matmul [f64]", || ops::matmul(&a64, &b64))?;
-        assert_thread_invariant("matmul_at_b [f64]", || ops::matmul_at_b(&a64, &b2_64))?;
-        assert_thread_invariant("matmul_a_bt [f64]", || ops::matmul_a_bt(&a64, &a64))?;
     }
 
     #[test]
@@ -94,24 +87,15 @@ proptest! {
         assert_thread_invariant("subtract_centroid_per_group", || {
             group::subtract_centroid_per_group(&grouped, &centroids, k)
         })?;
-
-        // The generic forward kernels at f64.
-        let src64 = Matrix64::cast_from(&src);
-        assert_thread_invariant("gather_rows [f64]", || group::gather_rows(&src64, &groups))?;
-        assert_thread_invariant("gather_max_into [f64]", || {
-            let mut out = Matrix64::zeros(0, 0);
-            group::gather_max_into(&src64, &groups, k, &mut out);
+        assert_thread_invariant("gather_max_into", || {
+            let mut out = Matrix::zeros(0, 0);
+            group::gather_max_into(&src, &groups, k, &mut out);
             out
         })?;
-        let (grouped64, centroids64) =
-            (Matrix64::cast_from(&grouped), Matrix64::cast_from(&centroids));
-        assert_thread_invariant("group_max_into [f64]", || {
-            let mut out = Matrix64::zeros(0, 0);
-            group::group_max_into(&grouped64, k, &mut out);
+        assert_thread_invariant("group_max_into", || {
+            let mut out = Matrix::zeros(0, 0);
+            group::group_max_into(&grouped, k, &mut out);
             out
-        })?;
-        assert_thread_invariant("subtract_centroid_per_group [f64]", || {
-            group::subtract_centroid_per_group(&grouped64, &centroids64, k)
         })?;
     }
 
@@ -168,8 +152,8 @@ proptest! {
     }
 }
 
-/// A product deep enough for `matmul_into`'s packed order (`B` is 188 KB in
-/// `f32`, `k` spans two `k`-blocks, three in `f64`): the row chunks a
+/// A product deep enough for `matmul_into`'s packed order (`B` is 188 KB,
+/// `k` spans two `k`-blocks): the row chunks a
 /// thread count picks move the row-block boundaries and which chunk packs
 /// which panel copy, never a bit of the result.
 #[test]
@@ -177,11 +161,9 @@ fn packed_matmul_is_thread_invariant() {
     let a = Matrix::from_fn(131, 600, |r, c| ((r * 29 + c * 13) % 23) as f32 * 0.125 - 1.3);
     let b = Matrix::from_fn(600, 80, |r, c| ((r * 13 + c * 7) % 11) as f32 * 0.3 - 1.5);
     assert_thread_invariant("packed matmul", || ops::matmul(&a, &b)).unwrap();
-    let (a64, b64) = (Matrix64::cast_from(&a), Matrix64::cast_from(&b));
-    assert_thread_invariant("packed matmul [f64]", || ops::matmul(&a64, &b64)).unwrap();
 }
 
-/// The engine's `f32` max-reduce at 77 columns — one 64-wide tile, one
+/// The engine's max-reduce at 77 columns — one 64-wide tile, one
 /// 8-wide, five single columns — and enough groups that 2 and 8 threads
 /// chunk them differently: chunks are whole groups, so no thread count
 /// moves a comparison.

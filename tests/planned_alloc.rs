@@ -18,48 +18,45 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Ten audits, in increasing strictness:
+//! Nine audits, one per test, in increasing strictness:
 //!
 //! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
 //!    cached, pure planned tensor execution;
-//! 2. the same audit in f64 mode, where the engine replays the plan
-//!    against a persistent f64 shadow arena after every forward;
-//! 3. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
+//! 2. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
 //!    cache is bypassed, so centroid sampling, **index rebuilds, and
 //!    neighbor queries run on every frame** — the search arena must make
 //!    them allocation-free too;
-//! 4. the default-configuration audit: audit 3 and audits 6–7 build their
+//! 3. the default-configuration audit: audit 2 and audits 5–6 build their
 //!    engines from an explicit [`EngineConfig`]. The same streamed frames
 //!    on [`PlanEngine::new`] — the configuration every benchmark workload
 //!    runs — make zero heap allocations too;
-//! 5. the session-level audit: a warm [`mesorasi::Session`] frame stream
+//! 4. the session-level audit: a warm [`mesorasi::Session`] frame stream
 //!    served through `infer_into` (outputs recycled) performs zero heap
 //!    allocations end to end;
-//! 6. the multi-worker audit: with the pool at 2 threads, where the cost
+//! 5. the multi-worker audit: with the pool at 2 threads, where the cost
 //!    model splits the frame's searches into parallel chunks, a warm
 //!    streamed frame still makes zero heap allocations — job dispatch
 //!    reuses retired headers and every worker draws search scratch from
 //!    its `ScratchPool` slot;
-//! 7. the heap-ceiling audit: once warm, `EngineStats` byte totals
+//! 6. the heap-ceiling audit: once warm, `EngineStats` byte totals
 //!    (tensor arena + search arena + parallel scratch pool) are frozen —
-//!    further frames neither grow a slot nor retain new storage — in both
-//!    dtype modes, and the f64 mode's extra state is part of the total;
-//! 8. the feature-space audit: audits 1–7 run PointNet++, which only ever
+//!    further frames neither grow a slot nor retain new storage;
+//! 7. the feature-space audit: audits 1–6 run PointNet++, which only ever
 //!    searches coordinates. A warm streamed DGCNN frame — every search a
 //!    feature-space scan over its row panel — makes zero heap allocations
 //!    at 1 and 2 threads under a frozen ceiling that counts the panel and
 //!    each worker's distance rows;
-//! 9. the packed-matmul audit: the small networks of audits 1–8 have no
+//! 8. the packed-matmul audit: the small networks of audits 1–7 have no
 //!    weight matrix deep enough for `ops::matmul_into`'s packed order, the
 //!    paper-scale ones do. A warm packed product makes zero heap
-//!    allocations at 1 and 2 threads in both dtypes — its panel buffer is
-//!    on the stack of whichever thread runs the row chunk, so there is no
-//!    retained storage for `EngineStats` to count;
-//! 10. the segmentation audit: audits 1–9 run no feature propagation. A
-//!     warm streamed PointNet++ (s) frame point-queries two coarse levels
-//!     for its interpolation stencils on the octree and makes zero heap
-//!     allocations at 1 and 2 threads, stencil indices and weights
-//!     included.
+//!    allocations at 1 and 2 threads — its panel buffer is on the stack of
+//!    whichever thread runs the row chunk, so there is no retained storage
+//!    for `EngineStats` to count;
+//! 9. the segmentation audit: audits 1–8 run no feature propagation. A
+//!    warm streamed PointNet++ (s) frame point-queries two coarse levels
+//!    for its interpolation stencils on the octree and makes zero heap
+//!    allocations at 1 and 2 threads, stencil indices and weights
+//!    included.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::core::EngineConfig;
@@ -70,9 +67,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// An engine at the given dtype, every other knob at its default.
-fn engine_at(dtype: Dtype) -> PlanEngine {
-    PlanEngine::with_config(EngineConfig { dtype, ..EngineConfig::default() })
+/// An engine built from an explicit [`EngineConfig`], every knob at its
+/// default.
+fn configured_engine() -> PlanEngine {
+    PlanEngine::with_config(EngineConfig::default())
 }
 
 /// Serialises the audits (see the module docs).
@@ -208,40 +206,7 @@ fn warm_planned_forward_allocates_nothing() {
     });
 }
 
-#[test]
-fn warm_f64_shadow_forward_allocates_nothing() {
-    let _serial = serial();
-    // In f64 mode the engine replays the full plan against an f64 arena
-    // after every forward. That arena, its scratch, and the rounded outputs
-    // are all persistent, so a warm f64-mode forward must be exactly as
-    // allocation-free as the f32 path it shadows — the dtype knob may not
-    // reintroduce the per-op allocation the planner exists to eliminate.
-    mesorasi_par::with_threads(1, || {
-        let mut rng = seeded_rng(6);
-        let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine =
-            PlanEngine::with_config(EngineConfig { dtype: Dtype::F64, ..EngineConfig::default() });
-        let record =
-            |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
-        let cloud = sample_shape(ShapeClass::Chair, net.input_points(), 4);
-
-        // Warm-up: compile the plan and build the shadow (forward 1), fill
-        // the NIT cache, and settle any lazy growth in the f64 arena.
-        for _ in 0..3 {
-            let _ = engine.run(&cloud, &record);
-        }
-
-        ARMED.store(true, Ordering::SeqCst);
-        let before = ALLOCS.load(Ordering::SeqCst);
-        let _ = engine.run(&cloud, &record);
-        let after = ALLOCS.load(Ordering::SeqCst);
-        ARMED.store(false, Ordering::SeqCst);
-
-        assert_eq!(after - before, 0, "a warm f64 shadow forward must not touch the allocator");
-    });
-}
-
-/// Audits 3 and 4: warm streamed PointNet++ frames on `engine` make zero
+/// Audits 2 and 3: warm streamed PointNet++ frames on `engine` make zero
 /// heap allocations. The streaming path never caches samples: every frame
 /// re-selects centroids, rebuilds per-space octrees, and re-queries. All of
 /// it must run out of the engine's persistent search arena. Sequential
@@ -285,14 +250,14 @@ fn assert_warm_streamed_frames_allocate_nothing(mut engine: PlanEngine) {
 #[test]
 fn warm_streamed_forward_allocates_nothing_including_search() {
     let _serial = serial();
-    assert_warm_streamed_frames_allocate_nothing(engine_at(Dtype::F32));
+    assert_warm_streamed_frames_allocate_nothing(configured_engine());
 }
 
 #[test]
 fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
     let _serial = serial();
-    // Built-in defaults, environment not consulted: the engine every
-    // benchmark workload runs must not touch the allocator either.
+    // `PlanEngine::new`, the engine every benchmark workload runs, must
+    // not touch the allocator either.
     assert_warm_streamed_frames_allocate_nothing(PlanEngine::new());
 }
 
@@ -343,7 +308,7 @@ fn warm_streamed_forward_allocates_nothing_at_two_threads() {
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = engine_at(Dtype::F32);
+        let mut engine = configured_engine();
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -373,50 +338,38 @@ fn warm_stream_holds_a_hard_heap_ceiling() {
     // Tensor-arena peak, search-arena retention, and the process-wide
     // per-worker scratch pool are all captured after warm-up and must be
     // bit-for-bit unchanged after further frames — and no arena slot may
-    // ever grow past its planned capacity. In f64 mode the reported arena
-    // total must also carry the f64 state the engine retains.
-    let warm_stats = |dtype: Dtype| {
-        mesorasi_par::with_threads(2, || {
-            let mut rng = seeded_rng(6);
-            let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-            let mut engine = engine_at(dtype);
-            let record =
-                |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
-            let n = net.input_points();
-            let frames: Vec<PointCloud> =
-                (0..4).map(|s| sample_shape(ShapeClass::Lamp, n, 80 + s)).collect();
+    // ever grow past its planned capacity.
+    mesorasi_par::with_threads(2, || {
+        let mut rng = seeded_rng(6);
+        let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
+        let mut engine = configured_engine();
+        let record =
+            |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+        let n = net.input_points();
+        let frames: Vec<PointCloud> =
+            (0..4).map(|s| sample_shape(ShapeClass::Lamp, n, 80 + s)).collect();
 
-            warm_on_every_pool_thread(2, &mut engine, &frames, &record);
-            let warm = engine.stats(n).expect("compiled");
-            assert!(warm.arena.peak_bytes > 0, "the arena must retain planned storage");
-            assert!(warm.search_bytes > 0, "the search arena must retain storage");
-            assert!(warm.parallel_scratch_bytes > 0, "pooled parallel chunks must have run");
+        warm_on_every_pool_thread(2, &mut engine, &frames, &record);
+        let warm = engine.stats(n).expect("compiled");
+        assert!(warm.arena.peak_bytes > 0, "the arena must retain planned storage");
+        assert!(warm.search_bytes > 0, "the search arena must retain storage");
+        assert!(warm.parallel_scratch_bytes > 0, "pooled parallel chunks must have run");
 
-            for _ in 0..3 {
-                for frame in &frames {
-                    let _ = engine.run_streamed(frame, &record);
-                }
+        for _ in 0..3 {
+            for frame in &frames {
+                let _ = engine.run_streamed(frame, &record);
             }
-            let after = engine.stats(n).expect("compiled");
+        }
+        let after = engine.stats(n).expect("compiled");
 
-            assert_eq!(after.arena.peak_bytes, warm.arena.peak_bytes, "{dtype} arena grew warm");
-            assert_eq!(after.arena.grow_events, warm.arena.grow_events, "{dtype} slots grew warm");
-            assert_eq!(after.search_bytes, warm.search_bytes, "{dtype} search arena grew warm");
-            assert_eq!(
-                after.parallel_scratch_bytes, warm.parallel_scratch_bytes,
-                "{dtype} per-worker scratch pool grew while warm"
-            );
-            warm
-        })
-    };
-    let f32_mode = warm_stats(Dtype::F32);
-    let f64_mode = warm_stats(Dtype::F64);
-    assert!(
-        f64_mode.arena.peak_bytes > f32_mode.arena.peak_bytes,
-        "f64 mode retains an extra arena that the ceiling must report: {} vs {}",
-        f64_mode.arena.peak_bytes,
-        f32_mode.arena.peak_bytes
-    );
+        assert_eq!(after.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
+        assert_eq!(after.arena.grow_events, warm.arena.grow_events, "slots grew warm");
+        assert_eq!(after.search_bytes, warm.search_bytes, "search arena grew warm");
+        assert_eq!(
+            after.parallel_scratch_bytes, warm.parallel_scratch_bytes,
+            "per-worker scratch pool grew while warm"
+        );
+    });
 }
 
 #[test]
@@ -538,16 +491,16 @@ fn warm_segmentation_stream_allocates_nothing_including_stencils() {
 
 #[test]
 fn warm_packed_matmul_allocates_nothing() {
-    use mesorasi::tensor::{ops, Element, Mat};
+    use mesorasi::tensor::{ops, Matrix};
 
     /// Allocations of one warm `(128,600)×(600,80)` product: `B` is deeper
-    /// than the in-place limit in both dtypes, `k` spans several
-    /// `k`-blocks, and at 2 threads the rows split into four chunks that
-    /// each pack their own panels.
-    fn warm_allocs<T: Element>() -> u64 {
-        let a = Mat::<T>::from_fn(128, 600, |r, c| T::from_f64(((r * 7 + c) % 13) as f64 - 6.0));
-        let b = Mat::<T>::from_fn(600, 80, |r, c| T::from_f64(((r + c * 5) % 11) as f64 * 0.5));
-        let mut out = Mat::<T>::zeros(0, 0);
+    /// than the in-place limit, `k` spans several `k`-blocks, and at 2
+    /// threads the rows split into four chunks that each pack their own
+    /// panels.
+    fn warm_allocs() -> u64 {
+        let a = Matrix::from_fn(128, 600, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
+        let b = Matrix::from_fn(600, 80, |r, c| ((r + c * 5) % 11) as f32 * 0.5);
+        let mut out = Matrix::zeros(0, 0);
         for _ in 0..2 {
             ops::matmul_into(&a, &b, &mut out);
         }
@@ -562,8 +515,7 @@ fn warm_packed_matmul_allocates_nothing() {
     let _serial = serial();
     for threads in [1, 2] {
         mesorasi_par::with_threads(threads, || {
-            assert_eq!(warm_allocs::<f32>(), 0, "warm packed f32 matmul at {threads} threads");
-            assert_eq!(warm_allocs::<f64>(), 0, "warm packed f64 matmul at {threads} threads");
+            assert_eq!(warm_allocs(), 0, "warm packed matmul at {threads} threads");
         });
     }
 }

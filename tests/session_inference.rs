@@ -47,8 +47,6 @@ fn all_seven_networks_bit_identical_at_every_thread_count() {
                 .strategy(strategy)
                 .seed(7)
                 .workers(2)
-                // Bit-identity to the tape is a per-dtype (f32) contract.
-                .dtype(Dtype::F32)
                 .build();
             for threads in [1usize, 2, 8] {
                 mesorasi_par::with_threads(threads, || {
@@ -92,11 +90,8 @@ fn all_seven_networks_framed_streams_bit_identical_to_tape() {
         let mut sequential: Option<Vec<Inference>> = None;
         for threads in [1usize, 2, 8] {
             let framed: Vec<Inference> = mesorasi_par::with_threads(threads, || {
-                let session = SessionBuilder::from_network_ref(net.as_ref())
-                    .seed(7)
-                    .workers(1)
-                    .dtype(Dtype::F32)
-                    .build();
+                let session =
+                    SessionBuilder::from_network_ref(net.as_ref()).seed(7).workers(1).build();
                 let mut stream = session.frames();
                 let framed: Vec<Inference> = frames.iter().map(|c| stream.infer(c)).collect();
                 for (i, (out, want)) in framed.iter().zip(&expected).enumerate() {
@@ -151,11 +146,7 @@ fn detection_sessions_match_tape_outputs_on_labelled_frustums() {
     let net = mesorasi::networks::fpointnet::FPointNet::small(&mut rng);
     let frustums = mesorasi::networks::datasets::frustums(3, 128, 9);
     for strategy in Strategy::ALL {
-        let session = SessionBuilder::from_network_ref(&net)
-            .strategy(strategy)
-            .seed(13)
-            .dtype(Dtype::F32)
-            .build();
+        let session = SessionBuilder::from_network_ref(&net).strategy(strategy).seed(13).build();
         for ex in frustums.iter().take(4) {
             let mut g = Graph::new();
             let det = net.forward_detection(&mut g, &ex.cloud, strategy, 13);
@@ -181,7 +172,6 @@ fn concurrent_callers_sharing_a_session_stay_deterministic() {
             .strategy(Strategy::Delayed)
             .seed(7)
             .workers(2)
-            .dtype(Dtype::F32)
             .build(),
     );
     let per_thread: Vec<Vec<Matrix>> = std::thread::scope(|scope| {
@@ -261,7 +251,6 @@ proptest! {
             SessionBuilder::from_network_ref(net.as_ref())
                 .strategy(strategy)
                 .seed(3)
-                .dtype(Dtype::F32)
                 .build();
         let out = session.infer(&cloud);
         prop_assert_eq!(out.logits(), &expected);
@@ -279,7 +268,7 @@ proptest! {
         let cloud = sample_shape(ShapeClass::Bottle, n, cloud_seed);
         let expected = tape_logits(net.as_ref(), &cloud, Strategy::Delayed, 3);
         let session =
-            SessionBuilder::from_network_ref(net.as_ref()).seed(3).dtype(Dtype::F32).build();
+            SessionBuilder::from_network_ref(net.as_ref()).seed(3).build();
         let out = session.infer(&cloud);
         prop_assert_eq!(out.logits(), &expected);
     }
