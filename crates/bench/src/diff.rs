@@ -305,6 +305,9 @@ pub struct ParsedReport {
     pub date: String,
     /// Whether the run used the reduced smoke workloads.
     pub smoke: bool,
+    /// The kernel tier the run's tensor rows ran (`"avx512f"`, `"avx2"`,
+    /// `"scalar"`); `None` for artifacts written before the field existed.
+    pub tier: Option<String>,
     /// The measurements.
     pub records: Vec<DiffRecord>,
 }
@@ -327,6 +330,7 @@ pub fn parse_report(src: &str) -> Result<ParsedReport, String> {
     }
     let date = doc.get("date").and_then(Json::as_str).unwrap_or("unknown").to_owned();
     let smoke = doc.get("smoke").and_then(Json::as_bool).unwrap_or(false);
+    let tier = doc.get("tier").and_then(Json::as_str).map(str::to_owned);
     let records = doc
         .get("records")
         .and_then(|r| match r {
@@ -360,7 +364,7 @@ pub fn parse_report(src: &str) -> Result<ParsedReport, String> {
         }
         out.push(record);
     }
-    Ok(ParsedReport { schema: schema.to_owned(), date, smoke, records: out })
+    Ok(ParsedReport { schema: schema.to_owned(), date, smoke, tier, records: out })
 }
 
 // ---------------------------------------------------------------------
@@ -391,6 +395,10 @@ pub struct DiffReport {
     pub only_current: Vec<String>,
     /// The failure threshold the gate applies.
     pub threshold: f64,
+    /// Set when the two runs name different kernel tiers, or one names none:
+    /// the kernel rows may then compare different code. Printed, never
+    /// gated.
+    pub tier_warning: Option<String>,
 }
 
 impl DiffReport {
@@ -402,6 +410,9 @@ impl DiffReport {
     /// Plain-text table, worst ratio first, regressions flagged.
     pub fn to_table(&self) -> String {
         let mut s = String::new();
+        if let Some(w) = &self.tier_warning {
+            let _ = writeln!(s, "warning: {w}");
+        }
         let _ = writeln!(
             s,
             "{:<44} {:>14} {:>14} {:>8}",
@@ -475,7 +486,21 @@ pub fn diff(
     rows.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
     let only_baseline = base.keys().filter(|k| !cur.contains_key(*k)).cloned().collect();
     let only_current = cur.keys().filter(|k| !base.contains_key(*k)).cloned().collect();
-    Ok(DiffReport { rows, only_baseline, only_current, threshold })
+    // An artifact older than the field counts as a different tier: which
+    // kernels it timed is unknown.
+    let tier_warning = (baseline.tier != current.tier).then(|| {
+        let ran = |tier: &Option<String>| match tier {
+            Some(t) => format!("ran the {t} kernel tier"),
+            None => "records no kernel tier (an artifact older than the field)".to_owned(),
+        };
+        format!(
+            "the baseline {} and this run {} — kernel ratios may compare different code \
+             (not gated)",
+            ran(&baseline.tier),
+            ran(&current.tier)
+        )
+    });
+    Ok(DiffReport { rows, only_baseline, only_current, threshold, tier_warning })
 }
 
 fn mode(smoke: bool) -> &'static str {
@@ -504,7 +529,15 @@ mod tests {
     }
 
     fn report(smoke: bool, records: Vec<BenchRecord>) -> BenchReport {
-        BenchReport { date: "2026-10-01".into(), unix_time: 1, host_threads: 2, smoke, records }
+        let tier = "avx2";
+        BenchReport {
+            date: "2026-10-01".into(),
+            unix_time: 1,
+            host_threads: 2,
+            tier,
+            smoke,
+            records,
+        }
     }
 
     fn keys(records: Vec<BenchRecord>) -> Vec<String> {
@@ -520,6 +553,7 @@ mod tests {
         );
         let parsed = parse_report(&rep.to_json()).expect("writer output parses");
         assert_eq!(parsed.schema, "mesorasi-bench/9");
+        assert_eq!(parsed.tier.as_deref(), Some("avx2"));
         assert!(!parsed.smoke);
         assert_eq!(parsed.records.len(), 2);
         assert!(parsed.records.iter().all(|r| r.dtype == "f32"));
@@ -554,6 +588,33 @@ mod tests {
         let committed = parse_report(include_str!("../../../BENCH_2026-10-05.json"))
             .expect("the committed baseline parses");
         assert_eq!(committed.records.iter().filter(|r| r.dtype == "f64").count(), 4);
+    }
+
+    #[test]
+    fn differing_tiers_warn_without_gating() {
+        let records = || vec![record("matmul", "tensor", 1, 1000.0)];
+        let avx2 = parse_report(&report(false, records()).to_json()).unwrap();
+        let avx512 = parse_report(
+            &BenchReport {
+                tier: "avx512f",
+                ..report(false, vec![record("matmul", "tensor", 1, 400.0)])
+            }
+            .to_json(),
+        )
+        .unwrap();
+        let d = diff(&avx2, &avx512, DEFAULT_THRESHOLD).unwrap();
+        assert!(d.regressions().is_empty());
+        let table = d.to_table();
+        assert!(table.starts_with("warning: the baseline ran the avx2 kernel tier"), "{table}");
+        // The same tier is silent.
+        assert!(diff(&avx2, &avx2, DEFAULT_THRESHOLD).unwrap().tier_warning.is_none());
+        // An older artifact without the field warns too: its tier is unknown.
+        let committed = parse_report(include_str!("../../../BENCH_2026-10-05.json")).unwrap();
+        assert_eq!(committed.tier, None);
+        let d = diff(&committed, &avx512, DEFAULT_THRESHOLD).unwrap();
+        let w = d.tier_warning.expect("a baseline without a tier warns");
+        assert!(w.starts_with("the baseline records no kernel tier"), "{w}");
+        assert!(w.contains("this run ran the avx512f kernel tier"), "{w}");
     }
 
     #[test]

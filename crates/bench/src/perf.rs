@@ -80,6 +80,9 @@ pub struct BenchReport {
     /// Hardware/env thread budget ([`par::current_threads`] outside any
     /// override) at run time.
     pub host_threads: usize,
+    /// The kernel tier the tensor rows ran ([`mesorasi_tensor::simd::tier`]):
+    /// `"avx512f"`, `"avx2"` or `"scalar"`.
+    pub tier: &'static str,
     /// Whether the reduced smoke workloads were used.
     pub smoke: bool,
     /// All measurements, one per configuration and swept thread count.
@@ -101,6 +104,7 @@ impl BenchReport {
         s.push_str(&format!("  \"date\": \"{}\",\n", self.date));
         s.push_str(&format!("  \"unix_time\": {},\n", self.unix_time));
         s.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
+        s.push_str(&format!("  \"tier\": \"{}\",\n", self.tier));
         s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
         s.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
@@ -130,9 +134,10 @@ impl BenchReport {
     pub fn to_table(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "# bench {} (host threads: {}{})\n",
+            "# bench {} (host threads: {}, tier: {}{})\n",
             self.date,
             self.host_threads,
+            self.tier,
             if self.smoke { ", smoke" } else { "" }
         ));
         s.push_str(&format!(
@@ -536,7 +541,8 @@ pub fn run(smoke: bool) -> BenchReport {
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    BenchReport { date: utc_date(unix_time), unix_time, host_threads, smoke, records }
+    let tier = mesorasi_tensor::simd::tier();
+    BenchReport { date: utc_date(unix_time), unix_time, host_threads, tier, smoke, records }
 }
 
 /// `YYYY-MM-DD` (UTC) for a Unix timestamp — civil-from-days, Hinnant's
@@ -586,6 +592,7 @@ mod tests {
             date: "2026-10-01".into(),
             unix_time: 1,
             host_threads: 4,
+            tier: "avx2",
             smoke: true,
             records: vec![
                 rec("bruteforce", 2, 1.8),
@@ -595,6 +602,10 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"mesorasi-bench/9\""));
+        assert!(json.contains("\"host_threads\": 4,\n  \"tier\": \"avx2\",\n"), "{json}");
+        assert!(report
+            .to_table()
+            .starts_with("# bench 2026-10-01 (host threads: 4, tier: avx2, smoke)"));
         assert!(json.contains(
             "{ \"op\": \"knn\", \"backend\": \"bruteforce\", \"threads\": 2, \
              \"ns_per_op\": 1234.5, \"speedup_vs_1t\": 1.800 }"
@@ -615,6 +626,7 @@ mod tests {
             date: String::new(),
             unix_time: 0,
             host_threads: 4,
+            tier: "avx2",
             smoke: true,
             records: vec![
                 rec("bruteforce", 1, 1.0),

@@ -9,15 +9,24 @@
 //!
 //! 1. dead code is eliminated (ops the requested outputs never read, e.g.
 //!    the detection heads when only segmentation logits are wanted);
-//! 2. a liveness analysis finds each value's last use;
-//! 3. every live value is assigned a slot in the arena, slots being reused
+//! 2. every `MatMul → AddBias → Relu?` chain whose intermediates have one
+//!    reader each and are not requested outputs becomes one fused step,
+//!    [`ops::linear_into`], run at the chain's last node: the product is
+//!    written once, with its bias (and ReLU) applied in registers, instead
+//!    of once per op. The chain's other nodes are *absorbed* — no slot, no
+//!    execution, [`Plan::is_live`] false;
+//! 3. a liveness analysis finds each value's last use;
+//! 4. every live value is assigned a slot in the arena, slots being reused
 //!    as soon as their previous occupant dies — two simultaneously-live
 //!    values never alias, and an op's output never aliases its inputs.
 //!
 //! Steady-state execution then performs **zero heap allocation**: every op
 //! writes into its preassigned slot through the `_into` kernels of
-//! `mesorasi-tensor`, which are the same kernels the tape calls, so planned
-//! values are bit-identical to tape values at every thread count.
+//! `mesorasi-tensor`, which carry the arithmetic of the kernels the tape
+//! calls — the fused step included, whose epilogue is the unfused bias and
+//! ReLU passes per element — so planned values are bit-identical to tape
+//! values at every thread count. The tape itself stays unfused: it is the
+//! oracle.
 //!
 //! Per-sample variability (input matrices, neighbor-search index lists,
 //! interpolation stencils) enters through [`Bindings`], produced by the
@@ -79,6 +88,32 @@ enum Loc {
     Const(usize),
     /// Eliminated: the requested outputs never read this value.
     Dead,
+    /// Absorbed into the fused linear step of a later node: never
+    /// materialised.
+    Absorbed,
+}
+
+/// One step of a plan: a recorded op, or a fused linear layer.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A recorded op, run as the tape runs it.
+    Op(Op),
+    /// `relu?(x · w + bias)` through one [`ops::linear_into`] call: a
+    /// recorded `MatMul → AddBias → Relu?` chain, run at its last node.
+    Linear { x: VarId, w: VarId, bias: VarId, relu: bool },
+}
+
+impl Step {
+    fn for_each_operand(&self, mut f: impl FnMut(VarId)) {
+        match self {
+            Step::Op(op) => op.for_each_operand(f),
+            Step::Linear { x, w, bias, .. } => {
+                f(*x);
+                f(*w);
+                f(*bias);
+            }
+        }
+    }
 }
 
 /// Per-node compile results.
@@ -110,6 +145,8 @@ pub struct ArenaStats {
     /// Times a slot had to grow beyond its planned capacity during
     /// execution — 0 in steady state.
     pub grow_events: usize,
+    /// Linear layers that run as one fused step (see the module docs).
+    pub fused: usize,
 }
 
 /// The execution state for one plan: the plan's constants, one reusable
@@ -144,7 +181,7 @@ impl Arena {
 /// forward pass. See the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct Plan {
-    ops: Vec<Op>,
+    steps: Vec<Step>,
     nodes: Vec<NodePlan>,
     /// Planned element capacity per slot.
     slot_elems: Vec<usize>,
@@ -183,14 +220,32 @@ impl Plan {
             }
         }
 
-        // Liveness: last op index that reads each value.
-        let mut last_use = vec![0usize; n];
-        for (i, lu) in last_use.iter_mut().enumerate() {
-            *lu = i;
-        }
-        for (i, &is_live) in live.iter().enumerate() {
-            if is_live {
-                g.op_at(i).for_each_operand(|v| last_use[v.index()] = i);
+        let (fused_at, absorbed) = fuse_linear_chains(g, &live, outputs);
+
+        // The steps to run. Dead and absorbed nodes are never executed or
+        // operand-walked, so a cheap placeholder replaces them — an
+        // eliminated branch's index vectors would otherwise be retained
+        // for the plan's whole lifetime. Masks move to the arena's
+        // constants.
+        let mut masks = HashMap::new();
+        let steps: Vec<Step> = (0..n)
+            .map(|i| match (g.op_at(i), fused_at.get(&i)) {
+                _ if !live[i] || absorbed[i] => Step::Op(Op::Input),
+                (_, Some(step)) => step.clone(),
+                (Op::MulConst { x, mask }, None) => {
+                    masks.insert(i, mask.clone());
+                    Step::Op(Op::MulConst { x: *x, mask: Matrix::default() })
+                }
+                (op, None) => Step::Op(op.clone()),
+            })
+            .collect();
+        let runs = |i: usize| live[i] && !absorbed[i];
+
+        // Liveness: last step index that reads each value.
+        let mut last_use: Vec<usize> = (0..n).collect();
+        for (i, step) in steps.iter().enumerate() {
+            if runs(i) {
+                step.for_each_operand(|v| last_use[v.index()] = i);
             }
         }
         for o in outputs {
@@ -206,17 +261,18 @@ impl Plan {
         let mut nodes: Vec<NodePlan> = Vec::with_capacity(n);
         let mut n_inputs = 0usize;
         let mut slot_values = 0usize;
-        for (i, &is_live) in live.iter().enumerate() {
-            let op = g.op_at(i);
+        for (i, step) in steps.iter().enumerate() {
             let (rows, cols) = g.value_at(i).shape();
             let mut input_idx = None;
-            let loc = if !is_live {
+            let loc = if !live[i] {
                 Loc::Dead
-            } else if let Op::Param { .. } = op {
+            } else if absorbed[i] {
+                Loc::Absorbed
+            } else if let Step::Op(Op::Param { .. }) = step {
                 params.push(g.value_at(i).clone());
                 Loc::Const(params.len() - 1)
             } else {
-                if matches!(op, Op::Input) {
+                if matches!(step, Step::Op(Op::Input)) {
                     input_idx = Some(n_inputs);
                     n_inputs += 1;
                 }
@@ -242,8 +298,8 @@ impl Plan {
                 index_bid: marks.indices.get(&i).copied(),
                 stencil_bid: marks.stencils.get(&i).copied(),
             });
-            if is_live {
-                op.for_each_operand(|v| {
+            if runs(i) {
+                step.for_each_operand(|v| {
                     let vi = v.index();
                     if last_use[vi] == i {
                         if let Loc::Slot(s) = nodes[vi].loc {
@@ -258,23 +314,6 @@ impl Plan {
             }
         }
 
-        // Dead nodes are never executed or operand-walked, so a cheap
-        // placeholder replaces them — an eliminated branch's index vectors
-        // would otherwise be retained for the plan's whole lifetime. Masks
-        // move to the arena's constants (one copy per element type).
-        let mut masks = HashMap::new();
-        let ops = live
-            .iter()
-            .enumerate()
-            .map(|(i, &is_live)| match g.op_at(i) {
-                _ if !is_live => Op::Input,
-                Op::MulConst { x, mask } => {
-                    masks.insert(i, mask.clone());
-                    Op::MulConst { x: *x, mask: Matrix::default() }
-                }
-                op => op.clone(),
-            })
-            .collect();
         let arena = Arena {
             params,
             masks,
@@ -283,7 +322,7 @@ impl Plan {
             grow_events: 0,
         };
         let plan = Plan {
-            ops,
+            steps,
             nodes,
             slot_elems,
             outputs: outputs.iter().map(|o| o.index()).collect(),
@@ -297,12 +336,12 @@ impl Plan {
 
     /// Number of nodes (live and dead) in the plan.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.steps.len()
     }
 
     /// True for a plan with no ops.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.steps.is_empty()
     }
 
     /// Number of live input nodes (the length [`Bindings::inputs`] must
@@ -317,9 +356,10 @@ impl Plan {
         self.nodes[i].input_idx
     }
 
-    /// True when node `i` survived dead-code elimination.
+    /// True when node `i`'s value exists during execution: it survived
+    /// dead-code elimination and was not absorbed into a fused step.
     pub fn is_live(&self, i: usize) -> bool {
-        !matches!(self.nodes[i].loc, Loc::Dead)
+        !matches!(self.nodes[i].loc, Loc::Dead | Loc::Absorbed)
     }
 
     /// The recorded shape of node `i`.
@@ -339,6 +379,7 @@ impl Plan {
                 self.slot_values as f64 / self.slot_elems.len() as f64
             },
             grow_events: arena.grow_events,
+            fused: self.steps.iter().filter(|s| matches!(s, Step::Linear { .. })).count(),
         }
     }
 
@@ -346,12 +387,14 @@ impl Plan {
     ///
     /// # Panics
     ///
-    /// Panics when `v` was eliminated as dead code.
+    /// Panics when `v` was eliminated as dead code or absorbed into a
+    /// fused step.
     pub fn value<'a>(&self, arena: &'a Arena, v: VarId) -> &'a Matrix {
         match self.nodes[v.index()].loc {
             Loc::Slot(s) => &arena.slots[s],
             Loc::Const(c) => &arena.params[c],
             Loc::Dead => panic!("node {} was eliminated as dead code", v.index()),
+            Loc::Absorbed => panic!("node {} was absorbed into a fused step", v.index()),
         }
     }
 
@@ -367,7 +410,7 @@ impl Plan {
 
     /// Executes the whole plan against `arena` with `bindings`.
     pub fn run(&self, arena: &mut Arena, bindings: &Bindings) {
-        self.run_range(arena, bindings, 0, self.ops.len());
+        self.run_range(arena, bindings, 0, self.steps.len());
     }
 
     /// Executes nodes `lo..hi` — the engine layer interleaves these ranges
@@ -386,14 +429,20 @@ impl Plan {
         let node = &self.nodes[i];
         let out_slot = match node.loc {
             Loc::Slot(s) => s,
-            // Params were materialized at compile time; dead code never runs.
-            Loc::Const(_) | Loc::Dead => return,
+            // Params were materialized at compile time; dead code never
+            // runs, and an absorbed node runs inside its chain's last one.
+            Loc::Const(_) | Loc::Dead | Loc::Absorbed => return,
         };
         let mut out = std::mem::take(&mut arena.slots[out_slot]);
         let cap_before = out.capacity();
-        match &self.ops[i] {
-            Op::Param { .. } => unreachable!("params are consts"),
-            Op::Input => {
+        match &self.steps[i] {
+            Step::Linear { x, w, bias, relu } => {
+                let (x, w, bias) =
+                    (self.value(arena, *x), self.value(arena, *w), self.value(arena, *bias));
+                ops::linear_into(x, w, bias, *relu, &mut out);
+            }
+            Step::Op(Op::Param { .. }) => unreachable!("params are consts"),
+            Step::Op(Op::Input) => {
                 let src = &bind.inputs[node.input_idx.expect("live inputs are indexed")];
                 assert_eq!(
                     src.shape(),
@@ -402,34 +451,34 @@ impl Plan {
                 );
                 out.copy_from(src);
             }
-            Op::MatMul { a, b } => {
+            Step::Op(Op::MatMul { a, b }) => {
                 ops::matmul_into(self.value(arena, *a), self.value(arena, *b), &mut out);
             }
-            Op::AddBias { x, bias } => {
+            Step::Op(Op::AddBias { x, bias }) => {
                 ops::add_bias_row_into(self.value(arena, *x), self.value(arena, *bias), &mut out);
             }
-            Op::Add { a, b } => {
+            Step::Op(Op::Add { a, b }) => {
                 ops::add_into(self.value(arena, *a), self.value(arena, *b), &mut out);
             }
-            Op::Sub { a, b } => {
+            Step::Op(Op::Sub { a, b }) => {
                 ops::sub_into(self.value(arena, *a), self.value(arena, *b), &mut out);
             }
-            Op::Relu { x } => ops::relu_into(self.value(arena, *x), &mut out),
-            Op::Hadamard { a, b } => {
+            Step::Op(Op::Relu { x }) => ops::relu_into(self.value(arena, *x), &mut out),
+            Step::Op(Op::Hadamard { a, b }) => {
                 ops::hadamard_into(self.value(arena, *a), self.value(arena, *b), &mut out);
             }
-            Op::MulConst { x, .. } => {
+            Step::Op(Op::MulConst { x, .. }) => {
                 ops::hadamard_into(self.value(arena, *x), &arena.masks[&i], &mut out);
             }
-            Op::Scale { x, s } => {
+            Step::Op(Op::Scale { x, s }) => {
                 ops::scale_into(self.value(arena, *x), *s, &mut out);
             }
-            Op::Gather { x, indices } => {
+            Step::Op(Op::Gather { x, indices }) => {
                 let idx = node.index_bid.map_or(&indices[..], |bid| &bind.indices[bid]);
                 assert_eq!(idx.len(), indices.len(), "dynamic gather length changed");
                 group::gather_rows_into(self.value(arena, *x), idx, &mut out);
             }
-            Op::SubCentroid { grouped, centroids, k } => {
+            Step::Op(Op::SubCentroid { grouped, centroids, k }) => {
                 group::subtract_centroid_per_group_into(
                     self.value(arena, *grouped),
                     self.value(arena, *centroids),
@@ -437,13 +486,15 @@ impl Plan {
                     &mut out,
                 );
             }
-            Op::GroupMax { x, k } => group::group_max_into(self.value(arena, *x), *k, &mut out),
-            Op::GatherMax { x, groups, k } => {
+            Step::Op(Op::GroupMax { x, k }) => {
+                group::group_max_into(self.value(arena, *x), *k, &mut out)
+            }
+            Step::Op(Op::GatherMax { x, groups, k }) => {
                 let idx = node.index_bid.map_or(&groups[..], |bid| &bind.indices[bid]);
                 assert_eq!(idx.len(), groups.len(), "dynamic group length changed");
                 group::gather_max_into(self.value(arena, *x), idx, *k, &mut out);
             }
-            Op::WeightedGather { x, indices, weights, k } => {
+            Step::Op(Op::WeightedGather { x, indices, weights, k }) => {
                 let (idx, w) = match node.stencil_bid {
                     Some(bid) => {
                         let (i, w) = &bind.stencils[bid];
@@ -454,17 +505,17 @@ impl Plan {
                 assert_eq!(idx.len(), indices.len(), "dynamic stencil length changed");
                 group::weighted_gather_into(self.value(arena, *x), idx, w, *k, &mut out);
             }
-            Op::HStack { a, b } => {
+            Step::Op(Op::HStack { a, b }) => {
                 self.value(arena, *a).hstack_into(self.value(arena, *b), &mut out);
             }
-            Op::Standardize { x } => {
+            Step::Op(Op::Standardize { x }) => {
                 let mut scratch = std::mem::take(&mut arena.scratch);
                 ops::standardize_into(self.value(arena, *x), &mut scratch, &mut out);
                 arena.scratch = scratch;
             }
             // Losses are replayed for completeness (a plan may be asked for
             // a recorded loss); the arithmetic mirrors the tape's exactly.
-            Op::Mse { pred, target } => {
+            Step::Op(Op::Mse { pred, target }) => {
                 let (p, t) = (self.value(arena, *pred), self.value(arena, *target));
                 assert_eq!(p.shape(), t.shape(), "mse shape mismatch");
                 let n = p.len() as f32;
@@ -478,7 +529,7 @@ impl Plan {
                 out.reset_shape(1, 1);
                 out[(0, 0)] = loss;
             }
-            Op::SoftmaxCrossEntropy { logits, labels } => {
+            Step::Op(Op::SoftmaxCrossEntropy { logits, labels }) => {
                 let l = self.value(arena, *logits);
                 assert_eq!(labels.len(), l.rows(), "one label per row");
                 let mut loss = 0.0f64;
@@ -518,14 +569,11 @@ impl Plan {
     /// output slot may equal one of its input slots. Used by tests; cheap
     /// enough to run on any plan.
     pub fn check_no_aliasing(&self) {
-        let n = self.ops.len();
-        let mut last_use = vec![0usize; n];
-        for (i, lu) in last_use.iter_mut().enumerate() {
-            *lu = i;
-        }
-        for (i, op) in self.ops.iter().enumerate() {
+        let n = self.steps.len();
+        let mut last_use: Vec<usize> = (0..n).collect();
+        for (i, step) in self.steps.iter().enumerate() {
             if self.is_live(i) {
-                op.for_each_operand(|v| last_use[v.index()] = i);
+                step.for_each_operand(|v| last_use[v.index()] = i);
             }
         }
         for &o in &self.outputs {
@@ -534,7 +582,7 @@ impl Plan {
         for (i, node) in self.nodes.iter().enumerate() {
             let Loc::Slot(si) = node.loc else { continue };
             // Output/input aliasing within one op.
-            self.ops[i].for_each_operand(|v| {
+            self.steps[i].for_each_operand(|v| {
                 if let Loc::Slot(sv) = self.nodes[v.index()].loc {
                     assert_ne!(si, sv, "op {i} writes slot {si} while reading it");
                 }
@@ -552,6 +600,50 @@ impl Plan {
             }
         }
     }
+}
+
+/// Finds the `MatMul → AddBias → Relu?` chains among the live nodes that
+/// can run as one [`Step::Linear`]: every intermediate (the product, and
+/// the biased sum when a ReLU follows) has exactly one reader and is not a
+/// requested output, so nothing but the chain ever sees it. Returns the
+/// fused step per chain end and the absorbed nodes.
+fn fuse_linear_chains(
+    g: &Graph,
+    live: &[bool],
+    outputs: &[VarId],
+) -> (HashMap<usize, Step>, Vec<bool>) {
+    let n = live.len();
+    let mut readers = vec![0usize; n];
+    let mut reader = vec![0usize; n];
+    for i in (0..n).filter(|&i| live[i]) {
+        g.op_at(i).for_each_operand(|v| {
+            readers[v.index()] += 1;
+            reader[v.index()] = i;
+        });
+    }
+    for o in outputs {
+        readers[o.index()] = usize::MAX;
+    }
+    // The one node reading `v`, when `v` is an intermediate only it sees.
+    let sole_reader = |v: usize| (readers[v] == 1).then_some(reader[v]);
+
+    let mut fused_at = HashMap::new();
+    let mut absorbed = vec![false; n];
+    for j in (0..n).filter(|&j| live[j]) {
+        let Op::AddBias { x: product, bias } = g.op_at(j) else { continue };
+        let Op::MatMul { a, b } = g.op_at(product.index()) else { continue };
+        if sole_reader(product.index()) != Some(j) {
+            continue;
+        }
+        let relu = sole_reader(j).filter(|&l| matches!(g.op_at(l), Op::Relu { .. }));
+        absorbed[product.index()] = true;
+        if relu.is_some() {
+            absorbed[j] = true;
+        }
+        let step = Step::Linear { x: *a, w: *b, bias: *bias, relu: relu.is_some() };
+        fused_at.insert(relu.unwrap_or(j), step);
+    }
+    (fused_at, absorbed)
 }
 
 #[cfg(test)]
@@ -615,6 +707,146 @@ mod tests {
         let stats = plan.stats(&arena);
         assert!(stats.reuse_ratio > 1.0, "a deep chain must reuse slots, got {stats:?}");
         assert!(stats.peak_bytes > 0);
+    }
+
+    /// The fused steps of `plan`: `(chain end, relu)` in node order.
+    fn fused_steps(plan: &Plan) -> Vec<(usize, bool)> {
+        let steps = plan.steps.iter().enumerate();
+        steps
+            .filter_map(|(i, s)| match s {
+                Step::Linear { relu, .. } if plan.is_live(i) => Some((i, *relu)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Plans `outputs` of `g`, checks the slot assignment, replays the
+    /// recording sample and asserts every output equals the tape's bits.
+    fn plan_and_replay(g: &Graph, x: VarId, outputs: &[VarId]) -> Plan {
+        let (plan, mut arena) = Plan::from_graph(g, outputs, &DynMarks::default());
+        plan.check_no_aliasing();
+        plan.run(&mut arena, &input_bindings(&plan, g.value(x)));
+        for (i, o) in outputs.iter().enumerate() {
+            assert_eq!(plan.output(&arena, i), g.value(*o), "output {i} differs from the tape");
+        }
+        plan
+    }
+
+    #[test]
+    fn a_linear_chain_compiles_to_one_step_with_fewer_slots() {
+        // Three Linear → ReLU layers: each MatMul → AddBias → Relu chain is
+        // one fused step at the Relu node, and neither intermediate holds a
+        // slot: the input plus three layer outputs, 4 slot values instead
+        // of 10.
+        let x = Matrix::from_fn(37, 4, |r, c| ((r * 5 + c) as f32 * 0.37).sin());
+        let mut rng = mesorasi_pointcloud::seeded_rng(5);
+        let mlp = SharedMlp::new(&[4, 8, 40, 3], NormMode::None, true, &mut rng);
+        let mut g = Graph::new();
+        let xv = g.input(x);
+        let y = mlp.forward(&mut g, xv);
+        let plan = plan_and_replay(&g, xv, &[y]);
+        let fused = fused_steps(&plan);
+        assert_eq!(fused.len(), 3, "{fused:?}");
+        assert!(fused.iter().all(|&(_, relu)| relu));
+        assert_eq!(fused.last().map(|f| f.0), Some(y.index()), "the chain's last node runs it");
+        let absorbed = (0..plan.len()).filter(|&i| {
+            matches!(g.op_at(i), Op::MatMul { .. } | Op::AddBias { .. }) && !plan.is_live(i)
+        });
+        assert_eq!(absorbed.count(), 6, "every product and biased sum is absorbed");
+        let (_, arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let stats = plan.stats(&arena);
+        assert_eq!((stats.values, stats.fused), (4, 3), "the input and three layer outputs");
+    }
+
+    #[test]
+    fn a_head_without_relu_fuses_the_bias_alone() {
+        // `relu_last: false`: the last layer is MatMul → AddBias, fused
+        // with `relu = false`; the hidden one keeps its ReLU.
+        let x = Matrix::from_fn(9, 4, |r, c| ((r + 3 * c) as f32 * 0.21).cos());
+        let mut rng = mesorasi_pointcloud::seeded_rng(6);
+        let mlp = SharedMlp::new(&[4, 6, 3], NormMode::None, false, &mut rng);
+        let mut g = Graph::new();
+        let xv = g.input(x);
+        let y = mlp.forward(&mut g, xv);
+        let plan = plan_and_replay(&g, xv, &[y]);
+        let fused = fused_steps(&plan);
+        assert_eq!(fused.len(), 2, "{fused:?}");
+        assert!(fused[0].1 && !fused[1].1, "{fused:?}");
+        assert_eq!(fused[1].0, y.index());
+    }
+
+    #[test]
+    fn a_normalised_layer_fuses_only_its_bias() {
+        // Linear → FeatureNorm → ReLU: the ReLU reads the norm, not the
+        // biased sum, so the chain ends at the AddBias.
+        let x = Matrix::from_fn(12, 4, |r, c| ((r * 7 + c) as f32 * 0.13).sin());
+        let (g, y, _mlp) = record_mlp(&x);
+        let xv = VarId::from_index(0);
+        let plan = plan_and_replay(&g, xv, &[y]);
+        let fused = fused_steps(&plan);
+        assert_eq!(fused.len(), 2, "{fused:?}");
+        assert!(fused.iter().all(|&(i, relu)| !relu && matches!(g.op_at(i), Op::AddBias { .. })));
+    }
+
+    /// `x · w + bias` then ReLU over a 6 × 4 input, recorded by hand:
+    /// returns the graph and the input, product, biased and ReLU nodes.
+    fn record_chain() -> (Graph, [VarId; 4]) {
+        let mut rng = mesorasi_pointcloud::seeded_rng(8);
+        let layer = crate::layers::Linear::new(4, 5, &mut rng);
+        let mut g = Graph::new();
+        let x = g.input(Matrix::from_fn(6, 4, |r, c| (r as f32 - 2.0 * c as f32) * 0.3));
+        let w = g.param(&layer.weight);
+        let b = g.param(&layer.bias);
+        let product = g.matmul(x, w);
+        let biased = g.add_bias(product, b);
+        let activated = g.relu(biased);
+        (g, [x, product, biased, activated])
+    }
+
+    #[test]
+    fn a_product_with_a_second_reader_is_not_absorbed() {
+        let (mut g, [x, product, _, activated]) = record_chain();
+        let other = g.scale(product, 2.0);
+        let plan = plan_and_replay(&g, x, &[activated, other]);
+        assert!(fused_steps(&plan).is_empty());
+        assert!(plan.is_live(product.index()));
+    }
+
+    #[test]
+    fn a_requested_intermediate_is_not_absorbed() {
+        // A requested biased sum ends the chain there (the ReLU stays a
+        // plain op reading it); a requested product stops fusion outright.
+        let (g, [x, product, biased, activated]) = record_chain();
+        let plan = plan_and_replay(&g, x, &[activated, biased]);
+        assert_eq!(fused_steps(&plan), vec![(biased.index(), false)]);
+        assert!(plan.is_live(biased.index()) && !plan.is_live(product.index()));
+        let plan = plan_and_replay(&g, x, &[activated, product]);
+        assert!(fused_steps(&plan).is_empty());
+    }
+
+    #[test]
+    fn a_gathered_product_is_not_fused() {
+        // Ltd-Delayed's first layer: `forward_linear_only`, a gather, then
+        // `forward_bias_only` — the bias reads the gather, not the product.
+        let mut rng = mesorasi_pointcloud::seeded_rng(9);
+        let mlp = SharedMlp::new(&[4, 6], NormMode::None, true, &mut rng);
+        let mut g = Graph::new();
+        let x = g.input(Matrix::from_fn(5, 4, |r, c| (r * 4 + c) as f32 * 0.1 - 1.0));
+        let product = mlp.first_layer().forward_linear_only(&mut g, x);
+        let gathered = g.gather(product, vec![4, 0, 0, 2, 3, 1]);
+        let y = mlp.forward_after_first_linear(&mut g, gathered);
+        let plan = plan_and_replay(&g, x, &[y]);
+        assert!(fused_steps(&plan).is_empty());
+        assert!(plan.is_live(product.index()));
+    }
+
+    #[test]
+    #[should_panic(expected = "absorbed into a fused step")]
+    fn reading_an_absorbed_value_panics() {
+        let (g, [x, product, _, activated]) = record_chain();
+        let (plan, mut arena) = Plan::from_graph(&g, &[activated], &DynMarks::default());
+        plan.run(&mut arena, &input_bindings(&plan, g.value(x)));
+        let _ = plan.value(&arena, product);
     }
 
     #[test]

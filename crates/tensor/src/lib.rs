@@ -10,7 +10,8 @@
 //!
 //! * [`Matrix`] — the storage type, a dense row-major `f32` matrix,
 //! * [`ops`] — matmul (and its two transpose variants, the same product
-//!   on a transposed copy), bias broadcast,
+//!   on a transposed copy), the fused linear layer (matmul, bias and ReLU
+//!   written once), bias broadcast,
 //!   elementwise arithmetic, ReLU and its gradient mask, column statistics,
 //! * [`group`] — gather / grouped-reduce / scatter kernels used by
 //!   aggregation in both the original and the delayed formulation.
@@ -31,11 +32,12 @@
 //! Every matmul, the transpose variants included, runs through one driver,
 //! [`ops::matmul_into`]: register-tiled micro-kernels, data-parallel over
 //! fixed output-row chunks, loops blocked for cache by operand shape (row
-//! block · packed `B` panel · `k`-block). The micro-kernels are [`simd`]'s:
-//! AVX2 inner loops where the CPU has them (runtime-detected; the `simd`
-//! cargo feature, on by default, gates them), the same register tiles in
-//! scalar form elsewhere. The pre-tier loops survive as [`ops::naive`], the
-//! semantics reference.
+//! block · packed `B` panel · `k`-block). The micro-kernels are [`simd`]'s,
+//! in the widest tier the CPU has — AVX-512F, then AVX2 (runtime-detected;
+//! the `simd` cargo feature, on by default, gates them) — and the same
+//! register tiles in scalar form elsewhere; [`simd::tier`] names the one
+//! that runs. The pre-tier loops survive as [`ops::naive`], the semantics
+//! reference.
 //!
 //! **The bit-identity contract:** every output element accumulates in
 //! ascending-`p` order with one `mul` and one `add` per step and max scans

@@ -9,10 +9,15 @@
 //! # The fast tier and the [`naive`] reference
 //!
 //! Every matmul runs through one driver, [`matmul_into`]: register-tiled
-//! micro-kernels — [`crate::simd`]'s: AVX2 behind runtime detection,
-//! otherwise the same tiles as an auto-vectorizable block-accumulator
-//! scalar kernel — cache-blocked by operand shape (row block · packed `B`
-//! panel · `k`-block, see its docs).
+//! micro-kernels — [`crate::simd`]'s, in the widest tier the host has
+//! (AVX-512: 4 × 32 tiles; AVX2: 4 × 16; otherwise the same tiles as an
+//! auto-vectorizable block-accumulator scalar kernel), runtime-detected —
+//! cache-blocked by operand shape (row block · packed `B` panel ·
+//! `k`-block, see its docs). A packed panel is as wide as the tier's tile:
+//! 32 columns under AVX-512, 16 otherwise.
+//! [`linear_into`] is the same driver with an epilogue: after a tile's last
+//! `k`-block it adds a bias row and optionally applies ReLU in registers,
+//! so a linear layer's output is written once instead of once per pass.
 //! The two transpose variants, which only training runs, are that driver
 //! on a transposed copy of one operand. The pre-tier kernels are
 //! preserved verbatim in [`naive`]: they are the semantics reference the
@@ -31,7 +36,9 @@
 //! adds `±0.0` products instead — an IEEE-754 identity on every finite
 //! sum (a running sum that starts at `+0.0` can never become `-0.0`:
 //! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
-//! `x + ±0.0 == x` bitwise throughout the chain).
+//! `x + ±0.0 == x` bitwise throughout the chain). The epilogue is the
+//! unfused [`add_bias_row_into`] and [`relu_into`] arithmetic per element,
+//! so a fused layer carries the bits of the three separate passes.
 
 use crate::{simd, Matrix};
 use mesorasi_par as par;
@@ -51,19 +58,20 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// overwritten; no allocation once the buffer's capacity suffices).
 ///
 /// Register-tiled: output rows go four at a time through [`simd::mm4`],
-/// which holds a 4-row × 16-column output tile in registers for a whole
-/// `p` walk — each `B` row segment is loaded once per four output rows
-/// (the naive kernel re-reads and re-writes the output row on every `p`
-/// step, which is what makes it memory-bound).
+/// which holds a 4-row output tile of `simd::tile_cols()` columns (32
+/// under AVX-512, 16 otherwise) in registers for a whole `p` walk — each
+/// `B` row segment is loaded once per four output rows (the naive kernel
+/// re-reads and re-writes the output row on every `p` step, which is what
+/// makes it memory-bound).
 ///
-/// Cache-blocked by the shape of the operands. The tile walks a 16-column
+/// Cache-blocked by the shape of the operands. The tile walks a tile-wide
 /// slice of `B` top to bottom — `k` loads, one `B` row apart — and between
 /// row quads that slice stays in L1 only while all of `B` fits there: a
 /// row stride of `n` elements maps the slice's cache lines onto few sets
 /// (a single one at `n` = 1024), so a deeper `B` read in place is fetched
 /// again from L2 or memory by every row quad. A deep `B` is
 /// therefore taken in the order row block · panel · `k`-block · row quad:
-/// each 16-column panel of `B` is copied once per row block into a
+/// each tile-wide panel of `B` is copied once per row block into a
 /// contiguous buffer of at most `PANEL_BYTES` (L1-resident whatever `n`
 /// is) and reused by every row quad of the block, whose `A` slice
 /// (`A_BLOCK_BYTES`) stays in L2 across the panels; `k` beyond the
@@ -78,12 +86,35 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// `mul` and one `add` per step — and the result is bit-identical to
 /// [`naive::matmul_into`] for finite inputs (see the module docs; the
 /// reference's sparse zero-skip becomes `±0.0` additions here), whatever
-/// the blocking and the thread count.
+/// the blocking, the tier and the thread count.
 ///
 /// # Panics
 ///
 /// Panics when the inner dimensions disagree.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    product_into(a, b, None, out);
+}
+
+/// A linear layer, `relu?(x · w + bias)`, written once: [`matmul_into`]'s
+/// driver with an epilogue that, after each tile's last `k`-block, adds
+/// the `1 × n` `bias` row and, with `relu`, applies `max(v, 0)` in
+/// registers before the single store. Bit-identical to [`matmul_into`]
+/// followed by [`add_bias_row_into`] (and [`relu_into`]) — `−0.0` and `NaN`
+/// included — without the two extra passes over the output.
+///
+/// # Panics
+///
+/// Panics when the inner dimensions disagree or `bias` is not a single row
+/// as wide as the product.
+pub fn linear_into(x: &Matrix, w: &Matrix, bias: &Matrix, relu: bool, out: &mut Matrix) {
+    assert_eq!(bias.rows(), 1, "bias must be a row vector");
+    assert_eq!(bias.cols(), w.cols(), "bias width must match");
+    product_into(x, w, Some(simd::Epilogue { bias: bias.as_slice(), relu }), out);
+}
+
+/// The one matmul driver behind [`matmul_into`] and [`linear_into`];
+/// `epilogue.bias` spans all `n` output columns.
+fn product_into(a: &Matrix, b: &Matrix, epilogue: Option<simd::Epilogue<'_>>, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} × {:?}", a.shape(), b.shape());
     let (m, k) = a.shape();
     let n = b.cols();
@@ -91,7 +122,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     if n == 0 {
         return;
     }
-    let blocking = Blocking::pick(m, k, n);
+    let blocking = Blocking::pick(m, k, n, simd::tile_cols());
     let packs = blocking.packs(n);
     let mut row_chunk = par::chunk_len(m, 2 * k * n);
     if packs {
@@ -102,25 +133,26 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         row_chunk = m.div_ceil((m / row_chunk).max(1));
     }
     par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
+        let first = ci * row_chunk;
         if packs {
-            blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut Panel([0.0; PANEL_ELEMS]).0);
+            let panel = &mut Panel([0.0; PANEL_ELEMS]).0;
+            blocked_rows(a, b, epilogue, first, chunk, blocking, panel);
         } else {
-            blocked_rows(a, b, ci * row_chunk, chunk, blocking, &mut []);
+            blocked_rows(a, b, epilogue, first, chunk, blocking, &mut []);
         }
     });
 }
 
-/// Width of a packed `B` panel: the column count of the register tile.
-const PANEL_COLS: usize = 16;
 /// L1 budget of the `B` panel a row quad walks, which decides both
 /// whether to pack and how deep: a `B` within it already *is* an
 /// L1-resident panel and is walked in place (packing it would only re-read
-/// `A` once per 16 columns), a larger one is packed into `kc × 16` pieces
-/// of this size. Two thirds of the 48 KB L1d of the host this tier is
+/// `A` once per panel), a larger one is packed into `kc × w` pieces of
+/// this size, `w` the tier's tile width — `kc` = 512 at 16 columns, 256 at
+/// 32. Two thirds of the 48 KB L1d of the host this tier is
 /// measured on — the rest is left to the four streaming `A` rows and the
 /// output tile — and exactly the networks' deepest layer (`k` = 512) in one
-/// `k`-block: 16 KB and 24 KB, which split that layer in two, measured
-/// 5–10 % slower on it.
+/// `k`-block at 16 columns: 16 KB and 24 KB, which split that layer in two,
+/// measured 5–10 % slower on it.
 const PANEL_BYTES: usize = 32 * 1024;
 /// L2 budget of one row block's `A` slice, which fixes the block's height:
 /// every panel of `B` re-reads the slice, so it has to stay resident
@@ -146,10 +178,10 @@ const PANEL_ELEMS: usize = PANEL_BYTES / size_of::<f32>();
 struct Panel([f32; PANEL_ELEMS]);
 
 /// Loop blocking of one [`matmul_into`] call, picked from the operand
-/// shapes alone.
+/// shapes and the tier's tile width alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Blocking {
-    /// Columns of `B` per panel: `n` walks `B` in place, [`PANEL_COLS`]
+    /// Columns of `B` per panel: `n` walks `B` in place, the tile width
     /// packs.
     panel_cols: usize,
     /// Depth of a `k`-block.
@@ -159,13 +191,15 @@ struct Blocking {
 }
 
 impl Blocking {
-    fn pick(m: usize, k: usize, n: usize) -> Blocking {
+    /// The blocking of an `(m, k) × (k, n)` product on a tier whose widest
+    /// tile is `tile` columns ([`simd::tile_cols`]).
+    fn pick(m: usize, k: usize, n: usize, tile: usize) -> Blocking {
         let elem = size_of::<f32>();
         if m < PACK_MIN_ROWS || k * n * elem <= PANEL_BYTES {
             return Blocking { panel_cols: n, kc: k, mc: m };
         }
         let mc = (A_BLOCK_BYTES / (k * elem)).max(PACK_MIN_ROWS);
-        Blocking { panel_cols: PANEL_COLS, kc: PANEL_BYTES / (PANEL_COLS * elem), mc: mc - mc % 4 }
+        Blocking { panel_cols: tile, kc: PANEL_BYTES / (tile * elem), mc: mc - mc % 4 }
     }
 
     fn packs(&self, n: usize) -> bool {
@@ -175,12 +209,15 @@ impl Blocking {
 
 /// Output rows `first..` of `A · B` into `out_rows` (whole rows of the
 /// output), in the order `blocking` gives: row block · panel · `k`-block ·
-/// row quad. Each panel is copied into `panel` when `blocking` packs and
-/// read in place otherwise, where one row block, one panel and one
-/// `k`-block make this the plain walk of every row quad over all of `B`.
+/// row quad, the `epilogue` (its bias sliced to the panel) applied by the
+/// panel's last `k`-block. Each panel is copied into `panel` when
+/// `blocking` packs and read in place otherwise, where one row block, one
+/// panel and one `k`-block make this the plain walk of every row quad over
+/// all of `B`.
 fn blocked_rows(
     a: &Matrix,
     b: &Matrix,
+    epilogue: Option<simd::Epilogue<'_>>,
     first: usize,
     out_rows: &mut [f32],
     blocking: Blocking,
@@ -210,20 +247,24 @@ fn blocked_rows(
                 } else {
                     &b.as_slice()[p0 * n..]
                 };
+                let last = p0 + kb >= k;
+                let epi = epilogue
+                    .filter(|_| last)
+                    .map(|e| simd::Epilogue { bias: &e.bias[j0..j0 + w], ..e });
                 walk_quads(
                     block,
                     n,
                     |i, rows| {
                         let a_rows = quad_rows(a, first + i).map(|r| &r[p0..p0 + kb]);
-                        simd::mm4(a_rows, bp, w, rows.map(|r| &mut r[j0..j0 + w]), p0 > 0);
+                        simd::mm4(a_rows, bp, w, rows.map(|r| &mut r[j0..j0 + w]), p0 > 0, epi);
                     },
                     |i, row| {
                         let a_row = &a.row(first + i)[p0..p0 + kb];
-                        simd::mm1(a_row, bp, w, &mut row[j0..j0 + w], p0 > 0);
+                        simd::mm1(a_row, bp, w, &mut row[j0..j0 + w], p0 > 0, epi);
                     },
                 );
                 p0 += kb;
-                if p0 >= k {
+                if last {
                     break;
                 }
             }
@@ -439,16 +480,18 @@ pub fn add_bias_row_into(a: &Matrix, bias: &Matrix, out: &mut Matrix) {
 }
 
 /// ReLU: `max(v, 0)` elementwise — the non-linearity φ whose presence makes
-/// delayed-aggregation *approximate* (paper Equ. 3).
+/// delayed-aggregation *approximate* (paper Equ. 3). Spelled as the select
+/// `v > 0 ? v : +0.0`, so `−0.0` and `NaN` give `+0.0` in every compiled
+/// form (`f32::max` leaves the sign of a zero result to the compiler).
 pub fn relu(a: &Matrix) -> Matrix {
-    a.map(|v| v.max(0.0))
+    a.map(simd::relu)
 }
 
 /// [`relu`] writing into a caller-owned buffer.
 pub fn relu_into(a: &Matrix, out: &mut Matrix) {
     out.reset_shape(a.rows(), a.cols());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
-        *o = x.max(0.0);
+        *o = simd::relu(x);
     }
 }
 
@@ -741,23 +784,34 @@ mod tests {
     #[test]
     fn blocking_follows_the_operand_shapes() {
         // The boundary shapes `tests/matmul_blocking.rs` runs against the
-        // references: this pins which side of each rule they sit on.
+        // references: this pins which side of each rule they sit on, for
+        // the 16-column tile (AVX2 and scalar) and the 32-column one
+        // (AVX-512).
         let in_place = |m, k, n| Blocking { panel_cols: n, kc: k, mc: m };
-        let packed = |kc, mc| Blocking { panel_cols: PANEL_COLS, kc, mc };
-        // B up to PANEL_BYTES is walked in place, whatever the row count.
-        assert_eq!(Blocking::pick(40, 128, 64), in_place(40, 128, 64));
-        assert_eq!(Blocking::pick(40, 129, 64), packed(512, 1016));
-        assert_eq!(Blocking::pick(32768, 64, 128), in_place(32768, 64, 128));
-        // Fewer than PACK_MIN_ROWS rows never pack.
-        assert_eq!(Blocking::pick(31, 512, 1024), in_place(31, 512, 1024));
-        assert_eq!(Blocking::pick(32, 512, 1024), packed(512, 256));
-        // Row blocks hold A_BLOCK_BYTES of A, floored at PACK_MIN_ROWS.
-        assert_eq!(Blocking::pick(70, 2048, 20), packed(512, 64));
-        assert_eq!(Blocking::pick(67, 8192, 17), packed(512, 32));
-        // A deep B no wider than one panel is already contiguous: k- and
-        // row-blocked, but read in place.
-        assert!(!Blocking::pick(64, 1024, 13).packs(13));
-        assert!(Blocking::pick(64, 1024, 17).packs(17));
+        for (tile, kc) in [(16, 512), (32, 256)] {
+            let pick = |m, k, n| Blocking::pick(m, k, n, tile);
+            let packed = |mc| Blocking { panel_cols: tile, kc, mc };
+            // B up to PANEL_BYTES is walked in place, whatever the row count.
+            assert_eq!(pick(40, 128, 64), in_place(40, 128, 64));
+            assert_eq!(pick(40, 129, 64), packed(1016));
+            assert_eq!(pick(32768, 64, 128), in_place(32768, 64, 128));
+            // Fewer than PACK_MIN_ROWS rows never pack.
+            assert_eq!(pick(31, 512, 1024), in_place(31, 512, 1024));
+            assert_eq!(pick(32, 512, 1024), packed(256));
+            // Row blocks hold A_BLOCK_BYTES of A, floored at PACK_MIN_ROWS.
+            assert_eq!(pick(70, 2048, 20), packed(64));
+            assert_eq!(pick(67, 8192, 17), packed(32));
+            // A deep B no wider than one panel is already contiguous: k- and
+            // row-blocked, but read in place.
+            assert!(!pick(64, 1024, tile).packs(tile));
+            assert!(pick(64, 1024, tile + 1).packs(tile + 1));
+        }
+        // The 16-column tile's panel at the 32-column boundary packs, the
+        // 32-column one's walks it in place.
+        assert!(Blocking::pick(64, 1024, 32, 16).packs(32));
+        assert!(!Blocking::pick(64, 1024, 32, 32).packs(32));
+        // The driver picks at the width of the tier the CPU dispatches to.
+        assert_eq!(simd::tile_cols(), if simd::tier() == "avx512f" { 32 } else { 16 });
     }
 
     #[test]
@@ -884,6 +938,52 @@ mod tests {
                 matmul_into(&a, &b, &mut fast);
                 naive::matmul_into(&a, &b, &mut reference);
                 assert_eq!(fast, reference, "matmul {m}×{k}×{n} zeros 1/{zero_every}");
+            }
+        }
+    }
+
+    #[test]
+    fn linear_into_is_the_three_unfused_passes_bitwise() {
+        // The epilogue runs once, after a panel's last `k`-block: shapes
+        // in place and packed, with `k` in one block and split across
+        // several (partial sums through `out`), every column tail, and a
+        // bias holding `−0.0`, `NaN` and `±∞` — into a dirty output.
+        let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, 0.75, -0.75];
+        let bits = |m: &Matrix| {
+            m.as_slice()
+                .iter()
+                .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        for (m, k, n) in [
+            (1, 0, 5),
+            (3, 7, 9),
+            (7, 130, 33),
+            (40, 129, 64),
+            (33, 300, 80),
+            (36, 600, 40),
+            (64, 1030, 17),
+        ] {
+            let x = noisy(m, k, 71, 3);
+            let w = noisy(k, n, 73, 0);
+            let bias = Matrix::from_fn(1, n, |_, c| {
+                if c % 3 == 0 {
+                    specials[(c / 3) % specials.len()]
+                } else {
+                    (c as f32 * 0.37).sin()
+                }
+            });
+            let mut product = Matrix::zeros(0, 0);
+            matmul_into(&x, &w, &mut product);
+            let mut biased = Matrix::zeros(0, 0);
+            add_bias_row_into(&product, &bias, &mut biased);
+            let mut activated = Matrix::zeros(0, 0);
+            relu_into(&biased, &mut activated);
+            for (relu, want) in [(false, &biased), (true, &activated)] {
+                let mut out = Matrix::full(5, 3, f32::NAN);
+                linear_into(&x, &w, &bias, relu, &mut out);
+                assert_eq!(out.shape(), want.shape());
+                assert_eq!(bits(&out), bits(want), "linear ({m},{k},{n}) relu {relu}");
             }
         }
     }

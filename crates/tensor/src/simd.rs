@@ -1,33 +1,69 @@
 //! Vectorized micro-kernels — the workspace's only `unsafe` island.
 //!
+//! # Tiers
+//!
+//! Every kernel here runs in one of three tiers, picked at runtime in the
+//! order `avx512f` → `avx2` → scalar ([`tier`] names the one the CPU
+//! runs). The x86 tiers need the `simd` cargo feature (default on) and
+//! `is_x86_feature_detected!` (cached by std); without the feature, on
+//! other architectures (including aarch64, where the scalar blocks
+//! auto-vectorize to NEON — Rust never contracts `mul` + `add` into FMA) or
+//! on a CPU with neither extension, the scalar tier runs, and without the
+//! feature no `unsafe` remains in the crate. The scalar tier is safe code.
+//!
+//! # The matmul tile
+//!
 //! One primitive pair powers the matmul tier in [`crate::ops`]: [`mm4`] /
-//! [`mm1`], register-accumulator matmul blocks. A 4-row × 16-column output
-//! tile lives entirely in registers while the kernel walks `p` over the
-//! shared dimension, so the hot loop touches memory only to read `A`
-//! coefficients and stream rows of `B`; each output element is stored once
-//! per walk. Per element the products accumulate in ascending-`p` order
-//! with separate `mul` and `add` instructions, which is the whole
-//! bit-identity contract: any lane width (8-lane AVX2, auto-vectorized
-//! scalar) produces the same rounding sequence. The kernels do no cache
-//! blocking of their own — `b` is whatever contiguous `k × n` panel the
-//! caller hands over, all of `B` or a packed 16-column piece of it — but
-//! their `accumulate` form starts the tile from the sums already in `out`,
-//! which is how [`crate::ops::matmul_into`] splits a deep `k` into L1-sized
-//! blocks: a store and reload of an `f32` is exact, so the chain
-//! is the one an unsplit walk would run.
+//! [`mm1`], register-accumulator matmul blocks. An output tile — 4 rows ×
+//! 32 columns in eight zmm registers under AVX-512, 4 × 16 in eight ymm
+//! registers under AVX2 (`tile_cols()`) — lives entirely in registers while
+//! the kernel walks `p` over the shared dimension, so the hot loop touches
+//! memory only to read `A` coefficients and stream rows of `B`; each output
+//! element is stored once per walk. Column tails narrow through the same
+//! tile one vector wide, then a ymm vector (under AVX-512), then single
+//! columns. The zmm and ymm tiles are one body, generic over a private
+//! lane-vector trait (load, store, splat, mul, add, max) that each
+//! `#[target_feature]` wrapper instantiates at its width.
+//!
+//! Per element the products accumulate in ascending-`p` order with separate
+//! `mul` and `add` instructions, which is the whole bit-identity contract:
+//! any lane width (16-lane AVX-512, 8-lane AVX2, auto-vectorized scalar)
+//! produces the same rounding sequence. FMA is deliberately never used: a
+//! fused multiply-add rounds once where `mul` + `add` round twice.
+//!
+//! The kernels do no cache blocking of their own — `b` is whatever
+//! contiguous `k × n` panel the caller hands over, all of `B` or a packed
+//! tile-wide piece of it — but their `accumulate` form starts the
+//! tile from the sums already in `out`, which is how
+//! [`crate::ops::matmul_into`] splits a deep `k` into L1-sized blocks: a
+//! store and reload of an `f32` is exact, so the chain is the one an
+//! unsplit walk would run.
+//!
+//! # The epilogue
+//!
+//! A walk may end in an [`Epilogue`]: before the single store, the tile
+//! adds a bias row and optionally applies ReLU in registers, which is how
+//! [`crate::ops::linear_into`] writes a linear layer's output once instead
+//! of three times. Per element that is `acc + bias`, then ReLU as the
+//! compare-and-select `acc > 0 ? acc : +0.0` (`maxps` with the zero
+//! second, so `−0.0` and `NaN` become `+0.0`) — the same bits as the
+//! unfused [`crate::ops::add_bias_row_into`] and [`crate::ops::relu_into`],
+//! which run the same select.
+//!
+//! # The scan and reduce kernels
 //!
 //! A second entry, [`sqdist_rows`], serves the feature-space kNN scan of
 //! `mesorasi-knn` rather than the matmul tier: squared distances from a
 //! tile of queries to every row of a dim-major panel. It lives here for
 //! its dispatch, not for intrinsics — it has none. Its body is one safe
 //! generic function over the query-tile width whose 16-lane loops the
-//! compiler vectorises; the island contributes a
-//! `#[target_feature(enable = "avx2")]` wrapper that inlines that body at
-//! 4 queries × 16 lanes (eight ymm accumulators), which is the only way to
-//! have safe code compiled wider than the crate's x86-64 baseline and
-//! chosen at runtime. Elsewhere the same body runs one query per pass at
-//! baseline width — the loop the scan used before; on SSE2 tiles of 2 and
-//! 4 queries measured no faster (16 xmm registers cannot hold them).
+//! compiler vectorises; the island contributes `#[target_feature]`
+//! wrappers that inline that body at 4 queries × 16 lanes (one zmm or two
+//! ymm accumulators per query), which is the only way to have safe code
+//! compiled wider than the crate's x86-64 baseline and chosen at runtime.
+//! In the scalar tier the same body runs one query per pass at baseline
+//! width — on SSE2 tiles of 2 and 4 queries measured no faster (16 xmm
+//! registers cannot hold them).
 //!
 //! A third, [`max_rows`], is the engine's aggregation and reduction
 //! kernel behind [`crate::group::gather_max_into`] and
@@ -36,10 +72,11 @@
 //! same reason as [`sqdist_rows`] — one safe generic body, no intrinsics,
 //! and an AVX2 `target_feature` wrapper so the body's 64-column tile is
 //! eight ymm accumulators that stay in registers across all `k` rows and
-//! are stored once (32 columns at baseline width). The loop
-//! it replaced compared each element against an output row in memory — a
-//! load, a branch and a store per element — and ran at about a nanosecond
-//! per element on a table that sat in L2. The fold is spelled
+//! are stored once (32 columns at baseline width). The AVX-512 tier runs
+//! this AVX2 kernel: a 128-column zmm form measured no faster. The
+//! loop it replaced compared each element against an output row
+//! in memory — a load, a branch and a store per element — and ran at about
+//! a nanosecond per element on a table that sat in L2. The fold is spelled
 //! `if v > acc { v } else { acc }` and never `max()`: the tape's argmax
 //! loop is that comparison, under which a `NaN` in a group's first row
 //! stays, a later `NaN` loses, and `−0.0` is not replaced by `+0.0`, while
@@ -47,31 +84,109 @@
 //! `maxps` happens to be exactly this select with the operands in this
 //! order, so the compiler may emit it.)
 //!
-//! FMA is deliberately never used: a fused multiply-add rounds once where
-//! `mul` + `add` round twice, which would break the scalar ≡ vector
-//! contract.
-//!
-//! The matmul entry points check every bound the vector paths rely on,
-//! then dispatch. With the `simd`
-//! cargo feature (default on), x86_64 checks for AVX2 at runtime
-//! (`is_x86_feature_detected!`, cached by std) and falls back to the
-//! scalar micro-kernels on machines without it; other architectures
-//! (including aarch64, where the scalar blocks auto-vectorize to NEON —
-//! Rust never contracts `mul` + `add` into FMA) always use the scalar
-//! micro-kernels. Without the feature, only the scalar micro-kernels
-//! compile — no `unsafe` remains in the crate. The scalar micro-kernels
-//! are safe code.
-//!
-//! The rest of the workspace is `#![forbid(unsafe_code)]` (the crate root
-//! here carries `deny` so this one module can opt back in); keep every
-//! `unsafe` block inside this file.
+//! The entry points check every bound the vector paths rely on, then
+//! dispatch. The rest of the workspace is `#![forbid(unsafe_code)]` (the
+//! crate root here carries `deny` so this one module can opt back in);
+//! keep every `unsafe` block inside this file.
 #![allow(unsafe_code)]
+
+/// The kernel tier the CPU runs; the vector tiers exist only in builds
+/// that can dispatch to them.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx512,
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx2,
+    Scalar,
+}
+
+/// The best tier the CPU and the build allow, `avx512f` first.
+#[inline]
+fn detect() -> Tier {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        // AVX-512F CPUs have AVX2; asking for both lets every AVX-512 path
+        // fall back on an AVX2 kernel without a second check.
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx2")
+        {
+            return Tier::Avx512;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Tier::Avx2;
+        }
+    }
+    Tier::Scalar
+}
+
+/// The name of the tier every kernel here dispatches to on the running CPU:
+/// `"avx512f"`, `"avx2"` or `"scalar"`.
+pub fn tier() -> &'static str {
+    match detect() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => "avx512f",
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx2 => "avx2",
+        Tier::Scalar => "scalar",
+    }
+}
+
+/// Columns of the widest [`mm4`] register tile on the running CPU: 32 under
+/// AVX-512, 16 otherwise — the width [`crate::ops::matmul_into`] packs `B`
+/// panels at.
+pub(crate) fn tile_cols() -> usize {
+    match detect() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => 32,
+        _ => 16,
+    }
+}
+
+/// What a matmul walk applies to its tile between the last `p` step and
+/// the store: `acc + bias[j]`, then, with `relu`, `max(acc, 0)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Epilogue<'a> {
+    /// One bias per output column of the block (`n` long).
+    pub bias: &'a [f32],
+    /// Apply ReLU after the bias.
+    pub relu: bool,
+}
+
+impl Epilogue<'_> {
+    /// The epilogue of one element in column `j`: the arithmetic of
+    /// [`crate::ops::add_bias_row_into`] then [`crate::ops::relu_into`].
+    #[inline(always)]
+    fn apply(self, acc: f32, j: usize) -> f32 {
+        let v = acc + self.bias[j];
+        if self.relu {
+            relu(v)
+        } else {
+            v
+        }
+    }
+}
+
+/// ReLU of one element, `v > 0 ? v : +0.0` — `−0.0` and `NaN` map to
+/// `+0.0` — spelled as the select `maxps(v, 0)` performs. Every ReLU in the
+/// crate is this function: `f32::max` leaves the sign of a zero result
+/// unspecified, and the compiler was seen to return `−0.0` from
+/// `(−0.0).max(0.0)` in one inlining context and `+0.0` in another.
+#[inline(always)]
+pub(crate) fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
 
 /// Four-row matmul block: `out[r][j] = Σ_p a[r][p] · b[p·n + j]` for the
 /// row-major `k × n` matrix `b`, overwriting each `out[r]` completely —
 /// or, with `accumulate`, continuing each element's chain from the partial
 /// sum already in `out[r][j]` (how a `k`-block after the first extends the
-/// sum the previous block stored; see [`crate::ops::matmul_into`]).
+/// sum the previous block stored; see [`crate::ops::matmul_into`]). With an
+/// `epilogue`, the finished sums get its bias (and ReLU) before the store.
 ///
 /// This is the register-tiled heart of [`crate::ops::matmul_into`]: four
 /// output rows share every load of a `B` row, and the output tile stays in
@@ -81,52 +196,85 @@
 ///
 /// # Panics
 ///
-/// Panics when the `a` rows disagree in length, when an `out` row is not
-/// exactly `n` long, or when `b` is smaller than `k × n`.
+/// Panics when the `a` rows disagree in length, when an `out` row or the
+/// epilogue's bias is not exactly `n` long, or when `b` is smaller than
+/// `k × n`.
 #[inline]
-pub fn mm4(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate: bool) {
-    let k = a[0].len();
-    for row in &a[1..] {
-        assert_eq!(row.len(), k, "mm4 A-row length mismatch");
-    }
-    for row in &out {
-        assert_eq!(row.len(), n, "mm4 out-row length mismatch");
-    }
-    assert!(b.len() >= k * n, "mm4 B too small");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime; the asserts
-        // above are the bounds `mm4_avx2` requires.
-        return unsafe { x86::mm4_avx2(a, b, n, out, accumulate) };
-    }
-    mm4_scalar(a, b, n, out, accumulate);
+pub fn mm4(
+    a: [&[f32]; 4],
+    b: &[f32],
+    n: usize,
+    out: [&mut [f32]; 4],
+    accumulate: bool,
+    epilogue: Option<Epilogue<'_>>,
+) {
+    mm_rows(a, b, n, out, accumulate, epilogue);
 }
 
 /// Single-row matmul block: `out[j] = Σ_p a[p] · b[p·n + j]` — the row
-/// tail of [`mm4`], same accumulation order, rounding contract and
-/// `accumulate` form.
+/// tail of [`mm4`], same accumulation order, rounding contract,
+/// `accumulate` form and epilogue.
 ///
 /// # Panics
 ///
-/// Panics when `out` is not exactly `n` long or `b` is smaller than
-/// `k × n`.
+/// Panics when `out` or the epilogue's bias is not exactly `n` long or `b`
+/// is smaller than `k × n`.
 #[inline]
-pub fn mm1(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
-    assert_eq!(out.len(), n, "mm1 out length mismatch");
-    assert!(b.len() >= a.len() * n, "mm1 B too small");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime; the asserts
-        // above are the bounds `mm1_avx2` requires.
-        return unsafe { x86::mm1_avx2(a, b, n, out, accumulate) };
-    }
-    mm1_scalar(a, b, n, out, accumulate);
+pub fn mm1(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+    epilogue: Option<Epilogue<'_>>,
+) {
+    mm_rows([a], b, n, [out], accumulate, epilogue);
 }
 
+/// [`mm4`] and [`mm1`] at `R` rows: the checks, then the dispatch.
 #[inline(always)]
-fn mm4_scalar(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumulate: bool) {
+fn mm_rows<const R: usize>(
+    a: [&[f32]; R],
+    b: &[f32],
+    n: usize,
+    out: [&mut [f32]; R],
+    accumulate: bool,
+    epilogue: Option<Epilogue<'_>>,
+) {
+    let k = a[0].len();
+    for row in &a[1..] {
+        assert_eq!(row.len(), k, "mm A-row length mismatch");
+    }
+    for row in &out {
+        assert_eq!(row.len(), n, "mm out-row length mismatch");
+    }
+    assert!(b.len() >= k * n, "mm B too small");
+    if let Some(e) = epilogue {
+        assert_eq!(e.bias.len(), n, "mm epilogue bias length mismatch");
+    }
+    match detect() {
+        // SAFETY: the tier's extension was verified at runtime; the asserts
+        // above are the bounds the vector tiles require.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => unsafe { x86::mm_avx512(a, b, n, out, accumulate, epilogue) },
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx2 => unsafe { x86::mm_avx2(a, b, n, out, accumulate, epilogue) },
+        _ => mm_scalar(a, b, n, out, accumulate, epilogue),
+    }
+}
+
+/// The scalar tier of [`mm4`] / [`mm1`]: one row at a time.
+#[inline(always)]
+fn mm_scalar<const R: usize>(
+    a: [&[f32]; R],
+    b: &[f32],
+    n: usize,
+    out: [&mut [f32]; R],
+    accumulate: bool,
+    epilogue: Option<Epilogue<'_>>,
+) {
     for (ar, or) in a.into_iter().zip(out) {
-        mm1_scalar(ar, b, n, or, accumulate);
+        mm1_scalar(ar, b, n, or, accumulate, epilogue);
     }
 }
 
@@ -137,7 +285,14 @@ fn mm4_scalar(a: [&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4], accumul
 /// store and reload of an `f32` is exact, so the chain is the one
 /// an unsplit `p` walk would run.
 #[inline(always)]
-fn mm1_scalar(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
+fn mm1_scalar(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+    epilogue: Option<Epilogue<'_>>,
+) {
     let mut j = 0;
     while j + 8 <= n {
         let mut acc = [0.0f32; 8];
@@ -150,15 +305,37 @@ fn mm1_scalar(a: &[f32], b: &[f32], n: usize, out: &mut [f32], accumulate: bool)
                 *s += ap * bv;
             }
         }
+        if let Some(e) = epilogue {
+            for (c, s) in acc.iter_mut().enumerate() {
+                *s = e.apply(*s, j + c);
+            }
+        }
         out[j..j + 8].copy_from_slice(&acc);
         j += 8;
     }
-    for (jj, o) in out.iter_mut().enumerate().skip(j) {
-        let mut s = if accumulate { *o } else { 0.0 };
-        for (p, &ap) in a.iter().enumerate() {
-            s += ap * b[p * n + jj];
+    mm_tail([a], b, n, [out], j, accumulate, epilogue);
+}
+
+/// Columns `j..n` of `R` output rows, one element chain at a time: the
+/// tail every tier ends with.
+#[inline(always)]
+fn mm_tail<const R: usize>(
+    a: [&[f32]; R],
+    b: &[f32],
+    n: usize,
+    out: [&mut [f32]; R],
+    j: usize,
+    accumulate: bool,
+    epilogue: Option<Epilogue<'_>>,
+) {
+    for (ar, or) in a.into_iter().zip(out) {
+        for (jj, o) in or.iter_mut().enumerate().skip(j) {
+            let mut s = if accumulate { *o } else { 0.0 };
+            for (p, &ap) in ar.iter().enumerate() {
+                s += ap * b[p * n + jj];
+            }
+            *o = epilogue.map_or(s, |e| e.apply(s, jj));
         }
-        *o = s;
     }
 }
 
@@ -172,8 +349,8 @@ pub const SQDIST_LANES: usize = 16;
 /// and `padded = panel.len() / dim`. Each element is its own ascending-`d`
 /// chain of one `sub`, one `mul` and one `add` per step, so the sums carry
 /// the bits of the one-pair-at-a-time loop whichever form runs: four
-/// queries per pass over the panel under AVX2 (runtime-detected, `simd`
-/// feature), one per pass at the target's baseline width otherwise.
+/// queries per pass over the panel under AVX-512 or AVX2, one per pass at
+/// the target's baseline width otherwise.
 ///
 /// # Panics
 ///
@@ -193,13 +370,15 @@ pub fn sqdist_rows(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
     }
     assert_eq!(panel.len() % (dim * SQDIST_LANES), 0, "sqdist_rows panel is not whole blocks");
     assert_eq!(out.len(), queries.len() * (panel.len() / dim), "sqdist_rows out length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, which is all
-        // `sqdist_rows_avx2` requires: its body is safe code.
-        return unsafe { x86::sqdist_rows_avx2(queries, panel, out) };
+    match detect() {
+        // SAFETY: the tier's extension was verified at runtime, which is
+        // all the wrappers require: their body is safe code.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => unsafe { x86::sqdist_rows_avx512(queries, panel, out) },
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx2 => unsafe { x86::sqdist_rows_avx2(queries, panel, out) },
+        _ => sqdist_rows_tiled::<1>(queries, panel, out),
     }
-    sqdist_rows_tiled::<1>(queries, panel, out);
 }
 
 /// [`sqdist_rows`] behind its checks: whole tiles of `Q` queries, then the
@@ -253,9 +432,10 @@ fn sqdist_tile<const Q: usize>(q: [&[f32]; Q], panel: &[f32], mut out: [&mut [f3
 /// table materialised. Per column the group's first row seeds the result
 /// and each later row replaces it only if `v > acc`, in group order: a
 /// first-row `NaN` stays, a later `NaN` loses, and `−0.0` is not replaced
-/// by `+0.0`. Under AVX2 (runtime-detected, `simd` feature) a 64-column
-/// slice of the output row is held in eight ymm accumulators across all
-/// `k` rows; elsewhere the same body runs 32 columns wide.
+/// by `+0.0`. Under AVX2 — and AVX-512, which has no wider form of this
+/// kernel — a 64-column slice of the output row is held in eight ymm
+/// accumulators across all `k` rows; elsewhere the same body runs 32
+/// columns wide.
 ///
 /// # Panics
 ///
@@ -270,13 +450,13 @@ pub fn max_rows(
     k: usize,
     out: &mut [f32],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, which is all
-        // `max_rows_avx2` requires: its body is safe code.
-        return unsafe { x86::max_rows_avx2(src, cols, rows, first, k, out) };
+    match detect() {
+        // SAFETY: both vector tiers verified AVX2 at runtime, which is all
+        // the wrapper requires: its body is safe code.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 | Tier::Avx2 => unsafe { x86::max_rows_avx2(src, cols, rows, first, k, out) },
+        _ => max_rows_tiled::<32>(src, cols, rows, first, k, out),
     }
-    max_rows_tiled::<32>(src, cols, rows, first, k, out);
 }
 
 /// [`max_rows`] at a full tile of `W` columns: per group, full tiles, then
@@ -337,15 +517,243 @@ fn max_tiles<const W: usize>(
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
+    use super::Epilogue;
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, __m512, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_loadu_ps,
+        _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
     };
 
+    /// One vector register of `f32` lanes: the operations the matmul tile
+    /// is written in. Every method is a single instruction of the
+    /// implementing width and is only sound inside a function compiled for
+    /// that width's extension.
+    trait Lanes: Copy {
+        /// Lanes per vector.
+        const W: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(v: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(self, p: *mut f32);
+        unsafe fn add(self, o: Self) -> Self;
+        unsafe fn mul(self, o: Self) -> Self;
+        /// `self > o ? self : o` per lane (`maxps`), so `max(acc, zero)`
+        /// maps `−0.0` and `NaN` to `+0.0`.
+        unsafe fn max(self, o: Self) -> Self;
+    }
+
+    /// Generates a [`Lanes`] impl from one width's intrinsics.
+    macro_rules! lanes {
+        ($t:ident($v:ty), $w:expr, $zero:ident, $splat:ident, $load:ident, $store:ident,
+         $add:ident, $mul:ident, $max:ident) => {
+            #[derive(Clone, Copy)]
+            struct $t($v);
+
+            impl Lanes for $t {
+                const W: usize = $w;
+                #[inline(always)]
+                unsafe fn zero() -> Self {
+                    // SAFETY: the caller runs on a CPU with this extension.
+                    $t(unsafe { $zero() })
+                }
+                #[inline(always)]
+                unsafe fn splat(v: f32) -> Self {
+                    // SAFETY: as for `zero`.
+                    $t(unsafe { $splat(v) })
+                }
+                #[inline(always)]
+                unsafe fn load(p: *const f32) -> Self {
+                    // SAFETY: as for `zero`; the caller keeps `p..p + W`
+                    // in bounds.
+                    $t(unsafe { $load(p) })
+                }
+                #[inline(always)]
+                unsafe fn store(self, p: *mut f32) {
+                    // SAFETY: as for `load`.
+                    unsafe { $store(p, self.0) }
+                }
+                #[inline(always)]
+                unsafe fn add(self, o: Self) -> Self {
+                    // SAFETY: as for `zero`.
+                    $t(unsafe { $add(self.0, o.0) })
+                }
+                #[inline(always)]
+                unsafe fn mul(self, o: Self) -> Self {
+                    // SAFETY: as for `zero`.
+                    $t(unsafe { $mul(self.0, o.0) })
+                }
+                #[inline(always)]
+                unsafe fn max(self, o: Self) -> Self {
+                    // SAFETY: as for `zero`.
+                    $t(unsafe { $max(self.0, o.0) })
+                }
+            }
+        };
+    }
+
+    lanes!(
+        Ymm(__m256),
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_add_ps,
+        _mm256_mul_ps,
+        _mm256_max_ps
+    );
+    lanes!(
+        Zmm(__m512),
+        16,
+        _mm512_setzero_ps,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_add_ps,
+        _mm512_mul_ps,
+        _mm512_max_ps
+    );
+
+    /// The matmul tile: from column `j` on, every `V · L::W`-column slice
+    /// of the `R` output rows that fits is held in `R × V` accumulators for
+    /// the whole `p` walk — each `B` row segment loaded once for all `R`
+    /// rows, one `mul` then one `add` per element and step, never FMA — then
+    /// finished by the epilogue and stored once. With `accumulate` the
+    /// accumulators are loaded from `out` instead of zeroed. Returns the
+    /// first column left over.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be compiled for `L`'s extension and must have
+    /// checked the bounds [`super::mm4`] asserts.
+    #[inline(always)]
+    unsafe fn mm_cols<L: Lanes, const R: usize, const V: usize>(
+        a: &[&[f32]; R],
+        b: &[f32],
+        n: usize,
+        out: &mut [&mut [f32]; R],
+        mut j: usize,
+        accumulate: bool,
+        epilogue: Option<Epilogue<'_>>,
+    ) -> usize {
+        let k = a[0].len();
+        while j + V * L::W <= n {
+            // SAFETY: j + V·W <= n, every out row and the bias are n long
+            // and b.len() >= k·n bound every access.
+            unsafe {
+                let mut acc = [[L::zero(); V]; R];
+                if accumulate {
+                    for (acc_r, out_r) in acc.iter_mut().zip(out.iter()) {
+                        for (v, s) in acc_r.iter_mut().enumerate() {
+                            *s = L::load(out_r.as_ptr().add(j + v * L::W));
+                        }
+                    }
+                }
+                for p in 0..k {
+                    let bp = b.as_ptr().add(p * n + j);
+                    let mut vb = [L::zero(); V];
+                    for (v, x) in vb.iter_mut().enumerate() {
+                        *x = L::load(bp.add(v * L::W));
+                    }
+                    for (acc_r, a_r) in acc.iter_mut().zip(a) {
+                        let va = L::splat(*a_r.get_unchecked(p));
+                        for (s, &x) in acc_r.iter_mut().zip(&vb) {
+                            *s = s.add(va.mul(x));
+                        }
+                    }
+                }
+                if let Some(e) = epilogue {
+                    for v in 0..V {
+                        let bias = L::load(e.bias.as_ptr().add(j + v * L::W));
+                        for acc_r in &mut acc {
+                            acc_r[v] = acc_r[v].add(bias);
+                            if e.relu {
+                                acc_r[v] = acc_r[v].max(L::zero());
+                            }
+                        }
+                    }
+                }
+                for (acc_r, out_r) in acc.iter().zip(out.iter_mut()) {
+                    for (v, s) in acc_r.iter().enumerate() {
+                        s.store(out_r.as_mut_ptr().add(j + v * L::W));
+                    }
+                }
+            }
+            j += V * L::W;
+        }
+        j
+    }
+
+    /// [`super::mm4`] / [`super::mm1`] compiled for AVX-512: 32-column
+    /// tiles in zmm registers, then 16, then one ymm, then single columns.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F support at runtime, and the
+    /// bounds checked by [`super::mm4`] must hold.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn mm_avx512<const R: usize>(
+        a: [&[f32]; R],
+        b: &[f32],
+        n: usize,
+        mut out: [&mut [f32]; R],
+        accumulate: bool,
+        epilogue: Option<Epilogue<'_>>,
+    ) {
+        // SAFETY: compiled for AVX-512F, which implies AVX2; the caller
+        // checked the bounds.
+        let j = unsafe {
+            let j = mm_cols::<Zmm, R, 2>(&a, b, n, &mut out, 0, accumulate, epilogue);
+            let j = mm_cols::<Zmm, R, 1>(&a, b, n, &mut out, j, accumulate, epilogue);
+            mm_cols::<Ymm, R, 1>(&a, b, n, &mut out, j, accumulate, epilogue)
+        };
+        if j < n {
+            super::mm_tail(a, b, n, out, j, accumulate, epilogue);
+        }
+    }
+
+    /// [`super::mm4`] / [`super::mm1`] compiled for AVX2: 16-column tiles
+    /// in ymm registers, then 8, then single columns.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime, and the
+    /// bounds checked by [`super::mm4`] must hold.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mm_avx2<const R: usize>(
+        a: [&[f32]; R],
+        b: &[f32],
+        n: usize,
+        mut out: [&mut [f32]; R],
+        accumulate: bool,
+        epilogue: Option<Epilogue<'_>>,
+    ) {
+        // SAFETY: compiled for AVX2; the caller checked the bounds.
+        let j = unsafe {
+            let j = mm_cols::<Ymm, R, 2>(&a, b, n, &mut out, 0, accumulate, epilogue);
+            mm_cols::<Ymm, R, 1>(&a, b, n, &mut out, j, accumulate, epilogue)
+        };
+        if j < n {
+            super::mm_tail(a, b, n, out, j, accumulate, epilogue);
+        }
+    }
+
+    /// [`super::sqdist_rows`] at 4 queries × 16 lanes, compiled for
+    /// AVX-512: one zmm accumulator per query, one panel load and a
+    /// broadcast per `d`. The body is the safe generic tile, inlined here
+    /// so the attribute decides its vector width; there is nothing for an
+    /// intrinsic to add.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F support at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn sqdist_rows_avx512(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+        super::sqdist_rows_tiled::<4>(queries, panel, out);
+    }
+
     /// [`super::sqdist_rows`] at 4 queries × 16 lanes, compiled for AVX2:
-    /// eight ymm accumulators, two panel loads and a broadcast per `d`. The
-    /// body is the safe generic tile, inlined here so the attribute decides
-    /// its vector width; there is nothing for an intrinsic to add.
+    /// eight ymm accumulators, two panel loads and a broadcast per `d`.
     ///
     /// # Safety
     ///
@@ -374,136 +782,12 @@ mod x86 {
     ) {
         super::max_rows_tiled::<64>(src, cols, rows, first, k, out);
     }
-
-    /// 4 rows × 16 columns of the output held in eight ymm accumulators
-    /// for the whole `p` walk; each `B` row segment is loaded once and
-    /// feeds all four output rows. With `accumulate` the accumulators are
-    /// loaded from `out` instead of zeroed.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime, and the
-    /// bounds checked by [`super::mm4`] must hold.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm4_avx2(
-        a: [&[f32]; 4],
-        b: &[f32],
-        n: usize,
-        out: [&mut [f32]; 4],
-        accumulate: bool,
-    ) {
-        let k = a[0].len();
-        let mut j = 0;
-        while j + 16 <= n {
-            // SAFETY: j + 16 <= n, every out row is n long and
-            // b.len() >= k·n bound every access; mul then add — never
-            // FMA — matches scalar rounding.
-            unsafe {
-                let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-                if accumulate {
-                    for r in 0..4 {
-                        acc[r][0] = _mm256_loadu_ps(out[r].as_ptr().add(j));
-                        acc[r][1] = _mm256_loadu_ps(out[r].as_ptr().add(j + 8));
-                    }
-                }
-                for p in 0..k {
-                    let bp = b.as_ptr().add(p * n + j);
-                    let vb0 = _mm256_loadu_ps(bp);
-                    let vb1 = _mm256_loadu_ps(bp.add(8));
-                    for r in 0..4 {
-                        let va = _mm256_set1_ps(*a[r].get_unchecked(p));
-                        acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(va, vb0));
-                        acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(va, vb1));
-                    }
-                }
-                for r in 0..4 {
-                    _mm256_storeu_ps(out[r].as_mut_ptr().add(j), acc[r][0]);
-                    _mm256_storeu_ps(out[r].as_mut_ptr().add(j + 8), acc[r][1]);
-                }
-            }
-            j += 16;
-        }
-        if j + 8 <= n {
-            // SAFETY: j + 8 <= n, every out row is n long and
-            // b.len() >= k·n bound every access.
-            unsafe {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                if accumulate {
-                    for r in 0..4 {
-                        acc[r] = _mm256_loadu_ps(out[r].as_ptr().add(j));
-                    }
-                }
-                for p in 0..k {
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                    for r in 0..4 {
-                        let va = _mm256_set1_ps(*a[r].get_unchecked(p));
-                        acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(va, vb));
-                    }
-                }
-                for r in 0..4 {
-                    _mm256_storeu_ps(out[r].as_mut_ptr().add(j), acc[r]);
-                }
-            }
-            j += 8;
-        }
-        for jj in j..n {
-            for r in 0..4 {
-                let mut s = if accumulate { out[r][jj] } else { 0.0f32 };
-                for (p, &ap) in a[r].iter().enumerate() {
-                    s += ap * b[p * n + jj];
-                }
-                out[r][jj] = s;
-            }
-        }
-    }
-
-    /// One output row, 8 columns per pass in one ymm accumulator. With
-    /// `accumulate` the accumulator is loaded from `out` instead of zeroed.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime, and the
-    /// bounds checked by [`super::mm1`] must hold.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm1_avx2(
-        a: &[f32],
-        b: &[f32],
-        n: usize,
-        out: &mut [f32],
-        accumulate: bool,
-    ) {
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n = out.len() and b.len() >= k·n bound
-            // every access; mul then add — never FMA — matches scalar
-            // rounding.
-            unsafe {
-                let mut acc: __m256 = if accumulate {
-                    _mm256_loadu_ps(out.as_ptr().add(j))
-                } else {
-                    _mm256_setzero_ps()
-                };
-                for (p, &ap) in a.iter().enumerate() {
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(ap), vb));
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-            }
-            j += 8;
-        }
-        for (jj, o) in out.iter_mut().enumerate().skip(j) {
-            let mut s = if accumulate { *o } else { 0.0f32 };
-            for (p, &ap) in a.iter().enumerate() {
-                s += ap * b[p * n + jj];
-            }
-            *o = s;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ops, Matrix};
 
     fn sample(n: usize, seed: u32) -> Vec<f32> {
         (0..n)
@@ -526,13 +810,89 @@ mod tests {
             .collect()
     }
 
+    /// Bits, with every `NaN` one value: payloads are not part of the
+    /// contract, `NaN`-ness is.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+    }
+
+    type Mm4 = fn([&[f32]; 4], &[f32], usize, [&mut [f32]; 4], bool, Option<Epilogue<'_>>);
+    type Mm1 = fn([&[f32]; 1], &[f32], usize, [&mut [f32]; 1], bool, Option<Epilogue<'_>>);
+    type Sqdist = fn(&[&[f32]], &[f32], &mut [f32]);
+    type MaxRows = fn(&[f32], usize, Option<&[usize]>, usize, usize, &mut [f32]);
+
+    /// One kernel tier, called directly rather than through the dispatch —
+    /// on an AVX-512 host the dispatch never reaches the AVX2 tier.
+    struct TierFns {
+        name: &'static str,
+        mm4: Mm4,
+        mm1: Mm1,
+        sqdist: Sqdist,
+        max_rows: MaxRows,
+    }
+
+    /// The vector tiers this CPU and build can run; each one it cannot is
+    /// reported as skipped, so a green run says what it exercised.
+    fn vector_tiers() -> Vec<TierFns> {
+        #[allow(unused_mut)]
+        let mut tiers = Vec::new();
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        {
+            // SAFETY (every closure): the tier's extension is verified
+            // just before it is listed, and the tests pass whole shapes.
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx2")
+            {
+                tiers.push(TierFns {
+                    name: "avx512f",
+                    mm4: |a, b, n, o, acc, e| unsafe { x86::mm_avx512(a, b, n, o, acc, e) },
+                    mm1: |a, b, n, o, acc, e| unsafe { x86::mm_avx512(a, b, n, o, acc, e) },
+                    sqdist: |q, p, o| unsafe { x86::sqdist_rows_avx512(q, p, o) },
+                    // This tier's max-reduce is the AVX2 kernel.
+                    max_rows: |s, c, r, f, k, o| unsafe { x86::max_rows_avx2(s, c, r, f, k, o) },
+                });
+            } else {
+                eprintln!("simd tests: skipped the avx512f tier (not on this CPU)");
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(TierFns {
+                    name: "avx2",
+                    mm4: |a, b, n, o, acc, e| unsafe { x86::mm_avx2(a, b, n, o, acc, e) },
+                    mm1: |a, b, n, o, acc, e| unsafe { x86::mm_avx2(a, b, n, o, acc, e) },
+                    sqdist: |q, p, o| unsafe { x86::sqdist_rows_avx2(q, p, o) },
+                    max_rows: |s, c, r, f, k, o| unsafe { x86::max_rows_avx2(s, c, r, f, k, o) },
+                });
+            } else {
+                eprintln!("simd tests: skipped the avx2 tier (not on this CPU)");
+            }
+        }
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        eprintln!("simd tests: skipped the avx512f and avx2 tiers (no x86 simd in this build)");
+        tiers
+    }
+
+    /// Column counts that end in every tail: whole 32-column tiles, then
+    /// 16, 8 and single columns, alone and combined.
+    const TAIL_COLS: [usize; 12] = [1, 7, 8, 15, 16, 24, 31, 32, 33, 56, 64, 107];
+
+    #[test]
+    fn tier_names_the_dispatch() {
+        let name = tier();
+        eprintln!("simd tests: this CPU dispatches to the {name} tier");
+        assert!(["avx512f", "avx2", "scalar"].contains(&name));
+        assert_eq!(tile_cols(), if name == "avx512f" { 32 } else { 16 });
+        if !cfg!(all(feature = "simd", target_arch = "x86_64")) {
+            assert_eq!(name, "scalar");
+        }
+    }
+
     #[test]
     fn mm1_matches_reference_bitwise() {
         for (k, n) in [(0, 5), (1, 1), (3, 8), (7, 16), (13, 17), (64, 40), (128, 33)] {
             let a = sample(k, 1);
             let b = sample(k * n, 2);
             let mut out = vec![f32::NAN; n];
-            mm1(&a, &b, n, &mut out, false);
+            mm1(&a, &b, n, &mut out, false, None);
             assert_eq!(out, mm_reference(&a, &b, k, n), "k = {k}, n = {n}");
         }
     }
@@ -546,54 +906,90 @@ mod tests {
                 [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
             {
                 let [o0, o1, o2, o3] = &mut out;
-                mm4([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [o0, o1, o2, o3], false);
+                mm4([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [o0, o1, o2, o3], false, None);
             }
             for (r, o) in out.iter().enumerate() {
                 let mut want = vec![0.0f32; n];
-                mm1(&rows[r], &b, n, &mut want, false);
+                mm1(&rows[r], &b, n, &mut want, false, None);
                 assert_eq!(o, &want, "k = {k}, n = {n}, row {r}");
+            }
+        }
+    }
+
+    /// Runs `f` over four `n`-wide rows as the `[&mut [f32]; 4]` a tile
+    /// takes.
+    fn with_quad(rows: &mut [Vec<f32>], f: impl FnOnce([&mut [f32]; 4])) {
+        let [o0, o1, o2, o3] = rows else { panic!("four rows") };
+        f([o0, o1, o2, o3]);
+    }
+
+    /// Runs `check(tier, n, k, a, b)` for every vector tier and the
+    /// dispatched path, on every column tail and a few depths.
+    fn for_each_tile_case(check: impl Fn(&TierFns, usize, usize, [&[f32]; 4], &[f32])) {
+        let mut tiers = vector_tiers();
+        tiers.push(TierFns {
+            name: "dispatched",
+            mm4,
+            mm1: |a, b, n, [o], acc, e| mm1(a[0], b, n, o, acc, e),
+            sqdist: sqdist_rows,
+            max_rows,
+        });
+        for tier in &tiers {
+            for n in TAIL_COLS {
+                for k in [0, 1, 17, 64] {
+                    let rows: Vec<Vec<f32>> = (0..4).map(|r| sample(k, 40 + r)).collect();
+                    let a = [&rows[0][..], &rows[1], &rows[2], &rows[3]];
+                    check(tier, n, k, a, &sample(k * n, 41));
+                }
             }
         }
     }
 
     #[test]
     fn vector_and_scalar_micro_kernels_agree_bitwise() {
-        // The contract the whole crate rests on: whatever path the public
-        // kernels dispatch to must equal the scalar micro-kernels
-        // bit-for-bit.
-        for (k, n) in [(3, 7), (17, 16), (64, 31), (128, 64)] {
-            let a = sample(k, 8);
-            let b = sample(k * n, 9);
-            let mut via_dispatch = vec![f32::NAN; n];
-            let mut via_scalar = vec![f32::NAN; n];
-            mm1(&a, &b, n, &mut via_dispatch, false);
-            mm1_scalar(&a, &b, n, &mut via_scalar, false);
-            assert_eq!(via_dispatch, via_scalar, "k = {k}, n = {n}");
-        }
+        // The contract the whole crate rests on: each vector tier — called
+        // directly, and through the dispatch — equals the scalar
+        // micro-kernels bit for bit, on every column tail.
+        for_each_tile_case(|tier, n, k, a, b| {
+            let (mut got, mut want) = (vec![vec![f32::NAN; n]; 4], vec![vec![0.0; n]; 4]);
+            with_quad(&mut got, |o| (tier.mm4)(a, b, n, o, false, None));
+            with_quad(&mut want, |o| mm_scalar(a, b, n, o, false, None));
+            let at = format!("{} n = {n}, k = {k}", tier.name);
+            assert_eq!(bits(&got.concat()), bits(&want.concat()), "mm4 {at}");
+            let mut single = vec![f32::NAN; n];
+            (tier.mm1)([a[1]], b, n, [&mut single], false, None);
+            assert_eq!(bits(&single), bits(&want[1]), "mm1 {at}");
+        });
     }
 
     #[test]
     fn accumulate_forms_agree_with_the_scalar_tile_bitwise() {
         // A k-block after the first starts from the partial sums in `out`:
-        // the dispatched kernels must continue them exactly as the scalar
-        // tile does, on the 16-, 8- and 1-column paths alike.
-        for (k, n) in [(0, 5), (3, 7), (17, 16), (64, 31), (40, 24), (128, 64)] {
-            let rows: Vec<Vec<f32>> = (0..4).map(|r| sample(k, 40 + r)).collect();
-            let b = sample(k * n, 41);
+        // every tier must continue them exactly as the scalar tile does,
+        // and a walk split in two is the unsplit chain.
+        for_each_tile_case(|tier, n, k, a, b| {
             let partial: Vec<Vec<f32>> = (0..4).map(|r| sample(n, 50 + r)).collect();
-            let mut via_dispatch = partial.clone();
-            let mut via_scalar = partial.clone();
-            {
-                let [o0, o1, o2, o3] = &mut via_dispatch[..] else { unreachable!() };
-                mm4([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [o0, o1, o2, o3], true);
-                let [s0, s1, s2, s3] = &mut via_scalar[..] else { unreachable!() };
-                mm4_scalar([&rows[0], &rows[1], &rows[2], &rows[3]], &b, n, [s0, s1, s2, s3], true);
+            let (mut got, mut want) = (partial.clone(), partial.clone());
+            with_quad(&mut got, |o| (tier.mm4)(a, b, n, o, true, None));
+            with_quad(&mut want, |o| mm_scalar(a, b, n, o, true, None));
+            let at = format!("{} n = {n}, k = {k}", tier.name);
+            assert_eq!(bits(&got.concat()), bits(&want.concat()), "mm4 {at}");
+            let mut single = partial[1].clone();
+            (tier.mm1)([a[1]], b, n, [&mut single], true, None);
+            assert_eq!(bits(&single), bits(&want[1]), "mm1 {at}");
+
+            // The first `split` steps stored, the rest continued from `out`.
+            let split = k / 2;
+            let mut got = vec![vec![f32::NAN; n]; 4];
+            for (range, accumulate) in [(0..split, false), (split..k, true)] {
+                let part = a.map(|r| &r[range.clone()]);
+                let bp = &b[range.start * n..];
+                with_quad(&mut got, |o| (tier.mm4)(part, bp, n, o, accumulate, None));
             }
-            assert_eq!(via_dispatch, via_scalar, "mm4 k = {k}, n = {n}");
-            let mut single = partial[0].clone();
-            mm1(&rows[0], &b, n, &mut single, true);
-            assert_eq!(single, via_scalar[0], "mm1 k = {k}, n = {n}");
-        }
+            for (r, o) in got.iter().enumerate() {
+                assert_eq!(bits(o), bits(&mm_reference(a[r], b, k, n)), "split {at}");
+            }
+        });
     }
 
     #[test]
@@ -606,16 +1002,86 @@ mod tests {
             let mut out = vec![vec![f32::NAN; n]; 4];
             for (range, accumulate) in [(0..split, false), (split..k, true)] {
                 let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|r| &rows[r][range.clone()]);
-                let [o0, o1, o2, o3] = &mut out[..] else { unreachable!() };
-                mm4([a0, a1, a2, a3], &b[range.start * n..], n, [o0, o1, o2, o3], accumulate);
+                let bp = &b[range.start * n..];
+                with_quad(&mut out, |o| mm4([a0, a1, a2, a3], bp, n, o, accumulate, None));
             }
             let mut single = vec![f32::NAN; n];
-            mm1(&rows[0][..split], &b, n, &mut single, false);
-            mm1(&rows[0][split..], &b[split * n..], n, &mut single, true);
+            mm1(&rows[0][..split], &b, n, &mut single, false, None);
+            mm1(&rows[0][split..], &b[split * n..], n, &mut single, true, None);
             for (r, o) in out.iter().enumerate() {
                 assert_eq!(o, &mm_reference(&rows[r], &b, k, n), "mm4 k = {k}, n = {n}, row {r}");
             }
             assert_eq!(single, out[0], "mm1 k = {k}, n = {n}");
+        }
+    }
+
+    #[test]
+    fn the_fused_epilogue_is_the_unfused_bias_and_relu_passes() {
+        // `acc + bias`, then `max(acc, 0)`, in registers, must carry the
+        // bits of `add_bias_row_into` and `relu_into` over the stored
+        // product — `−0.0`, `NaN` and `±∞` in the sum and in the bias
+        // alike, every pairing of them, on every column tail and tier.
+        let specials =
+            [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.5, f32::MIN_POSITIVE];
+        let s = specials.len();
+        let mut forms: Vec<(&str, Mm4, Mm1)> = vec![(
+            "scalar",
+            |a, b, n, o, acc, e| mm_scalar(a, b, n, o, acc, e),
+            |a, b, n, o, acc, e| mm_scalar(a, b, n, o, acc, e),
+        )];
+        forms.extend(vector_tiers().into_iter().map(|t| (t.name, t.mm4, t.mm1)));
+        forms.push((
+            "dispatched",
+            |a, b, n, o, acc, e| mm4(a, b, n, o, acc, e),
+            |a, b, n, o, acc, e| {
+                let [o] = o;
+                mm1(a[0], b, n, o, acc, e)
+            },
+        ));
+        for (name, tile4, tile1) in forms {
+            for n in TAIL_COLS.into_iter().chain([s * s, s * s + 11]) {
+                let bias: Vec<f32> = (0..n).map(|j| specials[(j / s) % s]).collect();
+                let bias_row = Matrix::from_vec(1, n, bias.clone());
+                // k = 0 from partial sums that are the specials themselves;
+                // k = 3 with infinities in `B`, whose sums are ±∞ and NaN.
+                for k in [0, 3] {
+                    let rows: Vec<Vec<f32>> = (0..4).map(|r| sample(k, 70 + r)).collect();
+                    let a = [&rows[0][..], &rows[1], &rows[2], &rows[3]];
+                    let mut b = sample(k * n, 71);
+                    for (i, v) in b.iter_mut().enumerate().step_by(5) {
+                        *v = specials[i % s];
+                    }
+                    let partial: Vec<Vec<f32>> =
+                        (0..4).map(|r| (0..n).map(|j| specials[(j + r) % s]).collect()).collect();
+                    for relu in [false, true] {
+                        let epilogue = Some(Epilogue { bias: &bias, relu });
+                        let mut got = partial.clone();
+                        with_quad(&mut got, |o| tile4(a, &b, n, o, k == 0, epilogue));
+                        let mut single = partial[2].clone();
+                        tile1([a[2]], &b, n, [&mut single], k == 0, epilogue);
+                        // The unfused passes over the scalar product.
+                        let mut sums = partial.clone();
+                        with_quad(&mut sums, |o| mm_scalar(a, &b, n, o, k == 0, None));
+                        let product = Matrix::from_vec(4, n, sums.concat());
+                        let mut want = Matrix::zeros(0, 0);
+                        ops::add_bias_row_into(&product, &bias_row, &mut want);
+                        if relu {
+                            let biased = want.clone();
+                            ops::relu_into(&biased, &mut want);
+                        }
+                        let at = format!("{name} n = {n}, k = {k}, relu {relu}");
+                        assert_eq!(bits(&got.concat()), bits(want.as_slice()), "mm4 {at}");
+                        assert_eq!(bits(&single), bits(want.row(2)), "mm1 {at}");
+                        if relu {
+                            // No NaN survives, so every bit is pinned.
+                            assert!(
+                                got.concat().iter().all(|v| !v.is_nan() && v.to_bits() >> 31 == 0),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -627,6 +1093,7 @@ mod tests {
         fn per_pair(a: &[f32], b: &[f32]) -> f32 {
             a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
         }
+        let tiers = vector_tiers();
         let rows = 37usize; // two full blocks and a ragged third
         let padded = rows.div_ceil(SQDIST_LANES) * SQDIST_LANES;
         for dim in [1, 3, 64, 130] {
@@ -645,12 +1112,6 @@ mod tests {
             // Seven queries: one tile of four and three singles, rows with
             // and without a special value.
             let queries: Vec<&[f32]> = [0, 5, 10, 15, 1, 36, 20].map(row).to_vec();
-            // `NaN` payloads are not part of the contract, `NaN`-ness is.
-            let bits = |v: &[f32]| {
-                v.iter()
-                    .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
-                    .collect::<Vec<_>>()
-            };
             let mut want = vec![0.0f32; queries.len() * padded];
             for (q, out) in queries.iter().zip(want.chunks_exact_mut(padded)) {
                 for (r, o) in out[..rows].iter_mut().enumerate() {
@@ -659,15 +1120,17 @@ mod tests {
                 // Unused lanes read the panel's zero padding.
                 out[rows..].fill(per_pair(q, &vec![0.0; dim]));
             }
-            let mut got = vec![f32::NAN; want.len()];
-            sqdist_rows(&queries, &panel, &mut got);
-            assert_eq!(bits(&got), bits(&want), "dispatched, dim {dim}");
-            got.fill(f32::NAN);
-            sqdist_rows_tiled::<1>(&queries, &panel, &mut got);
-            assert_eq!(bits(&got), bits(&want), "one query per pass, dim {dim}");
-            got.fill(f32::NAN);
-            sqdist_rows_tiled::<4>(&queries, &panel, &mut got);
-            assert_eq!(bits(&got), bits(&want), "four queries per pass, dim {dim}");
+            let mut forms: Vec<(&str, Sqdist)> = vec![
+                ("dispatched", sqdist_rows),
+                ("one query per pass", sqdist_rows_tiled::<1>),
+                ("four queries per pass", sqdist_rows_tiled::<4>),
+            ];
+            forms.extend(tiers.iter().map(|t| (t.name, t.sqdist)));
+            for (name, form) in forms {
+                let mut got = vec![f32::NAN; want.len()];
+                form(&queries, &panel, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{name}, dim {dim}");
+            }
         }
         sqdist_rows(&[], &[], &mut []);
     }
@@ -684,7 +1147,8 @@ mod tests {
         }
         src[3 * cols..4 * cols].fill(f32::NAN); // a group's first row, under either source
         let table: Vec<usize> = (0..first + n_groups * k).map(|i| (i * 7 + 3) % n_rows).collect();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let exact = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tiers = vector_tiers();
         for rows in [None, Some(&table[..])] {
             let row = |i: usize| rows.map_or(i, |t| t[i]);
             let mut want = vec![0.0f32; n_groups * cols];
@@ -699,16 +1163,16 @@ mod tests {
                     }
                 }
             }
-            type Form = fn(&[f32], usize, Option<&[usize]>, usize, usize, &mut [f32]);
-            let forms: [(&str, Form); 3] = [
+            let mut forms: Vec<(&str, MaxRows)> = vec![
                 ("dispatched", max_rows),
                 ("32 wide", max_rows_tiled::<32>),
                 ("64 wide", max_rows_tiled::<64>),
             ];
+            forms.extend(tiers.iter().map(|t| (t.name, t.max_rows)));
             for (name, form) in forms {
                 let mut got = vec![f32::NAN; want.len()];
                 form(&src, cols, rows, first, k, &mut got);
-                assert_eq!(bits(&got), bits(&want), "{name}");
+                assert_eq!(exact(&got), exact(&want), "{name}");
             }
         }
         max_rows(&src, cols, None, 0, k, &mut []);
@@ -718,5 +1182,18 @@ mod tests {
     #[should_panic(expected = "max_rows row 2 out of bounds for 2 rows")]
     fn max_rows_rejects_a_row_past_the_source() {
         max_rows(&[0.0; 6], 3, Some(&[1, 2]), 0, 2, &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mm epilogue bias length mismatch")]
+    fn a_short_bias_is_rejected() {
+        mm1(
+            &[1.0],
+            &[1.0, 2.0],
+            2,
+            &mut [0.0; 2],
+            false,
+            Some(Epilogue { bias: &[1.0], relu: true }),
+        );
     }
 }

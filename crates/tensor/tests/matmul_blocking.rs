@@ -2,7 +2,8 @@
 //! bit for bit against the unblocked references.
 //!
 //! The driver walks a small `B` in place and takes a deep one as packed
-//! 16-column panels, in row blocks, with `k` split into blocks whose
+//! panels as wide as the host tier's register tile (32 columns under
+//! AVX-512, 16 otherwise), in row blocks, with `k` split into blocks whose
 //! partial sums pass through `out`. None of that may change a single bit:
 //! every case here sits just below or just above one of the driver's shape
 //! rules (or is a layer shape of the evaluated networks), runs against
@@ -79,8 +80,9 @@ fn both_sides_of_the_pack_threshold_on_rows() {
 
 #[test]
 fn both_sides_of_the_k_block_depth() {
-    // A packed panel holds 512 rows of B: one more row is a
-    // second k-block of depth 1, continued from the sums stored in `out`.
+    // A packed panel holds 512 rows of B at 16 columns, 256 at 32: one
+    // more row is a second k-block of depth 1, continued from the sums
+    // stored in `out`.
     for k in [255, 256, 257, 511, 512, 513, 1024, 1025] {
         check(36, k, 40);
     }
@@ -104,6 +106,16 @@ fn column_tails_of_a_packed_product_continue_partial_sums() {
     // and runs the 8-column and single-column paths, here on a second
     // k-block (k % kc ≠ 0) and with a row tail (m % 4 ≠ 0).
     for n in 17..32 {
+        check(35, 520, n);
+    }
+}
+
+#[test]
+fn column_tails_of_a_32_column_panel_continue_partial_sums() {
+    // n % 32 ∈ {1..31} past one 32-column panel: under AVX-512 the last
+    // panel runs the 16-, 8- and single-column paths on a second k-block;
+    // elsewhere these are 16-column panels and their tails.
+    for n in 33..64 {
         check(35, 520, n);
     }
 }

@@ -28,7 +28,8 @@ fn tape_logits(
 
 /// The acceptance matrix: all 7 networks × 3 strategies × {1, 2, 8}
 /// threads, single and batched inference, bit-identical to the tape on
-/// both the recording sample and an unseen one.
+/// both the recording sample and an unseen one — with the plan's
+/// `MatMul → AddBias → Relu?` chains running as fused linear steps.
 #[test]
 fn all_seven_networks_bit_identical_at_every_thread_count() {
     let mut rng = seeded_rng(42);
@@ -58,6 +59,10 @@ fn all_seven_networks_bit_identical_at_every_thread_count() {
                             kind.name()
                         );
                     }
+                    // The plan runs its linear layers as fused steps; the
+                    // tape, the oracle, does not.
+                    let stats = session.arena_stats(net.input_points()).expect("plan compiled");
+                    assert!(stats.arena.fused > 0, "{} / {strategy}: no fused layer", kind.name());
                     let batched = session.infer_batch(&clouds);
                     for (out, want) in batched.iter().zip(&expected) {
                         assert_eq!(
