@@ -583,11 +583,6 @@ mod tests {
         assert!(d.regressions().is_empty());
         assert_eq!(d.only_baseline, vec!["matmul/tensor[f64] @1t"]);
         assert!(d.only_current.is_empty());
-
-        // The committed baseline is such an artifact.
-        let committed = parse_report(include_str!("../../../BENCH_2026-10-05.json"))
-            .expect("the committed baseline parses");
-        assert_eq!(committed.records.iter().filter(|r| r.dtype == "f64").count(), 4);
     }
 
     #[test]
@@ -609,12 +604,22 @@ mod tests {
         // The same tier is silent.
         assert!(diff(&avx2, &avx2, DEFAULT_THRESHOLD).unwrap().tier_warning.is_none());
         // An older artifact without the field warns too: its tier is unknown.
-        let committed = parse_report(include_str!("../../../BENCH_2026-10-05.json")).unwrap();
-        assert_eq!(committed.tier, None);
-        let d = diff(&committed, &avx512, DEFAULT_THRESHOLD).unwrap();
+        let untiered = parse_report(
+            r#"{ "schema": "mesorasi-bench/9", "smoke": false, "records": [
+            { "op": "matmul", "backend": "tensor", "threads": 1, "ns_per_op": 1000.0 }
+        ] }"#,
+        )
+        .unwrap();
+        assert_eq!(untiered.tier, None);
+        let d = diff(&untiered, &avx512, DEFAULT_THRESHOLD).unwrap();
         let w = d.tier_warning.expect("a baseline without a tier warns");
         assert!(w.starts_with("the baseline records no kernel tier"), "{w}");
         assert!(w.contains("this run ran the avx512f kernel tier"), "{w}");
+
+        // The committed baseline names the tier it ran.
+        let committed = parse_report(include_str!("../../../BENCH_2026-10-17.json"))
+            .expect("the committed baseline parses");
+        assert_eq!(committed.tier.as_deref(), Some("avx512f"));
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! reference.
 //!
 //! **The bit-identity contract:** every output element accumulates in
-//! ascending-`p` order with one `mul` and one `add` per step and max scans
+//! ascending-`p` order from `+0.0` with one fused multiply-add per step
+//! (correctly rounded, so every width gives the same bits) and max scans
 //! are first-wins, so results are identical bit for bit across tiling,
 //! cache blocking, vector width, and thread count.
 

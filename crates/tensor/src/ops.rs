@@ -19,24 +19,26 @@
 //! `k`-block it adds a bias row and optionally applies ReLU in registers,
 //! so a linear layer's output is written once instead of once per pass.
 //! The two transpose variants, which only training runs, are that driver
-//! on a transposed copy of one operand. The pre-tier kernels are
-//! preserved verbatim in [`naive`]: they are the semantics reference the
+//! on a transposed copy of one operand. The pre-tier loops are kept in
+//! [`naive`], with the tier's step: they are the semantics reference the
 //! property tests compare against, and the `"naive"` backend the bench
 //! harness records so every `BENCH_*.json` carries the measured speedup.
 //!
 //! Fast tier and reference are **bit-identical for finite inputs**: every
-//! output element accumulates its products in ascending-`p` order in both
-//! (tiling and blocking reorder only *which rows and columns* are resident
-//! in registers and cache, never the per-element chain — a chain split
-//! into `k`-blocks passes through `out`, and a store and reload of an
-//! `f32` is exact), and the vector lanes perform the same one-mul-one-add
-//! per element as the scalar loop (no FMA). The only
-//! textual difference is the reference's skip of zero `A` elements in
-//! [`naive::matmul_into`] and [`naive::matmul_at_b_into`], which here
-//! adds `±0.0` products instead — an IEEE-754 identity on every finite
-//! sum (a running sum that starts at `+0.0` can never become `-0.0`:
-//! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
-//! `x + ±0.0 == x` bitwise throughout the chain). The epilogue is the
+//! output element accumulates its products in ascending-`p` order from
+//! `+0.0` in both, one fused multiply-add per step (tiling and blocking
+//! reorder only *which rows and columns* are resident in registers and
+//! cache, never the per-element chain — a chain split into `k`-blocks
+//! passes through `out`, and a store and reload of an `f32` is exact),
+//! and IEEE-754 `fusedMultiplyAdd` is correctly rounded, so the vector
+//! lanes' `vfmadd` and the scalar loop's `f32::mul_add` give the same bits.
+//! The only textual difference is the reference's skip of zero `A`
+//! elements in [`naive::matmul_into`] and [`naive::matmul_at_b_into`],
+//! which here fuses `±0.0` products instead — an IEEE-754 identity on
+//! every finite sum (`fma(±0.0, b, x)` is `x + ±0.0` exactly, and a
+//! running sum that starts at `+0.0` can never become `-0.0`: `+0.0 + ±0.0
+//! == +0.0` and exact cancellation rounds to `+0.0`, so `x + ±0.0 == x`
+//! bitwise throughout the chain). The epilogue is the
 //! unfused [`add_bias_row_into`] and [`relu_into`] arithmetic per element,
 //! so a fused layer carries the bits of the three separate passes.
 
@@ -82,10 +84,10 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// `k × n` panel) and one `k`-block.
 ///
 /// A store and reload of an `f32` is exact, so either way each output
-/// element runs the same chain — ascending `p` from `+0.0`, one
-/// `mul` and one `add` per step — and the result is bit-identical to
+/// element runs the same chain — ascending `p` from `+0.0`, one fused
+/// multiply-add per step — and the result is bit-identical to
 /// [`naive::matmul_into`] for finite inputs (see the module docs; the
-/// reference's sparse zero-skip becomes `±0.0` additions here), whatever
+/// reference's sparse zero-skip becomes `±0.0` products here), whatever
 /// the blocking, the tier and the thread count.
 ///
 /// # Panics
@@ -316,10 +318,10 @@ const AT_B_ROWS: usize = 256;
 /// `A`, 256 output rows per pass.
 ///
 /// Output element `(i, j)` is the chain `Σ_p A[p][i] · B[p][j]`, ascending
-/// `p` from `+0.0`, one `mul` and one `add` per step, so the result is
+/// `p` from `+0.0`, one fused multiply-add per step, so the result is
 /// bit-identical to [`naive::matmul_at_b_into`] for finite inputs: the
 /// reference's sparse zero-skip (gradients behind a ReLU are mostly zeros)
-/// becomes `±0.0` additions here, an IEEE-754 no-op on every finite
+/// becomes `±0.0` products here, an IEEE-754 no-op on every finite
 /// running sum (see the module docs).
 ///
 /// # Panics
@@ -634,12 +636,15 @@ pub fn max_pool_columns(a: &Matrix) -> (Matrix, Vec<usize>) {
     (out, arg)
 }
 
-/// The pre-tier matmul kernels, preserved verbatim: plain i-k-j AXPY loops
-/// with a sparse zero-skip, parallel over the same fixed row chunks as the
-/// fast tier. They are the semantics reference the property suite compares
-/// the blocked/vectorized kernels against (bit-identical for finite
-/// inputs), and the `"naive"` backend of the bench harness, so every
-/// committed `BENCH_*.json` carries the kernel tier's measured speedup.
+/// The pre-tier matmul kernels: plain i-k-j AXPY loops with a sparse
+/// zero-skip, parallel over the same fixed row chunks as the fast tier,
+/// each step the tier's `f32::mul_add`. They are the semantics reference
+/// the property suite compares the blocked/vectorized kernels against
+/// (bit-identical for finite inputs), and the `"naive"` backend of the
+/// bench harness, so every committed `BENCH_*.json` carries the kernel
+/// tier's measured speedup. On x86 they are compiled for the baseline
+/// target, where `f32::mul_add` is a call into libm's `fmaf`, so their
+/// bench rows measure that call too.
 pub mod naive {
     use super::par;
     use crate::Matrix;
@@ -668,7 +673,7 @@ pub mod naive {
                     }
                     let b_row = b.row(p);
                     for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ip * b_pj;
+                        *o = a_ip.mul_add(b_pj, *o);
                     }
                 }
             }
@@ -708,7 +713,7 @@ pub mod naive {
                     }
                     let out_row = &mut chunk[ri * n..(ri + 1) * n];
                     for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                        *o += a_pi * b_pj;
+                        *o = a_pi.mul_add(b_pj, *o);
                     }
                 }
             }
@@ -740,9 +745,9 @@ pub mod naive {
                 let a_row = a.row(ci * row_chunk + ri);
                 for (j, o) in out_row.iter_mut().enumerate().take(n) {
                     let b_row = b.row(j);
-                    let mut acc = 0.0;
+                    let mut acc = 0.0f32;
                     for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
+                        acc = x.mul_add(y, acc);
                     }
                     *o = acc;
                 }

@@ -5,11 +5,12 @@
 //! Every kernel here runs in one of three tiers, picked at runtime in the
 //! order `avx512f` → `avx2` → scalar ([`tier`] names the one the CPU
 //! runs). The x86 tiers need the `simd` cargo feature (default on) and
-//! `is_x86_feature_detected!` (cached by std); without the feature, on
-//! other architectures (including aarch64, where the scalar blocks
-//! auto-vectorize to NEON — Rust never contracts `mul` + `add` into FMA) or
-//! on a CPU with neither extension, the scalar tier runs, and without the
-//! feature no `unsafe` remains in the crate. The scalar tier is safe code.
+//! `is_x86_feature_detected!` (cached by std), and each also needs `fma`;
+//! without the feature, on other architectures (including aarch64, where
+//! the scalar blocks auto-vectorize to NEON and the matmul's `f32::mul_add`
+//! is one `fmla`) or on a CPU with neither extension — or with AVX2 but no
+//! FMA — the scalar tier runs, and without the feature no `unsafe` remains
+//! in the crate. The scalar tier is safe code.
 //!
 //! # The matmul tile
 //!
@@ -22,14 +23,19 @@
 //! element is stored once per walk. Column tails narrow through the same
 //! tile one vector wide, then a ymm vector (under AVX-512), then single
 //! columns. The zmm and ymm tiles are one body, generic over a private
-//! lane-vector trait (load, store, splat, mul, add, max) that each
+//! lane-vector trait (load, store, splat, fma, add, max) that each
 //! `#[target_feature]` wrapper instantiates at its width.
 //!
-//! Per element the products accumulate in ascending-`p` order with separate
-//! `mul` and `add` instructions, which is the whole bit-identity contract:
-//! any lane width (16-lane AVX-512, 8-lane AVX2, auto-vectorized scalar)
-//! produces the same rounding sequence. FMA is deliberately never used: a
-//! fused multiply-add rounds once where `mul` + `add` round twice.
+//! Per element the products accumulate in ascending-`p` order from `+0.0`
+//! with one fused multiply-add per step, `acc = fma(a, b, acc)` — the
+//! multiply-accumulate unit of the paper's systolic array, which rounds
+//! each step once. That is the whole bit-identity contract: IEEE-754
+//! `fusedMultiplyAdd` is correctly rounded, so any lane width (16-lane
+//! `vfmadd` under AVX-512, 8-lane under AVX2, `f32::mul_add` in the scalar
+//! tier) produces the same bits per element. The scalar tier pays for it
+//! on x86 without `fma`, where `f32::mul_add` is a call into libm's `fmaf`,
+//! about 5× the cost of a separate multiply and add; on aarch64 it is one
+//! `fmla`.
 //!
 //! The kernels do no cache blocking of their own — `b` is whatever
 //! contiguous `k × n` panel the caller hands over, all of `B` or a packed
@@ -101,19 +107,23 @@ enum Tier {
     Scalar,
 }
 
-/// The best tier the CPU and the build allow, `avx512f` first.
+/// The best tier the CPU and the build allow, `avx512f` first; either
+/// vector tier also needs `fma`.
 #[inline]
 fn detect() -> Tier {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         // AVX-512F CPUs have AVX2; asking for both lets every AVX-512 path
-        // fall back on an AVX2 kernel without a second check.
-        if std::arch::is_x86_feature_detected!("avx512f")
+        // fall back on an AVX2 kernel without a second check. Both vector
+        // tiers fuse the matmul's multiply-add, so both need `fma`.
+        let fma = std::arch::is_x86_feature_detected!("fma");
+        if fma
+            && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx2")
         {
             return Tier::Avx512;
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if fma && std::arch::is_x86_feature_detected!("avx2") {
             return Tier::Avx2;
         }
     }
@@ -191,7 +201,7 @@ pub(crate) fn relu(v: f32) -> f32 {
 /// This is the register-tiled heart of [`crate::ops::matmul_into`]: four
 /// output rows share every load of a `B` row, and the output tile stays in
 /// registers for the whole `p` walk (each element accumulates in ascending
-/// `p`, one `mul` + one `add` per step — bit-identical to the naive
+/// `p`, one fused multiply-add per step — bit-identical to the naive
 /// kernel on finite inputs).
 ///
 /// # Panics
@@ -279,8 +289,8 @@ fn mm_scalar<const R: usize>(
 }
 
 /// The scalar register tile: 8 column accumulators held in locals over
-/// the full `p` walk (auto-vectorizes on SSE2/NEON without changing the
-/// per-element mul-then-add rounding sequence), stored once. With
+/// the full `p` walk, one `f32::mul_add` per element and step (a libm
+/// call on x86 without `fma`, an `fmla` on aarch64), stored once. With
 /// `accumulate` the accumulators start from `out` instead of zero — a
 /// store and reload of an `f32` is exact, so the chain is the one
 /// an unsplit `p` walk would run.
@@ -302,7 +312,7 @@ fn mm1_scalar(
         for (p, &ap) in a.iter().enumerate() {
             let br = &b[p * n + j..p * n + j + 8];
             for (s, &bv) in acc.iter_mut().zip(br) {
-                *s += ap * bv;
+                *s = ap.mul_add(bv, *s);
             }
         }
         if let Some(e) = epilogue {
@@ -332,7 +342,7 @@ fn mm_tail<const R: usize>(
         for (jj, o) in or.iter_mut().enumerate().skip(j) {
             let mut s = if accumulate { *o } else { 0.0 };
             for (p, &ap) in ar.iter().enumerate() {
-                s += ap * b[p * n + jj];
+                s = ap.mul_add(b[p * n + jj], s);
             }
             *o = epilogue.map_or(s, |e| e.apply(s, jj));
         }
@@ -350,7 +360,10 @@ pub const SQDIST_LANES: usize = 16;
 /// chain of one `sub`, one `mul` and one `add` per step, so the sums carry
 /// the bits of the one-pair-at-a-time loop whichever form runs: four
 /// queries per pass over the panel under AVX-512 or AVX2, one per pass at
-/// the target's baseline width otherwise.
+/// the target's baseline width otherwise. Unlike the matmul chain it stays
+/// unfused: it is the chain of `mesorasi_knn`'s `norm_squared`, which the
+/// octree, the brute-force oracle and the feature scan all share, so fusing
+/// it is a decision for the whole neighbor search, not for this kernel.
 ///
 /// # Panics
 ///
@@ -519,9 +532,9 @@ fn max_tiles<const W: usize>(
 mod x86 {
     use super::Epilogue;
     use std::arch::x86_64::{
-        __m256, __m512, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_loadu_ps,
-        _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+        __m256, __m512, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
     };
 
     /// One vector register of `f32` lanes: the operations the matmul tile
@@ -536,7 +549,8 @@ mod x86 {
         unsafe fn load(p: *const f32) -> Self;
         unsafe fn store(self, p: *mut f32);
         unsafe fn add(self, o: Self) -> Self;
-        unsafe fn mul(self, o: Self) -> Self;
+        /// `self · a + b` per lane, rounded once (`vfmadd`).
+        unsafe fn fma(self, a: Self, b: Self) -> Self;
         /// `self > o ? self : o` per lane (`maxps`), so `max(acc, zero)`
         /// maps `−0.0` and `NaN` to `+0.0`.
         unsafe fn max(self, o: Self) -> Self;
@@ -545,7 +559,7 @@ mod x86 {
     /// Generates a [`Lanes`] impl from one width's intrinsics.
     macro_rules! lanes {
         ($t:ident($v:ty), $w:expr, $zero:ident, $splat:ident, $load:ident, $store:ident,
-         $add:ident, $mul:ident, $max:ident) => {
+         $add:ident, $fma:ident, $max:ident) => {
             #[derive(Clone, Copy)]
             struct $t($v);
 
@@ -578,9 +592,9 @@ mod x86 {
                     $t(unsafe { $add(self.0, o.0) })
                 }
                 #[inline(always)]
-                unsafe fn mul(self, o: Self) -> Self {
+                unsafe fn fma(self, a: Self, b: Self) -> Self {
                     // SAFETY: as for `zero`.
-                    $t(unsafe { $mul(self.0, o.0) })
+                    $t(unsafe { $fma(self.0, a.0, b.0) })
                 }
                 #[inline(always)]
                 unsafe fn max(self, o: Self) -> Self {
@@ -599,7 +613,7 @@ mod x86 {
         _mm256_loadu_ps,
         _mm256_storeu_ps,
         _mm256_add_ps,
-        _mm256_mul_ps,
+        _mm256_fmadd_ps,
         _mm256_max_ps
     );
     lanes!(
@@ -610,22 +624,22 @@ mod x86 {
         _mm512_loadu_ps,
         _mm512_storeu_ps,
         _mm512_add_ps,
-        _mm512_mul_ps,
+        _mm512_fmadd_ps,
         _mm512_max_ps
     );
 
     /// The matmul tile: from column `j` on, every `V · L::W`-column slice
     /// of the `R` output rows that fits is held in `R × V` accumulators for
     /// the whole `p` walk — each `B` row segment loaded once for all `R`
-    /// rows, one `mul` then one `add` per element and step, never FMA — then
-    /// finished by the epilogue and stored once. With `accumulate` the
+    /// rows, one fused multiply-add per element and step — then finished by
+    /// the epilogue and stored once. With `accumulate` the
     /// accumulators are loaded from `out` instead of zeroed. Returns the
     /// first column left over.
     ///
     /// # Safety
     ///
-    /// The caller must be compiled for `L`'s extension and must have
-    /// checked the bounds [`super::mm4`] asserts.
+    /// The caller must be compiled for `L`'s extension and `fma`, and must
+    /// have checked the bounds [`super::mm4`] asserts.
     #[inline(always)]
     unsafe fn mm_cols<L: Lanes, const R: usize, const V: usize>(
         a: &[&[f32]; R],
@@ -658,7 +672,7 @@ mod x86 {
                     for (acc_r, a_r) in acc.iter_mut().zip(a) {
                         let va = L::splat(*a_r.get_unchecked(p));
                         for (s, &x) in acc_r.iter_mut().zip(&vb) {
-                            *s = s.add(va.mul(x));
+                            *s = va.fma(x, *s);
                         }
                     }
                 }
@@ -689,9 +703,9 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX-512F support at runtime, and the
-    /// bounds checked by [`super::mm4`] must hold.
-    #[target_feature(enable = "avx512f")]
+    /// The caller must have verified AVX-512F and FMA support at runtime,
+    /// and the bounds checked by [`super::mm4`] must hold.
+    #[target_feature(enable = "avx512f,fma")]
     pub(super) unsafe fn mm_avx512<const R: usize>(
         a: [&[f32]; R],
         b: &[f32],
@@ -700,8 +714,8 @@ mod x86 {
         accumulate: bool,
         epilogue: Option<Epilogue<'_>>,
     ) {
-        // SAFETY: compiled for AVX-512F, which implies AVX2; the caller
-        // checked the bounds.
+        // SAFETY: compiled for AVX-512F, which implies AVX2, and FMA; the
+        // caller checked the bounds.
         let j = unsafe {
             let j = mm_cols::<Zmm, R, 2>(&a, b, n, &mut out, 0, accumulate, epilogue);
             let j = mm_cols::<Zmm, R, 1>(&a, b, n, &mut out, j, accumulate, epilogue);
@@ -717,9 +731,9 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX2 support at runtime, and the
-    /// bounds checked by [`super::mm4`] must hold.
-    #[target_feature(enable = "avx2")]
+    /// The caller must have verified AVX2 and FMA support at runtime, and
+    /// the bounds checked by [`super::mm4`] must hold.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn mm_avx2<const R: usize>(
         a: [&[f32]; R],
         b: &[f32],
@@ -728,7 +742,7 @@ mod x86 {
         accumulate: bool,
         epilogue: Option<Epilogue<'_>>,
     ) {
-        // SAFETY: compiled for AVX2; the caller checked the bounds.
+        // SAFETY: compiled for AVX2 and FMA; the caller checked the bounds.
         let j = unsafe {
             let j = mm_cols::<Ymm, R, 2>(&a, b, n, &mut out, 0, accumulate, epilogue);
             mm_cols::<Ymm, R, 1>(&a, b, n, &mut out, j, accumulate, epilogue)
@@ -798,12 +812,12 @@ mod tests {
     }
 
     fn mm_reference(a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
-        // The naive per-element chain: ascending p, one mul + one add.
+        // The naive per-element chain: ascending p, one fused multiply-add.
         (0..n)
             .map(|j| {
                 let mut s = 0.0f32;
                 for p in 0..k {
-                    s += a[p] * b[p * n + j];
+                    s = a[p].mul_add(b[p * n + j], s);
                 }
                 s
             })
@@ -840,7 +854,9 @@ mod tests {
         {
             // SAFETY (every closure): the tier's extension is verified
             // just before it is listed, and the tests pass whole shapes.
-            if std::arch::is_x86_feature_detected!("avx512f")
+            let fma = std::arch::is_x86_feature_detected!("fma");
+            if fma
+                && std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx2")
             {
                 tiers.push(TierFns {
@@ -852,9 +868,9 @@ mod tests {
                     max_rows: |s, c, r, f, k, o| unsafe { x86::max_rows_avx2(s, c, r, f, k, o) },
                 });
             } else {
-                eprintln!("simd tests: skipped the avx512f tier (not on this CPU)");
+                eprintln!("simd tests: skipped the avx512f tier (needs avx512f and fma)");
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if fma && std::arch::is_x86_feature_detected!("avx2") {
                 tiers.push(TierFns {
                     name: "avx2",
                     mm4: |a, b, n, o, acc, e| unsafe { x86::mm_avx2(a, b, n, o, acc, e) },
@@ -863,12 +879,23 @@ mod tests {
                     max_rows: |s, c, r, f, k, o| unsafe { x86::max_rows_avx2(s, c, r, f, k, o) },
                 });
             } else {
-                eprintln!("simd tests: skipped the avx2 tier (not on this CPU)");
+                eprintln!("simd tests: skipped the avx2 tier (needs avx2 and fma)");
             }
         }
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
         eprintln!("simd tests: skipped the avx512f and avx2 tiers (no x86 simd in this build)");
         tiers
+    }
+
+    /// The entry points, through the dispatch, as one more tier.
+    fn dispatched() -> TierFns {
+        TierFns {
+            name: "dispatched",
+            mm4,
+            mm1: |a, b, n, [o], acc, e| mm1(a[0], b, n, o, acc, e),
+            sqdist: sqdist_rows,
+            max_rows,
+        }
     }
 
     /// Column counts that end in every tail: whole 32-column tiles, then
@@ -927,13 +954,7 @@ mod tests {
     /// dispatched path, on every column tail and a few depths.
     fn for_each_tile_case(check: impl Fn(&TierFns, usize, usize, [&[f32]; 4], &[f32])) {
         let mut tiers = vector_tiers();
-        tiers.push(TierFns {
-            name: "dispatched",
-            mm4,
-            mm1: |a, b, n, [o], acc, e| mm1(a[0], b, n, o, acc, e),
-            sqdist: sqdist_rows,
-            max_rows,
-        });
+        tiers.push(dispatched());
         for tier in &tiers {
             for n in TAIL_COLS {
                 for k in [0, 1, 17, 64] {
@@ -960,6 +981,39 @@ mod tests {
             (tier.mm1)([a[1]], b, n, [&mut single], false, None);
             assert_eq!(bits(&single), bits(&want[1]), "mm1 {at}");
         });
+    }
+
+    #[test]
+    fn every_tier_fuses() {
+        // `1·(−1) + x·x` with `x = 1 + 2⁻¹²`: `x²` is `1 + 2⁻¹¹ + 2⁻²⁴`,
+        // half an ulp past `1 + 2⁻¹¹`, so a step that rounds the product
+        // first (mul then add) ends at `2⁻¹¹` and only a fused one keeps
+        // the `2⁻²⁴`.
+        let x = 1.0 + 2f32.powi(-12);
+        let want = 2f32.powi(-11) + 2f32.powi(-24);
+        assert_ne!(want, 2f32.powi(-11));
+        let mut tiers = vector_tiers();
+        tiers.push(dispatched());
+        tiers.push(TierFns {
+            name: "scalar",
+            mm4: |a, b, n, o, acc, e| mm_scalar(a, b, n, o, acc, e),
+            mm1: |a, b, n, o, acc, e| mm_scalar(a, b, n, o, acc, e),
+            sqdist: sqdist_rows_tiled::<1>,
+            max_rows: max_rows_tiled::<32>,
+        });
+        let a = [1.0, x];
+        for tier in &tiers {
+            for n in TAIL_COLS {
+                let b: Vec<f32> = [-1.0, x].iter().flat_map(|&v| vec![v; n]).collect();
+                let mut got = vec![vec![f32::NAN; n]; 4];
+                with_quad(&mut got, |o| (tier.mm4)([&a; 4], &b, n, o, false, None));
+                let mut single = vec![f32::NAN; n];
+                (tier.mm1)([&a], &b, n, [&mut single], false, None);
+                for v in got.concat().into_iter().chain(single) {
+                    assert_eq!(v.to_bits(), want.to_bits(), "{} n = {n}", tier.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mesorasi_tensor::{ops, Matrix};
 
 /// Deterministic pseudo-random matrix; every `zero_every`-th element is an
 /// exact zero of alternating sign (the reference skips zero coefficients,
-/// the tier adds their `±0.0` products).
+/// the tier fuses their `±0.0` products).
 fn noisy(rows: usize, cols: usize, seed: u64, zero_every: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
         let i = r * cols + c;
@@ -32,10 +32,10 @@ fn noisy(rows: usize, cols: usize, seed: u64, zero_every: usize) -> Matrix {
 }
 
 /// One sequential chain per output element: ascending `p` from `+0.0`, one
-/// `mul` and one `add` per step.
+/// fused multiply-add per step.
 fn chain_oracle(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-        a.row(i).iter().enumerate().fold(0.0, |acc, (p, &x)| acc + x * b.row(p)[j])
+        a.row(i).iter().enumerate().fold(0.0, |acc, (p, &x)| x.mul_add(b.row(p)[j], acc))
     })
 }
 

@@ -62,9 +62,9 @@ proptest! {
     fn blocked_matmul_matches_naive_reference_bitwise(
         m in 1usize..41, k in 0usize..25, n in 0usize..34, seed in 0u64..1000, zero_every in 0usize..4
     ) {
-        // The fast tier (register-tiled, AVX2 where detected) promises bit
-        // identity with the pre-tier reference kernel: same ascending-k
-        // accumulation order per element, no FMA contraction. Adversarial
+        // The fast tier (register-tiled, AVX-512 or AVX2 where detected)
+        // promises bit identity with the reference kernel: same ascending-k
+        // order per element, one fused multiply-add per step. Adversarial
         // shapes hit every tail path — m % 4 rows, n % 16 / n % 8 columns,
         // k == 0 and n == 0 empties — and injected exact zeros hit the
         // reference kernel's zero-skip (covered by the ±0.0 identity).
