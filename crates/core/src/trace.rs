@@ -73,11 +73,6 @@ impl SearchOp {
         (self.queries as u64) * (self.candidates as u64) * logk
     }
 
-    /// Bytes read: the candidate matrix once per query tile plus queries.
-    pub fn bytes_read(&self) -> u64 {
-        4 * ((self.queries * self.dim) as u64 + (self.candidates * self.dim) as u64)
-    }
-
     /// Bytes written: the NIT (4-byte indices at the software level).
     pub fn bytes_written(&self) -> u64 {
         4 * (self.queries * self.k) as u64

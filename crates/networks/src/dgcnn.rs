@@ -91,11 +91,6 @@ impl Dgcnn {
         let head = SharedMlp::new(&[64 + 56, 48, parts], NormMode::None, false, rng);
         Dgcnn { name: "DGCNN (s)".into(), input_points: n, edges, fuse, head, segmentation: true }
     }
-
-    /// The EdgeConv modules.
-    pub fn edge_modules(&self) -> &[Module] {
-        &self.edges
-    }
 }
 
 impl PointCloudNetwork for Dgcnn {

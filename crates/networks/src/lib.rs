@@ -34,7 +34,7 @@ use mesorasi_pointcloud::PointCloud;
 
 pub use registry::{Domain, NetworkKind};
 pub use session::{
-    Boxes3D, CheckoutError, FrameStream, Inference, Logits, PerPointLabels, Session, SessionBuilder,
+    Boxes3D, FrameStream, Inference, Logits, PerPointLabels, Session, SessionBuilder,
 };
 
 // Unused; kept only so `benchmark/src/replay.rs` compiles until it drops the import.

@@ -47,9 +47,8 @@ use mesorasi_par as par;
 use mesorasi_pointcloud::{Point3, PointCloud};
 use mesorasi_tensor::Matrix;
 use std::borrow::Borrow;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Classification output: one row of class scores.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,22 +205,6 @@ impl Inference {
         }
     }
 
-    /// Segmentation result, if this is one.
-    pub fn as_segmentation(&self) -> Option<&PerPointLabels> {
-        match self {
-            Inference::Segmentation(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Detection result, if this is one.
-    pub fn as_detection(&self) -> Option<&Boxes3D> {
-        match self {
-            Inference::Detection(d) => Some(d),
-            _ => None,
-        }
-    }
-
     /// Unwraps a classification result.
     ///
     /// # Panics
@@ -308,12 +291,6 @@ impl SessionBuilder {
         SessionBuilder::new(NetSource::Owned(Box::new(net)))
     }
 
-    /// A session that takes ownership of an already-boxed network (what
-    /// [`NetworkKind::build_small`] / [`NetworkKind::build_paper`] return).
-    pub fn from_boxed(net: Box<dyn PointCloudNetwork>) -> Self {
-        SessionBuilder::new(NetSource::Owned(net))
-    }
-
     /// A session over a weight snapshot of `net` (via
     /// [`PointCloudNetwork::boxed_clone`]) — for callers that keep training
     /// the original network afterwards.
@@ -395,106 +372,10 @@ impl SessionBuilder {
             seed: self.seed,
             domain,
             engines: (0..workers)
-                .map(|_| Worker {
-                    engine: Mutex::new(PlanEngine::with_config(self.config)),
-                    holder: AtomicU64::new(0),
-                })
+                .map(|_| Mutex::new(PlanEngine::with_config(self.config)))
                 .collect(),
             next: AtomicUsize::new(0),
         }
-    }
-}
-
-/// The fallible checkout path's error: every worker engine is already
-/// checked out **by the calling thread** (via live [`FrameStream`]s), so
-/// blocking would self-deadlock — `std::sync::Mutex` is not re-entrant.
-///
-/// Returned by [`Session::try_infer`]; the infallible paths panic with the
-/// same message instead of hanging. Server handler code should use
-/// `try_infer` and surface this as a typed "unavailable" response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckoutError {
-    workers: usize,
-}
-
-impl CheckoutError {
-    /// Pool size at the time of the failed checkout.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl std::fmt::Display for CheckoutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "all {} worker engine(s) are already checked out by this thread \
-             (live FrameStream handles?); blocking would self-deadlock — drop \
-             a handle or grow the pool via SessionBuilder::workers",
-            self.workers
-        )
-    }
-}
-
-impl std::error::Error for CheckoutError {}
-
-/// One pool slot: the engine plus the token of the thread currently
-/// holding it (0 = unheld). The holder tag is what lets checkout detect
-/// same-thread re-entrancy instead of deadlocking.
-struct Worker {
-    engine: Mutex<PlanEngine>,
-    holder: AtomicU64,
-}
-
-/// A process-unique, never-zero token for the calling thread.
-fn thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: Cell<u64> = const { Cell::new(0) };
-    }
-    TOKEN.with(|t| {
-        let v = t.get();
-        if v != 0 {
-            v
-        } else {
-            let v = NEXT.fetch_add(1, Ordering::Relaxed);
-            t.set(v);
-            v
-        }
-    })
-}
-
-/// A checked-out engine: the mutex guard plus the holder tag that marks it
-/// as owned by this thread for the lifetime of the guard.
-struct EngineGuard<'s> {
-    guard: MutexGuard<'s, PlanEngine>,
-    holder: &'s AtomicU64,
-}
-
-impl<'s> EngineGuard<'s> {
-    fn new(worker: &'s Worker, guard: MutexGuard<'s, PlanEngine>, token: u64) -> EngineGuard<'s> {
-        worker.holder.store(token, Ordering::Release);
-        EngineGuard { guard, holder: &worker.holder }
-    }
-}
-
-impl Drop for EngineGuard<'_> {
-    fn drop(&mut self) {
-        self.holder.store(0, Ordering::Release);
-    }
-}
-
-impl std::ops::Deref for EngineGuard<'_> {
-    type Target = PlanEngine;
-
-    fn deref(&self) -> &PlanEngine {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for EngineGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PlanEngine {
-        &mut self.guard
     }
 }
 
@@ -511,7 +392,7 @@ pub struct Session {
     strategy: Strategy,
     seed: u64,
     domain: Domain,
-    engines: Vec<Worker>,
+    engines: Vec<Mutex<PlanEngine>>,
     next: AtomicUsize,
 }
 
@@ -560,16 +441,6 @@ impl Session {
         self.run_on(&mut engine, cloud)
     }
 
-    /// Like [`Session::infer`], but returns a typed [`CheckoutError`]
-    /// instead of panicking when every worker engine is already held by
-    /// the calling thread (live [`FrameStream`]s) — the variant server
-    /// handlers should use, so a would-be deadlock becomes a reportable
-    /// "unavailable" condition.
-    pub fn try_infer(&self, cloud: &PointCloud) -> Result<Inference, CheckoutError> {
-        let mut engine = self.try_checkout_engine()?;
-        Ok(self.run_on(&mut engine, cloud))
-    }
-
     /// Runs a batch data-parallel over the worker pool: the batch is split
     /// into per-worker chunks, each chunk replays against its own engine's
     /// arena (amortizing plan compilation and the NIT cache across the
@@ -600,29 +471,21 @@ impl Session {
         results.into_iter().flatten().collect()
     }
 
-    /// Checks out one worker engine for a frame sequence. All frames run
-    /// on that engine's streaming path: the per-sample NIT cache is
-    /// bypassed (frames rarely repeat) and neighbor-search indices
+    /// Opens a frame sequence on one worker engine, picked round-robin.
+    /// All frames run on that engine's streaming path: the per-sample NIT
+    /// cache is bypassed (frames rarely repeat) and neighbor-search indices
     /// warm-start from the previous frame — capacity reused, contents
     /// rebuilt — so a warm same-shaped stream performs zero heap
     /// allocations per frame in search and tensor execution alike.
     /// Results are bit-identical to [`Session::infer`] on the same cloud.
     ///
-    /// The handle holds the engine until dropped; other workers keep
-    /// serving [`Session::infer`] / [`Session::infer_batch`] concurrently.
-    ///
-    /// **Drop the handle before calling the session from the same thread
-    /// again.** While a `FrameStream` is live, methods that visit *every*
-    /// worker ([`Session::warm`], [`Session::arena_stats`],
-    /// [`Session::search_counters`], [`Session::cache_stats`]) — and, on a
-    /// session whose other workers are all busy, [`Session::infer`] itself
-    /// — would block on the held engine; from the holding thread that is a
-    /// self-deadlock, since `std::sync::Mutex` is not re-entrant. The
-    /// session detects this and **panics with a clear message instead of
-    /// hanging**; use [`Session::try_infer`] to get a typed
-    /// [`CheckoutError`] instead.
+    /// The handle locks its engine for one frame at a time, inside
+    /// [`FrameStream::infer`] / [`FrameStream::infer_into`], and holds no
+    /// lock between frames: every session method stays callable while a
+    /// stream is live, from any thread, the stream's own included.
     pub fn frames(&self) -> FrameStream<'_> {
-        FrameStream { session: self, engine: self.checkout_engine() }
+        let worker = self.next.fetch_add(1, Ordering::Relaxed) % self.engines.len();
+        FrameStream { session: self, worker }
     }
 
     /// Pre-warms every worker engine on `cloud`: compiles the plan for its
@@ -633,8 +496,8 @@ impl Session {
     /// state no matter which engine serves it. Call before
     /// timing-sensitive traffic; purely an optimization.
     pub fn warm(&self, cloud: &PointCloud) {
-        for i in 0..self.engines.len() {
-            let mut engine = self.lock_pool_engine(i);
+        for engine in &self.engines {
+            let mut engine = lock_unpoisoned(engine);
             let _ = self.run_on(&mut engine, cloud);
             let _ = self.exec(&mut engine, cloud, true);
         }
@@ -644,7 +507,7 @@ impl Session {
     /// first worker that has compiled that shape: tensor-arena usage plus
     /// search-arena bytes, traffic counters, and NIT-cache traffic.
     pub fn arena_stats(&self, n_points: usize) -> Option<EngineStats> {
-        (0..self.engines.len()).find_map(|i| self.lock_pool_engine(i).stats(n_points))
+        self.engines.iter().find_map(|e| lock_unpoisoned(e).stats(n_points))
     }
 
     /// Search-traffic counters summed across the worker pool — what the
@@ -652,8 +515,8 @@ impl Session {
     /// build/query time split of real inference traffic.
     pub fn search_counters(&self) -> SearchCounters {
         let mut total = SearchCounters::default();
-        for i in 0..self.engines.len() {
-            total.add(&self.lock_pool_engine(i).search_counters());
+        for engine in &self.engines {
+            total.add(&lock_unpoisoned(engine).search_counters());
         }
         total
     }
@@ -663,8 +526,8 @@ impl Session {
     /// show whether traffic is being served from the warm steady state.
     pub fn cache_stats(&self) -> SampleCacheStats {
         let mut total = SampleCacheStats::default();
-        for i in 0..self.engines.len() {
-            total.add(&self.lock_pool_engine(i).sample_cache_stats());
+        for engine in &self.engines {
+            total.add(&lock_unpoisoned(engine).sample_cache_stats());
         }
         total
     }
@@ -672,58 +535,22 @@ impl Session {
     /// Total plans compiled across the worker pool (one per worker per
     /// distinct input shape it has seen).
     pub fn compiled_plans(&self) -> usize {
-        (0..self.engines.len()).map(|i| self.lock_pool_engine(i).compiled_plans()).sum()
-    }
-
-    /// Blocking lock of one pool engine for the whole-pool visitors —
-    /// panics (rather than self-deadlocking) when the calling thread
-    /// already holds that engine through a live [`FrameStream`].
-    fn lock_pool_engine(&self, i: usize) -> MutexGuard<'_, PlanEngine> {
-        let w = &self.engines[i];
-        assert!(
-            w.holder.load(Ordering::Acquire) != thread_token(),
-            "worker engine #{i} is already checked out by this thread (a live \
-             FrameStream?); locking it again would self-deadlock — drop the \
-             handle before calling whole-pool session methods"
-        );
-        lock_unpoisoned(&w.engine)
+        self.engines.iter().map(|e| lock_unpoisoned(e).compiled_plans()).sum()
     }
 
     /// Picks an engine: any free worker first, else round-robin blocking —
     /// callers beyond the pool size queue on an engine rather than failing.
-    /// Skips engines the calling thread already holds; errs when that is
-    /// all of them (same-thread re-entrancy, which would self-deadlock).
-    fn try_checkout_engine(&self) -> Result<EngineGuard<'_>, CheckoutError> {
-        let token = thread_token();
-        for w in &self.engines {
+    fn checkout_engine(&self) -> MutexGuard<'_, PlanEngine> {
+        for engine in &self.engines {
             // A poisoned engine is free, not busy (see [`lock_unpoisoned`]).
-            match w.engine.try_lock() {
-                Ok(guard) => return Ok(EngineGuard::new(w, guard, token)),
-                Err(std::sync::TryLockError::Poisoned(p)) => {
-                    return Ok(EngineGuard::new(w, p.into_inner(), token))
-                }
-                Err(std::sync::TryLockError::WouldBlock) => {}
+            match engine.try_lock() {
+                Ok(guard) => return guard,
+                Err(TryLockError::Poisoned(p)) => return p.into_inner(),
+                Err(TryLockError::WouldBlock) => {}
             }
         }
-        // All busy: block on a round-robin engine — but never on one this
-        // thread itself holds. The round-robin counter visits every slot
-        // once across `n` probes, so a skippable engine costs one probe.
-        let n = self.engines.len();
-        for _ in 0..n {
-            let i = self.next.fetch_add(1, Ordering::Relaxed) % n;
-            let w = &self.engines[i];
-            if w.holder.load(Ordering::Acquire) == token {
-                continue;
-            }
-            return Ok(EngineGuard::new(w, lock_unpoisoned(&w.engine), token));
-        }
-        Err(CheckoutError { workers: n })
-    }
-
-    /// Infallible checkout: panics with the [`CheckoutError`] message on
-    /// same-thread re-entrancy instead of deadlocking.
-    fn checkout_engine(&self) -> EngineGuard<'_> {
-        self.try_checkout_engine().unwrap_or_else(|e| panic!("{e}"))
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.engines.len();
+        lock_unpoisoned(&self.engines[i])
     }
 
     /// Runs one forward on `engine` — the plan-and-cache path when
@@ -796,20 +623,22 @@ impl Session {
     }
 }
 
-/// A frame-sequence handle over one checked-out worker engine; see
-/// [`Session::frames`] (including its same-thread re-entrancy caveat).
-/// Frames run in call order on the engine's streaming path, warm-starting
-/// search indices from the previous frame.
+/// A frame-sequence handle over one worker engine; see
+/// [`Session::frames`]. Frames run in call order on the engine's streaming
+/// path, warm-starting search indices from the previous frame; each call
+/// locks the engine for that one frame only.
+#[derive(Debug)]
 pub struct FrameStream<'s> {
     session: &'s Session,
-    engine: EngineGuard<'s>,
+    worker: usize,
 }
 
 impl FrameStream<'_> {
     /// Infers the next frame. Bit-identical to [`Session::infer`] on the
     /// same cloud.
     pub fn infer(&mut self, cloud: &PointCloud) -> Inference {
-        let out = self.session.exec(&mut self.engine, cloud, true);
+        let mut engine = lock_unpoisoned(&self.session.engines[self.worker]);
+        let out = self.session.exec(&mut engine, cloud, true);
         self.session.package(out)
     }
 
@@ -818,14 +647,9 @@ impl FrameStream<'_> {
     /// frame shape, matching `out` variant), a call performs **zero** heap
     /// allocations end to end, neighbor search included.
     pub fn infer_into(&mut self, cloud: &PointCloud, out: &mut Inference) {
-        let planned = self.session.exec(&mut self.engine, cloud, true);
+        let mut engine = lock_unpoisoned(&self.session.engines[self.worker]);
+        let planned = self.session.exec(&mut engine, cloud, true);
         self.session.package_into(planned, out);
-    }
-}
-
-impl std::fmt::Debug for FrameStream<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameStream").field("session", &self.session).finish()
     }
 }
 
@@ -1067,41 +891,24 @@ mod tests {
     }
 
     #[test]
-    fn reentrant_checkout_is_a_typed_error_not_a_deadlock() {
-        // With a single worker held by a live FrameStream on this thread,
-        // the old code deadlocked; now `try_infer` returns a typed
-        // error and the infallible paths panic with the same message.
+    fn a_live_frame_stream_leaves_the_session_callable_on_its_own_thread() {
+        // One worker, and the stream's thread calls the whole-pool methods
+        // and `infer` between its frames: the stream holds no lock between
+        // frames, so each call takes the one engine and returns.
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(3)
             .workers(1)
             .build();
         let n = session.network().input_points();
-        let cloud = sample_shape(ShapeClass::Chair, n, 1);
+        let (a, b) = (sample_shape(ShapeClass::Chair, n, 1), sample_shape(ShapeClass::Car, n, 2));
         let mut frames = session.frames();
-        let _ = frames.infer(&cloud);
-
-        let err = session.try_infer(&cloud).expect_err("all engines self-held");
-        assert_eq!(err.workers(), 1);
-        assert!(err.to_string().contains("self-deadlock"), "unhelpful message: {err}");
-
-        // Dropping the stream frees the engine for the same thread again.
-        drop(frames);
-        let _ = session.try_infer(&cloud).expect("freed engine checks out");
-    }
-
-    #[test]
-    fn whole_pool_visitors_panic_loudly_when_self_held() {
-        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-            .classes(3)
-            .workers(1)
-            .build();
-        let _frames = session.frames();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = session.search_counters();
-        }))
-        .expect_err("must not silently deadlock");
-        let msg = err.downcast_ref::<String>().expect("panic carries a message");
-        assert!(msg.contains("self-deadlock"), "unhelpful message: {msg}");
+        let first = frames.infer(&a);
+        session.warm(&b);
+        let single = session.infer(&a);
+        assert!(session.search_counters().query_calls > 0);
+        assert_eq!(single, first);
+        assert_eq!(frames.infer(&a), first);
+        assert_eq!(frames.infer(&b), session.infer(&b));
     }
 
     #[test]
@@ -1114,9 +921,7 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Chair, n, 1);
         let mut frames = session.frames();
         let want = frames.infer(&cloud);
-        // The second worker serves the same thread while the first is held.
-        let got = session.try_infer(&cloud).expect("second worker is free");
-        assert_eq!(got, want);
+        assert_eq!(session.infer(&cloud), want);
     }
 
     #[test]

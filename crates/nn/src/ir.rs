@@ -8,7 +8,7 @@
 //!   probabilities) to differentiate it in reverse — the training engine;
 //! * the [`crate::plan`] module compiles a recorded sequence into an
 //!   immutable `Plan` with a liveness-assigned buffer arena and replays it
-//!   grad-free — the inference engine.
+//!   grad-free — the inference engine, which refuses live losses.
 //!
 //! Everything an op needs to *recompute its value* lives in the `Op` itself
 //! (operand ids plus structural constants); everything only the backward

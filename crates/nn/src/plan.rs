@@ -201,7 +201,8 @@ impl Plan {
     /// # Panics
     ///
     /// Panics when `outputs` is empty or references a node the graph does
-    /// not have.
+    /// not have, or when a loss is live: plans are inference-only, and
+    /// training runs its losses on the tape.
     pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> (Plan, Arena) {
         let n = g.len();
         assert!(!outputs.is_empty(), "a plan needs at least one output");
@@ -216,7 +217,12 @@ impl Plan {
         }
         for i in (0..n).rev() {
             if live[i] {
-                g.op_at(i).for_each_operand(|v| live[v.index()] = true);
+                let op = g.op_at(i);
+                assert!(
+                    !matches!(op, Op::Mse { .. } | Op::SoftmaxCrossEntropy { .. }),
+                    "node {i} is a loss: plans are inference-only, run losses on the tape"
+                );
+                op.for_each_operand(|v| live[v.index()] = true);
             }
         }
 
@@ -441,7 +447,9 @@ impl Plan {
                     (self.value(arena, *x), self.value(arena, *w), self.value(arena, *bias));
                 ops::linear_into(x, w, bias, *relu, &mut out);
             }
-            Step::Op(Op::Param { .. }) => unreachable!("params are consts"),
+            Step::Op(Op::Param { .. } | Op::Mse { .. } | Op::SoftmaxCrossEntropy { .. }) => {
+                unreachable!("params are consts, and from_graph refuses live losses")
+            }
             Step::Op(Op::Input) => {
                 let src = &bind.inputs[node.input_idx.expect("live inputs are indexed")];
                 assert_eq!(
@@ -512,45 +520,6 @@ impl Plan {
                 let mut scratch = std::mem::take(&mut arena.scratch);
                 ops::standardize_into(self.value(arena, *x), &mut scratch, &mut out);
                 arena.scratch = scratch;
-            }
-            // Losses are replayed for completeness (a plan may be asked for
-            // a recorded loss); the arithmetic mirrors the tape's exactly.
-            Step::Op(Op::Mse { pred, target }) => {
-                let (p, t) = (self.value(arena, *pred), self.value(arena, *target));
-                assert_eq!(p.shape(), t.shape(), "mse shape mismatch");
-                let n = p.len() as f32;
-                let loss = p
-                    .as_slice()
-                    .iter()
-                    .zip(t.as_slice())
-                    .map(|(&a, &b)| (a - b) * (a - b))
-                    .sum::<f32>()
-                    / n;
-                out.reset_shape(1, 1);
-                out[(0, 0)] = loss;
-            }
-            Step::Op(Op::SoftmaxCrossEntropy { logits, labels }) => {
-                let l = self.value(arena, *logits);
-                assert_eq!(labels.len(), l.rows(), "one label per row");
-                let mut loss = 0.0f64;
-                for (r, &label) in labels.iter().enumerate() {
-                    let row = l.row(r);
-                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    // Same exp/accumulate order as `ops::softmax_rows`, so
-                    // the probability of the labelled class is bit-identical.
-                    let mut sum = 0.0;
-                    let mut p_label = 0.0;
-                    for (c, &v) in row.iter().enumerate() {
-                        let e = (v - max).exp();
-                        sum += e;
-                        if c == label as usize {
-                            p_label = e;
-                        }
-                    }
-                    loss -= f64::from((p_label / sum).max(1e-12)).ln();
-                }
-                out.reset_shape(1, 1);
-                out[(0, 0)] = (loss / labels.len() as f64) as f32;
             }
         }
         debug_assert_eq!(
@@ -962,17 +931,10 @@ mod tests {
     }
 
     #[test]
-    fn losses_replay_identically() {
-        let x = Matrix::from_fn(5, 4, |r, c| ((r * 7 + c) as f32 * 0.3).sin());
-        let mut rng = mesorasi_pointcloud::seeded_rng(3);
-        let mlp = SharedMlp::new(&[4, 6, 3], NormMode::None, false, &mut rng);
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let logits = mlp.forward(&mut g, xv);
+    #[should_panic(expected = "plans are inference-only")]
+    fn plans_refuse_a_live_loss() {
+        let (mut g, logits, _mlp) = record_mlp(&Matrix::from_fn(5, 4, |r, c| (r + c) as f32));
         let loss = g.softmax_cross_entropy(logits, vec![0, 2, 1, 1, 0]);
-        let (plan, mut arena) = Plan::from_graph(&g, &[loss], &DynMarks::default());
-        let b = input_bindings(&plan, &x);
-        plan.run(&mut arena, &b);
-        assert_eq!(plan.output(&arena, 0), g.value(loss));
+        let _ = Plan::from_graph(&g, &[loss], &DynMarks::default());
     }
 }

@@ -78,13 +78,6 @@ impl Aabb {
         self.max - self.min
     }
 
-    /// Length of the longest side. Zero for a degenerate (single-point) box.
-    #[inline]
-    pub fn longest_side(&self) -> f32 {
-        let e = self.extent();
-        e.x.max(e.y).max(e.z)
-    }
-
     /// True if `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Point3) -> bool {

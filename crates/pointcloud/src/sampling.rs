@@ -7,7 +7,7 @@
 //! accuracy loss" (§VI). Both are provided here; the executors default to
 //! random sampling to match the paper's baseline.
 
-use crate::{Point3, PointCloud};
+use crate::PointCloud;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -114,13 +114,6 @@ pub fn min_pairwise_distance(cloud: &PointCloud, indices: &[usize]) -> f32 {
         }
     }
     best
-}
-
-/// Mean of the sampled points, handy for quick sanity checks in tests.
-pub fn sampled_centroid(cloud: &PointCloud, indices: &[usize]) -> Point3 {
-    assert!(!indices.is_empty());
-    let sum = indices.iter().fold(Point3::ORIGIN, |acc, &i| acc + cloud.point(i));
-    sum / indices.len() as f32
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! ```text
 //! mesorasi-serve [--network pointnetpp-cls] [--addr 127.0.0.1:7077]
 //!                [--workers N] [--classes N] [--paper]
-//!                [--queue-depth N] [--max-batch N] [--dispatchers N]
+//!                [--queue-depth N] [--dispatchers N]
 //!                [--cache-cap N]
 //! ```
 
@@ -27,7 +27,6 @@ OPTIONS:
     --paper            serve the paper-scale network instead of the small one
     --queue-depth N    admission-control queue bound (default 64); overflow
                        sheds the oldest request with a typed error
-    --max-batch N      most same-shape requests one dispatch coalesces (default 8)
     --dispatchers N    dispatch worker threads (default 2)
     --cache-cap N      per-engine NIT sample-cache capacity (default 1024; 0 off)
     -h, --help         print this help
@@ -40,7 +39,6 @@ struct Args {
     classes: usize,
     paper: bool,
     queue_depth: usize,
-    max_batch: usize,
     dispatchers: usize,
     cache_cap: Option<usize>,
 }
@@ -58,7 +56,6 @@ fn parse_args() -> Args {
         classes: 10,
         paper: false,
         queue_depth: 64,
-        max_batch: 8,
         dispatchers: 2,
         cache_cap: None,
     };
@@ -79,7 +76,6 @@ fn parse_args() -> Args {
             "--queue-depth" => {
                 args.queue_depth = parse_count("--queue-depth", &value("--queue-depth"));
             }
-            "--max-batch" => args.max_batch = parse_count("--max-batch", &value("--max-batch")),
             "--dispatchers" => {
                 args.dispatchers = parse_count("--dispatchers", &value("--dispatchers"));
             }
@@ -132,7 +128,6 @@ fn main() {
         addr: args.addr,
         scheduler: mesorasi_serve::SchedulerConfig {
             queue_depth: args.queue_depth,
-            max_batch: args.max_batch,
             dispatchers: args.dispatchers,
         },
     };
@@ -144,10 +139,9 @@ fn main() {
         }
     };
     eprintln!(
-        "listening on {} (queue depth {}, max batch {}, {} dispatchers)",
+        "listening on {} (queue depth {}, {} dispatchers)",
         server.local_addr(),
         args.queue_depth,
-        args.max_batch,
         args.dispatchers,
     );
 

@@ -139,8 +139,8 @@ impl Client {
         self.domain
     }
 
-    /// The served network's native input size; same-size requests batch
-    /// best on the server.
+    /// The served network's native input size; the server compiles a plan
+    /// for each other size on its first use.
     pub fn input_points(&self) -> u32 {
         self.input_points
     }

@@ -4,17 +4,17 @@
 //! pipelines, §VIII) assumes inference sits behind a stream of frames
 //! arriving on a clock it does not control. This crate provides that
 //! boundary: a long-lived TCP [`Server`] speaking a length-prefixed
-//! binary [`protocol`], a batching [`scheduler`] with admission
-//! control in front of a [`mesorasi_networks::Session`] pool, and a
-//! blocking [`Client`] on the other side.
+//! binary [`protocol`], a [`scheduler`] with admission control in
+//! front of a [`mesorasi_networks::Session`] pool, and a blocking
+//! [`Client`] on the other side.
 //!
 //! Design pillars, in scheduler terms:
 //!
-//! - **Adaptive micro-batching** — a dispatch coalesces the longest
-//!   same-shape run at the queue head (up to `max_batch`) into one
-//!   [`Session::infer_batch`](mesorasi_networks::Session::infer_batch)
-//!   call. An idle server dispatches singles immediately; batching only
-//!   emerges under backlog, where it pays.
+//! - **One request, one dispatch** — a dispatcher pops one request and
+//!   runs it through
+//!   [`Session::infer`](mesorasi_networks::Session::infer); a panic in
+//!   inference becomes a typed [`ErrorCode::Unavailable`] reply to that
+//!   request alone.
 //! - **Deterministic load shedding** — the queue is bounded; overflow
 //!   sheds the *oldest* request and tells its client with a typed
 //!   [`ErrorCode::Shed`] error. Nothing is ever dropped silently.

@@ -97,7 +97,7 @@ pub struct ServerStats {
     pub shed: u64,
     /// Malformed frames rejected.
     pub malformed: u64,
-    /// Engine dispatches (each serving 1..=max_batch coalesced requests).
+    /// Engine dispatches, one per request.
     pub batches: u64,
     /// Jobs queued right now.
     pub queue_depth: u64,
@@ -128,7 +128,7 @@ pub enum Frame {
         /// Task domain of the served network, deciding result layout.
         domain: Domain,
         /// The served network's native input size (clients may send other
-        /// sizes; same-size requests batch best).
+        /// sizes; each new size compiles a plan of its own on first use).
         input_points: u32,
         /// The server's hard ceiling on points per request
         /// ([`MAX_POINTS`] for this build) — announced so clients can

@@ -1,13 +1,11 @@
-//! Admission control and adaptive micro-batching over one session pool.
+//! Admission control over one session pool.
 //!
 //! Every connection's requests funnel into one bounded FIFO. A small team
-//! of dispatch workers pops the queue and **coalesces the longest prefix
-//! of same-shape requests** (up to `max_batch`) into a single
-//! [`Session::infer_batch`] call — batching is purely opportunistic, so an
-//! idle server adds zero artificial latency (a lone request dispatches
-//! immediately with batch size 1), while a backlogged server amortizes
-//! checkout and scheduling across the batch exactly when throughput needs
-//! it.
+//! of dispatch workers pops the queue one request at a time and runs it
+//! through [`Session::infer`], which checks out one engine for that one
+//! frame — a sensor frame in, one result out. A panic inside inference is
+//! contained to its request, which gets a typed [`ErrorCode::Unavailable`]
+//! error; the dispatcher moves on to the next request.
 //!
 //! Admission control is **shed-oldest**: when the queue is at
 //! `queue_depth`, the *oldest* queued request is dropped to make room and
@@ -32,10 +30,6 @@ pub struct SchedulerConfig {
     /// Queued requests beyond which admission control sheds the oldest
     /// (default 64).
     pub queue_depth: usize,
-    /// Most requests one engine dispatch may coalesce (default 8).
-    /// Batching only ever coalesces a contiguous same-shape prefix — it
-    /// never waits for stragglers.
-    pub max_batch: usize,
     /// Dispatch worker threads (default 2). Each dispatch checks out one
     /// session engine, so more than `Session::workers` dispatchers just
     /// queue on engines.
@@ -44,7 +38,7 @@ pub struct SchedulerConfig {
 
 impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
-        SchedulerConfig { queue_depth: 64, max_batch: 8, dispatchers: 2 }
+        SchedulerConfig { queue_depth: 64, dispatchers: 2 }
     }
 }
 
@@ -69,12 +63,11 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     open: AtomicBool,
-    max_batch: usize,
     queue_depth: usize,
     counters: Counters,
 }
 
-/// The batching scheduler: a bounded queue plus dispatch workers. Created
+/// The scheduler: a bounded queue plus dispatch workers. Created
 /// by the server; exposed only through [`crate::server::Server`].
 pub(crate) struct Scheduler {
     shared: Arc<Shared>,
@@ -88,7 +81,6 @@ impl Scheduler {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             open: AtomicBool::new(true),
-            max_batch: config.max_batch.max(1),
             queue_depth: config.queue_depth.max(1),
             counters: Counters::default(),
         });
@@ -175,74 +167,31 @@ fn reject(job: &Job, code: ErrorCode, message: &str) {
     let _ = job.reply.send(Frame::Error { id: job.id, code, message: message.into() });
 }
 
-/// Pops one batch: the queue's front job plus the longest same-shape
-/// prefix behind it, up to `max_batch`. Blocks while the queue is empty;
-/// returns `None` at shutdown.
-fn pop_batch(shared: &Shared) -> Option<Vec<Job>> {
-    let mut q = lock(&shared.queue);
-    loop {
-        if let Some(first) = q.pop_front() {
-            let n = first.cloud.len();
-            let mut batch = vec![first];
-            while batch.len() < shared.max_batch {
-                match q.front() {
-                    Some(next) if next.cloud.len() == n => {
-                        batch.push(q.pop_front().expect("front exists"));
-                    }
-                    _ => break,
-                }
-            }
-            return Some(batch);
-        }
-        if !shared.open.load(Ordering::Acquire) {
-            return None;
-        }
-        q = shared.available.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
-    }
+/// Pops the queue's front job. Blocks while the queue is empty; returns
+/// `None` at shutdown.
+fn pop(shared: &Shared) -> Option<Job> {
+    let q = lock(&shared.queue);
+    let mut q = shared
+        .available
+        .wait_while(q, |q| q.is_empty() && shared.open.load(Ordering::Acquire))
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    q.pop_front()
 }
 
+/// Runs jobs one at a time, replying to each. Inference panics (poisoned
+/// engines recover on the next checkout) are contained here so one bad
+/// request cannot kill a dispatcher.
 fn dispatch_loop(shared: &Shared) {
-    while let Some(batch) = pop_batch(shared) {
+    while let Some(job) = pop(shared) {
         shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-        dispatch(shared, batch);
-    }
-}
-
-/// Runs one coalesced batch and replies to every job. Inference panics
-/// (poisoned engines recover on the next checkout) are contained here so
-/// one bad request cannot kill a dispatcher.
-fn dispatch(shared: &Shared, batch: Vec<Job>) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if batch.len() == 1 {
-            // Fallible checkout: a would-be same-thread deadlock surfaces
-            // as a typed CheckoutError instead of hanging the dispatcher.
-            match shared.session.try_infer(&batch[0].cloud) {
-                Ok(inference) => Ok(vec![inference]),
-                Err(e) => Err(e.to_string()),
-            }
-        } else {
-            let clouds: Vec<&PointCloud> = batch.iter().map(|j| &j.cloud).collect();
-            Ok(shared.session.infer_batch(&clouds))
-        }
-    }));
-    match outcome {
-        Ok(Ok(inferences)) => {
-            debug_assert_eq!(inferences.len(), batch.len());
-            for (job, inference) in batch.iter().zip(inferences) {
+        let session = &shared.session;
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.infer(&job.cloud))) {
+            Ok(inference) => {
                 shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                let _ =
-                    job.reply.send(Frame::Result { id: job.id, mats: inference_mats(inference) });
+                let mats = inference_mats(inference);
+                let _ = job.reply.send(Frame::Result { id: job.id, mats });
             }
-        }
-        Ok(Err(msg)) => {
-            for job in &batch {
-                reject(job, ErrorCode::Unavailable, &msg);
-            }
-        }
-        Err(_) => {
-            for job in &batch {
-                reject(job, ErrorCode::Unavailable, "inference panicked on this batch");
-            }
+            Err(_) => reject(&job, ErrorCode::Unavailable, "inference panicked on this request"),
         }
     }
 }
@@ -260,7 +209,8 @@ fn inference_mats(inference: Inference) -> Vec<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesorasi_networks::{NetworkKind, SessionBuilder};
+    use mesorasi_core::Strategy;
+    use mesorasi_networks::{Domain, NetForward, NetworkKind, PointCloudNetwork, SessionBuilder};
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 
     fn tiny_session() -> Arc<Session> {
@@ -297,10 +247,8 @@ mod tests {
         let n = session.network().input_points();
         // One dispatcher, queue depth 2: stall the dispatcher with a first
         // job, then overfill the queue and watch the oldest queued job go.
-        let scheduler = Scheduler::start(
-            session,
-            SchedulerConfig { queue_depth: 2, max_batch: 1, dispatchers: 1 },
-        );
+        let scheduler =
+            Scheduler::start(session, SchedulerConfig { queue_depth: 2, dispatchers: 1 });
         let (tx, rx) = mpsc::channel();
         for id in 0..8u64 {
             scheduler.submit(Job {
@@ -312,7 +260,8 @@ mod tests {
         drop(tx);
         let mut shed_ids = Vec::new();
         let mut ok_ids = Vec::new();
-        while let Ok(frame) = rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        // Every request gets a typed outcome.
+        for frame in replies(&rx, 8) {
             match frame {
                 Frame::Error { id, code, message } => {
                     assert_eq!(code, ErrorCode::Shed, "id {id}: {message}");
@@ -322,11 +271,7 @@ mod tests {
                 Frame::Result { id, .. } => ok_ids.push(id),
                 other => panic!("unexpected frame {other:?}"),
             }
-            if shed_ids.len() + ok_ids.len() == 8 {
-                break;
-            }
         }
-        assert_eq!(shed_ids.len() + ok_ids.len(), 8, "every request gets a typed outcome");
         assert!(!shed_ids.is_empty(), "overflow must shed");
         // Shed-oldest: every shed id is smaller than the newest admitted id.
         let newest_ok = ok_ids.iter().max().expect("some requests succeed");
@@ -339,41 +284,101 @@ mod tests {
         scheduler.shutdown();
     }
 
+    /// Collects `total` replies, failing on a silent hang.
+    fn replies(rx: &mpsc::Receiver<Frame>, total: usize) -> Vec<Frame> {
+        (0..total)
+            .map(|_| rx.recv_timeout(std::time::Duration::from_secs(60)).expect("reply"))
+            .collect()
+    }
+
     #[test]
-    fn same_shape_requests_coalesce_into_batches() {
+    fn one_dispatcher_answers_a_backlog_in_fifo_order_one_dispatch_each() {
         let session = tiny_session();
         let n = session.network().input_points();
-        let scheduler = Scheduler::start(
-            session,
-            SchedulerConfig { queue_depth: 64, max_batch: 8, dispatchers: 1 },
-        );
-        // Stall dispatch long enough to build a backlog by submitting
-        // everything before the dispatcher can drain: the first dispatch
-        // compiles the plan (slow), the rest then coalesce.
+        let scheduler =
+            Scheduler::start(session, SchedulerConfig { queue_depth: 64, dispatchers: 1 });
+        // The first dispatch compiles the plan (slow), so the rest queue
+        // behind it: a same-shape backlog, answered one request at a time.
         let (tx, rx) = mpsc::channel();
         let total = 12u64;
         for id in 0..total {
             scheduler.submit(Job {
                 id,
-                cloud: sample_shape(ShapeClass::Cup, n, 3),
+                cloud: sample_shape(ShapeClass::Cup, n, id),
                 reply: tx.clone(),
             });
         }
         drop(tx);
-        let mut got = 0;
-        while got < total {
-            match rx.recv_timeout(std::time::Duration::from_secs(60)).expect("reply") {
-                Frame::Result { .. } => got += 1,
+        let ids: Vec<u64> = replies(&rx, total as usize)
+            .into_iter()
+            .map(|frame| match frame {
+                Frame::Result { id, .. } => id,
                 other => panic!("unexpected frame {other:?}"),
-            }
-        }
+            })
+            .collect();
+        assert_eq!(ids, (0..total).collect::<Vec<_>>(), "FIFO order");
         let stats = scheduler.stats();
-        assert_eq!(stats.served, total);
+        assert_eq!((stats.batches, stats.served), (total, total));
+        scheduler.shutdown();
+    }
+
+    /// Delegates to a real network but panics on an empty cloud.
+    struct PanicsOnEmpty(Box<dyn PointCloudNetwork>);
+
+    impl PointCloudNetwork for PanicsOnEmpty {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn input_points(&self) -> usize {
+            self.0.input_points()
+        }
+
+        fn domain(&self) -> Domain {
+            self.0.domain()
+        }
+
+        fn forward(
+            &self,
+            g: &mut mesorasi_nn::Graph,
+            cloud: &PointCloud,
+            strategy: Strategy,
+            seed: u64,
+        ) -> NetForward {
+            assert!(!cloud.is_empty(), "injected failure on an empty cloud");
+            self.0.forward(g, cloud, strategy, seed)
+        }
+
+        fn boxed_clone(&self) -> Box<dyn PointCloudNetwork> {
+            Box::new(PanicsOnEmpty(self.0.boxed_clone()))
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut mesorasi_nn::Param> {
+            self.0.params_mut()
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_gets_unavailable_and_the_dispatcher_serves_on() {
+        let inner = NetworkKind::PointNetPPClassification
+            .build_small(3, &mut mesorasi_pointcloud::seeded_rng(0));
+        let n = inner.input_points();
+        let session =
+            Arc::new(SessionBuilder::from_network(PanicsOnEmpty(inner)).workers(1).build());
+        let scheduler =
+            Scheduler::start(session, SchedulerConfig { queue_depth: 64, dispatchers: 1 });
+        let (tx, rx) = mpsc::channel();
+        scheduler.submit(Job { id: 0, cloud: PointCloud::new(), reply: tx.clone() });
+        scheduler.submit(Job { id: 1, cloud: sample_shape(ShapeClass::Chair, n, 1), reply: tx });
+        let got = replies(&rx, 2);
         assert!(
-            stats.batches < total,
-            "same-shape backlog must coalesce: {} dispatches for {total} requests",
-            stats.batches
+            matches!(&got[0], Frame::Error { id: 0, code: ErrorCode::Unavailable, .. }),
+            "expected Unavailable for the panicking request, got {:?}",
+            got[0]
         );
+        assert!(matches!(&got[1], Frame::Result { id: 1, .. }), "got {:?}", got[1]);
+        let stats = scheduler.stats();
+        assert_eq!((stats.batches, stats.served), (2, 1));
         scheduler.shutdown();
     }
 

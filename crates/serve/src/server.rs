@@ -1,13 +1,13 @@
 //! The TCP server: accept loop, per-connection reader/writer threads, and
-//! the wiring from sockets into the batching [scheduler](crate::scheduler).
+//! the wiring from sockets into the [scheduler](crate::scheduler).
 //!
 //! Connection lifecycle: on accept the server immediately sends
 //! [`Frame::Hello`] (version, domain, native input size, and the hard
 //! per-request point limit), then reads
 //! frames until EOF. Each [`Frame::Infer`] is submitted to the scheduler;
 //! replies flow back through a per-connection channel drained by a writer
-//! thread, so slow dispatches never block the reader and responses from a
-//! coalesced batch interleave correctly across connections. A malformed
+//! thread, so slow dispatches never block the reader and responses from
+//! several dispatchers interleave correctly across connections. A malformed
 //! frame gets a typed [`ErrorCode::Malformed`] reply and closes the
 //! connection — the byte stream can no longer be trusted after a framing
 //! error.
@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 pub struct ServerConfig {
     /// Bind address (default `127.0.0.1:0`).
     pub addr: String,
-    /// Scheduler knobs: queue bound, batch ceiling, dispatcher count.
+    /// Scheduler knobs: queue bound and dispatcher count.
     pub scheduler: SchedulerConfig,
 }
 
@@ -319,7 +319,7 @@ mod tests {
         let server = Server::spawn(
             session,
             ServerConfig {
-                scheduler: SchedulerConfig { queue_depth: 2, max_batch: 1, dispatchers: 1 },
+                scheduler: SchedulerConfig { queue_depth: 2, dispatchers: 1 },
                 ..ServerConfig::default()
             },
         )
