@@ -892,9 +892,27 @@ mod tests {
 
     #[test]
     fn a_live_frame_stream_leaves_the_session_callable_on_its_own_thread() {
-        // One worker, and the stream's thread calls the whole-pool methods
-        // and `infer` between its frames: the stream holds no lock between
-        // frames, so each call takes the one engine and returns.
+        // One worker, and the stream's thread calls `infer` between its
+        // frames: the stream holds no lock between frames, so the call takes
+        // the one engine and returns the stream's result bit for bit.
+        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(3)
+            .workers(1)
+            .build();
+        let n = session.network().input_points();
+        let (a, b) = (sample_shape(ShapeClass::Chair, n, 1), sample_shape(ShapeClass::Car, n, 2));
+        let mut frames = session.frames();
+        let first = frames.infer(&a);
+        assert_eq!(session.infer(&a), first);
+        assert_eq!(frames.infer(&a), first);
+        assert_eq!(frames.infer(&b), session.infer(&b));
+    }
+
+    #[test]
+    fn whole_pool_visitors_complete_on_a_live_frame_streams_thread() {
+        // One worker, and the stream's thread visits every engine between
+        // its frames: each visitor locks the one engine, returns, and leaves
+        // the stream's next frame unchanged.
         let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(3)
             .workers(1)
@@ -904,11 +922,11 @@ mod tests {
         let mut frames = session.frames();
         let first = frames.infer(&a);
         session.warm(&b);
-        let single = session.infer(&a);
         assert!(session.search_counters().query_calls > 0);
-        assert_eq!(single, first);
+        assert!(session.cache_stats().entries > 0);
+        assert!(session.arena_stats(n).is_some());
+        assert_eq!(session.compiled_plans(), 1);
         assert_eq!(frames.infer(&a), first);
-        assert_eq!(frames.infer(&b), session.infer(&b));
     }
 
     #[test]
