@@ -222,8 +222,7 @@ fn main() {
         emit("");
         emit("`repro bench-diff` compares a bench artifact (--current, or a");
         emit("fresh in-process run) against a committed baseline per (op,");
-        emit("backend, threads, points, mode) record (older artifacts' f64");
-        emit("rows keep a dtype key of their own and match nothing), printing a");
+        emit("backend, threads, points, mode) record, printing a");
         emit("trajectory table and exiting non-zero when any shared");
         emit("configuration is more than --threshold (default 1.5) times slower.");
         return;

@@ -11,9 +11,8 @@
 //! smoke gate — shows up as a trajectory regression.
 //!
 //! Records are matched on their full identity: `(op, backend, threads,
-//! points, mode)` (see [`crate::perf::BenchRecord`]), plus the `dtype` that
-//! records of older artifacts carry where they timed an `f64` tier; an
-//! artifact that carries one identity twice is rejected when it is read. Keys
+//! points, mode)` (see [`crate::perf::BenchRecord`]); an artifact that
+//! carries one identity twice is rejected when it is read. Keys
 //! present on only one side are reported but never fail the gate — new
 //! kernels appear and old ones retire as the repo grows, and a trajectory
 //! gate that punished adding a benchmark would teach people not to add
@@ -265,10 +264,6 @@ pub struct DiffRecord {
     pub backend: String,
     /// Thread count of the measurement.
     pub threads: u64,
-    /// Element type: `"f32"` when the record carries no `dtype` field, as
-    /// every record written now; older artifacts also hold `"f64"` rows,
-    /// which match nothing a current run measures.
-    pub dtype: String,
     /// Cloud size, on large-cloud records.
     pub points: Option<u64>,
     /// Configuration variant (`"deep"`); `None` when the record carries no
@@ -282,9 +277,6 @@ impl DiffRecord {
     /// Human-readable identity, used as the match key and in tables.
     pub fn key(&self) -> String {
         let mut k = format!("{}/{}", self.op, self.backend);
-        if self.dtype != "f32" {
-            let _ = write!(k, "[{}]", self.dtype);
-        }
         if let Some(n) = self.points {
             let _ = write!(k, "[n={n}]");
         }
@@ -354,7 +346,6 @@ pub fn parse_report(src: &str) -> Result<ParsedReport, String> {
             op: field_str("op")?,
             backend: field_str("backend")?,
             threads: field_num("threads")? as u64,
-            dtype: r.get("dtype").and_then(Json::as_str).unwrap_or("f32").to_owned(),
             points: r.get("points").and_then(Json::as_f64).map(|n| n as u64),
             mode: r.get("mode").and_then(Json::as_str).map(str::to_owned),
             ns_per_op: field_num("ns_per_op")?,
@@ -556,33 +547,8 @@ mod tests {
         assert_eq!(parsed.tier.as_deref(), Some("avx2"));
         assert!(!parsed.smoke);
         assert_eq!(parsed.records.len(), 2);
-        assert!(parsed.records.iter().all(|r| r.dtype == "f32"));
         assert_eq!(parsed.records[0].key(), "matmul/tensor @2t");
         assert_eq!(parsed.records[1].key(), "matmul/naive @1t");
-    }
-
-    #[test]
-    fn legacy_f64_rows_are_read_apart_and_never_gate() {
-        // Older artifacts timed the matmul tier at f64 too: such a row keeps
-        // its own key, so it neither collides with the f32 row of the same
-        // configuration nor is compared against it.
-        let baseline = parse_report(
-            r#"{ "schema": "mesorasi-bench/9", "smoke": false, "records": [
-            { "op": "matmul", "backend": "tensor", "threads": 1, "ns_per_op": 1000.0 },
-            { "op": "matmul", "backend": "tensor", "threads": 1, "dtype": "f64",
-              "ns_per_op": 10.0 }
-        ] }"#,
-        )
-        .expect("a legacy baseline parses");
-        assert_eq!(baseline.records[1].dtype, "f64");
-        assert_eq!(baseline.records[1].key(), "matmul/tensor[f64] @1t");
-        let current =
-            parse_report(&report(false, vec![record("matmul", "tensor", 1, 1000.0)]).to_json())
-                .unwrap();
-        let d = diff(&baseline, &current, DEFAULT_THRESHOLD).unwrap();
-        assert!(d.regressions().is_empty());
-        assert_eq!(d.only_baseline, vec!["matmul/tensor[f64] @1t"]);
-        assert!(d.only_current.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The approximate-distributivity identity (paper Equ. 3) and tools to
-//! measure the error the ReLU non-linearity introduces.
+//! The approximate-distributivity identity (paper Equ. 3), exact for the
+//! linear part of an MLP.
 //!
 //! Without the activation function, an MLP distributes *exactly* over the
 //! subtraction in aggregation:
@@ -10,24 +10,10 @@
 //!
 //! With φ = ReLU between layers the two sides differ; delayed-aggregation
 //! accepts that difference and recovers accuracy by training (Fig. 16).
-//! These helpers quantify the divergence so tests — and the accuracy
-//! experiment — can assert it is bounded and shrinks as activations leave
-//! the clipping region.
 
 use mesorasi_tensor::{ops, Matrix};
 
-/// Applies a bias-free MLP `x ↦ φ(…φ(x·W₁)·W₂…)` with ReLU between layers
-/// (and after the last, matching point-cloud modules).
-pub fn mlp_forward(x: &Matrix, weights: &[Matrix]) -> Matrix {
-    assert!(!weights.is_empty(), "at least one layer");
-    let mut h = x.clone();
-    for w in weights {
-        h = ops::relu(&ops::matmul(&h, w));
-    }
-    h
-}
-
-/// Applies the same MLP without any non-linearity.
+/// Applies a bias-free MLP `x ↦ x·W₁·W₂·…` without any non-linearity.
 pub fn linear_forward(x: &Matrix, weights: &[Matrix]) -> Matrix {
     assert!(!weights.is_empty(), "at least one layer");
     let mut h = x.clone();
@@ -35,25 +21,6 @@ pub fn linear_forward(x: &Matrix, weights: &[Matrix]) -> Matrix {
         h = ops::matmul(&h, w);
     }
     h
-}
-
-/// Left side of Equ. 3: the MLP applied to the difference `a − b`.
-pub fn mlp_of_difference(a: &Matrix, b: &Matrix, weights: &[Matrix]) -> Matrix {
-    mlp_forward(&ops::sub(a, b), weights)
-}
-
-/// Right side of Equ. 3: the difference of the MLP applied to each operand.
-pub fn difference_of_mlp(a: &Matrix, b: &Matrix, weights: &[Matrix]) -> Matrix {
-    ops::sub(&mlp_forward(a, weights), &mlp_forward(b, weights))
-}
-
-/// Relative divergence between the two sides of Equ. 3 under ReLU:
-/// `‖lhs − rhs‖_F / max(‖lhs‖_F, ε)`.
-pub fn relative_divergence(a: &Matrix, b: &Matrix, weights: &[Matrix]) -> f32 {
-    let lhs = mlp_of_difference(a, b, weights);
-    let rhs = difference_of_mlp(a, b, weights);
-    let err = ops::sub(&lhs, &rhs).frobenius_norm();
-    err / lhs.frobenius_norm().max(1e-6)
 }
 
 #[cfg(test)]
@@ -82,63 +49,5 @@ mod tests {
         let lhs = linear_forward(&ops::sub(&a, &b), &weights);
         let rhs = ops::sub(&linear_forward(&a, &weights), &linear_forward(&b, &weights));
         assert!(ops::sub(&lhs, &rhs).max_abs() < 1e-4, "linear part must be exact (Equ. 3)");
-    }
-
-    #[test]
-    fn relu_breaks_exactness() {
-        let weights = random_weights(&[3, 16, 8], 4);
-        let a = random_matrix(20, 3, 5);
-        let b = random_matrix(20, 3, 6);
-        assert!(relative_divergence(&a, &b, &weights) > 0.0);
-    }
-
-    #[test]
-    fn divergence_vanishes_in_the_positive_orthant() {
-        // If every pre-activation stays positive, ReLU is the identity and
-        // the distribution is exact again. Use positive weights and inputs
-        // with a ≥ b elementwise.
-        let mut rng = mesorasi_pointcloud::seeded_rng(7);
-        let weights: Vec<Matrix> = [(3usize, 8usize), (8, 4)]
-            .iter()
-            .map(|&(i, o)| Matrix::from_fn(i, o, |_, _| rng.gen_range(0.1..0.5f32)))
-            .collect();
-        let b = Matrix::from_fn(10, 3, |_, _| rng.gen_range(0.1..0.5f32));
-        let diff = Matrix::from_fn(10, 3, |_, _| rng.gen_range(0.1..0.5f32));
-        let a = ops::add(&b, &diff);
-        // a − b ≥ 0, weights ≥ 0 ⇒ all pre-activations on both sides ≥ 0.
-        let d = relative_divergence(&a, &b, &weights);
-        assert!(d < 1e-5, "no clipping ⇒ exact, got divergence {d}");
-    }
-
-    #[test]
-    fn divergence_is_bounded_for_realistic_scales() {
-        // For unit-scale inputs and Xavier-scale weights the divergence must
-        // stay within the activation scale — the property that makes
-        // retraining able to absorb it (Fig. 16).
-        let weights = random_weights(&[3, 32, 32], 8);
-        let a = random_matrix(64, 3, 9);
-        let b = random_matrix(64, 3, 10);
-        let d = relative_divergence(&a, &b, &weights);
-        assert!(d < 2.0, "divergence should be O(1), got {d}");
-    }
-
-    #[test]
-    fn deeper_mlps_diverge_at_least_as_much_on_average() {
-        // Each extra non-linearity adds clipping error; check the trend on
-        // an ensemble to avoid flakiness from a single draw.
-        let mut shallow_total = 0.0f32;
-        let mut deep_total = 0.0f32;
-        for seed in 0..10 {
-            let shallow = random_weights(&[3, 16], 100 + seed);
-            let deep = random_weights(&[3, 16, 16, 16], 200 + seed);
-            let a = random_matrix(32, 3, 300 + seed);
-            let b = random_matrix(32, 3, 400 + seed);
-            shallow_total += relative_divergence(&a, &b, &shallow);
-            deep_total += relative_divergence(&a, &b, &deep);
-        }
-        assert!(
-            deep_total > shallow_total,
-            "deeper stacks should diverge more: deep {deep_total} vs shallow {shallow_total}"
-        );
     }
 }

@@ -30,10 +30,9 @@
 //! weights at compile time, and cached NITs for feature-space searches are
 //! only valid while the weights that produced those features stay put.
 
-use crate::config::EngineConfig;
 use crate::module::NeighborMode;
 use crate::runner::{search_nit_into, search_stencils_into, select_centroids_into};
-use crate::sample_cache::{SampleCache, SampleCacheStats};
+use crate::sample_cache::{SampleCache, SampleCacheStats, SAMPLE_CACHE_CAP};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_knn::{NeighborIndexTable, SearchContext};
 use mesorasi_nn::ir::VarId;
@@ -146,13 +145,6 @@ pub(crate) enum IndexRole {
     Repeated,
 }
 
-/// A position state registered during recording. `positions` is `None` for
-/// states whose positions cannot be re-derived (group-all outputs) — legal
-/// as long as no later step needs them.
-struct StateRec {
-    positions: Option<PointCloud>,
-}
-
 struct OpenSearch {
     at: usize,
     state_in: usize,
@@ -172,7 +164,10 @@ struct OpenSearch {
 pub(crate) struct Recording {
     steps: Vec<DynStep>,
     marks: DynMarks,
-    states: Vec<StateRec>,
+    /// One flag per registered position state: whether replay can
+    /// re-derive its positions. Group-all outputs cannot, which is legal
+    /// as long as no later step needs them.
+    derivable: Vec<bool>,
     state_by_var: HashMap<usize, usize>,
     open: Option<OpenSearch>,
     error: Option<String>,
@@ -197,11 +192,11 @@ pub(crate) mod rec {
     }
 
     /// Registers an input state created by `ModuleState::from_cloud[_derived_into]`.
-    pub(crate) fn input_state(input_var: VarId, cloud: &PointCloud, source: Option<StateSource>) {
+    pub(crate) fn input_state(input_var: VarId, source: Option<StateSource>) {
         with(|rec| {
             let source = match source {
                 Some(s) => s,
-                None if rec.states.is_empty() => StateSource::Sample,
+                None if rec.derivable.is_empty() => StateSource::Sample,
                 None => {
                     rec.error = Some(
                         "a mid-network input state has no derivation; create it with \
@@ -211,8 +206,8 @@ pub(crate) mod rec {
                     return;
                 }
             };
-            let state = rec.states.len();
-            rec.states.push(StateRec { positions: Some(cloud.clone()) });
+            let state = rec.derivable.len();
+            rec.derivable.push(true);
             rec.state_by_var.insert(input_var.index(), state);
             rec.steps.push(DynStep::Input {
                 at: input_var.index(),
@@ -241,7 +236,7 @@ pub(crate) mod rec {
                 ));
                 return;
             };
-            if rec.states[state_in].positions.is_none() {
+            if !rec.derivable[state_in] {
                 rec.error =
                     Some("a searching module consumes a group-all output's positions".into());
                 return;
@@ -285,11 +280,11 @@ pub(crate) mod rec {
     }
 
     /// Closes the open search, registering the module's output state.
-    pub(crate) fn end_search(out_features: VarId, out_positions: &PointCloud) {
+    pub(crate) fn end_search(out_features: VarId) {
         with(|rec| {
             let Some(open) = rec.open.take() else { return };
-            let state_out = rec.states.len();
-            rec.states.push(StateRec { positions: Some(out_positions.clone()) });
+            let state_out = rec.derivable.len();
+            rec.derivable.push(true);
             rec.state_by_var.insert(out_features.index(), state_out);
             rec.steps.push(DynStep::Search {
                 at: open.at,
@@ -329,8 +324,8 @@ pub(crate) mod rec {
     /// but its positions are not re-derivable per sample.
     pub(crate) fn global_state(out_features: VarId) {
         with(|rec| {
-            let state = rec.states.len();
-            rec.states.push(StateRec { positions: None });
+            let state = rec.derivable.len();
+            rec.derivable.push(false);
             rec.state_by_var.insert(out_features.index(), state);
         });
     }
@@ -340,20 +335,13 @@ pub(crate) mod rec {
     /// broadcast path, whose gather indices are structural).
     pub(crate) fn feature_propagation(
         coarse_features: VarId,
-        fine_positions: &PointCloud,
+        fine_features: VarId,
         stencil_var: Option<VarId>,
         out_features: VarId,
     ) {
         with(|rec| {
-            // Resolve the fine level by position equality with a known
-            // state — the runner API passes positions, not states.
-            let fine = rec
-                .states
-                .iter()
-                .position(|s| s.positions.as_ref().is_some_and(|p| p.content_eq(fine_positions)));
-            let Some(fine) = fine else {
-                rec.error =
-                    Some("feature propagation targets positions of no registered state".into());
+            let Some(&fine) = rec.state_by_var.get(&fine_features.index()) else {
+                rec.error = Some("feature propagation's fine state is unregistered".into());
                 return;
             };
             if let Some(var) = stencil_var {
@@ -361,7 +349,7 @@ pub(crate) mod rec {
                     rec.error = Some("feature propagation coarse state is unregistered".into());
                     return;
                 };
-                if rec.states[coarse].positions.is_none() {
+                if !rec.derivable[coarse] {
                     rec.error =
                         Some("feature propagation interpolates from a group-all output".into());
                     return;
@@ -386,7 +374,7 @@ struct Compiled {
     /// Steps that survived plan dead-code elimination.
     step_live: Vec<bool>,
     arena: Arena,
-    /// NIT cache: hash-keyed, true-LRU bindings per seen sample.
+    /// NIT cache: content-keyed, true-LRU bindings per seen sample.
     samples: SampleCache,
     /// The search arena: per-space reusable index storage, keyed by
     /// module-state id so streaming frames rebuild indices in place.
@@ -477,38 +465,22 @@ pub struct EngineStats {
 /// (repeated samples) allocates nothing. For frame sequences that never
 /// repeat, [`PlanEngine::run_streamed`] bypasses the cache and reuses a
 /// persistent search arena instead.
+#[derive(Default)]
 pub struct PlanEngine {
     compiled: Vec<Compiled>,
-    config: EngineConfig,
-}
-
-impl Default for PlanEngine {
-    fn default() -> PlanEngine {
-        PlanEngine::new()
-    }
 }
 
 impl PlanEngine {
-    /// An engine with no compiled plans yet, on the built-in default
-    /// configuration.
-    pub fn new() -> PlanEngine {
-        PlanEngine::with_config(EngineConfig::default())
-    }
-
-    /// An engine with no compiled plans yet, configured by `config` for
-    /// its whole lifetime.
+    /// An engine with no compiled plans yet.
     ///
-    /// Batch searches split across the worker pool wherever
-    /// `mesorasi_par::chunk_len`'s cost model says the work pays for it,
-    /// each worker drawing pooled scratch; outputs are bit-identical at
-    /// every thread count.
-    pub fn with_config(config: EngineConfig) -> PlanEngine {
-        PlanEngine { compiled: Vec::new(), config }
-    }
-
-    /// The configuration this engine was built with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
+    /// Nothing about an engine is configurable, and none of it changes
+    /// results: each compiled plan caches the bindings of up to
+    /// [`SAMPLE_CACHE_CAP`] samples, every coordinate search runs on the
+    /// octree, and batch searches split across the worker pool wherever
+    /// `mesorasi_par::chunk_len`'s cost model says the work pays for it;
+    /// outputs are bit-identical at every thread count.
+    pub fn new() -> PlanEngine {
+        PlanEngine::default()
     }
 
     /// NIT sample-cache traffic summed over every compiled plan.
@@ -544,7 +516,7 @@ impl PlanEngine {
         match samples.get(hash, cloud) {
             Some(bindings) => {
                 // Steady state: pure planned tensor execution, no searches,
-                // no allocation (the LRU relink is pointer surgery).
+                // no allocation (a hit only restamps its slot).
                 plan.run(arena, bindings);
             }
             None => {
@@ -650,14 +622,14 @@ impl PlanEngine {
         let (plan, arena) = Plan::from_graph(&g, &outputs, &recording.marks);
         plan.check_no_aliasing();
         let step_live = compute_step_live(&plan, &recording);
-        let n_states = recording.states.len();
+        let n_states = recording.derivable.len();
         self.compiled.push(Compiled {
             n_points: cloud.len(),
             plan,
             steps: recording.steps,
             step_live,
             arena,
-            samples: SampleCache::new(self.config.sample_cache_cap),
+            samples: SampleCache::new(SAMPLE_CACHE_CAP),
             search: SearchContext::new(),
             nit: NeighborIndexTable::default(),
             centroids: Vec::new(),
@@ -685,7 +657,7 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
         stencil_live[bid] = stencil_live[bid] || plan.is_live(node);
     }
 
-    let mut needed_state = vec![false; recording.states.len()];
+    let mut needed_state = vec![false; recording.derivable.len()];
     let mut live = vec![false; recording.steps.len()];
     for (si, step) in recording.steps.iter().enumerate().rev() {
         match step {
@@ -952,14 +924,7 @@ mod tests {
         let record = |g: &mut Graph, cloud: &PointCloud| {
             let state = ModuleState::from_cloud(g, cloud);
             let coarse = runner::run_module(g, &module, &state, Strategy::Delayed, 5).state;
-            let (up, _) = runner::run_feature_propagation(
-                g,
-                &fp_mlp,
-                &coarse,
-                &state.positions,
-                Some(state.features),
-                "fp",
-            );
+            let (up, _) = runner::run_feature_propagation(g, &fp_mlp, &coarse, &state, "fp");
             vec![up.features]
         };
         let mut engine = PlanEngine::new();
@@ -1059,21 +1024,21 @@ mod tests {
 
     #[test]
     fn mixed_traffic_has_no_full_clear_cache_cliff() {
-        // The serving workload that exposed the old bug: a hot sample
-        // interleaved with unbounded fresh traffic. The wholesale-clear
-        // cache dropped the hot entry every time a fresh burst crossed the
-        // cap; true LRU must keep the hot sample's hit rate at 100% across
-        // more distinct samples than the cache holds.
+        // A hot sample interleaved with unbounded fresh traffic, as serving
+        // sees it. A cache cleared wholesale at capacity would drop the hot
+        // entry each time fresh traffic fills it; true LRU must keep the
+        // hot sample's hit rate at 100% across more distinct samples than
+        // the cache holds.
         let module = offset_module(NeighborMode::CoordKnn);
         let record = |g: &mut Graph, cloud: &PointCloud| {
             let state = ModuleState::from_cloud(g, cloud);
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::with_config(EngineConfig { sample_cache_cap: 8 });
+        let mut engine = PlanEngine::new();
         let hot = sample_shape(ShapeClass::Chair, 64, 1000);
         let want = engine.run(&hot, &record).get(0).clone();
-        let fresh_count = 32; // 4× the cap: would trigger 4 wholesale clears
+        let fresh_count = SAMPLE_CACHE_CAP as u64 + 8;
         for seed in 0..fresh_count {
             let fresh = sample_shape(ShapeClass::Cup, 64, seed);
             let _ = engine.run(&fresh, &record);
@@ -1085,10 +1050,11 @@ mod tests {
         assert_eq!(cache.hits, fresh_count, "hot sample never evicted");
         assert_eq!(cache.misses, 1 + fresh_count);
         assert!(cache.hit_rate() > 0.45, "hit rate floor, got {}", cache.hit_rate());
-        assert_eq!(cache.entries, 8, "cache stays full, never cleared");
-        // 1 hot + 32 fresh inserts into 8 slots: the first 8 fill, the
-        // remaining 25 each evict exactly one entry.
-        assert_eq!(cache.evictions, fresh_count - 7, "one eviction per overflow");
+        assert_eq!(cache.entries, SAMPLE_CACHE_CAP, "cache stays full, never cleared");
+        // 1 hot + `cap + 8` fresh inserts into `cap` slots: the first `cap`
+        // fill, the remaining 9 each evict exactly one entry.
+        let overflow = 1 + fresh_count - SAMPLE_CACHE_CAP as u64;
+        assert_eq!(cache.evictions, overflow, "one eviction per overflow");
     }
 
     #[test]
@@ -1101,14 +1067,17 @@ mod tests {
             let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
             vec![out.state.features]
         };
-        let mut engine = PlanEngine::with_config(EngineConfig { sample_cache_cap: 2 });
+        let mut engine = PlanEngine::new();
         let victim = sample_shape(ShapeClass::Lamp, 64, 7);
         let want = engine.run(&victim, &record).get(0).clone();
-        for seed in 0..4 {
+        let flood = SAMPLE_CACHE_CAP as u64 + 8;
+        for seed in 0..flood {
             let _ = engine.run(&sample_shape(ShapeClass::Table, 64, seed), &record);
         }
         let evictions_before = engine.sample_cache_stats().evictions;
-        assert!(evictions_before >= 3, "victim must have been evicted");
+        // 1 victim + `cap + 8` flood inserts: 9 evictions, the victim (least
+        // recently used) first.
+        assert_eq!(evictions_before, 1 + flood - SAMPLE_CACHE_CAP as u64);
         let misses_before = engine.sample_cache_stats().misses;
         let again = engine.run(&victim, &record).get(0).clone();
         assert_eq!(again, want, "re-derived output differs from the cached one");
@@ -1135,7 +1104,7 @@ mod tests {
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 1);
         assert_eq!(stats.cache.entries, 1);
-        assert_eq!(stats.cache.capacity, crate::DEFAULT_SAMPLE_CACHE_CAP);
+        assert_eq!(stats.cache.capacity, SAMPLE_CACHE_CAP);
         assert_eq!(stats.cache.evictions, 0);
     }
 

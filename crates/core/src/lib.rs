@@ -21,8 +21,7 @@
 //! * [`trace`] — workload traces: per-module operator lists with real
 //!   neighbor index tables, consumed by `mesorasi-sim`'s hardware models
 //!   and counted for the MACs and footprints of Figs. 7, 9 and 10,
-//! * [`distributivity`] — the Equ. 3 identity, exact for the linear part,
-//!   with utilities measuring the ReLU-induced approximation error.
+//! * [`distributivity`] — the Equ. 3 identity, exact for the linear part.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
 pub mod distributivity;
 pub mod engine;
 pub mod executor;
@@ -54,7 +52,6 @@ pub mod sample_cache;
 pub mod strategy;
 pub mod trace;
 
-pub use config::EngineConfig;
-pub use sample_cache::{SampleCacheStats, DEFAULT_SAMPLE_CACHE_CAP};
+pub use sample_cache::{SampleCacheStats, SAMPLE_CACHE_CAP};
 pub use strategy::Strategy;
 pub use trace::{ModuleTrace, NetworkTrace, Stage};

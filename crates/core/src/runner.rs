@@ -40,7 +40,7 @@ impl ModuleState {
     /// them.
     pub fn from_cloud(g: &mut Graph, cloud: &PointCloud) -> Self {
         let features = g.input(Matrix::from_vec(cloud.len(), 3, cloud.to_xyz_rows()));
-        rec::input_state(features, cloud, None);
+        rec::input_state(features, None);
         ModuleState { positions: cloud.clone(), features }
     }
 
@@ -57,7 +57,7 @@ impl ModuleState {
         derive: crate::engine::DeriveIntoFn,
     ) -> Self {
         let features = g.input(Matrix::from_vec(cloud.len(), 3, cloud.to_xyz_rows()));
-        rec::input_state(features, cloud, Some(StateSource::DerivedInto(derive)));
+        rec::input_state(features, Some(StateSource::DerivedInto(derive)));
         ModuleState { positions: cloud.clone(), features }
     }
 
@@ -278,7 +278,7 @@ pub fn run_module(
         (true, Strategy::LtdDelayed) => executor::ltd_edge(g, module, state.features, &nit),
         (true, Strategy::Delayed) => executor::delayed_edge(g, module, state.features, &nit),
     };
-    rec::end_search(features, &out_positions);
+    rec::end_search(features);
 
     let trace = build_module_trace(cfg.name.clone(), module, strategy, n_in, &nit, search_op);
     RunOutput { state: ModuleState { positions: out_positions, features }, trace, nit: Some(nit) }
@@ -449,13 +449,14 @@ fn build_module_trace(
 }
 
 /// Feature propagation (PointNet++'s segmentation upsampling): for each
-/// fine-level point, interpolate the 3 nearest coarse points' features with
-/// inverse-distance weights, concatenate skip features if given, and run a
-/// unit MLP. The 3-NN is a point-query search through the tape's search
-/// context ([`fp_stencils_into`]), planned and metered like every module
-/// search, and recorded as the trace's `SearchOp`. The paper's baseline
-/// moved this operator (`three_interpolate`) to the GPU (§VI, optimization
-/// 2); delayed-aggregation does not change it.
+/// point of the `fine` level, interpolate the 3 nearest coarse points'
+/// features with inverse-distance weights, concatenate them after the fine
+/// level's own features (the skip link), and run a unit MLP. The 3-NN is a
+/// point-query search through the tape's search context
+/// ([`fp_stencils_into`]), planned and metered like every module search,
+/// and recorded as the trace's `SearchOp`. The paper's baseline moved this
+/// operator (`three_interpolate`) to the GPU (§VI, optimization 2);
+/// delayed-aggregation does not change it.
 ///
 /// # Panics
 ///
@@ -465,11 +466,10 @@ pub fn run_feature_propagation(
     g: &mut Graph,
     mlp: &SharedMlp,
     coarse: &ModuleState,
-    fine_positions: &PointCloud,
-    skip_features: Option<VarId>,
+    fine: &ModuleState,
     trace_name: &str,
 ) -> (ModuleState, ModuleTrace) {
-    let n_fine = fine_positions.len();
+    let n_fine = fine.len();
     let n_coarse = coarse.len();
     assert!(n_coarse >= 1, "feature propagation needs at least one coarse point");
     let coarse_width = g.value(coarse.features).cols();
@@ -481,17 +481,14 @@ pub fn run_feature_propagation(
         g.gather(coarse.features, idx)
     } else {
         let (mut indices, mut weights) = (Vec::new(), Vec::new());
-        fp_stencils_into(&coarse.positions, fine_positions, &mut indices, &mut weights);
+        fp_stencils_into(&coarse.positions, &fine.positions, &mut indices, &mut weights);
         g.weighted_gather(coarse.features, indices, weights, 3)
     };
     let stencil_var = (n_coarse >= 3).then_some(interpolated);
 
-    let combined = match skip_features {
-        Some(skip) => g.hstack(skip, interpolated),
-        None => interpolated,
-    };
+    let combined = g.hstack(fine.features, interpolated);
     let features = mlp.forward(g, combined);
-    rec::feature_propagation(coarse.features, fine_positions, stencil_var, features);
+    rec::feature_propagation(coarse.features, fine.features, stencil_var, features);
 
     let interp_k = if n_coarse < 3 { 1 } else { 3 };
     let trace = ModuleTrace {
@@ -510,7 +507,7 @@ pub fn run_feature_propagation(
         other_flops: (n_fine as u64) * (interp_k as u64) * (coarse_width as u64) * 2,
         other_bytes: (n_fine as u64) * (interp_k as u64) * (coarse_width as u64) * 4,
     };
-    (ModuleState { positions: fine_positions.clone(), features }, trace)
+    (ModuleState { positions: fine.positions.clone(), features }, trace)
 }
 
 /// Runs a plain MLP head (fully-connected classifier layers) and records
@@ -692,12 +689,11 @@ mod tests {
     fn feature_propagation_upsamples() {
         let module = offset_module(vec![3, 16]);
         let mut rng = mesorasi_pointcloud::seeded_rng(4);
-        let fp_mlp = SharedMlp::new(&[16, 8], NormMode::None, true, &mut rng);
+        let fp_mlp = SharedMlp::new(&[3 + 16, 8], NormMode::None, true, &mut rng);
         let mut g = Graph::new();
-        let fine = cloud();
-        let state = ModuleState::from_cloud(&mut g, &fine);
+        let state = ModuleState::from_cloud(&mut g, &cloud());
         let coarse = run_module(&mut g, &module, &state, Strategy::Delayed, 7).state;
-        let (up, trace) = run_feature_propagation(&mut g, &fp_mlp, &coarse, &fine, None, "fp1");
+        let (up, trace) = run_feature_propagation(&mut g, &fp_mlp, &coarse, &state, "fp1");
         assert_eq!(up.len(), 96);
         assert_eq!(g.value(up.features).shape(), (96, 8));
         assert_eq!(trace.search.as_ref().unwrap().k, 3);
@@ -707,12 +703,11 @@ mod tests {
     fn feature_propagation_broadcasts_from_global() {
         let mut rng = mesorasi_pointcloud::seeded_rng(5);
         let gmod = Module::new(ModuleConfig::global("g", vec![3, 32]), NormMode::None, &mut rng);
-        let fp_mlp = SharedMlp::new(&[32, 16], NormMode::None, true, &mut rng);
+        let fp_mlp = SharedMlp::new(&[3 + 32, 16], NormMode::None, true, &mut rng);
         let mut g = Graph::new();
-        let fine = cloud();
-        let state = ModuleState::from_cloud(&mut g, &fine);
+        let state = ModuleState::from_cloud(&mut g, &cloud());
         let coarse = run_module(&mut g, &gmod, &state, Strategy::Original, 0).state;
-        let (up, _) = run_feature_propagation(&mut g, &fp_mlp, &coarse, &fine, None, "fp");
+        let (up, _) = run_feature_propagation(&mut g, &fp_mlp, &coarse, &state, "fp");
         assert_eq!(g.value(up.features).shape(), (96, 16));
     }
 

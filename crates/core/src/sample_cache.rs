@@ -1,45 +1,38 @@
-//! Hash-keyed, true-LRU cache of per-sample engine bindings.
+//! Content-keyed, true-LRU cache of per-sample engine bindings.
 //!
 //! The plan-and-execute engine caches the derived [`Bindings`] of every
 //! sample it has seen so repeated inference replays pure planned tensor
-//! code. The original cache was a flat `Vec` probed with a linear scan and
-//! **cleared wholesale** when it reached capacity — fine for bounded eval
-//! sets that fit entirely, but a serving workload mixing repeated and fresh
-//! traffic walks straight off that cliff: every 1024th fresh sample threw
-//! away the hot set, so the next wave of repeated requests all missed at
-//! once (a periodic latency spike), and every lookup paid O(entries)
-//! regardless.
+//! code. The cache is a slot vector stamped by a clock, the same discipline
+//! as the search arena's index slots (`mesorasi_knn::SearchContext`):
 //!
-//! This cache fixes both failure modes:
-//!
-//! * **lookup** is a hash-map probe on [`PointCloud::content_hash`] with a
-//!   [`PointCloud::content_eq`] collision guard — O(1) per request, and a
-//!   hit performs zero heap allocations (the LRU relink is pointer surgery
-//!   on preallocated slots);
-//! * **eviction** removes exactly one entry — the least recently used —
-//!   so hot samples survive unbounded fresh traffic and the hit rate
-//!   degrades smoothly instead of sawtoothing to zero.
+//! * **lookup** scans the slots for a matching [`PointCloud::content_hash`]
+//!   and confirms it with [`PointCloud::content_eq`], so a hash collision
+//!   can never return another sample's bindings; a hit only restamps its
+//!   slot and allocates nothing;
+//! * **eviction** overwrites exactly one slot, the least recently used, and
+//!   reuses its cloud buffer. It is never a wholesale clear: a cache
+//!   cleared at capacity drops the hot set together with the cold one, so
+//!   traffic mixing repeated and fresh samples would see every repeated
+//!   sample miss at once, once per capacity's worth of fresh samples. With
+//!   one LRU eviction per insert, hot samples survive unbounded fresh
+//!   traffic and the hit rate degrades smoothly.
 //!
 //! Eviction never affects results: a re-seen evicted sample is re-derived
 //! through the same deterministic search/stencil code, bit-identically.
 
 use mesorasi_nn::plan::Bindings;
 use mesorasi_pointcloud::PointCloud;
-use std::collections::HashMap;
 
-/// Default per-plan capacity — covers every eval set in the repo while
-/// bounding memory for unbounded streams (the original cache's cap, kept).
-pub const DEFAULT_SAMPLE_CACHE_CAP: usize = 1024;
-
-/// Sentinel for "no slot" in the intrusive LRU list.
-const NIL: usize = usize::MAX;
+/// Samples each compiled plan caches: every eval set in the repo fits,
+/// and memory stays bounded under unbounded streams.
+pub const SAMPLE_CACHE_CAP: usize = 1024;
 
 /// Traffic counters of one sample cache (monotonic since engine build).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SampleCacheStats {
     /// Entries currently cached.
     pub entries: usize,
-    /// Capacity (0 disables caching entirely).
+    /// Capacity.
     pub capacity: usize,
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -77,56 +70,28 @@ struct Slot {
     hash: u64,
     cloud: PointCloud,
     bindings: Bindings,
-    /// Towards more recently used (NIL at the head).
-    prev: usize,
-    /// Towards less recently used (NIL at the tail).
-    next: usize,
+    last_use: u64,
 }
 
-/// The cache: preallocated slots threaded onto an intrusive LRU list,
-/// indexed by content hash.
-pub struct SampleCache {
+/// The cache: at most `cap` slots, each stamped with the clock tick of its
+/// last use.
+pub(crate) struct SampleCache {
     cap: usize,
     slots: Vec<Slot>,
-    /// Content hash → slot ids carrying it (collisions are possible, so a
-    /// bucket may hold several slots; `content_eq` disambiguates).
-    by_hash: HashMap<u64, Vec<usize>>,
-    /// Most recently used slot, or NIL when empty.
-    head: usize,
-    /// Least recently used slot, or NIL when empty.
-    tail: usize,
+    clock: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
 impl SampleCache {
-    /// An empty cache holding at most `cap` samples (0 disables caching).
-    pub fn new(cap: usize) -> SampleCache {
-        SampleCache {
-            cap,
-            slots: Vec::new(),
-            by_hash: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// An empty cache holding at most `cap` samples.
+    pub(crate) fn new(cap: usize) -> SampleCache {
+        SampleCache { cap, slots: Vec::new(), clock: 0, hits: 0, misses: 0, evictions: 0 }
     }
 
     /// Current counters.
-    pub fn stats(&self) -> SampleCacheStats {
+    pub(crate) fn stats(&self) -> SampleCacheStats {
         SampleCacheStats {
             entries: self.slots.len(),
             capacity: self.cap,
@@ -136,178 +101,46 @@ impl SampleCache {
         }
     }
 
-    /// Looks up the bindings cached for `cloud` (whose content hash the
-    /// caller already computed). A hit promotes the entry to
-    /// most-recently-used and allocates nothing.
-    pub fn lookup(&mut self, hash: u64, cloud: &PointCloud) -> Option<&Bindings> {
-        let ids = self.by_hash.get(&hash)?.as_slice();
-        let slot = ids.iter().copied().find(|&i| self.slots[i].cloud.content_eq(cloud));
-        match slot {
-            Some(i) => {
-                self.hits += 1;
-                self.move_to_front(i);
-                Some(&self.slots[i].bindings)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// The bindings cached for `cloud`, whose content hash the caller
+    /// already computed. A hit marks the entry most recently used and
+    /// allocates nothing.
+    pub(crate) fn get(&mut self, hash: u64, cloud: &PointCloud) -> Option<&Bindings> {
+        let Some(slot) =
+            self.slots.iter_mut().find(|s| s.hash == hash && s.cloud.content_eq(cloud))
+        else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.clock += 1;
+        slot.last_use = self.clock;
+        Some(&slot.bindings)
     }
 
-    /// Records a lookup miss (the caller found no bucket for the hash at
-    /// all, so [`SampleCache::lookup`] never ran its counter).
-    fn note_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Looks up like [`SampleCache::lookup`] but counts the miss even when
-    /// the hash has no bucket. This is the entry point the engine uses.
-    pub fn get(&mut self, hash: u64, cloud: &PointCloud) -> Option<&Bindings> {
-        if self.by_hash.contains_key(&hash) {
-            self.lookup(hash, cloud)
-        } else {
-            self.note_miss();
-            None
-        }
-    }
-
-    /// Inserts freshly derived bindings for `cloud`, evicting exactly the
-    /// least-recently-used entry when at capacity. No-op when the cache is
-    /// disabled (`cap == 0`). The caller guarantees `cloud` is not already
-    /// cached (it just missed).
-    pub fn insert(&mut self, hash: u64, cloud: &PointCloud, bindings: Bindings) {
-        if self.cap == 0 {
+    /// Caches freshly derived bindings for `cloud`, which the caller
+    /// guarantees is not cached (it just missed). At capacity exactly one
+    /// entry, the least recently used, is evicted, and its cloud buffer is
+    /// reused for the newcomer.
+    pub(crate) fn insert(&mut self, hash: u64, cloud: &PointCloud, bindings: Bindings) {
+        self.clock += 1;
+        if self.slots.len() < self.cap {
+            let cloud = cloud.clone();
+            self.slots.push(Slot { hash, cloud, bindings, last_use: self.clock });
             return;
         }
-        if self.slots.len() >= self.cap {
-            // Reuse the evicted slot's cloud buffers for the newcomer.
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "cap >= 1 and len >= cap imply a tail");
-            self.unlink(victim);
-            self.remove_hash_entry(self.slots[victim].hash, victim);
-            self.evictions += 1;
-            let slot = &mut self.slots[victim];
-            slot.hash = hash;
-            slot.cloud.copy_from(cloud);
-            slot.bindings = bindings;
-            self.by_hash.entry(hash).or_default().push(victim);
-            self.link_front(victim);
-        } else {
-            let i = self.slots.len();
-            self.slots.push(Slot { hash, cloud: cloud.clone(), bindings, prev: NIL, next: NIL });
-            self.by_hash.entry(hash).or_default().push(i);
-            self.link_front(i);
-        }
-    }
-
-    /// Shrinks (or grows) the capacity, evicting least-recently-used
-    /// entries until the cache fits. Growing never drops entries.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap;
-        while self.slots.len() > cap {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.remove_hash_entry(self.slots[victim].hash, victim);
-            self.evictions += 1;
-            // Swap-remove the slot Vec entry and patch the moved slot's id
-            // in both the list links and its hash bucket.
-            let last = self.slots.len() - 1;
-            self.slots.swap_remove(victim);
-            if victim != last {
-                self.rename_slot(last, victim);
-            }
-        }
-    }
-
-    /// Capacity (0 = disabled).
-    pub fn cap(&self) -> usize {
-        self.cap
+        let victim =
+            self.slots.iter_mut().min_by_key(|s| s.last_use).expect("a full cache has slots");
+        self.evictions += 1;
+        victim.hash = hash;
+        victim.cloud.copy_from(cloud);
+        victim.bindings = bindings;
+        victim.last_use = self.clock;
     }
 
     /// Heap bytes retained by the cached clouds (the bindings' matrices are
     /// accounted by the arena stats of the plan that shaped them).
-    pub fn cloud_bytes(&self) -> usize {
+    pub(crate) fn cloud_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.cloud.storage_bytes()).sum()
-    }
-
-    fn move_to_front(&mut self, i: usize) {
-        if self.head == i {
-            return;
-        }
-        self.unlink(i);
-        self.link_front(i);
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
-        }
-        self.slots[i].prev = NIL;
-        self.slots[i].next = NIL;
-    }
-
-    fn link_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        match self.head {
-            NIL => self.tail = i,
-            h => self.slots[h].prev = i,
-        }
-        self.head = i;
-    }
-
-    fn remove_hash_entry(&mut self, hash: u64, slot: usize) {
-        if let Some(bucket) = self.by_hash.get_mut(&hash) {
-            bucket.retain(|&s| s != slot);
-            if bucket.is_empty() {
-                self.by_hash.remove(&hash);
-            }
-        }
-    }
-
-    /// After `swap_remove` moved the slot stored at index `old` to `new`,
-    /// fix every reference to it.
-    fn rename_slot(&mut self, old: usize, new: usize) {
-        let (prev, next, hash) = {
-            let s = &self.slots[new];
-            (s.prev, s.next, s.hash)
-        };
-        match prev {
-            NIL => {
-                if self.head == old {
-                    self.head = new;
-                }
-            }
-            p => self.slots[p].next = new,
-        }
-        match next {
-            NIL => {
-                if self.tail == old {
-                    self.tail = new;
-                }
-            }
-            n => self.slots[n].prev = new,
-        }
-        if self.head == old {
-            self.head = new;
-        }
-        if self.tail == old {
-            self.tail = new;
-        }
-        if let Some(bucket) = self.by_hash.get_mut(&hash) {
-            for s in bucket.iter_mut() {
-                if *s == old {
-                    *s = new;
-                }
-            }
-        }
     }
 }
 
@@ -348,7 +181,7 @@ mod tests {
         // Touch `a` so `b` is the LRU entry, then insert `c`.
         assert!(cache.get(a.content_hash(), &a).is_some());
         cache.insert(c.content_hash(), &c, bindings());
-        assert_eq!(cache.len(), 2, "one eviction, not a clear");
+        assert_eq!(cache.stats().entries, 2, "one eviction, not a clear");
         assert!(cache.get(a.content_hash(), &a).is_some(), "recently used survives");
         assert!(cache.get(b.content_hash(), &b).is_none(), "LRU entry evicted");
         assert!(cache.get(c.content_hash(), &c).is_some());
@@ -363,45 +196,22 @@ mod tests {
         let mut cache = SampleCache::new(8);
         let hot = cloud(9999);
         cache.insert(hot.content_hash(), &hot, bindings());
+        let mut full_bytes = None;
         for s in 0..100 {
             let f = cloud(s);
             assert!(cache.get(f.content_hash(), &f).is_none());
             cache.insert(f.content_hash(), &f, bindings());
             assert!(cache.get(hot.content_hash(), &hot).is_some(), "fresh insert #{s} evicted hot");
+            // Once full, an eviction reuses the victim's cloud buffer.
+            if cache.stats().entries == 8 {
+                let bytes = cache.cloud_bytes();
+                assert_eq!(*full_bytes.get_or_insert(bytes), bytes, "fresh insert #{s} grew");
+            }
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, 100, "every hot touch hits");
         assert_eq!(stats.evictions, 100 - 7, "one eviction per insert past capacity");
         assert_eq!(stats.entries, 8);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut cache = SampleCache::new(0);
-        let c = cloud(1);
-        cache.insert(c.content_hash(), &c, bindings());
-        assert!(cache.is_empty());
-        assert!(cache.get(c.content_hash(), &c).is_none());
-    }
-
-    #[test]
-    fn set_cap_trims_lru_first() {
-        let mut cache = SampleCache::new(4);
-        for s in 0..4 {
-            let c = cloud(s);
-            cache.insert(c.content_hash(), &c, bindings());
-        }
-        // Touch 0 and 1 so 2 is LRU.
-        for s in [0, 1] {
-            let c = cloud(s);
-            assert!(cache.get(c.content_hash(), &c).is_some());
-        }
-        cache.set_cap(2);
-        assert_eq!(cache.len(), 2);
-        for (s, want) in [(0u32, true), (1, true), (2, false), (3, false)] {
-            let c = cloud(s);
-            assert_eq!(cache.get(c.content_hash(), &c).is_some(), want, "seed {s}");
-        }
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl SearchOp {
         let logk = (self.k.max(2) as f64).log2().ceil() as u64;
         (self.queries as u64) * (self.candidates as u64) * logk
     }
-
-    /// Bytes written: the NIT (4-byte indices at the software level).
-    pub fn bytes_written(&self) -> u64 {
-        4 * (self.queries * self.k) as u64
-    }
 }
 
 /// One MLP layer executed as a batched matrix product
@@ -241,15 +236,6 @@ impl NetworkTrace {
         self.modules.iter().flat_map(ModuleTrace::activation_sizes).collect()
     }
 
-    /// Total neighbor-search MACs.
-    pub fn search_macs(&self) -> u64 {
-        self.modules
-            .iter()
-            .filter_map(|m| m.search.as_ref())
-            .map(|s| s.distance_macs() + s.selection_ops())
-            .sum()
-    }
-
     /// Total bytes gathered by aggregations.
     pub fn aggregation_bytes(&self) -> u64 {
         self.modules
@@ -289,7 +275,6 @@ mod tests {
         let op = SearchOp { queries: 512, candidates: 1024, dim: 3, k: 32, radius_query: false };
         assert_eq!(op.distance_macs(), 512 * 1024 * 3);
         assert_eq!(op.selection_ops(), 512 * 1024 * 5); // log2(32) = 5
-        assert_eq!(op.bytes_written(), 4 * 512 * 32);
     }
 
     #[test]
@@ -362,7 +347,6 @@ mod tests {
         assert_eq!(trace.mlp_macs(), 8 * 3 * 4 + 4 * 10);
         assert_eq!(trace.activation_sizes(), vec![4 * 8 * 4, 4 * 10]);
         assert_eq!(trace.aggregations().count(), 1);
-        assert!(trace.search_macs() > 0);
     }
 
     #[test]

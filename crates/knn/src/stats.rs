@@ -101,17 +101,6 @@ pub fn accumulate_membership(tables: &[(&NeighborIndexTable, usize)]) -> Vec<u32
     total
 }
 
-/// Converts per-point membership counts into the Fig. 6 distribution:
-/// `result[x]` = number of points that occur in exactly `x` neighborhoods.
-pub fn occurrence_histogram(counts: &[u32]) -> Vec<u32> {
-    let max = counts.iter().copied().max().unwrap_or(0) as usize;
-    let mut hist = vec![0u32; max + 1];
-    for &c in counts {
-        hist[c as usize] += 1;
-    }
-    hist
-}
-
 /// Share of points whose membership count is at least `threshold` — the
 /// paper summarizes Fig. 6 as "over half occur in more than 30
 /// neighborhoods" (PointNet++) / "over half in 20" (DGCNN).
@@ -155,12 +144,6 @@ mod tests {
         nit.push_entry(0, &[0, 0, 0, 0]);
         let counts = membership_counts(&nit, 1);
         assert_eq!(counts, vec![1]);
-    }
-
-    #[test]
-    fn histogram_inverts_counts() {
-        let hist = occurrence_histogram(&[1, 1, 2, 1]);
-        assert_eq!(hist, vec![0, 3, 1]); // 0 points in 0, 3 points in 1, 1 point in 2
     }
 
     #[test]

@@ -279,8 +279,7 @@ impl FPointNet {
                 g,
                 fp_mlp,
                 &current,
-                &fine.positions,
-                Some(fine.features),
+                fine,
                 &format!("seg-fp{}", self.seg_fp.len() - j),
             );
             trace.modules.push(fp_trace);

@@ -261,8 +261,7 @@ impl PointCloudNetwork for PointNetPP {
                     g,
                     fp_mlp,
                     &current,
-                    &fine.positions,
-                    Some(fine.features),
+                    fine,
                     &format!("fp{}", self.fp.len() - j),
                 );
                 trace.modules.push(fp_trace);

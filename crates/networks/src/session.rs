@@ -39,7 +39,7 @@
 use crate::registry::{Domain, NetworkKind};
 use crate::PointCloudNetwork;
 use mesorasi_core::engine::{EngineStats, PlanEngine};
-use mesorasi_core::{EngineConfig, SampleCacheStats, Strategy};
+use mesorasi_core::{SampleCacheStats, Strategy};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_nn::loss;
 use mesorasi_nn::{Graph, VarId};
@@ -252,8 +252,9 @@ enum NetSource {
 ///
 /// Defaults: [`Strategy::Delayed`], sampling seed 7, small-scale instances
 /// with 10 classes when building from a [`NetworkKind`], weight-init seed
-/// 0, one engine per host thread, and the engine knobs of
-/// [`EngineConfig::default`].
+/// 0, and one engine per host thread. Engines have no settings of their
+/// own: each compiled plan caches up to [`mesorasi_core::SAMPLE_CACHE_CAP`]
+/// samples.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -262,7 +263,6 @@ pub struct SessionBuilder {
     classes: usize,
     paper_scale: bool,
     init_seed: u64,
-    config: EngineConfig,
 }
 
 impl SessionBuilder {
@@ -275,7 +275,6 @@ impl SessionBuilder {
             classes: 10,
             paper_scale: false,
             init_seed: 0,
-            config: EngineConfig::default(),
         }
     }
 
@@ -340,16 +339,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Per-worker, per-plan NIT sample-cache capacity (default
-    /// [`mesorasi_core::DEFAULT_SAMPLE_CACHE_CAP`]; 0 disables caching).
-    /// Eviction is true LRU — hot samples survive unbounded fresh traffic —
-    /// so servers sizing for memory can shrink this without re-introducing
-    /// a periodic cold-cache latency cliff.
-    pub fn sample_cache_cap(mut self, cap: usize) -> Self {
-        self.config.sample_cache_cap = cap;
-        self
-    }
-
     /// Builds the session. Plan compilation is lazy: each worker engine
     /// records the network on first contact with a given input shape.
     pub fn build(self) -> Session {
@@ -371,9 +360,7 @@ impl SessionBuilder {
             strategy: self.strategy,
             seed: self.seed,
             domain,
-            engines: (0..workers)
-                .map(|_| Mutex::new(PlanEngine::with_config(self.config)))
-                .collect(),
+            engines: (0..workers).map(|_| Mutex::new(PlanEngine::new())).collect(),
             next: AtomicUsize::new(0),
         }
     }
@@ -940,27 +927,6 @@ mod tests {
         let mut frames = session.frames();
         let want = frames.infer(&cloud);
         assert_eq!(session.infer(&cloud), want);
-    }
-
-    #[test]
-    fn sample_cache_cap_knob_reaches_the_engines() {
-        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
-            .classes(3)
-            .workers(1)
-            .sample_cache_cap(2)
-            .build();
-        let n = session.network().input_points();
-        let clouds: Vec<PointCloud> = (0..4).map(|s| sample_shape(ShapeClass::Car, n, s)).collect();
-        for c in &clouds {
-            let _ = session.infer(c);
-        }
-        let stats = session.cache_stats();
-        assert_eq!(stats.capacity, 2);
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.evictions, 2, "LRU evicts one at a time past the cap");
-        let per_shape = session.arena_stats(n).expect("shape compiled");
-        assert_eq!(per_shape.cache.capacity, 2);
     }
 
     #[test]

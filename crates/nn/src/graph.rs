@@ -145,16 +145,6 @@ impl Graph {
         self.push(Op::Relu { x }, value)
     }
 
-    /// Multiplies by a constant mask (dropout etc.).
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes differ.
-    pub fn mul_const(&mut self, x: VarId, mask: Matrix) -> VarId {
-        let value = ops::hadamard(self.value(x), &mask);
-        self.push(Op::MulConst { x, mask }, value)
-    }
-
     /// Scalar scaling.
     pub fn scale(&mut self, x: VarId, s: f32) -> VarId {
         let value = ops::scale(self.value(x), s);
@@ -348,11 +338,6 @@ impl Graph {
                 let gb = ops::hadamard(grad, self.value(a));
                 self.accumulate(a, ga);
                 self.accumulate(b, gb);
-            }
-            Op::MulConst { x, mask } => {
-                let x = *x;
-                let g = ops::hadamard(grad, mask);
-                self.accumulate(x, g);
             }
             Op::Scale { x, s } => {
                 let (x, s) = (*x, *s);

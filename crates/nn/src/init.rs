@@ -12,14 +12,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix
     Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..a))
 }
 
-/// Kaiming/He uniform initialization: `U(−a, a)` with
-/// `a = sqrt(6 / fan_in)`, suited to ReLU stacks.
-pub fn kaiming_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
-    assert!(fan_in > 0 && fan_out > 0, "fan sizes must be positive");
-    let a = (6.0 / fan_in as f32).sqrt();
-    Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..a))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,14 +24,6 @@ mod tests {
         assert!(w.as_slice().iter().all(|&v| v.abs() <= a));
         let mean: f32 = w.as_slice().iter().sum::<f32>() / w.len() as f32;
         assert!(mean.abs() < 0.01, "mean {mean} should be near zero");
-    }
-
-    #[test]
-    fn kaiming_bound_depends_on_fan_in_only() {
-        let mut rng = mesorasi_pointcloud::seeded_rng(2);
-        let w = kaiming_uniform(6, 1000, &mut rng);
-        assert!(w.as_slice().iter().all(|&v| v.abs() <= 1.0));
-        assert!(w.max_abs() > 0.5, "samples should reach near the bound");
     }
 
     #[test]

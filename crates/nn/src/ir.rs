@@ -15,8 +15,6 @@
 //! pass needs lives in the tape, not here. That split is what makes the
 //! sequence replayable on fresh data.
 
-use mesorasi_tensor::Matrix;
-
 /// Handle to a value in an op sequence (its position in the sequence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(pub(crate) usize);
@@ -90,14 +88,6 @@ pub enum Op {
         a: VarId,
         /// Right operand.
         b: VarId,
-    },
-    /// `x ⊙ mask` with a constant mask (dropout, detached scaling). The
-    /// mask is a true constant of the computation, so it is part of the IR.
-    MulConst {
-        /// The input.
-        x: VarId,
-        /// The constant mask, same shape as `x`.
-        mask: Matrix,
     },
     /// `x * s`.
     Scale {
@@ -184,7 +174,6 @@ impl Op {
         match self {
             Op::Input | Op::Param { .. } => {}
             Op::Relu { x }
-            | Op::MulConst { x, .. }
             | Op::Scale { x, .. }
             | Op::Gather { x, .. }
             | Op::GroupMax { x, .. }

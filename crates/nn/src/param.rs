@@ -49,14 +49,6 @@ impl Param {
     pub fn is_empty(&self) -> bool {
         self.value.is_empty()
     }
-
-    /// Resets optimizer state (used when reusing weights across phases,
-    /// e.g. fine-tuning the delayed-aggregation model from original
-    /// weights as §VII-B describes).
-    pub fn reset_optimizer_state(&mut self) {
-        self.moment1 = None;
-        self.moment2 = None;
-    }
 }
 
 #[cfg(test)]
@@ -77,14 +69,5 @@ mod tests {
         let a = Param::new(Matrix::zeros(2, 2));
         let b = a.clone();
         assert_eq!(a.id(), b.id());
-    }
-
-    #[test]
-    fn reset_clears_moments() {
-        let mut p = Param::new(Matrix::zeros(1, 1));
-        p.moment1 = Some(Matrix::zeros(1, 1));
-        p.moment2 = Some(Matrix::zeros(1, 1));
-        p.reset_optimizer_state();
-        assert!(p.moment1.is_none() && p.moment2.is_none());
     }
 }

@@ -156,8 +156,6 @@ pub struct ArenaStats {
 pub struct Arena {
     /// Parameter snapshots, addressed by `Loc::Const`.
     params: Vec<Matrix>,
-    /// Live [`Op::MulConst`] node index → mask.
-    masks: HashMap<usize, Matrix>,
     slots: Vec<Matrix>,
     scratch: Vec<f32>,
     grow_events: usize,
@@ -231,17 +229,11 @@ impl Plan {
         // The steps to run. Dead and absorbed nodes are never executed or
         // operand-walked, so a cheap placeholder replaces them — an
         // eliminated branch's index vectors would otherwise be retained
-        // for the plan's whole lifetime. Masks move to the arena's
-        // constants.
-        let mut masks = HashMap::new();
+        // for the plan's whole lifetime.
         let steps: Vec<Step> = (0..n)
             .map(|i| match (g.op_at(i), fused_at.get(&i)) {
                 _ if !live[i] || absorbed[i] => Step::Op(Op::Input),
                 (_, Some(step)) => step.clone(),
-                (Op::MulConst { x, mask }, None) => {
-                    masks.insert(i, mask.clone());
-                    Step::Op(Op::MulConst { x: *x, mask: Matrix::default() })
-                }
                 (op, None) => Step::Op(op.clone()),
             })
             .collect();
@@ -322,7 +314,6 @@ impl Plan {
 
         let arena = Arena {
             params,
-            masks,
             slots: slot_elems.iter().map(|&e| Matrix::with_capacity(e)).collect(),
             scratch: Vec::new(),
             grow_events: 0,
@@ -474,9 +465,6 @@ impl Plan {
             Step::Op(Op::Relu { x }) => ops::relu_into(self.value(arena, *x), &mut out),
             Step::Op(Op::Hadamard { a, b }) => {
                 ops::hadamard_into(self.value(arena, *a), self.value(arena, *b), &mut out);
-            }
-            Step::Op(Op::MulConst { x, .. }) => {
-                ops::hadamard_into(self.value(arena, *x), &arena.masks[&i], &mut out);
             }
             Step::Op(Op::Scale { x, s }) => {
                 ops::scale_into(self.value(arena, *x), *s, &mut out);
@@ -919,11 +907,9 @@ mod tests {
     #[test]
     fn constant_masks_and_scales_replay() {
         let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 - 2.5);
-        let mask = Matrix::from_fn(3, 2, |r, c| if (r + c) % 2 == 0 { 0.0 } else { 2.0 });
         let mut g = Graph::new();
         let xv = g.input(x.clone());
-        let masked = g.mul_const(xv, mask);
-        let y = g.scale(masked, 0.3);
+        let y = g.scale(xv, 0.3);
         let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);

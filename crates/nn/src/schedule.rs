@@ -1,9 +1,5 @@
-//! Learning-rate schedules and dropout masks — the remaining training
-//! utilities the paper's recipes use (PointNet++ trains with step decay and
-//! dropout in its classifier head).
-
-use mesorasi_tensor::Matrix;
-use rand::Rng;
+//! Learning-rate schedules — the remaining training utility the paper's
+//! recipes use (PointNet++ trains with step decay).
 
 /// A learning-rate schedule mapping the epoch to a rate.
 pub trait LrSchedule {
@@ -49,19 +45,6 @@ impl LrSchedule for StepDecay {
     }
 }
 
-/// Generates an inverted-dropout mask: each element is `0` with probability
-/// `p` and `1/(1−p)` otherwise, so activations keep their expectation and
-/// inference needs no rescaling. Feed to `Graph::mul_const`.
-///
-/// # Panics
-///
-/// Panics if `p ∉ [0, 1)`.
-pub fn dropout_mask<R: Rng>(rows: usize, cols: usize, p: f32, rng: &mut R) -> Matrix {
-    assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
-    let keep = 1.0 / (1.0 - p);
-    Matrix::from_fn(rows, cols, |_, _| if rng.gen::<f32>() < p { 0.0 } else { keep })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,30 +65,5 @@ mod tests {
         assert!((s.lr_at(40) - 4.9e-4).abs() < 1e-9);
         // Floors out eventually.
         assert_eq!(s.lr_at(100_000), 1e-5);
-    }
-
-    #[test]
-    fn dropout_mask_preserves_expectation() {
-        let mut rng = mesorasi_pointcloud::seeded_rng(1);
-        let mask = dropout_mask(200, 50, 0.3, &mut rng);
-        let mean: f32 = mask.as_slice().iter().sum::<f32>() / mask.len() as f32;
-        assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean} should be ~1");
-        // Values are exactly 0 or 1/(1-p).
-        let keep = 1.0 / 0.7;
-        assert!(mask.as_slice().iter().all(|&v| v == 0.0 || (v - keep).abs() < 1e-6));
-    }
-
-    #[test]
-    fn dropout_zero_probability_is_identity_mask() {
-        let mut rng = mesorasi_pointcloud::seeded_rng(2);
-        let mask = dropout_mask(8, 8, 0.0, &mut rng);
-        assert!(mask.as_slice().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn dropout_one_panics() {
-        let mut rng = mesorasi_pointcloud::seeded_rng(3);
-        let _ = dropout_mask(2, 2, 1.0, &mut rng);
     }
 }

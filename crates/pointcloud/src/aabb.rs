@@ -89,13 +89,6 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// Grows the box to include `p`.
-    #[inline]
-    pub fn expand(&mut self, p: Point3) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
-    }
-
     /// Squared distance from `p` to the box (zero when inside). The octree
     /// uses this bound to prune subtrees during KNN search.
     #[inline]
@@ -168,13 +161,5 @@ mod tests {
         let b = Aabb::new(Point3::new(-2.0, 0.0, 0.0), Point3::new(2.0, 4.0, 0.0));
         let n = b.normalize(Point3::new(0.0, 1.0, 0.0));
         assert_eq!(n, Point3::new(0.5, 0.25, 0.5)); // degenerate z maps to 0.5
-    }
-
-    #[test]
-    fn expand_grows_box() {
-        let mut b = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
-        b.expand(Point3::new(2.0, -1.0, 0.5));
-        assert_eq!(b.min(), Point3::new(0.0, -1.0, 0.0));
-        assert_eq!(b.max(), Point3::new(2.0, 1.0, 1.0));
     }
 }

@@ -12,9 +12,7 @@
 
 use crate::{Point3, PointCloud};
 use std::fmt;
-use std::fs;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::path::Path;
 
 /// Errors produced by the readers.
 #[derive(Debug)]
@@ -276,35 +274,6 @@ pub fn write_ply<W: Write>(cloud: &PointCloud, mut writer: W) -> io::Result<()> 
     write_xyz(cloud, writer)
 }
 
-/// Convenience: reads a cloud from a path, dispatching on the extension
-/// (`.ply` → PLY, anything else → XYZ).
-///
-/// # Errors
-///
-/// Returns [`ReadCloudError`] on I/O or parse failure.
-pub fn read_path(path: &Path) -> Result<PointCloud, ReadCloudError> {
-    let file = fs::File::open(path)?;
-    if path.extension().is_some_and(|e| e.eq_ignore_ascii_case("ply")) {
-        read_ply(file)
-    } else {
-        read_xyz(file)
-    }
-}
-
-/// Convenience: writes a cloud to a path, dispatching on the extension.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_path(cloud: &PointCloud, path: &Path) -> io::Result<()> {
-    let file = fs::File::create(path)?;
-    if path.extension().is_some_and(|e| e.eq_ignore_ascii_case("ply")) {
-        write_ply(cloud, file)
-    } else {
-        write_xyz(cloud, file)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,20 +382,6 @@ mod tests {
                 matches!(read_ply(text.as_bytes()), Err(ReadCloudError::Parse { line: 8, .. })),
                 "row '{row}'"
             );
-        }
-    }
-
-    #[test]
-    fn path_dispatch_round_trip() {
-        let dir = std::env::temp_dir();
-        let ply = dir.join("mesorasi_io_test.ply");
-        let xyz = dir.join("mesorasi_io_test.xyz");
-        let cloud = sample_shape(ShapeClass::Torus, 16, 9);
-        for path in [&ply, &xyz] {
-            write_path(&cloud, path).unwrap();
-            let back = read_path(path).unwrap();
-            assert_eq!(back.len(), 16);
-            let _ = fs::remove_file(path);
         }
     }
 }

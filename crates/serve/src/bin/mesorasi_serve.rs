@@ -3,9 +3,11 @@
 //! ```text
 //! mesorasi-serve [--network pointnetpp-cls] [--addr 127.0.0.1:7077]
 //!                [--workers N] [--classes N] [--paper]
-//!                [--queue-depth N] [--dispatchers N]
-//!                [--cache-cap N]
+//!                [--queue-depth N]
 //! ```
+//!
+//! One dispatcher serves each session engine, so `--workers` sets both.
+//! `--help` exits 0; a bad flag or value prints the usage and exits 2.
 
 use mesorasi_networks::{NetworkKind, SessionBuilder};
 use mesorasi_serve::{Server, ServerConfig};
@@ -22,13 +24,12 @@ OPTIONS:
                        pointnetpp-cls, pointnetpp-seg, dgcnn-cls, dgcnn-seg,
                        fpointnet, ldgcnn, densepoint
     --addr HOST:PORT   bind address (default 127.0.0.1:7077; port 0 = ephemeral)
-    --workers N        session engine pool size (default: host threads)
+    --workers N        session engine pool size, one dispatcher per engine
+                       (default: host threads)
     --classes N        label-space size for small-scale builds (default 10)
     --paper            serve the paper-scale network instead of the small one
     --queue-depth N    admission-control queue bound (default 64); overflow
                        sheds the oldest request with a typed error
-    --dispatchers N    dispatch worker threads (default 2)
-    --cache-cap N      per-engine NIT sample-cache capacity (default 1024; 0 off)
     -h, --help         print this help
 ";
 
@@ -39,8 +40,6 @@ struct Args {
     classes: usize,
     paper: bool,
     queue_depth: usize,
-    dispatchers: usize,
-    cache_cap: Option<usize>,
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -56,8 +55,6 @@ fn parse_args() -> Args {
         classes: 10,
         paper: false,
         queue_depth: 64,
-        dispatchers: 2,
-        cache_cap: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -75,16 +72,6 @@ fn parse_args() -> Args {
             "--paper" => args.paper = true,
             "--queue-depth" => {
                 args.queue_depth = parse_count("--queue-depth", &value("--queue-depth"));
-            }
-            "--dispatchers" => {
-                args.dispatchers = parse_count("--dispatchers", &value("--dispatchers"));
-            }
-            "--cache-cap" => {
-                let raw = value("--cache-cap");
-                let cap: usize = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("--cache-cap got '{raw}'")));
-                args.cache_cap = Some(cap);
             }
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -112,9 +99,6 @@ fn main() {
     if let Some(workers) = args.workers {
         builder = builder.workers(workers);
     }
-    if let Some(cap) = args.cache_cap {
-        builder = builder.sample_cache_cap(cap);
-    }
     let session = Arc::new(builder.build());
     eprintln!(
         "serving {} ({}, {} input points, {} engine workers)",
@@ -124,13 +108,7 @@ fn main() {
         session.workers(),
     );
 
-    let config = ServerConfig {
-        addr: args.addr,
-        scheduler: mesorasi_serve::SchedulerConfig {
-            queue_depth: args.queue_depth,
-            dispatchers: args.dispatchers,
-        },
-    };
+    let config = ServerConfig { addr: args.addr, queue_depth: args.queue_depth };
     let server = match Server::spawn(session, config) {
         Ok(server) => server,
         Err(e) => {
@@ -139,10 +117,9 @@ fn main() {
         }
     };
     eprintln!(
-        "listening on {} (queue depth {}, {} dispatchers)",
+        "listening on {} (queue depth {}, one dispatcher per engine)",
         server.local_addr(),
         args.queue_depth,
-        args.dispatchers,
     );
 
     // Serve until killed.

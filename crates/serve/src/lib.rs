@@ -46,5 +46,4 @@ pub use client::{Client, ClientError, Response};
 pub use protocol::{
     ErrorCode, Frame, ProtocolError, ServerStats, MAX_FRAME_BYTES, MAX_POINTS, PROTOCOL_VERSION,
 };
-pub use scheduler::SchedulerConfig;
 pub use server::{Server, ServerConfig};

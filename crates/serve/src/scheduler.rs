@@ -1,16 +1,18 @@
 //! Admission control over one session pool.
 //!
-//! Every connection's requests funnel into one bounded FIFO. A small team
-//! of dispatch workers pops the queue one request at a time and runs it
-//! through [`Session::infer`], which checks out one engine for that one
-//! frame — a sensor frame in, one result out. A panic inside inference is
-//! contained to its request, which gets a typed [`ErrorCode::Unavailable`]
-//! error; the dispatcher moves on to the next request.
+//! Every connection's requests funnel into one bounded FIFO. One dispatch
+//! worker per session engine ([`Session::workers`]) pops the queue one
+//! request at a time and runs it through [`Session::infer`], which checks
+//! out one engine for that one frame — a sensor frame in, one result out.
+//! More dispatchers would only queue on engine locks; fewer would leave
+//! engines idle. A panic inside inference is contained to its request,
+//! which gets a typed [`ErrorCode::Unavailable`] error; the dispatcher
+//! moves on to the next request.
 //!
-//! Admission control is **shed-oldest**: when the queue is at
-//! `queue_depth`, the *oldest* queued request is dropped to make room and
-//! its client is told so with a typed [`ErrorCode::Shed`] error — never a
-//! silent drop. Oldest-first matches the sensor-stream model (HgPCN's
+//! Admission control is **shed-oldest**: when the queue is at its depth
+//! ([`crate::ServerConfig::queue_depth`]), the *oldest* queued request is
+//! dropped to make room and its client is told so with a typed
+//! [`ErrorCode::Shed`] error — never a silent drop. Oldest-first matches the sensor-stream model (HgPCN's
 //! end-to-end framing): the newest frame is the one worth answering; a
 //! stale frame's answer is worthless to a client that has already sent
 //! two more.
@@ -23,24 +25,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// Scheduler knobs; see the [module docs](self) for semantics.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// Queued requests beyond which admission control sheds the oldest
-    /// (default 64).
-    pub queue_depth: usize,
-    /// Dispatch worker threads (default 2). Each dispatch checks out one
-    /// session engine, so more than `Session::workers` dispatchers just
-    /// queue on engines.
-    pub dispatchers: usize,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> SchedulerConfig {
-        SchedulerConfig { queue_depth: 64, dispatchers: 2 }
-    }
-}
 
 /// One queued inference request: the sample plus the home connection's
 /// outgoing-frame channel.
@@ -67,24 +51,25 @@ struct Shared {
     counters: Counters,
 }
 
-/// The scheduler: a bounded queue plus dispatch workers. Created
-/// by the server; exposed only through [`crate::server::Server`].
+/// The scheduler: a bounded queue plus one dispatch worker per session
+/// engine. Created by the server; exposed only through
+/// [`crate::server::Server`].
 pub(crate) struct Scheduler {
     shared: Arc<Shared>,
-    dispatchers: Mutex<Vec<JoinHandle<()>>>,
+    dispatch_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    pub(crate) fn start(session: Arc<Session>, config: SchedulerConfig) -> Scheduler {
+    pub(crate) fn start(session: Arc<Session>, queue_depth: usize) -> Scheduler {
         let shared = Arc::new(Shared {
             session,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             open: AtomicBool::new(true),
-            queue_depth: config.queue_depth.max(1),
+            queue_depth: queue_depth.max(1),
             counters: Counters::default(),
         });
-        let dispatchers = (0..config.dispatchers.max(1))
+        let dispatch_threads = (0..shared.session.workers())
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -93,7 +78,7 @@ impl Scheduler {
                     .expect("spawn dispatcher")
             })
             .collect();
-        Scheduler { shared, dispatchers: Mutex::new(dispatchers) }
+        Scheduler { shared, dispatch_threads: Mutex::new(dispatch_threads) }
     }
 
     /// Enqueues a request, shedding the oldest queued one on overflow.
@@ -152,7 +137,7 @@ impl Scheduler {
             }
         }
         self.shared.available.notify_all();
-        for d in lock(&self.dispatchers).drain(..) {
+        for d in lock(&self.dispatch_threads).drain(..) {
             let _ = d.join();
         }
     }
@@ -226,7 +211,7 @@ mod tests {
     fn lone_requests_dispatch_without_waiting_for_a_batch() {
         let session = tiny_session();
         let n = session.network().input_points();
-        let scheduler = Scheduler::start(session, SchedulerConfig::default());
+        let scheduler = Scheduler::start(session, 64);
         let (tx, rx) = mpsc::channel();
         scheduler.submit(Job { id: 5, cloud: sample_shape(ShapeClass::Chair, n, 1), reply: tx });
         match rx.recv_timeout(std::time::Duration::from_secs(30)).expect("reply arrives") {
@@ -247,8 +232,7 @@ mod tests {
         let n = session.network().input_points();
         // One dispatcher, queue depth 2: stall the dispatcher with a first
         // job, then overfill the queue and watch the oldest queued job go.
-        let scheduler =
-            Scheduler::start(session, SchedulerConfig { queue_depth: 2, dispatchers: 1 });
+        let scheduler = Scheduler::start(session, 2);
         let (tx, rx) = mpsc::channel();
         for id in 0..8u64 {
             scheduler.submit(Job {
@@ -295,8 +279,7 @@ mod tests {
     fn one_dispatcher_answers_a_backlog_in_fifo_order_one_dispatch_each() {
         let session = tiny_session();
         let n = session.network().input_points();
-        let scheduler =
-            Scheduler::start(session, SchedulerConfig { queue_depth: 64, dispatchers: 1 });
+        let scheduler = Scheduler::start(session, 64);
         // The first dispatch compiles the plan (slow), so the rest queue
         // behind it: a same-shape backlog, answered one request at a time.
         let (tx, rx) = mpsc::channel();
@@ -365,8 +348,7 @@ mod tests {
         let n = inner.input_points();
         let session =
             Arc::new(SessionBuilder::from_network(PanicsOnEmpty(inner)).workers(1).build());
-        let scheduler =
-            Scheduler::start(session, SchedulerConfig { queue_depth: 64, dispatchers: 1 });
+        let scheduler = Scheduler::start(session, 64);
         let (tx, rx) = mpsc::channel();
         scheduler.submit(Job { id: 0, cloud: PointCloud::new(), reply: tx.clone() });
         scheduler.submit(Job { id: 1, cloud: sample_shape(ShapeClass::Chair, n, 1), reply: tx });
@@ -386,7 +368,7 @@ mod tests {
     fn shutdown_rejects_late_submissions_as_unavailable() {
         let session = tiny_session();
         let n = session.network().input_points();
-        let scheduler = Scheduler::start(session, SchedulerConfig::default());
+        let scheduler = Scheduler::start(session, 64);
         scheduler.shutdown();
         let (tx, rx) = mpsc::channel();
         scheduler.submit(Job { id: 1, cloud: sample_shape(ShapeClass::Chair, n, 1), reply: tx });

@@ -15,7 +15,7 @@
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, Frame, ServerStats, MAX_POINTS, PROTOCOL_VERSION,
 };
-use crate::scheduler::{Job, Scheduler, SchedulerConfig};
+use crate::scheduler::{Job, Scheduler};
 use mesorasi_networks::Session;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -30,13 +30,14 @@ use std::thread::JoinHandle;
 pub struct ServerConfig {
     /// Bind address (default `127.0.0.1:0`).
     pub addr: String,
-    /// Scheduler knobs: queue bound and dispatcher count.
-    pub scheduler: SchedulerConfig,
+    /// Queued requests beyond which admission control sheds the oldest
+    /// (default 64); see the [scheduler](crate::scheduler).
+    pub queue_depth: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig { addr: "127.0.0.1:0".into(), scheduler: SchedulerConfig::default() }
+        ServerConfig { addr: "127.0.0.1:0".into(), queue_depth: 64 }
     }
 }
 
@@ -66,7 +67,7 @@ impl Server {
     pub fn spawn(session: Arc<Session>, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let scheduler = Arc::new(Scheduler::start(Arc::clone(&session), config.scheduler));
+        let scheduler = Arc::new(Scheduler::start(Arc::clone(&session), config.queue_depth));
         let stopping = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(ConnTable::default());
 
@@ -316,14 +317,9 @@ mod tests {
                 .workers(1)
                 .build(),
         );
-        let server = Server::spawn(
-            session,
-            ServerConfig {
-                scheduler: SchedulerConfig { queue_depth: 2, dispatchers: 1 },
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+        let server =
+            Server::spawn(session, ServerConfig { queue_depth: 2, ..ServerConfig::default() })
+                .expect("bind");
         let mut client = Client::connect(server.local_addr()).expect("connect");
         let n = client.input_points() as usize;
         // Full speed into a depth-2 queue: the first dispatch compiles the

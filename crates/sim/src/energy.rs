@@ -38,11 +38,6 @@ pub const DRAM_BW_GBS: f64 = 25.6;
 /// the 64 KB PFT buffer occupies 0.031 mm² ⇒ ≈ 0.00048 mm²/KB).
 pub const SRAM_MM2_PER_KB: f64 = 0.031 / 64.0;
 
-/// Joules from picojoules.
-pub fn pj_to_j(pj: f64) -> f64 {
-    pj * 1e-12
-}
-
 /// Millijoules from picojoules.
 pub fn pj_to_mj(pj: f64) -> f64 {
     pj * 1e-9
@@ -66,7 +61,6 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert_eq!(pj_to_j(1e12), 1.0);
         assert_eq!(pj_to_mj(1e9), 1.0);
     }
 

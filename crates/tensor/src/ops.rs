@@ -615,27 +615,6 @@ pub fn argmax_rows(a: &Matrix) -> Vec<usize> {
         .collect()
 }
 
-/// Column-wise max over all rows, as a `1 × cols` row, with the arg rows —
-/// the global max-pool closing PointNet-style networks.
-///
-/// # Panics
-///
-/// Panics on an empty matrix.
-pub fn max_pool_columns(a: &Matrix) -> (Matrix, Vec<usize>) {
-    assert!(a.rows() > 0, "max pool of empty matrix");
-    let mut out = Matrix::from_vec(1, a.cols(), a.row(0).to_vec());
-    let mut arg = vec![0usize; a.cols()];
-    for r in 1..a.rows() {
-        for (c, &v) in a.row(r).iter().enumerate() {
-            if v > out[(0, c)] {
-                out[(0, c)] = v;
-                arg[c] = r;
-            }
-        }
-    }
-    (out, arg)
-}
-
 /// The pre-tier matmul kernels: plain i-k-j AXPY loops with a sparse
 /// zero-skip, parallel over the same fixed row chunks as the fast tier,
 /// each step the tier's `f32::mul_add`. They are the semantics reference
@@ -891,9 +870,6 @@ mod tests {
     fn argmax_and_max_pool() {
         let a = Matrix::from_rows(&[&[1.0, 9.0], &[5.0, 2.0]]);
         assert_eq!(argmax_rows(&a), vec![1, 0]);
-        let (pooled, arg) = max_pool_columns(&a);
-        assert_eq!(pooled, Matrix::from_rows(&[&[5.0, 9.0]]));
-        assert_eq!(arg, vec![1, 0]);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use mesorasi::serve::{Client, Response, Server, ServerConfig};
 use std::sync::Arc;
 
 fn main() {
-    // A small classification session with a 2-engine pool; the same
-    // builder knobs (paper_scale, sample_cache_cap, ...) apply.
+    // A small classification session with a 2-engine pool, served by one
+    // dispatcher per engine; the same builder knobs (paper_scale, ...) apply.
     let session = Arc::new(
         SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
             .classes(10)
@@ -32,7 +32,7 @@ fn main() {
     let logits = inference.as_classification().expect("classification domain");
     println!("remote inference: predicted class {}", logits.predicted());
 
-    // A pipelined sensor stream: 60 frames, same shape size (batchable),
+    // A pipelined sensor stream: 60 frames, same shape size,
     // varied content, all sent before any response is read. Every request
     // gets a typed outcome — sheds are reported, never silent.
     for id in 1..=60u64 {

@@ -18,60 +18,50 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Nine audits, one per test, in increasing strictness:
+//! Eight audits, one per test, in increasing strictness:
 //!
-//! 1. the original cache-hit audit on [`PlanEngine::run`] — searches are
-//!    cached, pure planned tensor execution;
+//! 1. the cache-hit audit on [`PlanEngine::run`] — searches are cached,
+//!    pure planned tensor execution; a hit on each of several cached
+//!    samples, so the cache's lookup scan is audited too;
 //! 2. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
 //!    cache is bypassed, so centroid sampling, **index rebuilds, and
 //!    neighbor queries run on every frame** — the search arena must make
 //!    them allocation-free too;
-//! 3. the default-configuration audit: audit 2 and audits 5–6 build their
-//!    engines from an explicit [`EngineConfig`]. The same streamed frames
-//!    on [`PlanEngine::new`] — the configuration every benchmark workload
-//!    runs — make zero heap allocations too;
-//! 4. the session-level audit: a warm [`mesorasi::Session`] frame stream
+//! 3. the session-level audit: a warm [`mesorasi::Session`] frame stream
 //!    served through `infer_into` (outputs recycled) performs zero heap
 //!    allocations end to end;
-//! 5. the multi-worker audit: with the pool at 2 threads, where the cost
+//! 4. the multi-worker audit: with the pool at 2 threads, where the cost
 //!    model splits the frame's searches into parallel chunks, a warm
 //!    streamed frame still makes zero heap allocations — job dispatch
 //!    reuses retired headers and every worker draws search scratch from
 //!    its `ScratchPool` slot;
-//! 6. the heap-ceiling audit: once warm, `EngineStats` byte totals
+//! 5. the heap-ceiling audit: once warm, `EngineStats` byte totals
 //!    (tensor arena + search arena + parallel scratch pool) are frozen —
 //!    further frames neither grow a slot nor retain new storage;
-//! 7. the feature-space audit: audits 1–6 run PointNet++, which only ever
+//! 6. the feature-space audit: audits 1–5 run PointNet++, which only ever
 //!    searches coordinates. A warm streamed DGCNN frame — every search a
 //!    feature-space scan over its row panel — makes zero heap allocations
 //!    at 1 and 2 threads under a frozen ceiling that counts the panel and
 //!    each worker's distance rows;
-//! 8. the packed-matmul audit: the small networks of audits 1–7 have no
+//! 7. the packed-matmul audit: the small networks of audits 1–6 have no
 //!    weight matrix deep enough for `ops::matmul_into`'s packed order, the
 //!    paper-scale ones do. A warm packed product makes zero heap
 //!    allocations at 1 and 2 threads — its panel buffer is on the stack of
 //!    whichever thread runs the row chunk, so there is no retained storage
 //!    for `EngineStats` to count;
-//! 9. the segmentation audit: audits 1–8 run no feature propagation. A
+//! 8. the segmentation audit: audits 1–7 run no feature propagation. A
 //!    warm streamed PointNet++ (s) frame point-queries two coarse levels
 //!    for its interpolation stencils on the octree and makes zero heap
 //!    allocations at 1 and 2 threads, stencil indices and weights
 //!    included.
 
 use mesorasi::core::engine::PlanEngine;
-use mesorasi::core::EngineConfig;
 use mesorasi::nn::VarId;
 use mesorasi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
-
-/// An engine built from an explicit [`EngineConfig`], every knob at its
-/// default.
-fn configured_engine() -> PlanEngine {
-    PlanEngine::with_config(EngineConfig::default())
-}
 
 /// Serialises the audits (see the module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -188,33 +178,44 @@ fn warm_planned_forward_allocates_nothing() {
         let mut engine = PlanEngine::new();
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
-        let cloud = sample_shape(ShapeClass::Chair, net.input_points(), 4);
+        let clouds: Vec<PointCloud> =
+            (0..8).map(|s| sample_shape(ShapeClass::Chair, net.input_points(), 4 + s)).collect();
 
-        // Warm-up: compile the plan (forward 1) and fill the NIT cache
-        // (same forward); run once more to settle any lazy init.
+        // Warm-up: compile the plan (first forward) and cache every
+        // cloud's bindings; run once more to settle any lazy init.
         for _ in 0..2 {
-            let _ = engine.run(&cloud, &record);
+            for cloud in &clouds {
+                let _ = engine.run(cloud, &record);
+            }
         }
 
-        ARMED.store(true, Ordering::SeqCst);
-        let before = ALLOCS.load(Ordering::SeqCst);
-        let _ = engine.run(&cloud, &record);
-        let after = ALLOCS.load(Ordering::SeqCst);
-        ARMED.store(false, Ordering::SeqCst);
-
-        assert_eq!(after - before, 0, "a warm planned forward must not touch the allocator");
+        // A hit on each cached sample: whichever slot the lookup scan
+        // stops at, the hit only restamps it.
+        for (i, cloud) in clouds.iter().enumerate() {
+            ARMED.store(true, Ordering::SeqCst);
+            let before = ALLOCS.load(Ordering::SeqCst);
+            let _ = engine.run(cloud, &record);
+            let after = ALLOCS.load(Ordering::SeqCst);
+            ARMED.store(false, Ordering::SeqCst);
+            assert_eq!(after - before, 0, "a warm planned forward (sample {i}) must not allocate");
+        }
+        let cache = engine.sample_cache_stats();
+        assert_eq!((cache.entries, cache.misses), (8, 8), "eight samples, each derived once");
     });
 }
 
-/// Audits 2 and 3: warm streamed PointNet++ frames on `engine` make zero
-/// heap allocations. The streaming path never caches samples: every frame
-/// re-selects centroids, rebuilds per-space octrees, and re-queries. All of
-/// it must run out of the engine's persistent search arena. Sequential
-/// execution for the same reason as the cache-hit audit.
-fn assert_warm_streamed_frames_allocate_nothing(mut engine: PlanEngine) {
+#[test]
+fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
+    let _serial = serial();
+    // Warm streamed PointNet++ frames make zero heap allocations. The
+    // streaming path never caches samples: every frame re-selects
+    // centroids, rebuilds per-space octrees, and re-queries. All of it must
+    // run out of the engine's persistent search arena. Sequential execution
+    // for the same reason as the cache-hit audit.
     mesorasi_par::with_threads(1, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
+        let mut engine = PlanEngine::new();
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -245,20 +246,6 @@ fn assert_warm_streamed_frames_allocate_nothing(mut engine: PlanEngine) {
         assert!(stats.search.index_builds >= 8, "every streamed frame rebuilds its indices");
         assert!(stats.search.query_calls >= 8, "every streamed frame runs its searches");
     });
-}
-
-#[test]
-fn warm_streamed_forward_allocates_nothing_including_search() {
-    let _serial = serial();
-    assert_warm_streamed_frames_allocate_nothing(configured_engine());
-}
-
-#[test]
-fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
-    let _serial = serial();
-    // `PlanEngine::new`, the engine every benchmark workload runs, must
-    // not touch the allocator either.
-    assert_warm_streamed_frames_allocate_nothing(PlanEngine::new());
 }
 
 #[test]
@@ -308,7 +295,7 @@ fn warm_streamed_forward_allocates_nothing_at_two_threads() {
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = configured_engine();
+        let mut engine = PlanEngine::new();
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let frames: Vec<PointCloud> =
@@ -342,7 +329,7 @@ fn warm_stream_holds_a_hard_heap_ceiling() {
     mesorasi_par::with_threads(2, || {
         let mut rng = seeded_rng(6);
         let net = NetworkKind::PointNetPPClassification.build_small(5, &mut rng);
-        let mut engine = configured_engine();
+        let mut engine = PlanEngine::new();
         let record =
             |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
         let n = net.input_points();
