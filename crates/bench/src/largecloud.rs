@@ -8,8 +8,7 @@
 //! number of fine query points).
 
 use crate::perf::{sweep_records, BenchRecord, Kernel};
-use mesorasi_knn::index::BruteForceIndex;
-use mesorasi_knn::{MortonOctree, NeighborIndexTable, SearchIndex};
+use mesorasi_knn::{bruteforce, MortonOctree, NeighborIndexTable};
 use mesorasi_pointcloud::{Point3, PointCloud};
 use std::cell::RefCell;
 use std::time::Duration;
@@ -112,15 +111,14 @@ fn stencil_records(smoke: bool, budget: Duration, sweep: &[usize]) -> Vec<BenchR
     let picks: Vec<usize> = (0..n_fine).step_by(n_fine / n_coarse).collect();
     let coarse = fine.select(&picks);
     let out = RefCell::new(vec![0; n_fine * 3]);
-    let scan = RefCell::new(BruteForceIndex::default());
     let octree = RefCell::new(MortonOctree::build(&coarse));
-    let query = |index: &RefCell<dyn SearchIndex>| {
-        let (index, out) = (&mut *index.borrow_mut(), &mut *out.borrow_mut());
-        index.knn_points_into(&coarse, fine.points(), 3, out);
+    let scan = || bruteforce::knn_points_into(&coarse, fine.points(), 3, &mut out.borrow_mut());
+    let tree = || {
+        octree.borrow_mut().knn_points_into(fine.points(), 3, &mut out.borrow_mut());
     };
     let mut kernels = [
-        Kernel::new("stencil", "bruteforce", Box::new(|| query(&scan))),
-        Kernel::new("stencil", "octree", Box::new(|| query(&octree))),
+        Kernel::new("stencil", "bruteforce", Box::new(scan)),
+        Kernel::new("stencil", "octree", Box::new(tree)),
     ];
     for k in &mut kernels {
         k.points = Some(n_fine);

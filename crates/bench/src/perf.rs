@@ -24,7 +24,7 @@
 //! and may not wreck performance either).
 
 use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
-use mesorasi_knn::{ball, bruteforce, MortonOctree, NeighborIndexTable, SearchIndex};
+use mesorasi_knn::{ball, bruteforce, MortonOctree, NeighborIndexTable};
 use mesorasi_par as par;
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{sampling, PointCloud};

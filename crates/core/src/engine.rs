@@ -75,11 +75,10 @@ impl std::fmt::Debug for StateSource {
 pub enum DynStep {
     /// Derive a position state and write its xyz rows into the plan input.
     Input {
-        /// Tape position of the `Input` node.
-        at: usize,
         /// The state id being derived.
         state: usize,
-        /// The `Input` node whose value is the state's xyz rows.
+        /// The `Input` node whose value is the state's xyz rows; its tape
+        /// position is the step's `at`.
         input_node: usize,
         /// How the positions derive from the sample.
         source: StateSource,
@@ -91,9 +90,8 @@ pub enum DynStep {
         at: usize,
         /// Input state id.
         state_in: usize,
-        /// Output state id (`None` for searches whose output state is
-        /// never position-referenced downstream).
-        state_out: Option<usize>,
+        /// Output state id: the centroids' positions.
+        state_out: usize,
         /// The search mode (kNN / ball / feature-space).
         neighbor: NeighborMode,
         /// Centroid count.
@@ -127,7 +125,7 @@ pub enum DynStep {
 impl DynStep {
     fn at(&self) -> usize {
         match self {
-            DynStep::Input { at, .. }
+            DynStep::Input { input_node: at, .. }
             | DynStep::Search { at, .. }
             | DynStep::Stencil { at, .. } => *at,
         }
@@ -145,19 +143,6 @@ pub(crate) enum IndexRole {
     Repeated,
 }
 
-struct OpenSearch {
-    at: usize,
-    state_in: usize,
-    neighbor: NeighborMode,
-    n_out: usize,
-    k: usize,
-    seed: u64,
-    feature_node: Option<usize>,
-    neighbors_bid: Option<usize>,
-    centroids_bid: Option<usize>,
-    repeated_bid: Option<usize>,
-}
-
 /// Everything the thread-local recorder accumulates during one recording
 /// forward pass.
 #[derive(Default)]
@@ -169,7 +154,9 @@ pub(crate) struct Recording {
     /// as long as no later step needs them.
     derivable: Vec<bool>,
     state_by_var: HashMap<usize, usize>,
-    open: Option<OpenSearch>,
+    /// Position in `steps` of the module search between `begin_search` and
+    /// `end_search`.
+    open: Option<usize>,
     error: Option<String>,
 }
 
@@ -209,16 +196,13 @@ pub(crate) mod rec {
             let state = rec.derivable.len();
             rec.derivable.push(true);
             rec.state_by_var.insert(input_var.index(), state);
-            rec.steps.push(DynStep::Input {
-                at: input_var.index(),
-                state,
-                input_node: input_var.index(),
-                source,
-            });
+            rec.steps.push(DynStep::Input { state, input_node: input_var.index(), source });
         });
     }
 
-    /// Opens a module search: executors will attach index roles to it.
+    /// Opens a module search: pushes its step, to which executors attach
+    /// index roles and `end_search` the output state. Nothing else records
+    /// in between, so steps stay in tape order.
     pub(crate) fn begin_search(
         at: usize,
         state_features: VarId,
@@ -243,9 +227,11 @@ pub(crate) mod rec {
             }
             let feature_node =
                 matches!(neighbor, NeighborMode::FeatureKnn).then_some(state_features.index());
-            rec.open = Some(OpenSearch {
+            rec.open = Some(rec.steps.len());
+            rec.steps.push(DynStep::Search {
                 at,
                 state_in,
+                state_out: usize::MAX, // set by `end_search`
                 neighbor,
                 n_out,
                 k,
@@ -262,13 +248,18 @@ pub(crate) mod rec {
     pub(crate) fn bind_index(var: VarId, role: IndexRole) {
         with(|rec| {
             let n_index = &mut rec.marks.n_index;
-            let Some(open) = rec.open.as_mut() else {
+            let Some(open) = rec.open else {
                 return; // executors may run outside run_module in tests
             };
+            let DynStep::Search { neighbors_bid, centroids_bid, repeated_bid, .. } =
+                &mut rec.steps[open]
+            else {
+                unreachable!("`open` names a search step");
+            };
             let slot = match role {
-                IndexRole::Neighbors => &mut open.neighbors_bid,
-                IndexRole::Centroids => &mut open.centroids_bid,
-                IndexRole::Repeated => &mut open.repeated_bid,
+                IndexRole::Neighbors => neighbors_bid,
+                IndexRole::Centroids => centroids_bid,
+                IndexRole::Repeated => repeated_bid,
             };
             let bid = *slot.get_or_insert_with(|| {
                 let bid = *n_index;
@@ -283,22 +274,13 @@ pub(crate) mod rec {
     pub(crate) fn end_search(out_features: VarId) {
         with(|rec| {
             let Some(open) = rec.open.take() else { return };
-            let state_out = rec.derivable.len();
+            let state = rec.derivable.len();
             rec.derivable.push(true);
-            rec.state_by_var.insert(out_features.index(), state_out);
-            rec.steps.push(DynStep::Search {
-                at: open.at,
-                state_in: open.state_in,
-                state_out: Some(state_out),
-                neighbor: open.neighbor,
-                n_out: open.n_out,
-                k: open.k,
-                seed: open.seed,
-                feature_node: open.feature_node,
-                neighbors_bid: open.neighbors_bid,
-                centroids_bid: open.centroids_bid,
-                repeated_bid: open.repeated_bid,
-            });
+            rec.state_by_var.insert(out_features.index(), state);
+            let DynStep::Search { state_out, .. } = &mut rec.steps[open] else {
+                unreachable!("`open` names a search step");
+            };
+            *state_out = state;
         });
     }
 
@@ -369,6 +351,8 @@ pub(crate) mod rec {
 
 struct Compiled {
     n_points: usize,
+    /// The engine clock at this plan's last run (the eviction order).
+    last_use: u64,
     plan: Plan,
     steps: Vec<DynStep>,
     /// Steps that survived plan dead-code elimination.
@@ -461,21 +445,34 @@ pub struct EngineStats {
 /// One engine serves one frozen `(network, strategy, seed)` combination —
 /// the recording closure the caller passes must be a pure function of
 /// `(Graph, PointCloud)`. Plans are compiled per input shape on first
-/// sight; per-sample neighbor structure is cached so the steady state
-/// (repeated samples) allocates nothing. For frame sequences that never
-/// repeat, [`PlanEngine::run_streamed`] bypasses the cache and reuses a
-/// persistent search arena instead.
+/// sight, and at most [`MAX_PLANS`] are kept: a new shape beyond them
+/// replaces the least recently run plan. Per-sample neighbor structure is
+/// cached so the steady state (repeated samples) allocates nothing. For
+/// frame sequences that never repeat, [`PlanEngine::run_streamed`] bypasses
+/// the cache and reuses a persistent search arena instead.
 #[derive(Default)]
 pub struct PlanEngine {
     compiled: Vec<Compiled>,
+    clock: u64,
+    /// Traffic of evicted plans, so the engine's totals stay monotonic.
+    retired_search: SearchCounters,
+    retired_cache: SampleCacheStats,
 }
+
+/// Compiled plans an engine keeps. Each holds a weight snapshot, an arena
+/// sized for its shape, a search arena and a sample cache, so an engine
+/// that kept one per point count ever seen would grow with every new count
+/// a client sends. An evicted shape recompiles on its next run, to
+/// bit-identical outputs.
+pub const MAX_PLANS: usize = 4;
 
 impl PlanEngine {
     /// An engine with no compiled plans yet.
     ///
     /// Nothing about an engine is configurable, and none of it changes
-    /// results: each compiled plan caches the bindings of up to
-    /// [`SAMPLE_CACHE_CAP`] samples, every coordinate search runs on the
+    /// results: it keeps at most [`MAX_PLANS`] compiled plans, each plan
+    /// caches the bindings of up to [`SAMPLE_CACHE_CAP`] samples, every
+    /// coordinate search runs on the
     /// octree, and batch searches split across the worker pool wherever
     /// `mesorasi_par::chunk_len`'s cost model says the work pays for it;
     /// outputs are bit-identical at every thread count.
@@ -483,9 +480,10 @@ impl PlanEngine {
         PlanEngine::default()
     }
 
-    /// NIT sample-cache traffic summed over every compiled plan.
+    /// NIT sample-cache traffic summed over every plan this engine has
+    /// compiled; `entries` and `capacity` count the plans it holds.
     pub fn sample_cache_stats(&self) -> SampleCacheStats {
-        let mut total = SampleCacheStats::default();
+        let mut total = self.retired_cache;
         for c in &self.compiled {
             total.add(&c.samples.stats());
         }
@@ -578,16 +576,18 @@ impl PlanEngine {
         })
     }
 
-    /// Search-traffic counters summed over every compiled plan.
+    /// Search-traffic counters summed over every plan this engine has
+    /// compiled.
     pub fn search_counters(&self) -> SearchCounters {
-        let mut total = SearchCounters::default();
+        let mut total = self.retired_search;
         for c in &self.compiled {
             total.add(&c.search.counters());
         }
         total
     }
 
-    /// Number of distinct input shapes compiled so far.
+    /// Number of compiled plans held: the distinct input shapes run most
+    /// recently, at most [`MAX_PLANS`].
     pub fn compiled_plans(&self) -> usize {
         self.compiled.len()
     }
@@ -597,7 +597,9 @@ impl PlanEngine {
         cloud: &PointCloud,
         record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
     ) -> usize {
+        self.clock += 1;
         if let Some(i) = self.compiled.iter().position(|c| c.n_points == cloud.len()) {
+            self.compiled[i].last_use = self.clock;
             return i;
         }
 
@@ -623,8 +625,9 @@ impl PlanEngine {
         plan.check_no_aliasing();
         let step_live = compute_step_live(&plan, &recording);
         let n_states = recording.derivable.len();
-        self.compiled.push(Compiled {
+        let compiled = Compiled {
             n_points: cloud.len(),
+            last_use: self.clock,
             plan,
             steps: recording.steps,
             step_live,
@@ -637,8 +640,24 @@ impl PlanEngine {
             state_bufs: vec![PointCloud::new(); n_states],
             state_set: vec![false; n_states],
             stream_bindings: None,
-        });
-        self.compiled.len() - 1
+        };
+        if self.compiled.len() < MAX_PLANS {
+            self.compiled.push(compiled);
+            return self.compiled.len() - 1;
+        }
+        // Replace the least recently run plan; its storage is dropped and
+        // its traffic retired into the engine's totals.
+        let (i, _) = self
+            .compiled
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| c.last_use)
+            .expect("MAX_PLANS > 0");
+        let old = std::mem::replace(&mut self.compiled[i], compiled);
+        self.retired_search.add(&old.search.counters());
+        let traffic = SampleCacheStats { entries: 0, capacity: 0, ..old.samples.stats() };
+        self.retired_cache.add(&traffic);
+        i
     }
 }
 
@@ -681,7 +700,7 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
                     .into_iter()
                     .flatten()
                     .any(|&b| index_live[b]);
-                let out_needed = state_out.is_some_and(|s| needed_state[s]);
+                let out_needed = needed_state[*state_out];
                 if binds_live || out_needed {
                     live[si] = true;
                     needed_state[*state_in] = true;
@@ -789,11 +808,9 @@ fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
                         out.extend(std::iter::repeat_n(cen, *k));
                     }
                 }
-                if let Some(so) = state_out {
-                    let (src, dst) = two_bufs(state_bufs, *state_in, *so);
-                    src.select_into(centroids, dst);
-                    state_set[*so] = true;
-                }
+                let (src, dst) = two_bufs(state_bufs, *state_in, *state_out);
+                src.select_into(centroids, dst);
+                state_set[*state_out] = true;
             }
             DynStep::Stencil { coarse, fine, bid, .. } => {
                 assert!(
@@ -859,6 +876,14 @@ mod tests {
         Module::new(ModuleConfig::edge("ec", 96, 5, vec![3, 10, 8]), NormMode::None, &mut rng)
     }
 
+    /// The recording closure of `module`'s forward under `Strategy::Delayed`.
+    fn delayed_forward(module: &Module) -> impl Fn(&mut Graph, &PointCloud) -> Vec<VarId> + '_ {
+        move |g, cloud| {
+            let state = ModuleState::from_cloud(g, cloud);
+            vec![runner::run_module(g, module, &state, Strategy::Delayed, 5).state.features]
+        }
+    }
+
     fn tape_module_forward(module: &Module, cloud: &PointCloud, strategy: Strategy) -> Matrix {
         let mut g = Graph::new();
         let state = ModuleState::from_cloud(&mut g, cloud);
@@ -902,11 +927,7 @@ mod tests {
     fn repeated_samples_hit_the_nit_cache_without_growth() {
         let module = offset_module(NeighborMode::CoordKnn);
         let mut engine = PlanEngine::new();
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
+        let record = delayed_forward(&module);
         let cloud = sample_shape(ShapeClass::Bottle, 80, 4);
         let first = engine.run(&cloud, &record).get(0).clone();
         for _ in 0..3 {
@@ -976,11 +997,7 @@ mod tests {
             offset_module(NeighborMode::CoordBall { radius: 0.4 }),
             edge_module(),
         ] {
-            let record = |g: &mut Graph, cloud: &PointCloud| {
-                let state = ModuleState::from_cloud(g, cloud);
-                let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-                vec![out.state.features]
-            };
+            let record = delayed_forward(&module);
             let mut cached = PlanEngine::new();
             let mut streamed = PlanEngine::new();
             for frame_seed in [1, 2, 3, 4] {
@@ -1003,11 +1020,7 @@ mod tests {
     #[test]
     fn streamed_engine_reports_search_arena_stats() {
         let module = offset_module(NeighborMode::CoordKnn);
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
+        let record = delayed_forward(&module);
         let mut engine = PlanEngine::new();
         for frame_seed in [10, 11] {
             let cloud = sample_shape(ShapeClass::Bottle, 80, frame_seed);
@@ -1030,11 +1043,7 @@ mod tests {
         // hot sample's hit rate at 100% across more distinct samples than
         // the cache holds.
         let module = offset_module(NeighborMode::CoordKnn);
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
+        let record = delayed_forward(&module);
         let mut engine = PlanEngine::new();
         let hot = sample_shape(ShapeClass::Chair, 64, 1000);
         let want = engine.run(&hot, &record).get(0).clone();
@@ -1062,11 +1071,7 @@ mod tests {
         // Evict a sample by flooding the cache, then re-run it: the
         // re-derivation must reproduce the original output bit-for-bit.
         let module = offset_module(NeighborMode::CoordKnn);
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
+        let record = delayed_forward(&module);
         let mut engine = PlanEngine::new();
         let victim = sample_shape(ShapeClass::Lamp, 64, 7);
         let want = engine.run(&victim, &record).get(0).clone();
@@ -1091,11 +1096,7 @@ mod tests {
     #[test]
     fn cache_stats_surface_in_engine_stats() {
         let module = offset_module(NeighborMode::CoordKnn);
-        let record = |g: &mut Graph, cloud: &PointCloud| {
-            let state = ModuleState::from_cloud(g, cloud);
-            let out = runner::run_module(g, &module, &state, Strategy::Delayed, 5);
-            vec![out.state.features]
-        };
+        let record = delayed_forward(&module);
         let mut engine = PlanEngine::new();
         let cloud = sample_shape(ShapeClass::Bottle, 80, 4);
         let _ = engine.run(&cloud, &record);
@@ -1137,6 +1138,29 @@ mod tests {
             let got = engine.run_streamed(&cloud, &record);
             assert_eq!(got.get(0), &expected, "cloud {cloud_seed}");
         }
+    }
+
+    #[test]
+    fn an_engine_keeps_at_most_max_plans_shapes() {
+        let module = offset_module(NeighborMode::CoordKnn);
+        let record = delayed_forward(&module);
+        let mut engine = PlanEngine::new();
+        let clouds: Vec<PointCloud> =
+            (0..MAX_PLANS + 2).map(|i| sample_shape(ShapeClass::Cup, 64 + 8 * i, 3)).collect();
+        let first = engine.run(&clouds[0], &record).get(0).clone();
+        for cloud in &clouds[1..] {
+            let _ = engine.run(cloud, &record);
+        }
+        assert_eq!(engine.compiled_plans(), MAX_PLANS, "older shapes are evicted");
+        assert!(engine.stats(clouds[0].len()).is_none(), "the first shape ran least recently");
+        // The evicted shape recompiles and answers bit for bit as before.
+        assert_eq!(engine.run(&clouds[0], &record).get(0), &first);
+        assert_eq!(engine.compiled_plans(), MAX_PLANS);
+        // Evicted plans' traffic stays in the totals: one search and one
+        // cache miss per run.
+        let runs = MAX_PLANS as u64 + 3;
+        assert_eq!(engine.search_counters().query_calls, runs);
+        assert_eq!(engine.sample_cache_stats().misses, runs);
     }
 
     #[test]

@@ -29,17 +29,6 @@ impl Strategy {
     /// All strategies, in baseline-to-proposed order.
     pub const ALL: [Strategy; 3] = [Strategy::Original, Strategy::LtdDelayed, Strategy::Delayed];
 
-    /// True when this strategy lets (part of) feature computation overlap
-    /// with neighbor search.
-    pub fn overlaps_search(self) -> bool {
-        !matches!(self, Strategy::Original)
-    }
-
-    /// True when the full MLP runs before aggregation.
-    pub fn hoists_full_mlp(self) -> bool {
-        matches!(self, Strategy::Delayed)
-    }
-
     /// Short name used in experiment tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -59,15 +48,6 @@ impl fmt::Display for Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overlap_and_hoist_flags() {
-        assert!(!Strategy::Original.overlaps_search());
-        assert!(Strategy::LtdDelayed.overlaps_search());
-        assert!(Strategy::Delayed.overlaps_search());
-        assert!(Strategy::Delayed.hoists_full_mlp());
-        assert!(!Strategy::LtdDelayed.hoists_full_mlp());
-    }
 
     #[test]
     fn labels_are_distinct() {

@@ -59,21 +59,6 @@ pub struct SearchOp {
     pub radius_query: bool,
 }
 
-impl SearchOp {
-    /// Multiply-accumulate work of the dense pairwise-distance computation
-    /// GPU implementations perform (3 ops per dimension per pair).
-    pub fn distance_macs(&self) -> u64 {
-        (self.queries as u64) * (self.candidates as u64) * (self.dim as u64)
-    }
-
-    /// Comparison work of top-k selection, modeled as `candidates · log2(k)`
-    /// per query (bitonic-style partial selection).
-    pub fn selection_ops(&self) -> u64 {
-        let logk = (self.k.max(2) as f64).log2().ceil() as u64;
-        (self.queries as u64) * (self.candidates as u64) * logk
-    }
-}
-
 /// One MLP layer executed as a batched matrix product
 /// (`rows × inner` · `inner × cols`), including its activation function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,13 +253,6 @@ mod tests {
         assert_eq!(op.macs(), 1024 * 3 * 64);
         assert_eq!(op.output_bytes(), 4 * 1024 * 64);
         assert_eq!(op.weight_bytes(), 4 * 3 * 64);
-    }
-
-    #[test]
-    fn search_accounting() {
-        let op = SearchOp { queries: 512, candidates: 1024, dim: 3, k: 32, radius_query: false };
-        assert_eq!(op.distance_macs(), 512 * 1024 * 3);
-        assert_eq!(op.selection_ops(), 512 * 1024 * 5); // log2(32) = 5
     }
 
     #[test]

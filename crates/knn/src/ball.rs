@@ -6,7 +6,8 @@
 //! implementation's behaviour). This padding is why Fig. 6's membership
 //! counts can exceed what pure KNN would produce in dense regions.
 
-use crate::index::{BruteForceIndex, SearchIndex};
+use crate::bruteforce::Candidate;
+use crate::index::{batch_into, sort_candidates, table_slots};
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::PointCloud;
 
@@ -15,7 +16,7 @@ use mesorasi_pointcloud::PointCloud;
 /// implementation's behaviour for sparse neighborhoods. `found` must be
 /// sorted ascending: every in-range point (the scan), or the octree's
 /// survivors, which always include the `k` nearest.
-pub(crate) fn pad_slot(found: &[crate::bruteforce::Candidate], slot: &mut [usize]) {
+pub(crate) fn pad_slot(found: &[Candidate], slot: &mut [usize]) {
     debug_assert!(!found.is_empty(), "centroid always finds itself");
     let take = found.len().min(slot.len());
     for (s, c) in slot[..take].iter_mut().zip(found) {
@@ -28,18 +29,16 @@ pub(crate) fn pad_slot(found: &[crate::bruteforce::Candidate], slot: &mut [usize
 }
 
 /// Runs a padded ball query for every centroid in `queries`, in parallel
-/// per query — the ball-query oracle, beside
-/// [`crate::bruteforce::knn_indices`].
+/// per query through the shared batch driver — the ball-query oracle,
+/// beside [`crate::bruteforce::knn_indices`].
 ///
 /// For each centroid, collects at most `k` points within `radius`
 /// (ascending by distance; the centroid itself, at distance 0, is first) and
 /// pads with the nearest found index up to exactly `k` entries. A centroid
-/// always finds at least itself, so entries are never empty. A thin wrapper
-/// over [`BruteForceIndex`]'s `ball_into`, so the reference path and the
-/// pluggable scan cannot diverge: it gathers *every* in-range point and
-/// sorts them all — the plain collect-and-sort definition that the
-/// octree's bounded selection, which keeps only what it can return, is
-/// tested against.
+/// always finds at least itself, so entries are never empty. It gathers
+/// *every* in-range point and sorts them all — the plain collect-and-sort
+/// definition that the octree's bounded selection, which keeps only what it
+/// can return, is tested against.
 ///
 /// # Panics
 ///
@@ -50,8 +49,25 @@ pub fn ball_query(
     radius: f32,
     k: usize,
 ) -> NeighborIndexTable {
+    assert!(k > 0, "k must be positive");
+    assert!(radius >= 0.0, "radius must be non-negative");
+    let n = cloud.len();
+    let r2 = radius * radius;
     let mut out = NeighborIndexTable::default();
-    BruteForceIndex::default().ball_into(cloud, queries, radius, k, &mut out);
+    let slots = table_slots(&mut out, queries, k);
+    batch_into(slots, queries, k, n * 8, &mut Vec::new(), |found, q, slot| {
+        let query = cloud.point(q);
+        found.clear();
+        for (i, &p) in cloud.points().iter().enumerate() {
+            let d = p.distance_squared(query);
+            if d <= r2 {
+                found.push(Candidate { index: i, dist_sq: d });
+            }
+        }
+        sort_candidates(found);
+        pad_slot(found, slot);
+        n as u64
+    });
     out
 }
 

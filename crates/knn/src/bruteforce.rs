@@ -6,8 +6,9 @@
 //! dense pairwise-distance matrix and select the top-K, because that maps
 //! well onto GPU execution even though it does more work than a tree.
 
+use crate::index::{batch_into, table_slots};
 use crate::NeighborIndexTable;
-use mesorasi_pointcloud::PointCloud;
+use mesorasi_pointcloud::{Point3, PointCloud};
 
 /// An index paired with its squared distance to the query. Ordering ties are
 /// broken by index so results are deterministic across implementations.
@@ -51,9 +52,9 @@ pub fn push_bounded(best: &mut Vec<Candidate>, k: usize, c: Candidate) {
 
 /// Runs KNN for every centroid in `queries` (indices into `cloud`) and
 /// collects the results into a [`NeighborIndexTable`]. Queries are searched
-/// in parallel (each is an independent exhaustive scan). A thin wrapper
-/// over [`crate::index::BruteForceIndex`]'s `knn_into`, so the reference
-/// path and the pluggable backend cannot diverge.
+/// in parallel (each is an independent exhaustive scan) through the shared
+/// batch driver, so the table does not depend on the thread count. The
+/// kNN oracle: every octree table is held to it bit for bit.
 ///
 /// Matches the paper's module semantics: the query set is a subset of the
 /// input points ("the neighbor search might be applied to only a subset of
@@ -63,10 +64,47 @@ pub fn push_bounded(best: &mut Vec<Candidate>, k: usize, c: Candidate) {
 ///
 /// Panics if any query index is out of bounds or `k > cloud.len()`.
 pub fn knn_indices(cloud: &PointCloud, queries: &[usize], k: usize) -> NeighborIndexTable {
-    use crate::index::SearchIndex;
     let mut out = NeighborIndexTable::default();
-    crate::index::BruteForceIndex::default().knn_into(cloud, queries, k, &mut out);
+    knn_scan(cloud, queries, |q| cloud.point(q), k, table_slots(&mut out, queries, k));
     out
+}
+
+/// Exact kNN for query *points*, which need not belong to `cloud` (feature
+/// propagation's fine points against the coarse cloud): `out` holds
+/// `queries.len()` rows of `k` indices, each ascending by distance, ties by
+/// index. The oracle of [`crate::MortonOctree::knn_points_into`]; the same
+/// scan body as [`knn_indices`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != queries.len() * k` or `k` is out of range.
+pub fn knn_points_into(cloud: &PointCloud, queries: &[Point3], k: usize, out: &mut [usize]) {
+    assert_eq!(out.len(), queries.len() * k, "one {k}-wide row per query point");
+    knn_scan(cloud, queries, |p| p, k, out);
+}
+
+/// The scan's one kNN body: every point of `cloud` offered to the bounded
+/// selection of each query point `at(q)`, rows written into `slots`.
+fn knn_scan<Q: Copy + Sync>(
+    cloud: &PointCloud,
+    queries: &[Q],
+    at: impl Fn(Q) -> Point3 + Sync,
+    k: usize,
+    slots: &mut [usize],
+) {
+    assert!(k > 0 && k <= cloud.len(), "k = {k} out of range for {} points", cloud.len());
+    let n = cloud.len();
+    batch_into(slots, queries, k, n * 8, &mut Vec::new(), |best, q, slot| {
+        let query = at(q);
+        best.clear();
+        for (i, &p) in cloud.points().iter().enumerate() {
+            push_bounded(best, k, Candidate { index: i, dist_sq: p.distance_squared(query) });
+        }
+        for (s, c) in slot.iter_mut().zip(best.iter()) {
+            *s = c.index;
+        }
+        n as u64
+    });
 }
 
 #[cfg(test)]

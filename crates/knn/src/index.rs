@@ -1,16 +1,17 @@
-//! The search subsystem: one trait over both backends, the batch driver
-//! they share, and the [`SearchContext`] that owns reusable index storage.
+//! The search front-end: the batch driver the octree and the oracles share,
+//! and the [`SearchContext`] that owns reusable index storage.
 //!
 //! Mesorasi treats neighbor search as a first-class phase — delayed
 //! aggregation exists precisely to decouple it from feature computation.
-//! [`SearchIndex`] makes the build/query split explicit: `build_into`
-//! (re)constructs an index over a cloud reusing its storage, and the
-//! `*_into` queries write into a caller-owned [`NeighborIndexTable`] (or,
-//! for query points outside the cloud, a caller-owned index slice). Its
-//! two implementations — the exhaustive scan [`BruteForceIndex`] (nothing to
-//! build; the oracle) and the [`MortonOctree`] (the one spatial index) — are
-//! **exact** with identical `(distance, index)` tie-breaking, so they are
-//! interchangeable bit-for-bit and the scan is the octree's oracle.
+//! The one spatial index, [`MortonOctree`], makes the build/query split
+//! explicit: `build_into` (re)constructs it over a cloud reusing its
+//! storage, and its `*_into` queries write into a caller-owned
+//! [`NeighborIndexTable`] (or, for query points outside the cloud, a
+//! caller-owned index slice). The oracles — [`crate::bruteforce::knn_indices`],
+//! [`crate::bruteforce::knn_points_into`] and [`crate::ball::ball_query`] —
+//! are plain exhaustive scans with nothing to build. Both sides run their
+//! queries through `batch_into`, with identical `(distance, index)`
+//! tie-breaking, so the octree's tables equal the scans' bit for bit.
 //!
 //! [`SearchContext`] answers every coordinate search on the octree and adds
 //! the arena discipline: a small pool of slots keyed by search space, each
@@ -23,172 +24,13 @@
 //! traffic ([`SearchCounters`]): index-build vs query time and real
 //! distance-evaluation counts.
 
-use crate::bruteforce::{push_bounded, Candidate};
+use crate::bruteforce::Candidate;
 use crate::feature::{self, FeatureScratch, FeatureView};
 use crate::octree::MortonOctree;
 use crate::stats::SearchCounters;
 use crate::NeighborIndexTable;
 use mesorasi_pointcloud::{Point3, PointCloud};
 use std::time::Instant;
-
-/// A neighbor-search index with an explicit build/query split.
-///
-/// Implementations must be exact and deterministic: for any cloud and query
-/// batch, `knn_into` and `ball_into` produce tables bit-identical to the two
-/// oracles, [`crate::bruteforce::knn_indices`] and [`crate::ball::ball_query`]
-/// (both the exhaustive scan) — the correctness bar the octree is held to.
-/// Queries take `&mut self` so indices can own reusable scratch; they never
-/// change query results. Both query methods return the number of pairwise
-/// distance evaluations performed (the traffic counters' currency).
-pub trait SearchIndex: Send + std::fmt::Debug {
-    /// Builds a fresh index over `cloud`.
-    fn build(cloud: &PointCloud) -> Self
-    where
-        Self: Sized + Default,
-    {
-        let mut index = Self::default();
-        index.build_into(cloud);
-        index
-    }
-
-    /// Rebuilds the index over `cloud`, reusing storage where possible —
-    /// same-sized clouds must not grow the backing allocations.
-    fn build_into(&mut self, cloud: &PointCloud);
-
-    /// Exact kNN for member-point `queries`, written into `out` (reset to
-    /// `queries.len()` entries of `k`, ascending by distance, ties by
-    /// index). Returns the distance evaluations performed.
-    fn knn_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64;
-
-    /// Exact kNN for query *points*, which need not belong to `cloud` (feature
-    /// propagation's fine points against the coarse cloud): `out` holds
-    /// `queries.len()` rows of `k` indices, each ascending by distance, ties
-    /// by index. The same body answers [`SearchIndex::knn_into`]. Returns the
-    /// distance evaluations performed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != queries.len() * k` or `k` is out of range.
-    fn knn_points_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[Point3],
-        k: usize,
-        out: &mut [usize],
-    ) -> u64;
-
-    /// Padded radius query (see [`crate::ball::ball_query`] semantics)
-    /// written into `out`. Returns the distance evaluations performed.
-    fn ball_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64;
-
-    /// Heap bytes retained by the index (capacity, not length).
-    fn storage_bytes(&self) -> usize;
-}
-
-/// The index-free backend: exhaustive scans, the reference the octree is
-/// tested against and the algorithm whose cost the GPU model charges.
-/// `build_into` is a no-op (there is nothing to build).
-#[derive(Debug, Default)]
-pub struct BruteForceIndex {
-    scratch: Vec<Candidate>,
-}
-
-impl BruteForceIndex {
-    /// The scan's one kNN body: every point of `cloud` offered to the
-    /// bounded selection of each query point `at(q)`.
-    fn knn_batch<Q: Copy + Sync>(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[Q],
-        at: impl Fn(Q) -> Point3 + Sync,
-        k: usize,
-        slots: &mut [usize],
-    ) -> u64 {
-        assert!(k > 0 && k <= cloud.len(), "k = {k} out of range for {} points", cloud.len());
-        let n = cloud.len();
-        batch_into(slots, queries, k, n * 8, &mut self.scratch, |best, q, slot| {
-            let query = at(q);
-            best.clear();
-            for (i, &p) in cloud.points().iter().enumerate() {
-                push_bounded(best, k, Candidate { index: i, dist_sq: p.distance_squared(query) });
-            }
-            for (s, c) in slot.iter_mut().zip(best.iter()) {
-                *s = c.index;
-            }
-            n as u64
-        })
-    }
-}
-
-impl SearchIndex for BruteForceIndex {
-    fn build_into(&mut self, _cloud: &PointCloud) {}
-
-    fn knn_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        self.knn_batch(cloud, queries, |q| cloud.point(q), k, table_slots(out, queries, k))
-    }
-
-    fn knn_points_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[Point3],
-        k: usize,
-        out: &mut [usize],
-    ) -> u64 {
-        assert_eq!(out.len(), queries.len() * k, "one {k}-wide row per query point");
-        self.knn_batch(cloud, queries, |p| p, k, out)
-    }
-
-    fn ball_into(
-        &mut self,
-        cloud: &PointCloud,
-        queries: &[usize],
-        radius: f32,
-        k: usize,
-        out: &mut NeighborIndexTable,
-    ) -> u64 {
-        assert!(k > 0, "k must be positive");
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let n = cloud.len();
-        let r2 = radius * radius;
-        let slots = table_slots(out, queries, k);
-        batch_into(slots, queries, k, n * 8, &mut self.scratch, |found, q, slot| {
-            let query = cloud.point(q);
-            found.clear();
-            for (i, &p) in cloud.points().iter().enumerate() {
-                let d = p.distance_squared(query);
-                if d <= r2 {
-                    found.push(Candidate { index: i, dist_sq: d });
-                }
-            }
-            sort_candidates(found);
-            crate::ball::pad_slot(found, slot);
-            n as u64
-        })
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.scratch.capacity() * std::mem::size_of::<Candidate>()
-    }
-}
 
 /// Sorts candidates ascending by `(distance, index)`. The key is unique per
 /// candidate (indices are distinct), so the unstable sort — which does not
@@ -399,9 +241,7 @@ impl SearchContext {
         k: usize,
         out: &mut [usize],
     ) {
-        self.answer(space, cloud, queries.len(), |index| {
-            index.knn_points_into(cloud, queries, k, out)
-        });
+        self.answer(space, cloud, queries.len(), |index| index.knn_points_into(queries, k, out));
     }
 
     /// The one dispatch site: finds or builds the octree for
@@ -494,22 +334,6 @@ mod tests {
 
     fn queries(n: usize) -> Vec<usize> {
         (0..n).step_by(3).collect()
-    }
-
-    #[test]
-    fn every_backend_matches_bruteforce_knn_through_the_trait() {
-        let cloud = sample_shape(ShapeClass::Chair, 150, 1);
-        let q = queries(150);
-        let want = bruteforce::knn_indices(&cloud, &q, 7);
-        let backends: [(&str, Box<dyn SearchIndex>); 2] = [
-            ("bruteforce", Box::new(BruteForceIndex::build(&cloud))),
-            ("octree", Box::new(MortonOctree::build(&cloud))),
-        ];
-        for (kind, mut b) in backends {
-            let mut got = NeighborIndexTable::default();
-            b.knn_into(&cloud, &q, 7, &mut got);
-            assert_eq!(got, want, "backend {kind}");
-        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! points are irregularly scattered (paper §III-A). This crate provides the
 //! search structures the evaluated networks use:
 //!
-//! * [`bruteforce`] — exact KNN by exhaustive distance computation, the
-//!   reference implementation and the cost model the GPU simulator charges,
+//! * [`bruteforce`] — exact KNN by exhaustive distance computation, for
+//!   member centroids and free query points: the reference implementation
+//!   and the cost model the GPU simulator charges,
 //! * [`octree`] — the Morton-bucket octree, the one spatial index: exact
 //!   kNN and radius queries on the CPU at every cloud size (keeps the
 //!   functional executors fast; the *simulated* GPU still uses the
@@ -17,21 +18,24 @@
 //!   DGCNN's dynamic graph construction,
 //! * [`nit`] — the Neighbor Index Table, the `N_out × K` index structure
 //!   that the delayed-aggregation hardware streams through the NIT buffer,
-//! * [`index`] — the [`SearchIndex`] trait over both backends (explicit
-//!   build/query split, out-parameter queries), the batch driver they
-//!   share, and the [`SearchContext`] that owns reusable per-space index
-//!   storage, through which every coordinate search reaches the octree,
+//! * [`index`] — the batch driver the octree and the scans share, and the
+//!   [`SearchContext`] that owns reusable per-space index storage, through
+//!   which every coordinate search reaches the octree,
 //! * [`stats`] — neighborhood-membership statistics (reproduces Fig. 6)
 //!   and the [`stats::SearchCounters`] traffic meters.
 //!
-//! Both backends are exact with identical `(distance, index)` tie-breaking:
-//! the scan is the oracle every octree table is held to, bit for bit.
+//! The octree answers through its own methods (`build_into`, `knn_into`,
+//! `knn_points_into`, `ball_into`); the oracles are plain functions,
+//! [`bruteforce::knn_indices`], [`bruteforce::knn_points_into`] and
+//! [`ball::ball_query`]. Both sides are exact with identical
+//! `(distance, index)` tie-breaking: every octree table equals the scan's,
+//! bit for bit.
 //!
 //! # Example
 //!
 //! ```
 //! use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
-//! use mesorasi_knn::{bruteforce, MortonOctree, NeighborIndexTable, SearchIndex};
+//! use mesorasi_knn::{bruteforce, MortonOctree, NeighborIndexTable};
 //!
 //! let cloud = sample_shape(ShapeClass::Sphere, 256, 1);
 //! let queries: Vec<usize> = (0..32).collect();
@@ -54,9 +58,9 @@ pub mod nit;
 pub mod octree;
 pub mod stats;
 
+pub use index::SearchContext;
 #[doc(hidden)]
 pub use index::SearchPlanner;
-pub use index::{SearchContext, SearchIndex};
 pub use nit::NeighborIndexTable;
 pub use octree::MortonOctree;
 

@@ -55,16 +55,6 @@ impl NeighborIndexTable {
         NeighborIndexTable { k, centroids: Vec::new(), neighbors: Vec::new() }
     }
 
-    /// Creates an empty table with room for `entries` centroids.
-    pub fn with_capacity(k: usize, entries: usize) -> Self {
-        assert!(k > 0, "neighbor count must be positive");
-        NeighborIndexTable {
-            k,
-            centroids: Vec::with_capacity(entries),
-            neighbors: Vec::with_capacity(entries * k),
-        }
-    }
-
     /// Clears the table and switches it to `k` neighbors per entry, keeping
     /// the backing allocations — the reusable-buffer counterpart of
     /// [`NeighborIndexTable::new`] that the search arenas cycle through.

@@ -19,7 +19,7 @@
 //! points its ball holds. Ties break by `(distance, index)` as in the scan
 //! (shared `push_bounded`/`sort_candidates`/`pad_slot`, and `<=` at every
 //! bound), so the octree meets the bit-identity bar: its tables equal the
-//! scan's oracle tables, bit for bit. Queries batch in parallel through
+//! scan oracles' tables, bit for bit. Queries batch in parallel through
 //! the shared `batch_into` driver.
 
 use crate::bruteforce::{by_key, push_bounded, Candidate};
@@ -49,19 +49,26 @@ enum OctNode {
     },
 }
 
-/// A Morton-bucket octree with reusable storage, implementing
-/// [`crate::SearchIndex`].
+/// A Morton-bucket octree with reusable storage: the one spatial index.
+///
+/// Exact and deterministic: for any cloud and query batch, `knn_into`,
+/// `knn_points_into` and `ball_into` produce tables bit-identical to the
+/// exhaustive-scan oracles, [`crate::bruteforce::knn_indices`],
+/// [`crate::bruteforce::knn_points_into`] and [`crate::ball::ball_query`].
+/// Queries take `&mut self` only for the reusable candidate scratch; they
+/// never change query results. Every query returns the number of pairwise
+/// distance evaluations it performed (the traffic counters' currency).
 ///
 /// # Example
 ///
 /// ```
 /// use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 /// use mesorasi_knn::octree::MortonOctree;
-/// use mesorasi_knn::{bruteforce, SearchIndex};
+/// use mesorasi_knn::bruteforce;
 ///
 /// let cloud = sample_shape(ShapeClass::Torus, 512, 3);
 /// let queries: Vec<usize> = (0..64).collect();
-/// let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
+/// let mut tree = MortonOctree::build(&cloud);
 /// let mut out = mesorasi_knn::NeighborIndexTable::default();
 /// tree.knn_into(&cloud, &queries, 8, &mut out);
 /// assert_eq!(out, bruteforce::knn_indices(&cloud, &queries, 8));
@@ -77,22 +84,11 @@ pub struct MortonOctree {
     /// The cloud in Morton order (`sorted[i]` is point `perm[i]`): leaf
     /// payloads are slices of it.
     sorted: Vec<Point3>,
-    size: usize,
     /// Sequential-query candidate scratch (parallel chunks pool their own).
     scratch: Vec<Candidate>,
 }
 
 impl MortonOctree {
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// True when the tree indexes no points.
-    pub fn is_empty(&self) -> bool {
-        self.size == 0
-    }
-
     /// The one kNN body: the exact `k` nearest indexed points of each query
     /// point `at(q)`, written into `slots` row by row.
     fn knn_batch<Q: Copy + Sync>(
@@ -102,10 +98,11 @@ impl MortonOctree {
         k: usize,
         slots: &mut [usize],
     ) -> u64 {
-        assert!(k > 0 && k <= self.size, "k = {k} out of range for {} points", self.size);
+        let n = self.perm.len();
+        assert!(k > 0 && k <= n, "k = {k} out of range for {n} points");
         let MortonOctree { nodes, aabbs, perm, sorted, scratch, .. } = self;
         let t = TreeView { nodes, aabbs, perm, sorted };
-        batch_into(slots, queries, k, per_query_cost(t.perm.len(), k), scratch, |best, q, slot| {
+        batch_into(slots, queries, k, per_query_cost(n, k), scratch, |best, q, slot| {
             best.clear();
             let mut evals = 0u64;
             knn_descend(&t, 0, at(q), k, best, &mut evals);
@@ -115,12 +112,18 @@ impl MortonOctree {
             evals
         })
     }
-}
 
-impl crate::SearchIndex for MortonOctree {
-    fn build_into(&mut self, cloud: &PointCloud) {
+    /// Builds a fresh octree over `cloud`.
+    pub fn build(cloud: &PointCloud) -> MortonOctree {
+        let mut tree = MortonOctree::default();
+        tree.build_into(cloud);
+        tree
+    }
+
+    /// Rebuilds the octree over `cloud` in place: once their node layouts
+    /// have been seen, same-sized clouds grow no backing allocation.
+    pub fn build_into(&mut self, cloud: &PointCloud) {
         assert!(cloud.len() <= u32::MAX as usize, "octree indices are 32-bit");
-        self.size = cloud.len();
         self.nodes.clear();
         self.aabbs.clear();
         morton::sort_permutation_into(cloud, &mut self.codes, &mut self.perm);
@@ -140,7 +143,10 @@ impl crate::SearchIndex for MortonOctree {
         }
     }
 
-    fn knn_into(
+    /// Exact kNN for member-point `queries` of the indexed `cloud`, written
+    /// into `out`: `queries.len()` entries of `k`, ascending by distance,
+    /// ties by index.
+    pub fn knn_into(
         &mut self,
         cloud: &PointCloud,
         queries: &[usize],
@@ -151,18 +157,22 @@ impl crate::SearchIndex for MortonOctree {
         self.knn_batch(queries, |q| points[q], k, table_slots(out, queries, k))
     }
 
-    fn knn_points_into(
-        &mut self,
-        _cloud: &PointCloud,
-        queries: &[Point3],
-        k: usize,
-        out: &mut [usize],
-    ) -> u64 {
+    /// Exact kNN for query *points*, which need not belong to the indexed
+    /// cloud (feature propagation's fine points): `out` holds
+    /// `queries.len()` rows of `k` indices, from the body that answers
+    /// [`MortonOctree::knn_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != queries.len() * k` or `k` is out of range.
+    pub fn knn_points_into(&mut self, queries: &[Point3], k: usize, out: &mut [usize]) -> u64 {
         assert_eq!(out.len(), queries.len() * k, "one {k}-wide row per query point");
         self.knn_batch(queries, |p| p, k, out)
     }
 
-    fn ball_into(
+    /// Padded radius query (see [`crate::ball::ball_query`]) for
+    /// member-point `queries` of `cloud`, written into `out`.
+    pub fn ball_into(
         &mut self,
         cloud: &PointCloud,
         queries: &[usize],
@@ -187,7 +197,8 @@ impl crate::SearchIndex for MortonOctree {
         })
     }
 
-    fn storage_bytes(&self) -> usize {
+    /// Heap bytes retained by the octree (capacity, not length).
+    pub fn storage_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<OctNode>()
             + self.aabbs.capacity() * std::mem::size_of::<Aabb>()
             + self.perm.capacity() * std::mem::size_of::<usize>()
@@ -373,7 +384,7 @@ impl Ball {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ball, bruteforce, SearchIndex};
+    use crate::{ball, bruteforce};
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 
     fn queries(n: usize) -> Vec<usize> {
@@ -384,7 +395,7 @@ mod tests {
     fn matches_the_exhaustive_scan_on_knn_and_ball() {
         let cloud = sample_shape(ShapeClass::Chair, 700, 1);
         let q = queries(700);
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
+        let mut tree = MortonOctree::build(&cloud);
         let mut got = NeighborIndexTable::default();
         for k in [1, 9, 64] {
             tree.knn_into(&cloud, &q, k, &mut got);
@@ -397,7 +408,7 @@ mod tests {
     #[test]
     fn duplicate_points_collapse_into_one_leaf_and_tie_break_by_index() {
         let cloud = PointCloud::from_points(vec![Point3::new(0.5, -1.0, 2.0); 100]);
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
+        let mut tree = MortonOctree::build(&cloud);
         // Identical codes can never split: the Morton digits run out and
         // the whole run collapses into a single leaf (of > LEAF_SIZE).
         let leaves: Vec<_> = tree
@@ -442,7 +453,7 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Cube, 300, 4);
         let q = queries(300);
         let want = ball::ball_query(&cloud, &q, 0.0, 4);
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
+        let mut tree = MortonOctree::build(&cloud);
         let mut got = NeighborIndexTable::default();
         tree.ball_into(&cloud, &q, 0.0, 4, &mut got);
         assert_eq!(got, want);
@@ -452,7 +463,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn k_larger_than_n_panics() {
         let cloud = sample_shape(ShapeClass::Cube, 8, 2);
-        let mut tree = <MortonOctree as SearchIndex>::build(&cloud);
+        let mut tree = MortonOctree::build(&cloud);
         let mut out = NeighborIndexTable::default();
         tree.knn_into(&cloud, &[0], 9, &mut out);
     }

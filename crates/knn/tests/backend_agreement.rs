@@ -5,10 +5,11 @@
 //! hit: k = 1, k = n, duplicate points (distance ties, broken by index in
 //! both backends), a single point, a zero-extent cloud, radius 0 and ∞.
 //!
-//! The second half drives the *pluggable* subsystem: both backends behind
-//! the [`SearchIndex`] trait-object path, and the octree through a
-//! [`SearchContext`], must produce NITs bit-identical to the scan for both
-//! kNN and padded radius queries.
+//! The second half drives the octree the way its callers do: its own
+//! methods over retained storage, rebuilt across frames, answering free
+//! query points, and through a [`SearchContext`]; each must produce NITs
+//! bit-identical to the scan oracles for both kNN and padded radius
+//! queries, and meter the distance work it did.
 //!
 //! A third part holds the octree's bounded ball selection to the
 //! collect-and-sort oracle where keeping only `k` could go wrong: ties
@@ -21,10 +22,7 @@
 
 use mesorasi_knn::bruteforce::{push_bounded, Candidate};
 use mesorasi_knn::feature::{self, FeatureScratch, FeatureView};
-use mesorasi_knn::index::BruteForceIndex;
-use mesorasi_knn::{
-    ball, bruteforce, MortonOctree, NeighborIndexTable, SearchContext, SearchIndex,
-};
+use mesorasi_knn::{ball, bruteforce, MortonOctree, NeighborIndexTable, SearchContext};
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;
@@ -260,40 +258,30 @@ fn scene_scale_octree_ball_matches_the_collect_and_sort_oracle() {
 }
 
 // ---------------------------------------------------------------------
-// The pluggable subsystem: trait objects and the context.
+// The octree as its callers drive it: methods, rebuilds, the context.
 // ---------------------------------------------------------------------
 
-/// Both backends behind `Box<dyn SearchIndex>`, by name; each answers kNN
-/// and ball queries at any radius.
-fn backends(cloud: &PointCloud) -> [(&'static str, Box<dyn SearchIndex>); 2] {
-    [
-        ("bruteforce", Box::new(BruteForceIndex::build(cloud))),
-        ("octree", Box::new(MortonOctree::build(cloud))),
-    ]
-}
-
 #[test]
-fn trait_object_knn_matches_bruteforce_with_ties_and_extremes() {
+fn octree_knn_matches_bruteforce_with_ties_and_extremes() {
     let clouds = [sample_shape(ShapeClass::Vase, 180, 21), cloud_with_duplicates()];
     for cloud in &clouds {
         let n = cloud.len();
         let queries = all_queries(cloud);
+        let mut tree = MortonOctree::build(cloud);
         for k in [1, 3, n / 2, n] {
             let want = bruteforce::knn_indices(cloud, &queries, k);
-            for (kind, backend) in &mut backends(cloud) {
-                let mut got = NeighborIndexTable::default();
-                let evals = backend.knn_into(cloud, &queries, k, &mut got);
-                assert_eq!(got, want, "{kind} kNN drifted at k {k}, n {n}");
-                assert!(evals > 0, "{kind} must meter distance work");
-            }
+            let mut got = NeighborIndexTable::default();
+            let evals = tree.knn_into(cloud, &queries, k, &mut got);
+            assert_eq!(got, want, "octree kNN drifted at k {k}, n {n}");
+            assert!(evals > 0, "the octree must meter distance work");
         }
     }
 }
 
 #[test]
-fn trait_object_ball_matches_reference_with_padding_and_ties() {
+fn octree_ball_matches_reference_with_padding_and_ties() {
     // The duplicate cloud forces index-order tie-breaks; the sparse pair
-    // forces padding in every backend.
+    // forces padding.
     for (cloud, radius, k) in [
         (sample_shape(ShapeClass::Table, 160, 22), 0.25, 8),
         (cloud_with_duplicates(), 0.3, 9),
@@ -302,44 +290,38 @@ fn trait_object_ball_matches_reference_with_padding_and_ties() {
     ] {
         let queries = all_queries(&cloud);
         let want = ball::ball_query(&cloud, &queries, radius, k);
-        for (kind, backend) in &mut backends(&cloud) {
-            let mut got = NeighborIndexTable::default();
-            backend.ball_into(&cloud, &queries, radius, k, &mut got);
-            assert_eq!(got, want, "{kind} ball drifted (r {radius}, k {k})");
-        }
+        assert_eq!(octree_ball(&cloud, &queries, radius, k), want, "r {radius}, k {k}");
     }
 }
 
 #[test]
-fn trait_object_rebuild_over_new_frame_answers_for_the_new_cloud() {
+fn octree_rebuild_over_new_frame_answers_for_the_new_cloud() {
     let a = sample_shape(ShapeClass::Chair, 128, 24);
     let b = sample_shape(ShapeClass::Guitar, 128, 25);
     let queries = all_queries(&a);
-    for (kind, backend) in &mut backends(&a) {
-        backend.build_into(&b);
-        let mut got = NeighborIndexTable::default();
-        backend.knn_into(&b, &queries, 6, &mut got);
-        assert_eq!(got, bruteforce::knn_indices(&b, &queries, 6), "{kind}");
-    }
+    let mut tree = MortonOctree::build(&a);
+    tree.build_into(&b);
+    let mut got = NeighborIndexTable::default();
+    tree.knn_into(&b, &queries, 6, &mut got);
+    assert_eq!(got, bruteforce::knn_indices(&b, &queries, 6));
 }
 
 /// Satellite audit: a zero-extent AABB (all points coincident) gives every
-/// point the same Morton code, so the octree is one leaf of 30; both
-/// backends must still agree, ties broken by index, padding never needed
+/// point the same Morton code, so the octree is one leaf of 30; it must
+/// still agree with the scan, ties broken by index, padding never needed
 /// (everything is in radius).
 #[test]
 fn coincident_cloud_zero_extent_agrees_with_all_backends() {
     let cloud = PointCloud::from_points(vec![Point3::new(-2.0, 0.5, 3.25); 30]);
     let queries = all_queries(&cloud);
+    let mut tree = MortonOctree::build(&cloud);
     for k in [1, 7, 30] {
         let want = ball::ball_query(&cloud, &queries, 0.4, k);
         // All coincident ⇒ the k nearest are simply indices 0..k.
         assert_eq!(want.neighbors(0), (0..k).collect::<Vec<_>>().as_slice());
-        for (kind, backend) in &mut backends(&cloud) {
-            let mut got = NeighborIndexTable::default();
-            backend.ball_into(&cloud, &queries, 0.4, k, &mut got);
-            assert_eq!(got, want, "{kind} on coincident cloud, k {k}");
-        }
+        let mut got = NeighborIndexTable::default();
+        tree.ball_into(&cloud, &queries, 0.4, k, &mut got);
+        assert_eq!(got, want, "octree on coincident cloud, k {k}");
     }
 }
 
@@ -366,8 +348,9 @@ fn octree_k_beyond_in_range_population_pads_identically() {
 
 /// Point queries (feature propagation's fine points, not members of the
 /// searched cloud) run the same kNN body as member queries: for points of
-/// the cloud both backends answer exactly the member table's rows, and for
-/// points off it the octree answers the scan's rows, ties included.
+/// the cloud the octree and the scan answer exactly the member table's
+/// rows, and for points off it the octree answers the scan's rows, ties
+/// included.
 #[test]
 fn point_queries_match_member_queries_and_the_scan() {
     let coarse = cloud_with_duplicates();
@@ -375,19 +358,21 @@ fn point_queries_match_member_queries_and_the_scan() {
     let members: Vec<usize> = (0..n).rev().collect();
     let member_points: Vec<Point3> = members.iter().map(|&q| coarse.point(q)).collect();
     let fine = sample_shape(ShapeClass::Sphere, 150, 28);
+    let mut tree = MortonOctree::build(&coarse);
     for k in [1, 3, n] {
         let want = bruteforce::knn_indices(&coarse, &members, k);
-        let mut off_cloud = Vec::new();
-        for (kind, backend) in &mut backends(&coarse) {
-            let mut rows = vec![usize::MAX; n * k];
-            let evals = backend.knn_points_into(&coarse, &member_points, k, &mut rows);
-            assert_eq!(rows, want.neighbors_flat(), "{kind} member points, k {k}");
-            assert!(evals > 0, "{kind} must meter distance work");
-            let mut rows = vec![usize::MAX; fine.len() * k];
-            backend.knn_points_into(&coarse, fine.points(), k, &mut rows);
-            off_cloud.push(rows);
-        }
-        assert_eq!(off_cloud[0], off_cloud[1], "off-cloud points, k {k}");
+        let mut rows = vec![usize::MAX; n * k];
+        bruteforce::knn_points_into(&coarse, &member_points, k, &mut rows);
+        assert_eq!(rows, want.neighbors_flat(), "scan member points, k {k}");
+        rows.fill(usize::MAX);
+        let evals = tree.knn_points_into(&member_points, k, &mut rows);
+        assert_eq!(rows, want.neighbors_flat(), "octree member points, k {k}");
+        assert!(evals > 0, "the octree must meter distance work");
+        let mut scan = vec![usize::MAX; fine.len() * k];
+        bruteforce::knn_points_into(&coarse, fine.points(), k, &mut scan);
+        let mut octree = vec![usize::MAX; fine.len() * k];
+        tree.knn_points_into(fine.points(), k, &mut octree);
+        assert_eq!(octree, scan, "off-cloud points, k {k}");
     }
 }
 
@@ -434,18 +419,18 @@ fn synthetic_cloud(n: usize, seed: u64) -> PointCloud {
     PointCloud::from_points((0..n).map(|_| Point3::new(unit(), unit(), unit())).collect())
 }
 
-/// kNN and ball tables of `index`, rebuilt over `cloud`.
+/// kNN and ball tables of `octree`, rebuilt over `cloud`.
 fn rebuilt_answers(
-    index: &mut dyn SearchIndex,
+    octree: &mut MortonOctree,
     cloud: &PointCloud,
     queries: &[usize],
     k: usize,
     radius: f32,
 ) -> (NeighborIndexTable, NeighborIndexTable) {
-    index.build_into(cloud);
+    octree.build_into(cloud);
     let (mut knn, mut ball) = (NeighborIndexTable::default(), NeighborIndexTable::default());
-    assert!(index.knn_into(cloud, queries, k, &mut knn) > 0);
-    assert!(index.ball_into(cloud, queries, radius, k, &mut ball) > 0);
+    assert!(octree.knn_into(cloud, queries, k, &mut knn) > 0);
+    assert!(octree.ball_into(cloud, queries, radius, k, &mut ball) > 0);
     (knn, ball)
 }
 
@@ -457,8 +442,9 @@ fn octree_agrees_with_the_scan_across_warm_rebuilds(n: usize) {
     let clouds = [synthetic_cloud(n, 2020), synthetic_cloud(n, 2021)];
     let queries: Vec<usize> = (0..n).step_by(n / 256).collect();
     let (k, radius) = (16, 0.05);
-    let mut scan = BruteForceIndex::default();
-    let want = clouds.each_ref().map(|c| rebuilt_answers(&mut scan, c, &queries, k, radius));
+    let want = clouds.each_ref().map(|c| {
+        (bruteforce::knn_indices(c, &queries, k), ball::ball_query(c, &queries, radius, k))
+    });
     let mut octree = MortonOctree::default();
     let mut warm_bytes = None;
     for round in 0..3 {

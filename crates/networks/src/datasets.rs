@@ -37,9 +37,7 @@ impl Dataset {
     /// steps; the reduced-scale Fig. 16 experiment trains for minutes, so
     /// full rotations would leave the small models underfit (they collapse
     /// to uniform predictions). Light augmentation preserves the
-    /// regularization role without that failure mode; use
-    /// [`mesorasi_pointcloud::transform::augment_for_training`] directly
-    /// for the full recipe.
+    /// regularization role without that failure mode.
     pub fn augmented_train_cloud(&self, i: usize, epoch: u64) -> PointCloud {
         let mut cloud = self.train[i].cloud.clone();
         let seed = ((i as u64) * 1_000_003) ^ epoch;

@@ -251,8 +251,8 @@ enum NetSource {
 /// Configures and builds a [`Session`].
 ///
 /// Defaults: [`Strategy::Delayed`], sampling seed 7, small-scale instances
-/// with 10 classes when building from a [`NetworkKind`], weight-init seed
-/// 0, and one engine per host thread. Engines have no settings of their
+/// with 10 classes and weights initialized from seed 0 when building from a
+/// [`NetworkKind`], and one engine per host thread. Engines have no settings of their
 /// own: each compiled plan caches up to [`mesorasi_core::SAMPLE_CACHE_CAP`]
 /// samples.
 pub struct SessionBuilder {
@@ -262,7 +262,6 @@ pub struct SessionBuilder {
     workers: Option<usize>,
     classes: usize,
     paper_scale: bool,
-    init_seed: u64,
 }
 
 impl SessionBuilder {
@@ -274,7 +273,6 @@ impl SessionBuilder {
             workers: None,
             classes: 10,
             paper_scale: false,
-            init_seed: 0,
         }
     }
 
@@ -332,20 +330,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Weight-initialization seed for [`SessionBuilder::from_kind`] builds
-    /// (default 0).
-    pub fn init_seed(mut self, seed: u64) -> Self {
-        self.init_seed = seed;
-        self
-    }
-
     /// Builds the session. Plan compilation is lazy: each worker engine
     /// records the network on first contact with a given input shape.
     pub fn build(self) -> Session {
         let net = match self.source {
             NetSource::Owned(net) => net,
             NetSource::Kind(kind) => {
-                let mut rng = mesorasi_pointcloud::seeded_rng(self.init_seed);
+                let mut rng = mesorasi_pointcloud::seeded_rng(0);
                 if self.paper_scale {
                     kind.build_paper(&mut rng)
                 } else {
@@ -387,12 +378,6 @@ impl Session {
     /// The owned network.
     pub fn network(&self) -> &dyn PointCloudNetwork {
         self.net.as_ref()
-    }
-
-    /// Consumes the session, returning the network (e.g. to resume
-    /// training after an evaluation pass).
-    pub fn into_network(self) -> Box<dyn PointCloudNetwork> {
-        self.net
     }
 
     /// The execution strategy every forward runs under.
@@ -927,14 +912,6 @@ mod tests {
         let mut frames = session.frames();
         let want = frames.infer(&cloud);
         assert_eq!(session.infer(&cloud), want);
-    }
-
-    #[test]
-    fn into_network_returns_the_owned_network() {
-        let session = SessionBuilder::from_kind(NetworkKind::Ldgcnn).classes(3).build();
-        let net = session.into_network();
-        assert_eq!(net.name(), "LDGCNN");
-        assert_eq!(net.domain(), Domain::Classification);
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl Op {
             Op::SoftmaxCrossEntropy { logits, .. } => f(*logits),
         }
     }
-
-    /// True for leaves (inputs and parameters).
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Op::Input | Op::Param { .. })
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +215,5 @@ mod tests {
         let mut seen = Vec::new();
         op.for_each_operand(|v| seen.push(v.index()));
         assert_eq!(seen, vec![3, 1]);
-        assert!(!op.is_leaf());
-        assert!(Op::Input.is_leaf());
     }
 }

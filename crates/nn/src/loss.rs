@@ -1,44 +1,10 @@
 //! Loss helpers built on the graph's primitive losses.
 
-use crate::graph::{Graph, VarId};
 use mesorasi_tensor::{ops, Matrix};
 
 /// Computes classification logits' predicted labels (row-wise argmax).
 pub fn predictions(logits: &Matrix) -> Vec<u32> {
     ops::argmax_rows(logits).into_iter().map(|i| i as u32).collect()
-}
-
-/// Cross-entropy with label smoothing `ε`: the target distribution is
-/// `(1 − ε)` on the true class and `ε / (C − 1)` elsewhere. `ε = 0` reduces
-/// to plain cross-entropy. Returns a `1×1` loss node.
-///
-/// Implemented as a weighted sum of per-class cross-entropies expressed with
-/// existing graph ops so gradients are exact.
-///
-/// # Panics
-///
-/// Panics if `eps ∉ [0, 1)` or labels are out of range.
-pub fn smoothed_cross_entropy(g: &mut Graph, logits: VarId, labels: &[u32], eps: f32) -> VarId {
-    assert!((0.0..1.0).contains(&eps), "smoothing must be in [0, 1)");
-    if eps == 0.0 {
-        return g.softmax_cross_entropy(logits, labels.to_vec());
-    }
-    let classes = g.value(logits).cols();
-    assert!(classes > 1, "smoothing needs at least two classes");
-    // loss = (1−ε)·CE(labels) + ε/(C−1)·Σ_{c≠label} CE(c)
-    //      = (1−ε−ε/(C−1))·CE(labels) + ε/(C−1)·Σ_all_c CE(c)
-    let all_term_weight = eps / (classes as f32 - 1.0);
-    let main = g.softmax_cross_entropy(logits, labels.to_vec());
-    let main = g.scale(main, 1.0 - eps - all_term_weight);
-    let mut total = main;
-    // Σ over all classes of CE with constant label c, averaged later by the
-    // per-term mean that softmax_cross_entropy already applies.
-    for c in 0..classes {
-        let term = g.softmax_cross_entropy(logits, vec![c as u32; labels.len()]);
-        let term = g.scale(term, all_term_weight);
-        total = g.add(total, term);
-    }
-    total
 }
 
 #[cfg(test)]
@@ -49,40 +15,5 @@ mod tests {
     fn predictions_are_argmax() {
         let logits = Matrix::from_rows(&[&[0.1, 0.9], &[2.0, -1.0]]);
         assert_eq!(predictions(&logits), vec![1, 0]);
-    }
-
-    #[test]
-    fn zero_smoothing_equals_plain_ce() {
-        let logits_val = Matrix::from_rows(&[&[1.0, 2.0, 0.5], &[0.0, -1.0, 1.5]]);
-        let labels = vec![1u32, 2];
-        let mut g1 = Graph::new();
-        let l1 = g1.input(logits_val.clone());
-        let a = smoothed_cross_entropy(&mut g1, l1, &labels, 0.0);
-        let mut g2 = Graph::new();
-        let l2 = g2.input(logits_val);
-        let b = g2.softmax_cross_entropy(l2, labels);
-        assert!((g1.value(a)[(0, 0)] - g2.value(b)[(0, 0)]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn smoothing_increases_loss_for_confident_correct_predictions() {
-        let logits_val = Matrix::from_rows(&[&[10.0, -10.0]]);
-        let labels = vec![0u32];
-        let mut g1 = Graph::new();
-        let l1 = g1.input(logits_val.clone());
-        let plain = smoothed_cross_entropy(&mut g1, l1, &labels, 0.0);
-        let mut g2 = Graph::new();
-        let l2 = g2.input(logits_val);
-        let smooth = smoothed_cross_entropy(&mut g2, l2, &labels, 0.1);
-        assert!(g2.value(smooth)[(0, 0)] > g1.value(plain)[(0, 0)]);
-    }
-
-    #[test]
-    fn smoothed_gradient_flows() {
-        let mut g = Graph::new();
-        let logits = g.input(Matrix::from_rows(&[&[0.5, -0.5]]));
-        let loss = smoothed_cross_entropy(&mut g, logits, &[0], 0.2);
-        g.backward(loss);
-        assert!(g.grad(logits).is_some());
     }
 }

@@ -905,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn constant_masks_and_scales_replay() {
+    fn scales_replay() {
         let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 - 2.5);
         let mut g = Graph::new();
         let xv = g.input(x.clone());

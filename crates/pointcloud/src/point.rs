@@ -126,12 +126,6 @@ impl Point3 {
         Point3 { x: self.x.max(other.x), y: self.y.max(other.y), z: self.z.max(other.z) }
     }
 
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    #[inline]
-    pub fn lerp(self, other: Point3, t: f32) -> Point3 {
-        self + (other - self) * t
-    }
-
     /// True if all coordinates are finite. Generators debug-assert this so a
     /// NaN never reaches neighbor search (where it would poison ordering).
     #[inline]
@@ -277,15 +271,6 @@ mod tests {
         let b = Point3::new(2.0, 3.0, -1.0);
         assert_eq!(a.min(b), Point3::new(1.0, 3.0, -2.0));
         assert_eq!(a.max(b), Point3::new(2.0, 5.0, -1.0));
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point3::new(0.0, 0.0, 0.0);
-        let b = Point3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

@@ -1,26 +1,11 @@
 //! Data augmentation used when training the networks for Fig. 16.
 //!
-//! These match the standard PointNet++-style augmentations: random rotation
-//! about the up axis, per-point Gaussian jitter, anisotropic scaling, and
-//! random point dropout.
+//! Two of the standard PointNet++-style augmentations: per-point Gaussian
+//! jitter and anisotropic scaling.
 
 use crate::{Point3, PointCloud};
 use rand::Rng;
 use std::f32::consts::PI;
-
-/// Rotates every point about the z (up) axis by `angle` radians.
-pub fn rotate_z(cloud: &mut PointCloud, angle: f32) {
-    let (s, c) = angle.sin_cos();
-    for p in cloud.points_mut() {
-        *p = Point3::new(c * p.x - s * p.y, s * p.x + c * p.y, p.z);
-    }
-}
-
-/// Applies a uniformly random z rotation.
-pub fn random_rotate_z(cloud: &mut PointCloud, seed: u64) {
-    let mut rng = crate::seeded_rng(seed);
-    rotate_z(cloud, rng.gen_range(0.0..(2.0 * PI)));
-}
 
 /// Adds clipped Gaussian jitter to every point, the PointNet++ recipe
 /// (`sigma = 0.01`, `clip = 0.05` for unit-sphere clouds).
@@ -45,23 +30,6 @@ pub fn random_scale(cloud: &mut PointCloud, lo: f32, hi: f32, seed: u64) {
     }
 }
 
-/// Randomly replaces a `ratio` fraction of points with the first point
-/// (PointNet++'s "random input dropout": keeps the tensor shape fixed while
-/// destroying information).
-pub fn random_dropout(cloud: &mut PointCloud, ratio: f32, seed: u64) {
-    assert!((0.0..=1.0).contains(&ratio));
-    if cloud.is_empty() {
-        return;
-    }
-    let mut rng = crate::seeded_rng(seed);
-    let first = cloud.point(0);
-    for p in cloud.points_mut() {
-        if rng.gen::<f32>() < ratio {
-            *p = first;
-        }
-    }
-}
-
 /// One standard normal sample via Box–Muller.
 fn gaussian<R: Rng>(rng: &mut R) -> f32 {
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
@@ -69,38 +37,10 @@ fn gaussian<R: Rng>(rng: &mut R) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
-/// Applies the full training augmentation pipeline with one seed.
-pub fn augment_for_training(cloud: &mut PointCloud, seed: u64) {
-    random_rotate_z(cloud, seed.wrapping_mul(3));
-    random_scale(cloud, 0.8, 1.25, seed.wrapping_mul(5));
-    jitter(cloud, 0.01, 0.05, seed.wrapping_mul(7));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shapes::{sample_shape, ShapeClass};
-
-    #[test]
-    fn rotate_z_preserves_norms_and_height() {
-        let mut cloud = sample_shape(ShapeClass::Chair, 128, 0);
-        let before: Vec<(f32, f32)> = cloud.iter().map(|p| (p.norm(), p.z)).collect();
-        rotate_z(&mut cloud, 1.2345);
-        for (p, (norm, z)) in cloud.iter().zip(&before) {
-            assert!((p.norm() - norm).abs() < 1e-5);
-            assert!((p.z - z).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn rotate_z_full_circle_is_identity() {
-        let mut cloud = sample_shape(ShapeClass::Cube, 64, 0);
-        let original = cloud.clone();
-        rotate_z(&mut cloud, 2.0 * PI);
-        for (a, b) in cloud.iter().zip(original.iter()) {
-            assert!(a.distance(*b) < 1e-5);
-        }
-    }
 
     #[test]
     fn jitter_is_bounded_by_clip() {
@@ -134,27 +74,15 @@ mod tests {
     }
 
     #[test]
-    fn dropout_ratio_one_collapses_to_first_point() {
-        let mut cloud = sample_shape(ShapeClass::Cone, 32, 0);
-        let first = cloud.point(0);
-        random_dropout(&mut cloud, 1.0, 2);
-        assert!(cloud.iter().all(|&p| p == first));
-    }
-
-    #[test]
-    fn dropout_ratio_zero_is_identity() {
-        let mut cloud = sample_shape(ShapeClass::Cone, 32, 0);
-        let original = cloud.clone();
-        random_dropout(&mut cloud, 0.0, 2);
-        assert_eq!(cloud, original);
-    }
-
-    #[test]
     fn augmentation_is_deterministic_per_seed() {
         let mut a = sample_shape(ShapeClass::Lamp, 64, 1);
         let mut b = sample_shape(ShapeClass::Lamp, 64, 1);
-        augment_for_training(&mut a, 77);
-        augment_for_training(&mut b, 77);
+        let original = a.clone();
+        for cloud in [&mut a, &mut b] {
+            random_scale(cloud, 0.9, 1.1, 77);
+            jitter(cloud, 0.01, 0.05, 77);
+        }
         assert_eq!(a, b);
+        assert_ne!(a, original, "the augmentation moved the points");
     }
 }

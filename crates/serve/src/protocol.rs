@@ -346,9 +346,9 @@ pub fn decode(payload: &[u8]) -> Result<Frame, ProtocolError> {
             if n > MAX_POINTS {
                 return Err(ProtocolError::Malformed("point count exceeds MAX_POINTS"));
             }
-            // The byte budget was checked against MAX_FRAME_BYTES above;
-            // an `n` claiming more points than bytes is simply truncated.
-            let mut points = Vec::with_capacity(n as usize);
+            // Reserve no more points than the rest of the payload holds: an
+            // `n` claiming more is truncated, and must not allocate first.
+            let mut points = Vec::with_capacity((n as usize).min(c.buf.len() / 12));
             for _ in 0..n {
                 let (x, y, z) = (c.f32()?, c.f32()?, c.f32()?);
                 if !(x.is_finite() && y.is_finite() && z.is_finite()) {
@@ -385,7 +385,8 @@ pub fn decode(payload: &[u8]) -> Result<Frame, ProtocolError> {
                     .checked_mul(cols)
                     .filter(|&cells| cells as u64 <= MAX_FRAME_BYTES as u64 / 4)
                     .ok_or(ProtocolError::Malformed("matrix shape overflows"))?;
-                let mut data = Vec::with_capacity(cells);
+                // Capped like the point count: a shape is only a claim.
+                let mut data = Vec::with_capacity(cells.min(c.buf.len() / 4));
                 for _ in 0..cells {
                     data.push(c.f32()?);
                 }
@@ -448,6 +449,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(frame: Frame) {
         let mut wire = Vec::new();
@@ -580,5 +582,95 @@ mod tests {
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode(&payload), Err(ProtocolError::Malformed(_))));
+    }
+
+    /// One valid frame of every kind, from small random contents.
+    fn arb_frames() -> impl Strategy<Value = Vec<Frame>> {
+        let points = prop::collection::vec((-4.0f32..4.0, -4.0f32..4.0, -4.0f32..4.0), 1..6);
+        let message = prop::collection::vec(32u8..127, 0..24);
+        (0u64..u64::MAX, points, message, 0usize..4, 0usize..4, 0u32..3).prop_map(
+            |(id, points, message, rows, cols, code)| {
+                let cloud = points.into_iter().map(|(x, y, z)| Point3::new(x, y, z)).collect();
+                let data = (0..rows * cols).map(|i| i as f32 - 0.5).collect();
+                vec![
+                    Frame::Infer { id, cloud: PointCloud::from_points(cloud) },
+                    Frame::Stats,
+                    Frame::Hello {
+                        version: PROTOCOL_VERSION,
+                        domain: domain_from_byte(code as u8).expect("0..3"),
+                        input_points: rows as u32,
+                        max_points: MAX_POINTS,
+                    },
+                    Frame::Result {
+                        id,
+                        mats: vec![Matrix::from_vec(rows, cols, data), Matrix::zeros(1, 2)],
+                    },
+                    Frame::Error {
+                        id,
+                        code: ErrorCode::from_byte(code as u8).expect("0..3"),
+                        message: String::from_utf8(message).expect("ASCII"),
+                    },
+                    Frame::StatsResult(ServerStats { served: id, ..ServerStats::default() }),
+                ]
+            },
+        )
+    }
+
+    /// Fuzz input: one of `arb_frames`' encodings, or an unknown kind byte,
+    /// with up to four bytes overwritten anywhere (counts and shapes
+    /// included), then cut short or extended by random bytes. Mutants of
+    /// valid frames reach every body, where random counts rarely would.
+    fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
+        let edits = prop::collection::vec((0usize..1 << 16, 0u8..=255), 0..5);
+        let tail = prop::collection::vec(0u8..=255, 0..48);
+        (arb_frames(), 0usize..7, edits, 0usize..3, tail).prop_map(
+            |(frames, pick, edits, shape, tail)| {
+                let mut p = vec![0x7f];
+                if let Some(frame) = frames.get(pick) {
+                    encode(frame, &mut p);
+                    p.drain(..5);
+                }
+                for (at, byte) in edits {
+                    let len = p.len();
+                    p[at % len] = byte;
+                }
+                match shape {
+                    0 => p.truncate(tail.len()),
+                    1 => p.extend(tail),
+                    _ => {}
+                }
+                p
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any bytes decode to a frame or a typed error, never a panic; a
+        /// payload that does decode is exactly its frame's encoding.
+        #[test]
+        fn arbitrary_payloads_decode_or_fail_typed(payload in arb_payload()) {
+            if let Ok(frame) = decode(&payload) {
+                let mut wire = Vec::new();
+                encode(&frame, &mut wire);
+                prop_assert_eq!(&wire[4..], &payload[..], "{:?}", frame);
+            }
+        }
+
+        /// Every proper prefix of a valid frame is an error: no frame ends
+        /// early and passes for a shorter one.
+        #[test]
+        fn every_proper_prefix_of_a_valid_frame_is_an_error(frames in arb_frames()) {
+            for frame in frames {
+                let mut wire = Vec::new();
+                encode(&frame, &mut wire);
+                let payload = &wire[4..];
+                prop_assert_eq!(decode(payload).expect("valid frame decodes"), frame.clone());
+                for len in 0..payload.len() {
+                    prop_assert!(decode(&payload[..len]).is_err(), "{:?} cut at {}", frame, len);
+                }
+            }
+        }
     }
 }

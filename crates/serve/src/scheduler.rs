@@ -208,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn lone_requests_dispatch_without_waiting_for_a_batch() {
+    fn a_lone_request_is_answered() {
         let session = tiny_session();
         let n = session.network().input_points();
         let scheduler = Scheduler::start(session, 64);

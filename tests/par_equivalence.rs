@@ -8,9 +8,7 @@
 //! execute on the pool.
 
 use mesorasi::core::{executor, module::Module, module::ModuleConfig, module::NeighborMode};
-use mesorasi::knn::{
-    ball, bruteforce, feature::FeatureView, MortonOctree, NeighborIndexTable, SearchIndex,
-};
+use mesorasi::knn::{ball, bruteforce, feature::FeatureView, MortonOctree, NeighborIndexTable};
 use mesorasi::nn::layers::NormMode;
 use mesorasi::nn::Graph;
 use mesorasi::par;

@@ -18,7 +18,7 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Eight audits, one per test, in increasing strictness:
+//! Nine audits, one per test; the first eight in increasing strictness:
 //!
 //! 1. the cache-hit audit on [`PlanEngine::run`] — searches are cached,
 //!    pure planned tensor execution; a hit on each of several cached
@@ -53,7 +53,11 @@
 //!    warm streamed PointNet++ (s) frame point-queries two coarse levels
 //!    for its interpolation stencils on the octree and makes zero heap
 //!    allocations at 1 and 2 threads, stencil indices and weights
-//!    included.
+//!    included;
+//! 9. the decode audit, on the serving side: a frame's header is only a
+//!    claim, so decoding a short INFER or RESULT frame whose header claims
+//!    a huge body requests no heap block larger than the payload it was
+//!    handed — the allocator records the largest request it sees.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::nn::VarId;
@@ -90,6 +94,8 @@ fn serial() -> Audit {
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Largest single block requested while armed, in bytes.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Whether this thread is running an audit. Const and without a
@@ -98,12 +104,14 @@ thread_local! {
     static AUDITED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Counts one allocator call if an audit is armed and owns this thread: its
-/// own, or a pool worker (which only ever runs the armed audit's jobs).
-fn count() {
+/// Counts one allocator call of `size` bytes if an audit is armed and owns
+/// this thread: its own, or a pool worker (which only ever runs the armed
+/// audit's jobs).
+fn count(size: usize) {
     if ARMED.load(Ordering::Relaxed) && (AUDITED.with(Cell::get) || mesorasi_par::worker_slot() > 0)
     {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -149,7 +157,7 @@ struct CountingAlloc;
 // SAFETY: delegates every operation to `System`; only adds counting.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -158,7 +166,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -504,5 +512,37 @@ fn warm_packed_matmul_allocates_nothing() {
         mesorasi_par::with_threads(threads, || {
             assert_eq!(warm_allocs(), 0, "warm packed matmul at {threads} threads");
         });
+    }
+}
+
+#[test]
+fn decoding_a_short_frame_reserves_no_more_than_its_payload() {
+    use mesorasi::serve::protocol::{self, MAX_POINTS};
+
+    /// The largest block `decode` requests for `payload`, which must fail.
+    fn largest_request(payload: &[u8]) -> u64 {
+        LARGEST.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        let decoded = protocol::decode(payload);
+        let largest = LARGEST.load(Ordering::SeqCst);
+        ARMED.store(false, Ordering::SeqCst);
+        assert!(decoded.is_err(), "a truncated frame must not decode");
+        largest
+    }
+
+    let _serial = serial();
+    // A header-only INFER claiming MAX_POINTS points (12 MB of them).
+    let infer = [&[0x01][..], &1u64.to_le_bytes(), &MAX_POINTS.to_le_bytes()].concat();
+    // A RESULT whose one matrix claims 2048 x 2048 cells (16 MB) and
+    // carries 16 of them: room for the matrix list, not for the claim.
+    let shape = 2048u32.to_le_bytes();
+    let result = [&[0x81][..], &1u64.to_le_bytes(), &[1], &shape, &shape, &[0; 64]].concat();
+    for (kind, payload) in [("INFER", &infer), ("RESULT", &result)] {
+        let largest = largest_request(payload);
+        assert!(
+            largest <= payload.len() as u64,
+            "{kind}: {largest}-byte request for a {}-byte payload",
+            payload.len()
+        );
     }
 }

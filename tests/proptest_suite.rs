@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants, with randomized inputs.
 
-use mesorasi::knn::{bruteforce, MortonOctree, NeighborIndexTable, SearchIndex};
+use mesorasi::knn::{bruteforce, MortonOctree, NeighborIndexTable};
 use mesorasi::pointcloud::{morton, Point3, PointCloud};
 use mesorasi::tensor::{group, ops, Matrix};
 use mesorasi_core::distributivity;
