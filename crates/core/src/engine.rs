@@ -434,7 +434,7 @@ pub struct EngineStats {
     /// NIT sample-cache traffic (hits / misses / LRU evictions).
     pub cache: SampleCacheStats,
     /// Heap bytes retained by the process-wide per-worker search scratch
-    /// pools — candidate buffers and the feature scan's distance rows (the
+    /// pools — candidate buffers and the feature scan's Gram tiles (the
     /// parallel half of the memory-ceiling contract; shared across
     /// engines, bounded by worker count).
     pub parallel_scratch_bytes: usize,

@@ -10,53 +10,89 @@
 //!
 //! # The scan
 //!
-//! [`knn_rows_into`] bounds first, then ranks. Once per call the searched
-//! rows are copied into a dim-major *panel* of 16-row blocks
-//! (`panel[(block · dim + d) · 16 + lane]`, row `block · 16 + lane`; the
-//! last block's unused lanes hold zeros), `ceil(rows / 16) · 16 · dim · 4`
-//! bytes held in the caller's [`FeatureScratch`]. Queries are then answered
-//! four at a time, in two passes that are both exact:
+//! [`knn_rows_into`] bounds first, then ranks. Once per call it keeps, in
+//! the caller's [`FeatureScratch`], the searched rows transposed
+//! (`dim × rows`), each row's squared norm `n_r = fl(‖r‖²)` and an error
+//! scale `t_r` (below). Queries are then answered in tiles of
+//! `max(PACK_MIN_ROWS, 256 KiB / (4 · rows))` rows (64 at DGCNN's 1024),
+//! in two passes:
 //!
-//! 1. **Distances.** [`mesorasi_tensor::simd::sqdist_rows`] writes the four
-//!    queries' distances to every row into a `4 × ceil16(rows)` buffer
-//!    (16 KB at 1024 rows, so it stays in L1). Each of its accumulators
-//!    takes `(q[d] − row[d])²` for `d` ascending — the same sum
-//!    [`distance_squared`] computes, so every distance is bit-equal to it —
-//!    and a panel column, once loaded, serves all four queries. The unused
-//!    lanes of each distance row are then set to `+∞`.
-//! 2. **Bound, then rank.** Per query, the distance row is folded into
-//!    `w = min(ceil(3k / 16), ceil(rows / 16)) · 16` lane-wise minima —
-//!    minimum `c` is over the rows whose index is `c` modulo `w` — and τ is
-//!    the `k`-th smallest of them. Only rows with `d ≤ τ` are offered, in
-//!    ascending index, to the shared [`crate::bruteforce::push_bounded`]:
-//!    about 23 rows per query at `k = 20` over 1024 rows, where ranking
-//!    every row as it arrived made about 97 sorted inserts.
+//! 1. **Gram tile.** The tile's query rows, gathered into a matrix, times
+//!    the transposed rows through [`mesorasi_tensor::ops::matmul_into`] —
+//!    the packed, register-tiled matmul driver — give every `g = q · r` of
+//!    the tile: 256 KiB at DGCNN's shape, a block that stays in L2, never
+//!    the `rows × rows` matrix. Each pair gets the estimate
+//!    `d̂ = (n_q + n_r) − 2g` and the half-width `E = (t_q + t_r)²`.
+//! 2. **Bound, select, rank,** one query at a time, in `simd` kernels.
+//!    [`mesorasi_tensor::simd::gram_bounds`] writes every row's interval
+//!    `[d̂ − E, d̂ + E]` and folds the upper ends into `w = min(ceil(3k /
+//!    16), ceil(rows / 16)) · 16` lane-wise minima — minimum `c` is over
+//!    the rows whose index is `c` modulo `w`; τ̂ is the `k`-th smallest of
+//!    them ([`mesorasi_tensor::simd::kth_smallest`]);
+//!    [`mesorasi_tensor::simd::select_below`] keeps, by a compare mask and
+//!    a compress, the rows whose lower end is not above τ̂ — about 23 per
+//!    query at `k = 20` over 1024 rows. Only those are ranked: sorted by
+//!    lower end, they fall into clusters of overlapping intervals.
+//!    Intervals that do not overlap order their rows by themselves; the
+//!    members of a cluster that reaches the first `k` places — near-ties,
+//!    duplicates, the query's own row against a twin — are ordered by
+//!    `(distance, index)` on the per-pair scan's own distance,
+//!    [`distance_squared`], which [`mesorasi_tensor::simd::sqdist8`]
+//!    computes bit for bit for eight rows at a time.
 //!
-//! **τ bounds the `k`-th distance from above.** The `w` residue classes are
-//! disjoint, so the `k` minima that are `≤ τ` are distances of `k` distinct
-//! rows. At least `k` rows therefore lie within τ, the `k`-th smallest
-//! distance is `≤ τ`, and every member of the answer passes the filter —
-//! including every row tied at τ, so the `(distance, index)` rule decides
-//! among ties exactly as before. Offering a superset of the answer in
-//! ascending index to the same bounded insert leaves the same `k` rows in
-//! the same order. An `+∞` lane never wins a minimum; when fewer than `k`
-//! classes hold a row at finite distance, τ is `+∞` and nothing is
-//! filtered.
+//! **Why `E` bounds the error.** Write `D = ‖q − r‖²` for the exact
+//! distance, `S = (‖q‖ + ‖r‖)² ≥ D`, `u = 2⁻²⁴` and `γ_n = nu / (1 − nu)`.
+//! The ranked distance `ref` ([`distance_squared`]) rounds each of its `d`
+//! terms at most three times and their sum `d − 1` times, all terms
+//! non-negative, so `|ref − D| ≤ γ_{d+2} D`. For the estimate, `n_r` (an
+//! `f64` sum rounded once to `f32`) is within `γ_d` of `‖r‖²`, `g` (a chain
+//! of `d` fused multiply-adds) within `γ_d ‖q‖‖r‖` of `q · r`, and `d̂`
+//! rounds twice more (`2g` is exact), so `|d̂ − D| ≤ γ_{d+2} S` and
+//! `|d̂ − ref| ≤ 2γ_{d+2} S`. Gradual underflow adds at most `2⁻¹⁵⁰` per
+//! operation outright, over some `2d + 8` operations: `η = (4d + 16) ·
+//! 2⁻¹⁴⁹` covers that twice. The scale is `t_r = √c · ‖r‖ + √η / 2` with
+//! `c = 2γ_{d+4}`, computed in `f64` and inflated by `2⁻²⁰` before its one
+//! rounding to `f32`, so `(t_q + t_r)² ≥ cS + η` and its two `f32`
+//! roundings leave `E ≥ 2γ_{d+4} S + η/2 ≥ 2γ_{d+2} S + 4uS + η/2`; the
+//! `4uS` absorbs the rounding of `d̂ ± E` itself. So
+//! `fl(d̂ − E) ≤ ref ≤ fl(d̂ + E)` for every pair of rows with `‖r‖ ≤ 2⁶²`,
+//! and in that range nothing overflows.
 //!
-//! **`NaN` bypass.** No comparison orders a `NaN` distance, and what
-//! `push_bounded` leaves after meeting one depends on the whole sequence of
-//! offers. A distance row holding any `NaN` therefore gets no bound: every
-//! row is offered, which is the one-pair-at-a-time scan itself. The tables
-//! are those of that scan for every input, non-finite features included.
+//! **Why every neighbor survives, and in order.** The `w` residue classes
+//! are disjoint, so the `k` minima that are `≤ τ̂` are upper ends of `k`
+//! distinct rows: at least `k` rows have `ref ≤ τ̂`, so the `k`-th smallest
+//! `ref` is `≤ τ̂`. Every member of the answer — and every row tied with the
+//! `k`-th, ties at τ̂ included — has `d̂ − E ≤ ref ≤ τ̂` and survives. In
+//! ascending order of lower end, a new cluster starts only past the upper
+//! ends of everything before it, so every `ref` in one cluster is below
+//! every `ref` in the next; rows with equal `ref` share a cluster, where
+//! the `(distance, index)` rule orders them. The first `k` rows so ordered
+//! are the per-pair scan's `k` rows, in its order.
 //!
-//! Per worker the scan keeps, beside the `k + 1` candidates of the
-//! selection buffer, `4 · ceil16(rows) + w` floats: pooled per
-//! `mesorasi-par` slot for the parallel path, in the [`FeatureScratch`]
-//! for the sequential one, grown once and counted in
-//! [`FeatureScratch::storage_bytes`] and [`crate::parallel_scratch_bytes`].
+//! **When a query scans every row.** A row whose norm is not finite or
+//! exceeds `2⁶²` (a `NaN` or `±∞` feature, or a square that would
+//! overflow) gets `t_r = +∞`: every interval it is in has an infinite or
+//! `NaN` end, so it is always kept (the compare is unordered, `−∞` and
+//! `NaN` pass) and never wins a minimum. A query whose τ̂ or whose kept
+//! intervals are not finite — it met such a row, or is one — takes the
+//! exhaustive path: every row offered in ascending index to the shared
+//! [`crate::bruteforce::push_bounded`], which is the one-pair-at-a-time
+//! scan itself, `NaN` distances and all. The tables are the per-pair
+//! scan's for every input.
+//!
+//! The call keeps `(dim + 2) · rows` floats; per worker the tile keeps the
+//! gathered queries, the Gram tile, two `rows`-long interval ends, the `w`
+//! minima, a `rows`-long survivor list with its order, and the candidates
+//! of a cluster or of the exhaustive path: pooled per `mesorasi-par` slot
+//! for the parallel path, in the [`FeatureScratch`] for the sequential
+//! one, grown once and counted in [`FeatureScratch::storage_bytes`] and
+//! [`crate::parallel_scratch_bytes`].
 
 use crate::bruteforce::Candidate;
 use crate::NeighborIndexTable;
+use mesorasi_tensor::ops::{matmul_into, PACK_MIN_ROWS};
+use mesorasi_tensor::simd::{self, GramBound, SQDIST_ROWS};
+use mesorasi_tensor::Matrix;
 use std::sync::OnceLock;
 
 /// A borrowed row-major `rows × dim` feature matrix.
@@ -109,52 +145,195 @@ impl<'a> FeatureView<'a> {
 }
 
 /// Squared Euclidean distance between two equal-length vectors, summed in
-/// ascending `d`. [`knn_rows_into`] does not call it: it is the scalar
-/// reference that scan's distances are bit-equal to.
+/// ascending `d`: the distance [`knn_rows_into`]'s tables are ranked by,
+/// which it computes only for the rows its bound cannot order.
 #[inline]
 pub fn distance_squared(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Rows per panel block, and lanes per block of a distance row.
-const LANES: usize = mesorasi_tensor::simd::SQDIST_LANES;
+/// Lanes per block of the minima width.
+const LANES: usize = 16;
 
-/// Queries whose distance rows are computed in one pass over the panel.
-const QUERY_TILE: usize = 4;
+/// Gram tile budget: a tile holds `max(PACK_MIN_ROWS, this / (4 · rows))`
+/// queries, so at DGCNN's 1024 rows a 64-query tile of 256 KiB that stays
+/// in L2 while the bound pass reads it.
+const GRAM_TILE_BYTES: usize = 256 * 1024;
 
-/// Reusable storage of [`knn_rows_into`]: the dim-major panel of the
-/// searched rows and the sequential path's tile scratch. Both keep their
-/// capacity between calls, so a warm call of the same shape does not
-/// allocate.
+/// Rows whose `f64` squared norm exceeds this (`‖r‖ > 2⁶²`), or is not
+/// finite, get an infinite error scale: beyond it `(‖q‖ + ‖r‖)²` could
+/// overflow `f32`.
+const WILD_NORM: f64 = (1u128 << 124) as f64;
+
+/// Reusable storage of [`knn_rows_into`]: the searched rows transposed,
+/// their norms and error scales, and the sequential path's tile scratch.
+/// All keep their capacity between calls, so a warm call of the same shape
+/// does not allocate.
 #[derive(Debug, Default)]
 pub struct FeatureScratch {
-    panel: Vec<f32>,
+    transposed: Matrix,
+    norms: Vec<f32>,
+    scales: Vec<f32>,
     tile: TileScratch,
 }
 
 impl FeatureScratch {
     /// Heap bytes retained (capacity, not length).
     pub fn storage_bytes(&self) -> usize {
-        self.panel.capacity() * std::mem::size_of::<f32>() + self.tile.storage_bytes()
+        (self.transposed.capacity() + self.norms.capacity() + self.scales.capacity())
+            * std::mem::size_of::<f32>()
+            + self.tile.storage_bytes()
     }
 }
 
-/// What one worker needs to answer a query tile: the tile's distance rows
-/// (`QUERY_TILE × ceil16(rows)`), the lane-wise minima the bound is taken
-/// from, and the selection buffer.
+/// What one worker needs to answer a query tile: the gathered query rows,
+/// their Gram tile, and the per-query [`Select`] scratch.
 #[derive(Debug, Default)]
 pub(crate) struct TileScratch {
-    dist: Vec<f32>,
-    minima: Vec<f32>,
-    best: Vec<Candidate>,
+    queries: Matrix,
+    gram: Matrix,
+    select: Select,
 }
 
 impl TileScratch {
     /// Heap bytes retained (capacity, not length).
     pub(crate) fn storage_bytes(&self) -> usize {
-        (self.dist.capacity() + self.minima.capacity()) * std::mem::size_of::<f32>()
+        (self.queries.capacity() + self.gram.capacity()) * std::mem::size_of::<f32>()
+            + self.select.storage_bytes()
+    }
+}
+
+/// Pass 2's scratch for one query at a time: the lower and upper bounds,
+/// the lane-wise minima τ̂ is taken from, the survivor list, the
+/// survivors' sort keys, and the candidates of an overlap cluster or of
+/// the exhaustive path.
+#[derive(Debug, Default)]
+struct Select {
+    lower: Vec<f32>,
+    upper: Vec<f32>,
+    minima: Vec<f32>,
+    kept: Vec<u32>,
+    keys: Vec<u64>,
+    best: Vec<Candidate>,
+}
+
+impl Select {
+    /// Heap bytes retained (capacity, not length).
+    fn storage_bytes(&self) -> usize {
+        (self.lower.capacity() + self.upper.capacity() + self.minima.capacity())
+            * std::mem::size_of::<f32>()
+            + self.kept.capacity() * std::mem::size_of::<u32>()
+            + self.keys.capacity() * std::mem::size_of::<u64>()
             + self.best.capacity() * std::mem::size_of::<Candidate>()
+    }
+
+    /// Sizes the buffers for `rows` searched rows and `width` minima.
+    fn reset(&mut self, rows: usize, width: usize) {
+        self.lower.resize(rows, 0.0);
+        self.upper.resize(rows, 0.0);
+        self.minima.resize(width, 0.0);
+        self.kept.resize(rows, 0);
+    }
+
+    /// Answers the query row `q`, whose Gram row `bound` carries, into
+    /// `slot` (`k` wide): bound, select, rank what survives — or, when τ̂
+    /// or a survivor's interval is not finite, every row. Returns the rows
+    /// ranked.
+    fn answer(
+        &mut self,
+        view: FeatureView<'_>,
+        q: &[f32],
+        bound: GramBound<'_>,
+        slot: &mut [usize],
+    ) -> u64 {
+        let k = slot.len();
+        simd::gram_bounds(bound, &mut self.lower, &mut self.upper, &mut self.minima);
+        let tau = simd::kth_smallest(&self.minima, k);
+        let kept = simd::select_below(&self.lower, tau, &mut self.kept);
+        if tau.is_finite() && self.rank(view, q, kept, slot) {
+            return kept as u64;
+        }
+        let best = &mut self.best;
+        best.clear();
+        for (index, row) in (0..view.rows()).map(|r| (r, view.row(r))) {
+            let dist_sq = distance_squared(q, row);
+            crate::bruteforce::push_bounded(best, k, Candidate { index, dist_sq });
+        }
+        for (s, c) in slot.iter_mut().zip(best.iter()) {
+            *s = c.index;
+        }
+        (kept + view.rows()) as u64
+    }
+
+    /// Orders the first `kept` survivors of the query row `q` and writes the
+    /// first `k` into `slot`. Sorted by lower bound (one `u64` key each: the
+    /// bound's bits, then the row), they fall into clusters of
+    /// overlapping intervals; clusters are ordered by their intervals
+    /// alone, and the members of a cluster that reaches the first `k`
+    /// places are ranked by `(distance, index)` on their
+    /// [`distance_squared`]. Returns `false`, writing nothing, when a
+    /// survivor's interval is not finite: the bound cannot place it.
+    fn rank(&mut self, view: FeatureView<'_>, q: &[f32], kept: usize, slot: &mut [usize]) -> bool {
+        let Select { lower, upper, kept: rows, keys, best: cluster, .. } = self;
+        let k = slot.len();
+        keys.clear();
+        for &r in &rows[..kept] {
+            let (lo, up) = (lower[r as usize], upper[r as usize]);
+            if !(lo.is_finite() && up.is_finite()) {
+                return false;
+            }
+            // Unsigned order of these bits is the order of `lo`.
+            let bits = if lo < 0.0 { !lo.to_bits() } else { lo.to_bits() | 1 << 31 };
+            keys.push(u64::from(bits) << 32 | u64::from(r));
+        }
+        debug_assert!(kept >= k, "the bound keeps at least k rows");
+        keys.sort_unstable();
+        let row = |i: usize| keys[i] as u32 as usize;
+        // The end of the cluster that starts at place `start`.
+        let cluster_end = |start: usize| {
+            let (mut reach, mut end) = (upper[row(start)], start + 1);
+            while end < kept && lower[row(end)] <= reach {
+                reach = reach.max(upper[row(end)]);
+                end += 1;
+            }
+            end
+        };
+        // The members of every cluster that reaches the first `k` places,
+        // their distances taken eight rows at a time across clusters.
+        cluster.clear();
+        let mut start = 0;
+        while start < k {
+            let end = cluster_end(start);
+            if end - start > 1 {
+                cluster.extend((start..end).map(|i| Candidate { index: row(i), dist_sq: 0.0 }));
+            }
+            start = end;
+        }
+        for group in cluster.chunks_mut(SQDIST_ROWS) {
+            let rows = std::array::from_fn(|j| view.row(group[j.min(group.len() - 1)].index));
+            for (c, dist_sq) in group.iter_mut().zip(simd::sqdist8(q, rows)) {
+                c.dist_sq = dist_sq;
+            }
+        }
+        let (mut start, mut member) = (0, 0);
+        while start < k {
+            let end = cluster_end(start);
+            if end - start == 1 {
+                slot[start] = row(start);
+            } else {
+                let members = &mut cluster[member..member + end - start];
+                member += end - start;
+                // `(distance, index)`: these distances are finite and not
+                // below `+0.0`, so their bits order as their values.
+                members.sort_unstable_by_key(|c| (c.dist_sq.to_bits(), c.index));
+                for (s, c) in slot[start..].iter_mut().zip(members.iter()) {
+                    *s = c.index;
+                }
+            }
+            start = end;
+        }
+        true
     }
 }
 
@@ -165,39 +344,62 @@ pub(crate) fn tile_pool() -> &'static mesorasi_par::ScratchPool<TileScratch> {
     POOL.get_or_init(mesorasi_par::ScratchPool::new)
 }
 
-/// Copies `view` into `panel` in the blocked dim-major layout. Every real
-/// lane is overwritten, so only the last block's unused lanes are zeroed.
-fn fill_panel(view: FeatureView<'_>, panel: &mut Vec<f32>) {
+/// Fills `transposed` with `view` transposed, and `norms` / `scales` with
+/// each row's `fl(‖r‖²)` and error scale `t_r = √c · ‖r‖ + √η / 2` (see
+/// the module docs' "# The scan").
+fn prepare(view: FeatureView<'_>, scratch: &mut FeatureScratch) {
+    // Stripes of eight output rows, each filled front to back in 8 × 8
+    // blocks: sixteen output rows one row-stride apart would share a cache
+    // set whenever `rows` is a multiple of 1024.
+    const STRIPE: usize = 8;
     let (rows, dim) = (view.rows(), view.dim());
-    panel.resize(rows.div_ceil(LANES) * dim * LANES, 0.0);
-    for (b, block) in panel.chunks_exact_mut(dim * LANES).enumerate() {
-        let used = LANES.min(rows - b * LANES);
-        for lane in 0..used {
-            for (col, &v) in block.chunks_exact_mut(LANES).zip(view.row(b * LANES + lane)) {
-                col[lane] = v;
+    scratch.transposed.reset_shape(dim, rows);
+    let out = scratch.transposed.as_mut_slice();
+    for (s, stripe) in out.chunks_mut(STRIPE * rows).enumerate() {
+        let d = s * STRIPE..(s * STRIPE + STRIPE).min(dim);
+        let mut r0 = 0;
+        while r0 + STRIPE <= rows {
+            let mut block = [[0.0f32; STRIPE]; STRIPE];
+            for (rr, r) in (r0..r0 + STRIPE).enumerate() {
+                for (column, &v) in block.iter_mut().zip(&view.row(r)[d.clone()]) {
+                    column[rr] = v;
+                }
+            }
+            for (out_row, column) in stripe.chunks_exact_mut(rows).zip(&block) {
+                out_row[r0..r0 + STRIPE].copy_from_slice(column);
+            }
+            r0 += STRIPE;
+        }
+        for r in r0..rows {
+            for (out_row, &v) in stripe.chunks_exact_mut(rows).zip(&view.row(r)[d.clone()]) {
+                out_row[r] = v;
             }
         }
-        if used < LANES {
-            block.chunks_exact_mut(LANES).for_each(|col| col[used..].fill(0.0));
-        }
     }
-}
-
-/// An upper bound τ on the `k`-th smallest of `dist` (one padded distance
-/// row, unused lanes `+∞`), or `None` when the row holds a `NaN` and so has
-/// no bound. The module docs' "# The scan" has the argument.
-fn kth_bound(dist: &[f32], k: usize, minima: &mut Vec<f32>) -> Option<f32> {
-    let width = (3 * k).div_ceil(LANES).min(dist.len() / LANES) * LANES;
-    minima.clear();
-    minima.resize(width, f32::INFINITY);
-    let mut nan = false;
-    for chunk in dist.chunks(width) {
-        for (m, &d) in minima.iter_mut().zip(chunk) {
-            nan |= d.is_nan();
-            *m = if d < *m { d } else { *m };
+    // c = 2γ_{d+4}; absurd widths get no bound at all.
+    let nu = (dim + 4) as f64 * 2f64.powi(-24);
+    let c = if nu < 0.5 { 2.0 * nu / (1.0 - nu) } else { f64::INFINITY };
+    let half_root_eta = ((4 * dim + 16) as f64 * 2f64.powi(-149)).sqrt() / 2.0;
+    scratch.norms.clear();
+    scratch.scales.clear();
+    for r in 0..rows {
+        // Eight partial sums: the order of an `f64` sum of `f32` squares
+        // moves it by far less than the `f32` rounding that follows.
+        let mut lanes = [0.0f64; STRIPE];
+        let chunks = view.row(r).chunks_exact(STRIPE);
+        for chunk in chunks.clone().chain([chunks.remainder()]) {
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                *lane += f64::from(v) * f64::from(v);
+            }
         }
+        let norm: f64 = lanes.iter().sum();
+        scratch.norms.push(norm as f32);
+        scratch.scales.push(if norm <= WILD_NORM && c.is_finite() {
+            (((c * norm).sqrt() + half_root_eta) * (1.0 + 2f64.powi(-20))) as f32
+        } else {
+            f32::INFINITY
+        });
     }
-    (!nan).then(|| *minima.select_nth_unstable_by(k - 1, f32::total_cmp).1)
 }
 
 /// KNN over feature rows: for each query row index, the `k` rows nearest in
@@ -214,9 +416,9 @@ pub fn knn_rows(view: FeatureView<'_>, queries: &[usize], k: usize) -> NeighborI
 }
 
 /// [`knn_rows`] writing into a caller-owned table, with caller-owned
-/// scratch. The panel is built once and read by every query chunk, on
-/// whichever worker runs it. Returns the number of distance evaluations
-/// (`rows × queries`).
+/// scratch. The transposed rows are built once and read by every query
+/// tile, on whichever worker runs it. Returns the number of distance
+/// evaluations (`rows × queries`).
 ///
 /// # Panics
 ///
@@ -228,41 +430,52 @@ pub fn knn_rows_into(
     out: &mut NeighborIndexTable,
     scratch: &mut FeatureScratch,
 ) -> u64 {
+    scan_into(view, queries, k, out, scratch);
+    (view.rows() * queries.len()) as u64
+}
+
+/// [`knn_rows_into`], returning instead the rows handed to exact ranking:
+/// the survivors of the bound, plus every row for a query that took the
+/// exhaustive path.
+pub(crate) fn scan_into(
+    view: FeatureView<'_>,
+    queries: &[usize],
+    k: usize,
+    out: &mut NeighborIndexTable,
+    scratch: &mut FeatureScratch,
+) -> u64 {
     let (rows, dim) = (view.rows(), view.dim());
     assert!(k > 0 && k <= rows, "k = {k} out of range for {rows} rows");
-    let FeatureScratch { panel, tile } = scratch;
-    fill_panel(view, panel);
-    let panel = panel.as_slice();
-    let padded = panel.len() / dim;
-    let cost = rows * dim * 3;
-    let pool = tile_pool();
+    prepare(view, scratch);
+    let FeatureScratch { transposed, norms, scales, tile } = scratch;
+    let (transposed, norms, scales) = (&*transposed, norms.as_slice(), scales.as_slice());
+    let width = (3 * k).div_ceil(LANES).min(rows.div_ceil(LANES)) * LANES;
+    let tile_rows = (GRAM_TILE_BYTES / (4 * rows)).max(PACK_MIN_ROWS);
     let slots = crate::index::table_slots(out, queries, k);
-    crate::index::batch_chunks_into(slots, queries, k, cost, tile, pool, |tile, chunk, slots| {
-        let TileScratch { dist, minima, best } = tile;
-        dist.resize(QUERY_TILE * padded, 0.0);
-        for (qs, slots) in chunk.chunks(QUERY_TILE).zip(slots.chunks_mut(QUERY_TILE * k)) {
-            // Pass 1: the tile's distances to every row.
-            let qrows: [&[f32]; QUERY_TILE] =
-                std::array::from_fn(|i| view.row(qs[i.min(qs.len() - 1)]));
-            let dist = &mut dist[..qs.len() * padded];
-            mesorasi_tensor::simd::sqdist_rows(&qrows[..qs.len()], panel, dist);
-            for (dist, slot) in dist.chunks_exact_mut(padded).zip(slots.chunks_exact_mut(k)) {
-                dist[rows..].fill(f32::INFINITY);
-                // Pass 2: rank what the bound lets through.
-                let tau = kth_bound(dist, k, minima);
-                best.clear();
-                for (index, &dist_sq) in dist[..rows].iter().enumerate() {
-                    if tau.is_none_or(|tau| dist_sq <= tau) {
-                        crate::bruteforce::push_bounded(best, k, Candidate { index, dist_sq });
-                    }
-                }
-                for (s, c) in slot.iter_mut().zip(best.iter()) {
-                    *s = c.index;
-                }
+    let (cost, pool) = (rows * dim * 3, tile_pool());
+    let tile_scan = |tile: &mut TileScratch, chunk: &[usize], slots: &mut [usize]| {
+        let TileScratch { queries: tile_queries, gram, select } = tile;
+        select.reset(rows, width);
+        let mut ranked = 0;
+        for (qs, slots) in chunk.chunks(tile_rows).zip(slots.chunks_mut(tile_rows * k)) {
+            // Pass 1: the tile's Gram block.
+            tile_queries.reset_shape(qs.len(), dim);
+            for (dst, &q) in tile_queries.as_mut_slice().chunks_exact_mut(dim).zip(qs) {
+                dst.copy_from_slice(view.row(q));
+            }
+            matmul_into(tile_queries, transposed, gram);
+            // Pass 2, one query at a time.
+            for (i, (&q, slot)) in qs.iter().zip(slots.chunks_exact_mut(k)).enumerate() {
+                let (query_norm, query_scale) = (norms[q], scales[q]);
+                let bound = GramBound { dots: gram.row(i), norms, scales, query_norm, query_scale };
+                ranked += select.answer(view, view.row(q), bound, slot);
             }
         }
-        (rows * chunk.len()) as u64
-    })
+        ranked
+    };
+    crate::index::batch_chunks_into::<PACK_MIN_ROWS, _, _>(
+        slots, queries, k, cost, tile, pool, tile_scan,
+    )
 }
 
 #[cfg(test)]

@@ -67,19 +67,21 @@ pub(crate) fn batch_into<Q: Copy + Sync>(
     scratch: &mut Vec<Candidate>,
     per_query: impl Fn(&mut Vec<Candidate>, Q, &mut [usize]) -> u64 + Sync,
 ) -> u64 {
-    let pool = crate::candidate_pool();
-    batch_chunks_into(slots, queries, k, cost_per_query, scratch, pool, |scratch, chunk, slots| {
+    let per_chunk = |scratch: &mut Vec<Candidate>, chunk: &[Q], slots: &mut [usize]| {
         let slots = slots.chunks_exact_mut(k);
         chunk.iter().zip(slots).map(|(&q, slot)| per_query(scratch, q, slot)).sum()
-    })
+    };
+    let pool = crate::candidate_pool();
+    batch_chunks_into::<1, _, _>(slots, queries, k, cost_per_query, scratch, pool, per_chunk)
 }
 
 /// [`batch_into`] one level up: `per_chunk(scratch, queries, slots)` fills
 /// the `k`-wide slots of a whole run of consecutive queries, for bodies
 /// that work on several queries at once. The sequential path hands it the
-/// whole batch with the caller's scratch, the parallel path one chunk per
-/// call with the calling worker's slot of `pool`.
-pub(crate) fn batch_chunks_into<Q: Sync, S: Send>(
+/// whole batch with the caller's scratch, the parallel path one chunk of at
+/// least `MIN_CHUNK` queries per call with the calling worker's slot of
+/// `pool`.
+pub(crate) fn batch_chunks_into<const MIN_CHUNK: usize, Q: Sync, S: Send>(
     slots: &mut [usize],
     queries: &[Q],
     k: usize,
@@ -90,7 +92,7 @@ pub(crate) fn batch_chunks_into<Q: Sync, S: Send>(
 ) -> u64 {
     let entries = queries.len();
     debug_assert_eq!(slots.len(), entries * k, "one k-wide row per query");
-    let chunk = mesorasi_par::chunk_len(entries, cost_per_query);
+    let chunk = mesorasi_par::chunk_len(entries, cost_per_query).max(MIN_CHUNK);
     if chunk >= entries {
         per_chunk(scratch, queries, slots)
     } else {
@@ -147,7 +149,8 @@ const MAX_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct SearchContext {
     counters: SearchCounters,
-    /// Row panel and sequential-path tile scratch of the feature-space scan.
+    /// The feature-space scan's transposed rows, norms and error scales,
+    /// and its sequential-path tile scratch.
     feature_scratch: FeatureScratch,
     slots: Vec<Slot>,
     clock: u64,
@@ -189,10 +192,10 @@ impl SearchContext {
 
     /// Heap bytes retained by every cached index, verification cloud, and
     /// scratch buffer — the search half of the engine's arena statistics.
-    /// Includes the feature-space scan's row panel
-    /// (`ceil(rows / 16) · 16 · dim · 4` bytes at the largest shape searched)
-    /// and, when a batch ran sequentially, its distance rows; see
-    /// [`crate::feature`].
+    /// Includes the feature-space scan's transposed rows, norms and error
+    /// scales (`(dim + 2) · rows · 4` bytes at the largest shape searched)
+    /// and, when a batch ran sequentially, its Gram tile and select
+    /// scratch; see [`crate::feature`].
     pub fn storage_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.index.storage_bytes() + s.cloud.storage_bytes()).sum::<usize>()
             + self.feature_scratch.storage_bytes()
@@ -271,8 +274,9 @@ impl SearchContext {
         out: &mut NeighborIndexTable,
     ) {
         let start = Instant::now();
-        let evals = feature::knn_rows_into(view, queries, k, out, &mut self.feature_scratch);
-        self.note_query(queries.len(), evals, start);
+        let ranked = feature::scan_into(view, queries, k, out, &mut self.feature_scratch);
+        self.counters.ranked += ranked;
+        self.note_query(queries.len(), (view.rows() * queries.len()) as u64, start);
     }
 
     fn note_query(&mut self, queries: usize, evals: u64, start: Instant) {
@@ -447,10 +451,10 @@ mod tests {
         ctx.feature_knn_into(view, &q, 6, &mut out);
         assert_eq!(out, want);
         assert_eq!((ctx.counters().query_calls, ctx.counters().index_builds), (1, 0));
-        // The scan's row panel (64 rows = 4 blocks × 16 lanes × 8 dims of
-        // f32) is retained by the context and reported, then reused.
+        // The scan's transposed rows (64 rows × 8 dims of f32) are retained
+        // by the context and reported, then reused.
         let warm = ctx.storage_bytes();
-        assert!(warm >= cold + 64 * 8 * 4, "panel unaccounted: {cold} -> {warm}");
+        assert!(warm >= cold + 64 * 8 * 4, "rows unaccounted: {cold} -> {warm}");
         ctx.feature_knn_into(view, &q, 6, &mut out);
         assert_eq!(ctx.storage_bytes(), warm, "a warm scan of the same shape retains nothing new");
     }

@@ -34,6 +34,10 @@ pub struct SearchCounters {
     pub query_ns: u64,
     /// Pairwise distance evaluations performed by the searches.
     pub distance_evals: u64,
+    /// Rows handed to exact ranking by feature-space scans: the rows the
+    /// Gram bound could not rule out, plus every row of a query that took
+    /// the exhaustive path. Coordinate searches add nothing.
+    pub ranked: u64,
 }
 
 impl SearchCounters {
@@ -45,6 +49,7 @@ impl SearchCounters {
         self.queries += other.queries;
         self.query_ns += other.query_ns;
         self.distance_evals += other.distance_evals;
+        self.ranked += other.ranked;
     }
 
     /// `self - baseline`, for measuring a traffic window between two
@@ -58,6 +63,7 @@ impl SearchCounters {
             queries: self.queries.saturating_sub(baseline.queries),
             query_ns: self.query_ns.saturating_sub(baseline.query_ns),
             distance_evals: self.distance_evals.saturating_sub(baseline.distance_evals),
+            ranked: self.ranked.saturating_sub(baseline.ranked),
         }
     }
 }
@@ -130,6 +136,16 @@ mod tests {
         nit.push_entry(1, &[1, 2]); // point 2 again
         nit.push_entry(3, &[3, 3]); // padded entry: 3 counted once
         nit
+    }
+
+    #[test]
+    fn ranked_is_summed_and_windowed() {
+        let a = SearchCounters { queries: 2, ranked: 41, ..SearchCounters::default() };
+        let mut total = a;
+        total.add(&SearchCounters { ranked: 20, ..a });
+        assert_eq!((total.queries, total.ranked), (4, 61));
+        assert_eq!(total.since(&a).ranked, 20);
+        assert_eq!(a.since(&total).ranked, 0, "saturates");
     }
 
     #[test]

@@ -597,3 +597,107 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Feature space: inputs aimed at the Gram bound's failure modes.
+// ---------------------------------------------------------------------
+
+/// A deterministic value in `[0, 1)` for element `i` of case `seed`.
+fn unit(i: usize, seed: u64) -> f32 {
+    let h =
+        (i as u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xD1B5_4A32_D192_ED03);
+    (h >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// Holds `knn_rows_into` to the per-pair scan on `rows × dim` values,
+/// sequentially and at 8 threads, with one scratch reused throughout: every
+/// row a query, then query subsets one short of and one past the 32-query
+/// tile and a strided one, each at `k = 1`, `min(rows, 20)` and `rows`.
+fn assert_scan_is_per_pair(case: &str, dim: usize, data: &[f32]) {
+    let view = FeatureView::new(data, dim).expect("rows * dim values");
+    let rows = view.rows();
+    let subsets: [Vec<usize>; 4] = [
+        (0..rows).collect(),
+        (0..rows).rev().take(31).collect(),
+        (0..rows).take(33).collect(),
+        (1..rows).step_by(3).collect(),
+    ];
+    let mut scratch = FeatureScratch::default();
+    let mut got = NeighborIndexTable::default();
+    for queries in subsets.iter().filter(|q| !q.is_empty()) {
+        for k in [1, rows.min(20), rows] {
+            let (want, want_evals) = per_pair_knn(view, queries, k);
+            for threads in [1, 8] {
+                let evals = mesorasi_par::with_threads(threads, || {
+                    feature::knn_rows_into(view, queries, k, &mut got, &mut scratch)
+                });
+                let at = format!("{case}: {} queries, k {k}, threads {threads}", queries.len());
+                assert_eq!(got, want, "{at}");
+                assert_eq!(evals, want_evals, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn feature_scan_is_exact_under_a_large_common_offset() {
+    // `‖a‖² + ‖b‖² − 2a·b` cancels almost every bit here: the bound must
+    // widen until the exact ranking decides, never drop a neighbor.
+    for (c, offset) in [1e3f32, 1e4, 1e5].into_iter().enumerate() {
+        let (rows, dim) = (97, 24);
+        let data: Vec<f32> =
+            (0..rows * dim).map(|i| offset + (unit(i, c as u64) - 0.5) * 0.05).collect();
+        assert_scan_is_per_pair(&format!("offset {offset}"), dim, &data);
+    }
+}
+
+#[test]
+fn feature_scan_is_exact_where_squared_norms_overflow() {
+    // |v| of 1e19 to 1e20: `‖a‖²` overflows `f32`, a 5 % spread keeps
+    // every difference's square, and their sum, finite.
+    for (c, scale) in [1e19f32, 4e19, 1e20].into_iter().enumerate() {
+        let (rows, dim) = (70, 4);
+        let data: Vec<f32> =
+            (0..rows * dim).map(|i| scale * (1.0 + 0.05 * unit(i, 10 + c as u64))).collect();
+        assert!(data.iter().all(|v| (v - data[0]) * (v - data[0]) * dim as f32 <= f32::MAX));
+        assert_scan_is_per_pair(&format!("scale {scale}"), dim, &data);
+    }
+    // And the window below it: `‖a‖²` finite, `(‖a‖ + ‖b‖)²` and some
+    // distances not — rows of either sign up to 1.2e19, so opposite rows
+    // are `+∞` apart.
+    for dim in [1, 2] {
+        let data: Vec<f32> = (0..60 * dim).map(|i| 2.4e19 * (unit(i, 40) - 0.5)).collect();
+        assert!(data.iter().all(|v| v * v * dim as f32 <= f32::MAX));
+        assert_scan_is_per_pair(&format!("window, dim {dim}"), dim, &data);
+    }
+}
+
+#[test]
+fn feature_scan_is_exact_on_rows_a_few_ulps_apart() {
+    // One base row and copies nudged by one to three ulps in a few
+    // elements: distances nearly tie at every place, the k-th included.
+    for (rows, dim) in [(64, 16), (129, 64)] {
+        let base: Vec<f32> = (0..dim).map(|d| unit(d, 20) * 4.0 - 2.0).collect();
+        let mut data = Vec::with_capacity(rows * dim);
+        for r in 0..rows {
+            for (d, &v) in base.iter().enumerate() {
+                let nudge = if (r + d) % 5 == 0 { (r % 7) as i32 - 3 } else { 0 };
+                data.push(f32::from_bits((v.to_bits() as i32 + nudge) as u32));
+            }
+        }
+        assert_scan_is_per_pair(&format!("ulps {rows} x {dim}"), dim, &data);
+    }
+}
+
+#[test]
+fn feature_scan_is_exact_on_post_relu_rows() {
+    // Mostly exact zeros, and whole rows of them: distance-0 ties between
+    // distinct rows, and zero norms in the bound. Scaled by 1e-20 too,
+    // where the squares and products are subnormal and round absolutely.
+    for (rows, dim, scale) in [(95, 64, 1.0), (200, 32, 1.0), (95, 8, 1e-20), (70, 3, 3e-21)] {
+        let data: Vec<f32> = (0..rows * dim)
+            .map(|i| if (i / dim) % 9 == 4 { 0.0 } else { scale * (unit(i, 30) - 0.7).max(0.0) })
+            .collect();
+        assert_scan_is_per_pair(&format!("relu {rows} x {dim} at {scale}"), dim, &data);
+    }
+}

@@ -67,16 +67,6 @@ impl Point3 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
-    /// Cross product.
-    #[inline]
-    pub fn cross(self, other: Point3) -> Point3 {
-        Point3 {
-            x: self.y * other.z - self.z * other.y,
-            y: self.z * other.x - self.x * other.z,
-            z: self.x * other.y - self.y * other.x,
-        }
-    }
-
     /// Squared Euclidean norm. Neighbor search compares squared distances to
     /// avoid the square root on the hot path.
     #[inline]
@@ -100,18 +90,6 @@ impl Point3 {
     #[inline]
     pub fn distance(self, other: Point3) -> f32 {
         self.distance_squared(other).sqrt()
-    }
-
-    /// Returns the unit vector pointing in this direction, or the origin if
-    /// the norm is zero (so normalizing a degenerate offset is safe).
-    #[inline]
-    pub fn normalized(self) -> Point3 {
-        let n = self.norm();
-        if n == 0.0 {
-            Point3::ORIGIN
-        } else {
-            self / n
-        }
     }
 
     /// Component-wise minimum, used to grow bounding boxes.
@@ -242,12 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross_products() {
+    fn dot_product() {
         let x = Point3::new(1.0, 0.0, 0.0);
         let y = Point3::new(0.0, 1.0, 0.0);
         assert_eq!(x.dot(y), 0.0);
-        assert_eq!(x.cross(y), Point3::new(0.0, 0.0, 1.0));
-        assert_eq!(y.cross(x), Point3::new(0.0, 0.0, -1.0));
     }
 
     #[test]
@@ -256,13 +232,6 @@ mod tests {
         let b = Point3::new(3.0, 4.0, 0.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_squared(b), 25.0);
-    }
-
-    #[test]
-    fn normalized_handles_zero_vector() {
-        assert_eq!(Point3::ORIGIN.normalized(), Point3::ORIGIN);
-        let n = Point3::new(0.0, 0.0, 2.0).normalized();
-        assert!((n.norm() - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -168,8 +168,8 @@ const A_BLOCK_BYTES: usize = 512 * 1024;
 /// and the networks' only products that short are their one-row classifier
 /// heads, where a copied panel would be used once. No product with fewer
 /// rows packs, and no parallel chunk or row block of a packed product is
-/// shorter.
-const PACK_MIN_ROWS: usize = 32;
+/// shorter. `mesorasi_knn`'s feature scan sizes its Gram tiles by it.
+pub const PACK_MIN_ROWS: usize = 32;
 
 /// Elements of the packed-panel buffer.
 const PANEL_ELEMS: usize = PANEL_BYTES / size_of::<f32>();

@@ -58,24 +58,29 @@
 //!
 //! # The scan and reduce kernels
 //!
-//! A second entry, [`sqdist_rows`], serves the feature-space kNN scan of
-//! `mesorasi-knn` rather than the matmul tier: squared distances from a
-//! tile of queries to every row of a dim-major panel. It lives here for
-//! its dispatch, not for intrinsics — it has none. Its body is one safe
-//! generic function over the query-tile width whose 16-lane loops the
-//! compiler vectorises; the island contributes `#[target_feature]`
-//! wrappers that inline that body at 4 queries × 16 lanes (one zmm or two
-//! ymm accumulators per query), which is the only way to have safe code
-//! compiled wider than the crate's x86-64 baseline and chosen at runtime.
-//! In the scalar tier the same body runs one query per pass at baseline
-//! width — on SSE2 tiles of 2 and 4 queries measured no faster (16 xmm
-//! registers cannot hold them).
+//! Four entries serve the feature-space kNN scan of `mesorasi-knn` rather
+//! than the matmul tier, after its Gram tile: [`gram_bounds`] turns a
+//! query's row of dot products into an interval per searched row and the
+//! lane-wise minima of the upper ends ([`GramBound`]); [`kth_smallest`]
+//! ranks those minima; [`select_below`] keeps the rows whose lower end is
+//! not above that rank's value; [`sqdist8`] takes the exact distances of
+//! kept rows whose intervals overlap, eight at a time. [`gram_bounds`] and
+//! the counting body of [`kth_smallest`] are safe generic code that
+//! `#[target_feature]` wrappers compile at the AVX-512 and AVX2 widths.
+//! Under AVX-512 the count and the select are compare-mask loops — a
+//! broadcast compare and a masked add per value, a `vcmpps` mask and a
+//! `vpcompressd` per 16 rows — where the compiler's vectorisation of the
+//! safe bodies spilled or branched; AVX2 has its own select (a `vmovmskps`
+//! mask and its set bits). [`sqdist8`] is an AVX2 8 × 8 register transpose
+//! feeding eight distance chains, which the AVX-512 tier runs too. Every
+//! tier computes the same bits and lists: `tests/gram_select.rs` calls each
+//! one through [`test_tiers`].
 //!
-//! A third, [`max_rows`], is the engine's aggregation and reduction
+//! A fifth, [`max_rows`], is the engine's aggregation and reduction
 //! kernel behind [`crate::group::gather_max_into`] and
 //! [`crate::group::group_max_into`]: the column-wise max over groups of
 //! `k` rows, named by an index table or consecutive. It is here for the
-//! same reason as [`sqdist_rows`] — one safe generic body, no intrinsics,
+//! same reason as [`gram_bounds`] — one safe generic body, no intrinsics,
 //! and an AVX2 `target_feature` wrapper so the body's 64-column tile is
 //! eight ymm accumulators that stay in registers across all `k` rows and
 //! are stored once (32 columns at baseline width). The AVX-512 tier runs
@@ -349,91 +354,301 @@ fn mm_tail<const R: usize>(
     }
 }
 
-/// Rows per block of the dim-major panel [`sqdist_rows`] reads: element `d`
-/// of row `block · 16 + lane` sits at `panel[(block · dim + d) · 16 + lane]`.
-pub const SQDIST_LANES: usize = 16;
+/// One query's row of the feature scan's Gram bound: for searched row `r`
+/// the estimate `d̂ = (query_norm + norms[r]) − (dots[r] + dots[r])` of the
+/// squared distance and its half-width `e = s·s`, `s = query_scale +
+/// scales[r]`, so that the distance lies in `[d̂ − e, d̂ + e]`. The
+/// arithmetic is spelled out in that order, unfused, in every tier, so
+/// every tier computes the same bits. What makes the interval hold is the
+/// caller's choice of norms and scales; `mesorasi_knn::feature` has the
+/// argument.
+#[derive(Debug, Clone, Copy)]
+pub struct GramBound<'a> {
+    /// `q · r` for every searched row `r`: the query's row of a Gram tile.
+    pub dots: &'a [f32],
+    /// `‖r‖²` per searched row.
+    pub norms: &'a [f32],
+    /// Error scale per searched row.
+    pub scales: &'a [f32],
+    /// `‖q‖²`.
+    pub query_norm: f32,
+    /// The query's own error scale.
+    pub query_scale: f32,
+}
 
-/// Squared Euclidean distances from each query to every row of a dim-major
-/// panel: `out[q · padded + block · 16 + lane] = Σ_d (queries[q][d] −
-/// panel[(block · dim + d) · 16 + lane])²` with `dim = queries[0].len()`
-/// and `padded = panel.len() / dim`. Each element is its own ascending-`d`
-/// chain of one `sub`, one `mul` and one `add` per step, so the sums carry
-/// the bits of the one-pair-at-a-time loop whichever form runs: four
-/// queries per pass over the panel under AVX-512 or AVX2, one per pass at
-/// the target's baseline width otherwise. Unlike the matmul chain it stays
-/// unfused: it is the chain of `mesorasi_knn`'s `norm_squared`, which the
-/// octree, the brute-force oracle and the feature scan all share, so fusing
-/// it is a decision for the whole neighbor search, not for this kernel.
+impl GramBound<'_> {
+    /// `(d̂ − e, d̂ + e)` of row `r`.
+    #[inline(always)]
+    fn bounds(&self, r: usize) -> (f32, f32) {
+        let g = self.dots[r];
+        let d = (self.query_norm + self.norms[r]) - (g + g);
+        let s = self.query_scale + self.scales[r];
+        let e = s * s;
+        (d - e, d + e)
+    }
+}
+
+/// The lower bound `d̂ − e` and the upper bound `d̂ + e` of every row into
+/// `lower` and `upper`, and the lane-wise minima of the upper bounds into
+/// `minima`: `minima[c]` becomes the smallest upper bound over the rows
+/// whose index is `c` modulo `minima.len()`, or `+∞` when the class is
+/// empty. A `NaN` bound never wins a minimum. One safe generic body, which
+/// the compiler vectorises at 16 lanes under AVX-512 and 8 under AVX2
+/// (`#[target_feature]` wrappers) and at baseline width otherwise.
 ///
 /// # Panics
 ///
-/// Panics when the queries disagree in length or are empty vectors, when
-/// `panel` is not whole 16-row blocks, or when `out` is not exactly
-/// `queries.len() × padded` long.
+/// Panics when `minima` is empty or `lower`, `upper` and the bound's rows
+/// disagree in length.
 #[inline]
-pub fn sqdist_rows(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
-    let Some(first) = queries.first() else {
-        assert!(out.is_empty(), "sqdist_rows out length mismatch");
-        return;
-    };
-    let dim = first.len();
-    assert!(dim > 0, "sqdist_rows zero-length query");
-    for q in queries {
-        assert_eq!(q.len(), dim, "sqdist_rows query length mismatch");
-    }
-    assert_eq!(panel.len() % (dim * SQDIST_LANES), 0, "sqdist_rows panel is not whole blocks");
-    assert_eq!(out.len(), queries.len() * (panel.len() / dim), "sqdist_rows out length mismatch");
-    match detect() {
+pub fn gram_bounds(bound: GramBound<'_>, lower: &mut [f32], upper: &mut [f32], minima: &mut [f32]) {
+    gram_bounds_on(TestTier(detect()), bound, lower, upper, minima);
+}
+
+/// [`gram_bounds`] on a given tier. Test support, not API.
+#[doc(hidden)]
+pub fn gram_bounds_on(
+    TestTier(tier): TestTier,
+    bound: GramBound<'_>,
+    lower: &mut [f32],
+    upper: &mut [f32],
+    minima: &mut [f32],
+) {
+    let rows = bound.dots.len();
+    assert!(!minima.is_empty(), "gram_bounds needs a lane");
+    assert!(
+        [bound.norms.len(), bound.scales.len(), lower.len(), upper.len()] == [rows; 4],
+        "gram_bounds rows disagree in length"
+    );
+    match tier {
         // SAFETY: the tier's extension was verified at runtime, which is
         // all the wrappers require: their body is safe code.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Tier::Avx512 => unsafe { x86::sqdist_rows_avx512(queries, panel, out) },
+        Tier::Avx512 => unsafe { x86::gram_bounds_avx512(bound, lower, upper, minima) },
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Tier::Avx2 => unsafe { x86::sqdist_rows_avx2(queries, panel, out) },
-        _ => sqdist_rows_tiled::<1>(queries, panel, out),
+        Tier::Avx2 => unsafe { x86::gram_bounds_avx2(bound, lower, upper, minima) },
+        _ => gram_bounds_body(bound, lower, upper, minima),
     }
 }
 
-/// [`sqdist_rows`] behind its checks: whole tiles of `Q` queries, then the
-/// remainder one query at a time.
+/// [`gram_bounds`] behind its checks, 16 rows at a time as fixed-size
+/// arrays (row `r` folds into lane `r mod minima.len()`, so a block of 16
+/// rows lands on 16 consecutive lanes when that width is a multiple of 16),
+/// then the row tail one at a time.
 #[inline(always)]
-fn sqdist_rows_tiled<const Q: usize>(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
-    let padded = panel.len() / queries[0].len();
-    let mut rows = out.chunks_exact_mut(padded);
-    let mut tiles = queries.chunks_exact(Q);
-    for tile in &mut tiles {
-        let q: [&[f32]; Q] = std::array::from_fn(|r| tile[r]);
-        sqdist_tile(q, panel, std::array::from_fn(|_| rows.next().expect("one out row per query")));
-    }
-    for (&q, row) in tiles.remainder().iter().zip(rows) {
-        sqdist_tile([q], panel, [row]);
-    }
-}
-
-/// The distance tile: `Q` queries × 16 panel rows of accumulators held in
-/// locals over the whole `d` walk, each panel column loaded once for all
-/// `Q` queries, stored once per block. Plain indexed arithmetic — the
-/// compiler vectorises the 16-lane loops at whatever width the enclosing
-/// function is compiled for, and never contracts `mul` + `add`.
-#[inline(always)]
-fn sqdist_tile<const Q: usize>(q: [&[f32]; Q], panel: &[f32], mut out: [&mut [f32]; Q]) {
-    let dim = q[0].len();
-    let q = q.map(|row| &row[..dim]);
-    for (b, block) in panel.chunks_exact(dim * SQDIST_LANES).enumerate() {
-        let mut acc = [[0.0f32; SQDIST_LANES]; Q];
-        for (d, col) in block.chunks_exact(SQDIST_LANES).enumerate() {
-            for (acc_r, q_r) in acc.iter_mut().zip(&q) {
-                let x = q_r[d];
-                for (a, &y) in acc_r.iter_mut().zip(col) {
-                    let e = x - y;
-                    *a += e * e;
-                }
+fn gram_bounds_body(
+    bound: GramBound<'_>,
+    lower: &mut [f32],
+    upper: &mut [f32],
+    minima: &mut [f32],
+) {
+    const B: usize = 16;
+    let (rows, width) = (bound.dots.len(), minima.len());
+    minima.fill(f32::INFINITY);
+    let (mut r, mut lane) = (0, 0);
+    if width.is_multiple_of(B) {
+        while r + B <= rows {
+            let m: &mut [f32; B] = (&mut minima[lane..lane + B]).try_into().expect("B lanes");
+            let lo: &mut [f32; B] = (&mut lower[r..r + B]).try_into().expect("B rows");
+            let up: &mut [f32; B] = (&mut upper[r..r + B]).try_into().expect("B rows");
+            let g: &[f32; B] = bound.dots[r..r + B].try_into().expect("B rows");
+            let n: &[f32; B] = bound.norms[r..r + B].try_into().expect("B rows");
+            let t: &[f32; B] = bound.scales[r..r + B].try_into().expect("B rows");
+            for l in 0..B {
+                let d = (bound.query_norm + n[l]) - (g[l] + g[l]);
+                let s = bound.query_scale + t[l];
+                let e = s * s;
+                lo[l] = d - e;
+                up[l] = d + e;
+                m[l] = if up[l] < m[l] { up[l] } else { m[l] };
             }
-        }
-        for (out_r, acc_r) in out.iter_mut().zip(&acc) {
-            out_r[b * SQDIST_LANES..(b + 1) * SQDIST_LANES].copy_from_slice(acc_r);
+            r += B;
+            lane = if lane + B == width { 0 } else { lane + B };
         }
     }
+    for r in r..rows {
+        (lower[r], upper[r]) = bound.bounds(r);
+        let m = &mut minima[r % width];
+        *m = if upper[r] < *m { upper[r] } else { *m };
+    }
+}
+
+/// The `k`-th smallest of `values` (`k` from 1) under `<`: the largest value
+/// with fewer than `k` values below it. Rank by counting — each value's
+/// count of smaller values, a vectorised compare-and-add over the slice,
+/// then a branch-free running maximum — so the cost is `values.len()²`
+/// compares and no mispredicted branch; meant for the few dozen minima of
+/// [`gram_bounds`]. Values must not be `NaN` (those minima never are).
+///
+/// # Panics
+///
+/// Panics unless `1 ≤ k ≤ values.len()`.
+#[inline]
+pub fn kth_smallest(values: &[f32], k: usize) -> f32 {
+    kth_smallest_on(TestTier(detect()), values, k)
+}
+
+/// [`kth_smallest`] on a given tier. Test support, not API.
+#[doc(hidden)]
+pub fn kth_smallest_on(TestTier(tier): TestTier, values: &[f32], k: usize) -> f32 {
+    assert!(k >= 1 && k <= values.len(), "kth_smallest k = {k} of {}", values.len());
+    match tier {
+        // SAFETY: the tier's extension was verified at runtime; the
+        // kernel reads only whole 16-value chunks of `values`.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => unsafe { x86::kth_smallest_avx512(values, k) },
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx2 => unsafe { x86::kth_smallest_avx2(values, k) },
+        _ => kth_smallest_body(values, k),
+    }
+}
+
+/// [`kth_smallest`] behind its check: each value's count of smaller
+/// values, a compare-and-add over the slice, then a branch-free running
+/// maximum over the values with fewer than `k` below them.
+#[inline(always)]
+fn kth_smallest_body(values: &[f32], k: usize) -> f32 {
+    let mut kth = f32::NEG_INFINITY;
+    for &v in values {
+        let below: u32 = values.iter().map(|&w| u32::from(w < v)).sum();
+        kth = if (below as usize) < k && v > kth { v } else { kth };
+    }
+    kth
+}
+
+/// Writes, in ascending order, the index of every element of `values` that
+/// is not above `tau` into the front of `out`, and returns how many there
+/// are. A `NaN` element is kept (the compare is unordered). A compare mask
+/// and a compress (`vpcompressd`) per 16 elements under AVX-512, a compare
+/// mask and its set bits per 8 under AVX2, a branch-free store per element
+/// otherwise; all give the same list.
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than `values` or `values` is longer than a
+/// `u32` indexes.
+#[inline]
+pub fn select_below(values: &[f32], tau: f32, out: &mut [u32]) -> usize {
+    select_below_on(TestTier(detect()), values, tau, out)
+}
+
+/// [`select_below`] on a given tier. Test support, not API.
+#[doc(hidden)]
+pub fn select_below_on(
+    TestTier(tier): TestTier,
+    values: &[f32],
+    tau: f32,
+    out: &mut [u32],
+) -> usize {
+    assert!(out.len() >= values.len(), "select_below out is shorter than the values");
+    assert!(u32::try_from(values.len()).is_ok(), "select_below values exceed u32 indices");
+    match tier {
+        // SAFETY: the tier's extension was verified at runtime; the asserts
+        // above are the bounds the vector loops rely on.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => unsafe { x86::select_below_avx512(values, tau, out) },
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx2 => unsafe { x86::select_below_avx2(values, tau, out) },
+        _ => select_below_from(values, tau, 0, out, 0),
+    }
+}
+
+/// Elements `first..` of [`select_below`], one at a time, appended to the
+/// `n` indices already in `out`; returns the new count. The store is
+/// unconditional and only the count is not, so `out[n]` is in bounds
+/// whenever `n ≤ i`.
+#[inline(always)]
+fn select_below_from(
+    values: &[f32],
+    tau: f32,
+    first: usize,
+    out: &mut [u32],
+    mut n: usize,
+) -> usize {
+    for (i, &v) in values.iter().enumerate().skip(first) {
+        out[n] = i as u32;
+        n += usize::from(v.partial_cmp(&tau) != Some(std::cmp::Ordering::Greater));
+    }
+    n
+}
+
+/// Rows [`sqdist8`] takes at once.
+pub const SQDIST_ROWS: usize = 8;
+
+/// Squared Euclidean distances from `query` to eight rows at once:
+/// `out[j] = Σ_d (query[d] − rows[j][d])²`, each its own ascending-`d` chain
+/// of one `sub`, one `mul` and one `add` per step from `−0.0` (where a
+/// Rust `f32` sum starts) — the one-pair-at-a-time sum of
+/// `mesorasi_knn::feature::distance_squared`, bit for bit, in every tier. Under AVX2 (which the AVX-512 tier also
+/// runs) eight `d` at a time of the eight rows are loaded and transposed in
+/// registers, so the eight chains advance in the lanes of one ymm
+/// accumulator; the scalar tier runs the chains in lockstep.
+///
+/// # Panics
+///
+/// Panics when a row is shorter than the query.
+#[inline]
+pub fn sqdist8(query: &[f32], rows: [&[f32]; SQDIST_ROWS]) -> [f32; SQDIST_ROWS] {
+    sqdist8_on(TestTier(detect()), query, rows)
+}
+
+/// [`sqdist8`] on a given tier. Test support, not API.
+#[doc(hidden)]
+pub fn sqdist8_on(
+    TestTier(tier): TestTier,
+    query: &[f32],
+    rows: [&[f32]; SQDIST_ROWS],
+) -> [f32; SQDIST_ROWS] {
+    let rows = rows.map(|r| &r[..query.len()]);
+    match tier {
+        // SAFETY: both vector tiers verified AVX2 at runtime; every row
+        // was cut to the query's length above.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 | Tier::Avx2 => unsafe { x86::sqdist8_avx2(query, rows) },
+        _ => sqdist8_from(query, rows, 0, [-0.0; SQDIST_ROWS]),
+    }
+}
+
+/// [`sqdist8`]'s chains from step `first` on, continuing the sums in `acc`.
+#[inline(always)]
+fn sqdist8_from(
+    query: &[f32],
+    rows: [&[f32]; SQDIST_ROWS],
+    first: usize,
+    mut acc: [f32; SQDIST_ROWS],
+) -> [f32; SQDIST_ROWS] {
+    for (d, &x) in query.iter().enumerate().skip(first) {
+        for (a, r) in acc.iter_mut().zip(&rows) {
+            let e = x - r[d];
+            *a += e * e;
+        }
+    }
+    acc
+}
+
+/// A kernel tier this CPU runs, as a token only [`test_tiers`] hands out,
+/// so that a test can call each tier's `*_on` kernel directly. Test
+/// support, not API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct TestTier(Tier);
+
+/// The scalar tier and every vector tier this CPU and build can run, by
+/// name. Test support, not API.
+#[doc(hidden)]
+pub fn test_tiers() -> Vec<(&'static str, TestTier)> {
+    #[allow(unused_mut)]
+    let mut tiers = vec![("scalar", TestTier(Tier::Scalar))];
+    match detect() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx512 => tiers.extend(
+            [("avx512f", Tier::Avx512), ("avx2", Tier::Avx2)].map(|(n, t)| (n, TestTier(t))),
+        ),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Tier::Avx2 => tiers.push(("avx2", TestTier(Tier::Avx2))),
+        Tier::Scalar => {}
+    }
+    tiers
 }
 
 /// Column-wise max over groups of `k` rows of the row-major, `cols`-wide
@@ -531,10 +746,16 @@ fn max_tiles<const W: usize>(
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     use super::Epilogue;
+    use super::GramBound;
     use std::arch::x86_64::{
-        __m256, __m512, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_fmadd_ps,
-        _mm512_loadu_ps, _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+        __m256, __m512, _mm256_add_ps, _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_loadu_ps,
+        _mm256_max_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
+        _mm256_unpacklo_ps, _mm512_add_epi32, _mm512_add_ps, _mm512_cmp_ps_mask,
+        _mm512_cmplt_epi32_mask, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_add_epi32,
+        _mm512_mask_max_ps, _mm512_maskz_compress_epi32, _mm512_max_ps, _mm512_reduce_max_ps,
+        _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32, _mm512_setzero_ps,
+        _mm512_setzero_si512, _mm512_storeu_epi32, _mm512_storeu_ps, _CMP_LT_OQ, _CMP_NGT_UQ,
     };
 
     /// One vector register of `f32` lanes: the operations the matmul tile
@@ -752,34 +973,211 @@ mod x86 {
         }
     }
 
-    /// [`super::sqdist_rows`] at 4 queries × 16 lanes, compiled for
-    /// AVX-512: one zmm accumulator per query, one panel load and a
-    /// broadcast per `d`. The body is the safe generic tile, inlined here
-    /// so the attribute decides its vector width; there is nothing for an
-    /// intrinsic to add.
+    /// [`super::gram_bounds`] compiled for AVX-512: the safe generic body,
+    /// 16 lanes per instruction.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX-512F support at runtime.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sqdist_rows_avx512(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
-        super::sqdist_rows_tiled::<4>(queries, panel, out);
+    pub(super) unsafe fn gram_bounds_avx512(
+        bound: GramBound<'_>,
+        lower: &mut [f32],
+        upper: &mut [f32],
+        minima: &mut [f32],
+    ) {
+        super::gram_bounds_body(bound, lower, upper, minima);
     }
 
-    /// [`super::sqdist_rows`] at 4 queries × 16 lanes, compiled for AVX2:
-    /// eight ymm accumulators, two panel loads and a broadcast per `d`.
+    /// [`super::gram_bounds`] compiled for AVX2: the safe generic body, 8
+    /// lanes per instruction.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sqdist_rows_avx2(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
-        super::sqdist_rows_tiled::<4>(queries, panel, out);
+    pub(super) unsafe fn gram_bounds_avx2(
+        bound: GramBound<'_>,
+        lower: &mut [f32],
+        upper: &mut [f32],
+        minima: &mut [f32],
+    ) {
+        super::gram_bounds_body(bound, lower, upper, minima);
+    }
+
+    /// [`super::kth_smallest`] compiled for AVX-512, over whole 16-value
+    /// blocks: 16 candidates in one zmm, each value of the slice broadcast
+    /// against them with one `vcmpps` to a mask and one masked add to their
+    /// counts, then a masked running maximum over the candidates with fewer
+    /// than `k` below and a horizontal maximum at the end. Other lengths run
+    /// the generic body at this width.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F support at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn kth_smallest_avx512(values: &[f32], k: usize) -> f32 {
+        if !values.len().is_multiple_of(16) {
+            return super::kth_smallest_body(values, k);
+        }
+        // SAFETY: compiled for AVX-512F; every load reads a whole 16-value
+        // chunk of `values`.
+        unsafe {
+            let (one, limit) = (_mm512_set1_epi32(1), _mm512_set1_epi32(k as i32));
+            let mut kth = _mm512_set1_ps(f32::NEG_INFINITY);
+            for chunk in values.chunks_exact(16) {
+                let candidates = _mm512_loadu_ps(chunk.as_ptr());
+                let mut below = _mm512_setzero_si512();
+                for &w in values {
+                    let less = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_set1_ps(w), candidates);
+                    below = _mm512_mask_add_epi32(below, less, below, one);
+                }
+                let rank_ok = _mm512_cmplt_epi32_mask(below, limit);
+                kth = _mm512_mask_max_ps(kth, rank_ok, kth, candidates);
+            }
+            _mm512_reduce_max_ps(kth)
+        }
+    }
+
+    /// [`super::kth_smallest`] compiled for AVX2: the safe counting body,
+    /// 8 lanes per compare.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn kth_smallest_avx2(values: &[f32], k: usize) -> f32 {
+        super::kth_smallest_body(values, k)
+    }
+
+    /// [`super::select_below`] compiled for AVX-512, 16 elements per step:
+    /// `vcmpps` to a mask of the elements not above `tau` (unordered
+    /// compares true, so a `NaN` is kept), and `vpcompressd` packing their
+    /// indices to the front of a vector that is stored whole at the current
+    /// count. The tail runs the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F support at runtime, and the
+    /// bounds [`super::select_below`] asserts must hold.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn select_below_avx512(values: &[f32], tau: f32, out: &mut [u32]) -> usize {
+        let (mut n, mut i) = (0, 0);
+        // SAFETY: compiled for AVX-512F. Every load reads `i..i + 16` of
+        // `values` with `i + 16 ≤ values.len()`; every store writes
+        // `n..n + 16` of `out` with `n ≤ i` (a step keeps at most its own
+        // elements), so `n + 16 ≤ values.len() ≤ out.len()`.
+        unsafe {
+            let limit = _mm512_set1_ps(tau);
+            let mut index = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let step = _mm512_set1_epi32(16);
+            while i + 16 <= values.len() {
+                let v = _mm512_loadu_ps(values.as_ptr().add(i));
+                // Compressed and stored whether or not any lane is kept:
+                // a branch on the mask mispredicts at every other survivor.
+                let keep = _mm512_cmp_ps_mask::<_CMP_NGT_UQ>(v, limit);
+                let packed = _mm512_maskz_compress_epi32(keep, index);
+                _mm512_storeu_epi32(out.as_mut_ptr().add(n).cast(), packed);
+                n += keep.count_ones() as usize;
+                index = _mm512_add_epi32(index, step);
+                i += 16;
+            }
+        }
+        super::select_below_from(values, tau, i, out, n)
+    }
+
+    /// [`super::select_below`] compiled for AVX2, 8 elements per step: an
+    /// unordered not-greater compare, and the set bits of its `vmovmskps`
+    /// mask appended in ascending order. The tail runs the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime, and the
+    /// bounds [`super::select_below`] asserts must hold.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn select_below_avx2(values: &[f32], tau: f32, out: &mut [u32]) -> usize {
+        let (mut n, mut i) = (0, 0);
+        // SAFETY: compiled for AVX2. Every load reads `i..i + 8` of
+        // `values` with `i + 8 ≤ values.len()`; the stores are checked
+        // slice writes.
+        unsafe {
+            let limit = _mm256_set1_ps(tau);
+            while i + 8 <= values.len() {
+                let v = _mm256_loadu_ps(values.as_ptr().add(i));
+                let mut keep = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(v, limit)) as u32;
+                while keep != 0 {
+                    out[n] = (i + keep.trailing_zeros() as usize) as u32;
+                    n += 1;
+                    keep &= keep - 1;
+                }
+                i += 8;
+            }
+        }
+        super::select_below_from(values, tau, i, out, n)
+    }
+
+    /// [`super::sqdist8`] compiled for AVX2: per eight steps, one 8-wide
+    /// load from each row, an in-register 8 × 8 transpose
+    /// (`vunpck{l,h}ps`, `vshufps`, `vperm2f128`) that puts step `d` of row
+    /// `j` in lane `j` of vector `d`, then the eight steps of the chains in
+    /// order: a broadcast of `query[d]`, a `sub`, a `mul`, an `add`. The
+    /// steps past the last whole eight continue the chains in scalar code.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime, and every row
+    /// must be at least as long as the query.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sqdist8_avx2(
+        query: &[f32],
+        rows: [&[f32]; super::SQDIST_ROWS],
+    ) -> [f32; super::SQDIST_ROWS] {
+        let mut d = 0;
+        let mut out = [0.0f32; super::SQDIST_ROWS];
+        // SAFETY: compiled for AVX2; every load reads `d..d + 8` of a row
+        // at least `query.len() ≥ d + 8` long; the store fills `out`.
+        unsafe {
+            let mut acc = _mm256_set1_ps(-0.0);
+            while d + 8 <= query.len() {
+                let [r0, r1, r2, r3, r4, r5, r6, r7] =
+                    rows.map(|r| _mm256_loadu_ps(r.as_ptr().add(d)));
+                // Pairs, then quads, then halves across the two lanes.
+                let (a0, a1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+                let (a2, a3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+                let (a4, a5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+                let (a6, a7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+                let b0 = _mm256_shuffle_ps::<0x44>(a0, a2);
+                let b1 = _mm256_shuffle_ps::<0xEE>(a0, a2);
+                let b2 = _mm256_shuffle_ps::<0x44>(a1, a3);
+                let b3 = _mm256_shuffle_ps::<0xEE>(a1, a3);
+                let b4 = _mm256_shuffle_ps::<0x44>(a4, a6);
+                let b5 = _mm256_shuffle_ps::<0xEE>(a4, a6);
+                let b6 = _mm256_shuffle_ps::<0x44>(a5, a7);
+                let b7 = _mm256_shuffle_ps::<0xEE>(a5, a7);
+                let steps = [
+                    _mm256_permute2f128_ps::<0x20>(b0, b4),
+                    _mm256_permute2f128_ps::<0x20>(b1, b5),
+                    _mm256_permute2f128_ps::<0x20>(b2, b6),
+                    _mm256_permute2f128_ps::<0x20>(b3, b7),
+                    _mm256_permute2f128_ps::<0x31>(b0, b4),
+                    _mm256_permute2f128_ps::<0x31>(b1, b5),
+                    _mm256_permute2f128_ps::<0x31>(b2, b6),
+                    _mm256_permute2f128_ps::<0x31>(b3, b7),
+                ];
+                for (step, &x) in steps.into_iter().zip(&query[d..d + 8]) {
+                    let e = _mm256_sub_ps(_mm256_set1_ps(x), step);
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(e, e));
+                }
+                d += 8;
+            }
+            _mm256_storeu_ps(out.as_mut_ptr(), acc);
+        }
+        super::sqdist8_from(query, rows, d, out)
     }
 
     /// [`super::max_rows`] at 64 columns per tile, compiled for AVX2: eight
     /// ymm accumulators per group and column slice, one compare-and-select
-    /// per source row. As with [`sqdist_rows_avx2`], the body is the safe
+    /// per source row. As with [`gram_bounds_avx2`], the body is the safe
     /// generic one and the attribute only decides its vector width.
     ///
     /// # Safety
@@ -832,7 +1230,6 @@ mod tests {
 
     type Mm4 = fn([&[f32]; 4], &[f32], usize, [&mut [f32]; 4], bool, Option<Epilogue<'_>>);
     type Mm1 = fn([&[f32]; 1], &[f32], usize, [&mut [f32]; 1], bool, Option<Epilogue<'_>>);
-    type Sqdist = fn(&[&[f32]], &[f32], &mut [f32]);
     type MaxRows = fn(&[f32], usize, Option<&[usize]>, usize, usize, &mut [f32]);
 
     /// One kernel tier, called directly rather than through the dispatch —
@@ -841,7 +1238,6 @@ mod tests {
         name: &'static str,
         mm4: Mm4,
         mm1: Mm1,
-        sqdist: Sqdist,
         max_rows: MaxRows,
     }
 
@@ -863,7 +1259,6 @@ mod tests {
                     name: "avx512f",
                     mm4: |a, b, n, o, acc, e| unsafe { x86::mm_avx512(a, b, n, o, acc, e) },
                     mm1: |a, b, n, o, acc, e| unsafe { x86::mm_avx512(a, b, n, o, acc, e) },
-                    sqdist: |q, p, o| unsafe { x86::sqdist_rows_avx512(q, p, o) },
                     // This tier's max-reduce is the AVX2 kernel.
                     max_rows: |s, c, r, f, k, o| unsafe { x86::max_rows_avx2(s, c, r, f, k, o) },
                 });
@@ -875,7 +1270,6 @@ mod tests {
                     name: "avx2",
                     mm4: |a, b, n, o, acc, e| unsafe { x86::mm_avx2(a, b, n, o, acc, e) },
                     mm1: |a, b, n, o, acc, e| unsafe { x86::mm_avx2(a, b, n, o, acc, e) },
-                    sqdist: |q, p, o| unsafe { x86::sqdist_rows_avx2(q, p, o) },
                     max_rows: |s, c, r, f, k, o| unsafe { x86::max_rows_avx2(s, c, r, f, k, o) },
                 });
             } else {
@@ -893,7 +1287,6 @@ mod tests {
             name: "dispatched",
             mm4,
             mm1: |a, b, n, [o], acc, e| mm1(a[0], b, n, o, acc, e),
-            sqdist: sqdist_rows,
             max_rows,
         }
     }
@@ -998,7 +1391,6 @@ mod tests {
             name: "scalar",
             mm4: |a, b, n, o, acc, e| mm_scalar(a, b, n, o, acc, e),
             mm1: |a, b, n, o, acc, e| mm_scalar(a, b, n, o, acc, e),
-            sqdist: sqdist_rows_tiled::<1>,
             max_rows: max_rows_tiled::<32>,
         });
         let a = [1.0, x];
@@ -1137,56 +1529,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sqdist_forms_agree_with_the_per_pair_sum_bitwise() {
-        // What `mesorasi_knn::feature::distance_squared` computes: the
-        // scan's tables are pinned to it, so every form of the tile must
-        // reproduce its bits, `NaN`s and infinities included.
-        fn per_pair(a: &[f32], b: &[f32]) -> f32 {
-            a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-        }
-        let tiers = vector_tiers();
-        let rows = 37usize; // two full blocks and a ragged third
-        let padded = rows.div_ceil(SQDIST_LANES) * SQDIST_LANES;
-        for dim in [1, 3, 64, 130] {
-            let mut data = sample(rows * dim, dim as u32);
-            let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
-            for (i, v) in specials.into_iter().enumerate() {
-                data[(i * 5 % rows) * dim + i % dim] = v;
-            }
-            let row = |r: usize| &data[r * dim..(r + 1) * dim];
-            let mut panel = vec![0.0f32; padded * dim];
-            for r in 0..rows {
-                for (d, &v) in row(r).iter().enumerate() {
-                    panel[((r / SQDIST_LANES) * dim + d) * SQDIST_LANES + r % SQDIST_LANES] = v;
-                }
-            }
-            // Seven queries: one tile of four and three singles, rows with
-            // and without a special value.
-            let queries: Vec<&[f32]> = [0, 5, 10, 15, 1, 36, 20].map(row).to_vec();
-            let mut want = vec![0.0f32; queries.len() * padded];
-            for (q, out) in queries.iter().zip(want.chunks_exact_mut(padded)) {
-                for (r, o) in out[..rows].iter_mut().enumerate() {
-                    *o = per_pair(q, row(r));
-                }
-                // Unused lanes read the panel's zero padding.
-                out[rows..].fill(per_pair(q, &vec![0.0; dim]));
-            }
-            let mut forms: Vec<(&str, Sqdist)> = vec![
-                ("dispatched", sqdist_rows),
-                ("one query per pass", sqdist_rows_tiled::<1>),
-                ("four queries per pass", sqdist_rows_tiled::<4>),
-            ];
-            forms.extend(tiers.iter().map(|t| (t.name, t.sqdist)));
-            for (name, form) in forms {
-                let mut got = vec![f32::NAN; want.len()];
-                form(&queries, &panel, &mut got);
-                assert_eq!(bits(&got), bits(&want), "{name}, dim {dim}");
-            }
-        }
-        sqdist_rows(&[], &[], &mut []);
     }
 
     #[test]

@@ -328,3 +328,27 @@ fn every_network_carries_the_pinned_search_traffic() {
         }
     }
 }
+
+/// ROADMAP item 3's decline rule as a regression check: the Gram bound of
+/// the feature-space scan hands at most `4k` rows per query to exact
+/// ranking on a paper-scale DGCNN (c) forward (`k = 20`, four scans of
+/// 1024 queries), and never fewer than the `k` it must return.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale feature scans: release only")]
+fn paper_scale_dgcnn_ranks_at_most_four_k_rows_per_query() {
+    let mut rng = seeded_rng(3);
+    let net = NetworkKind::DgcnnClassification.build_paper(&mut rng);
+    let n = net.input_points();
+    let record = |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+    let mut engine = mesorasi::core::engine::PlanEngine::new();
+    let _ = engine.run(&sample_shape(ShapeClass::Chair, n, 3), &record);
+    let traffic = engine.stats(n).expect("compiled").search;
+    let k = 20;
+    assert_eq!(traffic.queries, 4 * n as u64, "four EdgeConv scans, every point a query");
+    assert!(traffic.ranked >= k * traffic.queries, "{} ranked", traffic.ranked);
+    assert!(
+        traffic.ranked <= 4 * k * traffic.queries,
+        "{:.1} rows ranked per query",
+        traffic.ranked as f64 / traffic.queries as f64
+    );
+}
