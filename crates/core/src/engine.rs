@@ -32,7 +32,7 @@
 
 use crate::module::NeighborMode;
 use crate::runner::{search_nit_into, search_stencils_into, select_centroids_into};
-use crate::sample_cache::{SampleCache, SampleCacheStats, SAMPLE_CACHE_CAP};
+use crate::sample_cache::{SampleCache, SampleCacheStats};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_knn::{NeighborIndexTable, SearchContext};
 use mesorasi_nn::ir::VarId;
@@ -349,6 +349,7 @@ pub(crate) mod rec {
     }
 }
 
+/// A compiled plan: only what differs per input shape.
 struct Compiled {
     n_points: usize,
     /// The engine clock at this plan's last run (the eviction order).
@@ -357,9 +358,15 @@ struct Compiled {
     steps: Vec<DynStep>,
     /// Steps that survived plan dead-code elimination.
     step_live: Vec<bool>,
+    /// Position states the recording registered.
+    n_states: usize,
     arena: Arena,
-    /// NIT cache: content-keyed, true-LRU bindings per seen sample.
-    samples: SampleCache,
+}
+
+/// What a frame derives into, shared by every compiled shape: a frame
+/// rewrites all of it, so one copy per engine serves every plan.
+#[derive(Default)]
+struct Derived {
     /// The search arena: per-space reusable index storage, keyed by
     /// module-state id so streaming frames rebuild indices in place.
     search: SearchContext,
@@ -368,22 +375,19 @@ struct Compiled {
     /// Reusable centroid-selection buffers.
     centroids: Vec<usize>,
     shuffle: Vec<usize>,
-    /// Reusable per-state position clouds (`state_set[i]` marks the ones
-    /// derived during the current pass).
+    /// Reusable per-state position clouds, as many as the largest state
+    /// count compiled (`state_set[i]` marks the ones derived during the
+    /// current pass).
     state_bufs: Vec<PointCloud>,
     state_set: Vec<bool>,
-    /// Persistent bindings of the streaming (cache-bypass) path.
-    stream_bindings: Option<Bindings>,
 }
 
-impl Compiled {
-    /// Heap bytes retained by the search arena: cached indices, NIT and
-    /// centroid buffers, the per-state position clouds, and the clouds the
-    /// sample cache keeps for collision checks.
-    fn search_bytes(&self) -> usize {
+impl Derived {
+    /// Heap bytes retained: cached indices, the NIT, the centroid buffers
+    /// and the per-state position clouds.
+    fn storage_bytes(&self) -> usize {
         self.search.storage_bytes()
             + self.nit.storage_bytes()
-            + self.samples.cloud_bytes()
             + (self.centroids.capacity() + self.shuffle.capacity()) * std::mem::size_of::<usize>()
             + self.state_bufs.iter().map(PointCloud::storage_bytes).sum::<usize>()
     }
@@ -420,16 +424,22 @@ impl<'a> PlannedOutputs<'a> {
     }
 }
 
-/// Usage statistics of one compiled plan: the tensor arena plus the search
-/// arena that backs neighbor-search replay.
+/// Usage statistics of an engine: the tensor arena of one compiled plan,
+/// plus the engine-wide derivation state and sample cache every plan
+/// shares.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineStats {
-    /// Tensor-arena statistics (slots, bytes, reuse, growth).
+    /// Tensor-arena statistics (slots, bytes, reuse, growth) of the plan
+    /// asked for.
     pub arena: ArenaStats,
-    /// Heap bytes retained by the search arena: cached indices,
-    /// verification clouds, NIT/centroid buffers, per-state positions.
+    /// Heap bytes retained by the engine's derivation state: cached
+    /// indices and their verification clouds, NIT/centroid buffers,
+    /// per-state positions and the stream bindings.
     pub search_bytes: usize,
-    /// Search-traffic counters of this plan's context.
+    /// Heap bytes retained by the sample cache: cached clouds plus the
+    /// capacity of their bindings.
+    pub cache_bytes: usize,
+    /// Search-traffic counters of the engine's context.
     pub search: SearchCounters,
     /// NIT sample-cache traffic (hits / misses / LRU evictions).
     pub cache: SampleCacheStats,
@@ -446,48 +456,50 @@ pub struct EngineStats {
 /// the recording closure the caller passes must be a pure function of
 /// `(Graph, PointCloud)`. Plans are compiled per input shape on first
 /// sight, and at most [`MAX_PLANS`] are kept: a new shape beyond them
-/// replaces the least recently run plan. Per-sample neighbor structure is
-/// cached so the steady state (repeated samples) allocates nothing. For
-/// frame sequences that never repeat, [`PlanEngine::run_streamed`] bypasses
-/// the cache and reuses a persistent search arena instead.
+/// replaces the least recently run plan. Everything a frame derives into
+/// (search arena, NIT, centroid and position buffers, stream bindings) and
+/// the sample cache exist once per engine, shared by every plan.
+/// Per-sample neighbor structure is cached so the steady state (repeated
+/// samples) allocates nothing. For frame sequences that never repeat,
+/// [`PlanEngine::run_streamed`] bypasses the cache and reuses the
+/// persistent search arena instead.
 #[derive(Default)]
 pub struct PlanEngine {
     compiled: Vec<Compiled>,
     clock: u64,
-    /// Traffic of evicted plans, so the engine's totals stay monotonic.
-    retired_search: SearchCounters,
-    retired_cache: SampleCacheStats,
+    derived: Derived,
+    /// NIT cache: content-keyed, true-LRU bindings per seen sample. A
+    /// sample's content fixes its shape, and recording is pure, so cached
+    /// bindings stay valid for a plan recompiled after eviction.
+    samples: SampleCache,
+    /// Persistent bindings of the streaming (cache-bypass) path, fitted to
+    /// the running plan.
+    stream: Bindings,
 }
 
-/// Compiled plans an engine keeps. Each holds a weight snapshot, an arena
-/// sized for its shape, a search arena and a sample cache, so an engine
-/// that kept one per point count ever seen would grow with every new count
-/// a client sends. An evicted shape recompiles on its next run, to
-/// bit-identical outputs.
+/// Compiled plans an engine keeps. Each holds a weight snapshot and an
+/// arena sized for its shape, so an engine that kept one per point count
+/// ever seen would grow with every new count a client sends. An evicted
+/// shape recompiles on its next run, to bit-identical outputs.
 pub const MAX_PLANS: usize = 4;
 
 impl PlanEngine {
     /// An engine with no compiled plans yet.
     ///
     /// Nothing about an engine is configurable, and none of it changes
-    /// results: it keeps at most [`MAX_PLANS`] compiled plans, each plan
-    /// caches the bindings of up to [`SAMPLE_CACHE_CAP`] samples, every
-    /// coordinate search runs on the
-    /// octree, and batch searches split across the worker pool wherever
+    /// results: it keeps at most [`MAX_PLANS`] compiled plans, one sample
+    /// cache holds the bindings of up to [`crate::SAMPLE_CACHE_CAP`]
+    /// samples of any shape, every coordinate search runs on the octree,
+    /// and batch searches split across the worker pool wherever
     /// `mesorasi_par::chunk_len`'s cost model says the work pays for it;
     /// outputs are bit-identical at every thread count.
     pub fn new() -> PlanEngine {
         PlanEngine::default()
     }
 
-    /// NIT sample-cache traffic summed over every plan this engine has
-    /// compiled; `entries` and `capacity` count the plans it holds.
+    /// NIT sample-cache traffic since the engine was built.
     pub fn sample_cache_stats(&self) -> SampleCacheStats {
-        let mut total = self.retired_cache;
-        for c in &self.compiled {
-            total.add(&c.samples.stats());
-        }
-        total
+        self.samples.stats()
     }
 
     /// Runs one planned forward. `record` must build the network's forward
@@ -506,24 +518,20 @@ impl PlanEngine {
     ) -> PlannedOutputs<'a> {
         let ci = self.ensure_compiled(cloud, record);
         let c = &mut self.compiled[ci];
-
         let hash = cloud.content_hash();
-        // Split the borrows: the cache hands out `&Bindings` while the plan
-        // runs against the arena.
-        let Compiled { samples, plan, arena, .. } = c;
-        match samples.get(hash, cloud) {
+        match self.samples.get(hash, cloud) {
             Some(bindings) => {
                 // Steady state: pure planned tensor execution, no searches,
                 // no allocation (a hit only restamps its slot).
-                plan.run(arena, bindings);
+                c.plan.run(&mut c.arena, bindings);
             }
             None => {
                 let mut bindings = Bindings::for_plan(&c.plan);
-                derive_and_run(c, cloud, &mut bindings);
+                derive_and_run(c, &mut self.derived, cloud, &mut bindings);
                 // True LRU: at capacity exactly one (least recently used)
                 // entry is evicted — never a wholesale clear, so hot
                 // samples survive unbounded fresh traffic.
-                c.samples.insert(hash, cloud, bindings);
+                self.samples.insert(hash, cloud, bindings);
             }
         }
         self.outputs_of(ci)
@@ -533,10 +541,11 @@ impl PlanEngine {
     /// per-sample NIT cache is bypassed — frames of a stream rarely repeat,
     /// so caching them would only burn memory — and every per-frame
     /// derivation (input matrices, centroid selections, neighbor searches,
-    /// stencils) writes into this engine's persistent buffers. Search
-    /// indices warm-start from the previous frame: same-shaped frames
-    /// rebuild index *contents* while reusing capacity, so a warm stream
-    /// performs zero heap allocations per frame, searches included.
+    /// stencils) writes into this engine's persistent buffers, shared by
+    /// every compiled shape. Search indices warm-start from the previous
+    /// frame: frames rebuild index *contents* while reusing capacity, so
+    /// once each shape a stream sends has run, it performs zero heap
+    /// allocations per frame, searches included.
     /// Outputs are bit-identical to [`PlanEngine::run`] on the same cloud.
     ///
     /// # Panics
@@ -549,12 +558,8 @@ impl PlanEngine {
     ) -> PlannedOutputs<'a> {
         let ci = self.ensure_compiled(cloud, record);
         let c = &mut self.compiled[ci];
-        let mut bindings = match c.stream_bindings.take() {
-            Some(b) => b,
-            None => Bindings::for_plan(&c.plan),
-        };
-        derive_and_run(c, cloud, &mut bindings);
-        c.stream_bindings = Some(bindings);
+        self.stream.fit(&c.plan);
+        derive_and_run(c, &mut self.derived, cloud, &mut self.stream);
         self.outputs_of(ci)
     }
 
@@ -564,26 +569,23 @@ impl PlanEngine {
         PlannedOutputs { plan: &c.plan, arena: &c.arena, outputs: c.plan.output_count() }
     }
 
-    /// Statistics of the plan compiled for `n_points`, if any: tensor-arena
-    /// usage plus search-arena bytes and traffic counters.
+    /// Statistics of the engine when it holds a plan compiled for
+    /// `n_points`: that plan's tensor-arena usage, plus the engine-wide
+    /// derivation and cache bytes and traffic counters.
     pub fn stats(&self, n_points: usize) -> Option<EngineStats> {
         self.compiled.iter().find(|c| c.n_points == n_points).map(|c| EngineStats {
             arena: c.plan.stats(&c.arena),
-            search_bytes: c.search_bytes(),
-            search: c.search.counters(),
-            cache: c.samples.stats(),
+            search_bytes: self.derived.storage_bytes() + self.stream.storage_bytes(),
+            cache_bytes: self.samples.storage_bytes(),
+            search: self.search_counters(),
+            cache: self.samples.stats(),
             parallel_scratch_bytes: mesorasi_knn::parallel_scratch_bytes(),
         })
     }
 
-    /// Search-traffic counters summed over every plan this engine has
-    /// compiled.
+    /// Search-traffic counters since the engine was built.
     pub fn search_counters(&self) -> SearchCounters {
-        let mut total = self.retired_search;
-        for c in &self.compiled {
-            total.add(&c.search.counters());
-        }
-        total
+        self.derived.search.counters()
     }
 
     /// Number of compiled plans held: the distinct input shapes run most
@@ -625,38 +627,32 @@ impl PlanEngine {
         plan.check_no_aliasing();
         let step_live = compute_step_live(&plan, &recording);
         let n_states = recording.derivable.len();
+        let d = &mut self.derived;
+        if n_states > d.state_bufs.len() {
+            d.state_bufs.resize_with(n_states, PointCloud::new);
+            d.state_set.resize(n_states, false);
+        }
         let compiled = Compiled {
             n_points: cloud.len(),
             last_use: self.clock,
             plan,
             steps: recording.steps,
             step_live,
+            n_states,
             arena,
-            samples: SampleCache::new(SAMPLE_CACHE_CAP),
-            search: SearchContext::new(),
-            nit: NeighborIndexTable::default(),
-            centroids: Vec::new(),
-            shuffle: Vec::new(),
-            state_bufs: vec![PointCloud::new(); n_states],
-            state_set: vec![false; n_states],
-            stream_bindings: None,
         };
         if self.compiled.len() < MAX_PLANS {
             self.compiled.push(compiled);
             return self.compiled.len() - 1;
         }
-        // Replace the least recently run plan; its storage is dropped and
-        // its traffic retired into the engine's totals.
+        // Replace the least recently run plan; its arena is dropped.
         let (i, _) = self
             .compiled
             .iter()
             .enumerate()
             .min_by_key(|(_, c)| c.last_use)
             .expect("MAX_PLANS > 0");
-        let old = std::mem::replace(&mut self.compiled[i], compiled);
-        self.retired_search.add(&old.search.counters());
-        let traffic = SampleCacheStats { entries: 0, capacity: 0, ..old.samples.stats() };
-        self.retired_cache.add(&traffic);
+        self.compiled[i] = compiled;
         i
     }
 }
@@ -724,24 +720,14 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
 
 /// Cache miss or streamed frame: interleave plan ranges with the live
 /// dynamic steps, filling `b`, and finish the run. All per-sample
-/// derivation writes into the compiled plan's persistent buffers — state
+/// derivation writes into the engine's persistent buffers — state
 /// positions, centroid selections, the NIT, and the search indices all
-/// reuse capacity, so a same-shaped frame derives without allocating.
-fn derive_and_run(c: &mut Compiled, cloud: &PointCloud, b: &mut Bindings) {
-    let Compiled {
-        plan,
-        arena,
-        steps,
-        step_live,
-        search,
-        nit,
-        centroids,
-        shuffle,
-        state_bufs,
-        state_set,
-        ..
-    } = c;
-    state_set.iter_mut().for_each(|s| *s = false);
+/// reuse capacity, so a frame of a shape seen before derives without
+/// allocating.
+fn derive_and_run(c: &mut Compiled, d: &mut Derived, cloud: &PointCloud, b: &mut Bindings) {
+    let Compiled { plan, arena, steps, step_live, n_states, .. } = c;
+    let Derived { search, nit, centroids, shuffle, state_bufs, state_set } = d;
+    state_set[..*n_states].fill(false);
     let mut cursor = 0usize;
     for (si, step) in steps.iter().enumerate() {
         if !step_live[si] {
@@ -858,6 +844,7 @@ mod tests {
     use super::*;
     use crate::module::{Module, ModuleConfig, NeighborMode};
     use crate::runner::{self, ModuleState};
+    use crate::sample_cache::SAMPLE_CACHE_CAP;
     use crate::Strategy;
     use mesorasi_nn::layers::{NormMode, SharedMlp};
     use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
@@ -1156,11 +1143,73 @@ mod tests {
         // The evicted shape recompiles and answers bit for bit as before.
         assert_eq!(engine.run(&clouds[0], &record).get(0), &first);
         assert_eq!(engine.compiled_plans(), MAX_PLANS);
-        // Evicted plans' traffic stays in the totals: one search and one
-        // cache miss per run.
+        // The evicted shape's sample was still cached, so its re-run is a
+        // hit: one search and one cache miss per other run.
         let runs = MAX_PLANS as u64 + 3;
-        assert_eq!(engine.search_counters().query_calls, runs);
-        assert_eq!(engine.sample_cache_stats().misses, runs);
+        assert_eq!(engine.search_counters().query_calls, runs - 1);
+        let cache = engine.sample_cache_stats();
+        assert_eq!((cache.misses, cache.hits), (runs - 1, 1));
+    }
+
+    #[test]
+    fn cache_bytes_count_clouds_and_bindings_and_move_only_on_a_miss() {
+        let module = offset_module(NeighborMode::CoordKnn);
+        let record = delayed_forward(&module);
+        let mut engine = PlanEngine::new();
+        let clouds: Vec<PointCloud> =
+            (0..3).map(|s| sample_shape(ShapeClass::Cup, 80, 40 + s)).collect();
+        let mut bytes = 0;
+        for cloud in &clouds {
+            let _ = engine.run(cloud, &record);
+            let now = engine.stats(80).expect("compiled").cache_bytes;
+            assert!(now > bytes, "a miss caches a cloud and its bindings");
+            bytes = now;
+        }
+        // Beside its cloud, each entry holds at least the module's
+        // 24 × 6 neighbor indices.
+        let clouds_bytes: usize = clouds.iter().map(|c| c.clone().storage_bytes()).sum();
+        let neighbors = 24 * 6 * std::mem::size_of::<usize>();
+        assert!(bytes >= clouds_bytes + 3 * neighbors, "{bytes} bytes leave out the bindings");
+        let _ = engine.run(&clouds[1], &record);
+        let _ = engine.run_streamed(&sample_shape(ShapeClass::Cup, 80, 50), &record);
+        let stats = engine.stats(80).expect("compiled");
+        assert_eq!(stats.cache.hits, 1);
+        assert_eq!(stats.cache_bytes, bytes, "a hit or a streamed frame changed the cache");
+    }
+
+    #[test]
+    fn dead_steps_are_skipped_and_outputs_stay_bit_identical() {
+        // Only the first module's output is returned: the second offset
+        // module and the feature-space edge module on its output feed a
+        // dropped branch, so the plan eliminates their nodes and replay
+        // must skip their searches (the edge search would otherwise read
+        // an eliminated feature node).
+        let kept = offset_module(NeighborMode::CoordKnn);
+        let dropped = offset_module(NeighborMode::CoordBall { radius: 0.4 });
+        let mut rng = mesorasi_pointcloud::seeded_rng(14);
+        let edge =
+            Module::new(ModuleConfig::edge("ec", 24, 5, vec![12, 10, 8]), NormMode::None, &mut rng);
+        let record = |g: &mut Graph, cloud: &PointCloud| {
+            let state = ModuleState::from_cloud(g, cloud);
+            let out = runner::run_module(g, &kept, &state, Strategy::Delayed, 5);
+            let branch = runner::run_module(g, &dropped, &state, Strategy::Delayed, 6);
+            let _ = runner::run_module(g, &edge, &branch.state, Strategy::Delayed, 7);
+            vec![out.state.features]
+        };
+        let mut engine = PlanEngine::new();
+        let _ = engine.run(&sample_shape(ShapeClass::Cup, 96, 60), &record);
+        for cloud_seed in [61, 62] {
+            let cloud = sample_shape(ShapeClass::Cup, 96, cloud_seed);
+            let mut g = Graph::new();
+            let expected = record(&mut g, &cloud)[0];
+            let expected = g.value(expected).clone();
+            let before = engine.search_counters().query_calls;
+            assert_eq!(engine.run(&cloud, &record).get(0), &expected, "run, cloud {cloud_seed}");
+            let got = engine.run_streamed(&cloud, &record);
+            assert_eq!(got.get(0), &expected, "run_streamed, cloud {cloud_seed}");
+            let calls = engine.search_counters().query_calls - before;
+            assert_eq!(calls, 2, "one search per run, cloud {cloud_seed}");
+        }
     }
 
     #[test]

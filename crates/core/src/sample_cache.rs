@@ -23,8 +23,8 @@
 use mesorasi_nn::plan::Bindings;
 use mesorasi_pointcloud::PointCloud;
 
-/// Samples each compiled plan caches: every eval set in the repo fits,
-/// and memory stays bounded under unbounded streams.
+/// Samples an engine caches, across all of its compiled shapes: every eval
+/// set in the repo fits, and memory stays bounded under unbounded streams.
 pub const SAMPLE_CACHE_CAP: usize = 1024;
 
 /// Traffic counters of one sample cache (monotonic since engine build).
@@ -44,9 +44,9 @@ pub struct SampleCacheStats {
 }
 
 impl SampleCacheStats {
-    /// Accumulates `other` (sessions sum their workers; engines sum their
-    /// per-shape plans). `entries`/`capacity` sum too: the aggregate is
-    /// "total cached samples / total cache room".
+    /// Accumulates `other` (sessions sum their workers' engines).
+    /// `entries`/`capacity` sum too: the aggregate is "total cached samples
+    /// / total cache room".
     pub fn add(&mut self, other: &SampleCacheStats) {
         self.entries += other.entries;
         self.capacity += other.capacity;
@@ -82,6 +82,13 @@ pub(crate) struct SampleCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl Default for SampleCache {
+    /// An engine's cache: [`SAMPLE_CACHE_CAP`] samples.
+    fn default() -> SampleCache {
+        SampleCache::new(SAMPLE_CACHE_CAP)
+    }
 }
 
 impl SampleCache {
@@ -137,10 +144,10 @@ impl SampleCache {
         victim.last_use = self.clock;
     }
 
-    /// Heap bytes retained by the cached clouds (the bindings' matrices are
-    /// accounted by the arena stats of the plan that shaped them).
-    pub(crate) fn cloud_bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.cloud.storage_bytes()).sum()
+    /// Heap bytes retained by the cached clouds and the capacity of their
+    /// bindings.
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.slots.iter().map(|s| s.cloud.storage_bytes() + s.bindings.storage_bytes()).sum()
     }
 }
 
@@ -204,7 +211,7 @@ mod tests {
             assert!(cache.get(hot.content_hash(), &hot).is_some(), "fresh insert #{s} evicted hot");
             // Once full, an eviction reuses the victim's cloud buffer.
             if cache.stats().entries == 8 {
-                let bytes = cache.cloud_bytes();
+                let bytes = cache.storage_bytes();
                 assert_eq!(*full_bytes.get_or_insert(bytes), bytes, "fresh insert #{s} grew");
             }
         }

@@ -253,8 +253,8 @@ enum NetSource {
 /// Defaults: [`Strategy::Delayed`], sampling seed 7, small-scale instances
 /// with 10 classes and weights initialized from seed 0 when building from a
 /// [`NetworkKind`], and one engine per host thread. Engines have no settings of their
-/// own: each compiled plan caches up to [`mesorasi_core::SAMPLE_CACHE_CAP`]
-/// samples.
+/// own: each engine caches up to [`mesorasi_core::SAMPLE_CACHE_CAP`]
+/// samples, of every input shape it serves.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -475,9 +475,10 @@ impl Session {
         }
     }
 
-    /// Statistics of the plan compiled for `n_points` inputs, from the
-    /// first worker that has compiled that shape: tensor-arena usage plus
-    /// search-arena bytes, traffic counters, and NIT-cache traffic.
+    /// Statistics of the first worker that has compiled a plan for
+    /// `n_points` inputs: that plan's tensor-arena usage, plus the
+    /// engine's derivation-state and cache bytes, search traffic and
+    /// NIT-cache traffic over every shape it serves.
     pub fn arena_stats(&self, n_points: usize) -> Option<EngineStats> {
         self.engines.iter().find_map(|e| lock_unpoisoned(e).stats(n_points))
     }

@@ -71,11 +71,30 @@ pub struct Bindings {
 impl Bindings {
     /// Empty bindings sized for `plan`.
     pub fn for_plan(plan: &Plan) -> Bindings {
-        Bindings {
-            inputs: vec![Matrix::zeros(0, 0); plan.n_inputs],
-            indices: vec![Vec::new(); plan.n_index_bindings],
-            stencils: vec![(Vec::new(), Vec::new()); plan.n_stencil_bindings],
-        }
+        let mut b = Bindings::default();
+        b.fit(plan);
+        b
+    }
+
+    /// Resizes to `plan`'s binding counts. Every matrix and vector that
+    /// stays keeps its capacity, so one set of bindings serves plans of
+    /// several input shapes without regrowing.
+    pub fn fit(&mut self, plan: &Plan) {
+        self.inputs.resize_with(plan.n_inputs, || Matrix::zeros(0, 0));
+        self.indices.resize_with(plan.n_index_bindings, Vec::new);
+        self.stencils.resize_with(plan.n_stencil_bindings, Default::default);
+    }
+
+    /// Heap bytes retained: the capacity of every matrix and vector.
+    pub fn storage_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let (f, u) = (size_of::<f32>(), size_of::<usize>());
+        self.inputs.capacity() * size_of::<Matrix>()
+            + self.indices.capacity() * size_of::<Vec<usize>>()
+            + self.stencils.capacity() * size_of::<(Vec<usize>, Vec<f32>)>()
+            + self.inputs.iter().map(|m| m.capacity() * f).sum::<usize>()
+            + self.indices.iter().map(|v| v.capacity() * u).sum::<usize>()
+            + self.stencils.iter().map(|(i, w)| i.capacity() * u + w.capacity() * f).sum::<usize>()
     }
 }
 
@@ -664,6 +683,21 @@ mod tests {
         let stats = plan.stats(&arena);
         assert!(stats.reuse_ratio > 1.0, "a deep chain must reuse slots, got {stats:?}");
         assert!(stats.peak_bytes > 0);
+    }
+
+    #[test]
+    fn fit_keeps_capacity_and_storage_bytes_counts_it() {
+        let x = Matrix::from_fn(16, 4, |r, c| (r + c) as f32);
+        let (g, y, _mlp) = record_mlp(&x);
+        let (plan, _) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let mut b = input_bindings(&plan, &x);
+        b.indices.push(vec![0; 32]);
+        let before = b.storage_bytes();
+        assert!(before >= (16 * 4) * 4 + 32 * std::mem::size_of::<usize>());
+        b.fit(&plan);
+        assert_eq!((b.inputs.len(), b.indices.len()), (plan.n_inputs(), 0));
+        assert_eq!(b.inputs[0].capacity(), 16 * 4, "a kept input keeps its buffer");
+        assert!(b.storage_bytes() < before, "dropped bindings stop counting");
     }
 
     /// The fused steps of `plan`: `(chain end, relu)` in node order.

@@ -10,8 +10,9 @@
 //!   pipelines use so that spatially-close points receive close indices
 //!   (this matters for the bank-conflict behaviour of the Aggregation Unit
 //!   simulated in `mesorasi-sim`),
-//! * [`sampling`] — random and farthest-point sampling (the paper replaces
-//!   FPS with random sampling for speed; we provide both),
+//! * [`sampling`] — random centroid sampling, the paper's optimized
+//!   baseline in place of farthest-point sampling (§VI), and resampling to
+//!   a fixed input size,
 //! * [`transform`] — augmentation used during training,
 //! * [`shapes`], [`parts`], [`lidar`] — parametric synthetic datasets that
 //!   stand in for ModelNet40 (classification), ShapeNet (part segmentation)
@@ -25,8 +26,9 @@
 //!
 //! let cloud = shapes::sample_shape(shapes::ShapeClass::Torus, 1024, 7);
 //! assert_eq!(cloud.len(), 1024);
-//! let idx = sampling::farthest_point_indices(&cloud, 128, 7);
+//! let idx = sampling::random_indices(&cloud, 128, 7);
 //! assert_eq!(idx.len(), 128);
+//! assert!(idx.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
 //! ```
 
 #![forbid(unsafe_code)]

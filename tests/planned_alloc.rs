@@ -18,7 +18,7 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Nine audits, one per test; the first eight in increasing strictness:
+//! Ten audits, one per test; the first eight in increasing strictness:
 //!
 //! 1. the cache-hit audit on [`PlanEngine::run`] — searches are cached,
 //!    pure planned tensor execution; a hit on each of several cached
@@ -57,7 +57,12 @@
 //! 9. the decode audit, on the serving side: a frame's header is only a
 //!    claim, so decoding a short INFER or RESULT frame whose header claims
 //!    a huge body requests no heap block larger than the payload it was
-//!    handed — the allocator records the largest request it sees.
+//!    handed — the allocator records the largest request it sees;
+//! 10. the shape-switch audit: an engine's derivation state (search arena,
+//!     NIT, position buffers, stream bindings) is one copy shared by every
+//!     compiled shape, so PointNet++ (s) frames of two point counts
+//!     alternating through one engine make zero heap allocations once each
+//!     shape is warm, and the engine's byte totals stay frozen.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::nn::VarId;
@@ -513,6 +518,48 @@ fn warm_packed_matmul_allocates_nothing() {
             assert_eq!(warm_allocs(), 0, "warm packed matmul at {threads} threads");
         });
     }
+}
+
+#[test]
+fn alternating_two_point_counts_through_one_engine_allocates_nothing() {
+    let _serial = serial();
+    mesorasi_par::with_threads(1, || {
+        let mut rng = seeded_rng(6);
+        let net = NetworkKind::PointNetPPSegmentation.build_small(5, &mut rng);
+        let mut engine = PlanEngine::new();
+        let record =
+            |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+        let (n, m) = (net.input_points(), net.input_points() * 3 / 2);
+        // n, m, n, m: a full alternation of the two shapes.
+        let frames: Vec<PointCloud> = (0..4)
+            .map(|s| sample_shape(ShapeClass::Table, if s % 2 == 0 { n } else { m }, 130 + s))
+            .collect();
+
+        // One warm pass of each shape: compiles both plans and grows the
+        // shared buffers to the larger shape's high-water mark.
+        for frame in &frames {
+            let _ = engine.run_streamed(frame, &record);
+        }
+        let warm = [n, m].map(|p| engine.stats(p).expect("compiled"));
+
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for frame in &frames {
+            let _ = engine.run_streamed(frame, &record);
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        ARMED.store(false, Ordering::SeqCst);
+
+        assert_eq!(after - before, 0, "switching between warm shapes must not allocate");
+        assert_eq!(engine.compiled_plans(), 2);
+        for (p, warm) in [n, m].into_iter().zip(warm) {
+            let stats = engine.stats(p).expect("compiled");
+            assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "{p}-point arena grew");
+            assert_eq!(stats.search_bytes, warm.search_bytes, "search state grew at {p}");
+            assert_eq!(stats.cache_bytes, warm.cache_bytes, "the cache moved at {p}");
+            assert_eq!(stats.parallel_scratch_bytes, warm.parallel_scratch_bytes);
+        }
+    });
 }
 
 #[test]
