@@ -42,7 +42,10 @@ use mesorasi_pointcloud::PointCloud;
 use mesorasi_tensor::Matrix;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// A recording closure: builds one cloud's forward, returns the outputs.
+pub type RecordFn<'r> = dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId> + 'r;
 
 /// The allocation-free state derivation: reads the sample cloud, writes
 /// the derived positions into the engine's persistent state buffer.
@@ -60,18 +63,8 @@ pub enum StateSource {
     DerivedInto(DeriveIntoFn),
 }
 
-impl std::fmt::Debug for StateSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StateSource::Sample => write!(f, "Sample"),
-            StateSource::DerivedInto(_) => write!(f, "DerivedInto(..)"),
-        }
-    }
-}
-
 /// One per-sample derivation the engine replays between plan ranges.
 /// `at` is the tape position the step must complete before.
-#[derive(Debug)]
 pub enum DynStep {
     /// Derive a position state and write its xyz rows into the plan input.
     Input {
@@ -349,18 +342,54 @@ pub(crate) mod rec {
     }
 }
 
-/// A compiled plan: only what differs per input shape.
+/// A compiled plan and its dynamic steps: immutable, so engines share it.
 struct Compiled {
     n_points: usize,
-    /// The engine clock at this plan's last run (the eviction order).
-    last_use: u64,
     plan: Plan,
     steps: Vec<DynStep>,
     /// Steps that survived plan dead-code elimination.
     step_live: Vec<bool>,
     /// Position states the recording registered.
     n_states: usize,
-    arena: Arena,
+}
+
+/// Records `record`'s forward on `cloud` and compiles it.
+fn compile(cloud: &PointCloud, record: &RecordFn) -> Compiled {
+    // Arm the recorder for this thread; disarm even on unwind.
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            RECORDER.with(|r| *r.borrow_mut() = None);
+        }
+    }
+    RECORDER.with(|r| *r.borrow_mut() = Some(Recording::default()));
+    let _disarm = Disarm;
+    let mut g = Graph::new();
+    let outputs = record(&mut g, cloud);
+    let recording = RECORDER.with(|r| r.borrow_mut().take()).expect("recording armed above");
+    assert!(!outputs.is_empty(), "the recording closure must return outputs");
+    if let Some(err) = recording.error {
+        panic!("this forward pass cannot be planned: {err}");
+    }
+    assert!(recording.open.is_none(), "recording ended inside a module");
+
+    let plan = Plan::from_graph(&g, &outputs, &recording.marks);
+    plan.check_no_aliasing();
+    let step_live = compute_step_live(&plan, &recording);
+    let n_states = recording.derivable.len();
+    Compiled { n_points: cloud.len(), plan, steps: recording.steps, step_live, n_states }
+}
+
+/// Every update leaves the vector valid, and recording runs unlocked: recover a poisoned lock.
+fn lock(store: &Mutex<Vec<Arc<Compiled>>>) -> MutexGuard<'_, Vec<Arc<Compiled>>> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The plan for `n_points`, moved to the back: the most recently run.
+fn touch(plans: &mut [Arc<Compiled>], n_points: usize) -> Option<Arc<Compiled>> {
+    let i = plans.iter().position(|c| c.n_points == n_points)?;
+    plans[i..].rotate_left(1);
+    plans.last().cloned()
 }
 
 /// What a frame derives into, shared by every compiled shape: a frame
@@ -376,7 +405,7 @@ struct Derived {
     centroids: Vec<usize>,
     shuffle: Vec<usize>,
     /// Reusable per-state position clouds, as many as the largest state
-    /// count compiled (`state_set[i]` marks the ones derived during the
+    /// count run (`state_set[i]` marks the ones derived during the
     /// current pass).
     state_bufs: Vec<PointCloud>,
     state_set: Vec<bool>,
@@ -397,7 +426,6 @@ impl Derived {
 pub struct PlannedOutputs<'a> {
     plan: &'a Plan,
     arena: &'a Arena,
-    outputs: usize,
 }
 
 impl<'a> PlannedOutputs<'a> {
@@ -410,28 +438,25 @@ impl<'a> PlannedOutputs<'a> {
 
     /// Number of outputs.
     pub fn len(&self) -> usize {
-        self.outputs
+        self.plan.output_count()
     }
 
     /// True when the recording produced no outputs (never, in practice).
     pub fn is_empty(&self) -> bool {
-        self.outputs == 0
-    }
-
-    /// Arena statistics of the executed plan.
-    pub fn stats(&self) -> ArenaStats {
-        self.plan.stats(self.arena)
+        self.len() == 0
     }
 }
 
-/// Usage statistics of an engine: the tensor arena of one compiled plan,
-/// plus the engine-wide derivation state and sample cache every plan
-/// shares.
+/// Usage statistics of an engine: its arena as one compiled plan uses it,
+/// the plans it shares, and its derivation state and sample cache.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineStats {
     /// Tensor-arena statistics (slots, bytes, reuse, growth) of the plan
-    /// asked for.
+    /// asked for, in the engine's one arena.
     pub arena: ArenaStats,
+    /// Heap bytes retained by the compiled plans the engine shares (weights
+    /// and step vectors), counted once: the same on every sharing engine.
+    pub plan_bytes: usize,
     /// Heap bytes retained by the engine's derivation state: cached
     /// indices and their verification clouds, NIT/centroid buffers,
     /// per-state positions and the stream bindings.
@@ -455,18 +480,21 @@ pub struct EngineStats {
 /// One engine serves one frozen `(network, strategy, seed)` combination —
 /// the recording closure the caller passes must be a pure function of
 /// `(Graph, PointCloud)`. Plans are compiled per input shape on first
-/// sight, and at most [`MAX_PLANS`] are kept: a new shape beyond them
-/// replaces the least recently run plan. Everything a frame derives into
-/// (search arena, NIT, centroid and position buffers, stream bindings) and
-/// the sample cache exist once per engine, shared by every plan.
-/// Per-sample neighbor structure is cached so the steady state (repeated
-/// samples) allocates nothing. For frame sequences that never repeat,
-/// [`PlanEngine::run_streamed`] bypasses the cache and reuses the
-/// persistent search arena instead.
+/// sight into a store of at most [`MAX_PLANS`], which engines built with
+/// [`PlanEngine::sharing_plans`] share, weights included. Each engine keeps
+/// one arena, fitted to the plan it runs, and one copy of everything a
+/// frame derives into (search arena, NIT, position buffers, stream
+/// bindings) and of the sample cache. Per-sample neighbor structure is
+/// cached so the steady state (repeated samples) allocates nothing. For
+/// frame sequences that never repeat, [`PlanEngine::run_streamed`]
+/// bypasses the cache and reuses the persistent search arena instead.
 #[derive(Default)]
 pub struct PlanEngine {
-    compiled: Vec<Compiled>,
-    clock: u64,
+    /// The session's compiled plans, at most [`MAX_PLANS`], least recently run first.
+    plans: Arc<Mutex<Vec<Arc<Compiled>>>>,
+    /// The plan last run: the one `arena` is fitted to and outputs borrow.
+    running: Option<Arc<Compiled>>,
+    arena: Arena,
     derived: Derived,
     /// NIT cache: content-keyed, true-LRU bindings per seen sample. A
     /// sample's content fixes its shape, and recording is pure, so cached
@@ -477,24 +505,30 @@ pub struct PlanEngine {
     stream: Bindings,
 }
 
-/// Compiled plans an engine keeps. Each holds a weight snapshot and an
-/// arena sized for its shape, so an engine that kept one per point count
-/// ever seen would grow with every new count a client sends. An evicted
-/// shape recompiles on its next run, to bit-identical outputs.
+/// Compiled plans a store keeps (one store per session, or lone engine).
+/// Each holds a weight snapshot, so a store that kept one per point count
+/// ever seen would grow with every count a client sends; a new shape beyond
+/// them evicts the least recently run plan, which recompiles bit-identically.
 pub const MAX_PLANS: usize = 4;
 
 impl PlanEngine {
     /// An engine with no compiled plans yet.
     ///
     /// Nothing about an engine is configurable, and none of it changes
-    /// results: it keeps at most [`MAX_PLANS`] compiled plans, one sample
-    /// cache holds the bindings of up to [`crate::SAMPLE_CACHE_CAP`]
+    /// results: its store keeps at most [`MAX_PLANS`] compiled plans, one
+    /// sample cache holds the bindings of up to [`crate::SAMPLE_CACHE_CAP`]
     /// samples of any shape, every coordinate search runs on the octree,
     /// and batch searches split across the worker pool wherever
     /// `mesorasi_par::chunk_len`'s cost model says the work pays for it;
     /// outputs are bit-identical at every thread count.
     pub fn new() -> PlanEngine {
         PlanEngine::default()
+    }
+
+    /// A fresh engine sharing `first`'s compiled plans (and their eviction);
+    /// its arena, derivation state and sample cache are its own.
+    pub fn sharing_plans(first: &PlanEngine) -> PlanEngine {
+        PlanEngine { plans: Arc::clone(&first.plans), ..PlanEngine::default() }
     }
 
     /// NIT sample-cache traffic since the engine was built.
@@ -511,30 +545,27 @@ impl PlanEngine {
     /// Panics when the recorded forward contains per-sample values the
     /// recorder cannot derive (see [`crate::runner::ModuleState::from_cloud_derived_into`]),
     /// or when a replay disagrees with the recorded shapes.
-    pub fn run<'a>(
-        &'a mut self,
-        cloud: &PointCloud,
-        record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
-    ) -> PlannedOutputs<'a> {
-        let ci = self.ensure_compiled(cloud, record);
-        let c = &mut self.compiled[ci];
+    pub fn run(&mut self, cloud: &PointCloud, record: &RecordFn) -> PlannedOutputs<'_> {
+        self.enter(cloud, record);
+        let c = self.running.as_deref().expect("entered above");
         let hash = cloud.content_hash();
         match self.samples.get(hash, cloud) {
             Some(bindings) => {
                 // Steady state: pure planned tensor execution, no searches,
                 // no allocation (a hit only restamps its slot).
-                c.plan.run(&mut c.arena, bindings);
+                c.plan.run(&mut self.arena, bindings);
             }
             None => {
-                let mut bindings = Bindings::for_plan(&c.plan);
-                derive_and_run(c, &mut self.derived, cloud, &mut bindings);
+                let mut bindings = Bindings::default();
+                bindings.fit(&c.plan);
+                derive_and_run(c, &mut self.arena, &mut self.derived, cloud, &mut bindings);
                 // True LRU: at capacity exactly one (least recently used)
                 // entry is evicted — never a wholesale clear, so hot
                 // samples survive unbounded fresh traffic.
                 self.samples.insert(hash, cloud, bindings);
             }
         }
-        self.outputs_of(ci)
+        PlannedOutputs { plan: &c.plan, arena: &self.arena }
     }
 
     /// Runs one planned forward in streaming (frame-sequence) mode: the
@@ -551,30 +582,22 @@ impl PlanEngine {
     /// # Panics
     ///
     /// As [`PlanEngine::run`].
-    pub fn run_streamed<'a>(
-        &'a mut self,
-        cloud: &PointCloud,
-        record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
-    ) -> PlannedOutputs<'a> {
-        let ci = self.ensure_compiled(cloud, record);
-        let c = &mut self.compiled[ci];
+    pub fn run_streamed(&mut self, cloud: &PointCloud, record: &RecordFn) -> PlannedOutputs<'_> {
+        self.enter(cloud, record);
+        let c = self.running.as_deref().expect("entered above");
         self.stream.fit(&c.plan);
-        derive_and_run(c, &mut self.derived, cloud, &mut self.stream);
-        self.outputs_of(ci)
+        derive_and_run(c, &mut self.arena, &mut self.derived, cloud, &mut self.stream);
+        PlannedOutputs { plan: &c.plan, arena: &self.arena }
     }
 
-    /// The output borrow of a finished execution.
-    fn outputs_of(&self, ci: usize) -> PlannedOutputs<'_> {
-        let c = &self.compiled[ci];
-        PlannedOutputs { plan: &c.plan, arena: &c.arena, outputs: c.plan.output_count() }
-    }
-
-    /// Statistics of the engine when it holds a plan compiled for
-    /// `n_points`: that plan's tensor-arena usage, plus the engine-wide
-    /// derivation and cache bytes and traffic counters.
+    /// Statistics of the engine when its store holds a plan for `n_points`:
+    /// that plan's use of the arena, plus the engine-wide bytes and counters.
     pub fn stats(&self, n_points: usize) -> Option<EngineStats> {
-        self.compiled.iter().find(|c| c.n_points == n_points).map(|c| EngineStats {
-            arena: c.plan.stats(&c.arena),
+        let plans = lock(&self.plans);
+        let c = plans.iter().find(|c| c.n_points == n_points)?;
+        Some(EngineStats {
+            arena: c.plan.stats(&self.arena),
+            plan_bytes: plans.iter().map(|c| c.plan.storage_bytes()).sum(),
             search_bytes: self.derived.storage_bytes() + self.stream.storage_bytes(),
             cache_bytes: self.samples.storage_bytes(),
             search: self.search_counters(),
@@ -588,72 +611,35 @@ impl PlanEngine {
         self.derived.search.counters()
     }
 
-    /// Number of compiled plans held: the distinct input shapes run most
-    /// recently, at most [`MAX_PLANS`].
+    /// Number of compiled plans the engine's store holds: the distinct
+    /// input shapes its engines ran most recently, at most [`MAX_PLANS`].
     pub fn compiled_plans(&self) -> usize {
-        self.compiled.len()
+        lock(&self.plans).len()
     }
 
-    fn ensure_compiled(
-        &mut self,
-        cloud: &PointCloud,
-        record: &dyn Fn(&mut Graph, &PointCloud) -> Vec<VarId>,
-    ) -> usize {
-        self.clock += 1;
-        if let Some(i) = self.compiled.iter().position(|c| c.n_points == cloud.len()) {
-            self.compiled[i].last_use = self.clock;
-            return i;
-        }
-
-        // Arm the recorder for this thread; disarm even on unwind.
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                RECORDER.with(|r| *r.borrow_mut() = None);
-            }
-        }
-        RECORDER.with(|r| *r.borrow_mut() = Some(Recording::default()));
-        let _disarm = Disarm;
-        let mut g = Graph::new();
-        let outputs = record(&mut g, cloud);
-        let recording = RECORDER.with(|r| r.borrow_mut().take()).expect("recording armed above");
-        assert!(!outputs.is_empty(), "the recording closure must return outputs");
-        if let Some(err) = recording.error {
-            panic!("this forward pass cannot be planned: {err}");
-        }
-        assert!(recording.open.is_none(), "recording ended inside a module");
-
-        let (plan, arena) = Plan::from_graph(&g, &outputs, &recording.marks);
-        plan.check_no_aliasing();
-        let step_live = compute_step_live(&plan, &recording);
-        let n_states = recording.derivable.len();
+    /// Makes the plan for `cloud`'s shape the running one, compiling it
+    /// outside the store's lock unless the store holds it or another engine
+    /// inserts it first, and fits the arena and derivation buffers to it.
+    fn enter(&mut self, cloud: &PointCloud, record: &RecordFn) {
+        let found = touch(&mut lock(&self.plans), cloud.len()); // unlocks before compiling
+        let c = found.unwrap_or_else(|| {
+            let compiled = compile(cloud, record);
+            let mut plans = lock(&self.plans);
+            touch(&mut plans, cloud.len()).unwrap_or_else(|| {
+                if plans.len() == MAX_PLANS {
+                    plans.remove(0);
+                }
+                plans.push(Arc::new(compiled));
+                Arc::clone(&plans[plans.len() - 1])
+            })
+        });
+        self.arena.fit(&c.plan);
         let d = &mut self.derived;
-        if n_states > d.state_bufs.len() {
-            d.state_bufs.resize_with(n_states, PointCloud::new);
-            d.state_set.resize(n_states, false);
+        if c.n_states > d.state_bufs.len() {
+            d.state_bufs.resize_with(c.n_states, PointCloud::new);
+            d.state_set.resize(c.n_states, false);
         }
-        let compiled = Compiled {
-            n_points: cloud.len(),
-            last_use: self.clock,
-            plan,
-            steps: recording.steps,
-            step_live,
-            n_states,
-            arena,
-        };
-        if self.compiled.len() < MAX_PLANS {
-            self.compiled.push(compiled);
-            return self.compiled.len() - 1;
-        }
-        // Replace the least recently run plan; its arena is dropped.
-        let (i, _) = self
-            .compiled
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.last_use)
-            .expect("MAX_PLANS > 0");
-        self.compiled[i] = compiled;
-        i
+        self.running = Some(c);
     }
 }
 
@@ -724,8 +710,14 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
 /// positions, centroid selections, the NIT, and the search indices all
 /// reuse capacity, so a frame of a shape seen before derives without
 /// allocating.
-fn derive_and_run(c: &mut Compiled, d: &mut Derived, cloud: &PointCloud, b: &mut Bindings) {
-    let Compiled { plan, arena, steps, step_live, n_states, .. } = c;
+fn derive_and_run(
+    c: &Compiled,
+    arena: &mut Arena,
+    d: &mut Derived,
+    cloud: &PointCloud,
+    b: &mut Bindings,
+) {
+    let Compiled { plan, steps, step_live, n_states, .. } = c;
     let Derived { search, nit, centroids, shuffle, state_bufs, state_set } = d;
     state_set[..*n_states].fill(false);
     let mut cursor = 0usize;
@@ -918,10 +910,35 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Bottle, 80, 4);
         let first = engine.run(&cloud, &record).get(0).clone();
         for _ in 0..3 {
-            let again = engine.run(&cloud, &record);
-            assert_eq!(again.get(0), &first, "steady-state replay must be stable");
-            assert_eq!(again.stats().grow_events, 0, "steady state must not grow slots");
+            assert_eq!(engine.run(&cloud, &record).get(0), &first, "steady-state replay drifted");
+            let grown = engine.stats(80).expect("compiled").arena.grow_events;
+            assert_eq!(grown, 0, "steady state must not grow slots");
         }
+    }
+
+    #[test]
+    fn engines_sharing_plans_compile_each_shape_once() {
+        let module = offset_module(NeighborMode::CoordKnn);
+        let recordings = std::cell::Cell::new(0);
+        let record = |g: &mut Graph, cloud: &PointCloud| {
+            recordings.set(recordings.get() + 1);
+            delayed_forward(&module)(g, cloud)
+        };
+        let mut first = PlanEngine::new();
+        let mut second = PlanEngine::sharing_plans(&first);
+        for cloud_seed in [1, 2] {
+            let cloud = sample_shape(ShapeClass::Cup, 96, cloud_seed);
+            let want = tape_module_forward(&module, &cloud, Strategy::Delayed);
+            assert_eq!(first.run(&cloud, &record).get(0), &want, "cloud {cloud_seed}");
+            assert_eq!(second.run_streamed(&cloud, &record).get(0), &want, "cloud {cloud_seed}");
+        }
+        assert_eq!(recordings.get(), 1, "the second engine recompiled a shared shape");
+        assert_eq!((first.compiled_plans(), second.compiled_plans()), (1, 1));
+        let (a, b) = (first.stats(96).expect("shared"), second.stats(96).expect("shared"));
+        assert_eq!(a.plan_bytes, b.plan_bytes, "one plan, counted once by both");
+        let _ = second.run(&sample_shape(ShapeClass::Cup, 64, 3), &record);
+        assert_eq!(first.compiled_plans(), 2, "a shape one engine compiles serves the other");
+        assert!(first.stats(96).expect("shared").plan_bytes > a.plan_bytes);
     }
 
     #[test]

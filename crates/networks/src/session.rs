@@ -5,11 +5,11 @@
 //! per-worker [`PlanEngine`]s, so it is `Send + Sync` and lifetime-free:
 //! wrap it in an `Arc` and call [`Session::infer`] from as many threads as
 //! you like. Every forward runs on the plan-and-execute engine — the first
-//! forward per (worker, input shape) records the network once on the
-//! autograd tape and compiles a liveness-planned arena; every later
-//! forward replays the plan, re-deriving only per-sample neighbor
-//! structure. Outputs are bit-identical to [`PointCloudNetwork::forward`]
-//! at every thread count.
+//! forward per input shape records the network once on the autograd tape
+//! and compiles a liveness-planned plan, weights included, that every
+//! worker shares; every forward replays it in its worker's own arena,
+//! re-deriving only per-sample neighbor structure. Outputs are
+//! bit-identical to [`PointCloudNetwork::forward`] at every thread count.
 //!
 //! Results are domain-typed: [`Logits`] for classification,
 //! [`PerPointLabels`] for segmentation, [`Boxes3D`] for detection —
@@ -38,7 +38,7 @@
 
 use crate::registry::{Domain, NetworkKind};
 use crate::PointCloudNetwork;
-use mesorasi_core::engine::{EngineStats, PlanEngine};
+use mesorasi_core::engine::{EngineStats, PlanEngine, PlannedOutputs};
 use mesorasi_core::{SampleCacheStats, Strategy};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_nn::loss;
@@ -253,8 +253,8 @@ enum NetSource {
 /// Defaults: [`Strategy::Delayed`], sampling seed 7, small-scale instances
 /// with 10 classes and weights initialized from seed 0 when building from a
 /// [`NetworkKind`], and one engine per host thread. Engines have no settings of their
-/// own: each engine caches up to [`mesorasi_core::SAMPLE_CACHE_CAP`]
-/// samples, of every input shape it serves.
+/// own: they share the compiled plans, and each caches up to
+/// [`mesorasi_core::SAMPLE_CACHE_CAP`] samples, of every shape it serves.
 pub struct SessionBuilder {
     source: NetSource,
     strategy: Strategy,
@@ -309,7 +309,8 @@ impl SessionBuilder {
     }
 
     /// Engine-pool size (default: the host thread budget at build time).
-    /// Each worker owns its own plans, arena, and NIT cache; concurrent
+    /// Workers share the compiled plans; each owns its arena, search
+    /// state and NIT cache; concurrent
     /// [`Session::infer`] calls beyond this count share engines.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
@@ -330,8 +331,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session. Plan compilation is lazy: each worker engine
-    /// records the network on first contact with a given input shape.
+    /// Builds the session. Plan compilation is lazy: the first worker to
+    /// meet an input shape records the network for the whole pool.
     pub fn build(self) -> Session {
         let net = match self.source {
             NetSource::Owned(net) => net,
@@ -346,12 +347,13 @@ impl SessionBuilder {
         };
         let workers = self.workers.unwrap_or_else(par::current_threads).max(1);
         let domain = net.domain();
+        let store = PlanEngine::new(); // holds the plans every worker shares
         Session {
             net,
             strategy: self.strategy,
             seed: self.seed,
             domain,
-            engines: (0..workers).map(|_| Mutex::new(PlanEngine::new())).collect(),
+            engines: (0..workers).map(|_| Mutex::new(PlanEngine::sharing_plans(&store))).collect(),
             next: AtomicUsize::new(0),
         }
     }
@@ -360,7 +362,8 @@ impl SessionBuilder {
 /// An owned, thread-safe inference session over one frozen
 /// `(network, strategy, seed)` combination.
 ///
-/// See the [module docs](self) for the lifecycle; build one with
+/// It holds one compiled plan (and weight snapshot) per input shape for
+/// all workers. See the [module docs](self) for the lifecycle; build one with
 /// [`SessionBuilder`]. All inference methods take `&self`, so an
 /// `Arc<Session>` can serve concurrent callers; results are deterministic
 /// and bit-identical to the tape regardless of thread count, engine
@@ -461,8 +464,9 @@ impl Session {
     }
 
     /// Pre-warms every worker engine on `cloud`: compiles the plan for its
-    /// shape, fills the per-sample NIT cache, **and** primes the search
-    /// state — per-space indices and the streaming buffers — so later
+    /// shape once for the pool, fits each arena, fills each NIT cache,
+    /// **and** primes the search state — per-space indices and the
+    /// streaming buffers — so later
     /// [`Session::infer`] / [`Session::infer_batch`] / [`Session::frames`]
     /// traffic on same-shaped inputs starts from the fully warm steady
     /// state no matter which engine serves it. Call before
@@ -475,12 +479,12 @@ impl Session {
         }
     }
 
-    /// Statistics of the first worker that has compiled a plan for
-    /// `n_points` inputs: that plan's tensor-arena usage, plus the
-    /// engine's derivation-state and cache bytes, search traffic and
-    /// NIT-cache traffic over every shape it serves.
+    /// Statistics of the first worker when the session holds a plan for
+    /// `n_points` inputs: that plan's use of the worker's arena, the bytes
+    /// of the session's plans, and the worker's derivation-state and cache
+    /// bytes, search traffic and NIT-cache traffic.
     pub fn arena_stats(&self, n_points: usize) -> Option<EngineStats> {
-        self.engines.iter().find_map(|e| lock_unpoisoned(e).stats(n_points))
+        lock_unpoisoned(&self.engines[0]).stats(n_points)
     }
 
     /// Search-traffic counters summed across the worker pool — what the
@@ -505,10 +509,11 @@ impl Session {
         total
     }
 
-    /// Total plans compiled across the worker pool (one per worker per
-    /// distinct input shape it has seen).
+    /// Compiled plans the session holds, whatever its worker count: the
+    /// distinct input shapes run most recently, at most
+    /// [`mesorasi_core::engine::MAX_PLANS`].
     pub fn compiled_plans(&self) -> usize {
-        self.engines.iter().map(|e| lock_unpoisoned(e).compiled_plans()).sum()
+        lock_unpoisoned(&self.engines[0]).compiled_plans()
     }
 
     /// Picks an engine: any free worker first, else round-robin blocking —
@@ -533,7 +538,7 @@ impl Session {
         engine: &'e mut PlanEngine,
         cloud: &PointCloud,
         streamed: bool,
-    ) -> mesorasi_core::engine::PlannedOutputs<'e> {
+    ) -> PlannedOutputs<'e> {
         let net = self.net.as_ref();
         let (strategy, seed) = (self.strategy, self.seed);
         let record = move |g: &mut Graph, c: &PointCloud| -> Vec<VarId> {
@@ -546,7 +551,7 @@ impl Session {
         }
     }
 
-    fn package(&self, out: mesorasi_core::engine::PlannedOutputs<'_>) -> Inference {
+    fn package(&self, out: PlannedOutputs<'_>) -> Inference {
         match self.domain {
             Domain::Classification => {
                 Inference::Classification(Logits { scores: out.get(0).clone() })
@@ -570,7 +575,7 @@ impl Session {
     /// Like [`Session::package`] but recycling `dst`'s buffers: when the
     /// variant already matches the session's domain, output matrices are
     /// copied in place (zero allocation once capacities are warm).
-    fn package_into(&self, out: mesorasi_core::engine::PlannedOutputs<'_>, dst: &mut Inference) {
+    fn package_into(&self, out: PlannedOutputs<'_>, dst: &mut Inference) {
         match (self.domain, &mut *dst) {
             (Domain::Classification, Inference::Classification(l)) => {
                 l.scores.copy_from(out.get(0));
@@ -913,6 +918,80 @@ mod tests {
         let mut frames = session.frames();
         let want = frames.infer(&cloud);
         assert_eq!(session.infer(&cloud), want);
+    }
+
+    #[test]
+    fn warm_compiles_once_for_the_pool_and_plan_bytes_count_the_weights() {
+        let mut rng = mesorasi_pointcloud::seeded_rng(5);
+        let mut net = NetworkKind::PointNetPPClassification.build_small(3, &mut rng);
+        let weights: usize = net.params_mut().iter().map(|p| p.value.len()).sum();
+        let session = SessionBuilder::from_network_ref(net.as_ref()).workers(2).build();
+        let n = net.input_points();
+        session.warm(&sample_shape(ShapeClass::Chair, n, 2));
+        assert_eq!(session.compiled_plans(), 1, "two workers, one shape, one plan");
+        let plan_bytes = |worker: usize| {
+            let engine = lock_unpoisoned(&session.engines[worker]);
+            engine.stats(n).expect("shared plan").plan_bytes
+        };
+        let warm = plan_bytes(0);
+        assert!(warm >= 4 * weights, "{warm} plan bytes leave out {weights} weights");
+        assert_eq!(plan_bytes(1), warm, "every worker sees the one shared plan");
+        let mut frames = session.frames();
+        for seed in 3..6 {
+            let cloud = sample_shape(ShapeClass::Car, n, seed);
+            let _ = (session.infer(&cloud), frames.infer(&cloud));
+        }
+        assert_eq!((plan_bytes(0), plan_bytes(1)), (warm, warm), "warm frames moved plan bytes");
+    }
+
+    #[test]
+    fn simultaneous_first_clouds_of_a_new_shape_leave_one_plan() {
+        let mut rng = mesorasi_pointcloud::seeded_rng(6);
+        let net = NetworkKind::PointNetPPClassification.build_small(3, &mut rng);
+        let session = SessionBuilder::from_network_ref(net.as_ref()).workers(2).build();
+        let n = net.input_points() + 16;
+        let clouds: Vec<PointCloud> =
+            (0..2).map(|s| sample_shape(ShapeClass::Lamp, n, s)).collect();
+        let start = std::sync::Barrier::new(2);
+        let got: Vec<Inference> = std::thread::scope(|scope| {
+            let handles: Vec<_> = clouds
+                .iter()
+                .map(|cloud| {
+                    let (session, start) = (&session, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        session.infer(cloud)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("inference thread")).collect()
+        });
+        for (cloud, got) in clouds.iter().zip(&got) {
+            let mut g = Graph::new();
+            let want = net.forward(&mut g, cloud, Strategy::Delayed, 7);
+            assert_eq!(got.logits(), g.value(want.logits), "a racing first cloud drifted");
+        }
+        assert_eq!(session.compiled_plans(), 1, "the losing compile must not be kept");
+    }
+
+    #[test]
+    fn rotating_past_max_plans_across_workers_evicts_and_recompiles_the_same_bits() {
+        use mesorasi_core::engine::MAX_PLANS;
+        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(3)
+            .workers(2)
+            .build();
+        let n = session.network().input_points();
+        let clouds: Vec<PointCloud> =
+            (0..=MAX_PLANS).map(|i| sample_shape(ShapeClass::Cup, n + 8 * i, 3)).collect();
+        let mut streams = [session.frames(), session.frames()];
+        let first: Vec<Inference> =
+            clouds.iter().enumerate().map(|(i, c)| streams[i % 2].infer(c)).collect();
+        assert_eq!(session.compiled_plans(), MAX_PLANS, "the oldest shape is evicted");
+        // The evicted shape recompiles on the worker that did not run it.
+        assert_eq!(streams[1].infer(&clouds[0]), first[0], "a recompiled plan moved bits");
+        assert_eq!(session.infer(&clouds[0]), first[0]);
+        assert_eq!(session.compiled_plans(), MAX_PLANS);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Plan-and-execute inference: compile a recorded op sequence into an
-//! immutable [`Plan`] whose constants and intermediates live in a reusable
-//! [`Arena`].
+//! immutable [`Plan`] that owns its constants, whose intermediates live in
+//! a reusable [`Arena`].
 //!
 //! The autograd tape re-allocates every intermediate on every forward pass
 //! — the right trade for training (values must outlive the pass for the
@@ -69,13 +69,6 @@ pub struct Bindings {
 }
 
 impl Bindings {
-    /// Empty bindings sized for `plan`.
-    pub fn for_plan(plan: &Plan) -> Bindings {
-        let mut b = Bindings::default();
-        b.fit(plan);
-        b
-    }
-
     /// Resizes to `plan`'s binding counts. Every matrix and vector that
     /// stays keeps its capacity, so one set of bindings serves plans of
     /// several input shapes without regrowing.
@@ -149,14 +142,16 @@ struct NodePlan {
     stencil_bid: Option<usize>,
 }
 
-/// Usage statistics of a plan + arena pair, for the bench report.
+/// Usage statistics of a plan and the arena it runs in, for the bench
+/// report.
 #[derive(Debug, Clone, Copy)]
 pub struct ArenaStats {
     /// Number of physical buffers backing all intermediates.
     pub slots: usize,
     /// Number of live values that were assigned to those buffers.
     pub values: usize,
-    /// Total bytes the arena holds (sum of slot capacities).
+    /// Total bytes the arena holds (slots and scratch): an engine's one
+    /// arena, as large as the largest shape it ran.
     pub peak_bytes: usize,
     /// `values / slots` — how many intermediates share one buffer on
     /// average (1.0 means no reuse).
@@ -168,36 +163,34 @@ pub struct ArenaStats {
     pub fused: usize,
 }
 
-/// The execution state for one plan: the plan's constants, one reusable
-/// buffer per slot, and a scratch vector for statistics. After the first
-/// execution it stops allocating.
-#[derive(Debug)]
+/// The mutable half of execution: one reusable buffer per slot and a
+/// scratch vector. Once fitted to a plan it stops allocating.
+#[derive(Debug, Default)]
 pub struct Arena {
-    /// Parameter snapshots, addressed by `Loc::Const`.
-    params: Vec<Matrix>,
     slots: Vec<Matrix>,
     scratch: Vec<f32>,
     grow_events: usize,
 }
 
 impl Arena {
-    /// Times any slot grew beyond its planned capacity (0 in steady state).
-    pub fn grow_events(&self) -> usize {
-        self.grow_events
-    }
-
-    /// Total bytes currently reserved for intermediates (slots + scratch).
-    pub fn peak_bytes(&self) -> usize {
-        let elems: usize =
-            self.slots.iter().map(Matrix::capacity).sum::<usize>() + self.scratch.capacity();
-        elems * std::mem::size_of::<f32>()
+    /// Resizes to `plan`'s slot count and grows each slot to its planned
+    /// capacity, keeping larger buffers: one arena serves several shapes.
+    pub fn fit(&mut self, plan: &Plan) {
+        self.slots.resize_with(plan.slot_elems.len(), Matrix::default);
+        for (slot, &elems) in self.slots.iter_mut().zip(&plan.slot_elems) {
+            if slot.capacity() < elems {
+                *slot = Matrix::with_capacity(elems);
+            }
+        }
     }
 }
 
 /// An immutable, liveness-planned execution schedule for one recorded
-/// forward pass. See the module docs for the lifecycle.
+/// forward pass, weights included. See the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct Plan {
+    /// Parameter snapshots, addressed by `Loc::Const`.
+    params: Vec<Matrix>,
     steps: Vec<Step>,
     nodes: Vec<NodePlan>,
     /// Planned element capacity per slot.
@@ -211,16 +204,16 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Compiles the recorded graph into a plan producing `outputs`, plus
-    /// the arena holding the graph's parameter values. `marks` names
-    /// the ops whose index operands are per-sample dynamic.
+    /// Compiles the recorded graph into a plan producing `outputs`, with a
+    /// snapshot of the graph's parameter values. `marks` names the ops
+    /// whose index operands are per-sample dynamic.
     ///
     /// # Panics
     ///
     /// Panics when `outputs` is empty or references a node the graph does
     /// not have, or when a loss is live: plans are inference-only, and
     /// training runs its losses on the tape.
-    pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> (Plan, Arena) {
+    pub fn from_graph(g: &Graph, outputs: &[VarId], marks: &DynMarks) -> Plan {
         let n = g.len();
         assert!(!outputs.is_empty(), "a plan needs at least one output");
         for o in outputs {
@@ -331,13 +324,8 @@ impl Plan {
             }
         }
 
-        let arena = Arena {
+        Plan {
             params,
-            slots: slot_elems.iter().map(|&e| Matrix::with_capacity(e)).collect(),
-            scratch: Vec::new(),
-            grow_events: 0,
-        };
-        let plan = Plan {
             steps,
             nodes,
             slot_elems,
@@ -346,8 +334,7 @@ impl Plan {
             n_index_bindings: marks.n_index,
             n_stencil_bindings: marks.n_stencil,
             slot_values,
-        };
-        (plan, arena)
+        }
     }
 
     /// Number of nodes (live and dead) in the plan.
@@ -358,12 +345,6 @@ impl Plan {
     /// True for a plan with no ops.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-
-    /// Number of live input nodes (the length [`Bindings::inputs`] must
-    /// have).
-    pub fn n_inputs(&self) -> usize {
-        self.n_inputs
     }
 
     /// Position of node `i` in [`Bindings::inputs`], when it is a live
@@ -378,9 +359,24 @@ impl Plan {
         !matches!(self.nodes[i].loc, Loc::Dead | Loc::Absorbed)
     }
 
-    /// The recorded shape of node `i`.
-    pub fn shape(&self, i: usize) -> (usize, usize) {
-        (self.nodes[i].rows, self.nodes[i].cols)
+    /// Heap bytes the plan retains: its parameter snapshot, its step and
+    /// node tables and the index vectors its steps keep.
+    pub fn storage_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let (f, u) = (size_of::<f32>(), size_of::<usize>());
+        let vecs = |s: &Step| match s {
+            Step::Op(Op::Gather { indices: v, .. } | Op::GatherMax { groups: v, .. }) => {
+                v.capacity() * u
+            }
+            Step::Op(Op::WeightedGather { indices: v, weights: w, .. }) => {
+                v.capacity() * u + w.capacity() * f
+            }
+            _ => 0,
+        };
+        self.params.iter().map(|m| m.capacity() * f).sum::<usize>()
+            + self.steps.iter().map(vecs).sum::<usize>()
+            + self.steps.capacity() * size_of::<Step>()
+            + self.nodes.capacity() * size_of::<NodePlan>()
     }
 
     /// Usage statistics for the bench report.
@@ -388,7 +384,9 @@ impl Plan {
         ArenaStats {
             slots: self.slot_elems.len(),
             values: self.slot_values,
-            peak_bytes: arena.peak_bytes(),
+            peak_bytes: (arena.slots.iter().map(Matrix::capacity).sum::<usize>()
+                + arena.scratch.capacity())
+                * std::mem::size_of::<f32>(),
             reuse_ratio: if self.slot_elems.is_empty() {
                 1.0
             } else {
@@ -405,17 +403,17 @@ impl Plan {
     ///
     /// Panics when `v` was eliminated as dead code or absorbed into a
     /// fused step.
-    pub fn value<'a>(&self, arena: &'a Arena, v: VarId) -> &'a Matrix {
+    pub fn value<'a>(&'a self, arena: &'a Arena, v: VarId) -> &'a Matrix {
         match self.nodes[v.index()].loc {
             Loc::Slot(s) => &arena.slots[s],
-            Loc::Const(c) => &arena.params[c],
+            Loc::Const(c) => &self.params[c],
             Loc::Dead => panic!("node {} was eliminated as dead code", v.index()),
             Loc::Absorbed => panic!("node {} was absorbed into a fused step", v.index()),
         }
     }
 
     /// The `idx`-th requested output.
-    pub fn output<'a>(&self, arena: &'a Arena, idx: usize) -> &'a Matrix {
+    pub fn output<'a>(&'a self, arena: &'a Arena, idx: usize) -> &'a Matrix {
         self.value(arena, VarId::from_index(self.outputs[idx]))
     }
 
@@ -424,7 +422,8 @@ impl Plan {
         self.outputs.len()
     }
 
-    /// Executes the whole plan against `arena` with `bindings`.
+    /// Executes the whole plan against `arena`, fitted to this plan, with
+    /// `bindings`.
     pub fn run(&self, arena: &mut Arena, bindings: &Bindings) {
         self.run_range(arena, bindings, 0, self.steps.len());
     }
@@ -637,8 +636,15 @@ mod tests {
         (g, y, mlp)
     }
 
+    fn arena_for(plan: &Plan) -> Arena {
+        let mut arena = Arena::default();
+        arena.fit(plan);
+        arena
+    }
+
     fn input_bindings(plan: &Plan, x: &Matrix) -> Bindings {
-        let mut b = Bindings::for_plan(plan);
+        let mut b = Bindings::default();
+        b.fit(plan);
         b.inputs[0] = x.clone();
         b
     }
@@ -647,7 +653,8 @@ mod tests {
     fn replay_matches_tape_bitwise() {
         let x = Matrix::from_fn(10, 4, |r, c| ((r * 5 + c) as f32 * 0.37).sin());
         let (g, y, _mlp) = record_mlp(&x);
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let mut arena = arena_for(&plan);
         plan.check_no_aliasing();
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);
@@ -658,7 +665,8 @@ mod tests {
     fn replay_on_fresh_data_matches_fresh_tape() {
         let x0 = Matrix::from_fn(10, 4, |r, c| ((r + c) as f32 * 0.21).cos());
         let (g, y, mlp) = record_mlp(&x0);
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let mut arena = arena_for(&plan);
 
         // A different sample through the same plan must equal a fresh tape.
         let x1 = Matrix::from_fn(10, 4, |r, c| ((r * 3 + c) as f32 * 0.11).sin());
@@ -674,13 +682,14 @@ mod tests {
     fn steady_state_never_grows_slots() {
         let x = Matrix::from_fn(16, 4, |r, c| (r as f32 - c as f32) * 0.09);
         let (g, y, _mlp) = record_mlp(&x);
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let mut arena = arena_for(&plan);
         let b = input_bindings(&plan, &x);
         for _ in 0..3 {
             plan.run(&mut arena, &b);
         }
-        assert_eq!(arena.grow_events(), 0, "planned capacities must cover execution");
         let stats = plan.stats(&arena);
+        assert_eq!(stats.grow_events, 0, "planned capacities must cover execution");
         assert!(stats.reuse_ratio > 1.0, "a deep chain must reuse slots, got {stats:?}");
         assert!(stats.peak_bytes > 0);
     }
@@ -689,15 +698,44 @@ mod tests {
     fn fit_keeps_capacity_and_storage_bytes_counts_it() {
         let x = Matrix::from_fn(16, 4, |r, c| (r + c) as f32);
         let (g, y, _mlp) = record_mlp(&x);
-        let (plan, _) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
         let mut b = input_bindings(&plan, &x);
         b.indices.push(vec![0; 32]);
         let before = b.storage_bytes();
         assert!(before >= (16 * 4) * 4 + 32 * std::mem::size_of::<usize>());
         b.fit(&plan);
-        assert_eq!((b.inputs.len(), b.indices.len()), (plan.n_inputs(), 0));
+        assert_eq!((b.inputs.len(), b.indices.len()), (1, 0));
         assert_eq!(b.inputs[0].capacity(), 16 * 4, "a kept input keeps its buffer");
         assert!(b.storage_bytes() < before, "dropped bindings stop counting");
+    }
+
+    #[test]
+    fn one_arena_serves_two_shapes_and_the_plan_counts_its_weights() {
+        let small = Matrix::from_fn(10, 4, |r, c| (r * c) as f32 * 0.1);
+        let large = Matrix::from_fn(40, 4, |r, c| (r + 2 * c) as f32 * 0.05);
+        let (g_small, y_small, mut mlp) = record_mlp(&small);
+        let (g_large, y_large, _) = record_mlp(&large);
+        let plans = [
+            Plan::from_graph(&g_small, &[y_small], &DynMarks::default()),
+            Plan::from_graph(&g_large, &[y_large], &DynMarks::default()),
+        ];
+        let mut arena = Arena::default();
+        for (plan, x) in plans.iter().zip([&small, &large]) {
+            arena.fit(plan);
+            plan.run(&mut arena, &input_bindings(plan, x));
+        }
+        let peak = plans[1].stats(&arena).peak_bytes;
+        for ((plan, x), (g, y)) in
+            plans.iter().zip([&small, &large]).zip([(&g_small, y_small), (&g_large, y_large)])
+        {
+            arena.fit(plan);
+            plan.run(&mut arena, &input_bindings(plan, x));
+            assert_eq!(plan.output(&arena, 0), g.value(y), "a shared arena changed the bits");
+        }
+        let stats = plans[1].stats(&arena);
+        assert_eq!((stats.peak_bytes, stats.grow_events), (peak, 0), "the arena grew warm");
+        let weights: usize = mlp.params_mut().iter().map(|p| p.value.len()).sum();
+        assert!(plans[0].storage_bytes() >= weights * 4, "the plan must count its weights");
     }
 
     /// The fused steps of `plan`: `(chain end, relu)` in node order.
@@ -714,7 +752,8 @@ mod tests {
     /// Plans `outputs` of `g`, checks the slot assignment, replays the
     /// recording sample and asserts every output equals the tape's bits.
     fn plan_and_replay(g: &Graph, x: VarId, outputs: &[VarId]) -> Plan {
-        let (plan, mut arena) = Plan::from_graph(g, outputs, &DynMarks::default());
+        let plan = Plan::from_graph(g, outputs, &DynMarks::default());
+        let mut arena = arena_for(&plan);
         plan.check_no_aliasing();
         plan.run(&mut arena, &input_bindings(&plan, g.value(x)));
         for (i, o) in outputs.iter().enumerate() {
@@ -744,8 +783,7 @@ mod tests {
             matches!(g.op_at(i), Op::MatMul { .. } | Op::AddBias { .. }) && !plan.is_live(i)
         });
         assert_eq!(absorbed.count(), 6, "every product and biased sum is absorbed");
-        let (_, arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
-        let stats = plan.stats(&arena);
+        let stats = plan.stats(&arena_for(&plan));
         assert_eq!((stats.values, stats.fused), (4, 3), "the input and three layer outputs");
     }
 
@@ -835,7 +873,8 @@ mod tests {
     #[should_panic(expected = "absorbed into a fused step")]
     fn reading_an_absorbed_value_panics() {
         let (g, [x, product, _, activated]) = record_chain();
-        let (plan, mut arena) = Plan::from_graph(&g, &[activated], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[activated], &DynMarks::default());
+        let mut arena = arena_for(&plan);
         plan.run(&mut arena, &input_bindings(&plan, g.value(x)));
         let _ = plan.value(&arena, product);
     }
@@ -847,7 +886,8 @@ mod tests {
         let used = g.relu(x);
         let dead = g.scale(x, 2.0);
         let dead2 = g.relu(dead);
-        let (plan, mut arena) = Plan::from_graph(&g, &[used], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[used], &DynMarks::default());
+        let mut arena = arena_for(&plan);
         assert!(plan.is_live(used.index()));
         assert!(!plan.is_live(dead.index()) && !plan.is_live(dead2.index()));
         let b = input_bindings(&plan, g.value(x));
@@ -867,7 +907,8 @@ mod tests {
             n_index: 1,
             n_stencil: 0,
         };
-        let (plan, mut arena) = Plan::from_graph(&g, &[gathered], &marks);
+        let plan = Plan::from_graph(&g, &[gathered], &marks);
+        let mut arena = arena_for(&plan);
         let mut b = input_bindings(&plan, &src);
         b.indices[0] = vec![5, 4, 3];
         plan.run(&mut arena, &b);
@@ -893,7 +934,8 @@ mod tests {
             n_index: usize::from(!stencil),
             n_stencil: usize::from(stencil),
         };
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &marks);
+        let plan = Plan::from_graph(&g, &[y], &marks);
+        let mut arena = arena_for(&plan);
         let mut b = input_bindings(&plan, &src);
         edit(&mut b);
         plan.run(&mut arena, &b);
@@ -933,7 +975,8 @@ mod tests {
     fn shape_drift_is_rejected() {
         let x = Matrix::from_fn(10, 4, |r, c| (r + c) as f32);
         let (g, y, _mlp) = record_mlp(&x);
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let mut arena = arena_for(&plan);
         let b = input_bindings(&plan, &Matrix::zeros(11, 4));
         plan.run(&mut arena, &b);
     }
@@ -944,7 +987,8 @@ mod tests {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let y = g.scale(xv, 0.3);
-        let (plan, mut arena) = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let plan = Plan::from_graph(&g, &[y], &DynMarks::default());
+        let mut arena = arena_for(&plan);
         let b = input_bindings(&plan, &x);
         plan.run(&mut arena, &b);
         assert_eq!(plan.output(&arena, 0), g.value(y));

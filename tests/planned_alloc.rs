@@ -18,7 +18,7 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Ten audits, one per test; the first eight in increasing strictness:
+//! Eleven audits, one per test; the first eight in increasing strictness:
 //!
 //! 1. the cache-hit audit on [`PlanEngine::run`] — searches are cached,
 //!    pure planned tensor execution; a hit on each of several cached
@@ -62,7 +62,12 @@
 //!     NIT, position buffers, stream bindings) is one copy shared by every
 //!     compiled shape, so PointNet++ (s) frames of two point counts
 //!     alternating through one engine make zero heap allocations once each
-//!     shape is warm, and the engine's byte totals stay frozen.
+//!     shape is warm, and the engine's byte totals stay frozen;
+//! 11. the shared-plan audit: a session's workers share one compiled plan
+//!     per shape, so frames alternating between two `frames()` handles,
+//!     one on each worker, make zero heap allocations once each worker is
+//!     warm — the plan lookup is one lock and one `Arc` clone — and the
+//!     byte totals stay frozen.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::nn::VarId;
@@ -559,6 +564,48 @@ fn alternating_two_point_counts_through_one_engine_allocates_nothing() {
             assert_eq!(stats.cache_bytes, warm.cache_bytes, "the cache moved at {p}");
             assert_eq!(stats.parallel_scratch_bytes, warm.parallel_scratch_bytes);
         }
+    });
+}
+
+#[test]
+fn alternating_frames_between_two_workers_sharing_a_plan_allocates_nothing() {
+    let _serial = serial();
+    mesorasi_par::with_threads(1, || {
+        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(5)
+            .workers(2)
+            .build();
+        let n = session.network().input_points();
+        let frames: Vec<PointCloud> =
+            (0..4).map(|s| sample_shape(ShapeClass::Chair, n, 150 + s)).collect();
+        let mut streams = [session.frames(), session.frames()];
+        let mut out = streams[0].infer(&frames[0]);
+
+        // One warm pass on each worker: the first compiles the plan, the
+        // second fits its own arena and search state to the shared one.
+        for stream in &mut streams {
+            for frame in &frames {
+                stream.infer_into(frame, &mut out);
+            }
+        }
+        let warm = session.arena_stats(n).expect("compiled");
+
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for (i, frame) in frames.iter().enumerate() {
+            streams[i % 2].infer_into(frame, &mut out);
+            streams[(i + 1) % 2].infer_into(frame, &mut out);
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        ARMED.store(false, Ordering::SeqCst);
+
+        assert_eq!(after - before, 0, "a warm frame on a worker sharing the plan allocated");
+        assert_eq!(session.compiled_plans(), 1, "two workers, one shape, one plan");
+        let stats = session.arena_stats(n).expect("compiled");
+        assert_eq!(stats.arena.peak_bytes, warm.arena.peak_bytes, "arena grew warm");
+        assert_eq!(stats.plan_bytes, warm.plan_bytes, "the shared plan grew warm");
+        assert_eq!(stats.search_bytes, warm.search_bytes, "search state grew warm");
+        assert_eq!(stats.cache_bytes, warm.cache_bytes, "the cache moved");
     });
 }
 
