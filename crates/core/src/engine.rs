@@ -8,11 +8,16 @@
 //!
 //! 1. **input states**: the xyz feature matrix of the sample cloud (and,
 //!    for F-PointNet, the masked/recentered crop derived from it),
-//! 2. **neighbor structure**: centroid selections and neighbor-search
-//!    results (the NIT), which the executors consume as gather/reduce
-//!    index lists,
+//! 2. **neighbor lists**: the neighbor-search results (the NIT), which the
+//!    executors consume as gather/reduce index lists,
 //! 3. **interpolation stencils**: the 3-NN inverse-distance weights of
 //!    feature propagation.
+//!
+//! Centroid selections are not among them: random sampling reads only a
+//! state's point count and the seed, so the recording's centroid lists are
+//! plan constants — the centroid gathers replay as structural ops, and
+//! each search step keeps its list to query with and to select the output
+//! positions by.
 //!
 //! While a [`PlanEngine`] records a network's forward once, a thread-local
 //! recorder (armed only during recording) captures a list of [`DynStep`]s
@@ -23,15 +28,15 @@
 //! NIT cache), so repeated inference on a seen sample runs pure planned
 //! tensor code with **zero per-sample allocation**.
 //!
-//! The searches, centroid sampling, and stencil computation are the very
-//! functions the tape-based runner calls, so planned execution is
-//! bit-identical to [`crate::runner::run_module`]-based forwards at every
-//! thread count. The engine assumes frozen parameters: plans snapshot
-//! weights at compile time, and cached NITs for feature-space searches are
-//! only valid while the weights that produced those features stay put.
+//! The searches and stencil computation are the very functions the
+//! tape-based runner calls, so planned execution is bit-identical to
+//! [`crate::runner::run_module`]-based forwards at every thread count. The
+//! engine assumes frozen parameters: plans snapshot weights at compile
+//! time, and cached NITs for feature-space searches are only valid while
+//! the weights that produced those features stay put.
 
 use crate::module::NeighborMode;
-use crate::runner::{search_nit_into, search_stencils_into, select_centroids_into};
+use crate::runner::{search_nit_into, search_stencils_into};
 use crate::sample_cache::{SampleCache, SampleCacheStats};
 use mesorasi_knn::stats::SearchCounters;
 use mesorasi_knn::{NeighborIndexTable, SearchContext};
@@ -76,8 +81,8 @@ pub enum DynStep {
         /// How the positions derive from the sample.
         source: StateSource,
     },
-    /// Select centroids and run the module's neighbor search, filling the
-    /// index bindings the executors consume.
+    /// Run the module's neighbor search from the recorded centroids,
+    /// filling the neighbor binding the executors consume.
     Search {
         /// Tape position before the module's first op.
         at: usize,
@@ -87,20 +92,15 @@ pub enum DynStep {
         state_out: usize,
         /// The search mode (kNN / ball / feature-space).
         neighbor: NeighborMode,
-        /// Centroid count.
-        n_out: usize,
+        /// The recording's centroid rows of the input state: the same for
+        /// every sample of the plan's shape.
+        centroids: Vec<usize>,
         /// Neighbors per centroid.
         k: usize,
-        /// Centroid-sampling seed recorded from the tape forward.
-        seed: u64,
         /// For feature-space search: the tape node holding the features.
         feature_node: Option<usize>,
         /// Binding for the flattened neighbor lists.
         neighbors_bid: Option<usize>,
-        /// Binding for the centroid index list.
-        centroids_bid: Option<usize>,
-        /// Binding for centroids repeated `k` times each (edge modules).
-        repeated_bid: Option<usize>,
     },
     /// Compute the 3-NN inverse-distance stencil from `coarse` onto `fine`.
     Stencil {
@@ -123,17 +123,6 @@ impl DynStep {
             | DynStep::Stencil { at, .. } => *at,
         }
     }
-}
-
-/// Which index vector of a module's NIT an executor op consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IndexRole {
-    /// `nit.neighbors_flat()`.
-    Neighbors,
-    /// `nit.centroids()`.
-    Centroids,
-    /// Each centroid repeated `k` times (edge-module row expansion).
-    Repeated,
 }
 
 /// Everything the thread-local recorder accumulates during one recording
@@ -194,15 +183,14 @@ pub(crate) mod rec {
     }
 
     /// Opens a module search: pushes its step, to which executors attach
-    /// index roles and `end_search` the output state. Nothing else records
-    /// in between, so steps stay in tape order.
+    /// the neighbor binding and `end_search` the output state. Nothing else
+    /// records in between, so steps stay in tape order.
     pub(crate) fn begin_search(
         at: usize,
         state_features: VarId,
         neighbor: NeighborMode,
-        n_out: usize,
+        centroids: &[usize],
         k: usize,
-        seed: u64,
     ) {
         with(|rec| {
             debug_assert!(rec.open.is_none(), "module recordings never nest");
@@ -226,35 +214,25 @@ pub(crate) mod rec {
                 state_in,
                 state_out: usize::MAX, // set by `end_search`
                 neighbor,
-                n_out,
+                centroids: centroids.to_vec(),
                 k,
-                seed,
                 feature_node,
                 neighbors_bid: None,
-                centroids_bid: None,
-                repeated_bid: None,
             });
         });
     }
 
-    /// Marks `var`'s index operand as derived from the open search's NIT.
-    pub(crate) fn bind_index(var: VarId, role: IndexRole) {
+    /// Marks `var`'s index operand as the open search's neighbor lists.
+    pub(crate) fn bind_neighbors(var: VarId) {
         with(|rec| {
             let n_index = &mut rec.marks.n_index;
             let Some(open) = rec.open else {
                 return; // executors may run outside run_module in tests
             };
-            let DynStep::Search { neighbors_bid, centroids_bid, repeated_bid, .. } =
-                &mut rec.steps[open]
-            else {
+            let DynStep::Search { neighbors_bid, .. } = &mut rec.steps[open] else {
                 unreachable!("`open` names a search step");
             };
-            let slot = match role {
-                IndexRole::Neighbors => neighbors_bid,
-                IndexRole::Centroids => centroids_bid,
-                IndexRole::Repeated => repeated_bid,
-            };
-            let bid = *slot.get_or_insert_with(|| {
+            let bid = *neighbors_bid.get_or_insert_with(|| {
                 let bid = *n_index;
                 *n_index += 1;
                 bid
@@ -353,6 +331,18 @@ struct Compiled {
     n_states: usize,
 }
 
+impl Compiled {
+    /// Heap bytes retained: the plan and the search steps' centroid lists.
+    fn storage_bytes(&self) -> usize {
+        let centroids = |s: &DynStep| match s {
+            DynStep::Search { centroids, .. } => centroids.capacity(),
+            _ => 0,
+        };
+        self.plan.storage_bytes()
+            + self.steps.iter().map(centroids).sum::<usize>() * std::mem::size_of::<usize>()
+    }
+}
+
 /// Records `record`'s forward on `cloud` and compiles it.
 fn compile(cloud: &PointCloud, record: &RecordFn) -> Compiled {
     // Arm the recorder for this thread; disarm even on unwind.
@@ -401,9 +391,6 @@ struct Derived {
     search: SearchContext,
     /// Reusable NIT buffer the searches write into before binding fill.
     nit: NeighborIndexTable,
-    /// Reusable centroid-selection buffers.
-    centroids: Vec<usize>,
-    shuffle: Vec<usize>,
     /// Reusable per-state position clouds, as many as the largest state
     /// count run (`state_set[i]` marks the ones derived during the
     /// current pass).
@@ -412,12 +399,11 @@ struct Derived {
 }
 
 impl Derived {
-    /// Heap bytes retained: cached indices, the NIT, the centroid buffers
-    /// and the per-state position clouds.
+    /// Heap bytes retained: cached indices, the NIT and the per-state
+    /// position clouds.
     fn storage_bytes(&self) -> usize {
         self.search.storage_bytes()
             + self.nit.storage_bytes()
-            + (self.centroids.capacity() + self.shuffle.capacity()) * std::mem::size_of::<usize>()
             + self.state_bufs.iter().map(PointCloud::storage_bytes).sum::<usize>()
     }
 }
@@ -454,12 +440,13 @@ pub struct EngineStats {
     /// Tensor-arena statistics (slots, bytes, reuse, growth) of the plan
     /// asked for, in the engine's one arena.
     pub arena: ArenaStats,
-    /// Heap bytes retained by the compiled plans the engine shares (weights
-    /// and step vectors), counted once: the same on every sharing engine.
+    /// Heap bytes retained by the compiled plans the engine shares (weights,
+    /// structural index lists and the search steps' centroid lists),
+    /// counted once: the same on every sharing engine.
     pub plan_bytes: usize,
     /// Heap bytes retained by the engine's derivation state: cached
-    /// indices and their verification clouds, NIT/centroid buffers,
-    /// per-state positions and the stream bindings.
+    /// indices and their verification clouds, the NIT buffer, per-state
+    /// positions and the stream bindings.
     pub search_bytes: usize,
     /// Heap bytes retained by the sample cache: cached clouds plus the
     /// capacity of their bindings.
@@ -473,6 +460,22 @@ pub struct EngineStats {
     /// parallel half of the memory-ceiling contract; shared across
     /// engines, bounded by worker count).
     pub parallel_scratch_bytes: usize,
+}
+
+impl EngineStats {
+    /// Accumulates another engine's statistics of the same plan (sessions
+    /// sum their workers): arena bytes and growth, derivation-state and
+    /// cache bytes and both traffic counters add up; the plan's slot
+    /// layout, the shared plans and the process-wide scratch pools count
+    /// once.
+    pub fn add(&mut self, other: &EngineStats) {
+        self.arena.peak_bytes += other.arena.peak_bytes;
+        self.arena.grow_events += other.arena.grow_events;
+        self.search_bytes += other.search_bytes;
+        self.cache_bytes += other.cache_bytes;
+        self.search.add(&other.search);
+        self.cache.add(&other.cache);
+    }
 }
 
 /// A plan-and-execute inference session.
@@ -571,12 +574,12 @@ impl PlanEngine {
     /// Runs one planned forward in streaming (frame-sequence) mode: the
     /// per-sample NIT cache is bypassed — frames of a stream rarely repeat,
     /// so caching them would only burn memory — and every per-frame
-    /// derivation (input matrices, centroid selections, neighbor searches,
-    /// stencils) writes into this engine's persistent buffers, shared by
-    /// every compiled shape. Search indices warm-start from the previous
-    /// frame: frames rebuild index *contents* while reusing capacity, so
-    /// once each shape a stream sends has run, it performs zero heap
-    /// allocations per frame, searches included.
+    /// derivation (input matrices, neighbor searches, stencils) writes into
+    /// this engine's persistent buffers, shared by every compiled shape.
+    /// Search indices warm-start from the previous frame: frames rebuild
+    /// index *contents* while reusing capacity, so once each shape a stream
+    /// sends has run, it performs zero heap allocations per frame, searches
+    /// included.
     /// Outputs are bit-identical to [`PlanEngine::run`] on the same cloud.
     ///
     /// # Panics
@@ -597,7 +600,7 @@ impl PlanEngine {
         let c = plans.iter().find(|c| c.n_points == n_points)?;
         Some(EngineStats {
             arena: c.plan.stats(&self.arena),
-            plan_bytes: plans.iter().map(|c| c.plan.storage_bytes()).sum(),
+            plan_bytes: plans.iter().map(|c| c.storage_bytes()).sum(),
             search_bytes: self.derived.storage_bytes() + self.stream.storage_bytes(),
             cache_bytes: self.samples.storage_bytes(),
             search: self.search_counters(),
@@ -669,21 +672,9 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
                     needed_state[*fine] = true;
                 }
             }
-            DynStep::Search {
-                state_in,
-                state_out,
-                neighbors_bid,
-                centroids_bid,
-                repeated_bid,
-                feature_node,
-                ..
-            } => {
-                let binds_live = [neighbors_bid, centroids_bid, repeated_bid]
-                    .into_iter()
-                    .flatten()
-                    .any(|&b| index_live[b]);
-                let out_needed = needed_state[*state_out];
-                if binds_live || out_needed {
+            DynStep::Search { state_in, state_out, neighbors_bid, feature_node, .. } => {
+                let binds_live = neighbors_bid.is_some_and(|b| index_live[b]);
+                if binds_live || needed_state[*state_out] {
                     live[si] = true;
                     needed_state[*state_in] = true;
                     if let Some(fnode) = feature_node {
@@ -707,9 +698,8 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
 /// Cache miss or streamed frame: interleave plan ranges with the live
 /// dynamic steps, filling `b`, and finish the run. All per-sample
 /// derivation writes into the engine's persistent buffers — state
-/// positions, centroid selections, the NIT, and the search indices all
-/// reuse capacity, so a frame of a shape seen before derives without
-/// allocating.
+/// positions, the NIT, and the search indices all reuse capacity, so a
+/// frame of a shape seen before derives without allocating.
 fn derive_and_run(
     c: &Compiled,
     arena: &mut Arena,
@@ -718,7 +708,7 @@ fn derive_and_run(
     b: &mut Bindings,
 ) {
     let Compiled { plan, steps, step_live, n_states, .. } = c;
-    let Derived { search, nit, centroids, shuffle, state_bufs, state_set } = d;
+    let Derived { search, nit, state_bufs, state_set } = d;
     state_set[..*n_states].fill(false);
     let mut cursor = 0usize;
     for (si, step) in steps.iter().enumerate() {
@@ -745,18 +735,14 @@ fn derive_and_run(
                 state_in,
                 state_out,
                 neighbor,
-                n_out,
+                centroids,
                 k,
-                seed,
                 feature_node,
                 neighbors_bid,
-                centroids_bid,
-                repeated_bid,
                 ..
             } => {
                 assert!(state_set[*state_in], "live steps derive their inputs first");
                 let positions = &state_bufs[*state_in];
-                select_centroids_into(positions, *n_out, *seed, shuffle, centroids);
                 let features = feature_node.map(|f| plan.value(arena, VarId::from_index(f)));
                 // Spaces are keyed by state id: stable across frames, so a
                 // stream rebuilds each space's index in place, and shared
@@ -774,17 +760,6 @@ fn derive_and_run(
                 if let Some(bid) = neighbors_bid {
                     b.indices[*bid].clear();
                     b.indices[*bid].extend_from_slice(nit.neighbors_flat());
-                }
-                if let Some(bid) = centroids_bid {
-                    b.indices[*bid].clear();
-                    b.indices[*bid].extend_from_slice(nit.centroids());
-                }
-                if let Some(bid) = repeated_bid {
-                    let out = &mut b.indices[*bid];
-                    out.clear();
-                    for &cen in nit.centroids() {
-                        out.extend(std::iter::repeat_n(cen, *k));
-                    }
                 }
                 let (src, dst) = two_bufs(state_bufs, *state_in, *state_out);
                 src.select_into(centroids, dst);
@@ -1036,7 +1011,7 @@ mod tests {
         assert!(stats.search.distance_evals > 0);
         assert_eq!(stats.arena.grow_events, 0);
         let totals = engine.search_counters();
-        assert_eq!(totals, stats.search, "one plan ⇒ totals equal per-plan counters");
+        assert_eq!(totals, stats.search, "stats carry the engine-wide counters");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | ltd      | layer 1 on `N_in` rows, tail on `N_out·K` | between | exact (linear part only hoisted) |
 //! | delayed  | full MLP on `N_in` rows (PFT) | after MLP, fused with max | approximate through ReLU |
 
-use crate::engine::{rec, IndexRole};
+use crate::engine::rec;
 use crate::module::Module;
 use mesorasi_knn::NeighborIndexTable;
 use mesorasi_nn::{Graph, VarId};
@@ -52,9 +52,8 @@ pub fn original_offset(
     check_nit(g, features, module, nit);
     let k = nit.k();
     let gathered = g.gather(features, nit.neighbors_flat().to_vec());
-    rec::bind_index(gathered, IndexRole::Neighbors);
+    rec::bind_neighbors(gathered);
     let centroids = g.gather(features, nit.centroids().to_vec());
-    rec::bind_index(centroids, IndexRole::Centroids);
     let offsets = g.sub_centroid(gathered, centroids, k);
     let h = module.mlp.forward(g, offsets);
     g.group_max(h, k)
@@ -77,9 +76,8 @@ pub fn ltd_offset(
     let k = nit.k();
     let t = module.mlp.first_layer().forward_linear_only(g, features);
     let gathered = g.gather(t, nit.neighbors_flat().to_vec());
-    rec::bind_index(gathered, IndexRole::Neighbors);
+    rec::bind_neighbors(gathered);
     let centroids = g.gather(t, nit.centroids().to_vec());
-    rec::bind_index(centroids, IndexRole::Centroids);
     let offsets = g.sub_centroid(gathered, centroids, k);
     let h = module.mlp.forward_after_first_linear(g, offsets);
     g.group_max(h, k)
@@ -103,9 +101,8 @@ pub fn delayed_offset(
     check_nit(g, features, module, nit);
     let pft = module.mlp.forward(g, features);
     let reduced = g.gather_max(pft, nit.neighbors_flat(), nit.k());
-    rec::bind_index(reduced, IndexRole::Neighbors);
+    rec::bind_neighbors(reduced);
     let centroids = g.gather(pft, nit.centroids().to_vec());
-    rec::bind_index(centroids, IndexRole::Centroids);
     g.sub(reduced, centroids)
 }
 
@@ -140,9 +137,8 @@ pub fn original_edge(
     let repeated_centroids: Vec<usize> =
         nit.centroids().iter().flat_map(|&c| std::iter::repeat_n(c, k)).collect();
     let gathered = g.gather(features, nit.neighbors_flat().to_vec());
-    rec::bind_index(gathered, IndexRole::Neighbors);
+    rec::bind_neighbors(gathered);
     let centroid_rows = g.gather(features, repeated_centroids);
-    rec::bind_index(centroid_rows, IndexRole::Repeated);
     let offsets = g.sub(gathered, centroid_rows);
     let edge_rows = g.hstack(centroid_rows, offsets);
     let h = module.mlp.forward(g, edge_rows);
@@ -168,11 +164,9 @@ pub fn ltd_edge(
     let repeated_centroids: Vec<usize> =
         nit.centroids().iter().flat_map(|&c| std::iter::repeat_n(c, k)).collect();
     let u_i = g.gather(u, repeated_centroids.clone());
-    rec::bind_index(u_i, IndexRole::Repeated);
     let v_i = g.gather(v, repeated_centroids);
-    rec::bind_index(v_i, IndexRole::Repeated);
     let v_j = g.gather(v, nit.neighbors_flat().to_vec());
-    rec::bind_index(v_j, IndexRole::Neighbors);
+    rec::bind_neighbors(v_j);
     let centroid_term = g.sub(u_i, v_i);
     let pre = g.add(centroid_term, v_j);
     let h = module.mlp.forward_after_first_linear(g, pre);
@@ -197,11 +191,9 @@ pub fn delayed_edge(
     check_nit(g, features, module, nit);
     let (u, v) = edge_first_layer_halves(g, module, features);
     let reduced_v = g.gather_max(v, nit.neighbors_flat(), nit.k());
-    rec::bind_index(reduced_v, IndexRole::Neighbors);
+    rec::bind_neighbors(reduced_v);
     let u_i = g.gather(u, nit.centroids().to_vec());
-    rec::bind_index(u_i, IndexRole::Centroids);
     let v_i = g.gather(v, nit.centroids().to_vec());
-    rec::bind_index(v_i, IndexRole::Centroids);
     let centroid_term = g.sub(u_i, v_i);
     let pre = g.add(centroid_term, reduced_v);
     module.mlp.forward_after_first_linear(g, pre)

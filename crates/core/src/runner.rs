@@ -97,33 +97,19 @@ pub struct RunOutput {
 /// selection when sizes match (DGCNN keeps all points), random sampling
 /// otherwise — matching the paper's optimized baseline, which replaced FPS
 /// with random sampling (§VI, optimization 3).
+///
+/// Inference plans record its result once per input shape, so it must
+/// never read coordinates: only `positions.len()`, `n_out` and `seed`.
 pub fn select_centroids(positions: &PointCloud, n_out: usize, seed: u64) -> Vec<usize> {
-    let mut out = Vec::new();
-    select_centroids_into(positions, n_out, seed, &mut Vec::new(), &mut out);
-    out
-}
-
-/// [`select_centroids`] writing into caller-owned buffers (`shuffle` holds
-/// the permutation scratch of the random path) — the engine's streaming
-/// replay re-derives centroid selections without allocating. Bit-identical
-/// to [`select_centroids`].
-pub fn select_centroids_into(
-    positions: &PointCloud,
-    n_out: usize,
-    seed: u64,
-    shuffle: &mut Vec<usize>,
-    out: &mut Vec<usize>,
-) {
     assert!(
         n_out <= positions.len(),
         "cannot select {n_out} centroids from {} points",
         positions.len()
     );
     if n_out == positions.len() {
-        out.clear();
-        out.extend(0..n_out);
+        (0..n_out).collect()
     } else {
-        sampling::random_indices_into(positions.len(), n_out, seed, shuffle, out);
+        sampling::random_indices(positions, n_out, seed)
     }
 }
 
@@ -269,7 +255,7 @@ pub fn run_module(
     let (nit, search_op) = run_search(g, module, state, &centroids);
     let out_positions = state.positions.select(&centroids);
 
-    rec::begin_search(g.len(), state.features, cfg.neighbor, cfg.n_out, cfg.k, seed);
+    rec::begin_search(g.len(), state.features, cfg.neighbor, &centroids, cfg.k);
     let features = match (cfg.edge, strategy) {
         (false, Strategy::Original) => executor::original_offset(g, module, state.features, &nit),
         (false, Strategy::LtdDelayed) => executor::ltd_offset(g, module, state.features, &nit),
@@ -790,13 +776,17 @@ mod tests {
     }
 
     #[test]
-    fn select_centroids_into_matches_allocating_variant() {
-        let cloud = sample_shape(ShapeClass::Lamp, 90, 4);
-        let (mut shuffle, mut out) = (Vec::new(), Vec::new());
-        select_centroids_into(&cloud, 24, 11, &mut shuffle, &mut out);
-        assert_eq!(out, select_centroids(&cloud, 24, 11));
-        select_centroids_into(&cloud, 90, 11, &mut shuffle, &mut out);
-        assert_eq!(out, (0..90).collect::<Vec<_>>(), "identity selection when sizes match");
+    fn select_centroids_reads_only_the_point_count() {
+        // Plans record the selection per shape: two clouds of one size must
+        // get the same list, on the random path and the identity path.
+        let (a, b) = (sample_shape(ShapeClass::Lamp, 90, 4), sample_shape(ShapeClass::Cup, 90, 5));
+        assert_ne!(a.points(), b.points());
+        let random = select_centroids(&a, 24, 11);
+        assert_eq!(random, select_centroids(&b, 24, 11), "random path");
+        assert_eq!(random.len(), 24);
+        let identity = select_centroids(&a, 90, 11);
+        assert_eq!(identity, select_centroids(&b, 90, 11), "identity path");
+        assert_eq!(identity, (0..90).collect::<Vec<_>>(), "identity selection when sizes match");
     }
 
     #[test]

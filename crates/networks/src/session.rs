@@ -479,12 +479,18 @@ impl Session {
         }
     }
 
-    /// Statistics of the first worker when the session holds a plan for
-    /// `n_points` inputs: that plan's use of the worker's arena, the bytes
-    /// of the session's plans, and the worker's derivation-state and cache
-    /// bytes, search traffic and NIT-cache traffic.
+    /// Statistics of the worker pool when the session holds a plan for
+    /// `n_points` inputs: every worker's arena, derivation-state and cache
+    /// bytes, search traffic and NIT-cache traffic summed (see
+    /// [`EngineStats::add`]), with the plan's layout, the session's plans
+    /// and the scratch pool counted once.
     pub fn arena_stats(&self, n_points: usize) -> Option<EngineStats> {
-        lock_unpoisoned(&self.engines[0]).stats(n_points)
+        let mut workers = self.engines.iter().map(|e| lock_unpoisoned(e).stats(n_points));
+        let mut total = workers.next()??;
+        for stats in workers {
+            total.add(&stats?);
+        }
+        Some(total)
     }
 
     /// Search-traffic counters summed across the worker pool — what the
@@ -942,6 +948,29 @@ mod tests {
             let _ = (session.infer(&cloud), frames.infer(&cloud));
         }
         assert_eq!((plan_bytes(0), plan_bytes(1)), (warm, warm), "warm frames moved plan bytes");
+    }
+
+    #[test]
+    fn arena_stats_sum_the_workers() {
+        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(3)
+            .workers(2)
+            .build();
+        let n = session.network().input_points();
+        let own = |worker: usize, seed: u64| {
+            let mut engine = lock_unpoisoned(&session.engines[worker]);
+            let _ = session.run_on(&mut engine, &sample_shape(ShapeClass::Chair, n, seed));
+            engine.stats(n).expect("compiled")
+        };
+        let (first, second) = (own(0, 1), own(1, 2));
+        assert!(first.cache_bytes > 0 && second.cache_bytes > 0, "each worker caches a sample");
+        let total = session.arena_stats(n).expect("compiled");
+        assert_eq!(total.cache_bytes, first.cache_bytes + second.cache_bytes);
+        assert_eq!(total.search_bytes, first.search_bytes + second.search_bytes);
+        assert_eq!(total.arena.peak_bytes, first.arena.peak_bytes + second.arena.peak_bytes);
+        assert_eq!(total.plan_bytes, first.plan_bytes, "the shared plan counts once");
+        assert_eq!(total.search, session.search_counters());
+        assert_eq!(total.cache, session.cache_stats());
     }
 
     #[test]

@@ -37,9 +37,9 @@ impl VarId {
 /// One operation of the shared IR.
 ///
 /// Index lists stored inline (`Gather::indices`, `GatherMax::groups`,
-/// `WeightedGather`) are the values observed at record time; a plan may
-/// override them per sample through its dynamic bindings when they derive
-/// from a neighbor search.
+/// `WeightedGather`) are the values observed at record time; a plan drops
+/// the ones that derive from a neighbor search and reads them per sample
+/// from its dynamic bindings instead.
 #[derive(Debug, Clone)]
 pub enum Op {
     /// Leaf: external input or constant. No gradient flows out.

@@ -31,7 +31,8 @@
 //! Per-sample variability (input matrices, neighbor-search index lists,
 //! interpolation stencils) enters through [`Bindings`], produced by the
 //! engine layer in `mesorasi-core` — this module knows nothing about point
-//! clouds, only that some index operands are dynamic.
+//! clouds, only that some index operands are dynamic, and a plan keeps no
+//! copy of those.
 
 use crate::graph::Graph;
 use crate::ir::{Op, VarId};
@@ -206,7 +207,9 @@ pub struct Plan {
 impl Plan {
     /// Compiles the recorded graph into a plan producing `outputs`, with a
     /// snapshot of the graph's parameter values. `marks` names the ops
-    /// whose index operands are per-sample dynamic.
+    /// whose index operands are per-sample dynamic: the plan keeps none of
+    /// their index or weight vectors, and replay reads them from
+    /// [`Bindings`], whose lengths must match the recorded shapes.
     ///
     /// # Panics
     ///
@@ -239,13 +242,15 @@ impl Plan {
         let (fused_at, absorbed) = fuse_linear_chains(g, &live, outputs);
 
         // The steps to run. Dead and absorbed nodes are never executed or
-        // operand-walked, so a cheap placeholder replaces them — an
-        // eliminated branch's index vectors would otherwise be retained
-        // for the plan's whole lifetime.
+        // operand-walked, so a cheap placeholder replaces them, and a
+        // dynamic op keeps no index vectors: it reads its binding. The plan
+        // retains only structural index lists.
+        let dynamic = |i: usize| marks.indices.contains_key(&i) || marks.stencils.contains_key(&i);
         let steps: Vec<Step> = (0..n)
             .map(|i| match (g.op_at(i), fused_at.get(&i)) {
                 _ if !live[i] || absorbed[i] => Step::Op(Op::Input),
                 (_, Some(step)) => step.clone(),
+                (op, None) if dynamic(i) => Step::Op(without_index_lists(op)),
                 (op, None) => Step::Op(op.clone()),
             })
             .collect();
@@ -489,7 +494,7 @@ impl Plan {
             }
             Step::Op(Op::Gather { x, indices }) => {
                 let idx = node.index_bid.map_or(&indices[..], |bid| &bind.indices[bid]);
-                assert_eq!(idx.len(), indices.len(), "dynamic gather length changed");
+                assert_eq!(idx.len(), node.rows, "dynamic gather length changed");
                 group::gather_rows_into(self.value(arena, *x), idx, &mut out);
             }
             Step::Op(Op::SubCentroid { grouped, centroids, k }) => {
@@ -505,7 +510,7 @@ impl Plan {
             }
             Step::Op(Op::GatherMax { x, groups, k }) => {
                 let idx = node.index_bid.map_or(&groups[..], |bid| &bind.indices[bid]);
-                assert_eq!(idx.len(), groups.len(), "dynamic group length changed");
+                assert_eq!(idx.len(), node.rows * k, "dynamic group length changed");
                 group::gather_max_into(self.value(arena, *x), idx, *k, &mut out);
             }
             Step::Op(Op::WeightedGather { x, indices, weights, k }) => {
@@ -516,7 +521,7 @@ impl Plan {
                     }
                     None => (&indices[..], &weights[..]),
                 };
-                assert_eq!(idx.len(), indices.len(), "dynamic stencil length changed");
+                assert_eq!(idx.len(), node.rows * k, "dynamic stencil length changed");
                 group::weighted_gather_into(self.value(arena, *x), idx, w, *k, &mut out);
             }
             Step::Op(Op::HStack { a, b }) => {
@@ -574,6 +579,19 @@ impl Plan {
                 }
             }
         }
+    }
+}
+
+/// `op` without its index (and weight) vectors: what a plan keeps of an op
+/// whose lists a binding supplies per sample.
+fn without_index_lists(op: &Op) -> Op {
+    match *op {
+        Op::Gather { x, .. } => Op::Gather { x, indices: Vec::new() },
+        Op::GatherMax { x, k, .. } => Op::GatherMax { x, groups: Vec::new(), k },
+        Op::WeightedGather { x, k, .. } => {
+            Op::WeightedGather { x, indices: Vec::new(), weights: Vec::new(), k }
+        }
+        _ => unreachable!("only gathers take dynamic index lists"),
     }
 }
 
@@ -914,6 +932,37 @@ mod tests {
         plan.run(&mut arena, &b);
         let want = group::gather_rows(&src, &[5, 4, 3]);
         assert_eq!(plan.output(&arena, 0), &want);
+    }
+
+    #[test]
+    fn a_plan_keeps_no_dynamic_index_lists() {
+        let src = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
+        let mut g = Graph::new();
+        let x = g.input(src.clone());
+        let gathered = g.gather(x, vec![0, 1, 2, 5]);
+        let reduced = g.gather_max(x, &[0, 1, 2, 3, 4, 5], 2);
+        let interpolated = g.weighted_gather(x, vec![0, 1, 2, 3], vec![0.25; 4], 2);
+        let outputs = [gathered, reduced, interpolated];
+        let marks = DynMarks {
+            indices: HashMap::from([(gathered.index(), 0), (reduced.index(), 1)]),
+            stencils: HashMap::from([(interpolated.index(), 0)]),
+            n_index: 2,
+            n_stencil: 1,
+        };
+        let unmarked = Plan::from_graph(&g, &outputs, &DynMarks::default());
+        let marked = Plan::from_graph(&g, &outputs, &marks);
+        let (u, f) = (std::mem::size_of::<usize>(), std::mem::size_of::<f32>());
+        let lists = (4 + 6 + 4) * u + 4 * f;
+        assert_eq!(unmarked.storage_bytes() - marked.storage_bytes(), lists);
+        // Bound to the recorded lists, the marked plan replays the tape.
+        let mut b = input_bindings(&marked, &src);
+        b.indices = vec![vec![0, 1, 2, 5], vec![0, 1, 2, 3, 4, 5]];
+        b.stencils = vec![(vec![0, 1, 2, 3], vec![0.25; 4])];
+        let mut arena = arena_for(&marked);
+        marked.run(&mut arena, &b);
+        for (i, o) in outputs.iter().enumerate() {
+            assert_eq!(marked.output(&arena, i), g.value(*o), "output {i}");
+        }
     }
 
     /// Records one dynamic op over a 6 × 3 input — index binding 0, or

@@ -4,9 +4,8 @@
 //! notion of a stride", paper §III-A), producing `N_out < N_in`. PointNet++
 //! originally selects those centroids with Farthest Point Sampling; the
 //! paper's optimized baseline replaces FPS with random sampling "with little
-//! accuracy loss" (§VI). [`random_indices`] (and its buffer-reusing twin
-//! [`random_indices_into`], which the inference engine calls) is that
-//! baseline, and every executor and experiment samples through it.
+//! accuracy loss" (§VI). [`random_indices`] is that baseline, and every
+//! module and experiment samples through it.
 
 use crate::PointCloud;
 use rand::seq::SliceRandom;
@@ -22,34 +21,14 @@ use rand::Rng;
 ///
 /// Panics if `count > cloud.len()`.
 pub fn random_indices(cloud: &PointCloud, count: usize, seed: u64) -> Vec<usize> {
-    let mut out = Vec::new();
-    random_indices_into(cloud.len(), count, seed, &mut Vec::new(), &mut out);
-    out
-}
-
-/// [`random_indices`] writing into caller-owned buffers: `scratch` holds the
-/// full index permutation, `out` receives the sorted picks. Both reuse their
-/// capacity, so the inference engine's streaming path re-derives centroid
-/// selections without allocating. Bit-identical to [`random_indices`].
-///
-/// # Panics
-///
-/// Panics if `count > n`.
-pub fn random_indices_into(
-    n: usize,
-    count: usize,
-    seed: u64,
-    scratch: &mut Vec<usize>,
-    out: &mut Vec<usize>,
-) {
+    let n = cloud.len();
     assert!(count <= n, "cannot sample {count} centroids from {n} points");
     let mut rng = crate::seeded_rng(seed);
-    scratch.clear();
-    scratch.extend(0..n);
-    scratch.shuffle(&mut rng);
-    out.clear();
-    out.extend_from_slice(&scratch[..count]);
-    out.sort_unstable();
+    let mut picks: Vec<usize> = (0..n).collect();
+    picks.shuffle(&mut rng);
+    picks.truncate(count);
+    picks.sort_unstable();
+    picks
 }
 
 /// Downsamples (or upsamples with replacement) a cloud to exactly `count`
@@ -89,16 +68,6 @@ mod tests {
         let cloud = sample_shape(ShapeClass::Sphere, 128, 11);
         assert_eq!(random_indices(&cloud, 32, 7), random_indices(&cloud, 32, 7));
         assert_ne!(random_indices(&cloud, 32, 7), random_indices(&cloud, 32, 8));
-    }
-
-    #[test]
-    fn random_indices_into_matches_allocating_variant() {
-        let cloud = sample_shape(ShapeClass::Torus, 200, 3);
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        for seed in [0u64, 7, 41] {
-            random_indices_into(cloud.len(), 48, seed, &mut scratch, &mut out);
-            assert_eq!(out, random_indices(&cloud, 48, seed), "seed {seed}");
-        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!    pure planned tensor execution; a hit on each of several cached
 //!    samples, so the cache's lookup scan is audited too;
 //! 2. the streaming audit on [`PlanEngine::run_streamed`], where the NIT
-//!    cache is bypassed, so centroid sampling, **index rebuilds, and
-//!    neighbor queries run on every frame** — the search arena must make
-//!    them allocation-free too;
+//!    cache is bypassed, so **index rebuilds and neighbor queries run on
+//!    every frame** (centroid lists are plan constants) — the search arena
+//!    must make them allocation-free too;
 //! 3. the session-level audit: a warm [`mesorasi::Session`] frame stream
 //!    served through `infer_into` (outputs recycled) performs zero heap
 //!    allocations end to end;
@@ -67,7 +67,8 @@
 //!     per shape, so frames alternating between two `frames()` handles,
 //!     one on each worker, make zero heap allocations once each worker is
 //!     warm — the plan lookup is one lock and one `Arc` clone — and the
-//!     byte totals stay frozen.
+//!     pool's byte totals (`Session::arena_stats` sums the workers) stay
+//!     frozen.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::nn::VarId;
@@ -226,8 +227,8 @@ fn warm_planned_forward_allocates_nothing() {
 fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
     let _serial = serial();
     // Warm streamed PointNet++ frames make zero heap allocations. The
-    // streaming path never caches samples: every frame re-selects
-    // centroids, rebuilds per-space octrees, and re-queries. All of it must
+    // streaming path never caches samples: every frame rebuilds per-space
+    // octrees and re-queries from the plan's centroid lists. All of it must
     // run out of the engine's persistent search arena. Sequential execution
     // for the same reason as the cache-hit audit.
     mesorasi_par::with_threads(1, || {
