@@ -19,14 +19,21 @@
 //! each search step keeps its list to query with and to select the output
 //! positions by.
 //!
-//! While a [`PlanEngine`] records a network's forward once, a thread-local
-//! recorder (armed only during recording) captures a list of [`DynStep`]s
-//! describing how each of those values derives from the sample. Executing
-//! a *new* sample interleaves plan ranges with the dynamic steps — the
-//! feature-space searches of DGCNN read intermediate features straight out
-//! of the arena — and the derived [`Bindings`] are cached per sample (the
-//! NIT cache), so repeated inference on a seen sample runs pure planned
-//! tensor code with **zero per-sample allocation**.
+//! A [`PlanEngine`] compiles a shape by recording the network's forward
+//! once on a shape-only [`Graph`] ([`Graph::shapes_only`]): every op pushes
+//! its op and output shape and computes nothing, parameters keep the values
+//! the plan snapshots, and the neighbor searches and interpolation stencils
+//! emit placeholders of the recorded shape without searching (the plan binds
+//! them per sample anyway). Compiling therefore costs no tape arithmetic and
+//! keeps no tape: its peak memory is the plan it produces. Meanwhile a
+//! thread-local recorder (armed only during recording) captures a list of
+//! [`DynStep`]s describing how each per-sample value derives from the
+//! sample. Executing a *new* sample interleaves plan ranges with the
+//! dynamic steps — the feature-space searches of DGCNN read intermediate
+//! features straight out of the arena — and the derived [`Bindings`] are
+//! cached per sample (the NIT cache), so repeated inference on a seen
+//! sample runs pure planned tensor code with **zero per-sample
+//! allocation**.
 //!
 //! The searches and stencil computation are the very functions the
 //! tape-based runner calls, so planned execution is bit-identical to
@@ -343,7 +350,8 @@ impl Compiled {
     }
 }
 
-/// Records `record`'s forward on `cloud` and compiles it.
+/// Records `record`'s forward on `cloud`'s shape, computing nothing, and
+/// compiles it.
 fn compile(cloud: &PointCloud, record: &RecordFn) -> Compiled {
     // Arm the recorder for this thread; disarm even on unwind.
     struct Disarm;
@@ -354,7 +362,7 @@ fn compile(cloud: &PointCloud, record: &RecordFn) -> Compiled {
     }
     RECORDER.with(|r| *r.borrow_mut() = Some(Recording::default()));
     let _disarm = Disarm;
-    let mut g = Graph::new();
+    let mut g = Graph::shapes_only();
     let outputs = record(&mut g, cloud);
     let recording = RECORDER.with(|r| r.borrow_mut().take()).expect("recording armed above");
     assert!(!outputs.is_empty(), "the recording closure must return outputs");

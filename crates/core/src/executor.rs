@@ -18,9 +18,9 @@ use mesorasi_knn::NeighborIndexTable;
 use mesorasi_nn::{Graph, VarId};
 
 fn check_nit(g: &Graph, features: VarId, module: &Module, nit: &NeighborIndexTable) {
-    let n_in = g.value(features).rows();
+    let (n_in, m_in) = g.shape(features);
     assert_eq!(
-        g.value(features).cols(),
+        m_in,
         module.config.m_in(),
         "{}: feature width must equal the module's M_in",
         module.config.name
@@ -147,7 +147,9 @@ pub fn original_edge(
 
 /// Ltd edge module: the first layer's product is hoisted per point
 /// (`u = x·W_top`, `v = x·W_bot`), edges assemble the exact pre-activation
-/// `u_i − v_i + v_j`, and the MLP tail still runs per edge.
+/// `(u − v)_i + v_j`, and the MLP tail still runs per edge. The centroid
+/// term is subtracted per point and gathered once: a row copy commutes
+/// with the elementwise difference, so this is bit for bit `u_i − v_i`.
 ///
 /// # Panics
 ///
@@ -163,11 +165,10 @@ pub fn ltd_edge(
     let (u, v) = edge_first_layer_halves(g, module, features);
     let repeated_centroids: Vec<usize> =
         nit.centroids().iter().flat_map(|&c| std::iter::repeat_n(c, k)).collect();
-    let u_i = g.gather(u, repeated_centroids.clone());
-    let v_i = g.gather(v, repeated_centroids);
+    let u_minus_v = g.sub(u, v);
+    let centroid_term = g.gather(u_minus_v, repeated_centroids);
     let v_j = g.gather(v, nit.neighbors_flat().to_vec());
     rec::bind_neighbors(v_j);
-    let centroid_term = g.sub(u_i, v_i);
     let pre = g.add(centroid_term, v_j);
     let h = module.mlp.forward_after_first_linear(g, pre);
     g.group_max(h, k)
@@ -178,6 +179,7 @@ pub fn ltd_edge(
 /// non-linearity (`max_j φ(c + v_j) = φ(c + max_j v_j)` — exact for a
 /// single-layer MLP since φ is monotone), then the MLP tail runs on the
 /// `N_out` reduced rows (the Equ. 3-style approximation for deeper MLPs).
+/// As in [`ltd_edge`], the centroid term `u − v` is gathered once.
 ///
 /// # Panics
 ///
@@ -192,9 +194,8 @@ pub fn delayed_edge(
     let (u, v) = edge_first_layer_halves(g, module, features);
     let reduced_v = g.gather_max(v, nit.neighbors_flat(), nit.k());
     rec::bind_neighbors(reduced_v);
-    let u_i = g.gather(u, nit.centroids().to_vec());
-    let v_i = g.gather(v, nit.centroids().to_vec());
-    let centroid_term = g.sub(u_i, v_i);
+    let u_minus_v = g.sub(u, v);
+    let centroid_term = g.gather(u_minus_v, nit.centroids().to_vec());
     let pre = g.add(centroid_term, reduced_v);
     module.mlp.forward_after_first_linear(g, pre)
 }
@@ -204,7 +205,7 @@ pub fn delayed_edge(
 /// aggregation to reorder), so the strategy distinction collapses here.
 pub fn global_module(g: &mut Graph, module: &Module, features: VarId) -> VarId {
     assert_eq!(
-        g.value(features).cols(),
+        g.shape(features).1,
         module.config.m_in(),
         "{}: feature width must equal the module's M_in",
         module.config.name

@@ -89,7 +89,9 @@ pub struct RunOutput {
     pub state: ModuleState,
     /// The recorded workload.
     pub trace: ModuleTrace,
-    /// The neighbor table used (absent for group-all modules).
+    /// The neighbor table used (absent for group-all modules). On a
+    /// shape-only graph no search runs, and this is a placeholder of the
+    /// search's shape, as is the trace's aggregation table.
     pub nit: Option<NeighborIndexTable>,
 }
 
@@ -189,15 +191,32 @@ fn run_search(
     let n_in = state.len();
     let k = module.config.k;
     assert!(k <= n_in, "{}: k = {k} exceeds N_in = {n_in}", module.config.name);
-    let features = g.value(state.features);
-    let nit = search_nit(&state.positions, Some(features), module.config.neighbor, centroids, k);
-    let (dim, radius_query) = match module.config.neighbor {
+    let neighbor = module.config.neighbor;
+    let nit = if g.is_shapes_only() {
+        placeholder_nit(centroids, k)
+    } else {
+        search_nit(&state.positions, Some(g.value(state.features)), neighbor, centroids, k)
+    };
+    let (dim, radius_query) = match neighbor {
         NeighborMode::CoordKnn => (3, false),
         NeighborMode::CoordBall { .. } => (3, true),
-        NeighborMode::FeatureKnn => (features.cols(), false),
+        NeighborMode::FeatureKnn => (g.shape(state.features).1, false),
         NeighborMode::Global => unreachable!("global modules never search"),
     };
     (nit, SearchOp { queries: centroids.len(), candidates: n_in, dim, k, radius_query })
+}
+
+/// A neighbor table of a search's shape that runs no search: each
+/// centroid is its own `k` neighbors. A shape-only recording needs no more,
+/// because a plan binds every neighbor list per sample.
+fn placeholder_nit(centroids: &[usize], k: usize) -> NeighborIndexTable {
+    let mut nit = NeighborIndexTable::new(k);
+    let mut row = vec![0; k];
+    for &c in centroids {
+        row.fill(c);
+        nit.push_entry(c, &row);
+    }
+    nit
 }
 
 /// Builds the MLP-layer trace ops for a batch of `rows` rows through the
@@ -223,7 +242,7 @@ pub fn run_module(
     let cfg = &module.config;
     let n_in = state.len();
     assert_eq!(
-        g.value(state.features).rows(),
+        g.shape(state.features).0,
         n_in,
         "{}: positions and features disagree on N_in",
         cfg.name
@@ -458,7 +477,7 @@ pub fn run_feature_propagation(
     let n_fine = fine.len();
     let n_coarse = coarse.len();
     assert!(n_coarse >= 1, "feature propagation needs at least one coarse point");
-    let coarse_width = g.value(coarse.features).cols();
+    let coarse_width = g.shape(coarse.features).1;
 
     let interpolated = if n_coarse < 3 {
         // Broadcast the (global) coarse feature to every fine point — the
@@ -466,8 +485,14 @@ pub fn run_feature_propagation(
         let idx = vec![0usize; n_fine];
         g.gather(coarse.features, idx)
     } else {
-        let (mut indices, mut weights) = (Vec::new(), Vec::new());
-        fp_stencils_into(&coarse.positions, &fine.positions, &mut indices, &mut weights);
+        let (indices, weights) = if g.is_shapes_only() {
+            // A plan binds every stencil per sample: record its shape only.
+            (vec![0; n_fine * 3], vec![0.0; n_fine * 3])
+        } else {
+            let (mut indices, mut weights) = (Vec::new(), Vec::new());
+            fp_stencils_into(&coarse.positions, &fine.positions, &mut indices, &mut weights);
+            (indices, weights)
+        };
         g.weighted_gather(coarse.features, indices, weights, 3)
     };
     let stencil_var = (n_coarse >= 3).then_some(interpolated);
@@ -504,7 +529,7 @@ pub fn run_head(
     features: VarId,
     trace_name: &str,
 ) -> (VarId, ModuleTrace) {
-    let rows = g.value(features).rows();
+    let rows = g.shape(features).0;
     let out = mlp.forward(g, features);
     let trace = ModuleTrace {
         name: trace_name.to_owned(),

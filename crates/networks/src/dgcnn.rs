@@ -137,8 +137,7 @@ impl PointCloudNetwork for Dgcnn {
             concat = g.hstack(concat, f);
         }
         let (fused, mut fuse_trace) = runner::run_head(g, &self.fuse, concat, "fuse");
-        let n = g.value(fused).rows();
-        let fused_width = g.value(fused).cols();
+        let (n, fused_width) = g.shape(fused);
         let global = g.global_max(fused);
         fuse_trace.reduce = Some(ReduceOp { groups: 1, k: n, width: fused_width });
         trace.modules.push(fuse_trace);

@@ -94,8 +94,7 @@ impl PointCloudNetwork for Ldgcnn {
         }
 
         let (fused, mut fuse_trace) = runner::run_head(g, &self.fuse, linked, "fuse");
-        let rows = g.value(fused).rows();
-        let width = g.value(fused).cols();
+        let (rows, width) = g.shape(fused);
         let global = g.global_max(fused);
         fuse_trace.reduce = Some(ReduceOp { groups: 1, k: rows, width });
         trace.modules.push(fuse_trace);

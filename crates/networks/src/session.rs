@@ -5,11 +5,12 @@
 //! per-worker [`PlanEngine`]s, so it is `Send + Sync` and lifetime-free:
 //! wrap it in an `Arc` and call [`Session::infer`] from as many threads as
 //! you like. Every forward runs on the plan-and-execute engine — the first
-//! forward per input shape records the network once on the autograd tape
-//! and compiles a liveness-planned plan, weights included, that every
-//! worker shares; every forward replays it in its worker's own arena,
-//! re-deriving only per-sample neighbor structure. Outputs are
-//! bit-identical to [`PointCloudNetwork::forward`] at every thread count.
+//! forward per input shape records the network's op sequence and shapes
+//! once, with no tape arithmetic, and compiles a liveness-planned plan,
+//! weights included, that every worker shares; every forward replays it in
+//! its worker's own arena, re-deriving only per-sample neighbor structure.
+//! Outputs are bit-identical to [`PointCloudNetwork::forward`] at every
+//! thread count.
 //!
 //! Results are domain-typed: [`Logits`] for classification,
 //! [`PerPointLabels`] for segmentation, [`Boxes3D`] for detection —
@@ -471,6 +472,11 @@ impl Session {
     /// traffic on same-shaped inputs starts from the fully warm steady
     /// state no matter which engine serves it. Call before
     /// timing-sensitive traffic; purely an optimization.
+    ///
+    /// The compile records shapes only, so it runs no forward of its own
+    /// and keeps no tape: a warm costs two planned forwards per worker (a
+    /// cached one and a streamed one) plus the plan, and its memory peak
+    /// is what the session then retains.
     pub fn warm(&self, cloud: &PointCloud) {
         for engine in &self.engines {
             let mut engine = lock_unpoisoned(engine);

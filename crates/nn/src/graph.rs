@@ -6,6 +6,13 @@
 //! point-cloud networks need — including the irregular gather / grouped-max
 //! operators that make both aggregation orders (original and delayed,
 //! paper Equ. 1 vs Equ. 2) expressible and trainable.
+//!
+//! A graph built with [`Graph::shapes_only`] records the same op sequence
+//! without computing it: each op pushes its [`Op`] and the shape
+//! [`Op::out_shape`] gives it, and only parameters keep their values. That
+//! is all an inference plan needs from a recording (structure, shapes and
+//! a weight snapshot), so compiling one costs no tape arithmetic and no
+//! tape memory.
 
 use crate::Param;
 use mesorasi_tensor::{group, ops, Matrix};
@@ -30,6 +37,8 @@ enum Aux {
 
 struct Node {
     op: Op,
+    shape: (usize, usize),
+    /// Empty in a shape-only graph, parameters excepted.
     value: Matrix,
     aux: Aux,
 }
@@ -40,6 +49,7 @@ pub struct Graph {
     nodes: Vec<Node>,
     grads: Vec<Option<Matrix>>,
     param_vars: HashMap<u64, VarId>,
+    shapes_only: bool,
 }
 
 impl Graph {
@@ -48,20 +58,67 @@ impl Graph {
         Graph::default()
     }
 
-    fn push(&mut self, op: Op, value: Matrix) -> VarId {
+    /// Creates an empty graph that records ops and shapes but computes
+    /// nothing (see the module docs). Parameters keep their values; reading
+    /// any other value panics, and so does [`Graph::backward`].
+    pub fn shapes_only() -> Self {
+        Graph { shapes_only: true, ..Graph::default() }
+    }
+
+    /// True for a graph built with [`Graph::shapes_only`]. Recording code
+    /// whose only product is an operand of the recorded shape (a neighbor
+    /// search, an interpolation stencil) checks this to skip the work.
+    pub fn is_shapes_only(&self) -> bool {
+        self.shapes_only
+    }
+
+    /// Runs an op's eager arithmetic `f`, unless this graph records shapes
+    /// only.
+    fn eager<T>(&self, f: impl FnOnce(&Graph) -> T) -> Option<T> {
+        (!self.shapes_only).then(|| f(self))
+    }
+
+    fn push(&mut self, op: Op, value: Option<Matrix>) -> VarId {
         self.push_aux(op, value, Aux::None)
     }
 
-    fn push_aux(&mut self, op: Op, value: Matrix, aux: Aux) -> VarId {
-        debug_assert!(value.is_finite(), "non-finite value produced by {op:?}");
-        self.nodes.push(Node { op, value, aux });
+    /// Appends an op node. Its shape is [`Op::out_shape`]'s; an eager value
+    /// is checked against that rule in debug builds, so every tape test
+    /// also tests the rules a shape-only recording trusts.
+    fn push_aux(&mut self, op: Op, value: Option<Matrix>, aux: Aux) -> VarId {
+        let shape = match &value {
+            Some(value) => {
+                debug_assert!(value.is_finite(), "non-finite value produced by {op:?}");
+                debug_assert_eq!(
+                    op.out_shape(|v| self.shape(v)),
+                    Some(value.shape()),
+                    "shape rule of {op:?}"
+                );
+                value.shape()
+            }
+            None => op.out_shape(|v| self.shape(v)).expect("a leaf records its value"),
+        };
+        self.push_node(Node { op, shape, value: value.unwrap_or_default(), aux })
+    }
+
+    fn push_node(&mut self, node: Node) -> VarId {
+        self.nodes.push(node);
         self.grads.push(None);
         VarId::from_index(self.nodes.len() - 1)
     }
 
     /// The forward value of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in a shape-only graph unless `v` is a parameter.
     pub fn value(&self, v: VarId) -> &Matrix {
-        &self.nodes[v.index()].value
+        self.value_at(v.index())
+    }
+
+    /// The `(rows, cols)` of `v`, in either recording mode.
+    pub fn shape(&self, v: VarId) -> (usize, usize) {
+        self.nodes[v.index()].shape
     }
 
     /// The recorded op of node `i` — the IR view the plan compiler walks.
@@ -69,9 +126,24 @@ impl Graph {
         &self.nodes[i].op
     }
 
-    /// The recorded value of node `i` (shape source for the plan compiler).
+    /// The recorded shape of node `i` (shape source for the plan compiler).
+    pub fn shape_at(&self, i: usize) -> (usize, usize) {
+        self.nodes[i].shape
+    }
+
+    /// The recorded value of node `i` (the plan compiler's parameter
+    /// snapshot).
+    ///
+    /// # Panics
+    ///
+    /// As [`Graph::value`].
     pub fn value_at(&self, i: usize) -> &Matrix {
-        &self.nodes[i].value
+        let node = &self.nodes[i];
+        assert!(
+            !self.shapes_only || matches!(node.op, Op::Param { .. }),
+            "node {i} has no value: the graph records shapes only"
+        );
+        &node.value
     }
 
     /// The accumulated gradient of `v`, if any flowed during `backward`.
@@ -98,7 +170,9 @@ impl Graph {
 
     /// Registers a constant/input value (no gradient).
     pub fn input(&mut self, value: Matrix) -> VarId {
-        self.push(Op::Input, value)
+        let shape = value.shape();
+        let value = if self.shapes_only { Matrix::default() } else { value };
+        self.push_node(Node { op: Op::Input, shape, value, aux: Aux::None })
     }
 
     /// Registers a parameter's current value. Repeated registration of the
@@ -108,7 +182,8 @@ impl Graph {
         if let Some(&v) = self.param_vars.get(&p.id()) {
             return v;
         }
-        let v = self.push(Op::Param { pid: p.id() }, p.value.clone());
+        let (op, shape, value) = (Op::Param { pid: p.id() }, p.value.shape(), p.value.clone());
+        let v = self.push_node(Node { op, shape, value, aux: Aux::None });
         self.param_vars.insert(p.id(), v);
         v
     }
@@ -117,37 +192,37 @@ impl Graph {
 
     /// Matrix product.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let value = ops::matmul(self.value(a), self.value(b));
+        let value = self.eager(|g| ops::matmul(g.value(a), g.value(b)));
         self.push(Op::MatMul { a, b }, value)
     }
 
     /// Adds a `1 × cols` bias row to every row.
     pub fn add_bias(&mut self, x: VarId, bias: VarId) -> VarId {
-        let value = ops::add_bias_row(self.value(x), self.value(bias));
+        let value = self.eager(|g| ops::add_bias_row(g.value(x), g.value(bias)));
         self.push(Op::AddBias { x, bias }, value)
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        let value = ops::add(self.value(a), self.value(b));
+        let value = self.eager(|g| ops::add(g.value(a), g.value(b)));
         self.push(Op::Add { a, b }, value)
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        let value = ops::sub(self.value(a), self.value(b));
+        let value = self.eager(|g| ops::sub(g.value(a), g.value(b)));
         self.push(Op::Sub { a, b }, value)
     }
 
     /// ReLU.
     pub fn relu(&mut self, x: VarId) -> VarId {
-        let value = ops::relu(self.value(x));
+        let value = self.eager(|g| ops::relu(g.value(x)));
         self.push(Op::Relu { x }, value)
     }
 
     /// Scalar scaling.
     pub fn scale(&mut self, x: VarId, s: f32) -> VarId {
-        let value = ops::scale(self.value(x), s);
+        let value = self.eager(|g| ops::scale(g.value(x), s));
         self.push(Op::Scale { x, s }, value)
     }
 
@@ -158,13 +233,13 @@ impl Graph {
     ///
     /// Panics when shapes differ.
     pub fn hadamard(&mut self, a: VarId, b: VarId) -> VarId {
-        let value = ops::hadamard(self.value(a), self.value(b));
+        let value = self.eager(|g| ops::hadamard(g.value(a), g.value(b)));
         self.push(Op::Hadamard { a, b }, value)
     }
 
     /// Column concatenation.
     pub fn hstack(&mut self, a: VarId, b: VarId) -> VarId {
-        let value = self.value(a).hstack(self.value(b));
+        let value = self.eager(|g| g.value(a).hstack(g.value(b)));
         self.push(Op::HStack { a, b }, value)
     }
 
@@ -172,35 +247,36 @@ impl Graph {
 
     /// Row gather by explicit indices (repeats allowed).
     pub fn gather(&mut self, x: VarId, indices: Vec<usize>) -> VarId {
-        let value = group::gather_rows(self.value(x), &indices);
+        let value = self.eager(|g| group::gather_rows(g.value(x), &indices));
         self.push(Op::Gather { x, indices }, value)
     }
 
     /// Subtracts the centroid row from each of its `k` grouped rows —
     /// the original formulation's aggregation (`p_k − p_i`).
     pub fn sub_centroid(&mut self, grouped: VarId, centroids: VarId, k: usize) -> VarId {
-        let value =
-            group::subtract_centroid_per_group(self.value(grouped), self.value(centroids), k);
+        let value = self
+            .eager(|g| group::subtract_centroid_per_group(g.value(grouped), g.value(centroids), k));
         self.push(Op::SubCentroid { grouped, centroids, k }, value)
     }
 
     /// Column-wise max over groups of `k` consecutive rows.
     pub fn group_max(&mut self, x: VarId, k: usize) -> VarId {
-        let (value, arg) = group::group_max_reduce(self.value(x), k);
-        self.push_aux(Op::GroupMax { x, k }, value, Aux::Arg(arg))
+        let (value, arg) = self.eager(|g| group::group_max_reduce(g.value(x), k)).unzip();
+        self.push_aux(Op::GroupMax { x, k }, value, arg.map_or(Aux::None, Aux::Arg))
     }
 
     /// Fused gather-and-max over NIT groups (`groups` is a flattened
     /// `n × k` index list into the rows of `x`) — the delayed-aggregation
     /// reduction that never materializes the gathered matrix.
     pub fn gather_max(&mut self, x: VarId, groups: &[usize], k: usize) -> VarId {
-        let (value, arg) = group::gather_max_reduce(self.value(x), groups, k);
-        self.push_aux(Op::GatherMax { x, groups: groups.to_vec(), k }, value, Aux::Arg(arg))
+        let (value, arg) = self.eager(|g| group::gather_max_reduce(g.value(x), groups, k)).unzip();
+        let op = Op::GatherMax { x, groups: groups.to_vec(), k };
+        self.push_aux(op, value, arg.map_or(Aux::None, Aux::Arg))
     }
 
     /// Global column-wise max over all rows (PointNet's symmetric pooling).
     pub fn global_max(&mut self, x: VarId) -> VarId {
-        let rows = self.value(x).rows();
+        let rows = self.shape(x).0;
         self.group_max(x, rows)
     }
 
@@ -219,7 +295,7 @@ impl Graph {
         weights: Vec<f32>,
         k: usize,
     ) -> VarId {
-        let value = group::weighted_gather(self.value(x), &indices, &weights, k);
+        let value = self.eager(|g| group::weighted_gather(g.value(x), &indices, &weights, k));
         self.push(Op::WeightedGather { x, indices, weights, k }, value)
     }
 
@@ -230,22 +306,27 @@ impl Graph {
     /// keeps the operator linear in `x`, which is also what makes it
     /// compatible with delayed-aggregation's distributivity argument.
     pub fn standardize(&mut self, x: VarId) -> VarId {
-        let cols = self.value(x).cols();
-        let mut stats = Vec::new();
-        let mut value = Matrix::zeros(0, 0);
-        ops::standardize_into(self.value(x), &mut stats, &mut value);
-        let inv_std = Matrix::from_vec(1, cols, stats[cols..].to_vec());
-        self.push_aux(Op::Standardize { x }, value, Aux::InvStd(inv_std))
+        let (value, inv_std) = self
+            .eager(|g| {
+                let (cols, mut stats, mut value) = (g.shape(x).1, Vec::new(), Matrix::default());
+                ops::standardize_into(g.value(x), &mut stats, &mut value);
+                (value, Matrix::from_vec(1, cols, stats[cols..].to_vec()))
+            })
+            .unzip();
+        self.push_aux(Op::Standardize { x }, value, inv_std.map_or(Aux::None, Aux::InvStd))
     }
 
     // ---- losses ----------------------------------------------------------
 
     /// Mean squared error `mean((pred − target)²)`; the result is `1×1`.
     pub fn mse(&mut self, pred: VarId, target: VarId) -> VarId {
-        let d = ops::sub(self.value(pred), self.value(target));
-        let n = d.len() as f32;
-        let loss = d.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
-        self.push(Op::Mse { pred, target }, Matrix::from_vec(1, 1, vec![loss]))
+        let value = self.eager(|g| {
+            let d = ops::sub(g.value(pred), g.value(target));
+            let n = d.len() as f32;
+            let loss = d.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
+            Matrix::from_vec(1, 1, vec![loss])
+        });
+        self.push(Op::Mse { pred, target }, value)
     }
 
     /// Mean softmax cross-entropy between `logits` rows and integer
@@ -255,20 +336,22 @@ impl Graph {
     ///
     /// Panics if `labels.len() != logits.rows()` or a label is out of range.
     pub fn softmax_cross_entropy(&mut self, logits: VarId, labels: Vec<u32>) -> VarId {
-        let l = self.value(logits);
-        assert_eq!(labels.len(), l.rows(), "one label per row");
-        let probs = ops::softmax_rows(l);
-        let mut loss = 0.0f64;
-        for (r, &label) in labels.iter().enumerate() {
-            assert!((label as usize) < l.cols(), "label {label} out of range");
-            loss -= f64::from(probs[(r, label as usize)].max(1e-12)).ln();
-        }
-        let loss = (loss / labels.len() as f64) as f32;
-        self.push_aux(
-            Op::SoftmaxCrossEntropy { logits, labels },
-            Matrix::from_vec(1, 1, vec![loss]),
-            Aux::Probs(probs),
-        )
+        let (value, probs) = self
+            .eager(|g| {
+                let l = g.value(logits);
+                assert_eq!(labels.len(), l.rows(), "one label per row");
+                let probs = ops::softmax_rows(l);
+                let mut loss = 0.0f64;
+                for (r, &label) in labels.iter().enumerate() {
+                    assert!((label as usize) < l.cols(), "label {label} out of range");
+                    loss -= f64::from(probs[(r, label as usize)].max(1e-12)).ln();
+                }
+                let loss = (loss / labels.len() as f64) as f32;
+                (Matrix::from_vec(1, 1, vec![loss]), probs)
+            })
+            .unzip();
+        let op = Op::SoftmaxCrossEntropy { logits, labels };
+        self.push_aux(op, value, probs.map_or(Aux::None, Aux::Probs))
     }
 
     // ---- backward --------------------------------------------------------
@@ -488,6 +571,77 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One forward touching every op of the IR, recorded on `g`; returns
+    /// the parameter's node.
+    fn every_op(g: &mut Graph, p: &Param) -> VarId {
+        let x = g.input(Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32 * 0.1 - 0.4));
+        let w = g.param(p);
+        let bias = g.input(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.05));
+        let y = g.matmul(x, w);
+        let y = g.add_bias(y, bias);
+        let y = g.relu(y);
+        let z = g.scale(y, 0.5);
+        let z = g.add(y, z);
+        let z = g.sub(z, y);
+        let z = g.hadamard(z, y);
+        let z = g.hstack(z, x);
+        let grouped = g.gather(z, vec![0, 2, 4, 1, 3, 5]);
+        let centroids = g.gather(z, vec![0, 1, 2]);
+        let offsets = g.sub_centroid(grouped, centroids, 2);
+        let reduced = g.group_max(offsets, 2);
+        let fused = g.gather_max(z, &[0, 1, 2, 3, 4, 5], 3);
+        let _ = g.global_max(fused);
+        let lifted = g.weighted_gather(z, vec![0, 1, 2, 3, 4, 5], vec![0.2; 6], 3);
+        let normed = g.standardize(reduced);
+        let target = g.input(Matrix::zeros(2, 7));
+        let _ = g.mse(lifted, target);
+        let _ = g.softmax_cross_entropy(normed, vec![0, 6, 3]);
+        w
+    }
+
+    #[test]
+    fn shape_rules_match_the_eager_values_of_every_op() {
+        let p = Param::new(Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.1));
+        let (mut eager, mut shapes) = (Graph::new(), Graph::shapes_only());
+        every_op(&mut eager, &p);
+        let w = every_op(&mut shapes, &p);
+        assert_eq!(eager.len(), shapes.len());
+        for i in 0..eager.len() {
+            let op = eager.op_at(i);
+            assert_eq!(shapes.shape_at(i), eager.value_at(i).shape(), "node {i}: {op:?}");
+            assert_eq!(eager.shape_at(i), eager.value_at(i).shape(), "node {i}: {op:?}");
+        }
+        let kinds: std::collections::HashSet<_> =
+            (0..eager.len()).map(|i| std::mem::discriminant(eager.op_at(i))).collect();
+        assert_eq!(kinds.len(), 18, "every op variant is recorded");
+        assert_eq!(shapes.value(w), &p.value, "parameters keep their values");
+    }
+
+    #[test]
+    #[should_panic(expected = "has no value: the graph records shapes only")]
+    fn a_shape_only_graph_keeps_no_op_values() {
+        let mut g = Graph::shapes_only();
+        let x = g.input(Matrix::zeros(2, 3));
+        let y = g.relu(x);
+        let _ = g.value(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn a_shape_only_graph_panics_where_the_tape_does() {
+        let mut g = Graph::shapes_only();
+        let a = g.input(Matrix::zeros(2, 3));
+        let _ = g.matmul(a, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 4 out of bounds for 4 rows")]
+    fn a_shape_only_gather_checks_its_indices() {
+        let mut g = Graph::shapes_only();
+        let x = g.input(Matrix::zeros(4, 2));
+        let _ = g.gather(x, vec![0, 4]);
     }
 
     #[test]

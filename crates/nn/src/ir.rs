@@ -203,6 +203,101 @@ impl Op {
             Op::SoftmaxCrossEntropy { logits, .. } => f(*logits),
         }
     }
+
+    /// The `(rows, cols)` this op produces from operands of the shapes
+    /// `shape` reports: the one shape rule per op that shape-only recording
+    /// trusts in place of the arithmetic. Each rule panics on the operand
+    /// mismatches the eager kernel panics on, with the kernel's message, so
+    /// skipping the arithmetic never turns a panic into an answer. `None`
+    /// for the leaves, whose shape is their value's.
+    pub fn out_shape(&self, shape: impl Fn(VarId) -> (usize, usize)) -> Option<(usize, usize)> {
+        let same = |a: &VarId, b: &VarId, what: &str| {
+            let (sa, sb) = (shape(*a), shape(*b));
+            assert_eq!(sa, sb, "{what} shape mismatch");
+            sa
+        };
+        let out_of_bounds =
+            |indices: &[usize], rows: usize| indices.iter().copied().find(|&i| i >= rows);
+        Some(match self {
+            Op::Input | Op::Param { .. } => return None,
+            Op::MatMul { a, b } => {
+                let (sa, sb) = (shape(*a), shape(*b));
+                assert_eq!(sa.1, sb.0, "matmul shape mismatch: {sa:?} × {sb:?}");
+                (sa.0, sb.1)
+            }
+            Op::AddBias { x, bias } => {
+                let (sx, sb) = (shape(*x), shape(*bias));
+                assert_eq!(sb.0, 1, "bias must be a row vector");
+                assert_eq!(sb.1, sx.1, "bias width must match");
+                sx
+            }
+            Op::Add { a, b } => same(a, b, "add"),
+            Op::Sub { a, b } => same(a, b, "sub"),
+            Op::Hadamard { a, b } => same(a, b, "hadamard"),
+            Op::Relu { x } | Op::Scale { x, .. } => shape(*x),
+            Op::Gather { x, indices } => {
+                let (rows, cols) = shape(*x);
+                if let Some(i) = out_of_bounds(indices, rows) {
+                    panic!("gather index {i} out of bounds for {rows} rows");
+                }
+                (indices.len(), cols)
+            }
+            Op::SubCentroid { grouped, centroids, k } => {
+                let (sg, sc) = (shape(*grouped), shape(*centroids));
+                assert!(*k > 0, "group size must be positive");
+                assert_eq!(sg.0 % k, 0, "grouped rows must be a multiple of k");
+                assert_eq!(sg.0 / k, sc.0, "one centroid per group");
+                assert_eq!(sg.1, sc.1, "widths must match");
+                sg
+            }
+            Op::GroupMax { x, k } => {
+                let (rows, cols) = shape(*x);
+                assert!(*k > 0, "group size must be positive");
+                assert_eq!(rows % k, 0, "rows must be a multiple of k");
+                (rows / k, cols)
+            }
+            Op::GatherMax { x, groups, k } => {
+                let (rows, cols) = shape(*x);
+                assert!(*k > 0, "group size must be positive");
+                assert_eq!(groups.len() % k, 0, "groups must be a multiple of k");
+                if let Some(i) = out_of_bounds(groups, rows) {
+                    panic!("group index {i} out of bounds");
+                }
+                (groups.len() / k, cols)
+            }
+            Op::WeightedGather { x, indices, weights, k } => {
+                let (rows, cols) = shape(*x);
+                assert_eq!(indices.len(), weights.len(), "one weight per index");
+                assert!(*k > 0 && indices.len().is_multiple_of(*k), "indices must be n × k");
+                if let Some(i) = out_of_bounds(indices, rows) {
+                    panic!("weighted-gather index {i} out of bounds for {rows} rows");
+                }
+                (indices.len() / k, cols)
+            }
+            Op::HStack { a, b } => {
+                let (sa, sb) = (shape(*a), shape(*b));
+                assert_eq!(sa.0, sb.0, "hstack requires equal row counts");
+                (sa.0, sa.1 + sb.1)
+            }
+            Op::Standardize { x } => {
+                let sx = shape(*x);
+                assert!(sx.0 > 0, "column stats of empty matrix");
+                sx
+            }
+            Op::Mse { pred, target } => {
+                same(pred, target, "sub");
+                (1, 1)
+            }
+            Op::SoftmaxCrossEntropy { logits, labels } => {
+                let (rows, cols) = shape(*logits);
+                assert_eq!(labels.len(), rows, "one label per row");
+                if let Some(label) = labels.iter().find(|&&l| l as usize >= cols) {
+                    panic!("label {label} out of range");
+                }
+                (1, 1)
+            }
+        })
+    }
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl FeatureNorm {
         let beta = g.param(&self.beta);
         // scale by broadcasting gamma: implemented as hstack-free per-column
         // multiply using a constant-shaped trick: y = standardized ⊙ γ_rows.
-        let rows = g.value(standardized).rows();
+        let rows = g.shape(standardized).0;
         let gamma_rows = g.gather(gamma, vec![0; rows]);
         let scaled = g.hadamard(standardized, gamma_rows);
         let beta_rows = g.gather(beta, vec![0; rows]);

@@ -277,7 +277,7 @@ impl Plan {
         let mut n_inputs = 0usize;
         let mut slot_values = 0usize;
         for (i, step) in steps.iter().enumerate() {
-            let (rows, cols) = g.value_at(i).shape();
+            let (rows, cols) = g.shape_at(i);
             let mut input_idx = None;
             let loc = if !live[i] {
                 Loc::Dead

@@ -63,33 +63,45 @@ fn parse_coord(line_no: usize, s: &str) -> Result<f32, ReadCloudError> {
 }
 
 /// Reads an XYZ file: `x y z [label]` per line, `#` comments, blank lines
-/// ignored. Labels must appear on every line or none.
+/// ignored. Labels must appear on every line or none. Lines end in `\n` or
+/// `\r\n`. One line buffer serves the whole file, and a line's fields are
+/// read in place, so the points and labels are the only growing storage.
 ///
 /// # Errors
 ///
-/// Returns [`ReadCloudError`] on I/O failure, malformed coordinates, or
-/// inconsistent label columns.
+/// Returns [`ReadCloudError`] on I/O failure (invalid UTF-8 included),
+/// malformed coordinates, or inconsistent label columns.
 pub fn read_xyz<R: Read>(reader: R) -> Result<PointCloud, ReadCloudError> {
+    let mut reader = BufReader::new(reader);
+    let mut line = String::new();
     let mut points = Vec::new();
     let mut labels: Vec<u32> = Vec::new();
     let mut has_labels: Option<bool> = None;
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
-        let content = line.split('#').next().unwrap_or("").trim();
+    for line_no in 1.. {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        let text = line.strip_suffix('\n').unwrap_or(&line);
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        let content = text.split('#').next().unwrap_or("").trim();
         if content.is_empty() {
             continue;
         }
-        let fields: Vec<&str> = content.split_whitespace().collect();
-        if fields.len() != 3 && fields.len() != 4 {
-            return Err(parse_err(
-                line_no,
-                format!("expected 3 or 4 fields, got {}", fields.len()),
-            ));
+        let mut fields = [""; 4];
+        let mut count = 0;
+        for field in content.split_whitespace() {
+            if let Some(slot) = fields.get_mut(count) {
+                *slot = field;
+            }
+            count += 1;
+        }
+        if count != 3 && count != 4 {
+            return Err(parse_err(line_no, format!("expected 3 or 4 fields, got {count}")));
         }
         let coord = |s| parse_coord(line_no, s);
         points.push(Point3::new(coord(fields[0])?, coord(fields[1])?, coord(fields[2])?));
-        let labelled = fields.len() == 4;
+        let labelled = count == 4;
         match has_labels {
             None => has_labels = Some(labelled),
             Some(expected) if expected != labelled => {
@@ -137,6 +149,123 @@ pub fn write_xyz<W: Write>(cloud: &PointCloud, mut writer: W) -> io::Result<()> 
 mod tests {
     use super::*;
     use crate::shapes::{sample_shape, ShapeClass};
+    use proptest::prelude::*;
+
+    /// The reader as it was before it reused its line buffer: a `String`
+    /// per line from `BufRead::lines` and a `Vec` of its fields. Kept as
+    /// the oracle the current reader must equal.
+    fn read_xyz_per_line_allocating<R: Read>(reader: R) -> Result<PointCloud, ReadCloudError> {
+        let mut points = Vec::new();
+        let mut labels: Vec<u32> = Vec::new();
+        let mut has_labels: Option<bool> = None;
+        for (idx, line) in BufReader::new(reader).lines().enumerate() {
+            let line_no = idx + 1;
+            let line = line?;
+            let content = line.split('#').next().unwrap_or("").trim();
+            if content.is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = content.split_whitespace().collect();
+            if fields.len() != 3 && fields.len() != 4 {
+                return Err(parse_err(
+                    line_no,
+                    format!("expected 3 or 4 fields, got {}", fields.len()),
+                ));
+            }
+            let coord = |s| parse_coord(line_no, s);
+            points.push(Point3::new(coord(fields[0])?, coord(fields[1])?, coord(fields[2])?));
+            let labelled = fields.len() == 4;
+            match has_labels {
+                None => has_labels = Some(labelled),
+                Some(expected) if expected != labelled => {
+                    return Err(parse_err(line_no, "inconsistent label column"));
+                }
+                _ => {}
+            }
+            if labelled {
+                labels.push(
+                    fields[3]
+                        .parse()
+                        .map_err(|_| parse_err(line_no, format!("bad label '{}'", fields[3])))?,
+                );
+            }
+        }
+        Ok(if has_labels == Some(true) {
+            PointCloud::from_labelled_points(points, labels)
+        } else {
+            PointCloud::from_points(points)
+        })
+    }
+
+    /// Everything a read says: point bits and labels, or the error.
+    fn outcome(
+        read: Result<PointCloud, ReadCloudError>,
+    ) -> Result<(Vec<[u32; 3]>, Vec<u32>), String> {
+        let cloud = read.map_err(|e| format!("{e:?}"))?;
+        let bits = cloud.points().iter().map(|p| [p.x, p.y, p.z].map(f32::to_bits)).collect();
+        Ok((bits, cloud.labels().map(<[u32]>::to_vec).unwrap_or_default()))
+    }
+
+    /// Fragments the generated files are made of: numbers of every form,
+    /// labels, separators, comments, both line ends, a lone `\r`, words,
+    /// non-finite values and bytes that are not UTF-8.
+    const TOKENS: [&[u8]; 24] = [
+        b"1",
+        b"-2.5",
+        b"3e2",
+        b"0.1",
+        b"+7",
+        b"1e40",
+        b"nan",
+        b"inf",
+        b"x",
+        b"4294967296",
+        b"12",
+        b" ",
+        b" ",
+        b"\t",
+        b"  ",
+        b"\n",
+        b"\n",
+        b"\r\n",
+        b"\r",
+        b"#",
+        b"# note",
+        b"\xff",
+        b"\xc3\xa9",
+        b"",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn read_xyz_equals_the_per_line_allocating_reader(
+            picks in prop::collection::vec(0..TOKENS.len(), 0..48),
+        ) {
+            let bytes: Vec<u8> = picks.iter().flat_map(|&i| TOKENS[i].iter().copied()).collect();
+            let got = outcome(read_xyz(&bytes[..]));
+            let want = outcome(read_xyz_per_line_allocating(&bytes[..]));
+            prop_assert_eq!(got, want, "input {:?}", String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn read_xyz_equals_the_oracle_on_well_formed_files(
+            rows in prop::collection::vec((0..TOKENS.len(), 0..3usize, -1.0e6f32..1.0e6), 1..32),
+        ) {
+            // Mostly valid lines: three coordinates, then an ending token.
+            let mut bytes = Vec::new();
+            for &(end, spaces, v) in &rows {
+                let gap = " ".repeat(spaces + 1);
+                bytes.extend(format!("{v}{gap}{}{gap}{v:e}", -v).bytes());
+                bytes.extend_from_slice(TOKENS[end]);
+                bytes.push(b'\n');
+            }
+            let got = outcome(read_xyz(&bytes[..]));
+            let want = outcome(read_xyz_per_line_allocating(&bytes[..]));
+            prop_assert_eq!(got, want, "input {:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
 
     #[test]
     fn xyz_round_trip_unlabelled() {

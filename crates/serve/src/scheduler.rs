@@ -365,6 +365,38 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_clouds_get_unavailable_and_the_dispatcher_serves_on() {
+        let session = tiny_session();
+        let n = session.network().input_points();
+        let full = sample_shape(ShapeClass::Chair, n, 1);
+        let mut g = mesorasi_nn::Graph::new();
+        let trace = session.network().forward(&mut g, &full, Strategy::Delayed, 7).trace;
+        let first = trace.modules[0].search.as_ref().expect("the network opens with a search");
+        // An empty cloud, fewer points than k, fewer than the first n_out.
+        let clouds = vec![
+            PointCloud::new(),
+            sample_shape(ShapeClass::Cup, first.k - 1, 2),
+            sample_shape(ShapeClass::Cup, first.queries - 1, 3),
+            full,
+        ];
+        let scheduler = Scheduler::start(session, 64);
+        let (tx, rx) = mpsc::channel();
+        for (id, cloud) in (0..).zip(clouds) {
+            scheduler.submit(Job { id, cloud, reply: tx.clone() });
+        }
+        let got = replies(&rx, 4);
+        for (id, frame) in (0..3).zip(&got) {
+            assert!(
+                matches!(frame, Frame::Error { id: i, code: ErrorCode::Unavailable, .. } if *i == id),
+                "expected Unavailable for degenerate request {id}, got {frame:?}"
+            );
+        }
+        assert!(matches!(&got[3], Frame::Result { id: 3, .. }), "got {:?}", got[3]);
+        assert_eq!(scheduler.stats().served, 1);
+        scheduler.shutdown();
+    }
+
+    #[test]
     fn shutdown_rejects_late_submissions_as_unavailable() {
         let session = tiny_session();
         let n = session.network().input_points();

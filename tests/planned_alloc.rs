@@ -18,7 +18,8 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Eleven audits, one per test; the first eight in increasing strictness:
+//! Twelve audits, one per test (the twelfth at two scales); the first eight
+//! in increasing strictness:
 //!
 //! 1. the cache-hit audit on [`PlanEngine::run`] — searches are cached,
 //!    pure planned tensor execution; a hit on each of several cached
@@ -68,14 +69,21 @@
 //!     one on each worker, make zero heap allocations once each worker is
 //!     warm — the plan lookup is one lock and one `Arc` clone — and the
 //!     pool's byte totals (`Session::arena_stats` sums the workers) stay
-//!     frozen.
+//!     frozen;
+//! 12. the compile-memory audit: a plan is recorded from shapes, with no
+//!     tape values, so the heap's peak growth during a cold engine's first
+//!     [`PlanEngine::run`], compile included, stays within what the engine
+//!     then retains (plan, arena, derivation state, sample cache) plus
+//!     [`COLD_RUN_SLACK`]. The allocator tracks live bytes and their peak
+//!     for this. The paper-scale case records PointNet++ (s) on 32,768
+//!     points (release only).
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::nn::VarId;
 use mesorasi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// Serialises the audits (see the module docs).
@@ -107,6 +115,10 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Largest single block requested while armed, in bytes.
 static LARGEST: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated minus bytes freed while armed, and the highest value it
+/// reached: the heap growth of the armed window and its peak.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     /// Whether this thread is running an audit. Const and without a
@@ -115,15 +127,26 @@ thread_local! {
     static AUDITED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Counts one allocator call of `size` bytes if an audit is armed and owns
-/// this thread: its own, or a pool worker (which only ever runs the armed
-/// audit's jobs).
-fn count(size: usize) {
-    if ARMED.load(Ordering::Relaxed) && (AUDITED.with(Cell::get) || mesorasi_par::worker_slot() > 0)
-    {
+/// Whether an audit is armed and owns this thread: its own, or a pool
+/// worker (which only ever runs the armed audit's jobs).
+fn counted() -> bool {
+    ARMED.load(Ordering::Relaxed) && (AUDITED.with(Cell::get) || mesorasi_par::worker_slot() > 0)
+}
+
+/// Counts one allocator call of `size` bytes that grows the live heap by
+/// `grown` bytes, if [`counted`].
+fn count(size: usize, grown: i64) {
+    if counted() {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+        track(grown);
     }
+}
+
+/// Moves the live-byte count by `delta`, raising its peak.
+fn track(delta: i64) {
+    let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK.fetch_max(now, Ordering::Relaxed);
 }
 
 /// Streams `frames` through `engine` once on every participant of a
@@ -168,16 +191,19 @@ struct CountingAlloc;
 // SAFETY: delegates every operation to `System`; only adds counting.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if counted() {
+            track(-(layout.size() as i64));
+        }
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -640,4 +666,53 @@ fn decoding_a_short_frame_reserves_no_more_than_its_payload() {
             payload.len()
         );
     }
+}
+
+/// Transient bytes a cold run may hold beyond what its engine retains: the
+/// recording's position copies and op list, and the first derivation's
+/// scratch. Measured at 38 KiB on the small PointNet++ (s) and 5 KiB on the
+/// paper-scale scene; an eager recording tape overshoots by 1.4 MB and
+/// 315 MB.
+const COLD_RUN_SLACK: i64 = 256 * 1024;
+
+/// The heap peak of a cold engine's first `run` on one `n`-point cloud of
+/// `net` (compile included) and the bytes the engine reports retaining
+/// after it: plan, arena, derivation state and sample cache.
+fn cold_run_peak(net: &dyn PointCloudNetwork, n: usize) -> (i64, i64) {
+    let mut engine = PlanEngine::new();
+    let record = |g: &mut Graph, c: &PointCloud| net.session_outputs(g, c, Strategy::Delayed, 7);
+    let cloud = sample_shape(ShapeClass::Table, n, 170);
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let _ = engine.run(&cloud, &record);
+    ARMED.store(false, Ordering::SeqCst);
+    let stats = engine.stats(n).expect("compiled");
+    let retained =
+        stats.plan_bytes + stats.arena.peak_bytes + stats.search_bytes + stats.cache_bytes;
+    (PEAK.load(Ordering::SeqCst), retained as i64)
+}
+
+fn check_cold_run_peak(net: &dyn PointCloudNetwork, n: usize) {
+    let _serial = serial();
+    mesorasi_par::with_threads(1, || {
+        let (peak, retained) = cold_run_peak(net, n);
+        assert!(
+            peak <= retained + COLD_RUN_SLACK,
+            "a cold {n}-point run peaked at {peak} B; its engine retains {retained} B"
+        );
+    });
+}
+
+#[test]
+fn a_cold_engines_first_run_peaks_at_what_it_retains() {
+    let net = NetworkKind::PointNetPPSegmentation.build_small(5, &mut seeded_rng(6));
+    check_cold_run_peak(net.as_ref(), net.input_points());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale forward: release only")]
+fn a_cold_paper_scale_scene_run_peaks_at_what_it_retains() {
+    let net = NetworkKind::PointNetPPSegmentation.build_paper(&mut seeded_rng(6));
+    check_cold_run_peak(net.as_ref(), 32_768);
 }
