@@ -30,10 +30,11 @@
 //! [`DynStep`]s describing how each per-sample value derives from the
 //! sample. Executing a *new* sample interleaves plan ranges with the
 //! dynamic steps — the feature-space searches of DGCNN read intermediate
-//! features straight out of the arena — and the derived [`Bindings`] are
-//! cached per sample (the NIT cache), so repeated inference on a seen
-//! sample runs pure planned tensor code with **zero per-sample
-//! allocation**.
+//! features straight out of the arena — writing the derived [`Bindings`]
+//! into the engine's one set of frame bindings. A streamed frame stops
+//! there; a cache miss then copies them into the sample cache (the NIT
+//! cache), so repeated inference on a seen sample runs pure planned tensor
+//! code with **zero per-sample allocation**.
 //!
 //! The searches and stencil computation are the very functions the
 //! tape-based runner calls, so planned execution is bit-identical to
@@ -327,13 +328,12 @@ pub(crate) mod rec {
     }
 }
 
-/// A compiled plan and its dynamic steps: immutable, so engines share it.
+/// A compiled plan and its live dynamic steps: immutable, so engines share it.
 struct Compiled {
     n_points: usize,
     plan: Plan,
+    /// The steps that survived plan dead-code elimination, in tape order.
     steps: Vec<DynStep>,
-    /// Steps that survived plan dead-code elimination.
-    step_live: Vec<bool>,
     /// Position states the recording registered.
     n_states: usize,
 }
@@ -373,9 +373,10 @@ fn compile(cloud: &PointCloud, record: &RecordFn) -> Compiled {
 
     let plan = Plan::from_graph(&g, &outputs, &recording.marks);
     plan.check_no_aliasing();
-    let step_live = compute_step_live(&plan, &recording);
+    let live = compute_step_live(&plan, &recording);
     let n_states = recording.derivable.len();
-    Compiled { n_points: cloud.len(), plan, steps: recording.steps, step_live, n_states }
+    let steps = recording.steps.into_iter().zip(live).filter_map(|(s, l)| l.then_some(s)).collect();
+    Compiled { n_points: cloud.len(), plan, steps, n_states }
 }
 
 /// Every update leaves the vector valid, and recording runs unlocked: recover a poisoned lock.
@@ -404,15 +405,20 @@ struct Derived {
     /// current pass).
     state_bufs: Vec<PointCloud>,
     state_set: Vec<bool>,
+    /// The frame's bindings (input rows, neighbor lists, stencils), fitted
+    /// to the running plan: what a streamed frame runs on and a cache miss
+    /// copies into the sample cache.
+    bindings: Bindings,
 }
 
 impl Derived {
-    /// Heap bytes retained: cached indices, the NIT and the per-state
-    /// position clouds.
+    /// Heap bytes retained: cached indices, the NIT, the per-state
+    /// position clouds and the frame bindings.
     fn storage_bytes(&self) -> usize {
         self.search.storage_bytes()
             + self.nit.storage_bytes()
             + self.state_bufs.iter().map(PointCloud::storage_bytes).sum::<usize>()
+            + self.bindings.storage_bytes()
     }
 }
 
@@ -454,7 +460,7 @@ pub struct EngineStats {
     pub plan_bytes: usize,
     /// Heap bytes retained by the engine's derivation state: cached
     /// indices and their verification clouds, the NIT buffer, per-state
-    /// positions and the stream bindings.
+    /// positions and the one set of frame bindings.
     pub search_bytes: usize,
     /// Heap bytes retained by the sample cache: cached clouds plus the
     /// capacity of their bindings.
@@ -494,11 +500,12 @@ impl EngineStats {
 /// sight into a store of at most [`MAX_PLANS`], which engines built with
 /// [`PlanEngine::sharing_plans`] share, weights included. Each engine keeps
 /// one arena, fitted to the plan it runs, and one copy of everything a
-/// frame derives into (search arena, NIT, position buffers, stream
-/// bindings) and of the sample cache. Per-sample neighbor structure is
-/// cached so the steady state (repeated samples) allocates nothing. For
-/// frame sequences that never repeat, [`PlanEngine::run_streamed`]
-/// bypasses the cache and reuses the persistent search arena instead.
+/// frame derives into (search arena, NIT, position buffers, frame
+/// bindings) and of the sample cache. A cache miss derives into the frame
+/// bindings and caches a copy, so the steady state (repeated samples)
+/// allocates nothing. For frame sequences that never repeat,
+/// [`PlanEngine::run_streamed`] bypasses the cache and runs on the frame
+/// bindings alone.
 #[derive(Default)]
 pub struct PlanEngine {
     /// The session's compiled plans, at most [`MAX_PLANS`], least recently run first.
@@ -511,9 +518,6 @@ pub struct PlanEngine {
     /// sample's content fixes its shape, and recording is pure, so cached
     /// bindings stay valid for a plan recompiled after eviction.
     samples: SampleCache,
-    /// Persistent bindings of the streaming (cache-bypass) path, fitted to
-    /// the running plan.
-    stream: Bindings,
 }
 
 /// Compiled plans a store keeps (one store per session, or lone engine).
@@ -567,13 +571,11 @@ impl PlanEngine {
                 c.plan.run(&mut self.arena, bindings);
             }
             None => {
-                let mut bindings = Bindings::default();
-                bindings.fit(&c.plan);
-                derive_and_run(c, &mut self.arena, &mut self.derived, cloud, &mut bindings);
+                derive_and_run(c, &mut self.arena, &mut self.derived, cloud);
                 // True LRU: at capacity exactly one (least recently used)
                 // entry is evicted — never a wholesale clear, so hot
                 // samples survive unbounded fresh traffic.
-                self.samples.insert(hash, cloud, bindings);
+                self.samples.insert(hash, cloud, &self.derived.bindings);
             }
         }
         PlannedOutputs { plan: &c.plan, arena: &self.arena }
@@ -583,7 +585,8 @@ impl PlanEngine {
     /// per-sample NIT cache is bypassed — frames of a stream rarely repeat,
     /// so caching them would only burn memory — and every per-frame
     /// derivation (input matrices, neighbor searches, stencils) writes into
-    /// this engine's persistent buffers, shared by every compiled shape.
+    /// this engine's persistent buffers, shared by every compiled shape:
+    /// a cache miss minus the copy into the cache.
     /// Search indices warm-start from the previous frame: frames rebuild
     /// index *contents* while reusing capacity, so once each shape a stream
     /// sends has run, it performs zero heap allocations per frame, searches
@@ -596,8 +599,7 @@ impl PlanEngine {
     pub fn run_streamed(&mut self, cloud: &PointCloud, record: &RecordFn) -> PlannedOutputs<'_> {
         self.enter(cloud, record);
         let c = self.running.as_deref().expect("entered above");
-        self.stream.fit(&c.plan);
-        derive_and_run(c, &mut self.arena, &mut self.derived, cloud, &mut self.stream);
+        derive_and_run(c, &mut self.arena, &mut self.derived, cloud);
         PlannedOutputs { plan: &c.plan, arena: &self.arena }
     }
 
@@ -609,7 +611,7 @@ impl PlanEngine {
         Some(EngineStats {
             arena: c.plan.stats(&self.arena),
             plan_bytes: plans.iter().map(|c| c.storage_bytes()).sum(),
-            search_bytes: self.derived.storage_bytes() + self.stream.storage_bytes(),
+            search_bytes: self.derived.storage_bytes(),
             cache_bytes: self.samples.storage_bytes(),
             search: self.search_counters(),
             cache: self.samples.stats(),
@@ -630,7 +632,8 @@ impl PlanEngine {
 
     /// Makes the plan for `cloud`'s shape the running one, compiling it
     /// outside the store's lock unless the store holds it or another engine
-    /// inserts it first, and fits the arena and derivation buffers to it.
+    /// inserts it first, and fits the arena, position buffers and frame
+    /// bindings to it.
     fn enter(&mut self, cloud: &PointCloud, record: &RecordFn) {
         let found = touch(&mut lock(&self.plans), cloud.len()); // unlocks before compiling
         let c = found.unwrap_or_else(|| {
@@ -650,6 +653,7 @@ impl PlanEngine {
             d.state_bufs.resize_with(c.n_states, PointCloud::new);
             d.state_set.resize(c.n_states, false);
         }
+        d.bindings.fit(&c.plan);
         self.running = Some(c);
     }
 }
@@ -657,7 +661,7 @@ impl PlanEngine {
 /// A step is live when a surviving plan node consumes one of its bindings,
 /// or a later live step needs a state it derives. Dead steps (e.g. the
 /// box-branch searches of F-PointNet when only segmentation logits were
-/// requested) are skipped wholesale at execution time.
+/// requested) are dropped at compile time.
 fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
     // Binding liveness from the marked consumer nodes.
     let mut index_live = vec![false; recording.marks.n_index];
@@ -704,25 +708,16 @@ fn compute_step_live(plan: &Plan, recording: &Recording) -> Vec<bool> {
 }
 
 /// Cache miss or streamed frame: interleave plan ranges with the live
-/// dynamic steps, filling `b`, and finish the run. All per-sample
-/// derivation writes into the engine's persistent buffers — state
-/// positions, the NIT, and the search indices all reuse capacity, so a
-/// frame of a shape seen before derives without allocating.
-fn derive_and_run(
-    c: &Compiled,
-    arena: &mut Arena,
-    d: &mut Derived,
-    cloud: &PointCloud,
-    b: &mut Bindings,
-) {
-    let Compiled { plan, steps, step_live, n_states, .. } = c;
-    let Derived { search, nit, state_bufs, state_set } = d;
+/// dynamic steps, filling the frame bindings, and finish the run. All
+/// per-sample derivation writes into the engine's persistent buffers —
+/// state positions, the NIT, the search indices and the bindings all reuse
+/// capacity, so a frame of a shape seen before derives without allocating.
+fn derive_and_run(c: &Compiled, arena: &mut Arena, d: &mut Derived, cloud: &PointCloud) {
+    let Compiled { plan, steps, n_states, .. } = c;
+    let Derived { search, nit, state_bufs, state_set, bindings: b } = d;
     state_set[..*n_states].fill(false);
     let mut cursor = 0usize;
-    for (si, step) in steps.iter().enumerate() {
-        if !step_live[si] {
-            continue;
-        }
+    for step in steps {
         let at = step.at();
         if at > cursor {
             plan.run_range(arena, b, cursor, at);
@@ -1078,6 +1073,23 @@ mod tests {
             misses_before + 1,
             "the re-run was a miss (the victim really was evicted)"
         );
+    }
+
+    #[test]
+    fn the_cache_keeps_a_copy_not_the_frame_bindings() {
+        // A miss derives into the frame bindings and caches a copy: a
+        // streamed frame in between rewrites the frame bindings and must
+        // leave the cached sample's answer as it was.
+        let module = offset_module(NeighborMode::CoordKnn);
+        let record = delayed_forward(&module);
+        let mut engine = PlanEngine::new();
+        let (a, b) = (sample_shape(ShapeClass::Cup, 96, 70), sample_shape(ShapeClass::Cup, 96, 71));
+        let want = tape_module_forward(&module, &a, Strategy::Delayed);
+        let _ = engine.run(&a, &record);
+        let _ = engine.run_streamed(&b, &record);
+        assert_eq!(engine.run(&a, &record).get(0), &want, "the hit read B's neighbor lists");
+        let cache = engine.sample_cache_stats();
+        assert_eq!((cache.hits, cache.misses), (1, 1));
     }
 
     #[test]

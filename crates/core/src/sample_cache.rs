@@ -124,14 +124,14 @@ impl SampleCache {
         Some(&slot.bindings)
     }
 
-    /// Caches freshly derived bindings for `cloud`, which the caller
-    /// guarantees is not cached (it just missed). At capacity exactly one
-    /// entry, the least recently used, is evicted, and its cloud buffer is
-    /// reused for the newcomer.
-    pub(crate) fn insert(&mut self, hash: u64, cloud: &PointCloud, bindings: Bindings) {
+    /// Caches a copy of `cloud` and of its freshly derived bindings, which
+    /// the caller guarantees are not cached (it just missed). At capacity
+    /// exactly one entry, the least recently used, is evicted, and its
+    /// cloud buffer is reused for the newcomer.
+    pub(crate) fn insert(&mut self, hash: u64, cloud: &PointCloud, bindings: &Bindings) {
         self.clock += 1;
         if self.slots.len() < self.cap {
-            let cloud = cloud.clone();
+            let (cloud, bindings) = (cloud.clone(), bindings.clone());
             self.slots.push(Slot { hash, cloud, bindings, last_use: self.clock });
             return;
         }
@@ -140,7 +140,7 @@ impl SampleCache {
         self.evictions += 1;
         victim.hash = hash;
         victim.cloud.copy_from(cloud);
-        victim.bindings = bindings;
+        victim.bindings.clone_from(bindings);
         victim.last_use = self.clock;
     }
 
@@ -170,7 +170,7 @@ mod tests {
         for s in 0..3 {
             let c = cloud(s);
             assert!(cache.get(c.content_hash(), &c).is_none());
-            cache.insert(c.content_hash(), &c, bindings());
+            cache.insert(c.content_hash(), &c, &bindings());
         }
         let c0 = cloud(0);
         assert!(cache.get(c0.content_hash(), &c0).is_some());
@@ -183,11 +183,11 @@ mod tests {
     fn eviction_is_lru_not_wholesale() {
         let mut cache = SampleCache::new(2);
         let (a, b, c) = (cloud(1), cloud(2), cloud(3));
-        cache.insert(a.content_hash(), &a, bindings());
-        cache.insert(b.content_hash(), &b, bindings());
+        cache.insert(a.content_hash(), &a, &bindings());
+        cache.insert(b.content_hash(), &b, &bindings());
         // Touch `a` so `b` is the LRU entry, then insert `c`.
         assert!(cache.get(a.content_hash(), &a).is_some());
-        cache.insert(c.content_hash(), &c, bindings());
+        cache.insert(c.content_hash(), &c, &bindings());
         assert_eq!(cache.stats().entries, 2, "one eviction, not a clear");
         assert!(cache.get(a.content_hash(), &a).is_some(), "recently used survives");
         assert!(cache.get(b.content_hash(), &b).is_none(), "LRU entry evicted");
@@ -202,12 +202,12 @@ mod tests {
         // matter how many distinct samples stream past.
         let mut cache = SampleCache::new(8);
         let hot = cloud(9999);
-        cache.insert(hot.content_hash(), &hot, bindings());
+        cache.insert(hot.content_hash(), &hot, &bindings());
         let mut full_bytes = None;
         for s in 0..100 {
             let f = cloud(s);
             assert!(cache.get(f.content_hash(), &f).is_none());
-            cache.insert(f.content_hash(), &f, bindings());
+            cache.insert(f.content_hash(), &f, &bindings());
             assert!(cache.get(hot.content_hash(), &hot).is_some(), "fresh insert #{s} evicted hot");
             // Once full, an eviction reuses the victim's cloud buffer.
             if cache.stats().entries == 8 {
@@ -227,8 +227,8 @@ mod tests {
         let mut cache = SampleCache::new(4);
         let (a, b) = (cloud(1), cloud(2));
         let fake_hash = 42u64;
-        cache.insert(fake_hash, &a, bindings());
-        cache.insert(fake_hash, &b, bindings());
+        cache.insert(fake_hash, &a, &bindings());
+        cache.insert(fake_hash, &b, &bindings());
         assert!(cache.get(fake_hash, &a).is_some());
         assert!(cache.get(fake_hash, &b).is_some());
         assert!(cache.get(fake_hash, &cloud(3)).is_none(), "content guard rejects");

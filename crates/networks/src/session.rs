@@ -465,23 +465,21 @@ impl Session {
     }
 
     /// Pre-warms every worker engine on `cloud`: compiles the plan for its
-    /// shape once for the pool, fits each arena, fills each NIT cache,
-    /// **and** primes the search state — per-space indices and the
-    /// streaming buffers — so later
-    /// [`Session::infer`] / [`Session::infer_batch`] / [`Session::frames`]
-    /// traffic on same-shaped inputs starts from the fully warm steady
-    /// state no matter which engine serves it. Call before
-    /// timing-sensitive traffic; purely an optimization.
+    /// shape once for the pool, then runs one cached forward per worker.
+    /// A cache miss derives into the same frame bindings a streamed frame
+    /// runs on, so that one forward fits each arena, fills each NIT cache
+    /// **and** primes the search state — per-space indices and the frame
+    /// bindings — and later [`Session::infer`] / [`Session::infer_batch`] /
+    /// [`Session::frames`] traffic on same-shaped inputs starts from the
+    /// fully warm steady state no matter which engine serves it. Call
+    /// before timing-sensitive traffic; purely an optimization.
     ///
     /// The compile records shapes only, so it runs no forward of its own
-    /// and keeps no tape: a warm costs two planned forwards per worker (a
-    /// cached one and a streamed one) plus the plan, and its memory peak
-    /// is what the session then retains.
+    /// and keeps no tape: a warm costs one planned forward per worker plus
+    /// the plan, and its memory peak is what the session then retains.
     pub fn warm(&self, cloud: &PointCloud) {
         for engine in &self.engines {
-            let mut engine = lock_unpoisoned(engine);
-            let _ = self.run_on(&mut engine, cloud);
-            let _ = self.exec(&mut engine, cloud, true);
+            let _ = self.run_on(&mut lock_unpoisoned(engine), cloud);
         }
     }
 
@@ -763,6 +761,26 @@ mod tests {
             frames.infer_into(cloud, &mut out);
             assert_eq!(&out, want);
         }
+    }
+
+    #[test]
+    fn warm_runs_one_cached_forward_per_worker() {
+        let one = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(3)
+            .workers(1)
+            .build();
+        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(3)
+            .workers(2)
+            .build();
+        let cloud = sample_shape(ShapeClass::Chair, session.network().input_points(), 2);
+        let _ = one.infer(&cloud);
+        session.warm(&cloud);
+        let per_forward = one.search_counters().query_calls;
+        assert!(per_forward > 0);
+        assert_eq!(session.search_counters().query_calls, 2 * per_forward);
+        let cache = session.cache_stats();
+        assert_eq!((cache.misses, cache.entries), (2, 2), "one cached miss per worker");
     }
 
     #[test]

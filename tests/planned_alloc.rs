@@ -18,8 +18,8 @@
 //!   through [`warm_on_every_pool_thread`], which runs the frames once on
 //!   each participant, that participant claiming every search chunk.
 //!
-//! Twelve audits, one per test (the twelfth at two scales); the first eight
-//! in increasing strictness:
+//! Thirteen audits, one per test (the twelfth at two scales); the first
+//! eight in increasing strictness:
 //!
 //! 1. the cache-hit audit on [`PlanEngine::run`] — searches are cached,
 //!    pure planned tensor execution; a hit on each of several cached
@@ -60,7 +60,7 @@
 //!    a huge body requests no heap block larger than the payload it was
 //!    handed — the allocator records the largest request it sees;
 //! 10. the shape-switch audit: an engine's derivation state (search arena,
-//!     NIT, position buffers, stream bindings) is one copy shared by every
+//!     NIT, position buffers, frame bindings) is one copy shared by every
 //!     compiled shape, so PointNet++ (s) frames of two point counts
 //!     alternating through one engine make zero heap allocations once each
 //!     shape is warm, and the engine's byte totals stay frozen;
@@ -76,7 +76,11 @@
 //!     then retains (plan, arena, derivation state, sample cache) plus
 //!     [`COLD_RUN_SLACK`]. The allocator tracks live bytes and their peak
 //!     for this. The paper-scale case records PointNet++ (s) on 32,768
-//!     points (release only).
+//!     points (release only);
+//! 13. the `warm` audit: [`mesorasi::Session::warm`] runs one cached
+//!     forward per worker, and a cache miss derives into the same frame
+//!     bindings and search state a streamed frame runs on, so the first
+//!     streamed frame after `warm` makes zero heap allocations.
 
 use mesorasi::core::engine::PlanEngine;
 use mesorasi::nn::VarId;
@@ -151,7 +155,7 @@ fn track(delta: i64) {
 
 /// Streams `frames` through `engine` once on every participant of a
 /// `threads`-wide parallel region — the caller and each of the
-/// `threads - 1` pool workers: compiles the plan, sizes the stream
+/// `threads - 1` pool workers: compiles the plan, sizes the frame
 /// bindings, and grows each participant's search scratch to this frame
 /// population's high-water mark, so whichever of them claims a query chunk
 /// later finds its slot warm. There are as many one-item chunks as
@@ -266,7 +270,7 @@ fn warm_streamed_forward_on_the_default_engine_allocates_nothing() {
         let frames: Vec<PointCloud> =
             (0..4).map(|s| sample_shape(ShapeClass::Chair, net.input_points(), s)).collect();
 
-        // Warm pass: compiles the plan, sizes the stream bindings, and
+        // Warm pass: compiles the plan, sizes the frame bindings, and
         // grows every search buffer to this frame population's high-water
         // mark. The streamed replay re-derives everything per frame, so
         // re-running the same frames still exercises the full search path.
@@ -325,6 +329,29 @@ fn warm_session_frame_inference_allocates_nothing_end_to_end() {
 
         assert_eq!(after - before, 0, "a warm Session frame must not touch the allocator");
         assert_eq!(out.domain(), Domain::Classification, "results still flow");
+    });
+}
+
+#[test]
+fn a_streamed_frame_after_warm_allocates_nothing() {
+    let _serial = serial();
+    mesorasi_par::with_threads(1, || {
+        let session = SessionBuilder::from_kind(NetworkKind::PointNetPPClassification)
+            .classes(5)
+            .workers(1)
+            .build();
+        let cloud = sample_shape(ShapeClass::Lamp, session.network().input_points(), 60);
+        session.warm(&cloud);
+        let mut out = session.infer(&cloud);
+
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        session.frames().infer_into(&cloud, &mut out);
+        let after = ALLOCS.load(Ordering::SeqCst);
+        ARMED.store(false, Ordering::SeqCst);
+
+        assert_eq!(after - before, 0, "warm left the streaming path cold");
+        assert_eq!(session.cache_stats().misses, 1, "warm's forward was the only miss");
     });
 }
 
@@ -474,7 +501,7 @@ fn warm_segmentation_stream_allocates_nothing_including_stencils() {
     let _serial = serial();
     // Feature propagation searches like every module: each frame's
     // stencils point-query the coarse levels through the engine's search
-    // context and land in the stream bindings. A query list or a table
+    // context and land in the frame bindings. A query list or a table
     // built per frame on that path would show here.
     for threads in [1, 2] {
         mesorasi_par::with_threads(threads, || {
